@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import BracketFailure, DomainError, ToleranceFailure
@@ -53,16 +52,33 @@ def _load_config(args) -> dict:
 def _shoot_config(cfg: dict, args) -> ShootConfig:
     rk = args.rk_steps or cfg.get("rk_steps", 4096)
     tol = args.tol or cfg.get("tol", 1e-10)
-    return ShootConfig(rk_steps=int(rk), lambda_tol=float(tol))
+    try:
+        return ShootConfig(rk_steps=int(rk), lambda_tol=float(tol))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad shooting settings: %s" % exc)
 
 
-def _problem_spec(cfg: dict) -> ProblemSpec:
+def _cells(cfg: dict, args) -> int:
+    try:
+        m = int(args.m or cfg.get("m", 2000))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("bad 'm': %s" % exc)
+    if m < 16:
+        raise ConfigError("'m' must be >= 16, got %d" % m)
+    return m
+
+
+def _problem_spec(cfg: dict, **override) -> ProblemSpec:
+    """The config's problem with override applied, built once so that an
+    invalid problem is a config error before any solve starts."""
     if "problem" not in cfg:
         raise ConfigError("config needs a 'problem' object")
     try:
-        return ProblemSpec.from_dict(cfg["problem"])
-    except (KeyError, TypeError, DomainError) as exc:
+        spec = ProblemSpec.from_dict(dict(cfg["problem"], **override))
+        spec.build()
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad problem spec: %s" % exc)
+    return spec
 
 
 def _solve_pair(spec: ProblemSpec, solver: str, sconf: ShootConfig, m: int):
@@ -87,7 +103,7 @@ def _cmd_solve(cfg, args, out_dir: Path) -> int:
     spec = _problem_spec(cfg)
     sconf = _shoot_config(cfg, args)
     solver = args.solver or cfg.get("solver", "both")
-    m = int(args.m or cfg.get("m", 2000))
+    m = _cells(cfg, args)
     lam_s, lam_r, sol_s, sol_r = _solve_pair(spec, solver, sconf, m)
     if lam_s is not None:
         print("lambda_shoot    = " + _FMT % lam_s)
@@ -116,7 +132,10 @@ def _sweep_values(cfg) -> tuple:
     if axis not in ("alpha", "R", "p", "kappa"):
         raise ConfigError("unknown sweep axis %r" % (axis,))
     if "grid" in sweep:
-        values = [float(v) for v in sweep["grid"]]
+        try:
+            values = [float(v) for v in sweep["grid"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("bad sweep grid: %s" % exc)
     else:
         try:
             start, stop = float(sweep["start"]), float(sweep["stop"])
@@ -136,34 +155,22 @@ def _sweep_values(cfg) -> tuple:
 
 
 def _cmd_sweep(cfg, args, out_dir: Path) -> int:
-    spec = _problem_spec(cfg)
     sconf = _shoot_config(cfg, args)
     solver = args.solver or cfg.get("solver", "both")
-    m = int(args.m or cfg.get("m", 2000))
+    m = _cells(cfg, args)
     axis, values = _sweep_values(cfg)
-    jobs = max(1, int(args.jobs or cfg.get("jobs", 1)))
 
-    base = spec.to_dict()
-
-    def run_one(v):
-        doc = dict(base)
-        doc[axis] = v
-        point = ProblemSpec.from_dict(doc)
+    points = [_problem_spec(cfg, **{axis: v}) for v in values]
+    rows = []
+    for v, point in zip(values, points):
         lam_s, lam_r, _, _ = _solve_pair(point, solver, sconf, m)
-        return v, lam_s, lam_r
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_one, values))
-    else:
-        rows = [run_one(v) for v in values]
+        rows.append((v, lam_s, lam_r))
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("type,kappa,lambda_mc,n,R,alpha,p,%s,lambda_shoot,lambda_rayleigh,disagreement\n" % axis)
-        for v, lam_s, lam_r in rows:
-            doc = dict(base)
-            doc[axis] = v
+        for (v, lam_s, lam_r), point in zip(rows, points):
+            doc = point.to_dict()
             dis = _disagreement(lam_s, lam_r)
             fh.write(",".join([
                 str(doc.get("type", "")),
@@ -192,9 +199,7 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
 
 
 def _cmd_verify(cfg, args, out_dir: Path) -> int:
-    sconf = _shoot_config(cfg, args)
-    jobs = max(1, int(args.jobs or cfg.get("jobs", 1)))
-    reports = default_suite(sconf, jobs=jobs)
+    reports = default_suite(_shoot_config(cfg, args))
     jsonl = out_dir / "verification.jsonl"
     csvp = out_dir / "verification.csv"
     reports_to_jsonl(reports, jsonl)
@@ -222,7 +227,7 @@ _TABLE_GEOMETRIES = (
 
 def _cmd_table(cfg, args, out_dir: Path) -> int:
     sconf = _shoot_config(cfg, args)
-    m = int(args.m or cfg.get("m", 2000))
+    m = _cells(cfg, args)
     path = out_dir / "acceptance_table.csv"
     lines = ["geometry,p,alpha,lambda_shoot,lambda_rayleigh,disagreement"]
     worst = 0.0
@@ -254,7 +259,6 @@ def main(argv=None) -> int:
     parser.add_argument("--m", type=int, help="rayleigh grid cells")
     parser.add_argument("--rk-steps", type=int, dest="rk_steps")
     parser.add_argument("--tol", type=float, help="eigenvalue tolerance")
-    parser.add_argument("--jobs", type=int, help="worker threads for sweeps/verify")
     args = parser.parse_args(argv)
 
     try:
@@ -271,10 +275,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (DomainError, ValueError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except (BracketFailure, ToleranceFailure) as exc:
+    except (DomainError, BracketFailure, ToleranceFailure) as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 3
 

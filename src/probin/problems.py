@@ -124,7 +124,10 @@ class SturmProblem:
 
 @dataclass
 class EigenSolution:
-    """Eigenvalue estimate with sampled eigenfunction and momentum."""
+    """Eigenvalue estimate with sampled eigenfunction and momentum.
+
+    The sample arrays are read-only: the spec-keyed solver caches hand
+    the same solution to every caller."""
 
     lambda_val: float
     grid: np.ndarray
@@ -134,13 +137,21 @@ class EigenSolution:
     method: str
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for arr in (self.grid, self.phi, self.psi):
+            arr.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Warping:
     """Warping function f with analytic first and second derivatives.
 
     kind/coefficients are set by the factory helpers and make the warping
-    JSON-serializable; hand-built warpings leave them None.
+    JSON-serializable; hand-built warpings leave them None.  Equality and
+    hash follow (kind, coefficients), which is what the JSON form keeps;
+    a hand-built warping equals only one with the same three callables.
+    Either way equal warpings define the same problem, so specs that
+    carry them are sound cache keys.
     """
 
     f: Callable
@@ -148,6 +159,19 @@ class Warping:
     d2f: Callable
     kind: Optional[str] = None
     coefficients: Optional[tuple] = None
+
+    def _key(self) -> tuple:
+        if self.kind is None:
+            return (self.f, self.df, self.d2f)
+        return (self.kind, self.coefficients)
+
+    def __eq__(self, other):
+        if not isinstance(other, Warping):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def polynomial_warping(coefficients) -> Warping:

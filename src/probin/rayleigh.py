@@ -12,7 +12,7 @@ fine grids affordable without preconditioning.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -270,7 +270,5 @@ def _solve_cached(spec: ProblemSpec, m: int, config: MinimizeConfig) -> EigenSol
 
 
 def rayleigh_spec(spec: ProblemSpec, m: int = 2000, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
-    """Cached variational solve keyed by the serializable problem spec."""
-    if spec.warping is not None and spec.warping.kind is None:
-        return solve_rayleigh(spec.build(), m, config)
+    """Cached variational solve keyed by the problem spec."""
     return _solve_cached(spec, m, config)

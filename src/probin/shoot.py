@@ -22,7 +22,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -370,9 +370,5 @@ def _solve_cached(spec: ProblemSpec, config: ShootConfig) -> EigenSolution:
 
 
 def solve_spec(spec: ProblemSpec, config: ShootConfig = ShootConfig()) -> EigenSolution:
-    """Cached shooting solve keyed by the serializable problem spec.
-
-    Callers must treat the returned solution as read-only."""
-    if spec.warping is not None and spec.warping.kind is None:
-        return solve_first_eigenvalue(spec.build(), config)
+    """Cached shooting solve keyed by the problem spec."""
     return _solve_cached(spec, config)

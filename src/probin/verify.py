@@ -14,8 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .problems import (
     boundary_mean_curvature,
     double_robin_problem,
     inradius_model_problem,
+    polynomial_warping,
     ricci_lower_bound,
 )
 from .shoot import ShootConfig, inverse_momentum, momentum, solve_first_eigenvalue, solve_spec
@@ -363,7 +363,7 @@ def monotonicity_suite(
     if axis == "R":
         if base.alpha <= 0:
             raise DomainError("radius monotonicity is stated for alpha > 0")
-        lams = [solve_spec(_replace(base, R=float(r)), config).lambda_val for r in values]
+        lams = [solve_spec(replace(base, R=float(r)), config).lambda_val for r in values]
         for i in range(len(values) - 1):
             r0, r1 = values[i], values[i + 1]
             reports.append(_report(
@@ -373,7 +373,7 @@ def monotonicity_suite(
             ))
         return reports
     if axis == "alpha":
-        lams = [solve_spec(_replace(base, alpha=float(a)), config).lambda_val for a in values]
+        lams = [solve_spec(replace(base, alpha=float(a)), config).lambda_val for a in values]
         for i in range(len(values) - 1):
             reports.append(_report(
                 "alpha_monotonicity",
@@ -388,7 +388,7 @@ def monotonicity_suite(
         return reports
     if axis == "dirichlet_limit":
         for p in values:
-            spec = _replace(base, p=float(p), alpha=1e6)
+            spec = replace(base, p=float(p), alpha=1e6)
             lam = solve_spec(spec, config).lambda_val
             pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
             limit = (p - 1.0) * (pi_p / (2.0 * base.R)) ** p
@@ -398,12 +398,6 @@ def monotonicity_suite(
             ))
         return reports
     raise DomainError("unknown monotonicity axis %r" % (axis,))
-
-
-def _replace(spec: ProblemSpec, **kw) -> ProblemSpec:
-    doc = spec.to_dict()
-    doc.update(kw)
-    return ProblemSpec.from_dict(doc)
 
 
 # ----------------------------------------------------------------------
@@ -482,10 +476,7 @@ def inradius_equality_check(
     lam_ball = solve_spec(ball, config).lambda_val
     lam_model = solve_spec(model, config).lambda_val
 
-    coarse_cfg = ShootConfig(
-        rk_steps=config.rk_steps // 2, lambda_tol=config.lambda_tol,
-        bracket_growth=config.bracket_growth, eps_singular=config.eps_singular,
-    )
+    coarse_cfg = replace(config, rk_steps=config.rk_steps // 2)
     margin_coarse = abs(
         solve_spec(ball, coarse_cfg).lambda_val - solve_spec(model, coarse_cfg).lambda_val
     )
@@ -575,141 +566,88 @@ def inradius_warped_check(
 # Default suite
 # ----------------------------------------------------------------------
 
-def _default_checks(config: ShootConfig):
-    checks = []
-
-    def add(fn):
-        checks.append(fn)
-
-    # Picone: random smooth positive pairs plus the proportional case
-    def picone_block():
-        rng = np.random.default_rng(20240817)
-        grid = np.linspace(0.0, 1.0, 50001)
-        out = []
-        for p in (1.5, 2.0, 3.0):
-            for trial in range(3):
-                u = np.exp(0.4 * np.sin(2.0 * grid + rng.uniform(0, 6.28))
-                           + 0.3 * rng.uniform(-1, 1) * grid)
-                v = np.exp(0.5 * np.cos(1.7 * grid + rng.uniform(0, 6.28))
-                           + 0.2 * rng.uniform(-1, 1) * grid * grid)
-                rep = picone_check(u, v, grid, p)
-                rep.params["trial"] = trial
-                out.append(rep)
-            v = np.exp(0.3 * np.sin(2.2 * grid))
-            rep = picone_check(1.7 * v, v, grid, p, tol_identity=1e-9)
-            rep.name = "picone_identity_proportional"
-            if rep.extras["max_abs_L"] > 1e-10:  # L collapses for u = c*v
-                rep.passed = False
-                rep.status = "fail"
-            out.append(rep)
-        return out
-
-    add(picone_block)
-
-    # Barta sandwich on the flat problem
-    def barta_block():
-        out = []
-        spec = ProblemSpec("inradius_model", R=1.0, alpha=1.0, p=2.0,
-                           kappa=0.0, lambda_mc=0.0, n=2)
-        prob = spec.build()
-        sol = solve_spec(spec, config)
-        rep = barta_sandwich(prob, sol, lam=sol.lambda_val)
-        rep.name = "barta_sandwich_eigenfunction"
-        out.append(rep)
-        bump = 0.05 * np.sin(math.pi * sol.grid / prob.length) ** 2
-        rep = barta_sandwich(prob, (sol.grid, sol.phi + bump), lam=sol.lambda_val,
-                             tolerance=1e-12)
-        rep.name = "barta_sandwich_perturbed"
-        out.append(rep)
-        return out
-
-    add(barta_block)
-
-    # Eigenfunction shape checks on log-concave and log-linear weights
-    def shape_block():
-        out = []
-        cases = [
-            (1.0, 0.0, 3, 1.0, 1.0, 2.0),    # strictly log-concave
-            (1.0, 0.0, 3, 1.0, -1.0, 2.0),
-            (0.0, 0.5, 2, 1.0, 1.0, 3.0),    # strictly log-concave, p != 2
-            (-1.0, 1.0, 3, 1.0, 1.0, 2.0),   # log-linear weight: skips
-        ]
-        for kappa, lam_mc, n, R, alpha, p in cases:
-            spec = ProblemSpec("inradius_model", R=R, alpha=alpha, p=p,
-                               kappa=kappa, lambda_mc=lam_mc, n=n)
-            sol = solve_spec(spec, config)
-            reps = eigenfunction_shape_suite(spec.build(), sol)
-            for rep in reps:
-                rep.params.update({"kappa": kappa, "lambda_mc": lam_mc, "n": n})
-            out.extend(reps)
-        return out
-
-    add(shape_block)
-
-    # Reflection identity matrix
-    def reflection_block():
-        out = []
-        for R in (0.5, 1.0):
-            for alpha in (-1.0, 1.0):
-                for p in (1.5, 2.0, 3.0):
-                    out.append(reflection_identity(R, alpha, p, config))
-        return out
-
-    add(reflection_block)
-
-    # Monotone families
-    def monotonicity_block():
-        flat = ProblemSpec("inradius_model", R=1.0, alpha=1.0, p=2.0,
-                           kappa=0.0, lambda_mc=0.0, n=2)
-        out = []
-        out.extend(monotonicity_suite("R", (0.5, 1.0, 2.0), flat, config))
-        out.extend(monotonicity_suite("alpha", (-1.0, -0.1, 0.1, 1.0), flat, config))
-        out.extend(monotonicity_suite("dirichlet_limit", (1.5, 2.0, 3.0), flat, config))
-        return out
-
-    add(monotonicity_block)
-
-    # Curvature comparison
-    def cheng_block():
-        out = []
-        for alpha in (1.0, -1.0):
-            out.extend(cheng_comparison_suite((-1.0, -0.5, 0.0, 0.5, 1.0),
-                                              2, 1.0, alpha, 2.0, config))
-        return out
-
-    add(cheng_block)
-
-    # Inradius model bound: equality on space-form balls, slack, warped
-    def inradius_block():
-        out = []
-        for kappa, n in ((0.0, 2), (-1.0, 3)):
-            for alpha in (1.0, -1.0):
-                for p in (2.0, 3.0):
-                    out.append(inradius_equality_check(kappa, n, 1.0, alpha, p, config))
-                    out.append(inradius_slack_check(kappa, n, 1.0, alpha, p,
-                                                    d_lambda=0.3, config=config))
-                    out.append(inradius_slack_check(kappa, n, 1.0, alpha, p,
-                                                    d_kappa=0.5, config=config))
-        from .problems import polynomial_warping
-        warped = polynomial_warping((0.0, 1.0, 0.0, 0.1))
-        out.append(inradius_warped_check(warped, 2, 1.0, 1.0, 2.0, config))
-        return out
-
-    add(inradius_block)
-    return checks
-
-
-def default_suite(config: ShootConfig = ShootConfig(), jobs: int = 1) -> list:
+def default_suite(config: ShootConfig = ShootConfig()) -> list:
     """Run every check on its default parameter matrix.
 
-    Reports are aggregated deterministically (sorted by name and
-    parameters) regardless of the worker count."""
-    blocks = _default_checks(config)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda fn: fn(), blocks))
-    else:
-        results = [fn() for fn in blocks]
-    reports = [rep for block in results for rep in block]
+    Reports are sorted by name and parameters, which fixes the row order
+    of the written reports."""
+    reports = []
+
+    # Picone: random smooth positive pairs plus the proportional case
+    rng = np.random.default_rng(20240817)
+    grid = np.linspace(0.0, 1.0, 50001)
+    for p in (1.5, 2.0, 3.0):
+        for trial in range(3):
+            u = np.exp(0.4 * np.sin(2.0 * grid + rng.uniform(0, 6.28))
+                       + 0.3 * rng.uniform(-1, 1) * grid)
+            v = np.exp(0.5 * np.cos(1.7 * grid + rng.uniform(0, 6.28))
+                       + 0.2 * rng.uniform(-1, 1) * grid * grid)
+            rep = picone_check(u, v, grid, p)
+            rep.params["trial"] = trial
+            reports.append(rep)
+        v = np.exp(0.3 * np.sin(2.2 * grid))
+        rep = picone_check(1.7 * v, v, grid, p, tol_identity=1e-9)
+        rep.name = "picone_identity_proportional"
+        if rep.extras["max_abs_L"] > 1e-10:  # L collapses for u = c*v
+            rep.passed = False
+            rep.status = "fail"
+        reports.append(rep)
+
+    # Barta sandwich on the flat problem
+    flat = ProblemSpec("inradius_model", R=1.0, alpha=1.0, p=2.0,
+                       kappa=0.0, lambda_mc=0.0, n=2)
+    prob = flat.build()
+    sol = solve_spec(flat, config)
+    rep = barta_sandwich(prob, sol, lam=sol.lambda_val)
+    rep.name = "barta_sandwich_eigenfunction"
+    reports.append(rep)
+    bump = 0.05 * np.sin(math.pi * sol.grid / prob.length) ** 2
+    rep = barta_sandwich(prob, (sol.grid, sol.phi + bump), lam=sol.lambda_val,
+                         tolerance=1e-12)
+    rep.name = "barta_sandwich_perturbed"
+    reports.append(rep)
+
+    # Eigenfunction shape checks on log-concave and log-linear weights
+    cases = [
+        (1.0, 0.0, 3, 1.0, 1.0, 2.0),    # strictly log-concave
+        (1.0, 0.0, 3, 1.0, -1.0, 2.0),
+        (0.0, 0.5, 2, 1.0, 1.0, 3.0),    # strictly log-concave, p != 2
+        (-1.0, 1.0, 3, 1.0, 1.0, 2.0),   # log-linear weight: skips
+    ]
+    for kappa, lam_mc, n, R, alpha, p in cases:
+        spec = ProblemSpec("inradius_model", R=R, alpha=alpha, p=p,
+                           kappa=kappa, lambda_mc=lam_mc, n=n)
+        for rep in eigenfunction_shape_suite(spec.build(), solve_spec(spec, config)):
+            rep.params.update({"kappa": kappa, "lambda_mc": lam_mc, "n": n})
+            reports.append(rep)
+
+    # Reflection identity matrix
+    for R in (0.5, 1.0):
+        for alpha in (-1.0, 1.0):
+            for p in (1.5, 2.0, 3.0):
+                reports.append(reflection_identity(R, alpha, p, config))
+
+    # Monotone families
+    reports.extend(monotonicity_suite("R", (0.5, 1.0, 2.0), flat, config))
+    reports.extend(monotonicity_suite("alpha", (-1.0, -0.1, 0.1, 1.0), flat, config))
+    reports.extend(monotonicity_suite("dirichlet_limit", (1.5, 2.0, 3.0), flat, config))
+
+    # Curvature comparison
+    for alpha in (1.0, -1.0):
+        reports.extend(cheng_comparison_suite((-1.0, -0.5, 0.0, 0.5, 1.0),
+                                              2, 1.0, alpha, 2.0, config))
+
+    # Inradius model bound: equality on space-form balls, slack, warped
+    for kappa, n in ((0.0, 2), (-1.0, 3)):
+        for alpha in (1.0, -1.0):
+            for p in (2.0, 3.0):
+                reports.append(inradius_equality_check(kappa, n, 1.0, alpha, p, config))
+                reports.append(inradius_slack_check(kappa, n, 1.0, alpha, p,
+                                                    d_lambda=0.3, config=config))
+                reports.append(inradius_slack_check(kappa, n, 1.0, alpha, p,
+                                                    d_kappa=0.5, config=config))
+    warped = polynomial_warping((0.0, 1.0, 0.0, 0.1))
+    reports.append(inradius_warped_check(warped, 2, 1.0, 1.0, 2.0, config))
+
     reports.sort(key=lambda r: (r.name, json.dumps(r.params, sort_keys=True)))
     return reports

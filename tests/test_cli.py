@@ -5,7 +5,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import probin.cli
 from probin.cli import main
+from probin.errors import DomainError
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -46,7 +48,7 @@ def test_sweep_monotone_csv_and_svg(tmp_path, capsys):
         "solver": "shoot",
         "sweep": {"axis": "alpha", "start": 0.1, "stop": 10.0, "count": 7, "scale": "log"},
     })
-    assert main(["--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     header = rows[0].split(",")
     i_alpha = header.index("alpha")
@@ -124,3 +126,38 @@ def test_domain_violation_is_config_error(tmp_path):
     bad = {"type": "geodesic_ball", "kappa": 1.0, "n": 3, "R": 3.5, "alpha": 1.0, "p": 2.0}
     cfg = _write_config(tmp_path, {"command": "solve", "problem": bad})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_unparsable_number_is_config_error(tmp_path):
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM, "m": "abc"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_bad_sweep_point_is_config_error_before_any_solve(tmp_path, monkeypatch):
+    solved = []
+    monkeypatch.setattr(probin.cli, "solve_spec", lambda spec, config: solved.append(spec))
+    ball = {"type": "geodesic_ball", "kappa": 1.0, "n": 3, "R": 1.0, "alpha": 1.0, "p": 2.0}
+    cfg = _write_config(tmp_path, {"command": "sweep", "problem": ball, "solver": "shoot",
+                                   "sweep": {"axis": "R", "grid": [1.0, 3.5]}})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert solved == []
+
+
+def _failing_solve(exc):
+    def solve(spec, config):
+        raise exc
+    return solve
+
+
+def test_internal_value_error_propagates(tmp_path, monkeypatch):
+    monkeypatch.setattr(probin.cli, "solve_spec", _failing_solve(ValueError("bug")))
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM, "solver": "shoot"})
+    with pytest.raises(ValueError, match="bug"):
+        main(["--config", cfg, "--out", str(tmp_path)])
+
+
+def test_domain_error_in_solver_is_solver_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(probin.cli, "solve_spec", _failing_solve(DomainError("outside")))
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM, "solver": "shoot"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "solver failure" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from probin.problems import (
     BoundaryCondition,
     ProblemSpec,
     SturmProblem,
+    Warping,
     boundary_mean_curvature,
     double_robin_problem,
     geodesic_ball_problem,
@@ -20,6 +21,8 @@ from probin.problems import (
     sn_warping,
     warped_product_problem,
 )
+from probin.rayleigh import rayleigh_spec
+from probin.shoot import solve_spec
 
 
 def test_flat_inradius_model():
@@ -156,10 +159,40 @@ def test_spec_json_round_trip(doc):
     spec = ProblemSpec.from_dict(doc)
     assert spec.to_dict() == doc
     again = ProblemSpec.from_dict(spec.to_dict())
-    assert again == spec or again.to_dict() == doc
+    assert again == spec and hash(again) == hash(spec)
     prob = spec.build()
     assert isinstance(prob, SturmProblem)
     assert prob.spec.to_dict() == doc
+
+
+def test_warped_spec_from_json_shares_the_solver_caches():
+    doc = {"type": "warped_product", "n": 2, "R": 1.0, "alpha": 1.0, "p": 2.0,
+           "warping": {"kind": "polynomial", "coefficients": [0.0, 1.0, 0.0, 0.1]}}
+    first, second = ProblemSpec.from_dict(doc), ProblemSpec.from_dict(doc)
+    assert solve_spec(first) is solve_spec(second)
+    assert rayleigh_spec(first, 320) is rayleigh_spec(second, 320)
+
+
+def test_hand_built_warpings_compare_by_their_callables():
+    f, df, d2f = np.sin, np.cos, lambda r: -np.sin(r)
+    same = Warping(f, df, d2f)
+    assert same == Warping(f, df, d2f) and hash(same) == hash(Warping(f, df, d2f))
+    assert same != Warping(lambda r: np.sin(r), df, d2f)
+    assert same != sn_warping(1.0)
+
+
+def test_cached_solutions_are_read_only():
+    spec = ProblemSpec("inradius_model", R=1.0, alpha=1.0, p=2.0,
+                       kappa=0.0, lambda_mc=0.0, n=2)
+    for solve in (solve_spec, lambda s: rayleigh_spec(s, 320)):
+        sol = solve(spec)
+        phi0 = float(sol.phi[0])
+        with pytest.raises(ValueError):
+            sol.phi[0] = 0.0
+        for arr in (sol.grid, sol.psi):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert solve(spec).phi[0] == phi0 != 0.0
 
 
 def test_spec_rejects_unknown_type():

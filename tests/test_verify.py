@@ -2,10 +2,12 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import probin.verify
 from probin.coeffs import ModelParams, const_weight
 from probin.errors import DomainError
 from probin.problems import (
@@ -15,7 +17,7 @@ from probin.problems import (
     inradius_model_problem,
     polynomial_warping,
 )
-from probin.shoot import solve_spec
+from probin.shoot import ShootConfig, solve_spec
 from probin.verify import (
     barta_sandwich,
     cheng_comparison_suite,
@@ -232,6 +234,21 @@ def test_inradius_slack_sides():
         inradius_slack_check(0.0, 2, 1.0, 1.0, 2.0)
 
 
+def test_inradius_refinement_keeps_every_config_field(monkeypatch):
+    configs = []
+
+    def fake_solve(spec, config):
+        configs.append(config)
+        return SimpleNamespace(lambda_val=1.0)
+
+    monkeypatch.setattr(probin.verify, "solve_spec", fake_solve)
+    config = ShootConfig(max_bracket_steps=61)
+    inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0, config)
+    coarse = [c for c in configs if c.rk_steps == config.rk_steps // 2]
+    assert len(coarse) == 2
+    assert all(c.max_bracket_steps == 61 for c in configs)
+
+
 def test_inradius_warped_bound():
     warped = polynomial_warping((0.0, 1.0, 0.0, 0.1))
     rep = inradius_warped_check(warped, 2, 1.0, 1.0, 2.0)
@@ -256,7 +273,7 @@ def test_default_suite_green_and_deterministic():
     reports = default_suite()
     assert not any(r.status == "fail" for r in reports)
     assert any(r.status == "skip" for r in reports)  # hypothesis gating visible
-    again = default_suite(jobs=2)
+    again = default_suite()
     key = lambda rs: [(r.name, json.dumps(r.params, sort_keys=True), r.status) for r in rs]
     assert key(reports) == key(again)
 
