@@ -4,8 +4,6 @@ Falls back to pure Python when numba is unavailable; the code path is
 identical, only slower.
 """
 
-import math
-
 try:
     from numba import njit
 except ImportError:  # pragma: no cover
@@ -35,15 +33,18 @@ def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
     over the steps hs (signed).  ld holds the drift w'/w at every step
     endpoint and midpoint: ld[2i], ld[2i+1], ld[2i+2] frame step i.
 
-    Writes the state after step i into out_phi[i], out_psi[i].  Returns
-    (stop, cross): stop is the index of the last completed step when the
-    state exceeded the overflow cap (-1 if none), cross the first index
-    with phi <= 0 (-1 if none).
+    Writes the state after step i into out_phi[i], out_psi[i].  The
+    system is (p-1)-homogeneous, so a trajectory is defined up to a
+    positive factor: whenever |phi| or |psi| exceeds OVERFLOW_CAP, the
+    state and every step written so far are multiplied by (c, c^(p-1))
+    with c < 1.  Returns (scale, crossed): scale is the product of those
+    factors (1.0 if none), crossed whether phi <= 0 at the launch or
+    after any step.
     """
     phi = phi0
     psi = psi0
-    cross = -1
-    stop = -1
+    scale = 1.0
+    crossed = phi0 <= 0.0
     for i in range(hs.shape[0]):
         h = hs[i]
         l0 = ld[2 * i]
@@ -71,12 +72,17 @@ def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
         phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         psi = psi + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
 
+        if phi <= 0.0:
+            crossed = True
+        if abs(phi) > OVERFLOW_CAP or abs(psi) > OVERFLOW_CAP:
+            # scale back to max(|phi|, |psi|^(q-1)) = 1
+            c = 1.0 / max(abs(phi), abs(psi) ** qm1)
+            cp = c ** pm1
+            phi *= c
+            psi *= cp
+            out_phi[:i] *= c
+            out_psi[:i] *= cp
+            scale *= c
         out_phi[i] = phi
         out_psi[i] = psi
-        if cross < 0 and phi <= 0.0:
-            cross = i
-        if (not math.isfinite(phi)) or (not math.isfinite(psi)) or \
-                abs(phi) > OVERFLOW_CAP or abs(psi) > OVERFLOW_CAP:
-            stop = i
-            break
-    return stop, cross
+    return scale, crossed

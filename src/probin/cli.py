@@ -28,6 +28,7 @@ from .svgfig import line_chart
 from .verify import default_suite, reports_to_csv, reports_to_jsonl
 
 _FMT = "%.12g"
+_SOLVERS = ("shoot", "rayleigh", "both")
 
 
 class ConfigError(Exception):
@@ -49,9 +50,15 @@ def _load_config(args) -> dict:
     return cfg
 
 
+def _setting(cfg: dict, args, key: str, default):
+    """The flag if given (0 included), else the config value, else default."""
+    flag = getattr(args, key)
+    return flag if flag is not None else cfg.get(key, default)
+
+
 def _shoot_config(cfg: dict, args) -> ShootConfig:
-    rk = args.rk_steps or cfg.get("rk_steps", 4096)
-    tol = args.tol or cfg.get("tol", 1e-10)
+    rk = _setting(cfg, args, "rk_steps", 4096)
+    tol = _setting(cfg, args, "tol", 1e-10)
     try:
         return ShootConfig(rk_steps=int(rk), lambda_tol=float(tol))
     except (TypeError, ValueError) as exc:
@@ -60,12 +67,19 @@ def _shoot_config(cfg: dict, args) -> ShootConfig:
 
 def _cells(cfg: dict, args) -> int:
     try:
-        m = int(args.m or cfg.get("m", 2000))
+        m = int(_setting(cfg, args, "m", 2000))
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad 'm': %s" % exc)
     if m < 16:
         raise ConfigError("'m' must be >= 16, got %d" % m)
     return m
+
+
+def _solver(cfg: dict, args) -> str:
+    solver = _setting(cfg, args, "solver", "both")
+    if solver not in _SOLVERS:
+        raise ConfigError("unknown solver %r, expected one of %s" % (solver, ", ".join(_SOLVERS)))
+    return solver
 
 
 def _problem_spec(cfg: dict, **override) -> ProblemSpec:
@@ -102,7 +116,7 @@ def _disagreement(lam_s, lam_r):
 def _cmd_solve(cfg, args, out_dir: Path) -> int:
     spec = _problem_spec(cfg)
     sconf = _shoot_config(cfg, args)
-    solver = args.solver or cfg.get("solver", "both")
+    solver = _solver(cfg, args)
     m = _cells(cfg, args)
     lam_s, lam_r, sol_s, sol_r = _solve_pair(spec, solver, sconf, m)
     if lam_s is not None:
@@ -156,7 +170,7 @@ def _sweep_values(cfg) -> tuple:
 
 def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     sconf = _shoot_config(cfg, args)
-    solver = args.solver or cfg.get("solver", "both")
+    solver = _solver(cfg, args)
     m = _cells(cfg, args)
     axis, values = _sweep_values(cfg)
 
@@ -255,7 +269,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", help="JSON config with command and problem")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--solver", choices=("shoot", "rayleigh", "both"))
+    parser.add_argument("--solver", choices=_SOLVERS)
     parser.add_argument("--m", type=int, help="rayleigh grid cells")
     parser.add_argument("--rk-steps", type=int, dest="rk_steps")
     parser.add_argument("--tol", type=float, help="eigenvalue tolerance")

@@ -13,5 +13,6 @@ class BracketFailure(RuntimeError):
 
 
 class ToleranceFailure(RuntimeError):
-    """Bisection stalled before reaching the requested eigenvalue
-    tolerance."""
+    """The shooting solver cannot stand behind its answer: bisection
+    stalled before the requested eigenvalue tolerance, or a trajectory
+    turned non-finite before phi crossed zero."""

@@ -6,9 +6,12 @@ The degenerate ODE is integrated as the first-order system
 
 with the momentum psi = |phi'|^(p-2) phi' and q = p/(p-1), launched from
 the Neumann (or singular) endpoint with (phi, psi) = (1, 0) and integrated
-toward the Robin endpoint, where the boundary mismatch is root-found in
-lam by bracketed bisection.  Problems with two Robin endpoints are
-launched from the left Robin end with (phi, psi) = (1, alpha) instead.
+toward the Robin endpoint, where lam is root-found by bracketed
+bisection on the sign of the boundary mismatch.  Problems with two Robin
+endpoints are launched from the left Robin end with (phi, psi) =
+(1, alpha) instead.  The system is (p-1)-homogeneous, so a trajectory
+that would overflow is rescaled on the way and always reaches the Robin
+endpoint.
 
 Launch corners are non-smooth: at a Neumann end the field |psi|^(q-2)psi
 is not Lipschitz for p > 2, and at a singular end the drift w'/w blows up.
@@ -22,19 +25,22 @@ bit-reproducible.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._kernels import OVERFLOW_CAP, rk4_path
+from ._kernels import rk4_path
 from .errors import BracketFailure, DomainError, ToleranceFailure
 from .problems import EigenSolution, ProblemSpec, SturmProblem
 
 SENTINEL = 1e15
 
-# Geometric substeps covering the first grid cell and uniform substeps
-# covering the second one.
+# Offset of the series launch from a Neumann or singular corner, times
+# (b-a); geometric substeps covering the first grid cell and uniform
+# substeps covering the second one.
+_EPS_SINGULAR = 1e-6
 _GEOM_SUBSTEPS = 32
 _UNIFORM_SUBSTEPS = 8
 
@@ -44,25 +50,26 @@ class ShootConfig:
     rk_steps: int = 4096
     lambda_tol: float = 1e-10  # relative bisection width
     bracket_growth: float = 2.0
-    eps_singular: float = 1e-6  # offset from the launch corner, times (b-a)
     max_bracket_steps: int = 60
 
     def __post_init__(self):
         if self.rk_steps < 64:
             raise DomainError("rk_steps must be >= 64")
-        if min(self.lambda_tol, self.bracket_growth, self.eps_singular) <= 0:
-            raise DomainError("tolerances and growth must be positive")
+        if self.lambda_tol <= 0:
+            raise DomainError("lambda_tol must be positive")
         if self.bracket_growth <= 1.0:
             raise DomainError("bracket_growth must exceed 1")
 
 
 @dataclass
 class ShootTrajectory:
+    """A trajectory is defined up to a positive factor: (phi, psi) and
+    (c*phi, c^(p-1)*psi) solve the same equation."""
+
     grid: np.ndarray  # in integration order (launch -> mismatch end)
     phi: np.ndarray
     psi: np.ndarray
-    first_zero_of_phi: Optional[float] = None
-    overflowed: bool = False
+    crossed: bool  # phi <= 0 somewhere: lam lies above the first eigenvalue
 
 
 def momentum(x, p: float):
@@ -87,7 +94,6 @@ class _Plan:
     robin_launch_alpha: Optional[float]  # set for two-Robin problems
     singular: bool
     eps: float
-    bounds: np.ndarray  # step boundary positions, starting at the offset
     steps: np.ndarray  # signed step sizes
     ld: np.ndarray  # drift at boundaries and midpoints, len 2*len(steps)+1
     node_pos: np.ndarray  # the rk_steps+1 node positions in integration order
@@ -124,7 +130,7 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
 
     if robin_launch_alpha is None:
         # Neumann or singular corner: series offset + graded first cells.
-        eps = min(config.eps_singular * problem.length, 0.25 * h)
+        eps = min(_EPS_SINGULAR * problem.length, 0.25 * h)
         geo = eps * (h / eps) ** (np.arange(_GEOM_SUBSTEPS + 1) / _GEOM_SUBSTEPS)
         geo[-1] = h
         uni = h + (h / _UNIFORM_SUBSTEPS) * np.arange(1, _UNIFORM_SUBSTEPS + 1)
@@ -157,7 +163,6 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
         robin_launch_alpha=robin_launch_alpha,
         singular=singular,
         eps=eps,
-        bounds=bounds,
         steps=steps,
         ld=ld,
         node_pos=node_pos,
@@ -192,71 +197,45 @@ def _run(plan: _Plan, lam: float, p: float) -> ShootTrajectory:
     m = plan.steps.size
     out_phi = np.empty(m)
     out_psi = np.empty(m)
-    stop, cross = rk4_path(
+    scale, crossed = rk4_path(
         phi0, psi0, lam, p - 1.0, 1.0 / (p - 1.0),
         plan.steps, plan.ld, out_phi, out_psi,
     )
-
-    first_zero = None
-    if phi0 <= 0.0:
-        first_zero = float(plan.bounds[0])
-        cross = 0 if cross < 0 else cross
-    elif cross >= 0:
-        lo = out_phi[cross - 1] if cross > 0 else phi0
-        hi = out_phi[cross]
-        t_lo = plan.bounds[cross]
-        t_hi = plan.bounds[cross + 1]
-        frac = lo / (lo - hi) if lo != hi else 0.5
-        first_zero = float(t_lo + (t_hi - t_lo) * frac)
-
-    if stop >= 0:
-        # keep nodes whose step results were computed, then append the
-        # boundary where integration stopped so the final state survives
-        keep = plan.node_step < stop
-        grid = np.append(plan.node_pos[keep], plan.bounds[stop + 1])
-        phi = np.empty(grid.size)
-        psi = np.empty(grid.size)
-        phi[0], psi[0] = phi_exact, psi_exact
-        idx = plan.node_step[keep][1:]
-        phi[1:-1] = out_phi[idx]
-        psi[1:-1] = out_psi[idx]
-        phi[-1] = out_phi[stop]
-        psi[-1] = out_psi[stop]
-        return ShootTrajectory(grid, phi, psi, first_zero, overflowed=True)
+    if not (crossed or (math.isfinite(out_phi[-1]) and math.isfinite(out_psi[-1]))):
+        raise ToleranceFailure("non-finite trajectory at lam = %r" % lam)
 
     grid = plan.node_pos.copy()
     phi = np.empty(grid.size)
     psi = np.empty(grid.size)
-    phi[0], psi[0] = phi_exact, psi_exact
+    phi[0], psi[0] = scale * phi_exact, scale ** (p - 1.0) * psi_exact
     phi[1:] = out_phi[plan.node_step[1:]]
     psi[1:] = out_psi[plan.node_step[1:]]
-    return ShootTrajectory(grid, phi, psi, first_zero, overflowed=False)
+    return ShootTrajectory(grid, phi, psi, crossed)
 
 
 def integrate(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> ShootTrajectory:
-    """Fixed-step RK4 trajectory from the launch endpoint toward the
-    Robin endpoint at spectral parameter lam."""
+    """Fixed-step RK4 trajectory from the launch endpoint to the Robin
+    endpoint at spectral parameter lam, defined up to a positive factor
+    (rescaled whenever it would pass the overflow cap).  Raises
+    ToleranceFailure if it turns non-finite before phi crosses zero."""
     return _run(_build_plan(problem, config), lam, problem.p)
 
 
 def _mismatch_from_traj(plan: _Plan, traj: ShootTrajectory, p: float) -> float:
     s = plan.mismatch_sign
-    if traj.first_zero_of_phi is not None:
-        # phi crossed zero: lam is above the first eigenvalue; the signed
-        # sentinel grows with the distance still to travel.
-        frac = abs(traj.first_zero_of_phi - plan.launch_t) / plan.problem.length
-        return s * SENTINEL * (2.0 - min(frac, 1.0))
-    phi_end = traj.phi[-1]
-    psi_end = traj.psi[-1]
-    return psi_end - s * plan.mismatch_alpha * float(momentum(phi_end, p))
+    if traj.crossed:
+        # phi crossed zero: lam is above the first eigenvalue
+        return s * SENTINEL
+    return traj.psi[-1] - s * plan.mismatch_alpha * float(momentum(traj.phi[-1], p))
 
 
 def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> float:
     """Boundary defect F(lam) = psi(end) - (orientation)*alpha*|phi|^(p-2)phi(end).
 
-    F is continuous in lam on the first-eigenvalue bracket; when phi
-    develops an interior zero the value is a signed sentinel on the
-    "lam too large" side.
+    F carries the trajectory's positive factor, so only its sign is
+    meaningful: it changes sign at the first eigenvalue.  When phi
+    develops a zero the value is a signed sentinel on the "lam too large"
+    side.
     """
     plan = _build_plan(problem, config)
     return _mismatch_from_traj(plan, _run(plan, lam, problem.p), problem.p)
@@ -330,7 +309,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
 
     lam = lo  # the side with a positive trajectory
     traj = _run(plan, lam, p)
-    if traj.overflowed or traj.first_zero_of_phi is not None:
+    if traj.crossed:
         raise ToleranceFailure("trajectory invalid at the converged eigenvalue")
     mismatch = _mismatch_from_traj(plan, traj, p)
 

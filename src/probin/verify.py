@@ -31,8 +31,9 @@ from .problems import (
     inradius_model_problem,
     polynomial_warping,
     ricci_lower_bound,
+    sn_warping,
 )
-from .shoot import ShootConfig, inverse_momentum, momentum, solve_first_eigenvalue, solve_spec
+from .shoot import ShootConfig, inverse_momentum, momentum, solve_spec
 
 STRICTNESS_FACTOR = 10.0
 
@@ -182,8 +183,7 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, tol_nonneg=1e-10) -> Verifica
 def barta_sandwich(
     problem: SturmProblem,
     trial,
-    lam: Optional[float] = None,
-    config: ShootConfig = ShootConfig(),
+    lam: float,
     tolerance: float = 1e-4,
     name: str = "barta_sandwich",
 ) -> VerificationReport:
@@ -191,8 +191,7 @@ def barta_sandwich(
 
     trial is either an EigenSolution (its momentum samples are used
     directly) or a pair (grid, values) whose momentum is formed from
-    central differences.  lam defaults to the shooting eigenvalue of the
-    problem.
+    central differences.  lam is the eigenvalue the sandwich brackets.
     """
     if isinstance(trial, EigenSolution):
         grid = trial.grid
@@ -205,9 +204,6 @@ def barta_sandwich(
         psi_v = momentum(np.gradient(v, grid, edge_order=2), problem.p)
     if np.any(v <= 0.0):
         raise DomainError("barta trial must be positive")
-
-    if lam is None:
-        lam = solve_first_eigenvalue(problem, config).lambda_val
 
     dpsi = np.gradient(psi_v, grid, edge_order=2)
     sl = slice(1, -1)
@@ -414,7 +410,8 @@ def cheng_comparison_suite(
 ) -> list:
     """On geodesic balls of fixed radius, the eigenvalue is monotone in
     the curvature: nonincreasing for alpha > 0, nondecreasing for
-    alpha < 0; equal curvatures give equal eigenvalues."""
+    alpha < 0; equal curvatures give equal eigenvalues, checked on the
+    lowest curvature's ball rebuilt as a warped product with f = sn."""
     kappas = sorted(kappas)
     lams = []
     for k in kappas:
@@ -434,12 +431,13 @@ def cheng_comparison_suite(
                 "curvature_comparison", params, "ge",
                 lhs=lams[i + 1], rhs=lams[i], tolerance=1e-12,
             ))
-    spec = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(kappas[0]), n=n)
-    lam_again = solve_spec(spec, config).lambda_val
+    twin = ProblemSpec("warped_product", R=R0, alpha=alpha, p=p, n=n,
+                       warping=sn_warping(kappas[0]))
+    lam_twin = solve_spec(twin, config).lambda_val
     reports.append(_report(
         "curvature_comparison_equal",
         {"kappa": kappas[0], "n": n, "R0": R0, "alpha": alpha, "p": p},
-        "eq", lhs=lam_again, rhs=lams[0], tolerance=1e-9,
+        "eq", lhs=lam_twin, rhs=lams[0], tolerance=1e-9,
     ))
     return reports
 

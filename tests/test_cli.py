@@ -1,6 +1,7 @@
 """Command-line front end: commands, artifacts, determinism, exit codes."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -161,3 +162,28 @@ def test_domain_error_in_solver_is_solver_failure(tmp_path, monkeypatch, capsys)
     cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM, "solver": "shoot"})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_unknown_solver_in_config_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM,
+                                   "solver": "shooting"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "solver" in capsys.readouterr().err
+    assert list(tmp_path.glob("eigenfunction_*.csv")) == []
+
+
+@pytest.mark.parametrize("flag", [["--m", "0"], ["--tol", "0"], ["--rk-steps", "0"]])
+def test_zero_flag_is_not_unset(tmp_path, flag):
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM})
+    assert main(["--config", cfg, "--out", str(tmp_path)] + flag) == 2
+
+
+def test_solve_strongly_negative_alpha_writes_positive_eigenfunction(tmp_path, capsys):
+    problem = dict(FLAT_PROBLEM, alpha=-10.0, p=1.5)
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "lambda_shoot" in capsys.readouterr().out
+    rows = (tmp_path / "eigenfunction_shoot.csv").read_text().splitlines()[1:]
+    phi = [float(row.split(",")[1]) for row in rows]
+    assert len(phi) == 4097
+    assert all(math.isfinite(v) and v > 0.0 for v in phi)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import probin.shoot
 from probin.coeffs import ModelParams
+from probin.errors import ToleranceFailure
 from probin.problems import (
     double_robin_problem,
     geodesic_ball_problem,
@@ -56,12 +58,39 @@ def test_trajectory_constant_at_lambda_zero():
     traj = integrate(_flat(1.0, 2.0), 0.0)
     assert np.all(traj.phi == 1.0)
     assert np.all(traj.psi == 0.0)
-    assert traj.first_zero_of_phi is None
+    assert not traj.crossed
 
 
 def test_trajectory_robin_ratio_at_eigenvalue():
     traj = integrate(_flat(1.0, 2.0), FLAT_ANCHOR)
     assert traj.psi[-1] / momentum(traj.phi[-1], 2.0) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_trajectory_rescaled_past_overflow_cap():
+    # alpha = -30: phi = cosh(k(1-x)) grows by cosh(30) ~ 5e12 > 1e12, so
+    # the path is rescaled on the way and still reaches the Robin node
+    lam = flat_robin_lambda(1.0, -30.0)
+    traj = integrate(_flat(-30.0, 2.0), lam)
+    assert traj.grid[-1] == 0.0 and traj.grid.size == 4097
+    assert not traj.crossed
+    assert traj.phi[-1] / traj.phi[0] == pytest.approx(math.cosh(math.sqrt(-lam)), rel=1e-6)
+
+
+def _nan_path(crossed):
+    def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
+        out_phi[:] = np.nan
+        out_psi[:] = np.nan
+        return 1.0, crossed
+    return rk4_path
+
+
+def test_non_finite_trajectory_fails_loudly(monkeypatch):
+    monkeypatch.setattr(probin.shoot, "rk4_path", _nan_path(False))
+    with pytest.raises(ToleranceFailure):
+        robin_mismatch(_flat(1.0, 2.0), 1.0)
+    # after phi has crossed zero the trial is simply "too high"
+    monkeypatch.setattr(probin.shoot, "rk4_path", _nan_path(True))
+    assert robin_mismatch(_flat(1.0, 2.0), 1.0) > 1e14
 
 
 def test_mismatch_at_lambda_zero_has_known_sign():
@@ -89,6 +118,16 @@ def test_solve_flat_interval_against_oracle():
     assert sol.lambda_val == pytest.approx(FLAT_ANCHOR, rel=1e-8)
     sol = solve_first_eigenvalue(_flat(-1.0, 2.0))
     assert sol.lambda_val == pytest.approx(FLAT_ANCHOR_NEG, rel=1e-8)
+
+
+def test_solve_strongly_negative_alpha_against_oracles():
+    # eigenfunctions whose range passes the overflow cap
+    sol = solve_first_eigenvalue(_flat(-30.0, 2.0))
+    assert sol.lambda_val == pytest.approx(flat_robin_lambda(1.0, -30.0), rel=1e-8)
+    assert np.all(sol.phi > 0)
+    sol = solve_first_eigenvalue(geodesic_ball_problem(0.0, 2, 1.0, -40.0, 2.0))
+    assert sol.lambda_val == pytest.approx(disk_robin_lambda(-40.0), rel=1e-8)
+    assert np.all(sol.phi > 0)
 
 
 def test_solve_disk_against_bessel_oracle():

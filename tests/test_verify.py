@@ -16,6 +16,7 @@ from probin.problems import (
     SturmProblem,
     inradius_model_problem,
     polynomial_warping,
+    sn_warping,
 )
 from probin.shoot import ShootConfig, solve_spec
 from probin.verify import (
@@ -213,6 +214,22 @@ def test_curvature_comparison_both_signs():
     flat = solve_spec(ProblemSpec("geodesic_ball", R=1.0, alpha=1.0, p=2.0,
                                   kappa=0.0, n=2)).lambda_val
     assert flat == pytest.approx(disk_robin_lambda(1.0), rel=1e-8)
+
+
+def test_curvature_equality_compares_two_different_solves(monkeypatch):
+    specs = []
+
+    def fake_solve(spec, config):
+        specs.append(spec)
+        return SimpleNamespace(lambda_val=1.0)
+
+    monkeypatch.setattr(probin.verify, "solve_spec", fake_solve)
+    reps = cheng_comparison_suite((0.0, -1.0), 2, 1.0, 1.0, 2.0)
+    assert reps[-1].name == "curvature_comparison_equal"
+    lowest, twin = specs[0], specs[-1]
+    assert lowest.type == "geodesic_ball" and lowest.kappa == -1.0
+    assert twin != lowest
+    assert twin.type == "warped_product" and twin.warping == sn_warping(-1.0)
 
 
 # ------------------------------------------------- inradius model bound
