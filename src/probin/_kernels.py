@@ -1,23 +1,22 @@
-"""Compiled inner loop of the shooting integrator.
+"""Inner loop of the shooting integrator.
 
-Falls back to pure Python when numba is unavailable; the code path is
-identical, only slower.
+One RK4 body, _rk4_core, uses only len, indexing, scalar arithmetic and
+loops, so it runs unchanged on numpy arrays and on Python lists.  With
+numba installed, rk4_path is the core compiled for numpy arrays.
+Without it, rk4_path runs the same core on Python floats and lists,
+because numpy scalars would take every operation of a step through
+numpy's scalar machinery, several times slower.  The IEEE operations are
+the same either way, so the results agree bit for bit.
 """
 
 try:
     from numba import njit
 except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+    njit = None
 
 OVERFLOW_CAP = 1e12
 
 
-@njit(cache=True, nogil=True)
 def _mom(x, expo):
     # sign(x) * |x|**expo with 0 -> 0
     if x > 0.0:
@@ -27,8 +26,7 @@ def _mom(x, expo):
     return 0.0
 
 
-@njit(cache=True, nogil=True)
-def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
+def _rk4_core(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
     """Integrate phi' = |psi|^(q-2)psi, psi' = -lam*|phi|^(p-2)phi - ld*psi
     over the steps hs (signed).  ld holds the drift w'/w at every step
     endpoint and midpoint: ld[2i], ld[2i+1], ld[2i+2] frame step i.
@@ -45,7 +43,7 @@ def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
     psi = psi0
     scale = 1.0
     crossed = phi0 <= 0.0
-    for i in range(hs.shape[0]):
+    for i in range(len(hs)):
         h = hs[i]
         l0 = ld[2 * i]
         lm = ld[2 * i + 1]
@@ -80,9 +78,32 @@ def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
             cp = c ** pm1
             phi *= c
             psi *= cp
-            out_phi[:i] *= c
-            out_psi[:i] *= cp
+            for j in range(i):
+                out_phi[j] *= c
+                out_psi[j] *= cp
             scale *= c
         out_phi[i] = phi
         out_psi[i] = psi
     return scale, crossed
+
+
+if njit is not None:
+    _mom = njit(cache=True, nogil=True)(_mom)
+    rk4_path = njit(cache=True, nogil=True)(_rk4_core)
+else:
+    def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
+        """_rk4_core on Python floats; same arguments, outputs and return."""
+        phis = [0.0] * len(hs)
+        psis = [0.0] * len(hs)
+        try:
+            scale, crossed = _rk4_core(
+                float(phi0), float(psi0), float(lam), float(pm1), float(qm1),
+                hs.tolist(), ld.tolist(), phis, psis,
+            )
+        except OverflowError:
+            # float ** raises where a numpy scalar gives inf (p near 1,
+            # |lam| ~ 1e9): rerun on the arrays, which carries the inf on
+            return _rk4_core(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi)
+        out_phi[:] = phis
+        out_psi[:] = psis
+        return scale, crossed

@@ -126,6 +126,9 @@ def _cmd_solve(cfg, args, out_dir: Path) -> int:
     dis = _disagreement(lam_s, lam_r)
     if dis is not None:
         print("disagreement    = " + _FMT % dis)
+    if sol_s is not None and sol_s.diagnostics["phi_underflow_nodes"]:
+        print("warning: %d of %d shooting eigenfunction values underflow to 0"
+              % (sol_s.diagnostics["phi_underflow_nodes"], sol_s.phi.size), file=sys.stderr)
     for tag, sol in (("shoot", sol_s), ("rayleigh", sol_r)):
         if sol is None:
             continue

@@ -261,17 +261,26 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     positive eigenfunction, by bracketed bisection on the Robin mismatch.
 
     The eigenfunction is returned on an ascending grid, normalized to
-    max phi = 1; diagnostics carry the bracket, the final mismatch, and
-    the L^p norm of the normalized eigenfunction.
+    max phi = 1; diagnostics carry the bracket, the counts of
+    integrations, bracket steps and bisections, the final mismatch, the
+    L^p norm of the normalized eigenfunction, and the number of its
+    nodes that underflow to 0.0 (phi spans more than the double range).
     """
     plan = _build_plan(problem, config)
     p = problem.p
     alpha = plan.mismatch_alpha
     s = plan.mismatch_sign
+    integrations = 0
+    low = None  # (lam, trajectory) of the last trial below the eigenvalue
 
     def is_high(lam: float) -> bool:
+        nonlocal integrations, low
         traj = _run(plan, lam, p)
-        return _mismatch_from_traj(plan, traj, p) * s > 0.0
+        integrations += 1
+        high = _mismatch_from_traj(plan, traj, p) * s > 0.0
+        if not high:
+            low = (lam, traj)
+        return high
 
     growth = config.bracket_growth
     if alpha > 0:
@@ -294,6 +303,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
             raise BracketFailure("no sign change for lam in [%g, 0)" % lo)
 
     bracket = (lo, hi)
+    bracket_steps = integrations
     bisections = 0
     while hi - lo > config.lambda_tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
@@ -308,7 +318,11 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
             raise ToleranceFailure("bisection stalled at [%r, %r]" % (lo, hi))
 
     lam = lo  # the side with a positive trajectory
-    traj = _run(plan, lam, p)
+    if low is not None and low[0] == lam:
+        traj = low[1]
+    else:
+        traj = _run(plan, lam, p)
+        integrations += 1
     if traj.crossed:
         raise ToleranceFailure("trajectory invalid at the converged eigenvalue")
     mismatch = _mismatch_from_traj(plan, traj, p)
@@ -335,9 +349,12 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
         method="shooting",
         diagnostics={
             "bracket": bracket,
+            "integrations": integrations,
+            "bracket_steps": bracket_steps,
             "bisections": bisections,
             "mismatch": float(mismatch) / scale ** (p - 1.0),
             "lp_norm": lp_norm,
+            "phi_underflow_nodes": int(np.count_nonzero(phi == 0.0)),
             "rk_steps": config.rk_steps,
         },
     )

@@ -187,3 +187,14 @@ def test_solve_strongly_negative_alpha_writes_positive_eigenfunction(tmp_path, c
     phi = [float(row.split(",")[1]) for row in rows]
     assert len(phi) == 4097
     assert all(math.isfinite(v) and v > 0.0 for v in phi)
+
+
+@pytest.mark.parametrize("alpha,warned", [(-800.0, True), (-400.0, False)])
+def test_solve_warns_on_eigenfunction_underflow(tmp_path, capsys, alpha, warned):
+    problem = dict(FLAT_PROBLEM, alpha=alpha)
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "lambda_shoot" in captured.out
+    assert ("underflow" in captured.err) == warned
+    assert len(captured.err.splitlines()) == int(warned)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import probin.shoot
+from probin._kernels import rk4_path
 from probin.coeffs import ModelParams
 from probin.errors import ToleranceFailure
 from probin.problems import (
@@ -228,3 +229,32 @@ def test_alpha_grid_against_oracle():
     for alpha in (0.25, 0.5, 2.0, 10.0):
         sol = solve_first_eigenvalue(_flat(alpha, 2.0))
         assert sol.lambda_val == pytest.approx(flat_robin_lambda(1.0, alpha), rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha,underflows", [(-800.0, True), (-400.0, False)])
+def test_eigenfunction_underflow_is_counted(alpha, underflows):
+    # phi = cosh(k(1-x)) / cosh(k) with k ~ |alpha|: at alpha = -800 it
+    # spans e^-800, below the smallest double, at -400 it does not
+    sol = solve_first_eigenvalue(_flat(alpha, 2.0))
+    assert sol.lambda_val == pytest.approx(flat_robin_lambda(1.0, alpha), rel=1e-9)
+    count = sol.diagnostics["phi_underflow_nodes"]
+    assert count == np.count_nonzero(sol.phi == 0.0)
+    assert (count > 0) == underflows
+
+
+@pytest.mark.parametrize("problem", [
+    _flat(1.0, 2.0), _flat(-1.0, 3.0), geodesic_ball_problem(-1.0, 3, 1.0, 2.0, 1.5),
+], ids=["flat+", "flat-", "ball+"])
+def test_integration_counters_match_kernel_calls(monkeypatch, problem):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return rk4_path(*args)
+
+    monkeypatch.setattr(probin.shoot, "rk4_path", counting)
+    d = solve_first_eigenvalue(problem).diagnostics
+    assert d["integrations"] == len(calls)
+    # the converged eigenvalue is the last trial below it: not integrated again
+    assert d["integrations"] == d["bracket_steps"] + d["bisections"]
+    assert len(set(calls)) == len(calls)
