@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,22 @@ def test_solve_warns_on_eigenfunction_underflow(tmp_path, capsys, alpha, warned)
     assert "lambda_shoot" in captured.out
     assert ("underflow" in captured.err) == warned
     assert len(captured.err.splitlines()) == int(warned)
+
+
+def test_solve_near_p1_fails_cleanly(tmp_path):
+    """Known failure, pinned until the shooting launch is fixed: flat
+    p = 1.03, alpha = -2 overflows during the bracket search.  The CLI
+    must report it as a solver failure (exit 3), not crash.  64 RK steps
+    (the smallest allowed) reproduce it in a fraction of a second."""
+    problem = dict(FLAT_PROBLEM, alpha=-2.0, p=1.03)
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "probin.cli", "--config", cfg, "--out", str(tmp_path),
+         "--rk-steps", "64"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "solver failure: non-finite trajectory" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,0 +1,37 @@
+"""Differential test: shooting against the Rayleigh minimizer on drawn
+problems.
+
+The two solvers share nothing but the problem definition, so their
+agreement on problems no fixed matrix names is the check that catches a
+regression in either.  The draws are pinned (derandomize=True), so the
+suite stays deterministic.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from probin.problems import ProblemSpec
+from probin.rayleigh import rayleigh_spec
+from probin.shoot import solve_spec
+
+FAMILIES = {
+    "flat": {"type": "inradius_model", "R": 1.0, "kappa": 0.0, "lambda_mc": 0.0, "n": 2},
+    "hyperbolic_ball": {"type": "geodesic_ball", "R": 1.0, "kappa": -1.0, "n": 3},
+    "spherical_cap": {"type": "geodesic_ball", "R": 1.0, "kappa": 1.0, "n": 3},
+    "double_robin": {"type": "double_robin", "R": 0.5},
+    "curvature_model": {"type": "inradius_model", "R": 1.0, "kappa": 1.0, "lambda_mc": 0.5, "n": 3},
+}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    p=st.floats(1.6, 3.0),
+    magnitude=st.floats(0.1, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_shooting_and_rayleigh_agree(family, p, magnitude, sign):
+    spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=sign * magnitude))
+    lam_s = solve_spec(spec).lambda_val
+    lam_r = rayleigh_spec(spec, 2000).lambda_val
+    assert abs(lam_r - lam_s) <= 1e-4 * abs(lam_s), (family, p, sign * magnitude, lam_s, lam_r)

@@ -1,6 +1,10 @@
 """Variational solver: discretization, quotient, descent, convergence."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,25 +119,89 @@ def test_minimize_flat_interval():
     assert sol.diagnostics["converged"]
 
 
+def _p2_matrix_eigenpair(func):
+    """Smallest eigenpair of K u = lambda M u for a p = 2 functional with
+    Robin or Neumann ends: K the stiffness of the mid weights plus the
+    Robin loads, M = diag(node_weights), symmetrized by the mass square
+    root and handed to LAPACK.  Returns LAPACK's eigenvalue and the
+    Rayleigh quotient of its eigenvector, summed from differences."""
+    k = func.mid_weights / func.h
+    diag = np.zeros(func.grid.size)
+    diag[:-1] += k
+    diag[1:] += k
+    for j, c in func.robin_terms:
+        diag[j] += c
+    s = 1.0 / np.sqrt(func.node_weights)
+    vals, vecs = eigh_tridiagonal(diag * s * s, -k * s[:-1] * s[1:],
+                                  select="i", select_range=(0, 0))
+    u = vecs[:, 0] * s
+    e = np.sum(k * np.diff(u) ** 2) + sum(c * u[j] ** 2 for j, c in func.robin_terms)
+    return vals[0], e / np.sum(func.node_weights * u * u)
+
+
 def test_minimize_matches_tridiagonal_eigensolver():
-    """p = 2: the discrete minimum has a closed matrix form; the descent
+    """p = 2: the discrete minimum has a closed matrix form; the minimizer
     must find the same value to high accuracy."""
-    m = 400
-    prob = _flat(1.0, 2.0)
-    func = discretize(prob, m)
+    func = discretize(_flat(1.0, 2.0), 400)
     sol = minimize(func, config=MinimizeConfig(stall_tol=1e-14))
-    h = func.h
-    # stiffness: tridiag(-1, 2, -1)/h plus the Robin load at node 0;
-    # mass: diag(node_weights); symmetrize by the mass square root
-    diag = np.full(m + 1, 2.0 / h)
-    diag[0] = diag[-1] = 1.0 / h
-    diag[0] += 1.0  # alpha * w(0)
-    off = np.full(m, -1.0 / h)
-    d_mass = func.node_weights
-    s = 1.0 / np.sqrt(d_mass)
-    vals = eigh_tridiagonal(diag * s * s, off * s[:-1] * s[1:],
-                            select="i", select_range=(0, 0))[0]
-    assert sol.lambda_val == pytest.approx(vals[0], rel=1e-9, abs=1e-10)
+    assert sol.lambda_val == pytest.approx(_p2_matrix_eigenpair(func)[0], rel=1e-9, abs=1e-10)
+
+
+@pytest.mark.parametrize("prob", [
+    _flat(1.0, 2.0), _flat(-1.0, 2.0), double_robin_problem(0.5, 1.0, 2.0),
+], ids=["flat+", "flat-", "double_robin"])
+def test_solve_rayleigh_matches_tridiagonal_eigensolver_at_m2000(prob):
+    """At m = 2000 the symmetrized matrix has entries near 1.6e7, so
+    LAPACK's eigenvalue carries an absolute error of about eps times
+    that (5e-10 relative here); the quotient of its eigenvector is
+    accurate to second order and is the 1e-11 reference."""
+    sol = solve_rayleigh(prob, 2000)
+    lapack_value, lapack_quotient = _p2_matrix_eigenpair(discretize(prob, 2000))
+    assert sol.lambda_val == pytest.approx(lapack_quotient, rel=1e-11)
+    assert sol.lambda_val == pytest.approx(lapack_value, rel=5e-9)
+    assert sol.diagnostics["converged"]
+
+
+def test_descent_finishes_when_newton_gives_up():
+    """A constant seed has no slope to floor against, so at p < 2 its cell
+    curvatures are infinite and Newton takes no step; the projected
+    descent must take over and reach the minimum of the default solve."""
+    func = discretize(_flat(1.0, 1.75), 32)
+    sol = minimize(func, seed=np.ones(33))
+    d = sol.diagnostics
+    assert d["iterations"] > 0 and d["steps"] == d["iterations"]
+    assert d["converged"] and d["seed_iterations"] == 0
+    assert sol.lambda_val == pytest.approx(minimize(func).lambda_val, rel=1e-12)
+
+
+@pytest.mark.parametrize("prob,max_steps", [
+    (_flat(-1.0, 1.5), 15),  # tangent overshoots through zero: secant cells
+    (_flat(-10.0, 3.0), 12),  # seed's boundary layer from the mapped Robin parameter
+    (geodesic_ball_problem(-1.0, 3, 1.0, 100.0, 5.0), 20),  # indefinite: shifted
+    (geodesic_ball_problem(-1.0, 3, 1.0, 1.0, 8.0), 20),  # step capped at the center
+    (_flat(-3.0, 8.0), 150),  # stalls from the p = 2 seed: continued in p
+], ids=["flat p=1.5", "flat p=3 alpha=-10", "ball p=5 alpha=100", "ball p=8", "flat p=8 alpha=-3"])
+def test_newton_far_from_p2(prob, max_steps):
+    """Each of Newton's safeguards keeps one of these off the descent and
+    within max_steps.  Without it they took 225 steps and 121 descent
+    iterations, 23, 29 and 29 steps, and 200 000 descent iterations
+    without converging.  All agree with shooting."""
+    sol = solve_rayleigh(prob, 2000)
+    d = sol.diagnostics
+    assert d["converged"] and d["iterations"] == 0 and d["steps"] <= max_steps
+    lam_s = solve_first_eigenvalue(prob).lambda_val
+    assert sol.lambda_val == pytest.approx(lam_s, rel=1e-4)
+
+
+def test_rayleigh_diagnostics_schema():
+    sol = solve_rayleigh(geodesic_ball_problem(-1.0, 3, 1.0, 1.0, 3.0), 2000)
+    d = sol.diagnostics
+    assert d["m"] == 2000 and d["converged"]
+    assert d["seed_iterations"] > 0
+    assert d["steps"] >= d["iterations"] >= 0
+    assert set(d["phase_s"]) == {"seed", "newton", "finish"}
+    assert all(t >= 0.0 for t in d["phase_s"].values())
+    assert d["grad_norm"] == sol.residual
 
 
 def test_minimize_dirichlet_both_ends():
@@ -204,3 +272,21 @@ def test_quotient_of_shooting_eigenfunction():
     assert quotient(func, u) == pytest.approx(sol.lambda_val, abs=1e-3)
     # any admissible trial upper-bounds the minimum for alpha > 0
     assert quotient(func, u) >= solve_rayleigh(prob, 2000).lambda_val - 1e-9
+
+
+def test_package_solves_without_scipy():
+    """scipy is a test dependency only: a fresh interpreter that imports
+    probin and runs a p != 2 Rayleigh solve must never load it."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, probin\n"
+        "spec = probin.ProblemSpec.from_dict({'type': 'geodesic_ball', 'R': 1.0, 'kappa': -1.0,"
+        " 'n': 3, 'alpha': 1.0, 'p': 2.5})\n"
+        "sol = probin.rayleigh_spec(spec, 2000)\n"
+        "assert sol.diagnostics['converged']\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
