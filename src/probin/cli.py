@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import BracketFailure, DomainError, ToleranceFailure
 from .problems import ProblemSpec
-from .rayleigh import MinimizeConfig, rayleigh_spec
+from .rayleigh import rayleigh_spec
 from .shoot import ShootConfig, solve_spec
 from .svgfig import line_chart
 from .verify import default_suite, reports_to_csv, reports_to_jsonl

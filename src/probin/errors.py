@@ -15,4 +15,6 @@ class BracketFailure(RuntimeError):
 class ToleranceFailure(RuntimeError):
     """The shooting solver cannot stand behind its answer: bisection
     stalled before the requested eigenvalue tolerance, or a trajectory
-    turned non-finite before phi crossed zero."""
+    turned non-finite before phi crossed zero.  The latter means the RK4
+    step is too coarse for a boundary layer of width about
+    |alpha|^(-1/(p-1)) (p near 1, alpha < 0); more rk_steps resolve it."""

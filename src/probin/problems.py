@@ -15,8 +15,9 @@ condition this way keeps reflected problems sign-safe.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -122,12 +123,23 @@ class SturmProblem:
         return out
 
 
-@dataclass
+def _read_only(value):
+    """value with its dicts (nested too) as read-only mappings and its
+    arrays marked read-only."""
+    if isinstance(value, dict):
+        return types.MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    return value
+
+
+@dataclass(frozen=True)
 class EigenSolution:
     """Eigenvalue estimate with sampled eigenfunction and momentum.
 
-    The sample arrays are read-only: the spec-keyed solver caches hand
-    the same solution to every caller."""
+    Read-only throughout (fields, sample arrays, diagnostics and the
+    dicts and arrays inside them): the spec-keyed solver caches hand the
+    same solution to every caller."""
 
     lambda_val: float
     grid: np.ndarray
@@ -135,11 +147,12 @@ class EigenSolution:
     psi: np.ndarray
     residual: float
     method: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         for arr in (self.grid, self.phi, self.psi):
             arr.setflags(write=False)
+        object.__setattr__(self, "diagnostics", _read_only(dict(self.diagnostics)))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,14 @@
 """Shooting solver for the first eigenvalue of a SturmProblem.
 
-The degenerate ODE is integrated as the first-order system
+The degenerate ODE (w psi)' = -lam*w*|phi|^(p-2)phi, with the momentum
+psi = |phi'|^(p-2) phi', is integrated for log phi and the Riccati
+variable w = psi/phi^(p-1) (see _kernels), launched from the Neumann (or
+singular) endpoint with (w, log phi) = (0, 0), or from the left end of a
+two-Robin problem with (alpha, 0).  At the other (Robin) endpoint lam is
+root-found by bracketed bisection on the sign of w - (orientation)*alpha.
+(phi, psi) is rebuilt from log phi and phi'/phi where a path is returned.
 
-    phi' = |psi|^(q-2) psi,        psi' = -lam*|phi|^(p-2)phi - (w'/w)*psi
-
-with the momentum psi = |phi'|^(p-2) phi' and q = p/(p-1), launched from
-the Neumann (or singular) endpoint with (phi, psi) = (1, 0) and integrated
-toward the Robin endpoint, where lam is root-found by bracketed
-bisection on the sign of the boundary mismatch.  Problems with two Robin
-endpoints are launched from the left Robin end with (phi, psi) =
-(1, alpha) instead.  The system is (p-1)-homogeneous, so a trajectory
-that would overflow is rescaled on the way and always reaches the Robin
-endpoint.
-
-Launch corners are non-smooth: at a Neumann end the field |psi|^(q-2)psi
+Launch corners are non-smooth: at a Neumann end the field |w|^(1/(p-1))
 is not Lipschitz for p > 2, and at a singular end the drift w'/w blows up.
 Both are handled the same way: a short closed-form series carries the
 state to a small offset eps, and a fixed geometric subdivision of the
@@ -34,8 +29,6 @@ import numpy as np
 from ._kernels import rk4_path
 from .errors import BracketFailure, DomainError, ToleranceFailure
 from .problems import EigenSolution, ProblemSpec, SturmProblem
-
-SENTINEL = 1e15
 
 # Offset of the series launch from a Neumann or singular corner, times
 # (b-a); geometric substeps covering the first grid cell and uniform
@@ -63,12 +56,13 @@ class ShootConfig:
 
 @dataclass
 class ShootTrajectory:
-    """A trajectory is defined up to a positive factor: (phi, psi) and
-    (c*phi, c^(p-1)*psi) solve the same equation."""
+    """A trajectory normalized to max phi = 1.  A trajectory that crosses
+    zero may stop there: its nodes after the crossing are NaN."""
 
     grid: np.ndarray  # in integration order (launch -> mismatch end)
     phi: np.ndarray
     psi: np.ndarray
+    slope: np.ndarray  # phi'/phi
     crossed: bool  # phi <= 0 somewhere: lam lies above the first eigenvalue
 
 
@@ -136,11 +130,9 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
         uni = h + (h / _UNIFORM_SUBSTEPS) * np.arange(1, _UNIFORM_SUBSTEPS + 1)
         uni[-1] = 2.0 * h
         offsets = np.concatenate([geo, uni, h * np.arange(3, n_steps + 1)])
-        node_step = np.empty(n_steps + 1, dtype=np.int64)
-        node_step[0] = -1  # node 0 stored analytically
-        node_step[1] = _GEOM_SUBSTEPS - 1
-        node_step[2] = _GEOM_SUBSTEPS + _UNIFORM_SUBSTEPS - 1
-        node_step[3:] = _GEOM_SUBSTEPS + _UNIFORM_SUBSTEPS - 1 + np.arange(1, n_steps - 1)
+        # node 0 is stored analytically
+        node_step = np.concatenate([[-1, _GEOM_SUBSTEPS - 1], _GEOM_SUBSTEPS
+                                    + _UNIFORM_SUBSTEPS - 1 + np.arange(n_steps - 1)])
     else:
         eps = 0.0
         offsets = h * np.arange(0.0, n_steps + 1)
@@ -154,27 +146,14 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     lattice[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
     ld = np.asarray(problem.weight.log_deriv(lattice), dtype=float)
 
-    return _Plan(
-        problem=problem,
-        direction=direction,
-        launch_t=launch_t,
-        mismatch_sign=mismatch_sign,
-        mismatch_alpha=mismatch_alpha,
-        robin_launch_alpha=robin_launch_alpha,
-        singular=singular,
-        eps=eps,
-        steps=steps,
-        ld=ld,
-        node_pos=node_pos,
-        node_step=node_step,
-    )
+    return _Plan(problem, direction, launch_t, mismatch_sign, mismatch_alpha,
+                 robin_launch_alpha, singular, eps, steps, ld, node_pos, node_step)
 
 
 def _launch_state(plan: _Plan, lam: float, p: float):
-    """State at the first step boundary, plus the exact endpoint state."""
+    """(w, log phi) at the first step boundary."""
     if plan.robin_launch_alpha is not None:
-        a = plan.robin_launch_alpha
-        return (1.0, a), (1.0, a)
+        return plan.robin_launch_alpha, 0.0
     d = plan.direction
     eps = plan.eps
     if plan.singular:
@@ -184,40 +163,43 @@ def _launch_state(plan: _Plan, lam: float, p: float):
     else:
         ld0 = float(plan.problem.weight.log_deriv(plan.launch_t))
         slope = lam * (1.0 - 0.5 * ld0 * d * eps)
-    psi_eps = -d * slope * eps
-    # phi(t0 + d*eps) = 1 - invm(slope)*eps^q/q to leading order, for
-    # either direction (the d factors cancel by oddness of invm).
-    q = p / (p - 1.0)
-    phi_eps = 1.0 - float(inverse_momentum(slope, p)) * eps ** q / q
-    return (phi_eps, psi_eps), (1.0, 0.0)
+    # log phi(t0 + d*eps) = -invm(slope)*eps^q/q = -invm(slope*eps)*eps/q
+    # to leading order, for either direction (the d factors cancel by
+    # oddness of invm).
+    return -d * slope * eps, -float(inverse_momentum(slope * eps, p)) * eps * (p - 1.0) / p
 
 
 def _run(plan: _Plan, lam: float, p: float) -> ShootTrajectory:
-    (phi0, psi0), (phi_exact, psi_exact) = _launch_state(plan, lam, p)
-    m = plan.steps.size
-    out_phi = np.empty(m)
-    out_psi = np.empty(m)
-    scale, crossed = rk4_path(
-        phi0, psi0, lam, p - 1.0, 1.0 / (p - 1.0),
-        plan.steps, plan.ld, out_phi, out_psi,
+    w0, logphi0 = _launch_state(plan, lam, p)
+    out_logphi = np.full(plan.steps.size, np.nan)
+    out_slope = np.full(plan.steps.size, np.nan)
+    crossed = rk4_path(
+        w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
+        plan.steps, plan.ld, out_logphi, out_slope,
     )
-    if not (crossed or (math.isfinite(out_phi[-1]) and math.isfinite(out_psi[-1]))):
-        raise ToleranceFailure("non-finite trajectory at lam = %r" % lam)
+    if not (crossed or (math.isfinite(out_logphi[-1]) and math.isfinite(out_slope[-1]))):
+        raise ToleranceFailure(
+            "non-finite trajectory at lam = %r: the step is too coarse for the "
+            "boundary layer; raise rk_steps" % lam)
 
-    grid = plan.node_pos.copy()
-    phi = np.empty(grid.size)
-    psi = np.empty(grid.size)
-    phi[0], psi[0] = scale * phi_exact, scale ** (p - 1.0) * psi_exact
-    phi[1:] = out_phi[plan.node_step[1:]]
-    psi[1:] = out_psi[plan.node_step[1:]]
-    return ShootTrajectory(grid, phi, psi, crossed)
+    # node 0 is the exact endpoint state: phi = 1, w = alpha or 0
+    w_launch = plan.robin_launch_alpha or 0.0
+    steps = plan.node_step[1:]
+    logphi = np.concatenate([[0.0], out_logphi[steps]])
+    slope = np.concatenate([[float(inverse_momentum(w_launch, p))], out_slope[steps]])
+    phi = np.exp(logphi - np.nanmax(logphi))
+    if crossed:  # phi < 0 after the last step written
+        phi[1:][steps == np.count_nonzero(~np.isnan(out_logphi)) - 1] *= -1.0
+    psi = momentum(slope * phi, p)
+    psi[0] = w_launch * phi[0] ** (p - 1.0)
+    return ShootTrajectory(plan.node_pos.copy(), phi, psi, slope, crossed)
 
 
 def integrate(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> ShootTrajectory:
     """Fixed-step RK4 trajectory from the launch endpoint to the Robin
-    endpoint at spectral parameter lam, defined up to a positive factor
-    (rescaled whenever it would pass the overflow cap).  Raises
-    ToleranceFailure if it turns non-finite before phi crosses zero."""
+    endpoint at spectral parameter lam, normalized to max phi = 1.
+    Raises ToleranceFailure if it turns non-finite before phi crosses
+    zero."""
     return _run(_build_plan(problem, config), lam, problem.p)
 
 
@@ -225,17 +207,18 @@ def _mismatch_from_traj(plan: _Plan, traj: ShootTrajectory, p: float) -> float:
     s = plan.mismatch_sign
     if traj.crossed:
         # phi crossed zero: lam is above the first eigenvalue
-        return s * SENTINEL
-    return traj.psi[-1] - s * plan.mismatch_alpha * float(momentum(traj.phi[-1], p))
+        return s * math.inf
+    return float(momentum(traj.slope[-1], p)) - s * plan.mismatch_alpha
 
 
 def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> float:
-    """Boundary defect F(lam) = psi(end) - (orientation)*alpha*|phi|^(p-2)phi(end).
+    """Boundary defect F(lam) = w(end) - (orientation)*alpha of the Riccati
+    variable w = psi/|phi|^(p-2)phi.
 
-    F carries the trajectory's positive factor, so only its sign is
-    meaningful: it changes sign at the first eigenvalue.  When phi
-    develops a zero the value is a signed sentinel on the "lam too large"
-    side.
+    F is scale-free: it is continuous and increasing in lam (decreasing
+    at a right Robin end) up to the first lam at which phi reaches zero
+    at the end, and changes sign at the first eigenvalue.  Once phi
+    crosses zero F is (orientation)*inf, on the "lam too large" side.
     """
     plan = _build_plan(problem, config)
     return _mismatch_from_traj(plan, _run(plan, lam, problem.p), problem.p)
@@ -331,9 +314,6 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     grid = traj.grid[order]
     phi = traj.phi[order]
     psi = traj.psi[order]
-    scale = float(np.max(phi))
-    phi = phi / scale
-    psi = psi / scale ** (p - 1.0)
 
     w = np.asarray(problem.weight.value(grid), dtype=float)
     f = w * np.abs(phi) ** p
@@ -352,7 +332,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
             "integrations": integrations,
             "bracket_steps": bracket_steps,
             "bisections": bisections,
-            "mismatch": float(mismatch) / scale ** (p - 1.0),
+            "mismatch": mismatch,
             "lp_norm": lp_norm,
             "phi_underflow_nodes": int(np.count_nonzero(phi == 0.0)),
             "rk_steps": config.rk_steps,

@@ -89,6 +89,16 @@ def disk_robin_lambda(alpha):
     return -x * x
 
 
+def half_line_robin_lambda(p, alpha):
+    """First Robin eigenvalue of the constant-coefficient p-Laplacian on
+    the half-line for alpha < 0: phi = exp(-|alpha|^(1/(p-1)) x) gives
+    -(p-1) * |alpha|^(p/(p-1)).  On [0, R] with Neumann at R it is off
+    by a relative e^(-2R|alpha|^(1/(p-1))), below rounding once that is
+    below 1e-17.
+    """
+    return -(p - 1.0) * abs(alpha) ** (p / (p - 1.0))
+
+
 def pi_p(p):
     """Half-period constant of the p-sine: 2*pi / (p * sin(pi/p))."""
     return 2.0 * math.pi / (p * math.sin(math.pi / p))

@@ -205,10 +205,11 @@ def test_solve_warns_on_eigenfunction_underflow(tmp_path, capsys, alpha, warned)
 
 
 def test_solve_near_p1_fails_cleanly(tmp_path):
-    """Known failure, pinned until the shooting launch is fixed: flat
-    p = 1.03, alpha = -2 overflows during the bracket search.  The CLI
-    must report it as a solver failure (exit 3), not crash.  64 RK steps
-    (the smallest allowed) reproduce it in a fraction of a second."""
+    """Flat p = 1.03, alpha = -2 has a boundary layer exp(-2^(100/3) x),
+    far thinner than any affordable RK4 step: the trials blow up in it.
+    The CLI must report that as a solver failure (exit 3), not crash.  64
+    RK steps (the smallest allowed) reproduce it in a fraction of a
+    second."""
     problem = dict(FLAT_PROBLEM, alpha=-2.0, p=1.03)
     cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
     src_dir = str(Path(__file__).resolve().parents[1] / "src")

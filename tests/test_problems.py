@@ -1,5 +1,6 @@
 """Problem builders: conventions, invariants, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from probin.problems import (
     sn_warping,
     warped_product_problem,
 )
-from probin.rayleigh import rayleigh_spec
+from probin.rayleigh import MinimizeConfig, rayleigh_spec
 from probin.shoot import solve_spec
 
 
@@ -193,6 +194,28 @@ def test_cached_solutions_are_read_only():
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         assert solve(spec).phi[0] == phi0 != 0.0
+
+
+def test_cached_solution_fields_and_diagnostics_are_read_only():
+    spec = ProblemSpec("inradius_model", R=1.0, alpha=1.0, p=2.0,
+                       kappa=0.0, lambda_mc=0.0, n=2)
+    sol = solve_spec(spec)
+    lam, integrations = sol.lambda_val, sol.diagnostics["integrations"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.lambda_val = 99.0
+    with pytest.raises(TypeError):
+        sol.diagnostics["integrations"] = -1
+    again = solve_spec(spec)
+    assert again.lambda_val == lam and again.diagnostics["integrations"] == integrations
+
+    config = MinimizeConfig(track_history=True)
+    sol = rayleigh_spec(spec, 200, config)
+    seed_s = sol.diagnostics["phase_s"]["seed"]
+    with pytest.raises(TypeError):
+        sol.diagnostics["phase_s"]["seed"] = -5.0
+    with pytest.raises(ValueError):
+        sol.diagnostics["quotient_history"][0] = 0.0
+    assert rayleigh_spec(spec, 200, config).diagnostics["phase_s"]["seed"] == seed_s >= 0.0
 
 
 def test_spec_rejects_unknown_type():

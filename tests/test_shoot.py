@@ -23,7 +23,7 @@ from probin.shoot import (
     solve_first_eigenvalue,
 )
 
-from oracles import disk_robin_lambda, flat_robin_lambda
+from oracles import disk_robin_lambda, flat_robin_lambda, half_line_robin_lambda
 
 FLAT_ANCHOR = 0.740173884394967       # flat_robin_lambda(1, 1)
 FLAT_ANCHOR_NEG = -1.4392288398906454  # flat_robin_lambda(1, -1)
@@ -67,9 +67,9 @@ def test_trajectory_robin_ratio_at_eigenvalue():
     assert traj.psi[-1] / momentum(traj.phi[-1], 2.0) == pytest.approx(1.0, abs=1e-5)
 
 
-def test_trajectory_rescaled_past_overflow_cap():
-    # alpha = -30: phi = cosh(k(1-x)) grows by cosh(30) ~ 5e12 > 1e12, so
-    # the path is rescaled on the way and still reaches the Robin node
+def test_trajectory_spanning_twelve_decades():
+    # alpha = -30: phi = cosh(k(1-x)) grows by cosh(30) ~ 5e12 across the
+    # interval; log phi carries that range and the path reaches the Robin node
     lam = flat_robin_lambda(1.0, -30.0)
     traj = integrate(_flat(-30.0, 2.0), lam)
     assert traj.grid[-1] == 0.0 and traj.grid.size == 4097
@@ -78,10 +78,10 @@ def test_trajectory_rescaled_past_overflow_cap():
 
 
 def _nan_path(crossed):
-    def rk4_path(phi0, psi0, lam, pm1, qm1, hs, ld, out_phi, out_psi):
-        out_phi[:] = np.nan
-        out_psi[:] = np.nan
-        return 1.0, crossed
+    def rk4_path(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
+        out_logphi[:] = np.nan
+        out_slope[:] = np.nan
+        return crossed
     return rk4_path
 
 
@@ -109,7 +109,7 @@ def test_mismatch_vanishes_at_oracle_roots():
 
 
 def test_mismatch_sentinel_above_first_eigenvalue():
-    # far above the first eigenvalue phi crosses zero: signed sentinel
+    # far above the first eigenvalue phi crosses zero: a signed infinity
     val = robin_mismatch(_flat(1.0, 2.0), 40.0)
     assert val > 1e14
 
@@ -122,13 +122,31 @@ def test_solve_flat_interval_against_oracle():
 
 
 def test_solve_strongly_negative_alpha_against_oracles():
-    # eigenfunctions whose range passes the overflow cap
+    # eigenfunctions that span more than twelve decades
     sol = solve_first_eigenvalue(_flat(-30.0, 2.0))
     assert sol.lambda_val == pytest.approx(flat_robin_lambda(1.0, -30.0), rel=1e-8)
     assert np.all(sol.phi > 0)
     sol = solve_first_eigenvalue(geodesic_ball_problem(0.0, 2, 1.0, -40.0, 2.0))
     assert sol.lambda_val == pytest.approx(disk_robin_lambda(-40.0), rel=1e-8)
     assert np.all(sol.phi > 0)
+
+
+@pytest.mark.parametrize("p,alpha", [(1.1, -2.0), (1.5, -30.0)])
+def test_solve_boundary_layer_against_half_line_oracle(p, alpha):
+    # phi ~ exp(-|alpha|^(1/(p-1)) x): the Riccati slope sits at its
+    # equilibrium, which RK4 holds exactly
+    sol = solve_first_eigenvalue(_flat(alpha, p))
+    assert sol.lambda_val == pytest.approx(half_line_robin_lambda(p, alpha), rel=1e-9)
+
+
+def test_unresolved_boundary_layer_fails_then_solves_with_more_steps():
+    # h*p*|alpha|^(1/(p-1)) = 3.05 at 4096 steps, past the RK4 stability
+    # edge (2.8): the trials blow up, and the solver says so
+    problem = _flat(-10.0, 1.25)
+    with pytest.raises(ToleranceFailure, match="non-finite trajectory.*rk_steps"):
+        solve_first_eigenvalue(problem)
+    sol = solve_first_eigenvalue(problem, ShootConfig(rk_steps=32768))
+    assert sol.lambda_val == pytest.approx(half_line_robin_lambda(1.25, -10.0), rel=1e-9)  # -25000
 
 
 def test_solve_disk_against_bessel_oracle():
