@@ -4,13 +4,17 @@ The eigenfunction ranges over e^(+-|alpha|^(1/(p-1))), but log phi grows
 only linearly and the slope state stays bounded, so nothing is rescaled
 and nothing overflows on a path the step size can resolve.
 
-One RK4 body, _rk4_core, uses only len, indexing, scalar arithmetic,
-math functions and loops, so it runs unchanged on numpy arrays and on
-Python lists.  With numba installed, rk4_path is the core compiled for
-numpy arrays.  Without it, rk4_path runs the core on Python floats and
-lists: numpy scalars would take every operation through numpy's scalar
-machinery, several times slower.  The IEEE operations are the same
-either way, so the results agree bit for bit.
+Both Riccati forms are one field; _rk4_core has one RK4 step body per
+form with the field's constants folded in, and rounds exactly as the
+generic field would.
+
+_rk4_core uses only len, indexing, scalar arithmetic, math functions and
+loops, so it runs unchanged on numpy arrays and on Python lists.  With
+numba installed, rk4_path is the core compiled for numpy arrays.
+Without it, rk4_path runs the core on Python floats and lists: numpy
+scalars would take every operation through numpy's scalar machinery,
+several times slower.  The IEEE operations are the same either way, so
+the results agree bit for bit.
 """
 
 import math
@@ -21,21 +25,6 @@ except ImportError:  # pragma: no cover
     njit = None
 
 
-def _form(rho_form, lam, pm1, qm1):
-    """Coefficients (e, c0, g, c2, k, d1) of the field of either form: with
-    s = sgn(y)|y|^e and the drift weight'/weight,
-    y' = c0 + (g*drift + c2*s)*y and z' = k*drift + d1*s.
-
-    w-form: y = w = psi/phi^(p-1), z = log phi, s = phi'/phi;
-    w' = -lam - drift*w - (p-1)*w*s and (log phi)' = s.
-    rho-form: y = rho = phi/phi', z = log|phi'|, s = |rho|^(p-2)rho;
-    rho' = 1 + (drift + lam*s)*rho/(p-1), (log|phi'|)' = -(drift + lam*s)/(p-1).
-    """
-    if rho_form:
-        return pm1, 1.0, 1.0 / pm1, lam / pm1, -1.0 / pm1, -lam / pm1
-    return qm1, -lam, -1.0, -pm1, 0.0, 1.0
-
-
 def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
     """Integrate from (w, log phi) = (w0, logphi0) over the steps hs
     (signed).  ld holds the drift at every step endpoint and midpoint:
@@ -44,8 +33,21 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
     Each form is stiff where the other is not: the stiffnesses p|v| of w
     and p|lam||rho|^(p-1)/(p-1) of rho balance at |v| = |phi'/phi| = big
     = max(1, (|lam|/(p-1))^(1/p)).  The path launches in the rho-form if
-    |v| > big, switches to it above 2*big and back below big/2.  Each RK4
-    stage takes one power.
+    |v| > big, switches to it above 2*big and back below big/2.
+
+    Both forms are the field y' = c0 + (g*drift + c2*s)*y,
+    z' = k*drift + d1*s, with one power s = sgn(y)|y|^e per RK4 stage:
+    w-form: y = w = psi/phi^(p-1), z = log phi, s = phi'/phi, e = 1/(p-1),
+    (c0, g, c2, k, d1) = (-lam, -1, -(p-1), 0, 1);
+    rho-form: y = rho = phi/phi', z = log|phi'|, s = |rho|^(p-2)rho,
+    e = p-1, (c0, g, c2, k, d1) = (1, 1/(p-1), lam/(p-1), -g, -c2).
+    Each form has its own step body with these constants folded in: a
+    w-stage is k_y = -lam - (drift + (p-1)*s)*w with increment s of log
+    phi, a rho-stage is a = g*drift + c2*s, k_y = 1 + a*rho, k_z = -a
+    (negated once, on the RK4 sum of the a's).
+    The folds only drop factors of 1 and 0 and move negations, which
+    IEEE arithmetic does exactly, so every step rounds as it would in the
+    generic field.
 
     Writes log|phi| and phi'/phi after step i into out_logphi[i] and
     out_slope[i], and leaves the later entries alone when it returns
@@ -53,60 +55,110 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
     (phi crosses zero; phi < 0 after it); returns False after the last
     step, or at once at a step whose state is not finite.
     """
+    n = len(hs)
     big = max(1.0, (abs(lam) / pm1) ** (1.0 / (pm1 + 1.0)))
-    rho_form = False
-    e, c0, g, c2, k, d1 = _form(False, lam, pm1, qm1)
+    half_big = 0.5 * big
+    two_big = 2.0 * big
+    inf = math.inf
+    log = math.log
+    nlam = -lam
+    g = 1.0 / pm1
+    c2 = lam / pm1
     y = w0
     logphi = z = logphi0
-    slope = s = y ** e if y >= 0.0 else -((-y) ** e)
-    switch = abs(s) > big
-    crossed = False
-    for i in range(len(hs)):
-        if switch:
-            rho_form = not rho_form
-            e, c0, g, c2, k, d1 = _form(rho_form, lam, pm1, qm1)
-            y = 1.0 / slope if rho_form else math.copysign(abs(slope) ** pm1, slope)
-            z = logphi + math.log(abs(slope)) if rho_form else logphi
-            s = y ** e if y >= 0.0 else -((-y) ** e)
-        h = hs[i]
-        l0, lm, l1 = ld[2 * i], ld[2 * i + 1], ld[2 * i + 2]
-        k1y, k1z = c0 + (g * l0 + c2 * s) * y, k * l0 + d1 * s
-        t = y + 0.5 * h * k1y
-        s = t ** e if t >= 0.0 else -((-t) ** e)
-        k2y, k2z = c0 + (g * lm + c2 * s) * t, k * lm + d1 * s
-        t = y + 0.5 * h * k2y
-        s = t ** e if t >= 0.0 else -((-t) ** e)
-        k3y, k3z = c0 + (g * lm + c2 * s) * t, k * lm + d1 * s
-        t = y + h * k3y
-        s = t ** e if t >= 0.0 else -((-t) ** e)
-        k4y, k4z = c0 + (g * l1 + c2 * s) * t, k * l1 + d1 * s
-        yn = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+    slope = s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
+    rho_form = abs(s) > big
+    if rho_form:  # launch in the rho-form
+        y = 1.0 / s
+        z = z + log(abs(s))
+        s = y ** pm1 if y >= 0.0 else -((-y) ** pm1)
+    # one pass per run of steps in one form; a switch ends the run
+    start = 0
+    while True:
+        stop = n
         if rho_form:
-            if yn == 0.0:
-                return True
-            crossed = (yn > 0.0) != (y > 0.0)
-        y = yn
-        s = y ** e if y >= 0.0 else -((-y) ** e)
-        if rho_form:
-            slope = 1.0 / y
-            logphi = z + math.log(abs(y))
-            switch = abs(slope) < 0.5 * big
+            for i in range(start, n):
+                h = hs[i]
+                hh = 0.5 * h
+                h6 = h / 6.0
+                j = 2 * i
+                lm = ld[j + 1]
+                a1 = g * ld[j] + c2 * s
+                k1 = 1.0 + a1 * y
+                t = y + hh * k1
+                s = t ** pm1 if t >= 0.0 else -((-t) ** pm1)
+                a2 = g * lm + c2 * s
+                k2 = 1.0 + a2 * t
+                t = y + hh * k2
+                s = t ** pm1 if t >= 0.0 else -((-t) ** pm1)
+                a3 = g * lm + c2 * s
+                k3 = 1.0 + a3 * t
+                t = y + h * k3
+                s = t ** pm1 if t >= 0.0 else -((-t) ** pm1)
+                a4 = g * ld[j + 2] + c2 * s
+                k4 = 1.0 + a4 * t
+                yn = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                z = z - h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                if yn == 0.0:
+                    return True
+                crossed = (yn > 0.0) != (y > 0.0)
+                y = yn
+                s = y ** pm1 if y >= 0.0 else -((-y) ** pm1)
+                slope = 1.0 / y
+                logphi = z + log(abs(y))
+                if not (-inf < slope < inf and -inf < logphi < inf):
+                    return False
+                out_logphi[i] = logphi
+                out_slope[i] = slope
+                if crossed:
+                    return True
+                if -half_big < slope < half_big:
+                    stop = i + 1
+                    break
+            if stop == n:
+                return False
+            # to the w-form
+            y = math.copysign(abs(slope) ** pm1, slope)
+            z = logphi
+            s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
         else:
-            slope = s
-            logphi = z
-            switch = abs(s) > 2.0 * big
-        if not (abs(slope) < math.inf and abs(logphi) < math.inf):
-            return False
-        out_logphi[i] = logphi
-        out_slope[i] = slope
-        if crossed:
-            return True
-    return False
+            for i in range(start, n):
+                h = hs[i]
+                hh = 0.5 * h
+                h6 = h / 6.0
+                j = 2 * i
+                lm = ld[j + 1]
+                k1 = nlam - (ld[j] + pm1 * s) * y
+                t = y + hh * k1
+                s2 = t ** qm1 if t >= 0.0 else -((-t) ** qm1)
+                k2 = nlam - (lm + pm1 * s2) * t
+                t = y + hh * k2
+                s3 = t ** qm1 if t >= 0.0 else -((-t) ** qm1)
+                k3 = nlam - (lm + pm1 * s3) * t
+                t = y + h * k3
+                s4 = t ** qm1 if t >= 0.0 else -((-t) ** qm1)
+                k4 = nlam - (ld[j + 2] + pm1 * s4) * t
+                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                z = z + h6 * (s + 2.0 * s2 + 2.0 * s3 + s4)
+                s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
+                if not (-inf < s < inf and -inf < z < inf):
+                    return False
+                out_logphi[i] = z
+                out_slope[i] = s
+                if s > two_big or s < -two_big:
+                    stop = i + 1
+                    break
+            if stop == n:
+                return False
+            # to the rho-form
+            y = 1.0 / s
+            z = z + log(abs(s))
+            s = y ** pm1 if y >= 0.0 else -((-y) ** pm1)
+        start = stop
+        rho_form = not rho_form
 
 
 if njit is not None:
-    _form = njit(cache=True, nogil=True)(_form)
     rk4_path = njit(cache=True, nogil=True)(_rk4_core)
 else:
     def rk4_path(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):

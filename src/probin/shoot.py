@@ -6,7 +6,9 @@ variable w = psi/phi^(p-1) (see _kernels), launched from the Neumann (or
 singular) endpoint with (w, log phi) = (0, 0), or from the left end of a
 two-Robin problem with (alpha, 0).  At the other (Robin) endpoint lam is
 root-found by bracketed bisection on the sign of w - (orientation)*alpha.
-(phi, psi) is rebuilt from log phi and phi'/phi where a path is returned.
+A trial reads w at the Robin end straight off the kernel's outputs; only
+a returned path (integrate, the converged eigenfunction) is rebuilt as
+(phi, psi) from log phi and phi'/phi.
 
 Launch corners are non-smooth: at a Neumann end the field |w|^(1/(p-1))
 is not Lipschitz for p > 2, and at a singular end the drift w'/w blows up.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -163,13 +166,23 @@ def _launch_state(plan: _Plan, lam: float, p: float):
     else:
         ld0 = float(plan.problem.weight.log_deriv(plan.launch_t))
         slope = lam * (1.0 - 0.5 * ld0 * d * eps)
+    w = -d * slope * eps
+    if lam < 0.0:
+        # The true w rises from 0 towards the Riccati equilibrium
+        # w* = ((-lam)/(p-1))^((p-1)/p), where w' = -lam - (p-1)|w|^(p/(p-1))
+        # vanishes, and stays below it; the leading-order w passes it once
+        # |lam|*eps > w*.
+        w = math.copysign(min(abs(w), (-lam / (p - 1.0)) ** ((p - 1.0) / p)), w)
     # log phi(t0 + d*eps) = -invm(slope)*eps^q/q = -invm(slope*eps)*eps/q
     # to leading order, for either direction (the d factors cancel by
     # oddness of invm).
-    return -d * slope * eps, -float(inverse_momentum(slope * eps, p)) * eps * (p - 1.0) / p
+    return w, -float(inverse_momentum(slope * eps, p)) * eps * (p - 1.0) / p
 
 
-def _run(plan: _Plan, lam: float, p: float) -> ShootTrajectory:
+def _shoot(plan: _Plan, lam: float, p: float):
+    """One integration at lam: (crossed, log phi, phi'/phi), the kernel's
+    per-step outputs, NaN after a zero crossing.  Raises ToleranceFailure
+    if the path turns non-finite before phi crosses zero."""
     w0, logphi0 = _launch_state(plan, lam, p)
     out_logphi = np.full(plan.steps.size, np.nan)
     out_slope = np.full(plan.steps.size, np.nan)
@@ -181,7 +194,12 @@ def _run(plan: _Plan, lam: float, p: float) -> ShootTrajectory:
         raise ToleranceFailure(
             "non-finite trajectory at lam = %r: the step is too coarse for the "
             "boundary layer; raise rk_steps" % lam)
+    return crossed, out_logphi, out_slope
 
+
+def _trajectory(plan: _Plan, p: float, run) -> ShootTrajectory:
+    """(phi, psi) on the grid nodes, rebuilt from the outputs of _shoot."""
+    crossed, out_logphi, out_slope = run
     # node 0 is the exact endpoint state: phi = 1, w = alpha or 0
     w_launch = plan.robin_launch_alpha or 0.0
     steps = plan.node_step[1:]
@@ -195,20 +213,25 @@ def _run(plan: _Plan, lam: float, p: float) -> ShootTrajectory:
     return ShootTrajectory(plan.node_pos.copy(), phi, psi, slope, crossed)
 
 
+def _mismatch(plan: _Plan, p: float, run) -> float:
+    """w(end) - (orientation)*alpha, read off the last step of _shoot."""
+    crossed, _, out_slope = run
+    s = plan.mismatch_sign
+    if crossed:
+        # phi crossed zero: lam is above the first eigenvalue
+        return s * math.inf
+    return float(momentum(out_slope[-1], p)) - s * plan.mismatch_alpha
+
+
 def integrate(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> ShootTrajectory:
     """Fixed-step RK4 trajectory from the launch endpoint to the Robin
     endpoint at spectral parameter lam, normalized to max phi = 1.
     Raises ToleranceFailure if it turns non-finite before phi crosses
-    zero."""
-    return _run(_build_plan(problem, config), lam, problem.p)
-
-
-def _mismatch_from_traj(plan: _Plan, traj: ShootTrajectory, p: float) -> float:
-    s = plan.mismatch_sign
-    if traj.crossed:
-        # phi crossed zero: lam is above the first eigenvalue
-        return s * math.inf
-    return float(momentum(traj.slope[-1], p)) - s * plan.mismatch_alpha
+    zero.  This, and the converged eigenfunction of
+    solve_first_eigenvalue, are the only places (phi, psi) is rebuilt
+    from the kernel's log phi and phi'/phi."""
+    plan = _build_plan(problem, config)
+    return _trajectory(plan, problem.p, _shoot(plan, lam, problem.p))
 
 
 def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> float:
@@ -219,9 +242,11 @@ def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = Shoo
     at a right Robin end) up to the first lam at which phi reaches zero
     at the end, and changes sign at the first eigenvalue.  Once phi
     crosses zero F is (orientation)*inf, on the "lam too large" side.
+    F is read off the kernel's last slope; no (phi, psi) trajectory is
+    rebuilt.
     """
     plan = _build_plan(problem, config)
-    return _mismatch_from_traj(plan, _run(plan, lam, problem.p), problem.p)
+    return _mismatch(plan, problem.p, _shoot(plan, lam, problem.p))
 
 
 def eigen_residual(problem: SturmProblem, grid, phi, psi, lam: float) -> float:
@@ -248,21 +273,27 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     integrations, bracket steps and bisections, the final mismatch, the
     L^p norm of the normalized eigenfunction, and the number of its
     nodes that underflow to 0.0 (phi spans more than the double range).
+    They also carry steps (bracket steps plus bisections), converged
+    (always True: a failure raises) and phase_s, the seconds spent in
+    the bracket search, the bisection and the eigenfunction finish.
+    Trials read the mismatch off the kernel's outputs; only the converged
+    eigenfunction is rebuilt as (phi, psi).
     """
+    t_bracket = time.perf_counter()
     plan = _build_plan(problem, config)
     p = problem.p
     alpha = plan.mismatch_alpha
     s = plan.mismatch_sign
     integrations = 0
-    low = None  # (lam, trajectory) of the last trial below the eigenvalue
+    low = None  # (lam, _shoot outputs) of the last trial below the eigenvalue
 
     def is_high(lam: float) -> bool:
         nonlocal integrations, low
-        traj = _run(plan, lam, p)
+        run = _shoot(plan, lam, p)
         integrations += 1
-        high = _mismatch_from_traj(plan, traj, p) * s > 0.0
+        high = _mismatch(plan, p, run) * s > 0.0
         if not high:
-            low = (lam, traj)
+            low = (lam, run)
         return high
 
     growth = config.bracket_growth
@@ -287,6 +318,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
 
     bracket = (lo, hi)
     bracket_steps = integrations
+    t_bisect = time.perf_counter()
     bisections = 0
     while hi - lo > config.lambda_tol * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
@@ -300,15 +332,17 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
         if bisections > 400:
             raise ToleranceFailure("bisection stalled at [%r, %r]" % (lo, hi))
 
+    t_finish = time.perf_counter()
     lam = lo  # the side with a positive trajectory
     if low is not None and low[0] == lam:
-        traj = low[1]
+        run = low[1]
     else:
-        traj = _run(plan, lam, p)
+        run = _shoot(plan, lam, p)
         integrations += 1
+    traj = _trajectory(plan, p, run)
     if traj.crossed:
         raise ToleranceFailure("trajectory invalid at the converged eigenvalue")
-    mismatch = _mismatch_from_traj(plan, traj, p)
+    mismatch = _mismatch(plan, p, run)
 
     order = np.argsort(traj.grid)
     grid = traj.grid[order]
@@ -319,6 +353,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     f = w * np.abs(phi) ** p
     lp_norm = float(np.sum(np.diff(grid) * (f[1:] + f[:-1]) / 2.0)) ** (1.0 / p)
     res = eigen_residual(problem, grid, phi, psi, lam)
+    t_end = time.perf_counter()
 
     return EigenSolution(
         lambda_val=float(lam),
@@ -336,6 +371,13 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
             "lp_norm": lp_norm,
             "phi_underflow_nodes": int(np.count_nonzero(phi == 0.0)),
             "rk_steps": config.rk_steps,
+            "steps": bracket_steps + bisections,
+            "converged": True,
+            "phase_s": {
+                "bracket": t_bisect - t_bracket,
+                "bisect": t_finish - t_bisect,
+                "finish": t_end - t_finish,
+            },
         },
     )
 

@@ -1,5 +1,7 @@
 """RK4 kernel: one body on numpy arrays and on Python floats."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -129,3 +131,131 @@ def test_run_hands_the_kernel_numpy_arrays(monkeypatch):
     assert len(args) == 9
     assert all(isinstance(a, np.ndarray) for a in args[5:])
     assert args[5].shape[0] == _build_plan(problem, ShootConfig()).steps.size
+
+
+def _reference_path(w0, logphi0, lam, pm1, qm1, hs, ld):
+    """The kernel's integration with the field in its generic form
+    y' = c0 + (g*drift + c2*s)*y, z' = k*drift + d1*s, one step body for
+    both forms, on Python floats.  Returns (crossed, log phi, phi'/phi,
+    rho_forms), rho_forms[i] telling the form of step i."""
+    n = len(hs)
+    out_logphi = [math.nan] * n
+    out_slope = [math.nan] * n
+    rho_forms = []
+
+    def field(rho_form):  # (e, c0, g, c2, k, d1)
+        if rho_form:
+            return pm1, 1.0, 1.0 / pm1, lam / pm1, -1.0 / pm1, -lam / pm1
+        return qm1, -lam, -1.0, -pm1, 0.0, 1.0
+
+    def power(y, e):
+        return y ** e if y >= 0.0 else -((-y) ** e)
+
+    def run():
+        big = max(1.0, (abs(lam) / pm1) ** (1.0 / (pm1 + 1.0)))
+        rho_form = False
+        e, c0, g, c2, k, d1 = field(rho_form)
+        y = w0
+        logphi = z = logphi0
+        slope = s = power(y, e)
+        switch = abs(s) > big
+        for i in range(n):
+            if switch:
+                rho_form = not rho_form
+                e, c0, g, c2, k, d1 = field(rho_form)
+                if rho_form:
+                    y, z = 1.0 / slope, logphi + math.log(abs(slope))
+                else:
+                    y, z = math.copysign(abs(slope) ** pm1, slope), logphi
+                s = power(y, e)
+            rho_forms.append(rho_form)
+            h = hs[i]
+            l0, lm, l1 = ld[2 * i], ld[2 * i + 1], ld[2 * i + 2]
+            k1y, k1z = c0 + (g * l0 + c2 * s) * y, k * l0 + d1 * s
+            t = y + 0.5 * h * k1y
+            s = power(t, e)
+            k2y, k2z = c0 + (g * lm + c2 * s) * t, k * lm + d1 * s
+            t = y + 0.5 * h * k2y
+            s = power(t, e)
+            k3y, k3z = c0 + (g * lm + c2 * s) * t, k * lm + d1 * s
+            t = y + h * k3y
+            s = power(t, e)
+            k4y, k4z = c0 + (g * l1 + c2 * s) * t, k * l1 + d1 * s
+            yn = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            crossed = rho_form and (yn > 0.0) != (y > 0.0)
+            if rho_form and yn == 0.0:
+                return True
+            y = yn
+            s = power(y, e)
+            if rho_form:
+                slope, logphi = 1.0 / y, z + math.log(abs(y))
+                switch = abs(slope) < 0.5 * big
+            else:
+                slope, logphi = s, z
+                switch = abs(s) > 2.0 * big
+            if not (abs(slope) < math.inf and abs(logphi) < math.inf):
+                return False
+            out_logphi[i] = logphi
+            out_slope[i] = slope
+            if crossed:
+                return True
+        return False
+
+    try:
+        crossed = run()
+    except OverflowError:  # a float power overflowed: a non-finite stop
+        crossed = False
+    return crossed, np.array(out_logphi), np.array(out_slope), rho_forms
+
+
+@pytest.mark.parametrize("problem,lam,forms,crossed", [
+    (_flat(1.0, 2.0), 0.5, "w", False),
+    (_flat(1.0, 3.0), 3.0, "w rho", False),
+    (_flat(1.0, 2.0), 40.0, "w rho", True),
+    (double_robin_problem(0.5, 100.0, 1.5), 3.0, "rho w", False),
+    (double_robin_problem(0.5, 100.0, 1.5), 8.0, "rho w rho", True),
+    (_flat(-1.0, 1.03), -1e5, "w rho w", None),  # None: a non-finite stop
+], ids=["w-only", "w-to-rho", "crossing", "rho-launch", "rho-w-rho-crossing", "non-finite"])
+def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, crossed):
+    # the kernel folds the constants of each form into its own step body;
+    # that must round exactly as the generic field does
+    args = _kernel_args(problem, lam)
+    ref_crossed, ref_logphi, ref_slope, rho_forms = _reference_path(
+        *args[:5], args[5].tolist(), args[6].tolist())
+    runs = [rho_forms[0]] + [b for a, b in zip(rho_forms, rho_forms[1:]) if a != b]
+    assert " ".join("rho" if r else "w" for r in runs) == forms
+    assert ref_crossed == bool(crossed)
+    assert np.isnan(ref_logphi[-1]) == (crossed is not False)
+    out_logphi = np.full(args[5].size, np.nan)
+    out_slope = np.full(args[5].size, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rk4_path(*args, out_logphi, out_slope) == ref_crossed
+    assert np.array_equal(out_logphi.view(np.int64), ref_logphi.view(np.int64))
+    assert np.array_equal(out_slope.view(np.int64), ref_slope.view(np.int64))
+
+
+def test_core_stays_numba_compilable():
+    # numba compiles _rk4_core where it is installed; keep the core to the
+    # constructs its nopython mode takes, even where nothing compiles it
+    tree = ast.parse(inspect.getsource(_rk4_core))
+    (core,) = tree.body
+    banned = (ast.Try, ast.With, ast.ListComp, ast.SetComp, ast.DictComp,
+              ast.GeneratorExp, ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef,
+              ast.ClassDef, ast.Yield, ast.YieldFrom, ast.JoinedStr)
+    # locals bound to a math function, e.g. log = math.log
+    math_aliases = {
+        node.targets[0].id for node in ast.walk(core)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name) and node.value.value.id == "math"
+    }
+    builtins = {"len", "range", "abs", "max", "min", "float"}
+    for node in ast.walk(core):
+        if node is core:
+            continue
+        assert not isinstance(node, banned), ast.dump(node)
+        if isinstance(node, ast.Call):
+            f = node.func
+            assert ((isinstance(f, ast.Name) and f.id in builtins | math_aliases)
+                    or (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                        and f.value.id == "math")), ast.dump(f)

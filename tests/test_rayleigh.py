@@ -204,6 +204,18 @@ def test_rayleigh_diagnostics_schema():
     assert d["grad_norm"] == sol.residual
 
 
+def test_shoot_diagnostics_schema():
+    # both solvers report steps, converged and phase_s
+    sol = solve_first_eigenvalue(geodesic_ball_problem(-1.0, 3, 1.0, 1.0, 3.0))
+    d = sol.diagnostics
+    assert d["converged"] is True
+    assert d["steps"] == d["bracket_steps"] + d["bisections"] > 0
+    assert set(d["phase_s"]) == {"bracket", "bisect", "finish"}
+    assert all(t >= 0.0 for t in d["phase_s"].values())
+    assert {"bracket", "integrations", "mismatch", "lp_norm", "phi_underflow_nodes",
+            "rk_steps"} <= set(d)
+
+
 def test_minimize_dirichlet_both_ends():
     sol = solve_rayleigh(_dirichlet_problem(), 2000)
     assert sol.lambda_val == pytest.approx(math.pi ** 2, abs=1e-3)

@@ -10,12 +10,15 @@ from probin._kernels import rk4_path
 from probin.coeffs import ModelParams
 from probin.errors import ToleranceFailure
 from probin.problems import (
+    ProblemSpec,
     double_robin_problem,
     geodesic_ball_problem,
     inradius_model_problem,
 )
 from probin.shoot import (
     ShootConfig,
+    _build_plan,
+    _launch_state,
     integrate,
     inverse_momentum,
     momentum,
@@ -276,3 +279,55 @@ def test_integration_counters_match_kernel_calls(monkeypatch, problem):
     # the converged eigenvalue is the last trial below it: not integrated again
     assert d["integrations"] == d["bracket_steps"] + d["bisections"]
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("lam", [-1e7, -1e9])
+def test_launch_far_below_the_eigenvalue_is_not_a_crossing(lam):
+    # flat p = 1.03, alpha = -1: the leading-order launch w = -lam*eps
+    # (10 and 1000 here) overshoots the Riccati equilibrium w* (~1.8, 2.0)
+    # that w relaxes to, and from there the first step flipped rho
+    p = 1.03
+    problem = _flat(-1.0, p)
+    plan = _build_plan(problem, ShootConfig())
+    w0, logphi0 = _launch_state(plan, lam, p)
+    assert abs(w0) == (-lam / (p - 1.0)) ** ((p - 1.0) / p)
+    out_logphi = np.full(plan.steps.size, np.nan)
+    out_slope = np.full(plan.steps.size, np.nan)
+    crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
+                       plan.steps, plan.ld, out_logphi, out_slope)
+    assert not (crossed and np.isnan(out_logphi[1]))
+    if lam == -1e7:
+        # the trial lands on the side it is on: below the first eigenvalue
+        assert robin_mismatch(problem, lam) < 0.0
+
+
+# the problem families of the benchmark
+FAMILIES = [
+    {"type": "inradius_model", "R": 1.0, "kappa": 0.0, "lambda_mc": 0.0, "n": 2},
+    {"type": "geodesic_ball", "R": 1.0, "kappa": 0.0, "n": 2},
+    {"type": "geodesic_ball", "R": 1.0, "kappa": -1.0, "n": 3},
+    {"type": "geodesic_ball", "R": 1.0, "kappa": 1.0, "n": 3},
+    {"type": "inradius_model", "R": 1.0, "kappa": 1.0, "lambda_mc": 0.5, "n": 3},
+    {"type": "double_robin", "R": 0.5},
+    {"type": "warped_product", "R": 1.0, "n": 3,
+     "warping": {"kind": "polynomial", "coefficients": [0.0, 1.0, 0.0, 0.1]}},
+]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f["type"] + str(f.get("kappa", "")))
+def test_launch_below_the_equilibrium_is_the_leading_order_term(family):
+    # the clamp at w* only binds once |lam|*eps > w*, beyond |lam| = 1e6
+    for p in (1.03, 1.1, 1.5, 2.0, 3.0, 5.0):
+        plan = _build_plan(ProblemSpec.from_dict(dict(family, alpha=-1.0, p=p)).build(),
+                           ShootConfig())
+        for lam in -np.logspace(-3.0, 6.0, 19):
+            w0, logphi0 = _launch_state(plan, lam, p)
+            if plan.robin_launch_alpha is not None:
+                assert (w0, logphi0) == (-1.0, 0.0)
+                continue
+            if plan.singular:
+                slope = lam / (plan.problem.singular_order + 1.0)
+            else:
+                ld0 = float(plan.problem.weight.log_deriv(plan.launch_t))
+                slope = lam * (1.0 - 0.5 * ld0 * plan.direction * plan.eps)
+            assert w0 == -plan.direction * slope * plan.eps
