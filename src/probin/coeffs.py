@@ -158,7 +158,6 @@ class Weight:
     value: Callable
     log_deriv: Callable
     log_second: Optional[Callable] = None
-    label: str = "weight"
 
     def __call__(self, t):
         return self.value(t)
@@ -184,7 +183,7 @@ def weight_ball(kappa: float, n: int) -> Weight:
         cot = sn_prime(kappa, t) / s
         return -expo * (kappa + cot * cot)
 
-    return Weight(value, log_deriv, log_second, "sn_%g^%d" % (kappa, n - 1))
+    return Weight(value, log_deriv, log_second)
 
 
 def weight_model(params: ModelParams) -> Weight:
@@ -201,10 +200,7 @@ def weight_model(params: ModelParams) -> Weight:
         tm = t_model(params, t)
         return -expo * (params.kappa + tm * tm)
 
-    return Weight(
-        value, log_deriv, log_second,
-        "C_{%g,%g}^%d" % (params.kappa, params.lambda_mc, params.dim - 1),
-    )
+    return Weight(value, log_deriv, log_second)
 
 
 def const_weight() -> Weight:
@@ -216,7 +212,7 @@ def const_weight() -> Weight:
     def zero(t):
         return np.zeros_like(np.asarray(t, dtype=float))[()] if np.ndim(t) else 0.0
 
-    return Weight(value, zero, zero, "1")
+    return Weight(value, zero, zero)
 
 
 def log_concavity_margin(weight: Weight, interval, m: int = 256) -> float:

@@ -39,6 +39,8 @@ ALPHA_MIN = 1e-14
 
 _REL_TOL = 1e-12
 
+_RICCI_NODES = 2048  # curvature grid of ricci_lower_bound
+
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -89,7 +91,6 @@ class SturmProblem:
     singular_left: bool = False
     singular_right: bool = False
     singular_order: int = 0
-    spec: Optional["ProblemSpec"] = None
 
     def __post_init__(self):
         if not self.b > self.a:
@@ -108,10 +109,6 @@ class SturmProblem:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-    @property
-    def log_deriv(self) -> Callable:
-        return self.weight.log_deriv
 
     def robin_ends(self):
         """List of (end, outward_sign, alpha) with end in {'left','right'}."""
@@ -238,7 +235,7 @@ def _warping_weight(w: Warping, n: int) -> Weight:
         dfv = w.df(t)
         return expo * (w.d2f(t) * f - dfv * dfv) / (f * f)
 
-    return Weight(value, log_deriv, log_second, "f^%d" % (n - 1))
+    return Weight(value, log_deriv, log_second)
 
 
 @dataclass(frozen=True)
@@ -332,10 +329,6 @@ def inradius_model_problem(params: ModelParams, R: float, alpha: float, p: float
         raise DomainError(
             "R=%g exceeds the model cutoff Z=%g (drift pole inside the interval)" % (R, z)
         )
-    spec = ProblemSpec(
-        "inradius_model", R=float(R), alpha=float(alpha), p=float(p),
-        kappa=params.kappa, lambda_mc=params.lambda_mc, n=params.dim,
-    )
     return SturmProblem(
         a=0.0,
         b=float(R),
@@ -345,7 +338,6 @@ def inradius_model_problem(params: ModelParams, R: float, alpha: float, p: float
         bc_right=BoundaryCondition.neumann(),
         singular_right=at_z,
         singular_order=params.dim - 1 if at_z else 0,
-        spec=spec,
     )
 
 
@@ -361,10 +353,6 @@ def geodesic_ball_problem(kappa: float, n: int, R0: float, alpha: float, p: floa
         raise DomainError(
             "ball radius %g reaches pi/sqrt(kappa)=%g" % (R0, math.pi / math.sqrt(kappa))
         )
-    spec = ProblemSpec(
-        "geodesic_ball", R=float(R0), alpha=float(alpha), p=float(p),
-        kappa=float(kappa), n=int(n),
-    )
     return SturmProblem(
         a=0.0,
         b=float(R0),
@@ -374,7 +362,6 @@ def geodesic_ball_problem(kappa: float, n: int, R0: float, alpha: float, p: floa
         bc_right=BoundaryCondition.robin(alpha),
         singular_left=True,
         singular_order=n - 1,
-        spec=spec,
     )
 
 
@@ -382,7 +369,6 @@ def double_robin_problem(R: float, alpha: float, p: float) -> SturmProblem:
     """Constant-weight problem on [0, 2R] with Robin(alpha) at both ends."""
     if R <= 0:
         raise DomainError("need R > 0")
-    spec = ProblemSpec("double_robin", R=float(R), alpha=float(alpha), p=float(p))
     return SturmProblem(
         a=0.0,
         b=2.0 * float(R),
@@ -390,41 +376,31 @@ def double_robin_problem(R: float, alpha: float, p: float) -> SturmProblem:
         weight=const_weight(),
         bc_left=BoundaryCondition.robin(alpha),
         bc_right=BoundaryCondition.robin(alpha),
-        spec=spec,
     )
 
 
-def warped_product_problem(
-    warping: Warping, n: int, R0: float, alpha: float, p: float, pole: Optional[bool] = None
-) -> SturmProblem:
+def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p: float) -> SturmProblem:
     """Radial problem with weight f^(n-1), Neumann at 0, Robin at R0.
 
-    Ball type (pole=True, the default when f(0) ~ 0): requires f(0)=0 and
-    f'(0)=1 for a smooth pole, and the inner endpoint is singular.
-    Cylinder/annulus type (pole=False): requires f > 0 on all of [0, R0].
+    Ball type exactly when f(0) = 0 (to 1e-12): it requires f'(0) = 1 for
+    a smooth pole, and the inner endpoint is singular.  Cylinder/annulus
+    type otherwise: it requires f > 0 on all of [0, R0].
     """
     if R0 <= 0:
         raise DomainError("need R0 > 0")
     if n < 2 or int(n) != n:
         raise DomainError("need integer dimension n >= 2")
     f0 = float(warping.f(0.0))
-    if pole is None:
-        pole = abs(f0) <= 1e-12
+    pole = abs(f0) <= 1e-12
     grid = np.linspace(R0 / 512.0, R0, 512)
     if np.any(np.asarray(warping.f(grid), dtype=float) <= 0.0):
         raise DomainError("warping function must be positive on (0, R0]")
     if pole:
-        if abs(f0) > 1e-12:
-            raise DomainError("ball-type closure needs f(0) = 0, got %g" % f0)
         d0 = float(warping.df(0.0))
         if abs(d0 - 1.0) > 1e-9:
             raise DomainError("smooth pole needs f'(0) = 1, got %g" % d0)
     elif f0 <= 0.0:
         raise DomainError("cylinder-type warping needs f(0) > 0")
-    spec = ProblemSpec(
-        "warped_product", R=float(R0), alpha=float(alpha), p=float(p),
-        n=int(n), warping=warping,
-    )
     return SturmProblem(
         a=0.0,
         b=float(R0),
@@ -432,19 +408,18 @@ def warped_product_problem(
         weight=_warping_weight(warping, n),
         bc_left=BoundaryCondition.neumann(),
         bc_right=BoundaryCondition.robin(alpha),
-        singular_left=bool(pole),
+        singular_left=pole,
         singular_order=n - 1 if pole else 0,
-        spec=spec,
     )
 
 
-def ricci_lower_bound(warping: Warping, n: int, R0: float, m: int = 2048) -> float:
-    """Largest kappa with Ric >= (n-1)*kappa on the warped ball, as a grid
-    infimum over (0, R0] of the two Ricci eigenvalue families (radial and
-    spherical) divided by (n-1)."""
+def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:
+    """Largest kappa with Ric >= (n-1)*kappa on the warped ball, as an
+    infimum over _RICCI_NODES uniform nodes of (0, R0] of the two Ricci
+    eigenvalue families (radial and spherical) divided by (n-1)."""
     if n < 2:
         raise DomainError("need n >= 2")
-    r = np.linspace(R0 / m, R0, m)
+    r = np.linspace(R0 / _RICCI_NODES, R0, _RICCI_NODES)
     f = np.asarray(warping.f(r), dtype=float)
     if np.any(f <= 0.0):
         raise DomainError("warping function not positive on the curvature grid")

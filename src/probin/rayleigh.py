@@ -31,15 +31,18 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .problems import EigenSolution, ProblemSpec, SturmProblem
 
+_ARMIJO = 1e-6  # sufficient-decrease factor of both line searches
 _BB_TAU_MIN = 1e-12
 _BB_TAU_MAX = 1e8
+_DESCENT_MAX = 200000  # descent iterations
+_STALL_WINDOW = 50  # descent iterations over which the quotient must fall
+_STALL_TOL = 1e-12  # by at least this much, or the descent has converged
 
 _SEED_MAX = 200  # inverse iterations
 _SEED_RTOL = 1e-13  # quotient decrease of one inverse iteration, per unit of shift
@@ -58,11 +61,7 @@ _Q_ROUNDING = 4.0 * _EPS  # quotient rise a Newton step may make, per unit of |q
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    max_iters: int = 200000
-    stall_window: int = 50
-    stall_tol: float = 1e-12  # quotient decrease over the window
-    armijo: float = 1e-6
-    track_history: bool = False
+    track_history: bool = False  # diagnostics carry every accepted quotient
 
 
 @dataclass
@@ -328,7 +327,7 @@ def _residual_small(func, u, q, r, gn, stiff, node) -> bool:
     return float(np.max(np.abs(r) - _AU_ROUNDING * rounding)) <= _NEWTON_RTOL * scale
 
 
-def _newton(func: DiscreteFunctional, u: np.ndarray, q: float, config: MinimizeConfig, history):
+def _newton(func: DiscreteFunctional, u: np.ndarray, q: float, history):
     """Bordered Newton steps from a normalized u.
 
     With A = E'' - qN'' and r = E' - qN', A x1 = -r and A x2 = N' give the
@@ -385,7 +384,7 @@ def _newton(func: DiscreteFunctional, u: np.ndarray, q: float, config: MinimizeC
         for _ in range(_NEWTON_HALVINGS):
             v = _normalize(func, u + t * delta)
             qv = quotient(func, v)
-            if qv <= q + config.armijo * t * slope + _Q_ROUNDING * abs(q):
+            if qv <= q + _ARMIJO * t * slope + _Q_ROUNDING * abs(q):
                 break
             t *= 0.5
         else:
@@ -396,8 +395,7 @@ def _newton(func: DiscreteFunctional, u: np.ndarray, q: float, config: MinimizeC
     return u, q, steps, False
 
 
-def _newton_continued(func: DiscreteFunctional, u: np.ndarray, q: float, config: MinimizeConfig,
-                      history, levels: int):
+def _newton_continued(func: DiscreteFunctional, u: np.ndarray, q: float, history, levels: int):
     """Newton from u; if it gives up, continuation in p.
 
     The minimizer at the exponent halfway to 2 is found the same way from
@@ -406,7 +404,7 @@ def _newton_continued(func: DiscreteFunctional, u: np.ndarray, q: float, config:
     (p = 8: the slope profile (R - t)^(1/7) at a Neumann end has to grow
     out of a linear one).  Returns (u, q, steps, seed iterations,
     converged); levels bounds the halvings."""
-    u, q, steps, converged = _newton(func, u, q, config, history)
+    u, q, steps, converged = _newton(func, u, q, history)
     seed_iters = 0
     if converged or levels == 0 or func.p == 2.0:
         return u, q, steps, seed_iters, converged
@@ -414,12 +412,12 @@ def _newton_continued(func: DiscreteFunctional, u: np.ndarray, q: float, config:
     v, seed_iters = _p2_seed(mid)
     v = _normalize(mid, v)
     v, _, mid_steps, mid_seed, mid_converged = _newton_continued(
-        mid, v, quotient(mid, v), config, None, levels - 1)
+        mid, v, quotient(mid, v), None, levels - 1)
     steps += mid_steps
     seed_iters += mid_seed
     if mid_converged:
         v = _normalize(func, v)
-        v, qv, v_steps, v_converged = _newton(func, v, quotient(func, v), config, None)
+        v, qv, v_steps, v_converged = _newton(func, v, quotient(func, v), None)
         steps += v_steps
         if qv <= q:
             u, q, converged = v, qv, v_converged
@@ -428,7 +426,7 @@ def _newton_continued(func: DiscreteFunctional, u: np.ndarray, q: float, config:
     return u, q, steps, seed_iters, converged
 
 
-def _descend(func: DiscreteFunctional, u: np.ndarray, q: float, config: MinimizeConfig, history):
+def _descend(func: DiscreteFunctional, u: np.ndarray, q: float, history):
     """Projected Barzilai-Borwein descent from a normalized u.
 
     Returns (u, q, iterations, converged)."""
@@ -440,7 +438,7 @@ def _descend(func: DiscreteFunctional, u: np.ndarray, q: float, config: Minimize
     u_prev = None
     g_prev = None
 
-    while iters < config.max_iters:
+    while iters < _DESCENT_MAX:
         iters += 1
         gg = float(np.dot(g, g))
         if gg == 0.0:
@@ -471,7 +469,7 @@ def _descend(func: DiscreteFunctional, u: np.ndarray, q: float, config: Minimize
                 t *= 0.5
                 continue
             qv = quotient(func, v)
-            if qv <= q - config.armijo * t * gg:
+            if qv <= q - _ARMIJO * t * gg:
                 accepted = True
                 break
             t *= 0.5
@@ -487,49 +485,38 @@ def _descend(func: DiscreteFunctional, u: np.ndarray, q: float, config: Minimize
         if history is not None:
             history.append(q)
         recent.append(q)
-        if len(recent) > config.stall_window:
+        if len(recent) > _STALL_WINDOW:
             recent.pop(0)
-            if recent[0] - q < config.stall_tol:
+            if recent[0] - q < _STALL_TOL:
                 converged = True
                 break
     return u, q, iters, converged
 
 
-def minimize(
-    func: DiscreteFunctional,
-    seed: Optional[np.ndarray] = None,
-    config: MinimizeConfig = MinimizeConfig(),
-) -> EigenSolution:
+def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
     """Minimize the Rayleigh quotient over N(u) = 1 on func's mesh.
 
-    Without a seed, starts from the p = 2 discrete eigenvector.  Newton
-    steps follow; if their residual test does not fire, projected descent
-    finishes.  Returns the quotient as the eigenvalue estimate and the
-    minimizer samples; diagnostics flag non-convergence at the iteration
-    cap and time the three stages.
+    Starts from the p = 2 discrete eigenvector.  Newton steps follow; if
+    their residual test does not fire, projected descent finishes.
+    Returns the quotient as the eigenvalue estimate and the minimizer
+    samples; diagnostics flag non-convergence at the iteration cap and
+    time the three stages.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
-    if seed is None:
-        u, seed_iters = _p2_seed(func)
-    else:
-        u = np.asarray(seed, dtype=float).copy()
-        if u.shape != (m + 1,):
-            raise DomainError("seed has wrong length")
-        seed_iters = 0
-    u[~func.free_mask] = 0.0
+    u, seed_iters = _p2_seed(func)
     u = _normalize(func, u)
     q = quotient(func, u)
     history = [q] if config.track_history else None
 
     t_newton = time.perf_counter()
     u, q, newton_steps, more_seed, converged = _newton_continued(
-        func, u, q, config, history, _CONTINUATION_LEVELS if seed is None else 0)
+        func, u, q, history, _CONTINUATION_LEVELS)
     seed_iters += more_seed
     t_finish = time.perf_counter()
     iters = 0
     if not converged:
-        u, q, iters, converged = _descend(func, u, q, config, history)
+        u, q, iters, converged = _descend(func, u, q, history)
     t_end = time.perf_counter()
 
     # orient positive and present like the shooting output

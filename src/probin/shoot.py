@@ -167,16 +167,22 @@ def _launch_state(plan: _Plan, lam: float, p: float):
         ld0 = float(plan.problem.weight.log_deriv(plan.launch_t))
         slope = lam * (1.0 - 0.5 * ld0 * d * eps)
     w = -d * slope * eps
+    # log phi(t0 + d*eps) = -invm(slope)*eps^q/q = -invm(slope*eps)*eps/q
+    # to leading order, for either direction (the d factors cancel by
+    # oddness of invm).
+    logphi = -float(inverse_momentum(slope * eps, p)) * eps * (p - 1.0) / p
     if lam < 0.0:
         # The true w rises from 0 towards the Riccati equilibrium
         # w* = ((-lam)/(p-1))^((p-1)/p), where w' = -lam - (p-1)|w|^(p/(p-1))
         # vanishes, and stays below it; the leading-order w passes it once
-        # |lam|*eps > w*.
-        w = math.copysign(min(abs(w), (-lam / (p - 1.0)) ** ((p - 1.0) / p)), w)
-    # log phi(t0 + d*eps) = -invm(slope)*eps^q/q = -invm(slope*eps)*eps/q
-    # to leading order, for either direction (the d factors cancel by
-    # oddness of invm).
-    return w, -float(inverse_momentum(slope * eps, p)) * eps * (p - 1.0) / p
+        # |lam|*eps > w*.  So |phi'/phi| stays below invm(w*) and
+        # |log phi(eps)| below invm(w*)*eps.  Near p = 1 the leading-order
+        # log phi passes that by far (p = 1.03, lam = -1e7: 6.3e25 against
+        # 188), and every later increment would be below its ulp.
+        w_star = (-lam / (p - 1.0)) ** ((p - 1.0) / p)
+        w = math.copysign(min(abs(w), w_star), w)
+        logphi = math.copysign(min(abs(logphi), float(inverse_momentum(w_star, p)) * eps), logphi)
+    return w, logphi
 
 
 def _shoot(plan: _Plan, lam: float, p: float):
@@ -223,14 +229,15 @@ def _mismatch(plan: _Plan, p: float, run) -> float:
     return float(momentum(out_slope[-1], p)) - s * plan.mismatch_alpha
 
 
-def integrate(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> ShootTrajectory:
-    """Fixed-step RK4 trajectory from the launch endpoint to the Robin
-    endpoint at spectral parameter lam, normalized to max phi = 1.
+def integrate(problem: SturmProblem, lam: float) -> ShootTrajectory:
+    """Fixed-step RK4 trajectory, at the default ShootConfig, from the
+    launch endpoint to the Robin endpoint at spectral parameter lam,
+    normalized to max phi = 1.
     Raises ToleranceFailure if it turns non-finite before phi crosses
     zero.  This, and the converged eigenfunction of
     solve_first_eigenvalue, are the only places (phi, psi) is rebuilt
     from the kernel's log phi and phi'/phi."""
-    plan = _build_plan(problem, config)
+    plan = _build_plan(problem, ShootConfig())
     return _trajectory(plan, problem.p, _shoot(plan, lam, problem.p))
 
 
@@ -296,25 +303,18 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
             low = (lam, run)
         return high
 
-    growth = config.bracket_growth
-    if alpha > 0:
-        lo, hi = 0.0, 1.0
-        for _ in range(config.max_bracket_steps):
-            if is_high(hi):
-                break
-            lo = hi
-            hi *= growth
-        else:
-            raise BracketFailure("no sign change for lam in (0, %g]" % hi)
+    # the eigenvalue has the sign of alpha: step away from 0 on that side
+    # until a trial lands beyond it
+    sign = 1.0 if alpha > 0 else -1.0
+    near, far = 0.0, sign
+    for _ in range(config.max_bracket_steps):
+        if is_high(far) == (sign > 0.0):
+            break
+        near = far
+        far *= config.bracket_growth
     else:
-        lo, hi = -1.0, 0.0
-        for _ in range(config.max_bracket_steps):
-            if not is_high(lo):
-                break
-            hi = lo
-            lo *= growth
-        else:
-            raise BracketFailure("no sign change for lam in [%g, 0)" % lo)
+        raise BracketFailure("no sign change for lam between 0 and %g" % far)
+    lo, hi = (near, far) if sign > 0.0 else (far, near)
 
     bracket = (lo, hi)
     bracket_steps = integrations

@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_WIDTH, _HEIGHT = 720, 480  # pixels
+_TICKS = 6  # ticks per axis to aim for
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
+def _nice_ticks(lo: float, hi: float):
     if not (hi > lo):
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -30,13 +32,13 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def line_chart(series, path, title="", xlabel="", ylabel="", width=720, height=480, logx=False):
+def line_chart(series, path, title="", xlabel="", ylabel="", logx=False):
     """Write a line chart to path.
 
     series: list of (x values, y values, label)."""
     margin_l, margin_r, margin_t, margin_b = 70, 20, 36, 52
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
 
     xs_all, ys_all = [], []
     for xs, ys, _ in series:
@@ -62,14 +64,14 @@ def line_chart(series, path, title="", xlabel="", ylabel="", width=720, height=4
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'width="%d" height="%d" viewBox="0 0 %d %d">' % (width, height, width, height),
-        '<rect width="%d" height="%d" fill="white"/>' % (width, height),
+        'width="%d" height="%d" viewBox="0 0 %d %d">' % (_WIDTH, _HEIGHT, _WIDTH, _HEIGHT),
+        '<rect width="%d" height="%d" fill="white"/>' % (_WIDTH, _HEIGHT),
         '<rect x="%d" y="%d" width="%d" height="%d" fill="none" stroke="#333"/>' % (
             margin_l, margin_t, plot_w, plot_h),
     ]
     if title:
         parts.append('<text x="%d" y="22" font-size="15" font-family="sans-serif" '
-                     'text-anchor="middle">%s</text>' % (width // 2, title))
+                     'text-anchor="middle">%s</text>' % (_WIDTH // 2, title))
 
     for t in _nice_ticks(y_lo, y_hi):
         y = py(t)
@@ -99,7 +101,7 @@ def line_chart(series, path, title="", xlabel="", ylabel="", width=720, height=4
 
     if xlabel:
         parts.append('<text x="%d" y="%d" font-size="13" font-family="sans-serif" '
-                     'text-anchor="middle">%s</text>' % (margin_l + plot_w // 2, height - 14, xlabel))
+                     'text-anchor="middle">%s</text>' % (margin_l + plot_w // 2, _HEIGHT - 14, xlabel))
     if ylabel:
         parts.append('<text x="16" y="%d" font-size="13" font-family="sans-serif" '
                      'text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>' % (

@@ -35,6 +35,15 @@ from .shoot import ShootConfig, inverse_momentum, momentum, solve_spec
 
 STRICTNESS_FACTOR = 10.0
 
+# Tolerances of the checks below that take no tolerance argument
+_TOL_PICONE_NONNEG = 1e-10  # pointwise L >= 0
+_TOL_RICCATI = 1e-4  # sup-norm residual of the Riccati identity
+_TOL_LOG_DERIV_BOUND = 1e-6  # |u'/u|^(p-1) <= |alpha|
+_TOL_REFLECTION = 1e-8  # double-Robin against half-interval eigenvalue
+_TOL_SYMMETRY = 1e-6  # evenness of the double-Robin eigenfunction
+_TOL_INRADIUS_EQUALITY = 1e-5  # ball against matched model eigenvalue
+_TOL_INRADIUS_BOUND = 1e-6  # one-sided model bounds (slack and warped)
+
 
 @dataclass
 class VerificationReport:
@@ -133,8 +142,7 @@ def reports_to_csv(reports: Sequence[VerificationReport], path) -> None:
 # Picone identity
 # ----------------------------------------------------------------------
 
-def picone_check(u, v, grid, p, tol_identity=1e-8, tol_nonneg=1e-10,
-                 proportional=False) -> VerificationReport:
+def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> VerificationReport:
     """Pointwise check of L(u,v) = R(u,v) >= 0 for u >= 0, v > 0.
 
     L = |u'|^p + (p-1)(u/v)^p |v'|^p - p (u/v)^(p-1) |v'|^(p-2) v' u'
@@ -142,7 +150,7 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, tol_nonneg=1e-10,
 
     Derivatives are central differences; the comparison runs on interior
     nodes.  The margin folds both assertions: identity deviation at
-    tol_identity, pointwise nonnegativity of L at tol_nonneg.  With
+    tol_identity, pointwise nonnegativity of L at _TOL_PICONE_NONNEG.  With
     proportional=True (u = c*v) the check is picone_identity_proportional
     and also needs L to collapse: max |L| <= 1e-10.
     """
@@ -169,7 +177,7 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, tol_nonneg=1e-10,
     dev = float(np.max(np.abs(lhs_field - rhs_field)))
     min_l = float(np.min(lhs_field))
     # fold the nonnegativity slack into the same margin scale
-    folded = max(dev, (tol_identity / tol_nonneg) * max(0.0, -min_l))
+    folded = max(dev, (tol_identity / _TOL_PICONE_NONNEG) * max(0.0, -min_l))
     max_abs_l = float(np.max(np.abs(lhs_field)))
     return _report(
         "picone_identity_proportional" if proportional else "picone_identity",
@@ -189,7 +197,6 @@ def barta_sandwich(
     trial,
     lam: float,
     tolerance: float = 1e-4,
-    name: str = "barta_sandwich",
 ) -> VerificationReport:
     """inf(-D_p v / m(v)) <= lambda <= sup(...) for a positive trial v.
 
@@ -223,7 +230,7 @@ def barta_sandwich(
             sign * psi_v[idx] + alpha * momentum(v[idx], problem.p)
         )
     return _report(
-        name,
+        "barta_sandwich",
         {"p": problem.p, "interval": (problem.a, problem.b)},
         "sandwich", lhs=lo, rhs=hi, tolerance=tolerance, extras=extras,
     )
@@ -233,17 +240,12 @@ def barta_sandwich(
 # First-eigenfunction shape suite (sign, log-derivative bound, Riccati)
 # ----------------------------------------------------------------------
 
-def eigenfunction_shape_suite(
-    problem: SturmProblem,
-    solution: EigenSolution,
-    tol_riccati: float = 1e-4,
-    tol_bound: float = 1e-6,
-) -> list:
+def eigenfunction_shape_suite(problem: SturmProblem, solution: EigenSolution) -> list:
     """Structure checks for a solved problem with Robin at the left end.
 
     Always checked: the sign of u' matches the sign of alpha away from the
     Neumann end, and the logarithmic derivative v = u'/u satisfies its
-    first-order identity (momentum form) up to tol_riccati in sup norm.
+    first-order identity (momentum form) up to _TOL_RICCATI in sup norm.
     Only for strictly log-concave weights: v is monotone (decreasing for
     alpha > 0, increasing for alpha < 0) and |v|^(p-1) <= |alpha|;
     otherwise those two checks are emitted as skips.
@@ -280,7 +282,7 @@ def eigenfunction_shape_suite(
     resid = dmv[sl] + ld * mv[sl] + (p - 1.0) * np.abs(vv[sl]) ** p + lam
     reports.append(_report(
         "riccati_identity", base, "eq",
-        lhs=float(np.max(np.abs(resid))), rhs=0.0, tolerance=tol_riccati,
+        lhs=float(np.max(np.abs(resid))), rhs=0.0, tolerance=_TOL_RICCATI,
     ))
 
     # a singular right endpoint is a pole of the drift; the log-concavity
@@ -305,7 +307,7 @@ def eigenfunction_shape_suite(
     ))
     reports.append(_report(
         "log_derivative_bound", base, "le",
-        lhs=float(np.max(np.abs(mv))), rhs=abs(alpha), tolerance=tol_bound,
+        lhs=float(np.max(np.abs(mv))), rhs=abs(alpha), tolerance=_TOL_LOG_DERIV_BOUND,
         extras={"log_concavity_margin": lc},
     ))
     return reports
@@ -315,12 +317,8 @@ def eigenfunction_shape_suite(
 # Reflection identity: double-Robin interval vs half interval
 # ----------------------------------------------------------------------
 
-def reflection_identity(
-    R: float, alpha: float, p: float,
-    config: ShootConfig = ShootConfig(),
-    tol_eig: float = 1e-8,
-    tol_sym: float = 1e-6,
-) -> VerificationReport:
+def reflection_identity(R: float, alpha: float, p: float,
+                        config: ShootConfig = ShootConfig()) -> VerificationReport:
     """First eigenvalue of [0, 2R] with Robin(alpha) at both ends equals
     that of [0, R] with Robin(alpha)/Neumann, and the double-Robin
     eigenfunction is even about the midpoint.
@@ -337,9 +335,9 @@ def reflection_identity(
     sym_defect = float(np.max(np.abs(full.phi - full.phi[::-1])))
     return _report(
         "reflection_identity", {"R": R, "alpha": alpha, "p": p}, "eq",
-        lhs=full.lambda_val, rhs=half.lambda_val, tolerance=tol_eig,
-        extras={"symmetry_defect": sym_defect, "symmetry_tol": tol_sym},
-        holds=sym_defect <= tol_sym,
+        lhs=full.lambda_val, rhs=half.lambda_val, tolerance=_TOL_REFLECTION,
+        extras={"symmetry_defect": sym_defect, "symmetry_tol": _TOL_SYMMETRY},
+        holds=sym_defect <= _TOL_SYMMETRY,
     )
 
 
@@ -428,16 +426,10 @@ def cheng_comparison_suite(
     for i in range(len(kappas) - 1):
         k0, k1 = kappas[i], kappas[i + 1]
         params = {"kappa_low": k0, "kappa_high": k1, "n": n, "R0": R0, "alpha": alpha, "p": p}
-        if alpha > 0:
-            reports.append(_report(
-                "curvature_comparison", params, "le",
-                lhs=lams[i + 1], rhs=lams[i], tolerance=1e-12,
-            ))
-        else:
-            reports.append(_report(
-                "curvature_comparison", params, "ge",
-                lhs=lams[i + 1], rhs=lams[i], tolerance=1e-12,
-            ))
+        reports.append(_report(
+            "curvature_comparison", params, "le" if alpha > 0 else "ge",
+            lhs=lams[i + 1], rhs=lams[i], tolerance=1e-12,
+        ))
     twin = ProblemSpec("warped_product", R=R0, alpha=alpha, p=p, n=n,
                        warping=sn_warping(kappas[0]))
     lam_twin = solve_spec(twin, config).lambda_val
@@ -467,7 +459,6 @@ def ball_model_spec(kappa: float, n: int, R0: float, alpha: float, p: float) -> 
 def inradius_equality_check(
     kappa: float, n: int, R0: float, alpha: float, p: float,
     config: ShootConfig = ShootConfig(),
-    tolerance: float = 1e-5,
 ) -> VerificationReport:
     """On a space-form ball the model bound is attained: the radial ball
     eigenvalue equals the matched inradius-model eigenvalue.
@@ -492,7 +483,7 @@ def inradius_equality_check(
     return _report(
         "inradius_model_equality",
         {"kappa": kappa, "n": n, "R0": R0, "alpha": alpha, "p": p},
-        "eq", lhs=lam_ball, rhs=lam_model, tolerance=tolerance,
+        "eq", lhs=lam_ball, rhs=lam_model, tolerance=_TOL_INRADIUS_EQUALITY,
         extras={
             "margin_coarse": margin_coarse,
             "margin_fine": margin_fine,
@@ -507,7 +498,6 @@ def inradius_slack_check(
     kappa: float, n: int, R0: float, alpha: float, p: float,
     d_kappa: float = 0.0, d_lambda: float = 0.0,
     config: ShootConfig = ShootConfig(),
-    tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Slackened curvature or mean-curvature bounds push the model value
     strictly to the safe side of the ball eigenvalue: below it for
@@ -515,28 +505,21 @@ def inradius_slack_check(
     if d_kappa == 0.0 and d_lambda == 0.0:
         raise DomainError("need a nonzero slack")
     ball = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(kappa), n=int(n))
-    lam_mc = float(sn_prime(kappa, R0) / sn(kappa, R0))
-    model = ProblemSpec(
-        "inradius_model", R=R0, alpha=alpha, p=p,
-        kappa=float(kappa - d_kappa), lambda_mc=lam_mc - d_lambda, n=int(n),
-    )
+    matched = ball_model_spec(kappa, n, R0, alpha, p)
+    model = replace(matched, kappa=float(kappa - d_kappa), lambda_mc=matched.lambda_mc - d_lambda)
     lam_ball = solve_spec(ball, config).lambda_val
     lam_model = solve_spec(model, config).lambda_val
     params = {
         "kappa": kappa, "n": n, "R0": R0, "alpha": alpha, "p": p,
         "d_kappa": d_kappa, "d_lambda": d_lambda,
     }
-    if alpha > 0:
-        return _report("inradius_model_slack", params, "ge",
-                       lhs=lam_ball, rhs=lam_model, tolerance=tolerance)
-    return _report("inradius_model_slack", params, "le",
-                   lhs=lam_ball, rhs=lam_model, tolerance=tolerance)
+    return _report("inradius_model_slack", params, "ge" if alpha > 0 else "le",
+                   lhs=lam_ball, rhs=lam_model, tolerance=_TOL_INRADIUS_BOUND)
 
 
 def inradius_warped_check(
     warping: Warping, n: int, R0: float, alpha: float, p: float,
     config: ShootConfig = ShootConfig(),
-    tolerance: float = 1e-6,
 ) -> VerificationReport:
     """For a warped-product ball, extract the curvature bounds from the
     warping function and assert the model bound with those bounds."""
@@ -557,11 +540,8 @@ def inradius_warped_check(
         "warping": warping.kind or "custom", "n": n, "R0": R0,
         "alpha": alpha, "p": p, "kappa_eff": kappa_eff, "lambda_eff": lambda_eff,
     }
-    if alpha > 0:
-        return _report("inradius_model_warped", params, "ge",
-                       lhs=lam_m, rhs=lam_model, tolerance=tolerance)
-    return _report("inradius_model_warped", params, "le",
-                   lhs=lam_m, rhs=lam_model, tolerance=tolerance)
+    return _report("inradius_model_warped", params, "ge" if alpha > 0 else "le",
+                   lhs=lam_m, rhs=lam_model, tolerance=_TOL_INRADIUS_BOUND)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Every name a probin module imports is used in that module."""
+"""Static checks of the probin sources: every name a module imports is
+used in it, and every defaulted parameter is passed by some call."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "probin"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "probin"
 # __init__.py imports to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -31,3 +33,58 @@ def test_no_unused_imports(path):
     unused = ["%s (line %d)" % (name, line) for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, "%s imports but never uses: %s" % (path.name, ", ".join(unused))
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) of every parameter with a default;
+    position counts the arguments a call passes, so a method's self is
+    not counted, and it is None for keyword-only parameters."""
+    methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        offset = 1 if id(node) in methods else 0
+        for i in range(first, len(positional)):
+            yield node.name, positional[i].arg, i - offset
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _calls_by_name():
+    """Every call in src/, tests/ and bench/, keyed by the called name
+    (f(...) and obj.f(...) both count for f)."""
+    calls = {}
+    for top in ("src", "tests", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call, name, position):
+    # arguments inside *args or **kwargs are not seen: pass such a
+    # parameter by name somewhere for this check to count it
+    if any(k.arg == name for k in call.keywords):
+        return True
+    n_positional = sum(not isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and n_positional > position
+
+
+def test_every_default_is_overridden_somewhere():
+    """A defaulted parameter that no call passes has one value in use: it
+    should be a constant.  Calls are matched by name only, so a call of
+    another function of the same name can hide an unused parameter."""
+    calls = _calls_by_name()
+    unused = ["%s: %s(%s)" % (path.name, func, param)
+              for path in MODULES
+              for func, param, position in _defaulted_parameters(ast.parse(path.read_text()))
+              if not any(_passes(c, param, position) for c in calls.get(func, []))]
+    assert not unused, "defaulted parameters no call passes: " + ", ".join(unused)

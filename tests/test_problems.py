@@ -45,7 +45,7 @@ def test_inradius_model_log_linear_weight():
     prob = inradius_model_problem(ModelParams(-1.0, 1.0, 3), 2.0, -0.5, 3.0)
     t = np.linspace(0.0, 2.0, 9)
     assert prob.weight(t) == pytest.approx(np.exp(-2.0 * t), rel=1e-13)
-    assert prob.log_deriv(t) == pytest.approx(np.full_like(t, -2.0), rel=1e-13)
+    assert prob.weight.log_deriv(t) == pytest.approx(np.full_like(t, -2.0), rel=1e-13)
 
 
 def test_inradius_model_at_cutoff_is_singular():
@@ -76,7 +76,7 @@ def test_double_robin_problem():
     prob2 = double_robin_problem(0.5, -1.0, 3.0)
     assert (prob2.a, prob2.b) == (0.0, 1.0)
     t = np.linspace(0.0, 1.0, 4)
-    assert np.all(prob2.log_deriv(t) == 0.0)
+    assert np.all(prob2.weight.log_deriv(t) == 0.0)
 
 
 def test_degenerate_alpha_rejected():
@@ -95,20 +95,18 @@ def test_warped_matches_geodesic_ball_bitwise():
         assert (ball.singular_left, ball.singular_order) == (warped.singular_left, warped.singular_order)
         t = np.linspace(0.05, 1.1, 23)
         assert np.all(np.asarray(ball.weight(t)) == np.asarray(warped.weight(t)))
-        assert np.all(np.asarray(ball.log_deriv(t)) == np.asarray(warped.log_deriv(t)))
+        assert np.all(np.asarray(ball.weight.log_deriv(t))
+                      == np.asarray(warped.weight.log_deriv(t)))
 
 
 def test_warped_pole_validation():
     ok = warped_product_problem(polynomial_warping((0.0, 1.0, 0.0, 1.0)), 2, 1.0, 1.0, 2.0)
     assert ok.singular_left
-    # f(0) != 0 with a pole requested
-    with pytest.raises(DomainError):
-        warped_product_problem(polynomial_warping((1.0, -1.0)), 2, 0.5, 1.0, 2.0, pole=True)
     # f <= 0 inside the interval
     with pytest.raises(DomainError):
         warped_product_problem(polynomial_warping((0.0, 1.0, -2.0)), 2, 1.0, 1.0, 2.0)
     # cylinder type: f positive everywhere including 0 is fine
-    cyl = warped_product_problem(polynomial_warping((1.0, 0.5)), 3, 1.0, 1.0, 2.0, pole=False)
+    cyl = warped_product_problem(polynomial_warping((1.0, 0.5)), 3, 1.0, 1.0, 2.0)
     assert not cyl.singular_left
 
 
@@ -128,8 +126,8 @@ def test_inradius_at_cutoff_reflects_geodesic_ball():
     w_ball = np.asarray(ball.weight(r0 - t))
     ratio = w_model / w_ball
     assert ratio == pytest.approx(np.full_like(t, ratio[0]), rel=1e-12)
-    assert np.asarray(model.log_deriv(t)) == pytest.approx(
-        -np.asarray(ball.log_deriv(r0 - t)), rel=1e-11, abs=1e-11)
+    assert np.asarray(model.weight.log_deriv(t)) == pytest.approx(
+        -np.asarray(ball.weight.log_deriv(r0 - t)), rel=1e-11, abs=1e-11)
 
 
 def test_problem_type_invariants_enforced():
@@ -163,7 +161,6 @@ def test_spec_json_round_trip(doc):
     assert again == spec and hash(again) == hash(spec)
     prob = spec.build()
     assert isinstance(prob, SturmProblem)
-    assert prob.spec.to_dict() == doc
 
 
 def test_warped_spec_from_json_shares_the_solver_caches():

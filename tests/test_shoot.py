@@ -8,7 +8,7 @@ import pytest
 import probin.shoot
 from probin._kernels import rk4_path
 from probin.coeffs import ModelParams
-from probin.errors import ToleranceFailure
+from probin.errors import BracketFailure, ToleranceFailure
 from probin.problems import (
     ProblemSpec,
     double_robin_problem,
@@ -19,6 +19,7 @@ from probin.shoot import (
     ShootConfig,
     _build_plan,
     _launch_state,
+    _shoot,
     integrate,
     inverse_momentum,
     momentum,
@@ -331,3 +332,27 @@ def test_launch_below_the_equilibrium_is_the_leading_order_term(family):
                 ld0 = float(plan.problem.weight.log_deriv(plan.launch_t))
                 slope = lam * (1.0 - 0.5 * ld0 * plan.direction * plan.eps)
             assert w0 == -plan.direction * slope * plan.eps
+            assert logphi0 == -float(inverse_momentum(slope * plan.eps, p)) * plan.eps * (p - 1.0) / p
+
+
+def test_launch_log_phi_is_bounded_by_the_equilibrium_slope():
+    # flat p = 1.03, alpha = -1, lam = -1e7: the leading-order launch
+    # log phi(eps) is 6.3e25, every later increment is below its ulp, and
+    # a path launched there has phi = 1.0 at 4 096 of the 4 097 nodes
+    p, lam = 1.03, -1e7
+    problem = _flat(-1.0, p)
+    plan = _build_plan(problem, ShootConfig())
+    _, logphi0 = _launch_state(plan, lam, p)
+    w_star = (-lam / (p - 1.0)) ** ((p - 1.0) / p)
+    assert 0.0 < logphi0 <= float(inverse_momentum(w_star, p)) * plan.eps
+    crossed, out_logphi, _ = _shoot(plan, lam, p)
+    assert not crossed and np.all(np.diff(out_logphi) > 0.0)
+    assert np.count_nonzero(integrate(problem, lam).phi == 1.0) == 1
+
+
+@pytest.mark.parametrize("alpha", [100.0, -3.0])
+def test_bracket_failure_after_max_bracket_steps(alpha):
+    # one bracket step tries lam = sign(alpha) only, and both eigenvalues
+    # lie further out (2.42 and -9.09)
+    with pytest.raises(BracketFailure):
+        solve_first_eigenvalue(_flat(alpha, 2.0), ShootConfig(max_bracket_steps=1))
