@@ -29,6 +29,8 @@ from .problems import (
     double_robin_problem,
     geodesic_ball_problem,
     inradius_model_problem,
+    inverse_momentum,
+    momentum,
     polynomial_warping,
     ricci_lower_bound,
     sn_warping,
@@ -47,8 +49,6 @@ from .shoot import (
     ShootConfig,
     ShootTrajectory,
     integrate,
-    inverse_momentum,
-    momentum,
     robin_mismatch,
     solve_first_eigenvalue,
     solve_spec,

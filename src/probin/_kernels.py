@@ -163,6 +163,10 @@ if njit is not None:
 else:
     def rk4_path(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
         """_rk4_core on Python floats; same arguments, outputs and return.
+        Entries after an early stop are unspecified: the compiled core
+        leaves whatever the caller put there, this adapter writes NaN.  A
+        caller that reads them fills them first (_shoot fills NaN), and
+        then both builds agree.
 
         A float power that overflows raises OverflowError where numba
         gives inf; either way the path stops at that step, non-finite."""

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import BracketFailure, DomainError, ToleranceFailure
 from .problems import ProblemSpec
-from .rayleigh import rayleigh_spec
+from .rayleigh import DEFAULT_CELLS, rayleigh_spec
 from .shoot import ShootConfig, solve_spec
 from .svgfig import line_chart
 from .verify import default_suite, reports_to_csv, reports_to_jsonl
@@ -57,8 +57,8 @@ def _setting(cfg: dict, args, key: str, default):
 
 
 def _shoot_config(cfg: dict, args) -> ShootConfig:
-    rk = _setting(cfg, args, "rk_steps", 4096)
-    tol = _setting(cfg, args, "tol", 1e-10)
+    rk = _setting(cfg, args, "rk_steps", ShootConfig.rk_steps)
+    tol = _setting(cfg, args, "tol", ShootConfig.lambda_tol)
     try:
         return ShootConfig(rk_steps=int(rk), lambda_tol=float(tol))
     except (TypeError, ValueError) as exc:
@@ -67,7 +67,7 @@ def _shoot_config(cfg: dict, args) -> ShootConfig:
 
 def _cells(cfg: dict, args) -> int:
     try:
-        m = int(_setting(cfg, args, "m", 2000))
+        m = int(_setting(cfg, args, "m", DEFAULT_CELLS))
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad 'm': %s" % exc)
     if m < 16:

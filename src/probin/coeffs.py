@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -151,13 +151,12 @@ def _clamped_power(base, expo: float, what: str):
 
 @dataclass(frozen=True)
 class Weight:
-    """A positive weight with analytic log-derivative w'/w and, when
-    available, analytic (log w)''.  Instances are callables returning
-    w(t)."""
+    """A positive weight with analytic log-derivative w'/w and analytic
+    (log w)''.  Instances are callables returning w(t)."""
 
     value: Callable
     log_deriv: Callable
-    log_second: Optional[Callable] = None
+    log_second: Callable
 
     def __call__(self, t):
         return self.value(t)
@@ -216,23 +215,13 @@ def const_weight() -> Weight:
 
 
 def log_concavity_margin(weight: Weight, interval, m: int = 256) -> float:
-    """Max of (log w)'' over a uniform grid on the interval.
+    """Max of the analytic (log w)'' over a uniform grid on the interval.
 
-    A negative return certifies strict log-concavity on the grid.  Uses the
-    analytic second derivative when the weight carries one, otherwise
-    central differences of log w.  Raises DomainError if w <= 0 at a node.
+    A negative return certifies strict log-concavity on the grid.  The
+    weight's log_second raises DomainError where w vanishes.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise DomainError("empty interval")
     grid = np.linspace(a, b, m)
-    if weight.log_second is not None:
-        vals = np.asarray(weight.log_second(grid), dtype=float)
-        return float(np.max(vals))
-    w = np.asarray(weight.value(grid), dtype=float)
-    if np.any(w <= 0.0):
-        raise DomainError("weight not positive on the log-concavity grid")
-    lw = np.log(w)
-    h = grid[1] - grid[0]
-    dd = (lw[:-2] - 2.0 * lw[1:-1] + lw[2:]) / (h * h)
-    return float(np.max(dd))
+    return float(np.max(np.asarray(weight.log_second(grid), dtype=float)))

@@ -9,7 +9,8 @@ alpha reads
 
 i.e. psi(a) = +alpha*|phi|^(p-2)phi(a) at a left Robin end and
 psi(b) = -alpha*|phi|^(p-2)phi(b) at a right Robin end.  Storing the
-condition this way keeps reflected problems sign-safe.
+condition this way keeps reflected problems sign-safe.  The momentum map
+and its inverse are defined here, once, for both solvers and the checks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .coeffs import (
     ModelParams,
     Weight,
+    _clamped_power,
     const_weight,
     sn,
     sn_prime,
@@ -40,6 +42,16 @@ ALPHA_MIN = 1e-14
 _REL_TOL = 1e-12
 
 _RICCI_NODES = 2048  # curvature grid of ricci_lower_bound
+
+
+def momentum(x, p: float):
+    """|x|^(p-2) x, the p-Laplacian momentum map; momentum(0) = 0."""
+    return np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def inverse_momentum(y, p: float):
+    """Inverse of momentum: |y|^(q-2) y with q = p/(p-1)."""
+    return np.sign(y) * np.abs(y) ** (1.0 / (p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -217,10 +229,7 @@ def _warping_weight(w: Warping, n: int) -> Weight:
     expo = float(n - 1)
 
     def value(t):
-        f = np.asarray(w.f(t), dtype=float)
-        if np.any(f < -1e-10):
-            raise DomainError("warping weight past a zero of f")
-        return np.clip(f, 0.0, None) ** expo
+        return _clamped_power(w.f(t), expo, "warping weight")
 
     def log_deriv(t):
         f = w.f(t)
@@ -256,6 +265,10 @@ class ProblemSpec:
     n: Optional[int] = None
     warping: Optional[Warping] = None
 
+    def __post_init__(self):
+        if self.type not in _BUILDERS:
+            raise DomainError("unknown problem type %r" % (self.type,))
+
     def to_dict(self) -> dict:
         out = {
             "type": self.type,
@@ -280,9 +293,6 @@ class ProblemSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ProblemSpec":
-        kind = doc.get("type")
-        if kind not in ("inradius_model", "geodesic_ball", "double_robin", "warped_product"):
-            raise DomainError("unknown problem type %r" % (kind,))
         warping = None
         if "warping" in doc and doc["warping"] is not None:
             wdoc = doc["warping"]
@@ -293,7 +303,7 @@ class ProblemSpec:
             else:
                 raise DomainError("unknown warping kind %r" % (wdoc["kind"],))
         return ProblemSpec(
-            type=kind,
+            type=doc.get("type"),
             R=float(doc["R"]),
             alpha=float(doc["alpha"]),
             p=float(doc["p"]),
@@ -304,17 +314,7 @@ class ProblemSpec:
         )
 
     def build(self) -> SturmProblem:
-        if self.type == "inradius_model":
-            return inradius_model_problem(
-                ModelParams(self.kappa, self.lambda_mc, self.n), self.R, self.alpha, self.p
-            )
-        if self.type == "geodesic_ball":
-            return geodesic_ball_problem(self.kappa, self.n, self.R, self.alpha, self.p)
-        if self.type == "double_robin":
-            return double_robin_problem(self.R, self.alpha, self.p)
-        if self.type == "warped_product":
-            return warped_product_problem(self.warping, self.n, self.R, self.alpha, self.p)
-        raise DomainError("unknown problem type %r" % (self.type,))
+        return _BUILDERS[self.type](self)
 
 
 def inradius_model_problem(params: ModelParams, R: float, alpha: float, p: float) -> SturmProblem:
@@ -411,6 +411,16 @@ def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p:
         singular_left=pole,
         singular_order=n - 1 if pole else 0,
     )
+
+
+# the problem types of ProblemSpec and the builder call each one makes
+_BUILDERS = {
+    "inradius_model": lambda s: inradius_model_problem(
+        ModelParams(s.kappa, s.lambda_mc, s.n), s.R, s.alpha, s.p),
+    "geodesic_ball": lambda s: geodesic_ball_problem(s.kappa, s.n, s.R, s.alpha, s.p),
+    "double_robin": lambda s: double_robin_problem(s.R, s.alpha, s.p),
+    "warped_product": lambda s: warped_product_problem(s.warping, s.n, s.R, s.alpha, s.p),
+}
 
 
 def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:

@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .problems import EigenSolution, ProblemSpec, SturmProblem
+from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
 
 _ARMIJO = 1e-6  # sufficient-decrease factor of both line searches
 _BB_TAU_MIN = 1e-12
@@ -57,6 +56,8 @@ _HESSIAN_FLOOR = 1e-8
 _EPS = float(np.finfo(float).eps)
 _AU_ROUNDING = 16.0 * _EPS  # rounding of A u allowed in the residual, per unit of |A| |u|
 _Q_ROUNDING = 4.0 * _EPS  # quotient rise a Newton step may make, per unit of |q|
+
+DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,6 @@ def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
     return DiscreteFunctional(grid, node_weights, w_mid, problem.p, robin_terms, free_mask, h)
 
 
-def _pow_signed(x, expo):
-    return np.sign(x) * np.abs(x) ** expo
-
-
 def energy(func: DiscreteFunctional, u: np.ndarray) -> float:
     d = np.diff(u) / func.h
     e = func.h * float(np.sum(func.mid_weights * np.abs(d) ** func.p))
@@ -134,18 +131,18 @@ def quotient(func: DiscreteFunctional, u: np.ndarray) -> float:
 def _energy_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
     p = func.p
     d = np.diff(u) / func.h
-    flux = func.mid_weights * _pow_signed(d, p - 1.0)
+    flux = func.mid_weights * momentum(d, p)
     g = np.zeros_like(u)
     g[:-1] -= flux
     g[1:] += flux
     g *= p
     for j, c in func.robin_terms:
-        g[j] += p * c * _pow_signed(u[j], p - 1.0)
+        g[j] += p * c * momentum(u[j], p)
     return g
 
 
 def _norm_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
-    return func.p * func.node_weights * _pow_signed(u, func.p - 1.0)
+    return func.p * func.node_weights * momentum(u, func.p)
 
 
 def _normalize(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
@@ -221,7 +218,7 @@ def _p2_seed(func: DiscreteFunctional):
     robin = []
     for j, c in func.robin_terms:
         w = 2.0 * func.node_weights[j] / func.h  # the weight at the end node
-        robin.append((j, math.copysign(w * abs(c / w) ** (1.0 / (func.p - 1.0)), c) if c else 0.0))
+        robin.append((j, float(w * inverse_momentum(c / w, func.p)) if c else 0.0))
     f2 = dataclasses.replace(func, p=2.0, robin_terms=robin)
     stiff = func.mid_weights / func.h
     ones = np.ones(func.grid.size)
@@ -525,7 +522,7 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
     scale = float(np.max(np.abs(u)))
     phi = u / scale
     dphi = np.gradient(phi, func.grid, edge_order=2)
-    psi = _pow_signed(dphi, func.p - 1.0)
+    psi = momentum(dphi, func.p)
     g = _residual(func, u, q)
     gnorm = float(np.sqrt(np.dot(g, g)))
 
@@ -558,7 +555,7 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
 
 def solve_rayleigh(
     problem: SturmProblem,
-    m: int = 2000,
+    m: int = DEFAULT_CELLS,
     config: MinimizeConfig = MinimizeConfig(),
 ) -> EigenSolution:
     """Minimize the Rayleigh quotient of problem on m cells."""
@@ -570,6 +567,6 @@ def _solve_cached(spec: ProblemSpec, m: int, config: MinimizeConfig) -> EigenSol
     return solve_rayleigh(spec.build(), m, config)
 
 
-def rayleigh_spec(spec: ProblemSpec, m: int = 2000, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
+def rayleigh_spec(spec: ProblemSpec, m: int = DEFAULT_CELLS, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
     """Cached variational solve keyed by the problem spec."""
     return _solve_cached(spec, m, config)

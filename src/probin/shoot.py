@@ -31,7 +31,7 @@ import numpy as np
 
 from ._kernels import rk4_path
 from .errors import BracketFailure, DomainError, ToleranceFailure
-from .problems import EigenSolution, ProblemSpec, SturmProblem
+from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
 
 # Offset of the series launch from a Neumann or singular corner, times
 # (b-a); geometric substeps covering the first grid cell and uniform
@@ -65,18 +65,7 @@ class ShootTrajectory:
     grid: np.ndarray  # in integration order (launch -> mismatch end)
     phi: np.ndarray
     psi: np.ndarray
-    slope: np.ndarray  # phi'/phi
     crossed: bool  # phi <= 0 somewhere: lam lies above the first eigenvalue
-
-
-def momentum(x, p: float):
-    """|x|^(p-2) x, the p-Laplacian momentum map; momentum(0) = 0."""
-    return np.sign(x) * np.abs(x) ** (p - 1.0)
-
-
-def inverse_momentum(y, p: float):
-    """Inverse of momentum: |y|^(q-2) y with q = p/(p-1)."""
-    return np.sign(y) * np.abs(y) ** (1.0 / (p - 1.0))
 
 
 @dataclass
@@ -105,19 +94,13 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
         if bc.kind == "dirichlet":
             raise DomainError("shooting does not handle dirichlet conditions")
 
-    if len(robins) == 1:
-        end = robins[0][0]
-        # launch from the opposite (Neumann) end
-        direction = -1.0 if end == "left" else 1.0
-        robin_launch_alpha = None
-    else:
-        # two Robin ends: impose the left condition at launch, match right
-        end = "right"
-        direction = 1.0
-        robin_launch_alpha = problem.bc_left.alpha
-
-    mismatch_sign = 1.0 if end == "left" else -1.0
-    mismatch_alpha = problem.bc_left.alpha if end == "left" else problem.bc_right.alpha
+    # match at the last Robin end and launch from the other end: from the
+    # Neumann end, or with the first Robin condition imposed if both are
+    # Robin; integration runs toward the matched end's outward side
+    _, outward, mismatch_alpha = robins[-1]
+    direction = outward
+    mismatch_sign = -outward
+    robin_launch_alpha = robins[0][2] if len(robins) == 2 else None
     launch_t = problem.b if direction < 0 else problem.a
     singular = problem.singular_right if direction < 0 else problem.singular_left
 
@@ -216,7 +199,7 @@ def _trajectory(plan: _Plan, p: float, run) -> ShootTrajectory:
         phi[1:][steps == np.count_nonzero(~np.isnan(out_logphi)) - 1] *= -1.0
     psi = momentum(slope * phi, p)
     psi[0] = w_launch * phi[0] ** (p - 1.0)
-    return ShootTrajectory(plan.node_pos.copy(), phi, psi, slope, crossed)
+    return ShootTrajectory(plan.node_pos.copy(), phi, psi, crossed)
 
 
 def _mismatch(plan: _Plan, p: float, run) -> float:

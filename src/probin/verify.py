@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,11 +27,13 @@ from .problems import (
     SturmProblem,
     Warping,
     boundary_mean_curvature,
+    inverse_momentum,
+    momentum,
     polynomial_warping,
     ricci_lower_bound,
     sn_warping,
 )
-from .shoot import ShootConfig, inverse_momentum, momentum, solve_spec
+from .shoot import ShootConfig, solve_spec
 
 STRICTNESS_FACTOR = 10.0
 
@@ -47,21 +49,23 @@ _TOL_INRADIUS_BOUND = 1e-6  # one-sided model bounds (slack and warped)
 
 @dataclass
 class VerificationReport:
-    """Outcome of one check: pass/fail with numeric margins, or skip."""
+    """Outcome of one check: what was compared, and the side condition.
+
+    margin, passed and status are derived from those, so a report cannot
+    disagree with itself; a "skip" report compares nothing."""
 
     name: str
     params: dict
     lhs: float
     rhs: float
-    margin: float
     tolerance: float
-    passed: Optional[bool]
-    status: str  # "pass" | "fail" | "skip"
     kind: str  # "eq" | "le" | "ge" | "sandwich" | "skip"
-    extras: dict = field(default_factory=dict)
+    holds: bool  # the check's side condition
+    extras: dict
 
-    def recompute_margin(self) -> float:
-        """Margin recomputed from (lhs, rhs) and the comparison kind."""
+    @property
+    def margin(self) -> float:
+        """Signed slack of the comparison: nonnegative when it holds."""
         if self.kind == "eq":
             return -abs(self.lhs - self.rhs)
         if self.kind == "le":
@@ -72,6 +76,20 @@ class VerificationReport:
             target = self.extras["target"]
             return min(target - self.lhs, self.rhs - target)
         return math.nan
+
+    @property
+    def passed(self) -> Optional[bool]:
+        """The margin clears the tolerance and the side condition holds;
+        None for a skip."""
+        if self.kind == "skip":
+            return None
+        return bool(self.margin >= -self.tolerance and self.holds)
+
+    @property
+    def status(self) -> str:  # "pass" | "fail" | "skip"
+        if self.kind == "skip":
+            return "skip"
+        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -92,16 +110,11 @@ class VerificationReport:
 
 
 def _report(name, params, kind, lhs, rhs, tolerance, extras=None, holds=True) -> VerificationReport:
-    """Report that passes when the margin clears the tolerance and the
-    check's side condition holds."""
+    """Report of a comparison; extras gain the strictness flag."""
     rep = VerificationReport(
         name=name, params=dict(params), lhs=float(lhs), rhs=float(rhs),
-        margin=0.0, tolerance=float(tolerance), passed=None, status="pass",
-        kind=kind, extras=dict(extras or {}),
+        tolerance=float(tolerance), kind=kind, holds=bool(holds), extras=dict(extras or {}),
     )
-    rep.margin = rep.recompute_margin()
-    rep.passed = bool(rep.margin >= -rep.tolerance and holds)
-    rep.status = "pass" if rep.passed else "fail"
     rep.extras.setdefault("strict", bool(rep.margin > STRICTNESS_FACTOR * rep.tolerance))
     return rep
 
@@ -109,8 +122,7 @@ def _report(name, params, kind, lhs, rhs, tolerance, extras=None, holds=True) ->
 def _skip(name, params, reason) -> VerificationReport:
     return VerificationReport(
         name=name, params=dict(params), lhs=math.nan, rhs=math.nan,
-        margin=math.nan, tolerance=0.0, passed=None, status="skip",
-        kind="skip", extras={"reason": reason},
+        tolerance=0.0, kind="skip", holds=True, extras={"reason": reason},
     )
 
 

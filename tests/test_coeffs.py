@@ -147,12 +147,13 @@ def test_log_concavity_margin_examples():
     assert m == pytest.approx(-1.0 / math.sin(1.5) ** 2, rel=1e-12)
     assert m < 0.0
     assert log_concavity_margin(const_weight(), (0.0, 1.0)) == 0.0
-    # analytic second derivative absent: central-difference route
-    gauss = Weight(value=lambda t: np.exp(np.asarray(t) ** 2), log_deriv=lambda t: 2 * np.asarray(t))
-    assert log_concavity_margin(gauss, (0.0, 1.0), 400) == pytest.approx(2.0, abs=1e-5)
+    # w = exp(t^2): (log w)'' = 2 exactly
+    gauss = Weight(value=lambda t: np.exp(np.asarray(t) ** 2), log_deriv=lambda t: 2 * np.asarray(t),
+                   log_second=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0))
+    assert log_concavity_margin(gauss, (0.0, 1.0), 400) == 2.0
 
 
 def test_log_concavity_rejects_nonpositive_weight():
-    w = Weight(value=lambda t: np.asarray(t) - 0.5, log_deriv=lambda t: 1.0 / (np.asarray(t) - 0.5))
+    # sn^(n-1) vanishes at t = 0, where (log w)'' has its pole
     with pytest.raises(DomainError):
-        log_concavity_margin(w, (0.0, 1.0), 64)
+        log_concavity_margin(weight_ball(1.0, 2), (0.0, 1.0), 64)

@@ -1,5 +1,6 @@
 """Static checks of the probin sources: every name a module imports is
-used in it, and every defaulted parameter is passed by some call."""
+used in it, every defaulted parameter is passed by some call, and the two
+solvers import nothing from each other."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,34 @@ def test_no_unused_imports(path):
     unused = ["%s (line %d)" % (name, line) for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, "%s imports but never uses: %s" % (path.name, ", ".join(unused))
+
+
+def _imported_modules(path):
+    """The probin modules path imports from, by bare name."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").split(".")
+            if node.level:  # relative: from . import x, from .x import y
+                out.update(base[:1] if node.module else [a.name for a in node.names])
+            elif base[0] == "probin":
+                out.update(base[1:2] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "probin" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+@pytest.mark.parametrize("solver,other", [
+    ("rayleigh", "shoot"), ("rayleigh", "_kernels"),
+    ("shoot", "rayleigh"), ("_kernels", "rayleigh"),
+])
+def test_solvers_stay_independent(solver, other):
+    # their agreement is the main correctness signal only while neither
+    # reuses the other's code
+    assert other not in _imported_modules(SRC / (solver + ".py"))
 
 
 def _defaulted_parameters(tree):

@@ -50,9 +50,11 @@ def _assert_same_everywhere(args):
     assert crossed_l == crossed_a
     assert np.array_equal(logphi_l, logphi_a, equal_nan=True)
     assert np.array_equal(slope_l, slope_a, equal_nan=True)
-    # and rk4_path, whichever form it takes here, returns the same
-    out_logphi = np.empty(args[5].size)
-    out_slope = np.empty(args[5].size)
+    # and rk4_path, whichever form it takes here, returns the same; its
+    # entries after an early stop are the caller's under numba, so fill
+    # them as _shoot does
+    out_logphi = np.full(args[5].size, np.nan)
+    out_slope = np.full(args[5].size, np.nan)
     assert rk4_path(*args, out_logphi, out_slope) == crossed_a
     assert np.array_equal(out_logphi, logphi_a, equal_nan=True)
     assert np.array_equal(out_slope, slope_a, equal_nan=True)
@@ -96,8 +98,8 @@ def test_float_power_overflow_is_a_tolerance_failure():
         _core_on_lists(args)
     with np.errstate(over="ignore", invalid="ignore"):
         crossed, logphi, slope = _core_on_arrays(args)
-        out_logphi = np.empty(args[5].size)
-        out_slope = np.empty(args[5].size)
+        out_logphi = np.full(args[5].size, np.nan)
+        out_slope = np.full(args[5].size, np.nan)
         assert rk4_path(*args, out_logphi, out_slope) is False and crossed is False
     assert np.isnan(logphi[-1])
     assert np.array_equal(out_logphi, logphi, equal_nan=True)
