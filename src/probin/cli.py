@@ -148,6 +148,9 @@ def _sweep_values(cfg) -> tuple:
     axis = sweep["axis"]
     if axis not in ("alpha", "R", "p", "kappa"):
         raise ConfigError("unknown sweep axis %r" % (axis,))
+    scale = sweep.get("scale", "linear")
+    if scale not in ("linear", "log"):
+        raise ConfigError("unknown sweep scale %r, expected 'linear' or 'log'" % (scale,))
     if "grid" in sweep:
         try:
             values = [float(v) for v in sweep["grid"]]
@@ -161,21 +164,21 @@ def _sweep_values(cfg) -> tuple:
             raise ConfigError("sweep needs 'grid' or start/stop/count: %s" % exc)
         if count < 2:
             raise ConfigError("sweep count must be >= 2")
-        if sweep.get("scale", "linear") == "log":
-            if start <= 0 or stop <= 0:
-                raise ConfigError("log scale needs positive endpoints")
-            ls, le = math.log(start), math.log(stop)
-            values = [math.exp(ls + (le - ls) * i / (count - 1)) for i in range(count)]
-        else:
-            values = [start + (stop - start) * i / (count - 1) for i in range(count)]
-    return axis, values
+        values = [start, stop]
+    if scale == "log" and not all(v > 0 for v in values):
+        raise ConfigError("log scale needs positive sweep values")
+    if "grid" not in sweep:  # evenly spaced in the value, or in its log
+        to, back = (math.log, math.exp) if scale == "log" else (float, float)
+        ls, le = to(start), to(stop)
+        values = [back(ls + (le - ls) * i / (count - 1)) for i in range(count)]
+    return axis, values, scale
 
 
 def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     sconf = _shoot_config(cfg, args)
     solver = _solver(cfg, args)
     m = _cells(cfg, args)
-    axis, values = _sweep_values(cfg)
+    axis, values, scale = _sweep_values(cfg)
 
     points = [_problem_spec(cfg, **{axis: v}) for v in values]
     rows = []
@@ -208,9 +211,8 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     if any(r[2] is not None for r in rows):
         series.append((values, [r[2] for r in rows], "rayleigh"))
     svg_path = out_dir / "sweep.svg"
-    logx = bool(cfg.get("sweep", {}).get("scale") == "log")
     line_chart(series, svg_path, title="first eigenvalue vs %s" % axis,
-               xlabel=axis, ylabel="lambda", logx=logx)
+               xlabel=axis, ylabel="lambda", logx=scale == "log")
     print("wrote %s" % svg_path)
     return 0
 

@@ -56,11 +56,11 @@ def inverse_momentum(y, p: float):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    kind: str  # "dirichlet" | "neumann" | "robin"
+    kind: str  # "neumann" | "robin"
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("dirichlet", "neumann", "robin"):
+        if self.kind not in ("neumann", "robin"):
             raise DomainError("unknown boundary kind %r" % (self.kind,))
         if self.kind == "robin":
             if self.alpha is None or not math.isfinite(self.alpha):
@@ -71,10 +71,6 @@ class BoundaryCondition:
                 )
         elif self.alpha is not None:
             raise DomainError("alpha is only meaningful for robin conditions")
-
-    @staticmethod
-    def dirichlet():
-        return BoundaryCondition("dirichlet")
 
     @staticmethod
     def neumann():

@@ -71,7 +71,6 @@ class DiscreteFunctional:
 
     E(u) = sum_cells |du/h|^p * w_mid * h + sum_(j,c) c*|u_j|^p with
     c = alpha * w(node) at each Robin node; N(u) = sum_j nw_j*|u_j|^p.
-    Dirichlet nodes are dropped from the degrees of freedom (free_mask).
     """
 
     grid: np.ndarray
@@ -79,7 +78,6 @@ class DiscreteFunctional:
     mid_weights: np.ndarray
     p: float
     robin_terms: list
-    free_mask: np.ndarray
     h: float
 
 
@@ -97,14 +95,9 @@ def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
     node_weights[0] *= 0.5
     node_weights[-1] *= 0.5
 
-    robin_terms = []
-    free_mask = np.ones(m + 1, dtype=bool)
-    for idx, bc in ((0, problem.bc_left), (m, problem.bc_right)):
-        if bc.kind == "robin":
-            robin_terms.append((idx, bc.alpha * float(w_nodes[idx])))
-        elif bc.kind == "dirichlet":
-            free_mask[idx] = False
-    return DiscreteFunctional(grid, node_weights, w_mid, problem.p, robin_terms, free_mask, h)
+    ends = ((0, problem.bc_left), (m, problem.bc_right))
+    robin_terms = [(j, bc.alpha * float(w_nodes[j])) for j, bc in ends if bc.kind == "robin"]
+    return DiscreteFunctional(grid, node_weights, w_mid, problem.p, robin_terms, h)
 
 
 def energy(func: DiscreteFunctional, u: np.ndarray) -> float:
@@ -153,15 +146,8 @@ def _normalize(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
 
 
 def _residual(func: DiscreteFunctional, u: np.ndarray, q: float) -> np.ndarray:
-    """E'(u) - q N'(u) on the free nodes, 0 on the Dirichlet ones."""
-    r = _energy_grad(func, u) - q * _norm_grad(func, u)
-    r[~func.free_mask] = 0.0
-    return r
-
-
-def _free_slice(func: DiscreteFunctional) -> slice:
-    # Dirichlet nodes can only be the two ends
-    return slice(int(not func.free_mask[0]), func.grid.size - int(not func.free_mask[-1]))
+    """E'(u) - q N'(u)."""
+    return _energy_grad(func, u) - q * _norm_grad(func, u)
 
 
 def _factor(diag: np.ndarray, off: np.ndarray):
@@ -209,12 +195,11 @@ def _p2_seed(func: DiscreteFunctional):
     layer of the p problem (at p = 1.5, alpha = -10 it decays like
     e^(-100 t), not e^(-10 t)).  K u = lambda M u with K the stiffness
     matrix of the mid weights plus those Robin loads and
-    M = diag(node_weights), on the free nodes.  The shift starts one
-    width below the constant trial's quotient, and the width doubles
-    until K - shift*M has only positive pivots, so that the shift lies
-    below the first eigenvalue.  Returns the eigenvector and the number
-    of inverse iterations."""
-    free = _free_slice(func)
+    M = diag(node_weights).  The shift starts one width below the
+    constant trial's quotient, and the width doubles until K - shift*M
+    has only positive pivots, so that the shift lies below the first
+    eigenvalue.  Returns the eigenvector and the number of inverse
+    iterations."""
     robin = []
     for j, c in func.robin_terms:
         w = 2.0 * func.node_weights[j] / func.h  # the weight at the end node
@@ -222,26 +207,23 @@ def _p2_seed(func: DiscreteFunctional):
     f2 = dataclasses.replace(func, p=2.0, robin_terms=robin)
     stiff = func.mid_weights / func.h
     ones = np.ones(func.grid.size)
-    mass = func.node_weights[free]
-
-    u = np.zeros(func.grid.size)
-    u[free] = 1.0
-    q = quotient(f2, u)
+    q = quotient(f2, ones)
     width = max(1.0, abs(q))
     for _ in range(64):
         diag, off = _assemble(f2, q - width, stiff, ones)
-        factors = _factor(diag[free], off[free.start:free.stop - 1])
+        factors = _factor(diag, off)
         if np.all(factors[0] > 0.0):
             break
         width *= 2.0
     else:
         raise DomainError("found no shift below the p = 2 eigenvalue")
 
+    u = ones
     iters = 0
     while iters < _SEED_MAX:
         iters += 1
-        v = _solve(factors, mass * u[free])
-        u[free] = v / float(np.max(np.abs(v)))
+        v = _solve(factors, func.node_weights * u)
+        u = v / float(np.max(np.abs(v)))
         q_prev, q = q, quotient(f2, u)
         # the quotients of inverse iteration decrease toward the eigenvalue
         if q_prev - q <= _SEED_RTOL * width:
@@ -285,26 +267,22 @@ def _bordered_step(func: DiscreteFunctional, q: float, stiff, node, r, gn):
     minimum that holds.  Far from it (a p = 2 seed for p = 5 has slopes
     that vanish where the p-problem's do not) it can fail, and then q in
     A is lowered, by a width that doubles, until it holds."""
-    free = _free_slice(func)
-    g = gn[free]
     shift = q
     width = abs(q) or 1.0
     for _ in range(64):
         diag, off = _assemble(func, shift, stiff, node)
-        factors = _factor(diag[free], off[free.start:free.stop - 1])
+        factors = _factor(diag, off)
         negative = np.count_nonzero(factors[0] < 0.0)
         if negative <= 1:
-            x2 = _solve(factors, g)
-            if negative == 0 or float(np.dot(g, x2)) < 0.0:
+            x2 = _solve(factors, gn)
+            if negative == 0 or float(np.dot(gn, x2)) < 0.0:
                 break
         shift = q - width
         width *= 2.0
     else:
         return np.full_like(r, np.nan)
-    x1 = _solve(factors, -r[free])
-    delta = np.zeros_like(r)
-    delta[free] = x1 - (float(np.dot(g, x1)) / float(np.dot(g, x2))) * x2
-    return delta
+    x1 = _solve(factors, -r)
+    return x1 - (float(np.dot(gn, x1)) / float(np.dot(gn, x2))) * x2
 
 
 def _residual_small(func, u, q, r, gn, stiff, node) -> bool:
@@ -459,7 +437,6 @@ def _descend(func: DiscreteFunctional, u: np.ndarray, q: float, history):
         t = tau
         for _ in range(60):
             v = u - t * g
-            v[~func.free_mask] = 0.0
             try:
                 v = _normalize(func, v)
             except DomainError:

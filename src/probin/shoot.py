@@ -75,7 +75,6 @@ class _Plan:
     problem: SturmProblem
     direction: float  # +1 integrate left->right, -1 right->left
     launch_t: float
-    mismatch_sign: float  # outward-orientation sign at the mismatch end
     mismatch_alpha: float
     robin_launch_alpha: Optional[float]  # set for two-Robin problems
     singular: bool
@@ -90,16 +89,11 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     robins = problem.robin_ends()
     if not robins:
         raise DomainError("shooting needs at least one robin endpoint")
-    for bc in (problem.bc_left, problem.bc_right):
-        if bc.kind == "dirichlet":
-            raise DomainError("shooting does not handle dirichlet conditions")
 
     # match at the last Robin end and launch from the other end: from the
     # Neumann end, or with the first Robin condition imposed if both are
     # Robin; integration runs toward the matched end's outward side
-    _, outward, mismatch_alpha = robins[-1]
-    direction = outward
-    mismatch_sign = -outward
+    _, direction, mismatch_alpha = robins[-1]
     robin_launch_alpha = robins[0][2] if len(robins) == 2 else None
     launch_t = problem.b if direction < 0 else problem.a
     singular = problem.singular_right if direction < 0 else problem.singular_left
@@ -132,7 +126,7 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     lattice[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
     ld = np.asarray(problem.weight.log_deriv(lattice), dtype=float)
 
-    return _Plan(problem, direction, launch_t, mismatch_sign, mismatch_alpha,
+    return _Plan(problem, direction, launch_t, mismatch_alpha,
                  robin_launch_alpha, singular, eps, steps, ld, node_pos, node_step)
 
 
@@ -205,7 +199,7 @@ def _trajectory(plan: _Plan, p: float, run) -> ShootTrajectory:
 def _mismatch(plan: _Plan, p: float, run) -> float:
     """w(end) - (orientation)*alpha, read off the last step of _shoot."""
     crossed, _, out_slope = run
-    s = plan.mismatch_sign
+    s = -plan.direction
     if crossed:
         # phi crossed zero: lam is above the first eigenvalue
         return s * math.inf
@@ -273,7 +267,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     plan = _build_plan(problem, config)
     p = problem.p
     alpha = plan.mismatch_alpha
-    s = plan.mismatch_sign
+    s = -plan.direction
     integrations = 0
     low = None  # (lam, _shoot outputs) of the last trial below the eigenvalue
 

@@ -148,6 +148,19 @@ def test_bad_sweep_point_is_config_error_before_any_solve(tmp_path, monkeypatch)
     assert solved == []
 
 
+@pytest.mark.parametrize("sweep", [
+    {"axis": "alpha", "start": 0.1, "stop": 10.0, "count": 3, "scale": "logarithmic"},
+    {"axis": "alpha", "grid": [-1.0, 1.0], "scale": "log"},
+])
+def test_bad_sweep_scale_is_config_error_before_any_solve(tmp_path, monkeypatch, sweep):
+    solved = []
+    monkeypatch.setattr(probin.cli, "solve_spec", lambda spec, config: solved.append(spec))
+    cfg = _write_config(tmp_path, {"command": "sweep", "problem": FLAT_PROBLEM, "solver": "shoot",
+                                   "sweep": sweep})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert solved == []
+
+
 def _failing_solve(exc):
     def solve(spec, config):
         raise exc

@@ -84,6 +84,8 @@ def test_degenerate_alpha_rejected():
         double_robin_problem(1.0, 1e-15, 2.0)
     with pytest.raises(DomainError):
         BoundaryCondition.robin(0.0)
+    with pytest.raises(DomainError):  # Dirichlet is the alpha -> +inf limit, not a kind
+        BoundaryCondition("dirichlet")
 
 
 def test_warped_matches_geodesic_ball_bitwise():

@@ -30,18 +30,13 @@ from probin.rayleigh import (
 )
 from probin.shoot import solve_first_eigenvalue
 
-from oracles import flat_robin_lambda
+from oracles import flat_robin_lambda, mixed_dn_lambda
 
 FLAT_ANCHOR = 0.740173884394967
 
 
 def _flat(alpha, p, r_len=1.0):
     return inradius_model_problem(ModelParams(0.0, 0.0, 2), r_len, alpha, p)
-
-
-def _dirichlet_problem(p=2.0):
-    return SturmProblem(0.0, 1.0, p, const_weight(),
-                        BoundaryCondition.dirichlet(), BoundaryCondition.dirichlet())
 
 
 def test_trapezoid_node_weights():
@@ -74,7 +69,8 @@ def test_quotient_constant_trial():
 
 
 def test_quotient_ramp_dirichlet():
-    func = discretize(_dirichlet_problem(), 2000)
+    # the ramp vanishes at the alpha = 1e6 Robin end, so it pays no boundary term
+    func = discretize(_flat(1e6, 2.0), 2000)
     u = func.grid.copy()
     assert quotient(func, u) == pytest.approx(3.0, abs=1e-5)
 
@@ -221,9 +217,11 @@ def test_shoot_diagnostics_schema():
 
 
 def test_minimize_dirichlet_both_ends():
-    sol = solve_rayleigh(_dirichlet_problem(), 2000)
-    assert sol.lambda_val == pytest.approx(math.pi ** 2, abs=1e-3)
-    assert sol.phi[0] == 0.0 and sol.phi[-1] == 0.0
+    # Dirichlet is the alpha -> +inf limit: alpha = 1e6 at both ends of
+    # [0, 1] is within 1e-3 of pi^2, with phi all but zero at the ends
+    sol = solve_rayleigh(double_robin_problem(0.5, 1e6, 2.0), 2000)
+    assert sol.lambda_val == pytest.approx(mixed_dn_lambda(2.0, 0.5), abs=1e-3)
+    assert sol.phi[0] < 1e-5 and sol.phi[-1] < 1e-5
 
 
 def test_minimize_pure_neumann_gives_zero():
