@@ -156,6 +156,8 @@ def _sweep_values(cfg) -> tuple:
             values = [float(v) for v in sweep["grid"]]
         except (TypeError, ValueError) as exc:
             raise ConfigError("bad sweep grid: %s" % exc)
+        if not values:
+            raise ConfigError("sweep grid is empty")
     else:
         try:
             start, stop = float(sweep["start"]), float(sweep["stop"])

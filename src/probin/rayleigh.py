@@ -2,25 +2,29 @@
 
 Piecewise-linear trial functions on a uniform grid, trapezoid constraint
 quadrature with the weight folded in, midpoint weights for the energy.
-minimize works on the one mesh it is given, in three stages:
+minimize works on the one mesh it is given, in two stages:
 
 - seed: the p = 2 discrete eigenvector of the mesh, by shifted inverse
   iteration, with the Robin parameters mapped so that the boundary
   log-derivative matches the p problem's;
-- Newton: bordered Newton steps on the discrete Euler-Lagrange system
-  E'(u) = q N'(u) on the sphere N(u) = 1.  In 1-D the Hessian of E - qN
-  is tridiagonal, so a step costs one factorization and two solves
-  (Keller's bordering algorithm).  Cells whose slope a step would carry
-  through zero take the secant curvature, the Hessian is shifted where
-  it is indefinite on the sphere, and if Newton still gives up it is
-  continued in p from the exponent halfway to 2;
-- finish: if Newton has not converged, spectral projected gradient
-  descent (Barzilai-Borwein steps safeguarded by monotone Armijo
-  backtracking) takes over on the same mesh.
+- solve, by one of two routes chosen from the signs of the Robin terms:
+  - every Robin coefficient positive: E is convex, and the inverse power
+    method for the p-Laplacian (Biezuner, Ercole & Martins 2009; Hein &
+    Buehler 2010) solves E'(v) = N'(u) exactly by cumulative sums and
+    normalizes v;
+  - otherwise (alpha < 0, or no Robin end): bordered Newton steps on the
+    discrete Euler-Lagrange system E'(u) = q N'(u) on the sphere
+    N(u) = 1.  In 1-D the Hessian of E - qN is tridiagonal, so a step
+    costs one factorization and two solves (Keller's bordering
+    algorithm).  Cells whose slope a step would carry through zero take
+    the secant curvature, the Hessian is shifted where it is indefinite
+    on the sphere, and if Newton still gives up it is continued in p from
+    the exponent halfway to 2.  If that gives up too, the last iterate is
+    returned unconverged.
 
-Every accepted step lowers the quotient, or once it has converged leaves
-it within rounding, so the quotient sequence is nonincreasing up to
-rounding.  The tridiagonal solves are written here in Python: the
+Every accepted iterate lowers the quotient, or once it has converged
+leaves it within rounding, so the quotient sequence is nonincreasing up
+to rounding.  The tridiagonal solves are written here in Python: the
 package needs numpy only.
 """
 
@@ -36,16 +40,10 @@ import numpy as np
 from .errors import DomainError
 from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
 
-_ARMIJO = 1e-6  # sufficient-decrease factor of both line searches
-_BB_TAU_MIN = 1e-12
-_BB_TAU_MAX = 1e8
-_DESCENT_MAX = 200000  # descent iterations
-_STALL_WINDOW = 50  # descent iterations over which the quotient must fall
-_STALL_TOL = 1e-12  # by at least this much, or the descent has converged
-
-_SEED_MAX = 200  # inverse iterations
-_SEED_RTOL = 1e-13  # quotient decrease of one inverse iteration, per unit of shift
-_NEWTON_MAX = 50  # steps before the descent takes over
+_ARMIJO = 1e-6  # sufficient-decrease factor of Newton's line search
+_INVERSE_MAX = 200  # iterations of the p = 2 seed or of the inverse power method
+_INVERSE_RTOL = 1e-13  # quotient fall that ends either, per unit of the seed's shift or of q
+_NEWTON_MAX = 50  # steps before Newton gives up
 _NEWTON_RTOL = 1e-10  # residual, relative to the flux and mass terms it balances
 _NEWTON_DECREMENT = 1e-13  # predicted quotient decrease that ends Newton, per unit of |q|
 _NEWTON_HALVINGS = 30
@@ -220,13 +218,13 @@ def _p2_seed(func: DiscreteFunctional):
 
     u = ones
     iters = 0
-    while iters < _SEED_MAX:
+    while iters < _INVERSE_MAX:
         iters += 1
         v = _solve(factors, func.node_weights * u)
         u = v / float(np.max(np.abs(v)))
         q_prev, q = q, quotient(f2, u)
         # the quotients of inverse iteration decrease toward the eigenvalue
-        if q_prev - q <= _SEED_RTOL * width:
+        if q_prev - q <= _INVERSE_RTOL * width:
             break
     return u, iters
 
@@ -240,7 +238,7 @@ def _curvatures(func: DiscreteFunctional, u: np.ndarray):
     du = np.maximum(du, _HESSIAN_FLOOR * float(np.max(du)))
     au = np.maximum(au, _HESSIAN_FLOOR * float(np.max(au)))
     # a constant trial has no slope to floor against: at p < 2 its cell
-    # curvatures are infinite, and Newton leaves it to the descent
+    # curvatures are infinite, and Newton gives up on it
     with np.errstate(divide="ignore"):
         cells = func.mid_weights * du ** (p - 2.0) / func.h
     return cells, au ** (p - 2.0)
@@ -401,80 +399,77 @@ def _newton_continued(func: DiscreteFunctional, u: np.ndarray, q: float, history
     return u, q, steps, seed_iters, converged
 
 
-def _descend(func: DiscreteFunctional, u: np.ndarray, q: float, history):
-    """Projected Barzilai-Borwein descent from a normalized u.
+def _inverse_step(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
+    """The v with E'(v) = N'(u), for Robin coefficients all positive.
 
-    Returns (u, q, iterations, converged)."""
-    g = _residual(func, u, q)
-    tau = 1.0 / max(1.0, float(np.max(np.abs(g))))
-    recent = [q]
-    converged = False
-    iters = 0
-    u_prev = None
-    g_prev = None
+    Divided by p, node j of E'(v) = N'(u) reads
+    f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j, with the cell fluxes
+    f = w_mid |v'|^(p-2) v', b = node_weights |u|^(p-2) u, c_j the Robin
+    coefficient (0 elsewhere) and f_(-1) = f_m = 0.  So the fluxes are
+    s minus the cumulative sums of b, where s is the flux the left end
+    lets in (0 at a Neumann end), and v is a cumulative sum of h times the
+    slopes they give.  With one Robin end s is known, and the Robin node's
+    value follows from the total of b.  With two, the defect of the right
+    end's balance grows with s and changes sign between -sum |b| and
+    sum |b|, so s is bisected there to float resolution."""
+    p = func.p
+    b = func.node_weights * momentum(u, p)
+    part = np.cumsum(b)
+    total = float(part[-1])
+    robin = dict(func.robin_terms)
+    c0, cm = robin.get(0), robin.get(u.size - 1)
 
-    while iters < _DESCENT_MAX:
-        iters += 1
-        gg = float(np.dot(g, g))
-        if gg == 0.0:
-            converged = True
+    def rise(s):  # v - v_0 when the left end lets in the flux s
+        slopes = inverse_momentum((s - part[:-1]) / func.mid_weights, p)
+        return np.concatenate(([0.0], np.cumsum(func.h * slopes)))
+
+    if c0 is None:
+        v = rise(0.0)
+        return v + (inverse_momentum(total / cm, p) - v[-1])
+    if cm is None:
+        return inverse_momentum(total / c0, p) + rise(total)
+    hi = float(np.sum(np.abs(b)))
+    lo = -hi
+    while True:
+        s = 0.5 * (lo + hi)
+        if not lo < s < hi:
             break
+        v_end = inverse_momentum(s / c0, p) + rise(s)[-1]
+        if s - total + cm * momentum(v_end, p) < 0.0:
+            lo = s
+        else:
+            hi = s
+    return inverse_momentum(hi / c0, p) + rise(hi)
 
-        if u_prev is not None:
-            s = u - u_prev
-            y = g - g_prev
-            sy = float(np.dot(s, y))
-            if sy > 0.0:
-                # adaptive two-point step: the short step when the two
-                # estimates disagree, which breaks cycling on the badly
-                # conditioned p != 2 landscapes
-                bb1 = float(np.dot(s, s)) / sy
-                bb2 = sy / float(np.dot(y, y))
-                tau = bb2 if bb2 < 0.8 * bb1 else bb1
-            tau = min(max(tau, _BB_TAU_MIN), _BB_TAU_MAX)
 
-        accepted = False
-        t = tau
-        for _ in range(60):
-            v = u - t * g
-            try:
-                v = _normalize(func, v)
-            except DomainError:
-                t *= 0.5
-                continue
-            qv = quotient(func, v)
-            if qv <= q - _ARMIJO * t * gg:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            # no descent direction at float resolution
-            converged = True
-            break
-
-        u_prev, g_prev = u, g
-        u, q = v, qv
-        g = _residual(func, u, q)
-
-        if history is not None:
-            history.append(q)
-        recent.append(q)
-        if len(recent) > _STALL_WINDOW:
-            recent.pop(0)
-            if recent[0] - q < _STALL_TOL:
-                converged = True
-                break
-    return u, q, iters, converged
+def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
+    """The inverse power method from a normalized u: v solves
+    E'(v) = N'(u) and is normalized, which never raises the quotient
+    while E is convex (every Robin coefficient positive).  A rise within
+    rounding is not taken.  Converged once an iteration lowers the
+    quotient by at most _INVERSE_RTOL of it.  Returns
+    (u, q, iterations, converged)."""
+    for iters in range(1, _INVERSE_MAX + 1):
+        v = _normalize(func, _inverse_step(func, u))
+        qv = quotient(func, v)
+        q_prev = q
+        if qv < q:
+            u, q = v, qv
+            if history is not None:
+                history.append(q)
+        if q_prev - qv <= _INVERSE_RTOL * q_prev:
+            return u, q, iters, True
+    return u, q, _INVERSE_MAX, False
 
 
 def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
     """Minimize the Rayleigh quotient over N(u) = 1 on func's mesh.
 
-    Starts from the p = 2 discrete eigenvector.  Newton steps follow; if
-    their residual test does not fire, projected descent finishes.
-    Returns the quotient as the eigenvalue estimate and the minimizer
-    samples; diagnostics flag non-convergence at the iteration cap and
-    time the three stages.
+    Starts from the p = 2 discrete eigenvector.  With every Robin
+    coefficient positive the inverse power method follows, otherwise
+    Newton with its continuation in p.  Returns the quotient as the
+    eigenvalue estimate and the minimizer samples; diagnostics flag
+    whether a convergence test fired and time the two stages.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
@@ -483,14 +478,15 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
     q = quotient(func, u)
     history = [q] if config.track_history else None
 
-    t_newton = time.perf_counter()
-    u, q, newton_steps, more_seed, converged = _newton_continued(
-        func, u, q, history, _CONTINUATION_LEVELS)
-    seed_iters += more_seed
-    t_finish = time.perf_counter()
-    iters = 0
-    if not converged:
-        u, q, iters, converged = _descend(func, u, q, history)
+    t_solve = time.perf_counter()
+    if func.robin_terms and all(c > 0.0 for _, c in func.robin_terms):
+        u, q, iters, converged = _inverse_power(func, u, q, history)
+        steps = iters
+    else:
+        u, q, steps, more_seed, converged = _newton_continued(
+            func, u, q, history, _CONTINUATION_LEVELS)
+        seed_iters += more_seed
+        iters = 0
     t_end = time.perf_counter()
 
     # orient positive and present like the shooting output
@@ -505,16 +501,12 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
 
     diagnostics = {
         "iterations": iters,
-        "steps": newton_steps + iters,
+        "steps": steps,
         "seed_iterations": seed_iters,
         "converged": converged,
         "grad_norm": gnorm,
         "m": m,
-        "phase_s": {
-            "seed": t_newton - t_seed,
-            "newton": t_finish - t_newton,
-            "finish": t_end - t_finish,
-        },
+        "phase_s": {"seed": t_solve - t_seed, "solve": t_end - t_solve},
     }
     if history is not None:
         diagnostics["quotient_history"] = np.asarray(history)

@@ -151,6 +151,7 @@ def test_bad_sweep_point_is_config_error_before_any_solve(tmp_path, monkeypatch)
 @pytest.mark.parametrize("sweep", [
     {"axis": "alpha", "start": 0.1, "stop": 10.0, "count": 3, "scale": "logarithmic"},
     {"axis": "alpha", "grid": [-1.0, 1.0], "scale": "log"},
+    {"axis": "alpha", "grid": []},
 ])
 def test_bad_sweep_scale_is_config_error_before_any_solve(tmp_path, monkeypatch, sweep):
     solved = []

@@ -4,7 +4,8 @@ problems.
 The two solvers share nothing but the problem definition, so their
 agreement on problems no fixed matrix names is the check that catches a
 regression in either.  The draws are pinned (derandomize=True), so the
-suite stays deterministic.
+suite stays deterministic.  A second draw covers p near 1 with alpha > 0,
+where the slopes vary over many orders of magnitude.
 """
 
 from hypothesis import given, settings
@@ -35,3 +36,16 @@ def test_shooting_and_rayleigh_agree(family, p, magnitude, sign):
     lam_s = solve_spec(spec).lambda_val
     lam_r = rayleigh_spec(spec, 2000).lambda_val
     assert abs(lam_r - lam_s) <= 1e-4 * abs(lam_s), (family, p, sign * magnitude, lam_s, lam_r)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    p=st.floats(1.05, 1.6),
+    log_alpha=st.floats(-1.0, 4.0),
+)
+def test_shooting_and_rayleigh_agree_near_p1(family, p, log_alpha):
+    spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=10.0 ** log_alpha))
+    lam_s = solve_spec(spec).lambda_val
+    lam_r = rayleigh_spec(spec, 2000).lambda_val
+    assert abs(lam_r - lam_s) <= 1e-4 * abs(lam_s), (family, p, 10.0 ** log_alpha, lam_s, lam_r)

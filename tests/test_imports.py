@@ -1,8 +1,9 @@
 """Static checks of the probin sources: every name a module imports is
-used in it, every defaulted parameter is passed by some call, and the two
-solvers import nothing from each other."""
+used in it, every module constant is read, every defaulted parameter is
+passed by some call, and the two solvers import nothing from each other."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,42 @@ def test_solvers_stay_independent(solver, other):
     # their agreement is the main correctness signal only while neither
     # reuses the other's code
     assert other not in _imported_modules(SRC / (solver + ".py"))
+
+
+def _module_constants(tree):
+    """(name, line) of every UPPER_CASE or _UPPER_CASE name a module
+    assigns at its top level."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            for name in ast.walk(target) if target is not None else ():
+                if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id):
+                    yield name.id, node.lineno
+
+
+def _names_read():
+    """Every name read in src/, tests/ and bench/, as a bare name or as an
+    attribute (rayleigh.DEFAULT_CELLS counts for DEFAULT_CELLS)."""
+    read = set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_constant_is_read():
+    """A module constant nothing reads is left over from deleted code.
+    Names are matched only, so a local of the same name can hide one."""
+    read = _names_read()
+    dead = ["%s: %s (line %d)" % (path.name, name, line)
+            for path in MODULES
+            for name, line in _module_constants(ast.parse(path.read_text()))
+            if name not in read]
+    assert not dead, "module constants nothing reads: " + ", ".join(dead)
 
 
 def _defaulted_parameters(tree):
