@@ -10,10 +10,10 @@ from .coeffs import (
     c_model_prime,
     const_weight,
     log_concavity_margin,
+    power_weight,
     sn,
     sn_prime,
     t_model,
-    weight_ball,
     weight_model,
     y_cutoff,
     z_cutoff,

@@ -2,10 +2,12 @@
 
 sn(kappa, .) solves y'' + kappa*y = 0 with y(0) = 0, y'(0) = 1; the model
 coefficient c_model solves the same ODE with C(0) = 1, C'(0) = -lambda_mc.
-Weights derived from them (sn^(n-1), C^(n-1)) carry analytic logarithmic
-derivatives: the shooting ODE consumes w'/w directly and must have it to
-machine precision near endpoints where w vanishes, so nothing here is
-differentiated numerically.
+Every non-constant weight is f^(n-1) of a warping f and is built by
+power_weight from the analytic f, f' and f'': sn^(n-1) on geodesic balls
+(problems.sn_warping), C^(n-1) on the model (weight_model).  Its
+logarithmic derivatives are analytic too: the shooting ODE consumes w'/w
+directly and must have it to machine precision near endpoints where w
+vanishes, so nothing here is differentiated numerically.
 """
 
 from __future__ import annotations
@@ -140,15 +142,6 @@ def y_cutoff(params: ModelParams) -> float:
     return math.inf
 
 
-def _clamped_power(base, expo: float, what: str):
-    """base**expo with tiny negative bases clamped to 0; raises past that."""
-    b = np.asarray(base, dtype=float)
-    if np.any(b < -_ZERO_CLAMP):
-        raise DomainError("%s evaluated past the zero of its base function" % what)
-    out = np.clip(b, 0.0, None) ** expo
-    return out[()] if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class Weight:
     """A positive weight with analytic log-derivative w'/w and analytic
@@ -162,44 +155,42 @@ class Weight:
         return self.value(t)
 
 
-def weight_ball(kappa: float, n: int) -> Weight:
-    """Radial weight sn_kappa^(n-1) of the geodesic ball; vanishes at t=0."""
-    expo = float(n - 1)
+def power_weight(f: Callable, df: Callable, d2f: Callable, expo: float, what: str) -> Weight:
+    """The weight f^expo of a base function f with analytic f' and f''.
+
+    Its value clamps rounding-level negative bases to 0 (and raises past
+    that); (log w)' = expo f'/f and (log w)'' = expo (f''/f - (f'/f)^2)
+    raise DomainError where f <= 0.  what names the weight in errors."""
 
     def value(t):
-        return _clamped_power(sn(kappa, t), expo, "ball weight")
+        b = np.asarray(f(t), dtype=float)
+        if np.any(b < -_ZERO_CLAMP):
+            raise DomainError("%s evaluated past the zero of its base function" % what)
+        out = np.clip(b, 0.0, None) ** expo
+        return out[()] if out.ndim == 0 else out
+
+    def base(t):
+        ft = f(t)
+        if np.any(np.asarray(ft) <= 0.0):
+            raise DomainError("%s log-derivative at or past a zero of its base function" % what)
+        return ft
 
     def log_deriv(t):
-        s = sn(kappa, t)
-        if np.any(np.asarray(s) <= 0.0):
-            raise DomainError("ball weight log-derivative at a zero of sn")
-        return expo * sn_prime(kappa, t) / s
+        return expo * df(t) / base(t)
 
     def log_second(t):
-        s = sn(kappa, t)
-        if np.any(np.asarray(s) <= 0.0):
-            raise DomainError("ball weight log-curvature at a zero of sn")
-        cot = sn_prime(kappa, t) / s
-        return -expo * (kappa + cot * cot)
+        ft = base(t)
+        r = df(t) / ft
+        return -expo * (r * r - d2f(t) / ft)
 
     return Weight(value, log_deriv, log_second)
 
 
 def weight_model(params: ModelParams) -> Weight:
     """Model weight C_(kappa,lambda_mc)^(n-1); vanishes at t=Z if finite."""
-    expo = float(params.dim - 1)
-
-    def value(t):
-        return _clamped_power(c_model(params, t), expo, "model weight")
-
-    def log_deriv(t):
-        return expo * t_model(params, t)
-
-    def log_second(t):
-        tm = t_model(params, t)
-        return -expo * (params.kappa + tm * tm)
-
-    return Weight(value, log_deriv, log_second)
+    k = params.kappa
+    return power_weight(lambda t: c_model(params, t), lambda t: c_model_prime(params, t),
+                        lambda t: -k * c_model(params, t), float(params.dim - 1), "model weight")
 
 
 def const_weight() -> Weight:

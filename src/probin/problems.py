@@ -11,6 +11,11 @@ i.e. psi(a) = +alpha*|phi|^(p-2)phi(a) at a left Robin end and
 psi(b) = -alpha*|phi|^(p-2)phi(b) at a right Robin end.  Storing the
 condition this way keeps reflected problems sign-safe.  The momentum map
 and its inverse are defined here, once, for both solvers and the checks.
+
+The radial problems with a pole at 0 are warped products: weight f^(n-1)
+of a warping f, built by coeffs.power_weight.  A geodesic ball is the
+warped product of sn_kappa, so the geodesic_ball and warped_product spec
+types reach one builder body.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ import numpy as np
 from .coeffs import (
     ModelParams,
     Weight,
-    _clamped_power,
     const_weight,
+    power_weight,
     sn,
     sn_prime,
-    weight_ball,
     weight_model,
     z_cutoff,
 )
@@ -101,6 +105,8 @@ class SturmProblem:
     singular_order: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.a, self.b, self.p)):
+            raise DomainError("a, b and p must be finite")
         if not self.b > self.a:
             raise DomainError("need a < b")
         if not self.p > 1.0:
@@ -214,33 +220,13 @@ def polynomial_warping(coefficients) -> Warping:
 def sn_warping(kappa: float) -> Warping:
     """Warping equal to the space-form coefficient sn_kappa."""
     k = float(kappa)
+    if not math.isfinite(k):  # sn would read a NaN kappa as 0
+        raise DomainError("kappa must be finite, got %r" % (kappa,))
 
     def d2f(r):
         return -k * sn(k, r)
 
     return Warping(lambda r: sn(k, r), lambda r: sn_prime(k, r), d2f, "sn", (k,))
-
-
-def _warping_weight(w: Warping, n: int) -> Weight:
-    expo = float(n - 1)
-
-    def value(t):
-        return _clamped_power(w.f(t), expo, "warping weight")
-
-    def log_deriv(t):
-        f = w.f(t)
-        if np.any(np.asarray(f) <= 0.0):
-            raise DomainError("warping log-derivative at a zero of f")
-        return expo * w.df(t) / f
-
-    def log_second(t):
-        f = w.f(t)
-        if np.any(np.asarray(f) <= 0.0):
-            raise DomainError("warping log-curvature at a zero of f")
-        dfv = w.df(t)
-        return expo * (w.d2f(t) * f - dfv * dfv) / (f * f)
-
-    return Weight(value, log_deriv, log_second)
 
 
 @dataclass(frozen=True)
@@ -305,12 +291,18 @@ class ProblemSpec:
             p=float(doc["p"]),
             kappa=float(doc["kappa"]) if "kappa" in doc and doc["kappa"] is not None else None,
             lambda_mc=float(doc["lambda_mc"]) if "lambda_mc" in doc and doc["lambda_mc"] is not None else None,
-            n=int(doc["n"]) if "n" in doc and doc["n"] is not None else None,
+            n=_integer(doc["n"]) if "n" in doc and doc["n"] is not None else None,
             warping=warping,
         )
 
     def build(self) -> SturmProblem:
         return _BUILDERS[self.type](self)
+
+
+def _integer(value) -> int:
+    if float(value) % 1.0 != 0.0:  # also catches inf and nan
+        raise DomainError("n must be an integer, got %r" % (value,))
+    return int(value)
 
 
 def inradius_model_problem(params: ModelParams, R: float, alpha: float, p: float) -> SturmProblem:
@@ -339,26 +331,13 @@ def inradius_model_problem(params: ModelParams, R: float, alpha: float, p: float
 
 def geodesic_ball_problem(kappa: float, n: int, R0: float, alpha: float, p: float) -> SturmProblem:
     """Radial problem of the geodesic ball of radius R0 in the space form
-    of curvature kappa: weight sn^(n-1) (singular at the center), Neumann
-    at 0, Robin(alpha) at R0."""
-    if R0 <= 0:
-        raise DomainError("need R0 > 0")
-    if n < 2 or int(n) != n:
-        raise DomainError("need integer dimension n >= 2")
+    of curvature kappa: the warped product of sn_kappa, so weight
+    sn^(n-1) (singular at the center), Neumann at 0, Robin(alpha) at R0."""
     if kappa > 0 and R0 >= math.pi / math.sqrt(kappa) * (1.0 - _REL_TOL):
         raise DomainError(
             "ball radius %g reaches pi/sqrt(kappa)=%g" % (R0, math.pi / math.sqrt(kappa))
         )
-    return SturmProblem(
-        a=0.0,
-        b=float(R0),
-        p=float(p),
-        weight=weight_ball(kappa, n),
-        bc_left=BoundaryCondition.neumann(),
-        bc_right=BoundaryCondition.robin(alpha),
-        singular_left=True,
-        singular_order=n - 1,
-    )
+    return _warped_product(sn_warping(kappa), n, R0, alpha, p)
 
 
 def double_robin_problem(R: float, alpha: float, p: float) -> SturmProblem:
@@ -382,6 +361,12 @@ def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p:
     a smooth pole, and the inner endpoint is singular.  Cylinder/annulus
     type otherwise: it requires f > 0 on all of [0, R0].
     """
+    return _warped_product(warping, n, R0, alpha, p)
+
+
+# the body of both radial builders; a private name, so that a wrapper on
+# either public builder sees one call per build
+def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float) -> SturmProblem:
     if R0 <= 0:
         raise DomainError("need R0 > 0")
     if n < 2 or int(n) != n:
@@ -401,7 +386,7 @@ def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p:
         a=0.0,
         b=float(R0),
         p=float(p),
-        weight=_warping_weight(warping, n),
+        weight=power_weight(warping.f, warping.df, warping.d2f, float(n - 1), "warping weight"),
         bc_left=BoundaryCondition.neumann(),
         bc_right=BoundaryCondition.robin(alpha),
         singular_left=pole,

@@ -22,9 +22,8 @@ minimize works on the one mesh it is given, in two stages:
     the exponent halfway to 2.  If that gives up too, the last iterate is
     returned unconverged.
 
-Every accepted iterate lowers the quotient, or once it has converged
-leaves it within rounding, so the quotient sequence is nonincreasing up
-to rounding.  The tridiagonal solves are written here in Python: the
+Every accepted iterate lowers the quotient, so the quotient never
+rises.  The tridiagonal solves are written here in Python: the
 package needs numpy only.
 """
 
@@ -53,7 +52,6 @@ _CONTINUATION_LEVELS = 3  # halvings of p - 2 when Newton gives up from the p = 
 _HESSIAN_FLOOR = 1e-8
 _EPS = float(np.finfo(float).eps)
 _AU_ROUNDING = 16.0 * _EPS  # rounding of A u allowed in the residual, per unit of |A| |u|
-_Q_ROUNDING = 4.0 * _EPS  # quotient rise a Newton step may make, per unit of |q|
 
 DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
 
@@ -314,11 +312,11 @@ def _newton(func: DiscreteFunctional, u: np.ndarray, q: float, history):
     never settles.  Such cells get the secant curvature instead and the
     step is solved again; for p >= 2 the tangent is the larger and stays.
 
-    A step is accepted when the quotient falls by the Armijo amount or,
-    once that is below rounding, rises by no more than rounding.  Newton
-    has converged when the residual test fires or the step's predicted
-    decrease (the Newton decrement -r.delta) is below _NEWTON_DECREMENT.
-    Returns (u, q, steps, converged); it gives up unconverged when a
+    A step is accepted when the quotient falls by the Armijo amount, so
+    the quotient never rises, not even by rounding.  Newton has converged
+    when the residual test fires or the step's predicted decrease (the
+    Newton decrement -r.delta) is below _NEWTON_DECREMENT.  Returns
+    (u, q, steps, converged); it gives up unconverged when a
     curvature is infinite, a step is not a descent direction, its line
     search fails or _NEWTON_MAX steps are spent."""
     p = func.p
@@ -357,7 +355,7 @@ def _newton(func: DiscreteFunctional, u: np.ndarray, q: float, history):
         for _ in range(_NEWTON_HALVINGS):
             v = _normalize(func, u + t * delta)
             qv = quotient(func, v)
-            if qv <= q + _ARMIJO * t * slope + _Q_ROUNDING * abs(q):
+            if qv <= q + _ARMIJO * t * slope:
                 break
             t *= 0.5
         else:

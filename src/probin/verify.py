@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coeffs import ModelParams, log_concavity_margin, sn, sn_prime, z_cutoff
+from .coeffs import ModelParams, log_concavity_margin, z_cutoff
 from .errors import DomainError
 from .problems import (
     EigenSolution,
@@ -427,8 +427,10 @@ def cheng_comparison_suite(
 ) -> list:
     """On geodesic balls of fixed radius, the eigenvalue is monotone in
     the curvature: nonincreasing for alpha > 0, nondecreasing for
-    alpha < 0; equal curvatures give equal eigenvalues, checked on the
-    lowest curvature's ball rebuilt as a warped product with f = sn."""
+    alpha < 0.  The equality row solves the lowest curvature's ball again
+    through the warped_product spec with f = sn: a second cache key that
+    reaches the same builder, so it checks that the two spec types
+    dispatch to the same problem."""
     kappas = sorted(kappas)
     lams = []
     for k in kappas:
@@ -461,7 +463,7 @@ def ball_model_spec(kappa: float, n: int, R0: float, alpha: float, p: float) -> 
     """The inradius model matched to a geodesic ball: lambda_mc is the
     boundary mean-curvature bound sn'(R0)/sn(R0) and R equals R0 (which
     is then exactly the model cutoff; the reduction is exact)."""
-    lam_mc = float(sn_prime(kappa, R0) / sn(kappa, R0))
+    lam_mc = boundary_mean_curvature(sn_warping(kappa), R0)
     return ProblemSpec(
         "inradius_model", R=R0, alpha=alpha, p=p, kappa=float(kappa),
         lambda_mc=lam_mc, n=int(n),

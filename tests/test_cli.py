@@ -121,10 +121,14 @@ def test_unknown_command_is_config_error(tmp_path):
     assert main(["--config", cfg]) == 2
 
 
-def test_invalid_problem_is_config_error(tmp_path):
-    bad = dict(FLAT_PROBLEM, alpha=0.0)
-    cfg = _write_config(tmp_path, {"command": "solve", "problem": bad})
-    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+def test_invalid_problem_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(probin.cli, "solve_spec",
+                        lambda spec, config: pytest.fail("solved %r" % (spec,)))
+    # a fractional n was truncated to 2, and an infinite p or R reached the solver
+    for override in ({"alpha": 0.0}, {"n": 2.5}, {"p": math.inf}, {"R": math.inf}):
+        problem = dict(FLAT_PROBLEM, **override)
+        cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 2, override
 
 
 def test_domain_violation_is_config_error(tmp_path):

@@ -15,12 +15,12 @@ from probin.coeffs import (
     sn,
     sn_prime,
     t_model,
-    weight_ball,
     weight_model,
     y_cutoff,
     z_cutoff,
 )
 from probin.errors import DomainError
+from probin.problems import geodesic_ball_problem, polynomial_warping, warped_product_problem
 
 from oracles import bisect
 
@@ -115,23 +115,33 @@ def test_continuity_in_kappa_at_zero():
             assert abs(float(sn(eps, t)) - t) < 1e-6
 
 
+def _ball_weight(kappa, n):
+    """sn_kappa^(n-1), the weight of the geodesic ball problem."""
+    return geodesic_ball_problem(kappa, n, 1.0, 1.0, 2.0).weight
+
+
 def test_weight_examples():
-    assert weight_ball(0.0, 3)(2.0) == pytest.approx(4.0, rel=1e-15)
-    assert weight_ball(1.0, 2)(math.pi / 2) == pytest.approx(1.0, rel=1e-15)
+    assert _ball_weight(0.0, 3)(2.0) == pytest.approx(4.0, rel=1e-15)
+    assert _ball_weight(1.0, 2)(math.pi / 2) == pytest.approx(1.0, rel=1e-15)
     assert weight_model(ModelParams(0.0, 0.0, 5))(0.3) == 1.0
 
 
 def test_weight_log_deriv_matches_fd():
-    w = weight_model(ModelParams(-1.0, 0.8, 3))
-    for t in (0.3, 0.9, 1.7):
-        fd = _fd1(lambda x: math.log(float(w(x))), t)
-        assert float(w.log_deriv(t)) == pytest.approx(fd, abs=1e-8)
-        fd2 = _fd1(lambda x: float(w.log_deriv(x)), t)
-        assert float(w.log_second(t)) == pytest.approx(fd2, abs=1e-7)
+    # the model weight, a general warping (f'' is not -kappa f) and the
+    # hyperbolic ball
+    poly = polynomial_warping((0.0, 1.0, 0.0, 0.1))
+    for w in (weight_model(ModelParams(-1.0, 0.8, 3)),
+              warped_product_problem(poly, 3, 2.0, 1.0, 2.0).weight,
+              _ball_weight(-1.0, 3)):
+        for t in (0.3, 0.9, 1.7):
+            fd = _fd1(lambda x: math.log(float(w(x))), t)
+            assert float(w.log_deriv(t)) == pytest.approx(fd, abs=1e-8)
+            fd2 = _fd1(lambda x: float(w.log_deriv(x)), t)
+            assert float(w.log_second(t)) == pytest.approx(fd2, abs=1e-7)
 
 
 def test_weight_domain_errors():
-    wb = weight_ball(1.0, 2)
+    wb = _ball_weight(1.0, 2)
     with pytest.raises(DomainError):
         wb(math.pi + 0.5)  # past the zero of sn
     with pytest.raises(DomainError):
@@ -143,7 +153,7 @@ def test_weight_domain_errors():
 
 
 def test_log_concavity_margin_examples():
-    m = log_concavity_margin(weight_ball(1.0, 2), (0.1, 1.5))
+    m = log_concavity_margin(_ball_weight(1.0, 2), (0.1, 1.5))
     assert m == pytest.approx(-1.0 / math.sin(1.5) ** 2, rel=1e-12)
     assert m < 0.0
     assert log_concavity_margin(const_weight(), (0.0, 1.0)) == 0.0
@@ -156,4 +166,4 @@ def test_log_concavity_margin_examples():
 def test_log_concavity_rejects_nonpositive_weight():
     # sn^(n-1) vanishes at t = 0, where (log w)'' has its pole
     with pytest.raises(DomainError):
-        log_concavity_margin(weight_ball(1.0, 2), (0.0, 1.0), 64)
+        log_concavity_margin(_ball_weight(1.0, 2), (0.0, 1.0), 64)

@@ -67,6 +67,9 @@ def test_geodesic_ball_problems():
 
     with pytest.raises(DomainError):
         geodesic_ball_problem(1.0, 3, math.pi, 1.0, 2.0)
+    for kappa in (math.nan, -math.inf):  # NaN built the flat ball, -inf a NaN weight
+        with pytest.raises(DomainError):
+            geodesic_ball_problem(kappa, 3, 1.0, 1.0, 2.0)
 
 
 def test_double_robin_problem():
@@ -89,16 +92,20 @@ def test_degenerate_alpha_rejected():
 
 
 def test_warped_matches_geodesic_ball_bitwise():
+    """The geodesic_ball and warped_product spec types with f = sn_kappa
+    dispatch to the same problem."""
     for kappa in (0.7, 0.0, -1.3):
-        ball = geodesic_ball_problem(kappa, 3, 1.1, 1.5, 2.5)
-        warped = warped_product_problem(sn_warping(kappa), 3, 1.1, 1.5, 2.5)
+        ball = ProblemSpec("geodesic_ball", R=1.1, alpha=1.5, p=2.5, kappa=kappa, n=3).build()
+        warped = ProblemSpec("warped_product", R=1.1, alpha=1.5, p=2.5, n=3,
+                             warping=sn_warping(kappa)).build()
         assert (ball.a, ball.b, ball.p) == (warped.a, warped.b, warped.p)
         assert ball.bc_left == warped.bc_left and ball.bc_right == warped.bc_right
         assert (ball.singular_left, ball.singular_order) == (warped.singular_left, warped.singular_order)
         t = np.linspace(0.05, 1.1, 23)
         assert np.all(np.asarray(ball.weight(t)) == np.asarray(warped.weight(t)))
-        assert np.all(np.asarray(ball.weight.log_deriv(t))
-                      == np.asarray(warped.weight.log_deriv(t)))
+        for attr in ("log_deriv", "log_second"):
+            assert np.all(np.asarray(getattr(ball.weight, attr)(t))
+                          == np.asarray(getattr(warped.weight, attr)(t)))
 
 
 def test_warped_pole_validation():
