@@ -14,10 +14,14 @@ numba installed, rk4_path is the core compiled for numpy arrays.
 Without it, rk4_path runs the core on Python floats and lists: numpy
 scalars would take every operation through numpy's scalar machinery,
 several times slower.  The IEEE operations are the same either way, so
-the results agree bit for bit.
+the results agree bit for bit.  kernel_array prepares an array that
+every integration of a solve reads (the step sizes, the drift): without
+numba it carries its list of floats, converted once.
 """
 
 import math
+
+import numpy as np
 
 try:
     from numba import njit
@@ -160,13 +164,34 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
 
 if njit is not None:
     rk4_path = njit(cache=True, nogil=True)(_rk4_core)
+
+    def kernel_array(a):
+        """a as a float array; the compiled core reads arrays."""
+        return np.asarray(a, dtype=float)
 else:
+    class _FloatArray(np.ndarray):
+        """A read-only float array whose attribute floats holds its
+        entries as a list of Python floats; a view of it has none."""
+
+    def kernel_array(a):
+        """a as a read-only float array that carries a.tolist(), so that
+        rk4_path does not convert it again on every integration."""
+        out = np.array(a, dtype=float).view(_FloatArray)
+        out.floats = out.tolist()
+        out.flags.writeable = False
+        return out
+
+    def _floats(a):
+        floats = getattr(a, "floats", None)
+        return a.tolist() if floats is None else floats
+
     def rk4_path(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
         """_rk4_core on Python floats; same arguments, outputs and return.
-        Entries after an early stop are unspecified: the compiled core
-        leaves whatever the caller put there, this adapter writes NaN.  A
-        caller that reads them fills them first (_shoot fills NaN), and
-        then both builds agree.
+        hs and ld are numpy arrays, converted to lists here unless
+        kernel_array already did.  Entries after an early stop are
+        unspecified: the compiled core leaves whatever the caller put
+        there, this adapter writes NaN.  A caller that reads them fills
+        them first (_shoot fills NaN), and then both builds agree.
 
         A float power that overflows raises OverflowError where numba
         gives inf; either way the path stops at that step, non-finite."""
@@ -175,7 +200,7 @@ else:
         try:
             crossed = _rk4_core(
                 float(w0), float(logphi0), float(lam), float(pm1), float(qm1),
-                hs.tolist(), ld.tolist(), logphis, slopes,
+                _floats(hs), _floats(ld), logphis, slopes,
             )
         except OverflowError:
             crossed = False

@@ -367,8 +367,9 @@ def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p:
 # the body of both radial builders; a private name, so that a wrapper on
 # either public builder sees one call per build
 def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float) -> SturmProblem:
-    if R0 <= 0:
-        raise DomainError("need R0 > 0")
+    # before the grid below is built: an infinite R0 would make it NaN
+    if not 0.0 < R0 < math.inf:
+        raise DomainError("need finite R0 > 0")
     if n < 2 or int(n) != n:
         raise DomainError("need integer dimension n >= 2")
     f0 = float(warping.f(0.0))

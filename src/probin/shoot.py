@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import rk4_path
+from ._kernels import kernel_array, rk4_path
 from .errors import BracketFailure, DomainError, ToleranceFailure
 from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
 
@@ -79,6 +79,7 @@ class _Plan:
     robin_launch_alpha: Optional[float]  # set for two-Robin problems
     singular: bool
     eps: float
+    # the kernel's two arrays, each a _kernels.kernel_array
     steps: np.ndarray  # signed step sizes
     ld: np.ndarray  # drift at boundaries and midpoints, len 2*len(steps)+1
     node_pos: np.ndarray  # the rk_steps+1 node positions in integration order
@@ -120,11 +121,11 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
 
     bounds = launch_t + direction * offsets
     bounds[-1] = launch_t + direction * problem.length  # land exactly
-    steps = np.diff(bounds)
+    steps = kernel_array(np.diff(bounds))
     lattice = np.empty(2 * steps.size + 1)
     lattice[0::2] = bounds
     lattice[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
-    ld = np.asarray(problem.weight.log_deriv(lattice), dtype=float)
+    ld = kernel_array(problem.weight.log_deriv(lattice))
 
     return _Plan(problem, direction, launch_t, mismatch_alpha,
                  robin_launch_alpha, singular, eps, steps, ld, node_pos, node_step)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,20 @@ def test_geodesic_ball_problems():
     for kappa in (math.nan, -math.inf):  # NaN built the flat ball, -inf a NaN weight
         with pytest.raises(DomainError):
             geodesic_ball_problem(kappa, 3, 1.0, 1.0, 2.0)
+
+
+def test_infinite_radius_rejected_before_any_grid():
+    # R0 = inf once reached np.linspace(R0 / 512, R0, 512), and numpy
+    # warned ahead of the config error
+    specs = (ProblemSpec("geodesic_ball", R=math.inf, alpha=1.0, p=2.0, kappa=0.0, n=3),
+             ProblemSpec("warped_product", R=math.inf, alpha=1.0, p=2.0, n=3,
+                         warping=sn_warping(0.0)))
+    for spec in specs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="finite R0"):
+                spec.build()
+        assert caught == [], [str(w.message) for w in caught]
 
 
 def test_double_robin_problem():

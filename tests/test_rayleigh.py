@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import probin.rayleigh
+
 from probin.coeffs import ModelParams, const_weight
 from probin.errors import DomainError
 from probin.problems import (
@@ -19,9 +21,12 @@ from probin.problems import (
     double_robin_problem,
     geodesic_ball_problem,
     inradius_model_problem,
+    momentum,
 )
 from probin.rayleigh import (
+    _EPS,
     MinimizeConfig,
+    _inverse_step,
     discretize,
     energy,
     minimize,
@@ -171,6 +176,60 @@ def test_inverse_power_reaches_the_minimum_near_p1():
     sol = solve_rayleigh(_flat(1e4, 1.1), 2000)
     assert sol.lambda_val == pytest.approx(mixed_dn_lambda(1.1, 1.0), rel=1e-7)
     assert sol.diagnostics["converged"] and sol.diagnostics["iterations"] > 0
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
+@pytest.mark.parametrize("alpha", [1.0, 1e4])
+def test_positive_alpha_never_factorizes(monkeypatch, alpha, p):
+    """With every Robin coefficient positive, the p = 2 seed and the
+    solve are both the inverse power method: no tridiagonal
+    factorization, no Thomas solve."""
+    def refuse(*args):
+        raise AssertionError("the alpha > 0 route factorized")
+
+    monkeypatch.setattr(probin.rayleigh, "_factor", refuse)
+    monkeypatch.setattr(probin.rayleigh, "_solve", refuse)
+    for prob in (_flat(alpha, p), geodesic_ball_problem(0.0, 2, 1.0, alpha, p),
+                 double_robin_problem(0.5, alpha, p)):
+        d = solve_rayleigh(prob, 2000).diagnostics
+        assert d["converged"] and d["seed_iterations"] > 0
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
+@pytest.mark.parametrize("alpha", [1.0, 1e4])
+def test_inverse_step_solves_its_equation(alpha, p):
+    """With two Robin ends the inverse step finds the left end's flux by
+    a root-find; its v must satisfy E'(v) = N'(u) at every node, divided
+    by p: f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j.  Every flux and the
+    load are sums of b, so each is allowed 24 eps sum |b| in all.  A flux
+    read off two neighbouring values of v is allowed its change under
+    their rounding, 4 eps (|v_j| + |v_(j+1)|); a Robin term its change
+    under the rounding of a cumulative sum, 4 eps sum |v| (at large alpha
+    the value at a Robin node cancels to near zero)."""
+    func = discretize(double_robin_problem(0.5, alpha, p), 2000)
+    u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid  # positive, lopsided
+    v = _inverse_step(func, u)
+    b = func.node_weights * momentum(u, p)
+    dv = 4.0 * _EPS * float(np.sum(np.abs(v)))
+
+    def spread(x, dx):  # the largest change of |x|^(p-2) x within dx
+        return np.maximum(np.abs(momentum(x + dx, p) - momentum(x, p)),
+                          np.abs(momentum(x - dx, p) - momentum(x, p)))
+
+    d = np.diff(v) / func.h
+    flux = func.mid_weights * momentum(d, p)
+    av = np.abs(v)
+    flux_spread = func.mid_weights * spread(d, 4.0 * _EPS * (av[:-1] + av[1:]) / func.h)
+    lhs = -b
+    lhs[1:] += flux
+    lhs[:-1] -= flux
+    allowed = np.full(v.size, 24.0 * _EPS * float(np.sum(np.abs(b))))
+    allowed[1:] += flux_spread
+    allowed[:-1] += flux_spread
+    for j, c in func.robin_terms:
+        lhs[j] += c * momentum(v[j], p)
+        allowed[j] += c * spread(v[j], dv)
+    assert np.all(np.abs(lhs) <= allowed)
 
 
 @pytest.mark.parametrize("alpha,p,lam", [(-3.0, 1.2, LAM_P12_M3), (-10.0, 1.2, LAM_P12_M10)],
