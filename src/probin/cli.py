@@ -129,6 +129,9 @@ def _cmd_solve(cfg, args, out_dir: Path) -> int:
     if sol_s is not None and sol_s.diagnostics["phi_underflow_nodes"]:
         print("warning: %d of %d shooting eigenfunction values underflow to 0"
               % (sol_s.diagnostics["phi_underflow_nodes"], sol_s.phi.size), file=sys.stderr)
+    if sol_r is not None and not sol_r.diagnostics["converged"]:
+        print("warning: the Rayleigh solve stopped unconverged after %d steps"
+              % sol_r.diagnostics["steps"], file=sys.stderr)
     for tag, sol in (("shoot", sol_s), ("rayleigh", sol_r)):
         if sol is None:
             continue

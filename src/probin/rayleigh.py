@@ -26,9 +26,10 @@ minimize works on the one mesh it is given, in two stages:
     returned unconverged.
 
 Every accepted iterate lowers the quotient, so the quotient never
-rises.  The tridiagonal solves of the other route (its seed by shifted
-inverse iteration, and Newton) are written here in Python: the package
-needs numpy only.
+rises.  The tridiagonal factorizations and solves of the other route
+(its seed by shifted inverse iteration, and Newton) are cyclic reduction
+in numpy, which loops over the log2(m) levels and not over the nodes:
+the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -152,39 +153,49 @@ def _residual(func: DiscreteFunctional, u: np.ndarray, q: float) -> np.ndarray:
 
 
 def _factor(diag: np.ndarray, off: np.ndarray):
-    """Pivots and multipliers of the LDL^T factorization of a symmetric
-    tridiagonal matrix, without pivoting.  A pivot that cancels to exactly
-    zero is replaced by its rounding level: the matrices factorized here
-    are singular only along the direction that bordering projects out."""
-    d = float(diag[0]) or _EPS
-    piv = [d]
-    mult = []
-    for a, b in zip(diag[1:].tolist(), off.tolist()):
-        ell = b / d
-        d = a - ell * b
-        if d == 0.0:
-            d = _EPS * abs(a) or _EPS
-        mult.append(ell)
-        piv.append(d)
-    return np.array(piv), mult
+    """LDL^T factorization of a symmetric tridiagonal matrix, without
+    pivoting, by cyclic reduction (Buzbee, Golub & Nielson 1970): each
+    level eliminates every other remaining node, so the pivots, in that
+    order, have the matrix's inertia.  A pivot that cancels to exactly
+    zero becomes eps times its diagonal entry (or eps): the matrices
+    factorized here are singular only along the direction that bordering
+    projects out.  Returns, by node, the pivot and the multipliers toward
+    the neighbours on the node's level."""
+    rounding = _EPS * np.where(diag == 0.0, 1.0, np.abs(diag))
+    piv = diag.astype(float)  # pivots once their level is done
+    couple = np.append(off, 0.0)  # node j to the next node on its level
+    left, right = np.zeros((2, diag.size))
+    for t in [1 << k for k in range(diag.size.bit_length())]:  # node spacing on the level
+        elim, keep = slice(t - 1, None, 2 * t), slice(2 * t - 1, None, 2 * t)
+        d, kept = piv[elim], piv[keep]
+        np.copyto(d, rounding[elim], where=d == 0.0)
+        to_right = couple[elim][:kept.size]  # eliminated node i to kept node i
+        to_left = couple[keep][:d.size - 1]  # kept node i to eliminated node i + 1
+        mr = np.divide(to_right, d[:kept.size], out=right[elim][:kept.size])
+        ml = np.divide(to_left, d[1:], out=left[elim][1:])
+        kept -= to_right * mr
+        kept[:d.size - 1] -= to_left * ml
+        couple[keep][:kept.size - 1] = -to_left[:kept.size - 1] * mr[1:]
+    return piv, left, right
 
 
 def _solve(factors, rhs: np.ndarray) -> np.ndarray:
-    """Thomas forward and back substitution with _factor's output."""
-    piv, mult = factors
-    prev = float(rhs[0])
-    fwd = [prev]
-    for ell, r in zip(mult, rhs[1:].tolist()):
-        prev = r - ell * prev
-        fwd.append(prev)
-    z = (np.array(fwd) / piv).tolist()
-    x = z[-1]
-    out = [x]
-    for ell, zi in zip(reversed(mult), reversed(z[:-1])):
-        x = zi - ell * x
-        out.append(x)
-    out.reverse()
-    return np.array(out)
+    """x with A x = rhs, from _factor's output; rhs is left unchanged."""
+    piv, left, right = factors
+    x = rhs.astype(float)
+    levels = [1 << k for k in range(x.size.bit_length())]
+    for t in levels:  # L z = rhs
+        elim, keep = slice(t - 1, None, 2 * t), slice(2 * t - 1, None, 2 * t)
+        z, kept = x[elim], x[keep]
+        kept -= right[elim][:kept.size] * z[:kept.size]
+        kept[:z.size - 1] -= left[elim][1:] * z[1:]
+    x /= piv
+    for t in reversed(levels):  # L^T x = z / piv
+        elim, keep = slice(t - 1, None, 2 * t), slice(2 * t - 1, None, 2 * t)
+        y, kept = x[elim], x[keep]
+        y[:kept.size] -= right[elim][:kept.size] * kept
+        y[1:] -= left[elim][1:] * kept[:y.size - 1]
+    return x
 
 
 def _convex(func: DiscreteFunctional) -> bool:

@@ -222,6 +222,21 @@ def test_solve_warns_on_eigenfunction_underflow(tmp_path, capsys, alpha, warned)
     assert len(captured.err.splitlines()) == int(warned)
 
 
+@pytest.mark.parametrize("alpha,p,warned", [(-3.0, 1.2, True), (-3.0, 1.5, False)])
+def test_solve_warns_on_unconverged_rayleigh(tmp_path, capsys, alpha, p, warned):
+    """Flat p = 1.2, alpha = -3 ends with Newton's last iterate,
+    unconverged; p = 1.5 converges.  Only the first warns, and both
+    print lambda_rayleigh, write the eigenfunction and exit 0."""
+    problem = dict(FLAT_PROBLEM, alpha=alpha, p=p)
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "rayleigh"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "lambda_rayleigh" in captured.out
+    assert (tmp_path / "eigenfunction_rayleigh.csv").exists()
+    assert ("unconverged after" in captured.err) == warned
+    assert len(captured.err.splitlines()) == int(warned)
+
+
 def test_solve_near_p1_fails_cleanly(tmp_path):
     """Flat p = 1.03, alpha = -2 has a boundary layer exp(-2^(100/3) x),
     far thinner than any affordable RK4 step: the trials blow up in it.

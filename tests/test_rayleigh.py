@@ -26,7 +26,9 @@ from probin.problems import (
 from probin.rayleigh import (
     _EPS,
     MinimizeConfig,
+    _factor,
     _inverse_step,
+    _solve,
     discretize,
     energy,
     minimize,
@@ -178,12 +180,79 @@ def test_inverse_power_reaches_the_minimum_near_p1():
     assert sol.diagnostics["converged"] and sol.diagnostics["iterations"] > 0
 
 
+# 1 to 40 nodes, and around 2^11 (the m = 2000 meshes have 2001 nodes)
+_TRIDIAGONAL_SIZES = list(range(1, 41)) + [2000, 2001, 2047, 2048, 2049, 2050]
+
+
+def _tridiagonal(rng, n, kind):
+    """diag, off and the dense matrix of a random symmetric tridiagonal:
+    diagonally dominant with a positive diagonal ("definite") or with
+    random signs on it ("dominant"), or with every entry uniform in
+    [-1, 1] ("random")."""
+    off = rng.uniform(-1.0, 1.0, n - 1)
+    if kind == "random":
+        diag = rng.uniform(-1.0, 1.0, n)
+    else:
+        diag = rng.uniform(0.1, 1.0, n)
+        diag[:-1] += np.abs(off)
+        diag[1:] += np.abs(off)
+        if kind == "dominant":
+            diag *= rng.choice([-1.0, 1.0], n)
+    return diag, off, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
+def test_factor_solve_residual_against_dense(n):
+    """The residual of _solve is within 8 eps |A| |x| (max norms) of the
+    dense product.  Elimination without pivoting is backward stable on
+    diagonally dominant matrices, definite or not; on others its growth
+    is unbounded in any elimination order.  The right-hand side is left
+    as it was."""
+    rng = np.random.default_rng(n)
+    for kind in ("definite", "dominant"):
+        diag, off, a = _tridiagonal(rng, n, kind)
+        rhs = rng.standard_normal(n)
+        kept = rhs.copy()
+        x = _solve(_factor(diag, off), rhs)
+        assert np.array_equal(rhs, kept)
+        norm_a = float(np.max(np.sum(np.abs(a), axis=1)))
+        allowed = 8.0 * _EPS * norm_a * float(np.max(np.abs(x)))
+        assert float(np.max(np.abs(a @ x - rhs))) <= allowed, kind
+
+
+@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
+def test_factor_pivots_have_the_inertia_of_the_matrix(n):
+    """As many negative pivots as negative eigenvalues (dense LAPACK),
+    on every matrix with no eigenvalue within 1e-8 |A| of zero, where
+    rounding could flip that count."""
+    rng = np.random.default_rng(10_000 + n)
+    checked = 0
+    for kind in ("definite", "dominant", "random"):
+        diag, off, a = _tridiagonal(rng, n, kind)
+        eig = np.linalg.eigvalsh(a)
+        if float(np.min(np.abs(eig))) <= 1e-8 * float(np.max(np.abs(eig))):
+            continue
+        checked += 1
+        piv = _factor(diag, off)[0]
+        assert np.count_nonzero(piv < 0.0) == np.sum(eig < 0.0), kind
+    assert checked >= 2
+
+
+def test_factor_replaces_an_exactly_zero_pivot():
+    """A pivot that cancels to exactly zero becomes eps times its
+    diagonal entry, or eps where that entry is zero too."""
+    # node 1 is eliminated last: 2 - 1*1/1 - 1*1/1 = 0
+    assert _factor(np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.0]))[0].tolist() == [1.0, 2.0 * _EPS, 1.0]
+    assert _factor(np.array([0.0]), np.array([]))[0].tolist() == [_EPS]
+    assert _factor(np.array([0.0, 3.0]), np.array([0.0]))[0].tolist() == [_EPS, 3.0]
+
+
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
 @pytest.mark.parametrize("alpha", [1.0, 1e4])
 def test_positive_alpha_never_factorizes(monkeypatch, alpha, p):
     """With every Robin coefficient positive, the p = 2 seed and the
     solve are both the inverse power method: no tridiagonal
-    factorization, no Thomas solve."""
+    factorization or solve."""
     def refuse(*args):
         raise AssertionError("the alpha > 0 route factorized")
 
@@ -357,16 +426,28 @@ def test_quotient_of_shooting_eigenfunction():
 
 def test_package_solves_without_scipy():
     """scipy is a test dependency only: a fresh interpreter that imports
-    probin and runs a p != 2 Rayleigh solve must never load it."""
+    probin and runs p != 2 Rayleigh solves on both routes must never load
+    it.  alpha = 1 takes the inverse power method; alpha = -1 and
+    Neumann at both ends take the tridiagonal factorization (counted
+    here) and Newton."""
     src_dir = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys, probin\n"
-        "spec = probin.ProblemSpec.from_dict({'type': 'geodesic_ball', 'R': 1.0, 'kappa': -1.0,"
-        " 'n': 3, 'alpha': 1.0, 'p': 2.5})\n"
-        "sol = probin.rayleigh_spec(spec, 2000)\n"
-        "assert sol.diagnostics['converged']\n"
+        "import sys, probin, probin.rayleigh as r\n"
+        "calls = []\n"
+        "factor = r._factor\n"
+        "r._factor = lambda diag, off: calls.append(1) or factor(diag, off)\n"
+        "neumann = probin.BoundaryCondition.neumann()\n"
+        "for alpha, factorizes in ((1.0, False), (-1.0, True)):\n"
+        "    spec = probin.ProblemSpec.from_dict({'type': 'geodesic_ball', 'R': 1.0, 'kappa': -1.0,"
+        " 'n': 3, 'alpha': alpha, 'p': 2.5})\n"
+        "    sol = probin.rayleigh_spec(spec, 2000)\n"
+        "    assert sol.diagnostics['converged'] and bool(calls) == factorizes\n"
+        "calls.clear()\n"
+        "sol = probin.solve_rayleigh(probin.SturmProblem(0.0, 1.0, 2.5, probin.const_weight(),"
+        " neumann, neumann), 2000)\n"
+        "assert sol.diagnostics['converged'] and calls and abs(sol.lambda_val) < 1e-8\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
