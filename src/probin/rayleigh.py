@@ -2,34 +2,29 @@
 
 Piecewise-linear trial functions on a uniform grid, trapezoid constraint
 quadrature with the weight folded in, midpoint weights for the energy.
-minimize works on the one mesh it is given, in two stages:
+minimize works on the one mesh it is given, by one of two routes chosen
+from the signs of the Robin terms:
 
-- seed: the p = 2 discrete eigenvector of the mesh, with the Robin
-  parameters mapped so that the boundary log-derivative matches the p
-  problem's;
-- solve, by one of two routes chosen from the signs of the Robin terms:
-  - every Robin coefficient positive: E is convex, and the inverse power
-    method for the p-Laplacian (Biezuner, Ercole & Martins 2009; Hein &
-    Buehler 2010) solves E'(v) = N'(u) exactly by cumulative sums (and,
-    with two Robin ends, a superlinear root-find on the left end's flux)
-    and normalizes v.  The seed is the same method at p = 2, where it is
-    zero-shift inverse iteration, so this route has no loop over nodes
-    in Python;
-  - otherwise (alpha < 0, or no Robin end): bordered Newton steps on the
-    discrete Euler-Lagrange system E'(u) = q N'(u) on the sphere
-    N(u) = 1.  In 1-D the Hessian of E - qN is tridiagonal, so a step
-    costs one factorization and two solves (Keller's bordering
-    algorithm).  Cells whose slope a step would carry through zero take
-    the secant curvature, the Hessian is shifted where it is indefinite
-    on the sphere, and if Newton still gives up it is continued in p from
-    the exponent halfway to 2.  If that gives up too, the last iterate is
-    returned unconverged.
+- every Robin coefficient positive: E is convex, and the inverse power
+  method for the p-Laplacian (Biezuner, Ercole & Martins 2009; Hein &
+  Buehler 2010) solves E'(v) = N'(u) exactly by cumulative sums (and,
+  with two Robin ends, a superlinear root-find on the left end's flux)
+  and normalizes v.  It starts from a seed: the same method at p = 2,
+  where it is zero-shift inverse iteration, with the Robin parameters
+  mapped so that the boundary log-derivative matches the p problem's.
+  This route has no loop over nodes in Python;
+- otherwise (a Robin coefficient <= 0, or no Robin end): node j of
+  E'(u) = lambda N'(u) is a half-linear three-term recurrence, and
+  marched in Riccati form from one end it meets the other end's
+  condition, with every ratio u_(j+1)/u_j positive, exactly at the
+  discrete first eigenvalue (discrete half-linear Sturm theory: Rehak
+  2001; Dosly & Rehak 2005).  Newton in lambda on the march's end
+  value, safeguarded by bisection, finds that root; its start comes
+  from the same root-find on two coarser meshes, extrapolated.  The
+  eigenvector is the product of the march's ratios, so it is positive
+  by construction.
 
-Every accepted iterate lowers the quotient, so the quotient never
-rises.  The tridiagonal factorizations and solves of the other route
-(its seed by shifted inverse iteration, and Newton) are cyclic reduction
-in numpy, which loops over the log2(m) levels and not over the nodes:
-the package needs numpy only.
+The package needs numpy only.
 """
 
 from __future__ import annotations
@@ -45,26 +40,21 @@ import numpy as np
 from .errors import DomainError
 from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
 
-_ARMIJO = 1e-6  # sufficient-decrease factor of Newton's line search
 _INVERSE_MAX = 200  # iterations of the p = 2 seed or of the inverse power method
-_INVERSE_RTOL = 1e-13  # quotient fall that ends either, per unit of the seed's shift or of q
-_NEWTON_MAX = 50  # steps before Newton gives up
-_NEWTON_RTOL = 1e-10  # residual, relative to the flux and mass terms it balances
-_NEWTON_DECREMENT = 1e-13  # predicted quotient decrease that ends Newton, per unit of |q|
-_NEWTON_HALVINGS = 30
-_CONTINUATION_LEVELS = 3  # halvings of p - 2 when Newton gives up from the p = 2 seed
-# |u'| and |u| are floored at this fraction of their maxima in the
-# Hessian: |u'|^(p-2) vanishes (p > 2) or blows up (p < 2) where u' = 0
-_HESSIAN_FLOOR = 1e-8
-_EPS = float(np.finfo(float).eps)
-_AU_ROUNDING = 16.0 * _EPS  # rounding of A u allowed in the residual, per unit of |A| |u|
+_INVERSE_RTOL = 1e-13  # quotient fall that ends either, per unit of q
+_MARCH_MAX = 200  # marches before the root-find gives up
+_MARCH_RTOL = 1e-13  # Newton step in lambda that ends the root-find, per unit of max(1, |lambda|)
+_COARSE = 16  # the march's start comes from every 16th and every 8th node
+_HUGE = float(np.finfo(float).max)
 
 DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
 
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    track_history: bool = False  # diagnostics carry every accepted quotient
+    # diagnostics carry every quotient the inverse power method accepts,
+    # or the lambda of every fine march
+    track_history: bool = False
 
 
 @dataclass
@@ -152,52 +142,6 @@ def _residual(func: DiscreteFunctional, u: np.ndarray, q: float) -> np.ndarray:
     return _energy_grad(func, u) - q * _norm_grad(func, u)
 
 
-def _factor(diag: np.ndarray, off: np.ndarray):
-    """LDL^T factorization of a symmetric tridiagonal matrix, without
-    pivoting, by cyclic reduction (Buzbee, Golub & Nielson 1970): each
-    level eliminates every other remaining node, so the pivots, in that
-    order, have the matrix's inertia.  A pivot that cancels to exactly
-    zero becomes eps times its diagonal entry (or eps): the matrices
-    factorized here are singular only along the direction that bordering
-    projects out.  Returns, by node, the pivot and the multipliers toward
-    the neighbours on the node's level."""
-    rounding = _EPS * np.where(diag == 0.0, 1.0, np.abs(diag))
-    piv = diag.astype(float)  # pivots once their level is done
-    couple = np.append(off, 0.0)  # node j to the next node on its level
-    left, right = np.zeros((2, diag.size))
-    for t in [1 << k for k in range(diag.size.bit_length())]:  # node spacing on the level
-        elim, keep = slice(t - 1, None, 2 * t), slice(2 * t - 1, None, 2 * t)
-        d, kept = piv[elim], piv[keep]
-        np.copyto(d, rounding[elim], where=d == 0.0)
-        to_right = couple[elim][:kept.size]  # eliminated node i to kept node i
-        to_left = couple[keep][:d.size - 1]  # kept node i to eliminated node i + 1
-        mr = np.divide(to_right, d[:kept.size], out=right[elim][:kept.size])
-        ml = np.divide(to_left, d[1:], out=left[elim][1:])
-        kept -= to_right * mr
-        kept[:d.size - 1] -= to_left * ml
-        couple[keep][:kept.size - 1] = -to_left[:kept.size - 1] * mr[1:]
-    return piv, left, right
-
-
-def _solve(factors, rhs: np.ndarray) -> np.ndarray:
-    """x with A x = rhs, from _factor's output; rhs is left unchanged."""
-    piv, left, right = factors
-    x = rhs.astype(float)
-    levels = [1 << k for k in range(x.size.bit_length())]
-    for t in levels:  # L z = rhs
-        elim, keep = slice(t - 1, None, 2 * t), slice(2 * t - 1, None, 2 * t)
-        z, kept = x[elim], x[keep]
-        kept -= right[elim][:kept.size] * z[:kept.size]
-        kept[:z.size - 1] -= left[elim][1:] * z[1:]
-    x /= piv
-    for t in reversed(levels):  # L^T x = z / piv
-        elim, keep = slice(t - 1, None, 2 * t), slice(2 * t - 1, None, 2 * t)
-        y, kept = x[elim], x[keep]
-        y[:kept.size] -= right[elim][:kept.size] * kept
-        y[1:] -= left[elim][1:] * kept[:y.size - 1]
-    return x
-
-
 def _convex(func: DiscreteFunctional) -> bool:
     """Every Robin coefficient positive (and at least one Robin end): E is
     convex and the inverse power method applies."""
@@ -211,229 +155,28 @@ def _p2_functional(func: DiscreteFunctional) -> DiscreteFunctional:
     A Robin end |u'|^(p-2) u' = alpha |u|^(p-2) u fixes the log-derivative
     u'/u = sign(alpha) |alpha|^(1/(p-1)) there, so the p = 2 problem takes
     that as its Robin parameter: its eigenvector then has the boundary
-    layer of the p problem (at p = 1.5, alpha = -10 it decays like
-    e^(-100 t), not e^(-10 t))."""
+    layer of the p problem (at p = 1.5, alpha = 10 the log-derivative is
+    100, not 10)."""
     robin = []
     for j, c in func.robin_terms:
         w = 2.0 * func.node_weights[j] / func.h  # the weight at the end node
-        robin.append((j, float(w * inverse_momentum(c / w, func.p)) if c else 0.0))
+        robin.append((j, float(w * inverse_momentum(c / w, func.p))))
     return dataclasses.replace(func, p=2.0, robin_terms=robin)
 
 
 def _p2_seed(func: DiscreteFunctional):
-    """The p = 2 discrete first eigenvector of _p2_functional(func):
-    K u = lambda M u with K the stiffness matrix of the mid weights plus
-    the mapped Robin loads and M = diag(node_weights).  Returns the
-    eigenvector and the number of p = 2 iterations.
-
-    With every Robin coefficient positive K is positive definite, and the
-    inverse power method runs at p = 2 from the normalized constant: its
-    inverse step is exact, so this is zero-shift inverse iteration and
-    converges at the rate lambda_1/lambda_2.  Otherwise (a negative Robin
-    coefficient, or no Robin end) it is shifted inverse iteration with a
-    tridiagonal factorization: the shift starts one width below the
-    constant trial's quotient, and the width doubles until K - shift*M
-    has only positive pivots, so that the shift lies below the first
-    eigenvalue."""
+    """The p = 2 discrete first eigenvector of _p2_functional(func), for
+    Robin coefficients all positive: K u = lambda M u with K the
+    stiffness matrix of the mid weights plus the mapped Robin loads and
+    M = diag(node_weights).  K is positive definite, and the inverse
+    power method runs at p = 2 from the normalized constant: its inverse
+    step is exact, so this is zero-shift inverse iteration and converges
+    at the rate lambda_1/lambda_2.  Returns the eigenvector and the
+    number of p = 2 iterations."""
     f2 = _p2_functional(func)
-    ones = np.ones(func.grid.size)
-    if _convex(f2):
-        u = _normalize(f2, ones)
-        u, _, iters, _ = _inverse_power(f2, u, quotient(f2, u), None)
-        return u, iters
-    stiff = func.mid_weights / func.h
-    q = quotient(f2, ones)
-    width = max(1.0, abs(q))
-    for _ in range(64):
-        diag, off = _assemble(f2, q - width, stiff, ones)
-        factors = _factor(diag, off)
-        if np.all(factors[0] > 0.0):
-            break
-        width *= 2.0
-    else:
-        raise DomainError("found no shift below the p = 2 eigenvalue")
-
-    u = ones
-    iters = 0
-    while iters < _INVERSE_MAX:
-        iters += 1
-        v = _solve(factors, func.node_weights * u)
-        u = v / float(np.max(np.abs(v)))
-        q_prev, q = q, quotient(f2, u)
-        # the quotients of inverse iteration decrease toward the eigenvalue
-        if q_prev - q <= _INVERSE_RTOL * width:
-            break
+    u = _normalize(f2, np.ones(func.grid.size))
+    u, _, iters, _ = _inverse_power(f2, u, quotient(f2, u), None)
     return u, iters
-
-
-def _curvatures(func: DiscreteFunctional, u: np.ndarray):
-    """w |u'|^(p-2) / h per cell and |u|^(p-2) per node, with |u'| and
-    |u| floored at _HESSIAN_FLOOR of their maxima."""
-    p = func.p
-    du = np.abs(np.diff(u)) / func.h
-    au = np.abs(u)
-    du = np.maximum(du, _HESSIAN_FLOOR * float(np.max(du)))
-    au = np.maximum(au, _HESSIAN_FLOOR * float(np.max(au)))
-    # a constant trial has no slope to floor against: at p < 2 its cell
-    # curvatures are infinite, and Newton gives up on it
-    with np.errstate(divide="ignore"):
-        cells = func.mid_weights * du ** (p - 2.0) / func.h
-    return cells, au ** (p - 2.0)
-
-
-def _assemble(func: DiscreteFunctional, q: float, stiff: np.ndarray, node: np.ndarray):
-    """Diagonal and off-diagonal of the tridiagonal matrix with cell
-    stiffnesses stiff and node terms node * (robin - q * node_weights)."""
-    diag = -q * func.node_weights * node
-    for j, c in func.robin_terms:
-        diag[j] += c * node[j]
-    diag[:-1] += stiff
-    diag[1:] += stiff
-    return diag, -stiff
-
-
-def _bordered_step(func: DiscreteFunctional, q: float, stiff, node, r, gn):
-    """The step x1 - (N'.x1 / N'.x2) x2 with A x1 = -r and A x2 = N', for
-    A = E'' - q N'' assembled from stiff and node.
-
-    The step descends when A is positive definite on the tangent space of
-    N(u) = 1, that is when A has no negative pivot, or one and
-    N'.x2 < 0 (Haynsworth inertia of the bordered matrix).  Near a
-    minimum that holds.  Far from it (a p = 2 seed for p = 5 has slopes
-    that vanish where the p-problem's do not) it can fail, and then q in
-    A is lowered, by a width that doubles, until it holds."""
-    shift = q
-    width = abs(q) or 1.0
-    for _ in range(64):
-        diag, off = _assemble(func, shift, stiff, node)
-        factors = _factor(diag, off)
-        negative = np.count_nonzero(factors[0] < 0.0)
-        if negative <= 1:
-            x2 = _solve(factors, gn)
-            if negative == 0 or float(np.dot(gn, x2)) < 0.0:
-                break
-        shift = q - width
-        width *= 2.0
-    else:
-        return np.full_like(r, np.nan)
-    x1 = _solve(factors, -r)
-    return x1 - (float(np.dot(gn, x1)) / float(np.dot(gn, x2))) * x2
-
-
-def _residual_small(func, u, q, r, gn, stiff, node) -> bool:
-    """Newton's stopping test: |r| within _NEWTON_RTOL of the flux and
-    mass terms it balances, once each node is allowed the rounding error
-    of A u (which dominates where |u'|^(p-2) is large, at p < 2)."""
-    p = func.p
-    flux = func.mid_weights * np.abs(np.diff(u) / func.h) ** (p - 1.0)
-    scale = p * float(np.max(flux)) + abs(q) * float(np.max(np.abs(gn)))
-    au = np.abs(u)
-    rounding = abs(q) * func.node_weights * node * au
-    for j, c in func.robin_terms:
-        rounding[j] += abs(c) * node[j] * au[j]
-    cell = stiff * (au[:-1] + au[1:])
-    rounding[:-1] += cell
-    rounding[1:] += cell
-    return float(np.max(np.abs(r) - _AU_ROUNDING * rounding)) <= _NEWTON_RTOL * scale
-
-
-def _newton(func: DiscreteFunctional, u: np.ndarray, q: float, history):
-    """Bordered Newton steps from a normalized u.
-
-    With A = E'' - qN'' and r = E' - qN', A x1 = -r and A x2 = N' give the
-    step x1 - (N'.x1 / N'.x2) x2, tangent to N(u) = 1.  A is singular
-    along u at an eigenpair (A u = (p-1) r), so the residual is tested
-    before A is factorized.
-
-    For p < 2 the tangent of the flux |u'|^(p-2) u' is flatter than its
-    secant through 0 by the factor p - 1, so a cell whose slope the step
-    carries through zero overshoots by that factor and, at p <= 1.5,
-    never settles.  Such cells get the secant curvature instead and the
-    step is solved again; for p >= 2 the tangent is the larger and stays.
-
-    A step is accepted when the quotient falls by the Armijo amount, so
-    the quotient never rises, not even by rounding.  Newton has converged
-    when the residual test fires or the step's predicted decrease (the
-    Newton decrement -r.delta) is below _NEWTON_DECREMENT.  Returns
-    (u, q, steps, converged); it gives up unconverged when a
-    curvature is infinite, a step is not a descent direction, its line
-    search fails or _NEWTON_MAX steps are spent."""
-    p = func.p
-    tangent = p * (p - 1.0)
-    secant = p * max(p - 1.0, 1.0)
-    for steps in range(_NEWTON_MAX + 1):
-        gn = _norm_grad(func, u)
-        r = _residual(func, u, q)
-        cells, nodes = _curvatures(func, u)
-        if not np.all(np.isfinite(cells)):
-            break
-        stiff = tangent * cells
-        node = tangent * nodes
-        if _residual_small(func, u, q, r, gn, stiff, node):
-            return u, q, steps, True
-        if steps == _NEWTON_MAX:
-            break
-        delta = _bordered_step(func, q, stiff, node, r, gn)
-        du = np.diff(u)
-        over = du * (du + np.diff(delta)) < 0.0
-        if secant > tangent and over.any():
-            stiff = np.where(over, secant * cells, stiff)
-            delta = _bordered_step(func, q, stiff, node, r, gn)
-        slope = float(np.dot(r, delta))
-        if not slope < 0.0:  # also catches a non-finite step
-            break
-        if -slope <= _NEWTON_DECREMENT * abs(q):
-            # the full step would lower the quotient by less than that:
-            # where |u| or |u'| is floored (p < 2 far from a strongly
-            # negative Robin end) the residual can stay above its test
-            return u, q, steps, True
-        # no node moves further than the largest |u| (the quadratic model
-        # is worthless beyond that, and where a singular end's weight
-        # vanishes the step there can be 1e7 times larger)
-        t = min(1.0, float(np.max(np.abs(u))) / float(np.max(np.abs(delta))))
-        for _ in range(_NEWTON_HALVINGS):
-            v = _normalize(func, u + t * delta)
-            qv = quotient(func, v)
-            if qv <= q + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-        else:
-            break
-        u, q = v, qv
-        if history is not None:
-            history.append(q)
-    return u, q, steps, False
-
-
-def _newton_continued(func: DiscreteFunctional, u: np.ndarray, q: float, history, levels: int):
-    """Newton from u; if it gives up, continuation in p.
-
-    The minimizer at the exponent halfway to 2 is found the same way from
-    its own p = 2 seed, and Newton restarts from it; that is adopted if it
-    ends lower.  Far from p = 2 the p = 2 seed can be too poor for Newton
-    (p = 8: the slope profile (R - t)^(1/7) at a Neumann end has to grow
-    out of a linear one).  Returns (u, q, steps, seed iterations,
-    converged); levels bounds the halvings."""
-    u, q, steps, converged = _newton(func, u, q, history)
-    seed_iters = 0
-    if converged or levels == 0 or func.p == 2.0:
-        return u, q, steps, seed_iters, converged
-    mid = dataclasses.replace(func, p=0.5 * (func.p + 2.0))
-    v, seed_iters = _p2_seed(mid)
-    v = _normalize(mid, v)
-    v, _, mid_steps, mid_seed, mid_converged = _newton_continued(
-        mid, v, quotient(mid, v), None, levels - 1)
-    steps += mid_steps
-    seed_iters += mid_seed
-    if mid_converged:
-        v = _normalize(func, v)
-        v, qv, v_steps, v_converged = _newton(func, v, quotient(func, v), None)
-        steps += v_steps
-        if qv <= q:
-            u, q, converged = v, qv, v_converged
-            if history is not None:
-                history.append(q)
-    return u, q, steps, seed_iters, converged
 
 
 def _inverse_step(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
@@ -529,30 +272,172 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
     return u, q, _INVERSE_MAX, False
 
 
+def _chain(func: DiscreteFunctional):
+    """The march's data, from its launch node to its end node: node
+    weights and mid weights as Python floats, the two nodes' Robin
+    coefficients (0 at a Neumann end), h and p; and whether the march
+    runs from right to left.  It runs toward the end with the smaller
+    Robin coefficient, the direction in which u grows: marched the other
+    way, the end value is lost to rounding near its root."""
+    robin = dict(func.robin_terms)
+    c_left, c_right = robin.get(0, 0.0), robin.get(func.grid.size - 1, 0.0)
+    nw, mid = func.node_weights, func.mid_weights
+    flip = c_left < c_right
+    if flip:
+        nw, mid, c_left, c_right = nw[::-1], mid[::-1], c_right, c_left
+    return (nw.tolist(), mid.tolist(), c_left, c_right, func.h, func.p), flip
+
+
+def _march(lam: float, chain):
+    """E'(u) = lam N'(u) at every node but the end node, marched in
+    Riccati form.
+
+    Divided by p, node j reads f_(j-1) - f_j + (c_j - lam nw_j) Phi(u_j)
+    = 0, with Phi(s) = |s|^(p-2) s, the cell fluxes
+    f_j = w_mid,j Phi((u_(j+1) - u_j)/h), f_(-1) = 0 and c_j the Robin
+    coefficient (0 elsewhere).  With z_j = f_(j-1)/Phi(u_j) and the
+    ratio r_j = u_(j+1)/u_j it is
+    y_j = z_j + c_j - lam nw_j,  r_j = 1 + h Phi^-1(y_j/w_mid,j),
+    z_(j+1) = y_j/Phi(r_j),
+    which neither overflows nor underflows as u does.  The end node's
+    balance is y_m = 0.  lam lies below the discrete first eigenvalue
+    exactly when every r_j > 0 and y_m > 0 (discrete half-linear Sturm
+    theory).  dy/dlam rides along: dy_j = dz_j - nw_j, and differentiating
+    r and z gives dz_(j+1) = dy_j/r_j^p.
+
+    lam must be a Python float: a numpy scalar makes every step several
+    times slower.  Returns the ratios, and (y_m, dy_m/dlam) or None if
+    some r_j <= 0, where the march stops."""
+    nw, mid, c_launch, c_end, h, p = chain
+    e = 1.0 / (p - 1.0)
+    q = p - 1.0
+    h_q = h ** -q
+    z, dz = c_launch, 0.0
+    ratios = []
+    keep = ratios.append
+    for w, wm in zip(nw, mid):
+        y = z - lam * w
+        dz -= w
+        s = y / wm
+        try:
+            t = s ** e if s >= 0.0 else -(-s) ** e
+        except OverflowError:  # |s|^e beyond the float range, at p near 1
+            if s < 0.0:
+                return ratios, None
+            # r = inf: z_(j+1) = w_mid,j Phi(t/r) -> w_mid,j h^-(p-1), and dz_(j+1) -> 0
+            keep(math.inf)
+            z, dz = wm * h_q, 0.0
+            continue
+        r = 1.0 + h * t
+        if not r > 0.0:
+            return ratios, None
+        rq = r ** q
+        z = y / rq
+        dz /= rq * r
+        keep(r)
+    return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
+
+
+def _march_root(func: DiscreteFunctional, lam: float, history):
+    """The discrete first eigenvalue of func, for a Robin coefficient
+    <= 0 or no Robin end, and its eigenvector, from a start lam.
+
+    The root is bracketed from the start: above by the constant trial's
+    quotient, below by the sum of c_j/nw_j over the negative Robin
+    coefficients, since E(u) >= sum c_j |u_j|^p and nw_j |u_j|^p <= N(u).
+    Newton steps on y_m, with the exact derivative, are taken while they
+    stay inside the bracket, and bisection otherwise.  The root-find has
+    converged when a Newton step is at most _MARCH_RTOL max(1, |lam|),
+    or when the bracket's ends are adjacent floats.  The eigenvector is
+    the product of the ratios of a march that reached the end node (the
+    last one, or the highest below the root), so it is positive.
+    Returns (lam, u, marches, converged)."""
+    chain, flip = _chain(func)
+    lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
+    hi = float(quotient(func, np.ones(func.grid.size)))
+    lam = min(max(float(lam), lo), hi)
+    below = None  # the ratios of the march at lo
+    converged = False
+    for marches in range(1, _MARCH_MAX + 1):
+        if history is not None:
+            history.append(lam)
+        ratios, end = _march(lam, chain)
+        step = None
+        if end is not None:
+            y, dy = end
+            step = -y / dy
+            if abs(step) <= _MARCH_RTOL * max(1.0, abs(lam)):
+                lam, below, converged = lam + step, ratios, True
+                break
+        if end is not None and y > 0.0:
+            lo, below = lam, ratios
+        else:
+            hi = lam
+        if step is None or not lo < lam + step < hi:
+            step = 0.5 * (lo + hi) - lam
+        if not lo < lam + step < hi:  # lo and hi are adjacent floats
+            lam, converged = lo, True
+            break
+        lam += step
+    else:
+        lam = lo
+    if below is None:  # no march reached the end node below the root
+        marches += 1
+        below = _march(lam, chain)[0]
+    logs = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(below, _HUGE)))))
+    u = np.exp(logs - np.max(logs))
+    return lam, u[::-1] if flip else u, marches, converged
+
+
+def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
+    """func on every k-th node, for an even k that divides the cell
+    count: the node weights scale by k, and each coarse cell's midpoint
+    is a fine node, whose weight is its node weight over h.  That is
+    discretize on the coarse mesh, up to rounding."""
+    return dataclasses.replace(
+        func, grid=func.grid[::k], node_weights=func.node_weights[::k] * k,
+        mid_weights=func.node_weights[k // 2::k] / func.h, h=func.h * k,
+        robin_terms=[(j // k, c) for j, c in func.robin_terms])
+
+
+def _march_start(func: DiscreteFunctional):
+    """A start for _march_root on func: its roots on every _COARSE-th
+    and every _COARSE/2-th node, extrapolated to func's mesh as second
+    order in h; inf (the top of the bracket) where _COARSE does not
+    divide the cell count.  Returns the start and the coarse marches."""
+    if (func.grid.size - 1) % _COARSE:
+        return math.inf, 0
+    lam1, _, n1, _ = _march_root(_coarse(func, _COARSE), math.inf, None)
+    lam2, _, n2, _ = _march_root(_coarse(func, _COARSE // 2), lam1, None)
+    k2 = (_COARSE // 2) ** 2
+    return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
+
+
 def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
     """Minimize the Rayleigh quotient over N(u) = 1 on func's mesh.
 
-    Starts from the p = 2 discrete eigenvector.  With every Robin
-    coefficient positive the inverse power method follows, otherwise
-    Newton with its continuation in p.  Returns the quotient as the
-    eigenvalue estimate and the minimizer samples; diagnostics flag
-    whether a convergence test fired and time the two stages.
+    With every Robin coefficient positive: the p = 2 seed, then the
+    inverse power method.  Otherwise: the coarse march root-finds, then
+    the march on func.  Returns the eigenvalue estimate and the
+    minimizer samples; diagnostics flag whether a convergence test fired
+    and time the two stages.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
-    u, seed_iters = _p2_seed(func)
-    u = _normalize(func, u)
-    q = quotient(func, u)
-    history = [q] if config.track_history else None
-
-    t_solve = time.perf_counter()
     if _convex(func):
+        u, seed_iters = _p2_seed(func)
+        u = _normalize(func, u)
+        q = quotient(func, u)
+        history = [q] if config.track_history else None
+        t_solve = time.perf_counter()
         u, q, iters, converged = _inverse_power(func, u, q, history)
         steps = iters
     else:
-        u, q, steps, more_seed, converged = _newton_continued(
-            func, u, q, history, _CONTINUATION_LEVELS)
-        seed_iters += more_seed
+        q, seed_iters = _march_start(func)
+        history = [] if config.track_history else None
+        t_solve = time.perf_counter()
+        q, u, steps, converged = _march_root(func, q, history)
+        u = _normalize(func, u)
         iters = 0
     t_end = time.perf_counter()
 

@@ -1,5 +1,6 @@
 """Command-line front end: commands, artifacts, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -223,10 +224,19 @@ def test_solve_warns_on_eigenfunction_underflow(tmp_path, capsys, alpha, warned)
 
 
 @pytest.mark.parametrize("alpha,p,warned", [(-3.0, 1.2, True), (-3.0, 1.5, False)])
-def test_solve_warns_on_unconverged_rayleigh(tmp_path, capsys, alpha, p, warned):
-    """Flat p = 1.2, alpha = -3 ends with Newton's last iterate,
-    unconverged; p = 1.5 converges.  Only the first warns, and both
-    print lambda_rayleigh, write the eigenfunction and exit 0."""
+def test_solve_warns_on_unconverged_rayleigh(tmp_path, capsys, monkeypatch, alpha, p, warned):
+    """Both solves converge; the first is handed to the CLI flagged
+    unconverged.  Only that one warns, and both print lambda_rayleigh,
+    write the eigenfunction and exit 0."""
+    if warned:
+        solve = probin.cli.rayleigh_spec
+
+        def unconverged(spec, m):
+            sol = solve(spec, m)
+            assert sol.diagnostics["converged"]
+            return dataclasses.replace(sol, diagnostics=dict(sol.diagnostics, converged=False))
+
+        monkeypatch.setattr(probin.cli, "rayleigh_spec", unconverged)
     problem = dict(FLAT_PROBLEM, alpha=alpha, p=p)
     cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "rayleigh"})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 0

@@ -1,15 +1,16 @@
-"""Variational solver: discretization, quotient, the inverse power and
-Newton routes, convergence."""
+"""Variational solver: discretization, quotient, the inverse power method
+and the march, convergence."""
 
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 import probin.rayleigh
 
@@ -24,11 +25,10 @@ from probin.problems import (
     momentum,
 )
 from probin.rayleigh import (
-    _EPS,
     MinimizeConfig,
-    _factor,
+    _chain,
     _inverse_step,
-    _solve,
+    _march,
     discretize,
     energy,
     minimize,
@@ -41,8 +41,10 @@ from probin.shoot import solve_first_eigenvalue
 from oracles import flat_robin_lambda, mixed_dn_lambda
 
 FLAT_ANCHOR = 0.740173884394967
-# flat p = 1.2 at m = 2000: where a projected gradient descent from
-# Newton's last iterate converged, with alpha = -3 and alpha = -10
+_EPS = float(np.finfo(float).eps)
+# flat p = 1.2 at m = 2000, alpha = -3 and alpha = -10: the quotient where
+# a projected gradient descent converged, an upper bound on the discrete
+# minimum
 LAM_P12_M3 = -145.649722176157
 LAM_P12_M10 = -21716.1545989089
 
@@ -157,7 +159,8 @@ def test_minimize_matches_tridiagonal_eigensolver():
 
 @pytest.mark.parametrize("prob", [
     _flat(1.0, 2.0), _flat(-1.0, 2.0), double_robin_problem(0.5, 1.0, 2.0),
-], ids=["flat+", "flat-", "double_robin"])
+    double_robin_problem(0.5, -1.0, 2.0), _flat(-10.0, 2.0),
+], ids=["flat+", "flat-", "double_robin", "double_robin-", "flat alpha=-10"])
 def test_solve_rayleigh_matches_tridiagonal_eigensolver_at_m2000(prob):
     """At m = 2000 the symmetrized matrix has entries near 1.6e7, so
     LAPACK's eigenvalue carries an absolute error of about eps times
@@ -180,84 +183,15 @@ def test_inverse_power_reaches_the_minimum_near_p1():
     assert sol.diagnostics["converged"] and sol.diagnostics["iterations"] > 0
 
 
-# 1 to 40 nodes, and around 2^11 (the m = 2000 meshes have 2001 nodes)
-_TRIDIAGONAL_SIZES = list(range(1, 41)) + [2000, 2001, 2047, 2048, 2049, 2050]
-
-
-def _tridiagonal(rng, n, kind):
-    """diag, off and the dense matrix of a random symmetric tridiagonal:
-    diagonally dominant with a positive diagonal ("definite") or with
-    random signs on it ("dominant"), or with every entry uniform in
-    [-1, 1] ("random")."""
-    off = rng.uniform(-1.0, 1.0, n - 1)
-    if kind == "random":
-        diag = rng.uniform(-1.0, 1.0, n)
-    else:
-        diag = rng.uniform(0.1, 1.0, n)
-        diag[:-1] += np.abs(off)
-        diag[1:] += np.abs(off)
-        if kind == "dominant":
-            diag *= rng.choice([-1.0, 1.0], n)
-    return diag, off, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
-def test_factor_solve_residual_against_dense(n):
-    """The residual of _solve is within 8 eps |A| |x| (max norms) of the
-    dense product.  Elimination without pivoting is backward stable on
-    diagonally dominant matrices, definite or not; on others its growth
-    is unbounded in any elimination order.  The right-hand side is left
-    as it was."""
-    rng = np.random.default_rng(n)
-    for kind in ("definite", "dominant"):
-        diag, off, a = _tridiagonal(rng, n, kind)
-        rhs = rng.standard_normal(n)
-        kept = rhs.copy()
-        x = _solve(_factor(diag, off), rhs)
-        assert np.array_equal(rhs, kept)
-        norm_a = float(np.max(np.sum(np.abs(a), axis=1)))
-        allowed = 8.0 * _EPS * norm_a * float(np.max(np.abs(x)))
-        assert float(np.max(np.abs(a @ x - rhs))) <= allowed, kind
-
-
-@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
-def test_factor_pivots_have_the_inertia_of_the_matrix(n):
-    """As many negative pivots as negative eigenvalues (dense LAPACK),
-    on every matrix with no eigenvalue within 1e-8 |A| of zero, where
-    rounding could flip that count."""
-    rng = np.random.default_rng(10_000 + n)
-    checked = 0
-    for kind in ("definite", "dominant", "random"):
-        diag, off, a = _tridiagonal(rng, n, kind)
-        eig = np.linalg.eigvalsh(a)
-        if float(np.min(np.abs(eig))) <= 1e-8 * float(np.max(np.abs(eig))):
-            continue
-        checked += 1
-        piv = _factor(diag, off)[0]
-        assert np.count_nonzero(piv < 0.0) == np.sum(eig < 0.0), kind
-    assert checked >= 2
-
-
-def test_factor_replaces_an_exactly_zero_pivot():
-    """A pivot that cancels to exactly zero becomes eps times its
-    diagonal entry, or eps where that entry is zero too."""
-    # node 1 is eliminated last: 2 - 1*1/1 - 1*1/1 = 0
-    assert _factor(np.array([1.0, 2.0, 1.0]), np.array([1.0, 1.0]))[0].tolist() == [1.0, 2.0 * _EPS, 1.0]
-    assert _factor(np.array([0.0]), np.array([]))[0].tolist() == [_EPS]
-    assert _factor(np.array([0.0, 3.0]), np.array([0.0]))[0].tolist() == [_EPS, 3.0]
-
-
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
 @pytest.mark.parametrize("alpha", [1.0, 1e4])
-def test_positive_alpha_never_factorizes(monkeypatch, alpha, p):
+def test_positive_alpha_never_marches(monkeypatch, alpha, p):
     """With every Robin coefficient positive, the p = 2 seed and the
-    solve are both the inverse power method: no tridiagonal
-    factorization or solve."""
+    solve are both the inverse power method: no march."""
     def refuse(*args):
-        raise AssertionError("the alpha > 0 route factorized")
+        raise AssertionError("the alpha > 0 route marched")
 
-    monkeypatch.setattr(probin.rayleigh, "_factor", refuse)
-    monkeypatch.setattr(probin.rayleigh, "_solve", refuse)
+    monkeypatch.setattr(probin.rayleigh, "_march", refuse)
     for prob in (_flat(alpha, p), geodesic_ball_problem(0.0, 2, 1.0, alpha, p),
                  double_robin_problem(0.5, alpha, p)):
         d = solve_rayleigh(prob, 2000).diagnostics
@@ -303,37 +237,191 @@ def test_inverse_step_solves_its_equation(alpha, p):
 
 @pytest.mark.parametrize("alpha,p,lam", [(-3.0, 1.2, LAM_P12_M3), (-10.0, 1.2, LAM_P12_M10)],
                          ids=["flat p=1.2 alpha=-3", "flat p=1.2 alpha=-10"])
-def test_newton_gives_up_unconverged(alpha, p, lam):
-    """Here Newton gives up, continuation in p included: its last iterate
-    is returned, flagged unconverged, and it is within 3e-7 of where a
-    gradient descent from it ends."""
+def test_march_reaches_the_minimum_at_p12(alpha, p, lam):
+    """Near p = 1, with the Robin layer a few cells wide, the march
+    converges at or below the quotient a gradient descent reached, and
+    within 3e-7 of it."""
     sol = minimize(discretize(_flat(alpha, p), 2000), config=MinimizeConfig(track_history=True))
     d = sol.diagnostics
-    assert not d["converged"] and d["iterations"] == 0 and d["steps"] > 0
-    hist = d["quotient_history"]
-    assert hist[-1] == sol.lambda_val < hist[0]
-    assert sol.lambda_val == pytest.approx(lam, rel=3e-7)
+    assert d["converged"] and d["iterations"] == 0 and d["steps"] > 0
+    assert d["quotient_history"].size == d["steps"]  # the lambda of every fine march
+    assert lam * (1.0 + 3e-7) <= sol.lambda_val <= lam
 
 
-@pytest.mark.parametrize("prob,max_steps,rel", [
-    (_flat(-1.0, 1.5), 15, 1e-4),  # tangent overshoots through zero: secant cells
-    (_flat(-10.0, 3.0), 12, 1e-4),  # seed's boundary layer from the mapped Robin parameter
-    # indefinite: shifted, and the step capped at the largest |u|; the
-    # uniform mesh leaves 3.1e-4 in the two e^(-100 t) boundary layers
+@pytest.mark.parametrize("prob,max_marches,rel", [
+    (_flat(-1.0, 1.5), 4, 1e-4),
+    (_flat(-10.0, 3.0), 4, 1e-4),
+    # marched through the decaying half, where the end value is rounding
+    # noise near the root and bisection takes over; the uniform mesh
+    # leaves 3.1e-4 in the two e^(-100 t) boundary layers
     (double_robin_problem(0.5, -10.0, 1.5), 80, 5e-4),
-    (_flat(-3.0, 8.0), 150, 1e-4),  # stalls from the p = 2 seed: continued in p
+    (_flat(-3.0, 8.0), 4, 1e-4),
 ], ids=["flat p=1.5", "flat p=3 alpha=-10", "double_robin p=1.5 alpha=-10", "flat p=8 alpha=-3"])
-def test_newton_far_from_p2(prob, max_steps, rel):
-    """Each of Newton's safeguards makes one of these converge within
-    max_steps.  Without it they end unconverged after 104 steps, take 23
-    steps, end unconverged after 102 steps (without the cap or without
-    the shift), and end unconverged after 50 steps.  All agree with
-    shooting."""
+def test_march_far_from_p2(prob, max_marches, rel):
+    """Problems far from p = 2 converge within max_marches fine marches
+    and agree with shooting."""
     sol = solve_rayleigh(prob, 2000)
     d = sol.diagnostics
-    assert d["converged"] and d["steps"] <= max_steps
+    assert d["converged"] and d["steps"] <= max_marches
     lam_s = solve_first_eigenvalue(prob).lambda_val
     assert sol.lambda_val == pytest.approx(lam_s, rel=rel)
+
+
+@pytest.mark.parametrize("prob,rel", [
+    (_flat(-10.0, 1.75), 1e-4),
+    (geodesic_ball_problem(1.0, 3, 1.0, -10.0, 1.5), 5e-4),
+    (_flat(-3.0, 1.2), 2e-3),
+], ids=["flat p=1.75 alpha=-10", "spherical_cap p=1.5 alpha=-10", "flat p=1.2 alpha=-3"])
+def test_march_eigenfunction_is_nonnegative(prob, rel):
+    """The eigenvector is a product of positive ratios: no node is
+    negative, however deep the boundary layer (down to 1e-104 of the
+    maximum here).  The eigenvalue agrees with shooting to within the
+    mesh error of the layer."""
+    sol = solve_rayleigh(prob, 2000)
+    assert sol.diagnostics["converged"] and float(np.min(sol.phi)) >= 0.0
+    assert sol.lambda_val == pytest.approx(solve_first_eigenvalue(prob).lambda_val, rel=rel)
+
+
+@pytest.mark.parametrize("prob", [
+    _flat(-2.0, 1.03), _flat(-3.0, 1.03), _flat(-2.0, 1.05), _flat(-3.0, 1.05),
+    double_robin_problem(0.5, -3.0, 1.05), _flat(-2.0, 1.001),
+], ids=["flat p=1.03 alpha=-2", "flat p=1.03 alpha=-3", "flat p=1.05 alpha=-2",
+        "flat p=1.05 alpha=-3", "double_robin p=1.05 alpha=-3", "flat p=1.001 alpha=-2"])
+def test_march_near_p1(prob):
+    """Near p = 1 the ratio u_(j+1)/u_j can pass the float range (at
+    p = 1.001 |s|^1000 does, where a float power raises OverflowError):
+    every solve still converges with no warning, phi >= 0, and the
+    eigenvalue is the quotient of its own eigenvector."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_rayleigh(prob, 2000)
+    assert sol.diagnostics["converged"] and float(np.min(sol.phi)) >= 0.0
+    assert sol.lambda_val == pytest.approx(quotient(discretize(prob, 2000), sol.phi), rel=1e-12)
+
+
+def test_march_brackets_the_p2_eigenvalue():
+    """At p = 2 the march is below the LAPACK eigenvalue (every ratio
+    positive and y_m > 0) just under it and above it just over it, and
+    its dy_m/dlambda matches a central difference."""
+    for prob in (_flat(-1.0, 2.0), double_robin_problem(0.5, -1.0, 2.0)):
+        func = discretize(prob, 400)
+        chain, _ = _chain(func)
+        lam = _p2_matrix_eigenpair(func)[1]
+        ratios, (y, dy) = _march(lam - 1e-6, chain)
+        assert min(ratios) > 0.0 and y > 0.0
+        end = _march(lam + 1e-6, chain)[1]
+        assert end is None or end[0] < 0.0
+        d = 1e-5
+        fd = (_march(lam + d, chain)[1][0] - _march(lam - d, chain)[1][0]) / (2 * d)
+        assert dy == pytest.approx(fd, rel=1e-6)
+
+
+# 1 to 40 nodes, and around 2^11 (the m = 2000 meshes have 2001 nodes)
+_TRIDIAGONAL_SIZES = list(range(1, 41)) + [2000, 2001, 2047, 2048, 2049, 2050]
+
+
+def _random_chain(rng, n):
+    """A p = 2 march chain of n nodes on [0, 1]: node weights h times
+    U(0.5, 1.5), mid weights U(0.5, 1.5), launch and end Robin
+    coefficients U(-2, 2)."""
+    h = 1.0 / max(n - 1, 1)
+    c = rng.uniform(-2.0, 2.0, 2)
+    return (list(h * rng.uniform(0.5, 1.5, n)), list(rng.uniform(0.5, 1.5, n - 1)),
+            float(c[0]), float(c[1]), h, 2.0)
+
+
+def _chain_matrix(chain, lam):
+    """diag and off of the symmetric tridiagonal K + C - lam M of a p = 2
+    chain, and diag's magnitude before its terms cancel."""
+    nw, mid, c_launch, c_end, h, _ = chain
+    nw, k = np.asarray(nw), np.asarray(mid) / h
+    diag, size = -lam * nw, abs(lam) * nw
+    for d in (diag, size):
+        d[:-1] += k
+        d[1:] += k
+    diag[0] += c_launch
+    diag[-1] += c_end
+    size[0] += abs(c_launch)
+    size[-1] += abs(c_end)
+    return diag, -k, size
+
+
+def _eigvals(diag, off):
+    return eigvalsh_tridiagonal(diag, off) if diag.size > 1 else diag.copy()
+
+
+def _chain_eigvals(chain):
+    """The eigenvalues of K u = lam M u, symmetrized by the mass square root."""
+    diag, off, _ = _chain_matrix(chain, 0.0)
+    s = 1.0 / np.sqrt(np.asarray(chain[0]))
+    return _eigvals(diag * s * s, off * s[:-1] * s[1:])
+
+
+@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
+def test_factor_solve_residual_against_dense(n):
+    """At p = 2 the march is the LDL^T elimination of K + C - lam M from
+    its launch node: pivot j is w_mid,j r_j / h, and the last is y_m.  The
+    product of its ratios u solves every row but the end row, whose
+    residual is y_m u_end, within 8 eps of the row's terms summed in
+    magnitude (dense product), below the first eigenvalue and just under
+    it."""
+    rng = np.random.default_rng(n)
+    chain = _random_chain(rng, n)
+    lam1 = float(_chain_eigvals(chain)[0])
+    for lam in (lam1 - 1.0 - abs(lam1), lam1 - 1e-6 * (1.0 + abs(lam1))):
+        ratios, end = _march(lam, chain)
+        assert end is not None and all(r > 0.0 for r in ratios)
+        u = np.concatenate(([1.0], np.cumprod(ratios)))
+        diag, off, size = _chain_matrix(chain, lam)
+        a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        residual = a @ u
+        residual[-1] -= end[0] * u[-1]
+        terms = size * u
+        terms[:-1] += np.abs(off) * u[1:]
+        terms[1:] += np.abs(off) * u[:-1]
+        assert np.all(np.abs(residual) <= 8.0 * _EPS * terms), lam
+
+
+@pytest.mark.parametrize("n", _TRIDIAGONAL_SIZES)
+def test_factor_pivots_have_the_inertia_of_the_matrix(n):
+    """At p = 2 the march's pivots (w_mid,j r_j / h, then y_m) have the
+    inertia of K + C - lam M (LAPACK): it reaches the end with y_m > 0
+    exactly when the matrix is positive definite, and where it stops at
+    node k the leading k x k block is positive definite and the leading
+    (k + 1) x (k + 1) block is not.  Checked for lam below the first
+    eigenvalue, between the first two and at random, on every matrix and
+    block with no eigenvalue within 1e-12 |A| of zero (scaled by the mass
+    square root), where rounding could flip the sign."""
+    rng = np.random.default_rng(10_000 + n)
+    chain = _random_chain(rng, n)
+    lams = _chain_eigvals(chain)
+    top = float(lams[min(n - 1, 3)]) + 1.0
+    choices = [lams[0] - 1.0, 0.5 * (lams[0] + lams[1]) if n > 1 else lams[0] + 1.0]
+    choices += list(rng.uniform(lams[0] - 1.0, top, 4))
+    checked = 0
+
+    def clear(eig):
+        return float(np.min(np.abs(eig))) > 1e-12 * float(np.max(np.abs(eig)))
+
+    s = 1.0 / np.sqrt(np.asarray(chain[0]))
+    for lam in map(float, choices):
+        diag, off, _ = _chain_matrix(chain, lam)
+        diag, off = diag * s * s, off * s[:-1] * s[1:]  # congruent: the same inertia
+        eig = _eigvals(diag, off)
+        ratios, end = _march(lam, chain)
+        k = len(ratios)
+        if end is not None:
+            if not clear(eig):
+                continue
+            assert (end[0] > 0.0) == bool(np.all(eig > 0.0)), lam
+        else:
+            block = _eigvals(diag[:k + 1], off[:k])
+            if not clear(block):
+                continue
+            assert np.any(block < 0.0), lam
+            assert k == 0 or bool(np.all(_eigvals(diag[:k], off[:k - 1]) > 0.0)), lam
+        checked += 1
+    assert checked >= 4
 
 
 def test_rayleigh_diagnostics_schema():
@@ -385,13 +473,11 @@ def test_negative_alpha_gives_negative_quotient():
 
 
 def test_descent_is_monotone():
-    # the inverse power method, and Newton on the disk at p = 1.5,
-    # alpha = -10, where a step may not raise the quotient even by rounding
-    for prob, m in ((_flat(1.0, 3.0), 250), (geodesic_ball_problem(0.0, 2, 1.0, -10.0, 1.5), 2000)):
-        sol = minimize(discretize(prob, m), config=MinimizeConfig(track_history=True))
-        hist = sol.diagnostics["quotient_history"]
-        assert sol.diagnostics["converged"]
-        assert np.all(np.diff(hist) <= 0.0)
+    # the inverse power method takes no step that raises the quotient
+    sol = minimize(discretize(_flat(1.0, 3.0), 250), config=MinimizeConfig(track_history=True))
+    hist = sol.diagnostics["quotient_history"]
+    assert sol.diagnostics["converged"]
+    assert np.all(np.diff(hist) <= 0.0)
 
 
 @pytest.mark.parametrize("prob,label", [
@@ -428,22 +514,21 @@ def test_package_solves_without_scipy():
     """scipy is a test dependency only: a fresh interpreter that imports
     probin and runs p != 2 Rayleigh solves on both routes must never load
     it.  alpha = 1 takes the inverse power method; alpha = -1 and
-    Neumann at both ends take the tridiagonal factorization (counted
-    here) and Newton."""
+    Neumann at both ends take the march (counted here)."""
     src_dir = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, probin, probin.rayleigh as r\n"
         "calls = []\n"
-        "factor = r._factor\n"
-        "r._factor = lambda diag, off: calls.append(1) or factor(diag, off)\n"
+        "march = r._march\n"
+        "r._march = lambda lam, chain: calls.append(1) or march(lam, chain)\n"
         "neumann = probin.BoundaryCondition.neumann()\n"
-        "for alpha, factorizes in ((1.0, False), (-1.0, True)):\n"
+        "for alpha, marches in ((1.0, False), (-1.0, True)):\n"
         "    spec = probin.ProblemSpec.from_dict({'type': 'geodesic_ball', 'R': 1.0, 'kappa': -1.0,"
         " 'n': 3, 'alpha': alpha, 'p': 2.5})\n"
         "    sol = probin.rayleigh_spec(spec, 2000)\n"
-        "    assert sol.diagnostics['converged'] and bool(calls) == factorizes\n"
+        "    assert sol.diagnostics['converged'] and bool(calls) == marches\n"
         "calls.clear()\n"
         "sol = probin.solve_rayleigh(probin.SturmProblem(0.0, 1.0, 2.5, probin.const_weight(),"
         " neumann, neumann), 2000)\n"
