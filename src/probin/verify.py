@@ -151,6 +151,47 @@ def reports_to_csv(reports: Sequence[VerificationReport], path) -> None:
 
 
 # ----------------------------------------------------------------------
+# Sampled fields and their interior derivatives
+# ----------------------------------------------------------------------
+
+def _sampled(what, grid, *fields):
+    """grid and fields as float arrays, or DomainError unless they are
+    1-D, of one length, at least 3 nodes, finite, on a strictly
+    increasing grid: the three-point stencil needs no less."""
+    arrays = [np.asarray(x, dtype=float) for x in (grid, *fields)]
+    if any(x.ndim != 1 for x in arrays):
+        raise DomainError("%s needs 1-D grid and samples" % what)
+    if len({x.size for x in arrays}) != 1:
+        raise DomainError("%s needs samples of the grid's length, got sizes %s"
+                          % (what, [x.size for x in arrays]))
+    if arrays[0].size < 3:
+        raise DomainError("%s needs at least 3 nodes, got %d" % (what, arrays[0].size))
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise DomainError("%s needs finite grid and samples" % what)
+    if not (np.diff(arrays[0]) > 0.0).all():
+        raise DomainError("%s needs a strictly increasing grid" % what)
+    return arrays
+
+
+def _interior_differences(grid, *fields) -> list:
+    """np.gradient(f, grid, edge_order=2)[1:-1] for each field, bit for bit.
+
+    numpy's three-point coefficients are formed once for the grid rather
+    than once per field, and the edge values, which no check reads, are
+    never formed.  An exactly uniform grid keeps numpy's scalar branch."""
+    dx = np.diff(grid)
+    if (dx == dx[0]).all():
+        two_h = 2. * dx[0]
+        return [(f[2:] - f[:-2]) / two_h for f in fields]
+    dx1, dx2 = dx[:-1], dx[1:]
+    span = dx1 + dx2
+    a = -dx2 / (dx1 * span)
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * span)
+    return [a * f[:-2] + b * f[1:-1] + c * f[2:] for f in fields]
+
+
+# ----------------------------------------------------------------------
 # Picone identity
 # ----------------------------------------------------------------------
 
@@ -160,31 +201,27 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> Verifi
     L = |u'|^p + (p-1)(u/v)^p |v'|^p - p (u/v)^(p-1) |v'|^(p-2) v' u'
     R = |u'|^p - |v'|^(p-2) v' * (u^p / v^(p-1))'
 
-    Derivatives are central differences; the comparison runs on interior
-    nodes.  The margin folds both assertions: identity deviation at
+    Derivatives are numpy's three-point differences on the interior nodes,
+    where the comparison runs (_interior_differences).  The margin folds both assertions: identity deviation at
     tol_identity, pointwise nonnegativity of L at _TOL_PICONE_NONNEG.  With
     proportional=True (u = c*v) the check is picone_identity_proportional
     and also needs L to collapse: max |L| <= 1e-10.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    grid = np.asarray(grid, dtype=float)
+    grid, u, v = _sampled("picone check", grid, u, v)
     if np.any(v <= 0.0):
         raise DomainError("picone check needs v > 0")
     if np.any(u < 0.0):
         raise DomainError("picone check needs u >= 0")
-    du = np.gradient(u, grid, edge_order=2)
-    dv = np.gradient(v, grid, edge_order=2)
     w = u ** p / v ** (p - 1.0)
-    dw = np.gradient(w, grid, edge_order=2)
+    dui, dvi, dwi = _interior_differences(grid, u, v, w)
 
     sl = slice(1, -1)
-    ui, vi, dui, dvi, dwi = u[sl], v[sl], du[sl], dv[sl], dw[sl]
-    ratio = ui / vi
+    ratio = u[sl] / v[sl]
     mv = momentum(dvi, p)
-    lhs_field = np.abs(dui) ** p + (p - 1.0) * ratio ** p * np.abs(dvi) ** p \
+    du_p = np.abs(dui) ** p
+    lhs_field = du_p + (p - 1.0) * ratio ** p * np.abs(dvi) ** p \
         - p * ratio ** (p - 1.0) * mv * dui
-    rhs_field = np.abs(dui) ** p - mv * dwi
+    rhs_field = du_p - mv * dwi
 
     dev = float(np.max(np.abs(lhs_field - rhs_field)))
     min_l = float(np.min(lhs_field))
@@ -222,16 +259,15 @@ def barta_sandwich(
         psi_v = trial.psi
     else:
         grid, v = trial
-        grid = np.asarray(grid, dtype=float)
-        v = np.asarray(v, dtype=float)
+        grid, v = _sampled("barta trial", grid, v)
         psi_v = momentum(np.gradient(v, grid, edge_order=2), problem.p)
     if np.any(v <= 0.0):
         raise DomainError("barta trial must be positive")
 
-    dpsi = np.gradient(psi_v, grid, edge_order=2)
+    (dpsi,) = _interior_differences(grid, psi_v)
     sl = slice(1, -1)
     ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
-    ratio = -(dpsi[sl] + ld * psi_v[sl]) / momentum(v[sl], problem.p)
+    ratio = -(dpsi + ld * psi_v[sl]) / momentum(v[sl], problem.p)
     lo = float(np.min(ratio))
     hi = float(np.max(ratio))
 
@@ -288,10 +324,10 @@ def eigenfunction_shape_suite(problem: SturmProblem, solution: EigenSolution) ->
     # (m(v))' + (w'/w) m(v) + (p-1)|v|^p + lam = 0
     mv = psi / momentum(phi, p)
     vv = inverse_momentum(mv, p)
-    dmv = np.gradient(mv, grid, edge_order=2)
+    (dmv,) = _interior_differences(grid, mv)
     sl = slice(1, -1)
     ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
-    resid = dmv[sl] + ld * mv[sl] + (p - 1.0) * np.abs(vv[sl]) ** p + lam
+    resid = dmv + ld * mv[sl] + (p - 1.0) * np.abs(vv[sl]) ** p + lam
     reports.append(_report(
         "riccati_identity", base, "eq",
         lhs=float(np.max(np.abs(resid))), rhs=0.0, tolerance=_TOL_RICCATI,

@@ -15,9 +15,12 @@ from probin.problems import (
     ProblemSpec,
     SturmProblem,
     inradius_model_problem,
+    inverse_momentum,
+    momentum,
     polynomial_warping,
     sn_warping,
 )
+from probin.rayleigh import rayleigh_spec
 from probin.shoot import ShootConfig, solve_spec
 from probin.verify import (
     barta_sandwich,
@@ -79,6 +82,59 @@ def test_picone_rejects_nonpositive_v():
         picone_check(np.ones(101), grid - 0.5, grid, 2.0)
 
 
+_GRID = np.linspace(0.0, 1.0, 11)
+_POSITIVE = 1.0 + _GRID
+_MALFORMED = {
+    "lengths_differ": (_GRID, _POSITIVE[:-1]),
+    "two_nodes": (_GRID[:2], _POSITIVE[:2]),
+    "repeated_node": (np.sort(np.append(_GRID, 0.5)), np.append(_POSITIVE, 1.5)),
+    "decreasing_grid": (_GRID[::-1], _POSITIVE),
+    "nan_sample": (_GRID, np.where(_GRID == 0.5, np.nan, _POSITIVE)),
+    "infinite_node": (np.append(_GRID[:-1], np.inf), _POSITIVE),
+    "two_dimensional": (_GRID[None, :], _POSITIVE[None, :]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_picone_rejects_malformed_samples(case, recwarn):
+    grid, samples = _MALFORMED[case]
+    with pytest.raises(DomainError):
+        picone_check(samples, samples, grid, 2.0)
+    with pytest.raises(DomainError):
+        picone_check(_POSITIVE, samples, grid, 2.0)
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_barta_rejects_malformed_trial(case, recwarn):
+    with pytest.raises(DomainError):
+        barta_sandwich(_flat_spec().build(), _MALFORMED[case], lam=1.0)
+    assert not recwarn.list
+
+
+# The four kinds of grid np.gradient treats differently: exactly uniform
+# (its scalar branch), a linspace that is not bit-uniform, scattered
+# nodes, and the fewest nodes a three-point stencil needs.
+_STENCIL_GRIDS = {
+    "exactly_uniform": 0.75 * np.arange(401),
+    "linspace_50001": np.linspace(0.0, 1.0, 50001),
+    "sorted_random": np.sort(np.random.default_rng(7).uniform(-2.0, 3.0, 997)),
+    "three_nodes": np.array([0.0, 0.3, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STENCIL_GRIDS))
+def test_interior_differences_match_numpy_gradient_bit_for_bit(name):
+    grid = _STENCIL_GRIDS[name]
+    fields = [np.exp(np.sin(3.0 * grid)), grid ** 3 - grid, np.cos(grid) / (2.0 + grid ** 2)]
+    got = probin.verify._interior_differences(grid, *fields)
+    assert len(got) == len(fields)
+    for f, d in zip(fields, got):
+        want = np.gradient(f, grid, edge_order=2)[1:-1]
+        assert d.shape == want.shape
+        assert (d == want).all()
+
+
 # ------------------------------------------------------------------ barta
 
 def test_barta_eigenfunction_is_tight():
@@ -116,6 +172,110 @@ def test_barta_rejects_nonpositive_trial():
     grid = np.linspace(0.0, 1.0, 101)
     with pytest.raises(DomainError):
         barta_sandwich(spec.build(), (grid, grid - 0.5), lam=1.0)
+
+
+# ------------------------------ reports against np.gradient references
+#
+# The formulas below are the checks written directly on np.gradient,
+# edges and all; the checks in probin.verify must reproduce their
+# margins and extras bit for bit.
+
+def _reference_picone(u, v, grid, p, tol_identity):
+    du = np.gradient(u, grid, edge_order=2)
+    dv = np.gradient(v, grid, edge_order=2)
+    dw = np.gradient(u ** p / v ** (p - 1.0), grid, edge_order=2)
+    sl = slice(1, -1)
+    dui, dvi, dwi = du[sl], dv[sl], dw[sl]
+    ratio = u[sl] / v[sl]
+    mv = momentum(dvi, p)
+    lhs_field = np.abs(dui) ** p + (p - 1.0) * ratio ** p * np.abs(dvi) ** p \
+        - p * ratio ** (p - 1.0) * mv * dui
+    rhs_field = np.abs(dui) ** p - mv * dwi
+    dev = float(np.max(np.abs(lhs_field - rhs_field)))
+    min_l = float(np.min(lhs_field))
+    folded = max(dev, (tol_identity / 1e-10) * max(0.0, -min_l))
+    extras = {"max_deviation": dev, "min_L": min_l,
+              "max_abs_L": float(np.max(np.abs(lhs_field)))}
+    return -folded, extras
+
+
+def _reference_barta(problem, grid, v, psi_v, lam):
+    dpsi = np.gradient(psi_v, grid, edge_order=2)
+    sl = slice(1, -1)
+    ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
+    ratio = -(dpsi[sl] + ld * psi_v[sl]) / momentum(v[sl], problem.p)
+    lo, hi = float(np.min(ratio)), float(np.max(ratio))
+    extras = {"target": float(lam)}
+    for end, sign, alpha in problem.robin_ends():
+        idx = 0 if end == "left" else -1
+        extras["boundary_defect_%s" % end] = float(
+            sign * psi_v[idx] + alpha * momentum(v[idx], problem.p))
+    return min(lam - lo, hi - lam), extras
+
+
+def _reference_riccati(problem, sol):
+    p, grid = problem.p, sol.grid
+    mv = sol.psi / momentum(sol.phi, p)
+    dmv = np.gradient(mv, grid, edge_order=2)
+    sl = slice(1, -1)
+    ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
+    resid = dmv[sl] + ld * mv[sl] + (p - 1.0) * np.abs(inverse_momentum(mv, p)[sl]) ** p \
+        + sol.lambda_val
+    return -float(np.max(np.abs(resid)))
+
+
+def _default_picone_cases():
+    """(u, v, p, tol_identity, proportional) of default_suite's 12 Picone
+    checks, drawn in its order from its seed."""
+    rng = np.random.default_rng(20240817)
+    grid = np.linspace(0.0, 1.0, 50001)
+    cases = []
+    for p in (1.5, 2.0, 3.0):
+        for _ in range(3):
+            u = np.exp(0.4 * np.sin(2.0 * grid + rng.uniform(0, 6.28))
+                       + 0.3 * rng.uniform(-1, 1) * grid)
+            v = np.exp(0.5 * np.cos(1.7 * grid + rng.uniform(0, 6.28))
+                       + 0.2 * rng.uniform(-1, 1) * grid * grid)
+            cases.append((u, v, p, 1e-8, False))
+        v = np.exp(0.3 * np.sin(2.2 * grid))
+        cases.append((1.7 * v, v, p, 1e-9, True))
+    return grid, cases
+
+
+def _assert_matches(rep, margin, extras):
+    assert rep.margin == margin
+    assert {k: rep.extras[k] for k in extras} == extras
+
+
+def test_default_picone_reports_match_gradient_reference():
+    grid, cases = _default_picone_cases()
+    assert len(cases) == 12
+    for u, v, p, tol, proportional in cases:
+        rep = picone_check(u, v, grid, p, tol_identity=tol, proportional=proportional)
+        _assert_matches(rep, *_reference_picone(u, v, grid, p, tol))
+
+
+def test_barta_reports_match_gradient_reference():
+    spec = _flat_spec()
+    prob = spec.build()
+    sol = solve_spec(spec)
+    lam = sol.lambda_val
+    rep = barta_sandwich(prob, sol, lam=lam)
+    _assert_matches(rep, *_reference_barta(prob, sol.grid, sol.phi, sol.psi, lam))
+    trial = sol.phi + 0.05 * np.sin(math.pi * sol.grid / prob.length) ** 2
+    rep = barta_sandwich(prob, (sol.grid, trial), lam=lam, tolerance=1e-12)
+    psi_trial = momentum(np.gradient(trial, sol.grid, edge_order=2), prob.p)
+    _assert_matches(rep, *_reference_barta(prob, sol.grid, trial, psi_trial, lam))
+
+
+@pytest.mark.parametrize("solver", ["shooting", "rayleigh"])
+def test_riccati_identity_matches_gradient_reference(solver):
+    spec = ProblemSpec("inradius_model", R=1.0, alpha=-1.0, p=3.0,
+                       kappa=1.0, lambda_mc=0.0, n=2)
+    prob = spec.build()
+    sol = solve_spec(spec) if solver == "shooting" else rayleigh_spec(spec, 2000)
+    by_name = {r.name: r for r in eigenfunction_shape_suite(prob, sol)}
+    assert by_name["riccati_identity"].margin == _reference_riccati(prob, sol)
 
 
 # ------------------------------------------------------- shape suite
