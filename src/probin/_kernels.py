@@ -8,15 +8,21 @@ Both Riccati forms are one field; _rk4_core has one RK4 step body per
 form with the field's constants folded in, and rounds exactly as the
 generic field would.
 
-_rk4_core uses only len, indexing, scalar arithmetic, math functions and
-loops, so it runs unchanged on numpy arrays and on Python lists.  With
-numba installed, rk4_path is the core compiled for numpy arrays.
-Without it, rk4_path runs the core on Python floats and lists: numpy
-scalars would take every operation through numpy's scalar machinery,
-several times slower.  The IEEE operations are the same either way, so
-the results agree bit for bit.  kernel_array prepares an array that
-every integration of a solve reads (the step sizes, the drift): without
-numba it carries its list of floats, converted once.
+_rk4_core uses only len, indexing, range, zip, scalar arithmetic, math
+functions and loops, so it runs unchanged on numpy arrays and on Python
+sequences.  With numba installed, rk4_path runs the core compiled for
+numpy arrays.  Without it, rk4_path runs the core on Python floats and
+tuples: numpy scalars would take every operation through numpy's scalar
+machinery, several times slower.  The IEEE operations are the same
+either way, so the results agree bit for bit.
+
+kernel_array lays out what every integration of a solve reads as six
+columns, one row per step: h, h/2, h/6 and the drift at the step's
+start, midpoint and end, so that a step reads its constants instead of
+computing them.  Without numba the array carries its columns as tuples
+of Python floats, converted once: the three step columns share one float
+object per distinct step size, and the drift columns are slices of one
+list, so neighbouring steps share their common endpoint's float.
 """
 
 import math
@@ -29,10 +35,10 @@ except ImportError:  # pragma: no cover
     njit = None
 
 
-def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
-    """Integrate from (w, log phi) = (w0, logphi0) over the steps hs
-    (signed).  ld holds the drift at every step endpoint and midpoint:
-    ld[2i], ld[2i+1], ld[2i+2] frame step i.
+def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
+    """Integrate from (w, log phi) = (w0, logphi0) over the steps of cols:
+    cols[0], ..., cols[5] hold, per step, the signed step h, h/2, h/6 and
+    the drift at the step's start, midpoint and end.
 
     Each form is stiff where the other is not: the stiffnesses p|v| of w
     and p|lam||rho|^(p-1)/(p-1) of rho balance at |v| = |phi'/phi| = big
@@ -59,7 +65,6 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
     (phi crosses zero; phi < 0 after it); returns False after the last
     step, or at once at a step whose state is not finite.
     """
-    n = len(hs)
     big = max(1.0, (abs(lam) / pm1) ** (1.0 / (pm1 + 1.0)))
     half_big = 0.5 * big
     two_big = 2.0 * big
@@ -76,18 +81,13 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
         y = 1.0 / s
         z = z + log(abs(s))
         s = y ** pm1 if y >= 0.0 else -((-y) ** pm1)
-    # one pass per run of steps in one form; a switch ends the run
-    start = 0
+    # one pass per run of steps in one form; a switch ends the run, and
+    # the next pass takes the steps up where it stopped
+    steps = zip(range(len(cols[0])), cols[0], cols[1], cols[2], cols[3], cols[4], cols[5])
     while True:
-        stop = n
         if rho_form:
-            for i in range(start, n):
-                h = hs[i]
-                hh = 0.5 * h
-                h6 = h / 6.0
-                j = 2 * i
-                lm = ld[j + 1]
-                a1 = g * ld[j] + c2 * s
+            for i, h, hh, h6, l0, lm, l1 in steps:
+                a1 = g * l0 + c2 * s
                 k1 = 1.0 + a1 * y
                 t = y + hh * k1
                 s = t ** pm1 if t >= 0.0 else -((-t) ** pm1)
@@ -99,7 +99,7 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
                 k3 = 1.0 + a3 * t
                 t = y + h * k3
                 s = t ** pm1 if t >= 0.0 else -((-t) ** pm1)
-                a4 = g * ld[j + 2] + c2 * s
+                a4 = g * l1 + c2 * s
                 k4 = 1.0 + a4 * t
                 yn = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 z = z - h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -117,22 +117,16 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
                 if crossed:
                     return True
                 if -half_big < slope < half_big:
-                    stop = i + 1
                     break
-            if stop == n:
+            else:
                 return False
             # to the w-form
             y = math.copysign(abs(slope) ** pm1, slope)
             z = logphi
             s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
         else:
-            for i in range(start, n):
-                h = hs[i]
-                hh = 0.5 * h
-                h6 = h / 6.0
-                j = 2 * i
-                lm = ld[j + 1]
-                k1 = nlam - (ld[j] + pm1 * s) * y
+            for i, h, hh, h6, l0, lm, l1 in steps:
+                k1 = nlam - (l0 + pm1 * s) * y
                 t = y + hh * k1
                 s2 = t ** qm1 if t >= 0.0 else -((-t) ** qm1)
                 k2 = nlam - (lm + pm1 * s2) * t
@@ -141,7 +135,7 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
                 k3 = nlam - (lm + pm1 * s3) * t
                 t = y + h * k3
                 s4 = t ** qm1 if t >= 0.0 else -((-t) ** qm1)
-                k4 = nlam - (ld[j + 2] + pm1 * s4) * t
+                k4 = nlam - (l1 + pm1 * s4) * t
                 y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 z = z + h6 * (s + 2.0 * s2 + 2.0 * s3 + s4)
                 s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
@@ -150,57 +144,83 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
                 out_logphi[i] = z
                 out_slope[i] = s
                 if s > two_big or s < -two_big:
-                    stop = i + 1
                     break
-            if stop == n:
+            else:
                 return False
             # to the rho-form
             y = 1.0 / s
             z = z + log(abs(s))
             s = y ** pm1 if y >= 0.0 else -((-y) ** pm1)
-        start = stop
         rho_form = not rho_form
 
 
+def _columns(hs, ld):
+    """The (6, n) array of the core's columns for the signed steps hs and
+    the drift ld at every step endpoint and midpoint (ld[2i], ld[2i+1],
+    ld[2i+2] frame step i)."""
+    hs = np.asarray(hs, dtype=float)
+    ld = np.asarray(ld, dtype=float)
+    return np.stack([hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]])
+
+
 if njit is not None:
-    rk4_path = njit(cache=True, nogil=True)(_rk4_core)
+    _compiled_core = njit(cache=True, nogil=True)(_rk4_core)
 
-    def kernel_array(a):
-        """a as a float array; the compiled core reads arrays."""
-        return np.asarray(a, dtype=float)
-else:
-    class _FloatArray(np.ndarray):
-        """A read-only float array whose attribute floats holds its
-        entries as a list of Python floats; a view of it has none."""
-
-    def kernel_array(a):
-        """a as a read-only float array that carries a.tolist(), so that
-        rk4_path does not convert it again on every integration."""
-        out = np.array(a, dtype=float).view(_FloatArray)
-        out.floats = out.tolist()
+    def kernel_array(hs, ld):
+        """The read-only (n, 6) array of the core's columns, one row per
+        step; its transpose is C-contiguous, one column a row."""
+        out = _columns(hs, ld).T
         out.flags.writeable = False
         return out
 
-    def _floats(a):
-        floats = getattr(a, "floats", None)
-        return a.tolist() if floats is None else floats
+    def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
+        """The compiled core on the columns of kernel (see kernel_array)."""
+        return _compiled_core(w0, logphi0, lam, pm1, qm1, kernel.T, out_logphi, out_slope)
+else:
+    class _FloatArray(np.ndarray):
+        """A read-only (n, 6) float array whose attribute columns holds its
+        six columns as tuples of Python floats; a view of it has none."""
 
-    def rk4_path(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
+    def _step_columns(cols):
+        """The step columns h, h/2, h/6 as tuples of Python floats with
+        one float object per distinct step size in each: the entries of
+        a column at equal steps are equal, bit for bit, as the steps
+        are never 0.0."""
+        _, first, inverse = np.unique(cols[0], return_index=True, return_inverse=True)
+        return [tuple(np.array(c[first].tolist(), dtype=object)[inverse]) for c in cols[:3]]
+
+    def kernel_array(hs, ld):
+        """The read-only (n, 6) array of the core's columns, one row per
+        step, carrying them as tuples of Python floats, so that rk4_path
+        does not convert them again on every integration."""
+        cols = _columns(hs, ld)
+        ld = np.asarray(ld, dtype=float).tolist()
+        out = cols.T.view(_FloatArray)
+        out.columns = (*_step_columns(cols), tuple(ld[0:-1:2]), tuple(ld[1::2]), tuple(ld[2::2]))
+        out.flags.writeable = False
+        return out
+
+    def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
         """_rk4_core on Python floats; same arguments, outputs and return.
-        hs and ld are numpy arrays, converted to lists here unless
-        kernel_array already did.  Entries after an early stop are
-        unspecified: the compiled core leaves whatever the caller put
-        there, this adapter writes NaN.  A caller that reads them fills
-        them first (_shoot fills NaN), and then both builds agree.
+        kernel is an (n, 6) array of the core's columns, converted to
+        Python floats here unless kernel_array already did.  Entries
+        after an early stop are unspecified: the compiled core leaves
+        whatever the caller put there, this adapter writes NaN.  A caller
+        that reads them fills them first (_shoot fills NaN), and then both
+        builds agree.
 
         A float power that overflows raises OverflowError where numba
         gives inf; either way the path stops at that step, non-finite."""
-        logphis = [math.nan] * len(hs)
-        slopes = [math.nan] * len(hs)
+        cols = getattr(kernel, "columns", None)
+        if cols is None:
+            cols = kernel.T.tolist()
+        n = kernel.shape[0]
+        logphis = [math.nan] * n
+        slopes = [math.nan] * n
         try:
             crossed = _rk4_core(
                 float(w0), float(logphi0), float(lam), float(pm1), float(qm1),
-                _floats(hs), _floats(ld), logphis, slopes,
+                cols, logphis, slopes,
             )
         except OverflowError:
             crossed = False

@@ -68,25 +68,46 @@ class ShootTrajectory:
     crossed: bool  # phi <= 0 somewhere: lam lies above the first eigenvalue
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _Plan:
-    """Lambda-independent integration layout for one problem."""
+    """Lambda-independent integration layout for one problem.  Plans are
+    shared between calls (see _build_plan): their arrays are read-only."""
 
     problem: SturmProblem
+    config: ShootConfig
     direction: float  # +1 integrate left->right, -1 right->left
     launch_t: float
     mismatch_alpha: float
     robin_launch_alpha: Optional[float]  # set for two-Robin problems
     singular: bool
     eps: float
-    # the kernel's two arrays, each a _kernels.kernel_array
-    steps: np.ndarray  # signed step sizes
-    ld: np.ndarray  # drift at boundaries and midpoints, len 2*len(steps)+1
+    # _kernels.kernel_array: per step h, h/2, h/6 and the drift at its
+    # start, midpoint and end
+    kernel: np.ndarray
     node_pos: np.ndarray  # the rk_steps+1 node positions in integration order
     node_step: np.ndarray  # node j (j>=1) -> index into step results
 
 
+# The plan of the last _build_plan call.  A root-find integrates one
+# problem some 36 times at one config; they share one plan.  Calls from
+# two threads can only race to build a plan twice: each checks and
+# returns its own local reference.
+_last_plan: Optional[_Plan] = None
+
+
 def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
+    """The integration plan of problem at config, reused while calls
+    pass the same problem object and an equal config.  The previous plan
+    is dropped before another is built, so at most one is held."""
+    global _last_plan
+    plan = _last_plan
+    if plan is None or plan.problem is not problem or plan.config != config:
+        plan = _last_plan = None
+        plan = _last_plan = _make_plan(problem, config)
+    return plan
+
+
+def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     robins = problem.robin_ends()
     if not robins:
         raise DomainError("shooting needs at least one robin endpoint")
@@ -121,14 +142,15 @@ def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
 
     bounds = launch_t + direction * offsets
     bounds[-1] = launch_t + direction * problem.length  # land exactly
-    steps = kernel_array(np.diff(bounds))
-    lattice = np.empty(2 * steps.size + 1)
+    lattice = np.empty(2 * bounds.size - 1)
     lattice[0::2] = bounds
     lattice[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
-    ld = kernel_array(problem.weight.log_deriv(lattice))
+    kernel = kernel_array(np.diff(bounds), problem.weight.log_deriv(lattice))
+    node_pos.flags.writeable = False
+    node_step.flags.writeable = False
 
-    return _Plan(problem, direction, launch_t, mismatch_alpha,
-                 robin_launch_alpha, singular, eps, steps, ld, node_pos, node_step)
+    return _Plan(problem, config, direction, launch_t, mismatch_alpha,
+                 robin_launch_alpha, singular, eps, kernel, node_pos, node_step)
 
 
 def _launch_state(plan: _Plan, lam: float, p: float):
@@ -168,12 +190,11 @@ def _shoot(plan: _Plan, lam: float, p: float):
     per-step outputs, NaN after a zero crossing.  Raises ToleranceFailure
     if the path turns non-finite before phi crosses zero."""
     w0, logphi0 = _launch_state(plan, lam, p)
-    out_logphi = np.full(plan.steps.size, np.nan)
-    out_slope = np.full(plan.steps.size, np.nan)
-    crossed = rk4_path(
-        w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
-        plan.steps, plan.ld, out_logphi, out_slope,
-    )
+    n = plan.kernel.shape[0]
+    out_logphi = np.full(n, np.nan)
+    out_slope = np.full(n, np.nan)
+    crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
+                       plan.kernel, out_logphi, out_slope)
     if not (crossed or (math.isfinite(out_logphi[-1]) and math.isfinite(out_slope[-1]))):
         raise ToleranceFailure(
             "non-finite trajectory at lam = %r: the step is too coarse for the "
@@ -214,7 +235,9 @@ def integrate(problem: SturmProblem, lam: float) -> ShootTrajectory:
     Raises ToleranceFailure if it turns non-finite before phi crosses
     zero.  This, and the converged eigenfunction of
     solve_first_eigenvalue, are the only places (phi, psi) is rebuilt
-    from the kernel's log phi and phi'/phi."""
+    from the kernel's log phi and phi'/phi.  Calls on one problem object
+    share its integration plan (see robin_mismatch); the returned grid is
+    the caller's own copy."""
     plan = _build_plan(problem, ShootConfig())
     return _trajectory(plan, problem.p, _shoot(plan, lam, problem.p))
 
@@ -229,6 +252,13 @@ def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = Shoo
     crosses zero F is (orientation)*inf, on the "lam too large" side.
     F is read off the kernel's last slope; no (phi, psi) trajectory is
     rebuilt.
+
+    The lam-independent integration plan (the step sizes, the weight's
+    log-derivative at every step's ends and midpoint, laid out as the
+    kernel's six per-step columns h, h/2, h/6 and start, midpoint and end
+    drift) is kept for the last problem object and config, so the trials
+    of a root-find over one problem build it once; another problem
+    object, or another config, builds it anew.
     """
     plan = _build_plan(problem, config)
     return _mismatch(plan, problem.p, _shoot(plan, lam, problem.p))

@@ -9,7 +9,7 @@ import pytest
 
 import probin._kernels
 import probin.shoot
-from probin._kernels import _rk4_core, rk4_path
+from probin._kernels import _rk4_core, kernel_array, rk4_path
 from probin.coeffs import ModelParams
 from probin.errors import ToleranceFailure
 from probin.problems import double_robin_problem, inradius_model_problem
@@ -24,23 +24,25 @@ def _kernel_args(problem, lam):
     plan = _build_plan(problem, ShootConfig())
     w0, logphi0 = _launch_state(plan, lam, problem.p)
     pm1 = problem.p - 1.0
-    return w0, logphi0, lam, pm1, 1.0 / pm1, plan.steps, plan.ld
+    return w0, logphi0, lam, pm1, 1.0 / pm1, plan.kernel
 
 
 def _core_on_arrays(args):
-    out_logphi = np.full(args[5].size, np.nan)
-    out_slope = np.full(args[5].size, np.nan)
-    crossed = _rk4_core(*args, out_logphi, out_slope)
+    # what the compiled rk4_path feeds the core: one column a row
+    kernel = args[5]
+    out_logphi = np.full(kernel.shape[0], np.nan)
+    out_slope = np.full(kernel.shape[0], np.nan)
+    crossed = _rk4_core(*args[:5], kernel.T, out_logphi, out_slope)
     return crossed, out_logphi, out_slope
 
 
 def _core_on_lists(args):
-    # what the pure-Python rk4_path feeds the core
-    w0, logphi0, lam, pm1, qm1, hs, ld = args
-    out_logphi = [math.nan] * hs.size
-    out_slope = [math.nan] * hs.size
+    # what the pure-Python rk4_path feeds the core: one column a sequence
+    w0, logphi0, lam, pm1, qm1, kernel = args
+    out_logphi = [math.nan] * kernel.shape[0]
+    out_slope = [math.nan] * kernel.shape[0]
     crossed = _rk4_core(float(w0), float(logphi0), lam, pm1, qm1,
-                        hs.tolist(), ld.tolist(), out_logphi, out_slope)
+                        kernel.T.tolist(), out_logphi, out_slope)
     return crossed, np.array(out_logphi), np.array(out_slope)
 
 
@@ -53,8 +55,8 @@ def _assert_same_everywhere(args):
     # and rk4_path, whichever form it takes here, returns the same; its
     # entries after an early stop are the caller's under numba, so fill
     # them as _shoot does
-    out_logphi = np.full(args[5].size, np.nan)
-    out_slope = np.full(args[5].size, np.nan)
+    out_logphi = np.full(args[5].shape[0], np.nan)
+    out_slope = np.full(args[5].shape[0], np.nan)
     assert rk4_path(*args, out_logphi, out_slope) == crossed_a
     assert np.array_equal(out_logphi, logphi_a, equal_nan=True)
     assert np.array_equal(out_slope, slope_a, equal_nan=True)
@@ -98,8 +100,8 @@ def test_float_power_overflow_is_a_tolerance_failure():
         _core_on_lists(args)
     with np.errstate(over="ignore", invalid="ignore"):
         crossed, logphi, slope = _core_on_arrays(args)
-        out_logphi = np.full(args[5].size, np.nan)
-        out_slope = np.full(args[5].size, np.nan)
+        out_logphi = np.full(args[5].shape[0], np.nan)
+        out_slope = np.full(args[5].shape[0], np.nan)
         assert rk4_path(*args, out_logphi, out_slope) is False and crossed is False
     assert np.isnan(logphi[-1])
     assert np.array_equal(out_logphi, logphi, equal_nan=True)
@@ -119,7 +121,8 @@ def test_integrate_against_cosine():
 
 
 def test_run_hands_the_kernel_numpy_arrays(monkeypatch):
-    # the benchmark's step counter reads args[5].shape[0]
+    # the benchmark's step counter reads args[5].shape[0]: the (n, 6)
+    # kernel array has one row per step
     seen = []
 
     def spy(*args):
@@ -130,9 +133,31 @@ def test_run_hands_the_kernel_numpy_arrays(monkeypatch):
     problem = _flat(1.0, 2.0)
     integrate(problem, 0.5)
     (args,) = seen
-    assert len(args) == 9
+    assert len(args) == 8
     assert all(isinstance(a, np.ndarray) for a in args[5:])
-    assert args[5].shape[0] == _build_plan(problem, ShootConfig()).steps.size
+    # a Neumann launch grades the first two of the 4 096 grid cells into
+    # 32 + 8 steps
+    assert args[5].shape == (4096 - 2 + 32 + 8, 6)
+    assert args[5] is _build_plan(problem, ShootConfig()).kernel
+    assert args[6].shape == args[7].shape == (args[5].shape[0],)
+
+
+def test_kernel_array_holds_the_step_columns():
+    rng = np.random.default_rng(7)
+    hs = np.repeat(rng.uniform(-0.1, -0.01, 5), 40)
+    ld = rng.standard_normal(2 * hs.size + 1)
+    kernel = kernel_array(hs, ld)
+    assert kernel.shape == (hs.size, 6) and not kernel.flags.writeable
+    assert np.array_equal(kernel, np.column_stack(
+        [hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]]))
+    if probin._kernels.njit is None:
+        cols = kernel.columns
+        assert all(isinstance(c, tuple) for c in cols)
+        assert [list(c) for c in cols] == kernel.T.tolist()
+        # one float object per distinct step size, and each drift float
+        # shared by the steps it bounds
+        assert [len(set(map(id, c))) for c in cols[:3]] == [5, 5, 5]
+        assert all(a is b for a, b in zip(cols[3][1:], cols[5]))
 
 
 def _reference_path(w0, logphi0, lam, pm1, qm1, hs, ld):
@@ -223,14 +248,17 @@ def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, cross
     # the kernel folds the constants of each form into its own step body;
     # that must round exactly as the generic field does
     args = _kernel_args(problem, lam)
-    ref_crossed, ref_logphi, ref_slope, rho_forms = _reference_path(
-        *args[:5], args[5].tolist(), args[6].tolist())
+    kernel = args[5]
+    # the steps, and the drift at their ends and midpoints
+    hs = kernel[:, 0].tolist()
+    ld = kernel[:, 3:5].ravel().tolist() + [kernel[-1, 5]]
+    ref_crossed, ref_logphi, ref_slope, rho_forms = _reference_path(*args[:5], hs, ld)
     runs = [rho_forms[0]] + [b for a, b in zip(rho_forms, rho_forms[1:]) if a != b]
     assert " ".join("rho" if r else "w" for r in runs) == forms
     assert ref_crossed == bool(crossed)
     assert np.isnan(ref_logphi[-1]) == (crossed is not False)
-    out_logphi = np.full(args[5].size, np.nan)
-    out_slope = np.full(args[5].size, np.nan)
+    out_logphi = np.full(kernel.shape[0], np.nan)
+    out_slope = np.full(kernel.shape[0], np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         assert rk4_path(*args, out_logphi, out_slope) == ref_crossed
     assert np.array_equal(out_logphi.view(np.int64), ref_logphi.view(np.int64))
@@ -251,7 +279,7 @@ def test_core_stays_numba_compilable():
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
         and isinstance(node.value.value, ast.Name) and node.value.value.id == "math"
     }
-    builtins = {"len", "range", "abs", "max", "min", "float"}
+    builtins = {"len", "range", "zip", "abs", "max", "min", "float"}
     for node in ast.walk(core):
         if node is core:
             continue

@@ -82,7 +82,7 @@ def test_trajectory_spanning_twelve_decades():
 
 
 def _nan_path(crossed):
-    def rk4_path(w0, logphi0, lam, pm1, qm1, hs, ld, out_logphi, out_slope):
+    def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
         out_logphi[:] = np.nan
         out_slope[:] = np.nan
         return crossed
@@ -292,10 +292,10 @@ def test_launch_far_below_the_eigenvalue_is_not_a_crossing(lam):
     plan = _build_plan(problem, ShootConfig())
     w0, logphi0 = _launch_state(plan, lam, p)
     assert abs(w0) == (-lam / (p - 1.0)) ** ((p - 1.0) / p)
-    out_logphi = np.full(plan.steps.size, np.nan)
-    out_slope = np.full(plan.steps.size, np.nan)
+    out_logphi = np.full(plan.kernel.shape[0], np.nan)
+    out_slope = np.full(plan.kernel.shape[0], np.nan)
     crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
-                       plan.steps, plan.ld, out_logphi, out_slope)
+                       plan.kernel, out_logphi, out_slope)
     assert not (crossed and np.isnan(out_logphi[1]))
     if lam == -1e7:
         # the trial lands on the side it is on: below the first eigenvalue
