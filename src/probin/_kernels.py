@@ -16,6 +16,11 @@ tuples: numpy scalars would take every operation through numpy's scalar
 machinery, several times slower.  The IEEE operations are the same
 either way, so the results agree bit for bit.
 
+The outputs hold the last len(out_logphi) steps: a path passes one entry
+per step and gets log phi and phi'/phi after every step; a root-find
+trial passes one entry and gets the state after the last step only, so
+it writes and copies nothing else.
+
 kernel_array lays out what every integration of a solve reads as six
 columns, one row per step: h, h/2, h/6 and the drift at the step's
 start, midpoint and end, so that a step reads its constants instead of
@@ -45,6 +50,9 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
     = max(1, (|lam|/(p-1))^(1/p)).  The path launches in the rho-form if
     |v| > big, switches to it above 2*big and back below big/2.
 
+    A w-step tests one range, |s| <= 2*big, which implies that s is
+    finite; the full finiteness test runs only on the switch to rho.
+
     Both forms are the field y' = c0 + (g*drift + c2*s)*y,
     z' = k*drift + d1*s, with one power s = sgn(y)|y|^e per RK4 stage:
     w-form: y = w = psi/phi^(p-1), z = log phi, s = phi'/phi, e = 1/(p-1),
@@ -59,11 +67,14 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
     IEEE arithmetic does exactly, so every step rounds as it would in the
     generic field.
 
-    Writes log|phi| and phi'/phi after step i into out_logphi[i] and
-    out_slope[i], and leaves the later entries alone when it returns
-    early.  Returns True at the first step across which rho changes sign
-    (phi crosses zero; phi < 0 after it); returns False after the last
-    step, or at once at a step whose state is not finite.
+    The outputs hold the last len(out_logphi) of the n steps: log|phi|
+    and phi'/phi after step i go to out_logphi[j] and out_slope[j] with
+    j = i - (n - len(out_logphi)), for j >= 0; n entries take every
+    step, 1 entry the last.  Entries the run does not reach are left
+    alone when it returns early.  Returns True at the first step across
+    which rho changes sign (phi crosses zero; phi < 0 after it); returns
+    False after the last step, or at once at a step whose state is not
+    finite.
     """
     big = max(1.0, (abs(lam) / pm1) ** (1.0 / (pm1 + 1.0)))
     half_big = 0.5 * big
@@ -83,7 +94,10 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
         s = y ** pm1 if y >= 0.0 else -((-y) ** pm1)
     # one pass per run of steps in one form; a switch ends the run, and
     # the next pass takes the steps up where it stopped
-    steps = zip(range(len(cols[0])), cols[0], cols[1], cols[2], cols[3], cols[4], cols[5])
+    # i is a step's output index: negative for the steps not written
+    n = len(cols[0])
+    first = n - len(out_logphi)
+    steps = zip(range(-first, n - first), cols[0], cols[1], cols[2], cols[3], cols[4], cols[5])
     while True:
         if rho_form:
             for i, h, hh, h6, l0, lm, l1 in steps:
@@ -112,8 +126,9 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
                 logphi = z + log(abs(y))
                 if not (-inf < slope < inf and -inf < logphi < inf):
                     return False
-                out_logphi[i] = logphi
-                out_slope[i] = slope
+                if i >= 0:
+                    out_logphi[i] = logphi
+                    out_slope[i] = slope
                 if crossed:
                     return True
                 if -half_big < slope < half_big:
@@ -139,12 +154,20 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
                 y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 z = z + h6 * (s + 2.0 * s2 + 2.0 * s3 + s4)
                 s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
+                if -two_big <= s <= two_big:  # s is finite
+                    if not -inf < z < inf:
+                        return False
+                    if i >= 0:
+                        out_logphi[i] = z
+                        out_slope[i] = s
+                    continue
+                # |s| > 2*big or NaN: stop if not finite, else switch
                 if not (-inf < s < inf and -inf < z < inf):
                     return False
-                out_logphi[i] = z
-                out_slope[i] = s
-                if s > two_big or s < -two_big:
-                    break
+                if i >= 0:
+                    out_logphi[i] = z
+                    out_slope[i] = s
+                break
             else:
                 return False
             # to the rho-form
@@ -203,18 +226,20 @@ else:
     def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
         """_rk4_core on Python floats; same arguments, outputs and return.
         kernel is an (n, 6) array of the core's columns, converted to
-        Python floats here unless kernel_array already did.  Entries
-        after an early stop are unspecified: the compiled core leaves
-        whatever the caller put there, this adapter writes NaN.  A caller
-        that reads them fills them first (_shoot fills NaN), and then both
-        builds agree.
+        Python floats here unless kernel_array already did.  The outputs
+        hold the last len(out_logphi) steps, as in the core: n entries
+        for a path, 1 for a trial, whose lists and copy are then one
+        entry long.  Entries after an early stop are unspecified: the
+        compiled core leaves whatever the caller put there, this adapter
+        writes NaN.  A caller that reads them fills them first (_shoot
+        fills NaN), and then both builds agree.
 
         A float power that overflows raises OverflowError where numba
         gives inf; either way the path stops at that step, non-finite."""
         cols = getattr(kernel, "columns", None)
         if cols is None:
             cols = kernel.T.tolist()
-        n = kernel.shape[0]
+        n = len(out_logphi)
         logphis = [math.nan] * n
         slopes = [math.nan] * n
         try:

@@ -44,7 +44,9 @@ _INVERSE_MAX = 200  # iterations of the p = 2 seed or of the inverse power metho
 _INVERSE_RTOL = 1e-13  # quotient fall that ends either, per unit of q
 _MARCH_MAX = 200  # marches before the root-find gives up
 _MARCH_RTOL = 1e-13  # Newton step in lambda that ends the root-find, per unit of max(1, |lambda|)
-_COARSE = 16  # the march's start comes from every 16th and every 8th node
+# the march's start comes from every k-th and every k/2-th node, for
+# the first k here that divides the cell count
+_COARSE = (16, 8, 4)
 _HUGE = float(np.finfo(float).max)
 
 DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
@@ -401,15 +403,18 @@ def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
 
 
 def _march_start(func: DiscreteFunctional):
-    """A start for _march_root on func: its roots on every _COARSE-th
-    and every _COARSE/2-th node, extrapolated to func's mesh as second
-    order in h; inf (the top of the bracket) where _COARSE does not
-    divide the cell count.  Returns the start and the coarse marches."""
-    if (func.grid.size - 1) % _COARSE:
+    """A start for _march_root on func: its roots on every k-th and
+    every k/2-th node, for the first k of _COARSE that divides the cell
+    count, extrapolated to func's mesh as second order in h; inf (the
+    top of the bracket) where none does.  Returns the start and the
+    coarse marches."""
+    m = func.grid.size - 1
+    k = next((k for k in _COARSE if m % k == 0), None)
+    if k is None:
         return math.inf, 0
-    lam1, _, n1, _ = _march_root(_coarse(func, _COARSE), math.inf, None)
-    lam2, _, n2, _ = _march_root(_coarse(func, _COARSE // 2), lam1, None)
-    k2 = (_COARSE // 2) ** 2
+    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf, None)
+    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1, None)
+    k2 = (k // 2) ** 2
     return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
 
 

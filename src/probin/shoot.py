@@ -6,8 +6,9 @@ variable w = psi/phi^(p-1) (see _kernels), launched from the Neumann (or
 singular) endpoint with (w, log phi) = (0, 0), or from the left end of a
 two-Robin problem with (alpha, 0).  At the other (Robin) endpoint lam is
 root-found by bracketed bisection on the sign of w - (orientation)*alpha.
-A trial reads w at the Robin end straight off the kernel's outputs; only
-a returned path (integrate, the converged eigenfunction) is rebuilt as
+A trial asks the kernel for its last step only and reads w at the Robin
+end off it; only a returned path (integrate, the converged
+eigenfunction) has the kernel write every step, and is rebuilt as
 (phi, psi) from log phi and phi'/phi.
 
 Launch corners are non-smooth: at a Neumann end the field |w|^(1/(p-1))
@@ -185,12 +186,14 @@ def _launch_state(plan: _Plan, lam: float, p: float):
     return w, logphi
 
 
-def _shoot(plan: _Plan, lam: float, p: float):
+def _shoot(plan: _Plan, lam: float, p: float, path: bool = False):
     """One integration at lam: (crossed, log phi, phi'/phi), the kernel's
-    per-step outputs, NaN after a zero crossing.  Raises ToleranceFailure
-    if the path turns non-finite before phi crosses zero."""
+    outputs, NaN after a zero crossing: at every step for a path, and at
+    the last step only for a trial (path False), which is all a
+    root-find reads.  Raises ToleranceFailure if the integration turns
+    non-finite before phi crosses zero."""
     w0, logphi0 = _launch_state(plan, lam, p)
-    n = plan.kernel.shape[0]
+    n = plan.kernel.shape[0] if path else 1
     out_logphi = np.full(n, np.nan)
     out_slope = np.full(n, np.nan)
     crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
@@ -203,7 +206,8 @@ def _shoot(plan: _Plan, lam: float, p: float):
 
 
 def _trajectory(plan: _Plan, p: float, run) -> ShootTrajectory:
-    """(phi, psi) on the grid nodes, rebuilt from the outputs of _shoot."""
+    """(phi, psi) on the grid nodes, rebuilt from the outputs of a _shoot
+    path."""
     crossed, out_logphi, out_slope = run
     # node 0 is the exact endpoint state: phi = 1, w = alpha or 0
     w_launch = plan.robin_launch_alpha or 0.0
@@ -219,7 +223,8 @@ def _trajectory(plan: _Plan, p: float, run) -> ShootTrajectory:
 
 
 def _mismatch(plan: _Plan, p: float, run) -> float:
-    """w(end) - (orientation)*alpha, read off the last step of _shoot."""
+    """w(end) - (orientation)*alpha, read off the last step of _shoot
+    (a trial or a path)."""
     crossed, _, out_slope = run
     s = -plan.direction
     if crossed:
@@ -239,7 +244,7 @@ def integrate(problem: SturmProblem, lam: float) -> ShootTrajectory:
     share its integration plan (see robin_mismatch); the returned grid is
     the caller's own copy."""
     plan = _build_plan(problem, ShootConfig())
-    return _trajectory(plan, problem.p, _shoot(plan, lam, problem.p))
+    return _trajectory(plan, problem.p, _shoot(plan, lam, problem.p, path=True))
 
 
 def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = ShootConfig()) -> float:
@@ -250,8 +255,8 @@ def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = Shoo
     at a right Robin end) up to the first lam at which phi reaches zero
     at the end, and changes sign at the first eigenvalue.  Once phi
     crosses zero F is (orientation)*inf, on the "lam too large" side.
-    F is read off the kernel's last slope; no (phi, psi) trajectory is
-    rebuilt.
+    F is read off the kernel's last slope: the kernel writes its outputs
+    at the last step only, and no (phi, psi) trajectory is rebuilt.
 
     The lam-independent integration plan (the step sizes, the weight's
     log-derivative at every step's ends and midpoint, laid out as the
@@ -291,8 +296,11 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     They also carry steps (bracket steps plus bisections), converged
     (always True: a failure raises) and phase_s, the seconds spent in
     the bracket search, the bisection and the eigenfunction finish.
-    Trials read the mismatch off the kernel's outputs; only the converged
-    eigenfunction is rebuilt as (phi, psi).
+    Trials ask the kernel for its last step only and read the mismatch
+    off it; the converged eigenvalue is integrated once more for its
+    whole path, from which the eigenfunction is rebuilt as (phi, psi).
+    That final integration is counted in integrations, which is
+    therefore bracket steps plus bisections plus one.
     """
     t_bracket = time.perf_counter()
     plan = _build_plan(problem, config)
@@ -300,16 +308,11 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     alpha = plan.mismatch_alpha
     s = -plan.direction
     integrations = 0
-    low = None  # (lam, _shoot outputs) of the last trial below the eigenvalue
 
     def is_high(lam: float) -> bool:
-        nonlocal integrations, low
-        run = _shoot(plan, lam, p)
+        nonlocal integrations
         integrations += 1
-        high = _mismatch(plan, p, run) * s > 0.0
-        if not high:
-            low = (lam, run)
-        return high
+        return _mismatch(plan, p, _shoot(plan, lam, p)) * s > 0.0
 
     # the eigenvalue has the sign of alpha: step away from 0 on that side
     # until a trial lands beyond it
@@ -342,11 +345,8 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
 
     t_finish = time.perf_counter()
     lam = lo  # the side with a positive trajectory
-    if low is not None and low[0] == lam:
-        run = low[1]
-    else:
-        run = _shoot(plan, lam, p)
-        integrations += 1
+    run = _shoot(plan, lam, p, path=True)
+    integrations += 1
     traj = _trajectory(plan, p, run)
     if traj.crossed:
         raise ToleranceFailure("trajectory invalid at the converged eigenvalue")

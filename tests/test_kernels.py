@@ -140,6 +140,13 @@ def test_run_hands_the_kernel_numpy_arrays(monkeypatch):
     assert args[5].shape == (4096 - 2 + 32 + 8, 6)
     assert args[5] is _build_plan(problem, ShootConfig()).kernel
     assert args[6].shape == args[7].shape == (args[5].shape[0],)
+    # a trial hands over the same kernel, and asks for its last step only
+    seen.clear()
+    robin_mismatch(problem, 0.5)
+    (args,) = seen
+    assert args[5] is _build_plan(problem, ShootConfig()).kernel
+    assert all(isinstance(a, np.ndarray) for a in args[5:])
+    assert args[6].shape == args[7].shape == (1,)
 
 
 def test_kernel_array_holds_the_step_columns():

@@ -129,27 +129,37 @@ def test_mismatch_and_kernel_outputs_are_pinned(family, alpha, p, lam, mismatch,
     else:
         assert robin_mismatch(problem, lam).hex() == mismatch
     plan = _build_plan(problem, ShootConfig())
-    w0, logphi0 = _launch_state(plan, lam, p)
-    out_logphi = np.full(plan.kernel.shape[0], np.nan)
-    out_slope = np.full(plan.kernel.shape[0], np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
-                        plan.kernel, out_logphi, out_slope) == crossed
-    assert _digest(out_logphi, out_slope) == digest
+    args = (*_launch_state(plan, lam, p), lam, p - 1.0, 1.0 / (p - 1.0), plan.kernel)
+    runs = []
+    for n in (plan.kernel.shape[0], 1):  # a path, then a trial
+        outs = np.full(n, np.nan), np.full(n, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rk4_path(*args, *outs) == crossed
+        runs.append(outs)
+    (path_logphi, path_slope), trial = runs
+    assert _digest(path_logphi, path_slope) == digest
+    # a trial's 1-entry outputs hold what the path writes last: the final
+    # state, or NaN after a non-finite stop or a crossing before the end
+    last = [float(path_logphi[-1]).hex(), float(path_slope[-1]).hex()]
+    assert [float(out[0]).hex() for out in trial] == last
+    if mismatch is None or crossed:
+        assert last == ["nan", "nan"]
 
 
 # (family, alpha, p, lambda_val as float.hex, _digest of grid, phi and
 # psi, residual as float.hex, first 16 hex digits of the sha256 of the
 # repr of the sorted diagnostics without phase_s), recorded before the
-# kernel read precomputed step columns
+# kernel read precomputed step columns; the diagnostics digests were
+# recorded again when the converged eigenvalue got its own full-path
+# integration, which moved integrations up by one and no other key
 SOLVE_PINS = [
-    ("flat", 1.3, 2.5, "0x1.6e5c1df780000p-1", "a9eb53c1a65e13ae", "0x1.5863da5cfa935p-27", "3b0bd517dcf08570"),
-    ("disk", -0.7, 1.8, "-0x1.95d18ad300000p+0", "14c316017fd39093", "0x1.1a1a68c06f9f9p-26", "80eae65a82ad4ad2"),
-    ("hyperbolic_ball", 2.0, 1.7, "0x1.3db7d45c80000p+2", "f57ba63491109cc4", "0x1.d7fa58bc02827p-25", "9e13eaf62e760171"),
-    ("spherical_cap", -1.2, 2.2, "-0x1.0becae3780000p+2", "aa197a1a4cb50762", "0x1.8f1f48f666f1ap-24", "a15f26a49c23f9ba"),
-    ("curvature_model", 0.8, 3.0, "0x1.23746787c0000p+0", "ac2a997895706149", "0x1.bb2d7a31e809fp-25", "711bf120c76c0b94"),
-    ("double_robin", -0.9, 2.4, "-0x1.270fb7ca80000p+1", "4f021ddae02a1d52", "0x1.1bd1bb0e1cfebp-25", "0d87b2fcc559290f"),
-    ("warped_ball", 1.5, 2.0, "0x1.d153de2980000p+1", "deedb0fd9c487bd3", "0x1.93260e351caebp-25", "6946159404fea208"),
+    ("flat", 1.3, 2.5, "0x1.6e5c1df780000p-1", "a9eb53c1a65e13ae", "0x1.5863da5cfa935p-27", "e19597839c7db401"),
+    ("disk", -0.7, 1.8, "-0x1.95d18ad300000p+0", "14c316017fd39093", "0x1.1a1a68c06f9f9p-26", "3f46eadc0a40dfc9"),
+    ("hyperbolic_ball", 2.0, 1.7, "0x1.3db7d45c80000p+2", "f57ba63491109cc4", "0x1.d7fa58bc02827p-25", "bebfecd85a6541dc"),
+    ("spherical_cap", -1.2, 2.2, "-0x1.0becae3780000p+2", "aa197a1a4cb50762", "0x1.8f1f48f666f1ap-24", "77e7264ea8855814"),
+    ("curvature_model", 0.8, 3.0, "0x1.23746787c0000p+0", "ac2a997895706149", "0x1.bb2d7a31e809fp-25", "5ecfc435a425546f"),
+    ("double_robin", -0.9, 2.4, "-0x1.270fb7ca80000p+1", "4f021ddae02a1d52", "0x1.1bd1bb0e1cfebp-25", "c3d97973675ce8b6"),
+    ("warped_ball", 1.5, 2.0, "0x1.d153de2980000p+1", "deedb0fd9c487bd3", "0x1.93260e351caebp-25", "96e47508e45c1626"),
 ]
 
 

@@ -29,6 +29,7 @@ from probin.rayleigh import (
     _chain,
     _inverse_step,
     _march,
+    _march_root,
     discretize,
     energy,
     minimize,
@@ -314,6 +315,20 @@ def test_march_brackets_the_p2_eigenvalue():
         d = 1e-5
         fd = (_march(lam + d, chain)[1][0] - _march(lam - d, chain)[1][0]) / (2 * d)
         assert dy == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("prob", [
+    _flat(-1.0, 1.5), _flat(-10.0, 1.5), geodesic_ball_problem(0.0, 2, 1.0, -2.0, 2.5),
+    double_robin_problem(0.5, -0.9, 2.4),
+], ids=["flat-1", "flat-10", "disk", "double_robin"])
+def test_march_starts_from_coarse_meshes_where_16_does_not_divide_m(prob):
+    # m = 1000 is a multiple of 8, not of 16: the start comes from every
+    # 8th and every 4th node, not from the top of the bracket
+    func = discretize(prob, 1000)
+    sol = minimize(func)
+    assert sol.diagnostics["seed_iterations"] > 0 and sol.diagnostics["steps"] <= 4
+    lam = _march_root(func, math.inf, None)[0]  # the uniform start
+    assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
 
 
 # 1 to 40 nodes, and around 2^11 (the m = 2000 meshes have 2001 nodes)

@@ -268,18 +268,23 @@ def test_eigenfunction_underflow_is_counted(alpha, underflows):
     _flat(1.0, 2.0), _flat(-1.0, 3.0), geodesic_ball_problem(-1.0, 3, 1.0, 2.0, 1.5),
 ], ids=["flat+", "flat-", "ball+"])
 def test_integration_counters_match_kernel_calls(monkeypatch, problem):
-    calls = []
+    calls = []  # (lam, whether the call asks for the full path)
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append((args[2], args[6].shape[0] == args[5].shape[0]))
         return rk4_path(*args)
 
     monkeypatch.setattr(probin.shoot, "rk4_path", counting)
-    d = solve_first_eigenvalue(problem).diagnostics
+    sol = solve_first_eigenvalue(problem)
+    d = sol.diagnostics
     assert d["integrations"] == len(calls)
-    # the converged eigenvalue is the last trial below it: not integrated again
-    assert d["integrations"] == d["bracket_steps"] + d["bisections"]
-    assert len(set(calls)) == len(calls)
+    # every trial asks for its last step only; the converged eigenvalue is
+    # integrated once more, for the eigenfunction's path
+    assert d["integrations"] == d["bracket_steps"] + d["bisections"] + 1
+    *trials, (lam, path) = calls
+    assert path and lam == sol.lambda_val
+    assert not any(path for _, path in trials)
+    assert len({lam for lam, _ in trials}) == len(trials)
 
 
 @pytest.mark.parametrize("lam", [-1e7, -1e9])
