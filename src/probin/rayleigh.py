@@ -9,10 +9,8 @@ from the signs of the Robin terms:
   method for the p-Laplacian (Biezuner, Ercole & Martins 2009; Hein &
   Buehler 2010) solves E'(v) = N'(u) exactly by cumulative sums (and,
   with two Robin ends, a superlinear root-find on the left end's flux)
-  and normalizes v.  It starts from a seed: the same method at p = 2,
-  where it is zero-shift inverse iteration, with the Robin parameters
-  mapped so that the boundary log-derivative matches the p problem's.
-  This route has no loop over nodes in Python;
+  and normalizes v, starting from the normalized constant.  This route
+  has no loop over nodes in Python;
 - otherwise (a Robin coefficient <= 0, or no Robin end): node j of
   E'(u) = lambda N'(u) is a half-linear three-term recurrence, and
   marched in Riccati form from one end it meets the other end's
@@ -40,8 +38,8 @@ import numpy as np
 from .errors import DomainError
 from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
 
-_INVERSE_MAX = 200  # iterations of the p = 2 seed or of the inverse power method
-_INVERSE_RTOL = 1e-13  # quotient fall that ends either, per unit of q
+_INVERSE_MAX = 200  # iterations of the inverse power method
+_INVERSE_RTOL = 1e-13  # quotient fall that ends it, per unit of q
 _MARCH_MAX = 200  # marches before the root-find gives up
 _MARCH_RTOL = 1e-13  # Newton step in lambda that ends the root-find, per unit of max(1, |lambda|)
 # the march's start comes from every k-th and every k/2-th node, for
@@ -148,37 +146,6 @@ def _convex(func: DiscreteFunctional) -> bool:
     """Every Robin coefficient positive (and at least one Robin end): E is
     convex and the inverse power method applies."""
     return bool(func.robin_terms) and all(c > 0.0 for _, c in func.robin_terms)
-
-
-def _p2_functional(func: DiscreteFunctional) -> DiscreteFunctional:
-    """func at p = 2, with each Robin coefficient mapped so that the
-    boundary log-derivative matches the p problem's.
-
-    A Robin end |u'|^(p-2) u' = alpha |u|^(p-2) u fixes the log-derivative
-    u'/u = sign(alpha) |alpha|^(1/(p-1)) there, so the p = 2 problem takes
-    that as its Robin parameter: its eigenvector then has the boundary
-    layer of the p problem (at p = 1.5, alpha = 10 the log-derivative is
-    100, not 10)."""
-    robin = []
-    for j, c in func.robin_terms:
-        w = 2.0 * func.node_weights[j] / func.h  # the weight at the end node
-        robin.append((j, float(w * inverse_momentum(c / w, func.p))))
-    return dataclasses.replace(func, p=2.0, robin_terms=robin)
-
-
-def _p2_seed(func: DiscreteFunctional):
-    """The p = 2 discrete first eigenvector of _p2_functional(func), for
-    Robin coefficients all positive: K u = lambda M u with K the
-    stiffness matrix of the mid weights plus the mapped Robin loads and
-    M = diag(node_weights).  K is positive definite, and the inverse
-    power method runs at p = 2 from the normalized constant: its inverse
-    step is exact, so this is zero-shift inverse iteration and converges
-    at the rate lambda_1/lambda_2.  Returns the eigenvector and the
-    number of p = 2 iterations."""
-    f2 = _p2_functional(func)
-    u = _normalize(f2, np.ones(func.grid.size))
-    u, _, iters, _ = _inverse_power(f2, u, quotient(f2, u), None)
-    return u, iters
 
 
 def _inverse_step(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
@@ -421,17 +388,16 @@ def _march_start(func: DiscreteFunctional):
 def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
     """Minimize the Rayleigh quotient over N(u) = 1 on func's mesh.
 
-    With every Robin coefficient positive: the p = 2 seed, then the
-    inverse power method.  Otherwise: the coarse march root-finds, then
-    the march on func.  Returns the eigenvalue estimate and the
+    With every Robin coefficient positive: the inverse power method from
+    the normalized constant.  Otherwise: the coarse march root-finds,
+    then the march on func.  Returns the eigenvalue estimate and the
     minimizer samples; diagnostics flag whether a convergence test fired
     and time the two stages.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
     if _convex(func):
-        u, seed_iters = _p2_seed(func)
-        u = _normalize(func, u)
+        u, seed_iters = _normalize(func, np.ones(func.grid.size)), 0
         q = quotient(func, u)
         history = [q] if config.track_history else None
         t_solve = time.perf_counter()

@@ -1,9 +1,11 @@
 """Static checks of the probin sources: every name a module imports is
-used in it, every module constant is read, every defaulted parameter is
-passed by some call, and the two solvers import nothing from each other."""
+used in it, every module constant is read, every private function and
+class is referenced, every defaulted parameter is passed by some call,
+and the two solvers import nothing from each other."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,17 +78,24 @@ def _module_constants(tree):
                     yield name.id, node.lineno
 
 
-def _names_read():
-    """Every name read in src/, tests/ and bench/, as a bare name or as an
+def _references(node):
+    """How often each name is read under node, as a bare name or as an
     attribute (rayleigh.DEFAULT_CELLS counts for DEFAULT_CELLS)."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            counts[sub.attr] += 1
+    return counts
+
+
+def _names_read():
+    """Every name read in src/, tests/ and bench/."""
     read = set()
     for top in ("src", "tests", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
+            read.update(_references(ast.parse(path.read_text(), filename=str(path))))
     return read
 
 
@@ -99,6 +108,23 @@ def test_every_constant_is_read():
             for name, line in _module_constants(ast.parse(path.read_text()))
             if name not in read]
     assert not dead, "module constants nothing reads: " + ", ".join(dead)
+
+
+def test_every_private_definition_is_referenced():
+    """A private function or class that nothing in src/probin reads,
+    other than its own body, is left over from deleted code.  Names are
+    matched only, so a public name or a local of the same name can hide
+    one."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = ["%s: %s (line %d)" % (name, node.name, node.lineno)
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and read[node.name] == _references(node)[node.name]]
+    assert not dead, "private definitions nothing references: " + ", ".join(dead)
 
 
 def _defaulted_parameters(tree):
