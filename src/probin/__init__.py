@@ -13,9 +13,7 @@ from .coeffs import (
     power_weight,
     sn,
     sn_prime,
-    t_model,
     weight_model,
-    y_cutoff,
     z_cutoff,
 )
 from .errors import BracketFailure, DomainError, ToleranceFailure

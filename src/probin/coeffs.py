@@ -84,19 +84,6 @@ def c_model_prime(params: ModelParams, t):
     return -k * sn(k, t) - lam * sn_prime(k, t)
 
 
-def t_model(params: ModelParams, t):
-    """Logarithmic derivative C'/C of the model coefficient.
-
-    Raises DomainError at or past the first zero of C (the pole)."""
-    c = c_model(params, t)
-    if np.any(np.asarray(c) <= 0.0):
-        raise DomainError(
-            "t_model evaluated at or past the zero of the model coefficient "
-            "(t >= Z for kappa=%g, lambda_mc=%g)" % (params.kappa, params.lambda_mc)
-        )
-    return c_model_prime(params, t) / c
-
-
 def z_cutoff(params: ModelParams) -> float:
     """First positive zero of the model coefficient C, or +inf.
 
@@ -117,28 +104,6 @@ def z_cutoff(params: ModelParams) -> float:
         return math.inf
     if lam > 0.0:
         return 1.0 / lam
-    return math.inf
-
-
-def y_cutoff(params: ModelParams) -> float:
-    """First zero of C' on (0, Z], or +inf.
-
-    Finite exactly when kappa > 0 with lambda_mc < 0, or kappa < 0 with
-    0 < lambda_mc < sqrt(-kappa).  For kappa = lambda_mc = 0 the
-    derivative vanishes identically and no isolated first zero exists;
-    +inf is returned for that degenerate case as well.
-    """
-    k, lam = params.kappa, params.lambda_mc
-    if k > FLAT_KAPPA_EPS:
-        r = math.sqrt(k)
-        if lam < 0.0:
-            return math.atan(-lam / r) / r
-        return math.inf
-    if k < -FLAT_KAPPA_EPS:
-        s = math.sqrt(-k)
-        if 0.0 < lam < s:
-            return math.atanh(lam / s) / s
-        return math.inf
     return math.inf
 
 

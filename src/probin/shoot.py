@@ -52,10 +52,12 @@ class ShootConfig:
     def __post_init__(self):
         if self.rk_steps < 64:
             raise DomainError("rk_steps must be >= 64")
-        if self.lambda_tol <= 0:
-            raise DomainError("lambda_tol must be positive")
-        if self.bracket_growth <= 1.0:
-            raise DomainError("bracket_growth must exceed 1")
+        # written so that NaN fails too: nan <= 0 is False, and a NaN or
+        # infinite tolerance would end the bisection before its first step
+        if not 0.0 < self.lambda_tol < math.inf:
+            raise DomainError("lambda_tol must be positive and finite")
+        if not 1.0 < self.bracket_growth < math.inf:
+            raise DomainError("bracket_growth must exceed 1 and be finite")
 
 
 @dataclass

@@ -46,6 +46,12 @@ _TOL_SYMMETRY = 1e-6  # evenness of the double-Robin eigenfunction
 _TOL_INRADIUS_EQUALITY = 1e-5  # ball against matched model eigenvalue
 _TOL_INRADIUS_BOUND = 1e-6  # one-sided model bounds (slack and warped)
 
+# Interior nodes per block of the Picone check: its temporaries then stay
+# in cache instead of being allocated, faulted in and trimmed at full
+# length on every call.  8 192 timed fastest of 1 024 .. 50 000 on
+# 50 001-node pairs (2 vCPUs, 4 MB L2).
+_BLOCK = 8192
+
 
 @dataclass
 class VerificationReport:
@@ -168,27 +174,57 @@ def _sampled(what, grid, *fields):
         raise DomainError("%s needs at least 3 nodes, got %d" % (what, arrays[0].size))
     if not all(np.isfinite(x).all() for x in arrays):
         raise DomainError("%s needs finite grid and samples" % what)
-    if not (np.diff(arrays[0]) > 0.0).all():
+    if not (arrays[0][1:] > arrays[0][:-1]).all():
         raise DomainError("%s needs a strictly increasing grid" % what)
     return arrays
 
 
-def _interior_differences(grid, *fields) -> list:
-    """np.gradient(f, grid, edge_order=2)[1:-1] for each field, bit for bit.
+def _blocks(n):
+    """(lo, hi) slices of an n-node grid whose interior nodes lo+1 .. hi-2
+    are consecutive blocks of at most _BLOCK interior nodes: each block
+    reads its own nodes and one neighbour on each side."""
+    for first in range(1, n - 1, _BLOCK):
+        yield first - 1, min(first + _BLOCK, n - 1) + 1
 
-    numpy's three-point coefficients are formed once for the grid rather
-    than once per field, and the edge values, which no check reads, are
-    never formed.  An exactly uniform grid keeps numpy's scalar branch."""
-    dx = np.diff(grid)
-    if (dx == dx[0]).all():
-        two_h = 2. * dx[0]
+
+def _uniform_step(grid):
+    """The step of an exactly uniform grid, else None: numpy's test for
+    the scalar branch of np.gradient, made block by block so that no
+    full-length array of spacings is formed."""
+    h = grid[1] - grid[0]
+    for lo, hi in _blocks(grid.size):
+        if not (np.diff(grid[lo:hi]) == h).all():
+            return None
+    return h
+
+
+def _interior_differences(grid, h, *fields) -> list:
+    """np.gradient(f, full_grid, edge_order=2)[1:-1] for each field, bit
+    for bit, on the interior nodes of grid: the full grid or a block of it
+    with one neighbour on each side (_blocks).
+
+    h is _uniform_step(full_grid).  The scalar branch is taken only when
+    the whole grid is exactly uniform: a block that happens to be uniform
+    on a non-uniform grid keeps numpy's coefficients (a, b, c), which
+    round differently.  Those are formed from the block's own spacing,
+    once for all fields, and the edge values, which no check reads, are
+    never formed."""
+    if h is not None:
+        two_h = 2. * h
         return [(f[2:] - f[:-2]) / two_h for f in fields]
+    dx = np.diff(grid)
     dx1, dx2 = dx[:-1], dx[1:]
     span = dx1 + dx2
     a = -dx2 / (dx1 * span)
     b = (dx2 - dx1) / (dx1 * dx2)
     c = dx1 / (dx2 * span)
-    return [a * f[:-2] + b * f[1:-1] + c * f[2:] for f in fields]
+    out = []
+    for f in fields:
+        df = a * f[:-2]  # then += keeps numpy's order: (a f0 + b f1) + c f2
+        df += b * f[1:-1]
+        df += c * f[2:]
+        out.append(df)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -202,32 +238,42 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> Verifi
     R = |u'|^p - |v'|^(p-2) v' * (u^p / v^(p-1))'
 
     Derivatives are numpy's three-point differences on the interior nodes,
-    where the comparison runs (_interior_differences).  The margin folds both assertions: identity deviation at
-    tol_identity, pointwise nonnegativity of L at _TOL_PICONE_NONNEG.  With
-    proportional=True (u = c*v) the check is picone_identity_proportional
-    and also needs L to collapse: max |L| <= 1e-10.
+    where the comparison runs (_interior_differences).  The fields are
+    formed and reduced over blocks of _BLOCK interior nodes, so that every
+    temporary stays cache-sized; each node's value is the same IEEE
+    expression as on full arrays, and the block extrema are combined with
+    np.max/np.min, so a NaN anywhere still comes out NaN.  The margin
+    folds both assertions: identity deviation at tol_identity, pointwise
+    nonnegativity of L at _TOL_PICONE_NONNEG.  With proportional=True
+    (u = c*v) the check is picone_identity_proportional and also needs L
+    to collapse: max |L| <= 1e-10.
     """
     grid, u, v = _sampled("picone check", grid, u, v)
     if np.any(v <= 0.0):
         raise DomainError("picone check needs v > 0")
     if np.any(u < 0.0):
         raise DomainError("picone check needs u >= 0")
-    w = u ** p / v ** (p - 1.0)
-    dui, dvi, dwi = _interior_differences(grid, u, v, w)
+    h = _uniform_step(grid)
+    devs, mins, max_abs = [], [], []
+    for lo, hi in _blocks(grid.size):
+        ub, vb = u[lo:hi], v[lo:hi]
+        w = ub ** p / vb ** (p - 1.0)
+        dui, dvi, dwi = _interior_differences(grid[lo:hi], h, ub, vb, w)
+        ratio = ub[1:-1] / vb[1:-1]
+        mv = momentum(dvi, p)
+        du_p = np.abs(dui) ** p
+        lhs_field = du_p + (p - 1.0) * ratio ** p * np.abs(dvi) ** p \
+            - p * ratio ** (p - 1.0) * mv * dui
+        rhs_field = du_p - mv * dwi
+        devs.append(np.max(np.abs(lhs_field - rhs_field)))
+        mins.append(np.min(lhs_field))
+        max_abs.append(np.max(np.abs(lhs_field)))
 
-    sl = slice(1, -1)
-    ratio = u[sl] / v[sl]
-    mv = momentum(dvi, p)
-    du_p = np.abs(dui) ** p
-    lhs_field = du_p + (p - 1.0) * ratio ** p * np.abs(dvi) ** p \
-        - p * ratio ** (p - 1.0) * mv * dui
-    rhs_field = du_p - mv * dwi
-
-    dev = float(np.max(np.abs(lhs_field - rhs_field)))
-    min_l = float(np.min(lhs_field))
+    dev = float(np.max(devs))
+    min_l = float(np.min(mins))
     # fold the nonnegativity slack into the same margin scale
     folded = max(dev, (tol_identity / _TOL_PICONE_NONNEG) * max(0.0, -min_l))
-    max_abs_l = float(np.max(np.abs(lhs_field)))
+    max_abs_l = float(np.max(max_abs))
     return _report(
         "picone_identity_proportional" if proportional else "picone_identity",
         {"p": p, "nodes": int(grid.size)}, "eq",
@@ -264,7 +310,7 @@ def barta_sandwich(
     if np.any(v <= 0.0):
         raise DomainError("barta trial must be positive")
 
-    (dpsi,) = _interior_differences(grid, psi_v)
+    (dpsi,) = _interior_differences(grid, _uniform_step(grid), psi_v)
     sl = slice(1, -1)
     ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
     ratio = -(dpsi + ld * psi_v[sl]) / momentum(v[sl], problem.p)
@@ -324,7 +370,7 @@ def eigenfunction_shape_suite(problem: SturmProblem, solution: EigenSolution) ->
     # (m(v))' + (w'/w) m(v) + (p-1)|v|^p + lam = 0
     mv = psi / momentum(phi, p)
     vv = inverse_momentum(mv, p)
-    (dmv,) = _interior_differences(grid, mv)
+    (dmv,) = _interior_differences(grid, _uniform_step(grid), mv)
     sl = slice(1, -1)
     ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
     resid = dmv + ld * mv[sl] + (p - 1.0) * np.abs(vv[sl]) ** p + lam

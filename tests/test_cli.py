@@ -201,6 +201,16 @@ def test_zero_flag_is_not_unset(tmp_path, flag):
     assert main(["--config", cfg, "--out", str(tmp_path)] + flag) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys, tol):
+    # accepted, a NaN or infinite tolerance would end the bisection before
+    # its first step and print the bracket's low end as the eigenvalue
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM})
+    args = ["--config", cfg, "--out", str(tmp_path), "--solver", "shoot", "--tol", tol]
+    assert main(args) == 2
+    assert "lambda_shoot" not in capsys.readouterr().out
+
+
 def test_solve_strongly_negative_alpha_writes_positive_eigenfunction(tmp_path, capsys):
     problem = dict(FLAT_PROBLEM, alpha=-10.0, p=1.5)
     cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})

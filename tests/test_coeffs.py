@@ -14,9 +14,7 @@ from probin.coeffs import (
     log_concavity_margin,
     sn,
     sn_prime,
-    t_model,
     weight_model,
-    y_cutoff,
     z_cutoff,
 )
 from probin.errors import DomainError
@@ -37,28 +35,11 @@ def test_c_model_closed_forms():
     assert c_model(ModelParams(-1.0, 1.0, 2), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
-def test_t_model_closed_forms():
-    assert t_model(ModelParams(-1.0, 1.0, 2), 0.7) == pytest.approx(-1.0, rel=1e-13)
-    assert t_model(ModelParams(0.0, 0.0, 2), 1.7) == 0.0
-    assert t_model(ModelParams(0.0, 0.5, 2), 1.0) == pytest.approx(-1.0, rel=1e-15)
-
-
-def test_t_model_pole_raises():
-    params = ModelParams(0.0, 0.5, 2)  # zero of C at t = 2
-    with pytest.raises(DomainError):
-        t_model(params, 2.5)
-    with pytest.raises(DomainError):
-        t_model(params, np.array([0.5, 2.5]))
-
-
 def test_cutoff_examples():
     assert z_cutoff(ModelParams(1.0, 0.0, 2)) == pytest.approx(math.pi / 2, rel=1e-15)
     assert z_cutoff(ModelParams(0.0, 0.5, 2)) == pytest.approx(2.0, rel=1e-15)
-    assert y_cutoff(ModelParams(1.0, -1.0, 2)) == pytest.approx(math.pi / 4, rel=1e-15)
     assert z_cutoff(ModelParams(0.0, -1.0, 2)) == math.inf
     assert z_cutoff(ModelParams(-1.0, 1.0, 2)) == math.inf  # lambda_mc not above sqrt(-kappa)
-    assert y_cutoff(ModelParams(1.0, 0.5, 2)) == math.inf
-    assert y_cutoff(ModelParams(-1.0, 0.5, 2)) == pytest.approx(math.atanh(0.5), rel=1e-15)
 
 
 @pytest.mark.parametrize("kappa,lam", [
@@ -66,16 +47,12 @@ def test_cutoff_examples():
     (0.0, 0.5), (0.0, 2.0), (-1.0, 1.5), (-1.0, 2.0), (-0.25, 0.9),
 ])
 def test_cutoffs_match_root_search(kappa, lam):
-    """Closed-form Z and Y agree with bisection on C and C' to 1e-12."""
+    """Closed-form Z agrees with bisection on C to 1e-12."""
     params = ModelParams(kappa, lam, 3)
     z = z_cutoff(params)
     if math.isfinite(z):
         root = bisect(lambda t: float(c_model(params, t)), 1e-15, z * 1.5 + 0.1)
         assert root == pytest.approx(z, abs=1e-12)
-    y = y_cutoff(params)
-    if math.isfinite(y):
-        root = bisect(lambda t: float(c_model_prime(params, t)), 1e-15, y * 1.5)
-        assert root == pytest.approx(y, abs=1e-12)
 
 
 def _fd1(f, t, h=1e-5):
@@ -105,7 +82,6 @@ def test_c_model_initial_data_exact(kappa, lam):
 def test_flat_specialization():
     params = ModelParams(0.0, 0.0, 5)
     t = np.linspace(0.0, 3.0, 7)
-    assert np.all(t_model(params, t) == 0.0)
     assert np.all(weight_model(params)(t) == 1.0)
 
 

@@ -247,6 +247,16 @@ def test_solver_rejects_neumann_only():
         solve_first_eigenvalue(prob)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lambda_tol", math.nan), ("lambda_tol", math.inf), ("lambda_tol", 0.0),
+    ("bracket_growth", math.nan), ("bracket_growth", math.inf), ("bracket_growth", 1.0),
+])
+def test_config_rejects_nonpositive_or_non_finite(field, value):
+    from probin.errors import DomainError
+    with pytest.raises(DomainError):
+        ShootConfig(**{field: value})
+
+
 def test_alpha_grid_against_oracle():
     for alpha in (0.25, 0.5, 2.0, 10.0):
         sol = solve_first_eigenvalue(_flat(alpha, 2.0))

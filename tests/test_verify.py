@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,7 +128,7 @@ _STENCIL_GRIDS = {
 def test_interior_differences_match_numpy_gradient_bit_for_bit(name):
     grid = _STENCIL_GRIDS[name]
     fields = [np.exp(np.sin(3.0 * grid)), grid ** 3 - grid, np.cos(grid) / (2.0 + grid ** 2)]
-    got = probin.verify._interior_differences(grid, *fields)
+    got = probin.verify._interior_differences(grid, probin.verify._uniform_step(grid), *fields)
     assert len(got) == len(fields)
     for f, d in zip(fields, got):
         want = np.gradient(f, grid, edge_order=2)[1:-1]
@@ -253,6 +254,93 @@ def test_default_picone_reports_match_gradient_reference():
     for u, v, p, tol, proportional in cases:
         rep = picone_check(u, v, grid, p, tol_identity=tol, proportional=proportional)
         _assert_matches(rep, *_reference_picone(u, v, grid, p, tol))
+
+
+# picone_check forms and reduces its fields over blocks of _BLOCK interior
+# nodes; its reports must not depend on where the block boundaries fall.
+
+_B = probin.verify._BLOCK
+
+
+def _same_float(a, b):
+    """Bit-identical floats, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or a.hex() == b.hex()
+
+
+def _assert_bit_identical(rep, margin, extras):
+    assert _same_float(rep.margin, margin)
+    for key, want in extras.items():
+        assert _same_float(rep.extras[key], want), key
+
+
+def _block_grid(kind, n):
+    steps = 3.0 * np.arange(n)  # exact integers: an exactly uniform grid
+    if kind == "exactly_uniform":
+        return steps
+    if kind == "linspace":
+        return np.linspace(0.0, 1.0, n)
+    # exactly uniform over every block but the last: the whole grid is not
+    steps[-1] += 0.5
+    return steps
+
+
+@pytest.mark.parametrize("n", [3, _B + 1, _B + 2, _B + 3, 6 * _B + 5])
+def test_blocks_tile_the_interior(n):
+    blocks = list(probin.verify._blocks(n))
+    assert [i for lo, hi in blocks for i in range(lo + 1, hi - 1)] == list(range(1, n - 1))
+    assert max(hi - lo - 2 for lo, hi in blocks) == min(_B, n - 2)
+
+
+@pytest.mark.parametrize("kind", ["exactly_uniform", "linspace", "uniform_first_block"])
+@pytest.mark.parametrize("n", [3, _B - 1, _B, _B + 1, _B + 2, _B + 3, 6 * _B + 5])
+def test_picone_blocks_match_gradient_reference(kind, n):
+    grid = _block_grid(kind, n)
+    t = (grid - grid[0]) / (grid[-1] - grid[0])
+    u = np.exp(0.4 * np.sin(2.0 * t + 1.0) + 0.3 * t)
+    v = np.exp(0.5 * np.cos(1.7 * t + 2.0))
+    for p in (1.5, 3.0):
+        rep = picone_check(u, v, grid, p)
+        _assert_bit_identical(rep, *_reference_picone(u, v, grid, p, 1e-8))
+
+
+def test_uniform_first_block_grid_needs_the_global_rule():
+    # numpy's coefficients and its scalar branch round differently on this
+    # grid's first block, so a block-local uniformity test would show
+    grid = _block_grid("uniform_first_block", 2 * _B)
+    f = np.exp(np.sin(grid / grid[-1]))
+    head = slice(1, _B)
+    assert (np.diff(grid[:_B + 2]) == 3.0).all()
+    assert (np.gradient(f, grid, edge_order=2)[head]
+            != np.gradient(f, 3.0, edge_order=2)[head]).any()
+
+
+def test_picone_overflow_in_one_block_is_nan_like_the_reference():
+    grid = np.linspace(0.0, 1.0, 6 * _B + 5)
+    u = np.exp(np.sin(3.0 * grid))
+    v = np.exp(0.5 * np.cos(2.0 * grid))
+    u[3 * _B + 7] = 1e120  # u^3 and |u'|^3 overflow here only
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = picone_check(u, v, grid, 3.0)
+        margin, extras = _reference_picone(u, v, grid, 3.0, 1e-8)
+    assert math.isnan(margin)
+    _assert_bit_identical(rep, margin, extras)
+    assert not rep.passed
+
+
+def test_picone_allocates_no_full_length_temporaries():
+    # a 50 001-node float array takes 400 kB; the blocked check peaks near
+    # 1.2 MB, while forming the fields on full arrays peaks above 4 MB
+    grid = np.linspace(0.0, 1.0, 50001)
+    u = np.exp(0.4 * np.sin(2.0 * grid))
+    v = np.exp(0.5 * np.cos(1.7 * grid))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        picone_check(u, v, grid, 3.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_barta_reports_match_gradient_reference():
