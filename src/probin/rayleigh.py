@@ -113,6 +113,13 @@ def quotient(func: DiscreteFunctional, u: np.ndarray) -> float:
     return energy(func, u) / n
 
 
+def _constant_quotient(func: DiscreteFunctional) -> float:
+    """quotient(func, u) for a constant u, bit for bit: u has no cell
+    energy, so it is the sum of the Robin coefficients over the sum of
+    the node weights."""
+    return sum((c for _, c in func.robin_terms), 0.0) / float(np.sum(func.node_weights))
+
+
 def _energy_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
     p = func.p
     d = np.diff(u) / func.h
@@ -130,11 +137,12 @@ def _norm_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
     return func.p * func.node_weights * momentum(u, func.p)
 
 
-def _normalize(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
+def _normalize(func: DiscreteFunctional, u: np.ndarray):
+    """u scaled to N(u) = 1, and N(u)."""
     n = norm_p(func, u)
     if n <= 0.0:
         raise DomainError("iterate collapsed to zero p-norm")
-    return u / n ** (1.0 / func.p)
+    return u / n ** (1.0 / func.p), n
 
 
 def _residual(func: DiscreteFunctional, u: np.ndarray, q: float) -> np.ndarray:
@@ -148,8 +156,9 @@ def _convex(func: DiscreteFunctional) -> bool:
     return bool(func.robin_terms) and all(c > 0.0 for _, c in func.robin_terms)
 
 
-def _inverse_step(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
-    """The v with E'(v) = N'(u), for Robin coefficients all positive.
+def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
+    """The v with E'(v) = N'(u), for Robin coefficients all positive,
+    its energy E(v), and how many times v was formed.
 
     Divided by p, node j of E'(v) = N'(u) reads
     f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j, with the cell fluxes
@@ -167,7 +176,13 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
     bracket closes from both sides, and kept near enough to the midpoint
     that after k evaluations the bracket is no wider than bisection's
     after k - 1.  Where the defect is smooth (at p = 2 it is affine in s)
-    that takes about 8 evaluations, where bisection makes 55."""
+    that takes about 8 evaluations, where bisection makes 55.  Each
+    evaluation forms v once; so does a one-Robin step, and a root-find
+    whose top end was never evaluated forms it once more there.
+
+    A cell's energy w_mid |v'|^p h is h |v' f|, so E(v) is read off the
+    slopes and fluxes that gave v, with no power of v' or difference of
+    v formed again."""
     p = func.p
     b = func.node_weights * momentum(u, p)
     part = np.cumsum(b)
@@ -175,20 +190,32 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
     robin = dict(func.robin_terms)
     c0, cm = robin.get(0), robin.get(u.size - 1)
 
-    def rise(s):  # v - v_0 when the left end lets in the flux s
-        slopes = inverse_momentum((s - part[:-1]) / func.mid_weights, p)
-        return np.concatenate(([0.0], np.cumsum(func.h * slopes)))
+    def rise(s):  # v - v_0 when the left end lets in the flux s, and the cells' slopes and fluxes
+        flux = s - part[:-1]
+        slopes = inverse_momentum(flux / func.mid_weights, p)
+        return np.concatenate(([0.0], np.cumsum(func.h * slopes))), slopes, flux
+
+    def robin_left(s):  # the same for v, with v_0 from the left Robin end's balance
+        v, slopes, flux = rise(s)
+        return inverse_momentum(s / c0, p) + v, slopes, flux
+
+    def done(v, slopes, flux, evals):  # v, E(v) and evals
+        e = func.h * float(np.sum(np.abs(slopes * flux)))
+        for j, c in func.robin_terms:
+            e += c * abs(float(v[j])) ** p
+        return v, e, evals
 
     if c0 is None:
-        v = rise(0.0)
-        return v + (inverse_momentum(total / cm, p) - v[-1])
+        v, slopes, flux = rise(0.0)
+        return done(v + (inverse_momentum(total / cm, p) - v[-1]), slopes, flux, 1)
     if cm is None:
-        return inverse_momentum(total / c0, p) + rise(total)
+        return done(*robin_left(total), 1)
     hi = float(np.sum(np.abs(b)))
     lo = -hi
     width = hi - lo
     cap = width  # the bracket's width allowed after the next evaluation
-    f_lo = f_hi = v_hi = None  # the defects at the bracket's ends once known, v at hi
+    f_lo = f_hi = at_hi = None  # the defects at the bracket's ends once known, robin_left at hi
+    evals = 0
     while True:
         w = hi - lo
         mid = 0.5 * (lo + hi)
@@ -207,38 +234,44 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
             s = math.nextafter(lo, hi) if s <= lo else math.nextafter(hi, lo)
             if not lo < s < hi:
                 break
-        v = inverse_momentum(s / c0, p) + rise(s)
-        defect = s - total + cm * float(momentum(v[-1], p))
+        at = robin_left(s)
+        evals += 1
+        defect = s - total + cm * float(momentum(at[0][-1], p))
         cap *= 0.5
         if defect < 0.0:
             lo, f_lo = s, defect
         else:
-            hi, f_hi, v_hi = s, defect, v
+            hi, f_hi, at_hi = s, defect, at
             if defect == 0.0:
                 break
-    if v_hi is None:
-        v_hi = inverse_momentum(hi / c0, p) + rise(hi)
-    return v_hi
+    if at_hi is None:
+        return done(*robin_left(hi), evals + 1)
+    return done(*at_hi, evals)
 
 
 def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
     """The inverse power method from a normalized u: v solves
     E'(v) = N'(u) and is normalized, which never raises the quotient
-    while E is convex (every Robin coefficient positive).  A rise within
-    rounding is not taken.  Converged once an iteration lowers the
-    quotient by at most _INVERSE_RTOL of it.  Returns
-    (u, q, iterations, converged)."""
+    while E is convex (every Robin coefficient positive).  Each new
+    quotient is E(v), as the step read it off its fluxes, over the norm
+    that normalizing v formed.  A rise within rounding is not taken.
+    Converged once an iteration lowers the quotient by at most
+    _INVERSE_RTOL of it.  Returns (u, q, iterations, evaluations of v,
+    converged)."""
+    evals = 0
     for iters in range(1, _INVERSE_MAX + 1):
-        v = _normalize(func, _inverse_step(func, u))
-        qv = quotient(func, v)
+        v, e, n_evals = _inverse_step(func, u)
+        evals += n_evals
+        v, n = _normalize(func, v)
+        qv = e / n
         q_prev = q
         if qv < q:
             u, q = v, qv
             if history is not None:
                 history.append(q)
         if q_prev - qv <= _INVERSE_RTOL * q_prev:
-            return u, q, iters, True
-    return u, q, _INVERSE_MAX, False
+            return u, q, iters, evals, True
+    return u, q, _INVERSE_MAX, evals, False
 
 
 def _chain(func: DiscreteFunctional):
@@ -307,24 +340,31 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
-def _march_root(func: DiscreteFunctional, lam: float, history):
+def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = False):
     """The discrete first eigenvalue of func, for a Robin coefficient
     <= 0 or no Robin end, and its eigenvector, from a start lam.
 
     The root is bracketed from the start: above by the constant trial's
-    quotient, below by the sum of c_j/nw_j over the negative Robin
-    coefficients, since E(u) >= sum c_j |u_j|^p and nw_j |u_j|^p <= N(u).
-    Newton steps on y_m, with the exact derivative, are taken while they
-    stay inside the bracket, and bisection otherwise.  The root-find has
-    converged when a Newton step is at most _MARCH_RTOL max(1, |lam|),
-    or when the bracket's ends are adjacent floats.  The eigenvector is
-    the product of the ratios of a march that reached the end node (the
-    last one, or the highest below the root), so it is positive.
-    Returns (lam, u, marches, converged)."""
+    quotient (_constant_quotient), below by the sum of c_j/nw_j over the
+    negative Robin coefficients, since E(u) >= sum c_j |u_j|^p and
+    nw_j |u_j|^p <= N(u).  Newton steps on y_m, with the exact
+    derivative, are taken while they stay inside the bracket, and
+    bisection otherwise.  The root-find has converged when a Newton step
+    is at most _MARCH_RTOL max(1, |lam|), or when the bracket's ends are
+    adjacent floats; it then returns lam plus that step, with no march
+    to confirm it.  A seed (a coarse level of _march_start) stops at the
+    first step of at most sqrt(_MARCH_RTOL) max(1, |lam|): Newton's error
+    after such a step is about its square, and the fine root-find that
+    starts from the seed still certifies its own result.  The eigenvector
+    is the product of the ratios of a march that reached the end node
+    (the last one, or the highest below the root), so it is positive.  A
+    seed builds none.  Returns (lam, u, marches, converged), with u None
+    for a seed."""
     chain, flip = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
-    hi = float(quotient(func, np.ones(func.grid.size)))
+    hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
+    rtol = math.sqrt(_MARCH_RTOL) if seed else _MARCH_RTOL
     below = None  # the ratios of the march at lo
     converged = False
     for marches in range(1, _MARCH_MAX + 1):
@@ -335,7 +375,7 @@ def _march_root(func: DiscreteFunctional, lam: float, history):
         if end is not None:
             y, dy = end
             step = -y / dy
-            if abs(step) <= _MARCH_RTOL * max(1.0, abs(lam)):
+            if abs(step) <= rtol * max(1.0, abs(lam)):
                 lam, below, converged = lam + step, ratios, True
                 break
         if end is not None and y > 0.0:
@@ -350,10 +390,14 @@ def _march_root(func: DiscreteFunctional, lam: float, history):
         lam += step
     else:
         lam = lo
+    if seed:
+        return lam, None, marches, converged
     if below is None:  # no march reached the end node below the root
         marches += 1
         below = _march(lam, chain)[0]
-    logs = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(below, _HUGE)))))
+    logs = np.array(below)
+    np.log(np.minimum(logs, _HUGE, out=logs), out=logs)
+    logs = np.concatenate(([0.0], np.cumsum(logs)))
     u = np.exp(logs - np.max(logs))
     return lam, u[::-1] if flip else u, marches, converged
 
@@ -373,14 +417,15 @@ def _march_start(func: DiscreteFunctional):
     """A start for _march_root on func: its roots on every k-th and
     every k/2-th node, for the first k of _COARSE that divides the cell
     count, extrapolated to func's mesh as second order in h; inf (the
-    top of the bracket) where none does.  Returns the start and the
-    coarse marches."""
+    top of the bracket) where none does.  Both coarse root-finds are
+    seeds of _march_root: they stop at a looser step and return lambda
+    alone.  Returns the start and the coarse marches."""
     m = func.grid.size - 1
     k = next((k for k in _COARSE if m % k == 0), None)
     if k is None:
         return math.inf, 0
-    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf, None)
-    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1, None)
+    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf, None, seed=True)
+    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1, None, seed=True)
     k2 = (k // 2) ** 2
     return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
 
@@ -391,25 +436,27 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
     With every Robin coefficient positive: the inverse power method from
     the normalized constant.  Otherwise: the coarse march root-finds,
     then the march on func.  Returns the eigenvalue estimate and the
-    minimizer samples; diagnostics flag whether a convergence test fired
-    and time the two stages.
+    minimizer samples; diagnostics flag whether a convergence test fired,
+    count the passes over the mesh (evals: every march, coarse and fine,
+    or every evaluation of the inverse step) and time the two stages.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
     if _convex(func):
-        u, seed_iters = _normalize(func, np.ones(func.grid.size)), 0
-        q = quotient(func, u)
+        u, seed_iters = _normalize(func, np.ones(func.grid.size))[0], 0
+        q = _constant_quotient(func)
         history = [q] if config.track_history else None
         t_solve = time.perf_counter()
-        u, q, iters, converged = _inverse_power(func, u, q, history)
+        u, q, iters, evals, converged = _inverse_power(func, u, q, history)
         steps = iters
     else:
         q, seed_iters = _march_start(func)
         history = [] if config.track_history else None
         t_solve = time.perf_counter()
         q, u, steps, converged = _march_root(func, q, history)
-        u = _normalize(func, u)
+        u = _normalize(func, u)[0]
         iters = 0
+        evals = seed_iters + steps
     t_end = time.perf_counter()
 
     # orient positive and present like the shooting output
@@ -426,6 +473,7 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
         "iterations": iters,
         "steps": steps,
         "seed_iterations": seed_iters,
+        "evals": evals,
         "converged": converged,
         "grad_norm": gnorm,
         "m": m,

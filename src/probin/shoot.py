@@ -302,7 +302,8 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     off it; the converged eigenvalue is integrated once more for its
     whole path, from which the eigenfunction is rebuilt as (phi, psi).
     That final integration is counted in integrations, which is
-    therefore bracket steps plus bisections plus one.
+    therefore bracket steps plus bisections plus one; evals repeats it
+    under the name both solvers use for their passes over the problem.
     """
     t_bracket = time.perf_counter()
     plan = _build_plan(problem, config)
@@ -375,6 +376,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
         diagnostics={
             "bracket": bracket,
             "integrations": integrations,
+            "evals": integrations,
             "bracket_steps": bracket_steps,
             "bisections": bisections,
             "mismatch": mismatch,

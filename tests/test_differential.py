@@ -24,6 +24,15 @@ FAMILIES = {
 }
 
 
+def _check_evals(sol_s, sol_r):
+    # both solvers count their passes over the problem: shooting its
+    # integrations, Rayleigh its marches or evaluations of the inverse
+    # step, at least one per step
+    d_s, d_r = sol_s.diagnostics, sol_r.diagnostics
+    assert d_s["evals"] == d_s["integrations"]
+    assert d_r["evals"] >= d_r["steps"] > 0
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(
     family=st.sampled_from(sorted(FAMILIES)),
@@ -33,8 +42,9 @@ FAMILIES = {
 )
 def test_shooting_and_rayleigh_agree(family, p, magnitude, sign):
     spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=sign * magnitude))
-    lam_s = solve_spec(spec).lambda_val
-    lam_r = rayleigh_spec(spec, 2000).lambda_val
+    sol_s, sol_r = solve_spec(spec), rayleigh_spec(spec, 2000)
+    _check_evals(sol_s, sol_r)
+    lam_s, lam_r = sol_s.lambda_val, sol_r.lambda_val
     assert abs(lam_r - lam_s) <= 1e-4 * abs(lam_s), (family, p, sign * magnitude, lam_s, lam_r)
 
 
@@ -46,6 +56,7 @@ def test_shooting_and_rayleigh_agree(family, p, magnitude, sign):
 )
 def test_shooting_and_rayleigh_agree_near_p1(family, p, log_alpha):
     spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=10.0 ** log_alpha))
-    lam_s = solve_spec(spec).lambda_val
-    lam_r = rayleigh_spec(spec, 2000).lambda_val
+    sol_s, sol_r = solve_spec(spec), rayleigh_spec(spec, 2000)
+    _check_evals(sol_s, sol_r)
+    lam_s, lam_r = sol_s.lambda_val, sol_r.lambda_val
     assert abs(lam_r - lam_s) <= 1e-4 * abs(lam_s), (family, p, 10.0 ** log_alpha, lam_s, lam_r)

@@ -27,6 +27,8 @@ from probin.problems import (
 from probin.rayleigh import (
     MinimizeConfig,
     _chain,
+    _coarse,
+    _constant_quotient,
     _inverse_step,
     _march,
     _march_root,
@@ -81,6 +83,18 @@ def test_quotient_constant_trial():
     func = discretize(_flat(0.5, 2.0, r_len=2.0), 64)
     u = np.ones(65)
     assert quotient(func, u) == pytest.approx(0.25, rel=1e-14)  # alpha / R
+
+
+@pytest.mark.parametrize("m", [16, 250, 2000])
+@pytest.mark.parametrize("prob", [
+    _flat(-1.0, 1.5), double_robin_problem(0.5, -3.0, 2.5),
+    geodesic_ball_problem(1.0, 3, 1.0, -1.0, 1.75), geodesic_ball_problem(-1.0, 3, 1.0, -1.0, 3.0),
+], ids=["flat", "double_robin", "spherical_cap", "hyperbolic_ball"])
+def test_constant_quotient_is_the_quotient_of_ones(prob, m):
+    """The march's bracket top, in closed form, is the constant trial's
+    quotient to the last bit."""
+    func = discretize(prob, m)
+    assert _constant_quotient(func) == float(quotient(func, np.ones(m + 1)))
 
 
 def test_quotient_ramp_dirichlet():
@@ -214,7 +228,7 @@ def test_inverse_step_solves_its_equation(alpha, p):
     the value at a Robin node cancels to near zero)."""
     func = discretize(double_robin_problem(0.5, alpha, p), 2000)
     u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid  # positive, lopsided
-    v = _inverse_step(func, u)
+    v = _inverse_step(func, u)[0]
     b = func.node_weights * momentum(u, p)
     dv = 4.0 * _EPS * float(np.sum(np.abs(v)))
 
@@ -236,6 +250,20 @@ def test_inverse_step_solves_its_equation(alpha, p):
         lhs[j] += c * momentum(v[j], p)
         allowed[j] += c * spread(v[j], dv)
     assert np.all(np.abs(lhs) <= allowed)
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
+@pytest.mark.parametrize("alpha", [1.0, 1e4])
+def test_inverse_step_energy_matches_energy(alpha, p):
+    """The energy the inverse step reads off its slopes and fluxes is
+    E(v) as energy() forms it from the differences of v, with one or two
+    Robin ends."""
+    for prob in (double_robin_problem(0.5, alpha, p), _flat(alpha, p)):
+        func = discretize(prob, 2000)
+        u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid
+        v, e, evals = _inverse_step(func, u)
+        assert evals >= 1
+        assert e == pytest.approx(energy(func, v), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha,p,lam", [(-3.0, 1.2, LAM_P12_M3), (-10.0, 1.2, LAM_P12_M10)],
@@ -331,6 +359,26 @@ def test_march_starts_from_coarse_meshes_where_16_does_not_divide_m(prob):
     assert sol.diagnostics["seed_iterations"] > 0 and sol.diagnostics["steps"] <= 4
     lam = _march_root(func, math.inf, None)[0]  # the uniform start
     assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("prob,max_seed", [
+    (geodesic_ball_problem(0.0, 2, 1.0, -0.55, 2.0), 6),
+    (geodesic_ball_problem(1.0, 3, 1.0, -0.5, 1.75), 5),
+    (_flat(-0.65, 1.75), 6),
+    (geodesic_ball_problem(-1.0, 3, 1.0, -0.4, 1.75), 5),
+    (double_robin_problem(0.5, -0.75, 2.5), 7),
+], ids=["disk p=2", "spherical_cap p=1.75", "flat p=1.75", "hyperbolic_ball p=1.75",
+        "double_robin p=2.5"])
+def test_march_counts_at_m2000(prob, max_seed):
+    """Two fine marches, and no more coarse marches than the seed levels
+    need once each stops at its first Newton step of at most
+    sqrt(_MARCH_RTOL) max(1, |lambda|), with no confirming march."""
+    func = discretize(prob, 2000)
+    d = minimize(func).diagnostics
+    assert d["converged"] and d["steps"] == 2
+    assert d["seed_iterations"] <= max_seed
+    assert d["evals"] == d["seed_iterations"] + d["steps"]
+    assert _march_root(_coarse(func, 16), math.inf, None, seed=True)[1] is None  # no eigenvector
 
 
 # 1 to 40 nodes, and around 2^11 (the m = 2000 meshes have 2001 nodes)
