@@ -16,10 +16,13 @@ tuples: numpy scalars would take every operation through numpy's scalar
 machinery, several times slower.  The IEEE operations are the same
 either way, so the results agree bit for bit.
 
-The outputs hold the last len(out_logphi) steps: a path passes one entry
-per step and gets log phi and phi'/phi after every step; a root-find
-trial passes one entry and gets the state after the last step only, so
-it writes and copies nothing else.
+A path passes outputs of one entry per step and gets log phi and
+phi'/phi after every step.  A root-find trial passes outputs of one
+entry and gets the crossing flag and phi'/phi after the last step; its
+log phi entry is NaN.  Log phi does not enter the Riccati state, so a
+trial integrates the state alone: it skips the log phi increments of the
+w-form and the log|rho| of every rho-step, and writes its last step
+only.
 
 kernel_array lays out what every integration of a solve reads as six
 columns, one row per step: h, h/2, h/6 and the drift at the step's
@@ -41,9 +44,9 @@ except ImportError:  # pragma: no cover
 
 
 def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
-    """Integrate from (w, log phi) = (w0, logphi0) over the steps of cols:
-    cols[0], ..., cols[5] hold, per step, the signed step h, h/2, h/6 and
-    the drift at the step's start, midpoint and end.
+    """Integrate from (w, log phi) = (w0, logphi0) over the n steps of
+    cols: cols[0], ..., cols[5] hold, per step, the signed step h, h/2,
+    h/6 and the drift at the step's start, midpoint and end.
 
     Each form is stiff where the other is not: the stiffnesses p|v| of w
     and p|lam||rho|^(p-1)/(p-1) of rho balance at |v| = |phi'/phi| = big
@@ -67,14 +70,19 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
     IEEE arithmetic does exactly, so every step rounds as it would in the
     generic field.
 
-    The outputs hold the last len(out_logphi) of the n steps: log|phi|
-    and phi'/phi after step i go to out_logphi[j] and out_slope[j] with
-    j = i - (n - len(out_logphi)), for j >= 0; n entries take every
-    step, 1 entry the last.  Entries the run does not reach are left
-    alone when it returns early.  Returns True at the first step across
-    which rho changes sign (phi crosses zero; phi < 0 after it); returns
-    False after the last step, or at once at a step whose state is not
-    finite.
+    The outputs are n entries long (a path) or 1 entry long (a trial).
+    A path gets log|phi| and phi'/phi after step i in entry i.  A trial
+    gets in its one entry the phi'/phi that the path writes last, bit for
+    bit, and NaN for log phi: z does not enter y, so a trial carries z
+    as NaN and skips its increments and the log|rho| of every rho-step.
+    Entries the run does not reach are left alone when it returns early.
+    Returns True at the first step across which rho changes sign (phi
+    crosses zero; phi < 0 after it); returns False after the last step,
+    or at once where the state is not finite: at launch, or after a
+    step, where a path also stops at a non-finite log phi.  With a
+    finite state, log phi turns non-finite only by overflowing on its
+    own (a drift near the double range, or |log phi| near 1.8e308), so
+    a trial stops where its path does.
     """
     big = max(1.0, (abs(lam) / pm1) ** (1.0 / (pm1 + 1.0)))
     half_big = 0.5 * big
@@ -84,9 +92,14 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
     nlam = -lam
     g = 1.0 / pm1
     c2 = lam / pm1
+    n = len(cols[0])
+    first = n - len(out_slope)  # 0 for a path, n - 1 for a trial
+    path = first == 0
     y = w0
-    logphi = z = logphi0
+    logphi = z = logphi0 if path else math.nan
     slope = s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
+    if not -inf < s < inf:
+        return False
     rho_form = abs(s) > big
     if rho_form:  # launch in the rho-form
         y = 1.0 / s
@@ -95,8 +108,6 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
     # one pass per run of steps in one form; a switch ends the run, and
     # the next pass takes the steps up where it stopped
     # i is a step's output index: negative for the steps not written
-    n = len(cols[0])
-    first = n - len(out_logphi)
     steps = zip(range(-first, n - first), cols[0], cols[1], cols[2], cols[3], cols[4], cols[5])
     while True:
         if rho_form:
@@ -116,16 +127,19 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
                 a4 = g * l1 + c2 * s
                 k4 = 1.0 + a4 * t
                 yn = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                z = z - h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
                 if yn == 0.0:
                     return True
                 crossed = (yn > 0.0) != (y > 0.0)
                 y = yn
                 s = y ** pm1 if y >= 0.0 else -((-y) ** pm1)
                 slope = 1.0 / y
-                logphi = z + log(abs(y))
-                if not (-inf < slope < inf and -inf < logphi < inf):
+                if not (-inf < slope < inf and -inf < y < inf):
                     return False
+                if path:
+                    z = z - h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                    logphi = z + log(abs(y))
+                    if not -inf < logphi < inf:
+                        return False
                 if i >= 0:
                     out_logphi[i] = logphi
                     out_slope[i] = slope
@@ -152,17 +166,18 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
                 s4 = t ** qm1 if t >= 0.0 else -((-t) ** qm1)
                 k4 = nlam - (l1 + pm1 * s4) * t
                 y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                z = z + h6 * (s + 2.0 * s2 + 2.0 * s3 + s4)
-                s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
-                if -two_big <= s <= two_big:  # s is finite
+                if path:
+                    z = z + h6 * (s + 2.0 * s2 + 2.0 * s3 + s4)
                     if not -inf < z < inf:
                         return False
+                s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
+                if -two_big <= s <= two_big:  # s is finite
                     if i >= 0:
                         out_logphi[i] = z
                         out_slope[i] = s
                     continue
                 # |s| > 2*big or NaN: stop if not finite, else switch
-                if not (-inf < s < inf and -inf < z < inf):
+                if not -inf < s < inf:
                     return False
                 if i >= 0:
                     out_logphi[i] = z
@@ -197,7 +212,9 @@ if njit is not None:
         return out
 
     def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
-        """The compiled core on the columns of kernel (see kernel_array)."""
+        """The compiled core on the columns of kernel (see kernel_array):
+        n-entry outputs get a path's log phi and phi'/phi after every
+        step, 1-entry outputs a trial's last phi'/phi and a NaN log phi."""
         return _compiled_core(w0, logphi0, lam, pm1, qm1, kernel.T, out_logphi, out_slope)
 else:
     class _FloatArray(np.ndarray):
@@ -227,9 +244,10 @@ else:
         """_rk4_core on Python floats; same arguments, outputs and return.
         kernel is an (n, 6) array of the core's columns, converted to
         Python floats here unless kernel_array already did.  The outputs
-        hold the last len(out_logphi) steps, as in the core: n entries
-        for a path, 1 for a trial, whose lists and copy are then one
-        entry long.  Entries after an early stop are unspecified: the
+        are as in the core: n entries for a path, log phi and phi'/phi
+        after every step; 1 for a trial, whose lists and copy are then
+        one entry long and which gets the last phi'/phi and a NaN log
+        phi.  Entries after an early stop are unspecified: the
         compiled core leaves whatever the caller put there, this adapter
         writes NaN.  A caller that reads them fills them first (_shoot
         fills NaN), and then both builds agree.

@@ -56,20 +56,29 @@ def _setting(cfg: dict, args, key: str, default):
     return flag if flag is not None else cfg.get(key, default)
 
 
+def _integer(value, key: str) -> int:
+    """value as an int: 2000, 2000.0 and "2000" are 2000; a value with a
+    fractional part, or none at all, is a config error, not truncated."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("bad %r: %s" % (key, exc))
+    if isinstance(value, float) and number != value:
+        raise ConfigError("%r must be an integer, got %r" % (key, value))
+    return number
+
+
 def _shoot_config(cfg: dict, args) -> ShootConfig:
-    rk = _setting(cfg, args, "rk_steps", ShootConfig.rk_steps)
+    rk = _integer(_setting(cfg, args, "rk_steps", ShootConfig.rk_steps), "rk_steps")
     tol = _setting(cfg, args, "tol", ShootConfig.lambda_tol)
     try:
-        return ShootConfig(rk_steps=int(rk), lambda_tol=float(tol))
+        return ShootConfig(rk_steps=rk, lambda_tol=float(tol))
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad shooting settings: %s" % exc)
 
 
 def _cells(cfg: dict, args) -> int:
-    try:
-        m = int(_setting(cfg, args, "m", DEFAULT_CELLS))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad 'm': %s" % exc)
+    m = _integer(_setting(cfg, args, "m", DEFAULT_CELLS), "m")
     if m < 16:
         raise ConfigError("'m' must be >= 16, got %d" % m)
     return m
@@ -164,9 +173,10 @@ def _sweep_values(cfg) -> tuple:
     else:
         try:
             start, stop = float(sweep["start"]), float(sweep["stop"])
-            count = int(sweep["count"])
+            count = sweep["count"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("sweep needs 'grid' or start/stop/count: %s" % exc)
+        count = _integer(count, "count")
         if count < 2:
             raise ConfigError("sweep count must be >= 2")
         values = [start, stop]

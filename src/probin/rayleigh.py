@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -74,8 +75,8 @@ class DiscreteFunctional:
 
 
 def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
-    if m < 16:
-        raise DomainError("need at least 16 cells")
+    if not (isinstance(m, numbers.Integral) and m >= 16):
+        raise DomainError("need an integer number of cells, at least 16, got %r" % (m,))
     grid = np.linspace(problem.a, problem.b, m + 1)
     h = (problem.b - problem.a) / m
     w_nodes = np.asarray(problem.weight.value(grid), dtype=float)

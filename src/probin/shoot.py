@@ -6,10 +6,12 @@ variable w = psi/phi^(p-1) (see _kernels), launched from the Neumann (or
 singular) endpoint with (w, log phi) = (0, 0), or from the left end of a
 two-Robin problem with (alpha, 0).  At the other (Robin) endpoint lam is
 root-found by bracketed bisection on the sign of w - (orientation)*alpha.
-A trial asks the kernel for its last step only and reads w at the Robin
-end off it; only a returned path (integrate, the converged
-eigenfunction) has the kernel write every step, and is rebuilt as
-(phi, psi) from log phi and phi'/phi.
+A trial integrates the Riccati state alone: it asks the kernel for the
+crossing flag and the slope phi'/phi after the last step, reads w at
+the Robin end off that slope, and forms no log phi.  Only a returned
+path (integrate, the converged eigenfunction) has the kernel form log
+phi and write it and the slope at every step, and is rebuilt as
+(phi, psi) from them.
 
 Launch corners are non-smooth: at a Neumann end the field |w|^(1/(p-1))
 is not Lipschitz for p > 2, and at a singular end the drift w'/w blows up.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -50,8 +53,11 @@ class ShootConfig:
     max_bracket_steps: int = 60
 
     def __post_init__(self):
-        if self.rk_steps < 64:
-            raise DomainError("rk_steps must be >= 64")
+        if not (isinstance(self.rk_steps, numbers.Integral) and self.rk_steps >= 64):
+            raise DomainError("rk_steps must be an integer >= 64, got %r" % (self.rk_steps,))
+        if not (isinstance(self.max_bracket_steps, numbers.Integral) and self.max_bracket_steps >= 1):
+            raise DomainError("max_bracket_steps must be an integer >= 1, got %r"
+                              % (self.max_bracket_steps,))
         # written so that NaN fails too: nan <= 0 is False, and a NaN or
         # infinite tolerance would end the bisection before its first step
         if not 0.0 < self.lambda_tol < math.inf:
@@ -84,6 +90,7 @@ class _Plan:
     robin_launch_alpha: Optional[float]  # set for two-Robin problems
     singular: bool
     eps: float
+    launch_drift: Optional[float]  # the weight's log-derivative at a Neumann launch
     # _kernels.kernel_array: per step h, h/2, h/6 and the drift at its
     # start, midpoint and end
     kernel: np.ndarray
@@ -127,9 +134,12 @@ def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     h = problem.length / n_steps
     node_pos = launch_t + direction * h * np.arange(n_steps + 1)
 
+    launch_drift = None
     if robin_launch_alpha is None:
         # Neumann or singular corner: series offset + graded first cells.
         eps = min(_EPS_SINGULAR * problem.length, 0.25 * h)
+        if not singular:
+            launch_drift = float(problem.weight.log_deriv(launch_t))
         geo = eps * (h / eps) ** (np.arange(_GEOM_SUBSTEPS + 1) / _GEOM_SUBSTEPS)
         geo[-1] = h
         uni = h + (h / _UNIFORM_SUBSTEPS) * np.arange(1, _UNIFORM_SUBSTEPS + 1)
@@ -153,7 +163,7 @@ def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     node_step.flags.writeable = False
 
     return _Plan(problem, config, direction, launch_t, mismatch_alpha,
-                 robin_launch_alpha, singular, eps, kernel, node_pos, node_step)
+                 robin_launch_alpha, singular, eps, launch_drift, kernel, node_pos, node_step)
 
 
 def _launch_state(plan: _Plan, lam: float, p: float):
@@ -167,8 +177,7 @@ def _launch_state(plan: _Plan, lam: float, p: float):
         # gives psi = -d*lam*s/(order+1) to leading order, error O(s^2).
         slope = lam / (plan.problem.singular_order + 1.0)
     else:
-        ld0 = float(plan.problem.weight.log_deriv(plan.launch_t))
-        slope = lam * (1.0 - 0.5 * ld0 * d * eps)
+        slope = lam * (1.0 - 0.5 * plan.launch_drift * d * eps)
     w = -d * slope * eps
     # log phi(t0 + d*eps) = -invm(slope)*eps^q/q = -invm(slope*eps)*eps/q
     # to leading order, for either direction (the d factors cancel by
@@ -190,17 +199,19 @@ def _launch_state(plan: _Plan, lam: float, p: float):
 
 def _shoot(plan: _Plan, lam: float, p: float, path: bool = False):
     """One integration at lam: (crossed, log phi, phi'/phi), the kernel's
-    outputs, NaN after a zero crossing: at every step for a path, and at
-    the last step only for a trial (path False), which is all a
-    root-find reads.  Raises ToleranceFailure if the integration turns
-    non-finite before phi crosses zero."""
+    outputs, NaN after a zero crossing.  A path gets log phi and phi'/phi
+    at every step.  A trial (path False) gets phi'/phi at the last step
+    and a NaN log phi, which no caller reads: the flag and that slope
+    are all a root-find needs.  Raises ToleranceFailure if the
+    integration turns non-finite before phi crosses zero, which shows as
+    a last slope the kernel did not write."""
     w0, logphi0 = _launch_state(plan, lam, p)
     n = plan.kernel.shape[0] if path else 1
     out_logphi = np.full(n, np.nan)
     out_slope = np.full(n, np.nan)
     crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
                        plan.kernel, out_logphi, out_slope)
-    if not (crossed or (math.isfinite(out_logphi[-1]) and math.isfinite(out_slope[-1]))):
+    if not (crossed or math.isfinite(out_slope[-1])):
         raise ToleranceFailure(
             "non-finite trajectory at lam = %r: the step is too coarse for the "
             "boundary layer; raise rk_steps" % lam)
@@ -257,8 +268,9 @@ def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = Shoo
     at a right Robin end) up to the first lam at which phi reaches zero
     at the end, and changes sign at the first eigenvalue.  Once phi
     crosses zero F is (orientation)*inf, on the "lam too large" side.
-    F is read off the kernel's last slope: the kernel writes its outputs
-    at the last step only, and no (phi, psi) trajectory is rebuilt.
+    F is read off the kernel's last slope.  The trial integrates the
+    Riccati state alone: the kernel forms no log phi, writes the last
+    step only, and no (phi, psi) trajectory is rebuilt.
 
     The lam-independent integration plan (the step sizes, the weight's
     log-derivative at every step's ends and midpoint, laid out as the
@@ -298,9 +310,10 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     They also carry steps (bracket steps plus bisections), converged
     (always True: a failure raises) and phase_s, the seconds spent in
     the bracket search, the bisection and the eigenfunction finish.
-    Trials ask the kernel for its last step only and read the mismatch
-    off it; the converged eigenvalue is integrated once more for its
-    whole path, from which the eigenfunction is rebuilt as (phi, psi).
+    Trials integrate the Riccati state alone and read the mismatch off
+    the kernel's last slope; the converged eigenvalue is integrated once
+    more for its whole path, log phi included, from which the
+    eigenfunction is rebuilt as (phi, psi).
     That final integration is counted in integrations, which is
     therefore bracket steps plus bisections plus one; evals repeats it
     under the name both solvers use for their passes over the problem.

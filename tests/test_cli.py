@@ -201,6 +201,42 @@ def test_zero_flag_is_not_unset(tmp_path, flag):
     assert main(["--config", cfg, "--out", str(tmp_path)] + flag) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("m", 2000.9), ("rk_steps", 4096.7), ("m", math.inf), ("rk_steps", math.nan),
+])
+def test_fractional_integer_setting_is_config_error(tmp_path, capsys, key, value):
+    # int() truncated 2000.9 to 2000 cells before
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM, key: value})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert list(tmp_path.glob("eigenfunction_*.csv")) == []
+
+
+def test_fractional_sweep_count_is_config_error(tmp_path, monkeypatch):
+    solved = []
+    monkeypatch.setattr(probin.cli, "solve_spec", lambda spec, config: solved.append(spec))
+    sweep = {"axis": "alpha", "start": 0.5, "stop": 2.0, "count": 3.5}
+    cfg = _write_config(tmp_path, {"command": "sweep", "problem": FLAT_PROBLEM, "solver": "shoot",
+                                   "sweep": sweep})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert solved == []
+
+
+def test_integral_float_settings_are_accepted(tmp_path, capsys):
+    outputs = []
+    for m, rk_steps in ((400, 1024), (400.0, 1024.0)):
+        out = tmp_path / str(len(outputs))
+        cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM,
+                                       "m": m, "rk_steps": rk_steps})
+        assert main(["--config", cfg, "--out", str(out)]) == 0
+        csvs = {path.name: path.read_bytes() for path in out.glob("eigenfunction_*.csv")}
+        outputs.append((capsys.readouterr().out.replace(str(out), ""), csvs))
+    assert outputs[0] == outputs[1]
+    # header + rk_steps+1 nodes, and header + m+1 nodes
+    assert [len(outputs[0][1]["eigenfunction_%s.csv" % solver].splitlines())
+            for solver in ("shoot", "rayleigh")] == [1026, 402]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_is_config_error(tmp_path, capsys, tol):
     # accepted, a NaN or infinite tolerance would end the bisection before

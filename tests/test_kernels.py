@@ -6,14 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import probin._kernels
 import probin.shoot
 from probin._kernels import _rk4_core, kernel_array, rk4_path
 from probin.coeffs import ModelParams
 from probin.errors import ToleranceFailure
-from probin.problems import double_robin_problem, inradius_model_problem
+from probin.problems import ProblemSpec, double_robin_problem, inradius_model_problem
+from probin.rayleigh import rayleigh_spec
 from probin.shoot import ShootConfig, _build_plan, _launch_state, integrate, robin_mismatch
+
+from test_plan import FAMILIES
 
 
 def _flat(alpha, p):
@@ -270,6 +275,77 @@ def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, cross
         assert rk4_path(*args, out_logphi, out_slope) == ref_crossed
     assert np.array_equal(out_logphi.view(np.int64), ref_logphi.view(np.int64))
     assert np.array_equal(out_slope.view(np.int64), ref_slope.view(np.int64))
+
+
+# lam is ("at", lam) or ("from_lam1", x): lam1 + x*max(1, |lam1|), with
+# lam1 the Rayleigh estimate of the first eigenvalue
+_BELOW, _NEAR, _ABOVE = st.floats(-1.0, -0.05), st.floats(-1e-6, 1e-6), st.floats(0.05, 4.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    p=st.floats(1.3, 4.0),
+    magnitude=st.floats(0.1, 5.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    lam=st.tuples(st.just("from_lam1"), st.one_of(_BELOW, _NEAR, _ABOVE)),
+)
+@example("flat", 2.0, 1.0, 1.0, ("at", 0.5))  # w only
+@example("flat", 3.0, 1.0, 1.0, ("at", 3.0))  # w -> rho
+@example("double_robin", 1.5, 100.0, 1.0, ("at", 3.0))  # rho launch, rho -> w
+@example("double_robin", 1.5, 100.0, 1.0, ("at", 8.0))  # rho -> w -> rho, crossing zero
+@example("flat", 1.03, 1.0, -1.0, ("at", -1e5))  # non-finite stop
+def test_trial_is_the_last_step_of_its_path(family, p, magnitude, sign, lam):
+    # a trial carries no log phi, and must still stop where its path
+    # does, cross where it does and end on the slope it ends on, bit for
+    # bit; this runs rk4_path, compiled where numba is installed
+    spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=sign * magnitude))
+    kind, value = lam
+    if kind == "from_lam1":
+        lam1 = rayleigh_spec(spec).lambda_val
+        value = lam1 + value * max(1.0, abs(lam1))
+    args = _kernel_args(spec.build(), value)
+    runs = []
+    for n in (args[5].shape[0], 1):  # a path, then a trial
+        outs = np.full(n, np.nan), np.full(n, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append((rk4_path(*args, *outs), *outs))
+    (path_crossed, _, path_slope), (trial_crossed, trial_logphi, trial_slope) = runs
+    assert trial_crossed == path_crossed
+    assert float(trial_slope[0]).hex() == float(path_slope[-1]).hex()
+    assert np.isnan(trial_logphi[0])
+
+
+@pytest.mark.parametrize("problem,lam,w0,inf_drift_at", [
+    (_flat(1.0, 2.0), 0.5, math.inf, None),
+    (_flat(1.0, 2.0), 0.5, -math.inf, None),
+    (_flat(1.0, 2.0), 0.5, math.nan, None),
+    (_flat(1.0, 2.0), 0.5, None, 100),  # in the w-form
+    (double_robin_problem(0.5, 100.0, 1.5), 3.0, None, 1),  # in the rho-form
+], ids=["inf-launch", "-inf-launch", "nan-launch", "inf-drift-w", "inf-drift-rho"])
+def test_a_non_finite_state_stops_the_trial_where_it_stops_the_path(problem, lam, w0, inf_drift_at):
+    # log phi is where a path sees most non-finite states first (log|inf|
+    # at a rho launch from w = inf, log|rho| after rho overflows); a
+    # trial, which does not form it, tests the state itself
+    args = list(_kernel_args(problem, lam))
+    if w0 is not None:
+        args[0] = w0
+    if inf_drift_at is not None:
+        kernel = args[5]
+        ld = kernel[:, 3:5].ravel().tolist() + [kernel[-1, 5]]
+        ld[2 * inf_drift_at + 1] = math.inf  # the midpoint of that step
+        args[5] = kernel_array(kernel[:, 0], ld)
+    runs = []
+    for n in (args[5].shape[0], 1):  # a path, then a trial
+        outs = np.full(n, np.nan), np.full(n, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append((rk4_path(*args, *outs), *outs))
+    (path_crossed, path_logphi, _), (trial_crossed, _, trial_slope) = runs
+    assert path_crossed is trial_crossed is False
+    # the path stops at the bad state, before writing it
+    first_bad = 0 if w0 is not None else inf_drift_at
+    assert np.isnan(path_logphi[first_bad:]).all() and np.isfinite(path_logphi[:first_bad]).all()
+    assert np.isnan(trial_slope[0])
 
 
 def test_core_stays_numba_compilable():

@@ -138,10 +138,11 @@ def test_mismatch_and_kernel_outputs_are_pinned(family, alpha, p, lam, mismatch,
         runs.append(outs)
     (path_logphi, path_slope), trial = runs
     assert _digest(path_logphi, path_slope) == digest
-    # a trial's 1-entry outputs hold what the path writes last: the final
-    # state, or NaN after a non-finite stop or a crossing before the end
+    # a trial's 1-entry slope holds what the path writes last: the final
+    # state, or NaN after a non-finite stop or a crossing before the end;
+    # its log phi is not computed
     last = [float(path_logphi[-1]).hex(), float(path_slope[-1]).hex()]
-    assert [float(out[0]).hex() for out in trial] == last
+    assert float(trial[1][0]).hex() == last[1] and np.isnan(trial[0][0])
     if mismatch is None or crossed:
         assert last == ["nan", "nan"]
 

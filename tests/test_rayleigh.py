@@ -79,6 +79,16 @@ def test_m_floor():
         discretize(_flat(1.0, 2.0), 8)
 
 
+@pytest.mark.parametrize("m", [100.5, 100.0, math.nan])
+def test_cells_must_be_an_integer(m):
+    # np.linspace raised a bare TypeError here before
+    problem = _flat(1.0, 2.0)
+    with pytest.raises(DomainError, match="integer"):
+        discretize(problem, m)
+    with pytest.raises(DomainError, match="integer"):
+        solve_rayleigh(problem, m)
+
+
 def test_quotient_constant_trial():
     func = discretize(_flat(0.5, 2.0, r_len=2.0), 64)
     u = np.ones(65)

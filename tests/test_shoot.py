@@ -257,6 +257,23 @@ def test_config_rejects_nonpositive_or_non_finite(field, value):
         ShootConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rk_steps", 100.5), ("rk_steps", 4096.0), ("rk_steps", math.nan), ("rk_steps", 63),
+    ("max_bracket_steps", 2.5), ("max_bracket_steps", 0), ("max_bracket_steps", -3),
+])
+def test_config_rejects_bad_integer_settings(field, value):
+    # before, 100.5 steps raised IndexError inside the plan, 2.5 bracket
+    # steps TypeError, and 0 bracket steps a BracketFailure from the solve
+    from probin.errors import DomainError
+    with pytest.raises(DomainError, match=field):
+        ShootConfig(**{field: value})
+
+
+def test_config_takes_numpy_integers():
+    config = ShootConfig(rk_steps=np.int64(64), max_bracket_steps=np.int32(1))
+    assert config == ShootConfig(rk_steps=64, max_bracket_steps=1)
+
+
 def test_alpha_grid_against_oracle():
     for alpha in (0.25, 0.5, 2.0, 10.0):
         sol = solve_first_eigenvalue(_flat(alpha, 2.0))
