@@ -5,22 +5,24 @@ quadrature with the weight folded in, midpoint weights for the energy.
 minimize works on the one mesh it is given, by one of two routes chosen
 from the signs of the Robin terms:
 
-- every Robin coefficient positive: E is convex, and the inverse power
-  method for the p-Laplacian (Biezuner, Ercole & Martins 2009; Hein &
-  Buehler 2010) solves E'(v) = N'(u) exactly by cumulative sums (and,
-  with two Robin ends, a superlinear root-find on the left end's flux)
-  and normalizes v, starting from the normalized constant.  This route
-  has no loop over nodes in Python;
-- otherwise (a Robin coefficient <= 0, or no Robin end): node j of
-  E'(u) = lambda N'(u) is a half-linear three-term recurrence, and
-  marched in Riccati form from one end it meets the other end's
-  condition, with every ratio u_(j+1)/u_j positive, exactly at the
-  discrete first eigenvalue (discrete half-linear Sturm theory: Rehak
-  2001; Dosly & Rehak 2005).  Newton in lambda on the march's end
-  value, safeguarded by bisection, finds that root; its start comes
-  from the same root-find on two coarser meshes, extrapolated.  The
-  eigenvector is the product of the march's ratios, so it is positive
-  by construction.
+- one Robin end, with a positive coefficient: E is convex, and the
+  inverse power method for the p-Laplacian (Biezuner, Ercole & Martins
+  2009; Hein & Buehler 2010) solves E'(v) = N'(u) exactly by cumulative
+  sums and normalizes v, starting from the normalized constant.  This
+  route has no loop over nodes in Python;
+- otherwise (two Robin ends, a Robin coefficient <= 0, or no Robin
+  end): node j of E'(u) = lambda N'(u) is a half-linear three-term
+  recurrence, and marched in Riccati form from one end it meets the
+  other end's condition, with every ratio u_(j+1)/u_j positive, exactly
+  at the discrete first eigenvalue (discrete half-linear Sturm theory:
+  Rehak 2001; Dosly & Rehak 2005).  With two positive Robin
+  coefficients it is marched from both ends instead, and the two
+  halves' balances are matched at the middle node (Pryce 1993).  Newton
+  in lambda on the end value, safeguarded by bisection, finds that
+  root; its start comes from the same root-find on two coarser meshes,
+  extrapolated.  The eigenvector is the product of the marches' ratios,
+  so it is positive by construction, and on a problem that is its own
+  mirror image it is even.
 
 The package needs numpy only.
 """
@@ -152,34 +154,23 @@ def _residual(func: DiscreteFunctional, u: np.ndarray, q: float) -> np.ndarray:
 
 
 def _convex(func: DiscreteFunctional) -> bool:
-    """Every Robin coefficient positive (and at least one Robin end): E is
-    convex and the inverse power method applies."""
-    return bool(func.robin_terms) and all(c > 0.0 for _, c in func.robin_terms)
+    """Exactly one Robin end, with a positive coefficient: E is convex and
+    the inverse power method applies."""
+    return len(func.robin_terms) == 1 and func.robin_terms[0][1] > 0.0
 
 
 def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
-    """The v with E'(v) = N'(u), for Robin coefficients all positive,
-    its energy E(v), and how many times v was formed.
+    """The v with E'(v) = N'(u), for one Robin end with a positive
+    coefficient, and its energy E(v).
 
     Divided by p, node j of E'(v) = N'(u) reads
     f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j, with the cell fluxes
     f = w_mid |v'|^(p-2) v', b = node_weights |u|^(p-2) u, c_j the Robin
     coefficient (0 elsewhere) and f_(-1) = f_m = 0.  So the fluxes are
     s minus the cumulative sums of b, where s is the flux the left end
-    lets in (0 at a Neumann end), and v is a cumulative sum of h times the
-    slopes they give.  With one Robin end s is known, and the Robin node's
-    value follows from the total of b.  With two, the defect of the right
-    end's balance grows with s and changes sign between -sum |b| and
-    sum |b|.  Its root is found there to float resolution (adjacent
-    floats, or a zero defect) by the ITP method (Oliveira & Takahashi
-    2020): bisection until the defect is known at both ends of the
-    bracket, then regula falsi, nudged toward the midpoint so that the
-    bracket closes from both sides, and kept near enough to the midpoint
-    that after k evaluations the bracket is no wider than bisection's
-    after k - 1.  Where the defect is smooth (at p = 2 it is affine in s)
-    that takes about 8 evaluations, where bisection makes 55.  Each
-    evaluation forms v once; so does a one-Robin step, and a root-find
-    whose top end was never evaluated forms it once more there.
+    lets in: the total of b at a left Robin end, 0 at a Neumann one.  v is
+    a cumulative sum of h times the slopes they give, shifted so that the
+    Robin node's value meets its balance.
 
     A cell's energy w_mid |v'|^p h is h |v' f|, so E(v) is read off the
     slopes and fluxes that gave v, with no power of v' or difference of
@@ -188,81 +179,28 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
     b = func.node_weights * momentum(u, p)
     part = np.cumsum(b)
     total = float(part[-1])
-    robin = dict(func.robin_terms)
-    c0, cm = robin.get(0), robin.get(u.size - 1)
-
-    def rise(s):  # v - v_0 when the left end lets in the flux s, and the cells' slopes and fluxes
-        flux = s - part[:-1]
-        slopes = inverse_momentum(flux / func.mid_weights, p)
-        return np.concatenate(([0.0], np.cumsum(func.h * slopes))), slopes, flux
-
-    def robin_left(s):  # the same for v, with v_0 from the left Robin end's balance
-        v, slopes, flux = rise(s)
-        return inverse_momentum(s / c0, p) + v, slopes, flux
-
-    def done(v, slopes, flux, evals):  # v, E(v) and evals
-        e = func.h * float(np.sum(np.abs(slopes * flux)))
-        for j, c in func.robin_terms:
-            e += c * abs(float(v[j])) ** p
-        return v, e, evals
-
-    if c0 is None:
-        v, slopes, flux = rise(0.0)
-        return done(v + (inverse_momentum(total / cm, p) - v[-1]), slopes, flux, 1)
-    if cm is None:
-        return done(*robin_left(total), 1)
-    hi = float(np.sum(np.abs(b)))
-    lo = -hi
-    width = hi - lo
-    cap = width  # the bracket's width allowed after the next evaluation
-    f_lo = f_hi = at_hi = None  # the defects at the bracket's ends once known, robin_left at hi
-    evals = 0
-    while True:
-        w = hi - lo
-        mid = 0.5 * (lo + hi)
-        s = mid
-        if f_lo is not None and f_hi is not None:
-            # regula falsi, moved toward the midpoint by 0.2 w^2 / width
-            # (ITP's truncation), then to within cap - w/2 of it (its
-            # projection)
-            s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            step = mid - s
-            trunc = 0.2 * w * w / width
-            s = s + math.copysign(trunc, step) if trunc < abs(step) else mid
-            reach = cap - 0.5 * w
-            s = min(max(s, mid - reach), mid + reach)
-        if not lo < s < hi:  # onto an end: the float next to it instead
-            s = math.nextafter(lo, hi) if s <= lo else math.nextafter(hi, lo)
-            if not lo < s < hi:
-                break
-        at = robin_left(s)
-        evals += 1
-        defect = s - total + cm * float(momentum(at[0][-1], p))
-        cap *= 0.5
-        if defect < 0.0:
-            lo, f_lo = s, defect
-        else:
-            hi, f_hi, at_hi = s, defect, at
-            if defect == 0.0:
-                break
-    if at_hi is None:
-        return done(*robin_left(hi), evals + 1)
-    return done(*at_hi, evals)
+    (j, c), = func.robin_terms
+    flux = (total if j == 0 else 0.0) - part[:-1]
+    slopes = inverse_momentum(flux / func.mid_weights, p)
+    v = np.concatenate(([0.0], np.cumsum(func.h * slopes)))
+    if j == 0:
+        v = inverse_momentum(total / c, p) + v
+    else:
+        v = v + (inverse_momentum(total / c, p) - v[-1])
+    e = func.h * float(np.sum(np.abs(slopes * flux)))
+    return v, e + c * abs(float(v[j])) ** p
 
 
 def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
     """The inverse power method from a normalized u: v solves
     E'(v) = N'(u) and is normalized, which never raises the quotient
-    while E is convex (every Robin coefficient positive).  Each new
-    quotient is E(v), as the step read it off its fluxes, over the norm
-    that normalizing v formed.  A rise within rounding is not taken.
-    Converged once an iteration lowers the quotient by at most
-    _INVERSE_RTOL of it.  Returns (u, q, iterations, evaluations of v,
-    converged)."""
-    evals = 0
+    while E is convex.  Each new quotient is E(v), as the step read it
+    off its fluxes, over the norm that normalizing v formed.  A rise
+    within rounding is not taken.  Converged once an iteration lowers
+    the quotient by at most _INVERSE_RTOL of it.  Returns (u, q,
+    iterations, converged)."""
     for iters in range(1, _INVERSE_MAX + 1):
-        v, e, n_evals = _inverse_step(func, u)
-        evals += n_evals
+        v, e = _inverse_step(func, u)
         v, n = _normalize(func, v)
         qv = e / n
         q_prev = q
@@ -271,24 +209,42 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
             if history is not None:
                 history.append(q)
         if q_prev - qv <= _INVERSE_RTOL * q_prev:
-            return u, q, iters, evals, True
-    return u, q, _INVERSE_MAX, evals, False
+            return u, q, iters, True
+    return u, q, _INVERSE_MAX, False
 
 
 def _chain(func: DiscreteFunctional):
-    """The march's data, from its launch node to its end node: node
-    weights and mid weights as Python floats, the two nodes' Robin
-    coefficients (0 at a Neumann end), h and p; and whether the march
-    runs from right to left.  It runs toward the end with the smaller
-    Robin coefficient, the direction in which u grows: marched the other
-    way, the end value is lost to rounding near its root."""
+    """The march's chains, each from its launch node to its end node:
+    node weights and mid weights as Python floats, the two nodes' Robin
+    coefficients (0 at a Neumann end), h and p; and whether a single
+    chain runs from right to left.  A chain runs the way u grows:
+    marched the other way, its end value is lost to rounding near its
+    root.
+
+    With two positive Robin coefficients u grows from both ends inward,
+    and there are two half-chains: from node 0 to the matching node
+    k = m // 2, and from node m down to k on reversed lists, with node
+    k's weight set to 0 in the second, so that their end values add up
+    to the balance of node k (Pryce 1993).  Any other problem has one
+    chain, run toward the end with the smaller Robin coefficient.  With
+    two negative ones u falls from both ends inward, and the half-chains
+    would run the way it decays: at p <= 1.2 and alpha <= -3 their
+    product is lost to rounding a few nodes from each end."""
     robin = dict(func.robin_terms)
-    c_left, c_right = robin.get(0, 0.0), robin.get(func.grid.size - 1, 0.0)
+    m = func.grid.size - 1
+    c_left, c_right = robin.get(0, 0.0), robin.get(m, 0.0)
     nw, mid = func.node_weights, func.mid_weights
+    if min(c_left, c_right) > 0.0:
+        k = m // 2
+        nw, mid = nw.tolist(), mid.tolist()
+        right = nw[:k - 1:-1]
+        right[-1] = 0.0
+        return [(nw[:k + 1], mid[:k], c_left, 0.0, func.h, func.p),
+                (right, mid[:k - 1:-1], c_right, 0.0, func.h, func.p)], False
     flip = c_left < c_right
     if flip:
         nw, mid, c_left, c_right = nw[::-1], mid[::-1], c_right, c_left
-    return (nw.tolist(), mid.tolist(), c_left, c_right, func.h, func.p), flip
+    return [(nw.tolist(), mid.tolist(), c_left, c_right, func.h, func.p)], flip
 
 
 def _march(lam: float, chain):
@@ -341,27 +297,62 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
+def _mirror_image(func: DiscreteFunctional) -> bool:
+    """func reads the same from either end: two Robin ends with one
+    coefficient, and node and mid weights that read the same backward
+    (the double-Robin interval)."""
+    ends = [c for _, c in func.robin_terms]
+    return (len(ends) == 2 and ends[0] == ends[1]
+            and np.array_equal(func.node_weights, func.node_weights[::-1])
+            and np.array_equal(func.mid_weights, func.mid_weights[::-1]))
+
+
+def _match(lam: float, chains):
+    """Every chain of _chain marched at lam: their ratios, and the sum of
+    their end values (y, dy/dlam), or None once a march stops at some
+    r_j <= 0, with the chains after it not marched.  For two half-chains
+    that sum is the balance of the matching node, and lam lies below the
+    discrete first eigenvalue exactly when both keep every ratio
+    positive and the sum is positive: at p = 2 the two marches are a
+    twisted factorization of K + C - lam M, whose pivots carry its
+    inertia."""
+    runs, total = [], None
+    for chain in chains:
+        ratios, end = _march(lam, chain)
+        runs.append(ratios)
+        if end is None:
+            return runs, None
+        total = end if total is None else (total[0] + end[0], total[1] + end[1])
+    return runs, total
+
+
 def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = False):
-    """The discrete first eigenvalue of func, for a Robin coefficient
-    <= 0 or no Robin end, and its eigenvector, from a start lam.
+    """The discrete first eigenvalue of func, for any Robin ends but a
+    single positive one, and its eigenvector, from a start lam.
 
     The root is bracketed from the start: above by the constant trial's
     quotient (_constant_quotient), below by the sum of c_j/nw_j over the
     negative Robin coefficients, since E(u) >= sum c_j |u_j|^p and
-    nw_j |u_j|^p <= N(u).  Newton steps on y_m, with the exact
-    derivative, are taken while they stay inside the bracket, and
-    bisection otherwise.  The root-find has converged when a Newton step
-    is at most _MARCH_RTOL max(1, |lam|), or when the bracket's ends are
-    adjacent floats; it then returns lam plus that step, with no march
-    to confirm it.  A seed (a coarse level of _march_start) stops at the
-    first step of at most sqrt(_MARCH_RTOL) max(1, |lam|): Newton's error
-    after such a step is about its square, and the fine root-find that
-    starts from the seed still certifies its own result.  The eigenvector
-    is the product of the ratios of a march that reached the end node
-    (the last one, or the highest below the root), so it is positive.  A
+    nw_j |u_j|^p <= N(u).  Newton steps on the end value of _match, with
+    the exact derivative, are taken while they stay inside the bracket,
+    and bisection otherwise.  The root-find has converged when a Newton
+    step is at most _MARCH_RTOL max(1, |lam|), or when the bracket's ends
+    are adjacent floats; it then returns lam plus that step, with no
+    march to confirm it.  A seed (a coarse level of _march_start) stops
+    at the first step of at most sqrt(_MARCH_RTOL) max(1, |lam|):
+    Newton's error after such a step is about its square, and the fine
+    root-find that starts from the seed still certifies its own result.
+
+    The eigenvector is the product of the ratios of a march that reached
+    the end node (the last one, or the highest below the root), so it is
+    positive; two half-chains' products are joined at the matching node.
+    Two Robin ends alike, on a functional that is its own mirror image,
+    make the eigenvector even, and a single chain's product is then
+    added to its mirror image: where the two ends' boundary layers
+    barely interact, a march resolves only the layer it runs into.  A
     seed builds none.  Returns (lam, u, marches, converged), with u None
-    for a seed."""
-    chain, flip = _chain(func)
+    for a seed; a march of two half-chains counts once."""
+    chains, flip = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
@@ -371,16 +362,16 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
     for marches in range(1, _MARCH_MAX + 1):
         if history is not None:
             history.append(lam)
-        ratios, end = _march(lam, chain)
+        runs, end = _match(lam, chains)
         step = None
         if end is not None:
             y, dy = end
             step = -y / dy
             if abs(step) <= rtol * max(1.0, abs(lam)):
-                lam, below, converged = lam + step, ratios, True
+                lam, below, converged = lam + step, runs, True
                 break
         if end is not None and y > 0.0:
-            lo, below = lam, ratios
+            lo, below = lam, runs
         else:
             hi = lam
         if step is None or not lo < lam + step < hi:
@@ -395,12 +386,17 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
         return lam, None, marches, converged
     if below is None:  # no march reached the end node below the root
         marches += 1
-        below = _march(lam, chain)[0]
-    logs = np.array(below)
-    np.log(np.minimum(logs, _HUGE, out=logs), out=logs)
-    logs = np.concatenate(([0.0], np.cumsum(logs)))
-    u = np.exp(logs - np.max(logs))
-    return lam, u[::-1] if flip else u, marches, converged
+        below = _match(lam, chains)[0]
+    logs = [np.concatenate(([0.0], np.cumsum(np.log(np.minimum(r, _HUGE))))) for r in below]
+    u = logs[0]
+    if len(logs) == 2:  # the right half's logs run from node m to node k
+        u = np.concatenate((u, logs[1][-2::-1] + (u[-1] - logs[1][-1])))
+    u = np.exp(u - np.max(u))
+    if flip:
+        u = u[::-1]
+    elif len(chains) == 1 and _mirror_image(func):
+        u = u + u[::-1]
+    return lam, u, marches, converged
 
 
 def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
@@ -434,12 +430,13 @@ def _march_start(func: DiscreteFunctional):
 def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
     """Minimize the Rayleigh quotient over N(u) = 1 on func's mesh.
 
-    With every Robin coefficient positive: the inverse power method from
-    the normalized constant.  Otherwise: the coarse march root-finds,
-    then the march on func.  Returns the eigenvalue estimate and the
-    minimizer samples; diagnostics flag whether a convergence test fired,
-    count the passes over the mesh (evals: every march, coarse and fine,
-    or every evaluation of the inverse step) and time the two stages.
+    With exactly one Robin end, and its coefficient positive: the inverse
+    power method from the normalized constant.  Otherwise: the coarse
+    march root-finds, then the march on func.  Returns the eigenvalue
+    estimate and the minimizer samples; diagnostics flag whether a
+    convergence test fired, count the passes over the mesh (evals: every
+    march, coarse and fine, or every inverse power iteration) and time
+    the two stages.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
@@ -448,8 +445,8 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
         q = _constant_quotient(func)
         history = [q] if config.track_history else None
         t_solve = time.perf_counter()
-        u, q, iters, evals, converged = _inverse_power(func, u, q, history)
-        steps = iters
+        u, q, iters, converged = _inverse_power(func, u, q, history)
+        steps = evals = iters
     else:
         q, seed_iters = _march_start(func)
         history = [] if config.track_history else None

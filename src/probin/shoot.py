@@ -166,8 +166,10 @@ def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
                  robin_launch_alpha, singular, eps, launch_drift, kernel, node_pos, node_step)
 
 
-def _launch_state(plan: _Plan, lam: float, p: float):
-    """(w, log phi) at the first step boundary."""
+def _launch_state(plan: _Plan, lam: float, p: float, path: bool = True):
+    """(w, log phi) at the first step boundary.  A trial (path False)
+    gets a NaN log phi off a Robin launch: its kernel does not read it,
+    so it is not formed."""
     if plan.robin_launch_alpha is not None:
         return plan.robin_launch_alpha, 0.0
     d = plan.direction
@@ -179,20 +181,24 @@ def _launch_state(plan: _Plan, lam: float, p: float):
     else:
         slope = lam * (1.0 - 0.5 * plan.launch_drift * d * eps)
     w = -d * slope * eps
+    if lam < 0.0:
+        # The true w rises from 0 towards the Riccati equilibrium
+        # w* = ((-lam)/(p-1))^((p-1)/p), where w' = -lam - (p-1)|w|^(p/(p-1))
+        # vanishes, and stays below it; the leading-order w passes it once
+        # |lam|*eps > w*.
+        w_star = (-lam / (p - 1.0)) ** ((p - 1.0) / p)
+        w = math.copysign(min(abs(w), w_star), w)
+    if not path:
+        return w, math.nan
     # log phi(t0 + d*eps) = -invm(slope)*eps^q/q = -invm(slope*eps)*eps/q
     # to leading order, for either direction (the d factors cancel by
     # oddness of invm).
     logphi = -float(inverse_momentum(slope * eps, p)) * eps * (p - 1.0) / p
     if lam < 0.0:
-        # The true w rises from 0 towards the Riccati equilibrium
-        # w* = ((-lam)/(p-1))^((p-1)/p), where w' = -lam - (p-1)|w|^(p/(p-1))
-        # vanishes, and stays below it; the leading-order w passes it once
-        # |lam|*eps > w*.  So |phi'/phi| stays below invm(w*) and
-        # |log phi(eps)| below invm(w*)*eps.  Near p = 1 the leading-order
-        # log phi passes that by far (p = 1.03, lam = -1e7: 6.3e25 against
-        # 188), and every later increment would be below its ulp.
-        w_star = (-lam / (p - 1.0)) ** ((p - 1.0) / p)
-        w = math.copysign(min(abs(w), w_star), w)
+        # So |phi'/phi| stays below invm(w*) and |log phi(eps)| below
+        # invm(w*)*eps.  Near p = 1 the leading-order log phi passes that
+        # by far (p = 1.03, lam = -1e7: 6.3e25 against 188), and every
+        # later increment would be below its ulp.
         logphi = math.copysign(min(abs(logphi), float(inverse_momentum(w_star, p)) * eps), logphi)
     return w, logphi
 
@@ -205,7 +211,7 @@ def _shoot(plan: _Plan, lam: float, p: float, path: bool = False):
     are all a root-find needs.  Raises ToleranceFailure if the
     integration turns non-finite before phi crosses zero, which shows as
     a last slope the kernel did not write."""
-    w0, logphi0 = _launch_state(plan, lam, p)
+    w0, logphi0 = _launch_state(plan, lam, p, path)
     n = plan.kernel.shape[0] if path else 1
     out_logphi = np.full(n, np.nan)
     out_slope = np.full(n, np.nan)

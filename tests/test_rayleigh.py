@@ -32,6 +32,7 @@ from probin.rayleigh import (
     _inverse_step,
     _march,
     _march_root,
+    _match,
     discretize,
     energy,
     minimize,
@@ -54,6 +55,12 @@ LAM_P12_M10 = -21716.1545989089
 
 def _flat(alpha, p, r_len=1.0):
     return inradius_model_problem(ModelParams(0.0, 0.0, 2), r_len, alpha, p)
+
+
+def _robin_right(alpha, p):
+    # [0, 1] with the Robin end on the right, where _flat has it on the left
+    return SturmProblem(0.0, 1.0, p, const_weight(), BoundaryCondition.neumann(),
+                        BoundaryCondition.robin(alpha))
 
 
 def test_trapezoid_node_weights():
@@ -202,25 +209,25 @@ def test_inverse_power_reaches_the_minimum_near_p1():
     """At p = 1.1 the minimizer's slopes vary over many orders of
     magnitude, where gradient steps stall far above the minimum.  At
     alpha = 1e4 the Dirichlet-limit closed form is within 1e-8 of the
-    eigenvalue; with two Robin ends it is that of the half interval, and
-    each inverse step finds the left end's flux by the root-find."""
-    for prob, half in ((_flat(1e4, 1.1), 1.0), (double_robin_problem(0.5, 1e4, 1.1), 0.5)):
+    eigenvalue; with two Robin ends it is that of the half interval,
+    which the march from both ends reaches with no inverse iteration."""
+    for prob, half, inverse in ((_flat(1e4, 1.1), 1.0, True),
+                                (double_robin_problem(0.5, 1e4, 1.1), 0.5, False)):
         sol = solve_rayleigh(prob, 2000)
         assert sol.lambda_val == pytest.approx(mixed_dn_lambda(1.1, half), rel=1e-7)
-        assert sol.diagnostics["converged"] and sol.diagnostics["iterations"] > 0
+        assert sol.diagnostics["converged"] and (sol.diagnostics["iterations"] > 0) == inverse
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
 @pytest.mark.parametrize("alpha", [1.0, 1e4])
 def test_positive_alpha_never_marches(monkeypatch, alpha, p):
-    """With every Robin coefficient positive, the solve is the inverse
-    power method from the constant: no seed and no march."""
+    """With one Robin end and its coefficient positive, the solve is the
+    inverse power method from the constant: no seed and no march."""
     def refuse(*args):
         raise AssertionError("the alpha > 0 route marched")
 
     monkeypatch.setattr(probin.rayleigh, "_march", refuse)
-    for prob in (_flat(alpha, p), geodesic_ball_problem(0.0, 2, 1.0, alpha, p),
-                 double_robin_problem(0.5, alpha, p)):
+    for prob in (_flat(alpha, p), geodesic_ball_problem(0.0, 2, 1.0, alpha, p)):
         d = solve_rayleigh(prob, 2000).diagnostics
         assert d["converged"] and d["seed_iterations"] == 0
 
@@ -228,15 +235,14 @@ def test_positive_alpha_never_marches(monkeypatch, alpha, p):
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
 @pytest.mark.parametrize("alpha", [1.0, 1e4])
 def test_inverse_step_solves_its_equation(alpha, p):
-    """With two Robin ends the inverse step finds the left end's flux by
-    a root-find; its v must satisfy E'(v) = N'(u) at every node, divided
-    by p: f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j.  Every flux and the
-    load are sums of b, so each is allowed 24 eps sum |b| in all.  A flux
-    read off two neighbouring values of v is allowed its change under
-    their rounding, 4 eps (|v_j| + |v_(j+1)|); a Robin term its change
-    under the rounding of a cumulative sum, 4 eps sum |v| (at large alpha
-    the value at a Robin node cancels to near zero)."""
-    func = discretize(double_robin_problem(0.5, alpha, p), 2000)
+    """The inverse step's v must satisfy E'(v) = N'(u) at every node,
+    divided by p: f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j.  Every flux
+    and the load are sums of b, so each is allowed 24 eps sum |b| in
+    all.  A flux read off two neighbouring values of v is allowed its
+    change under their rounding, 4 eps (|v_j| + |v_(j+1)|); a Robin term
+    its change under the rounding of a cumulative sum, 4 eps sum |v| (at
+    large alpha the value at a Robin node cancels to near zero)."""
+    func = discretize(_flat(alpha, p), 2000)
     u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid  # positive, lopsided
     v = _inverse_step(func, u)[0]
     b = func.node_weights * momentum(u, p)
@@ -266,13 +272,12 @@ def test_inverse_step_solves_its_equation(alpha, p):
 @pytest.mark.parametrize("alpha", [1.0, 1e4])
 def test_inverse_step_energy_matches_energy(alpha, p):
     """The energy the inverse step reads off its slopes and fluxes is
-    E(v) as energy() forms it from the differences of v, with one or two
-    Robin ends."""
-    for prob in (double_robin_problem(0.5, alpha, p), _flat(alpha, p)):
+    E(v) as energy() forms it from the differences of v, with the Robin
+    end at either side."""
+    for prob in (_flat(alpha, p), _robin_right(alpha, p)):
         func = discretize(prob, 2000)
         u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid
-        v, e, evals = _inverse_step(func, u)
-        assert evals >= 1
+        v, e = _inverse_step(func, u)
         assert e == pytest.approx(energy(func, v), rel=1e-13)
 
 
@@ -342,18 +347,22 @@ def test_march_near_p1(prob):
 
 def test_march_brackets_the_p2_eigenvalue():
     """At p = 2 the march is below the LAPACK eigenvalue (every ratio
-    positive and y_m > 0) just under it and above it just over it, and
-    its dy_m/dlambda matches a central difference."""
-    for prob in (_flat(-1.0, 2.0), double_robin_problem(0.5, -1.0, 2.0)):
+    positive and its end value y > 0) just under it and above it just
+    over it, and its dy/dlambda matches a central difference.  With two
+    positive Robin coefficients y is the balance at the matching node of
+    the marches from both ends."""
+    for prob in (_flat(-1.0, 2.0), double_robin_problem(0.5, -1.0, 2.0),
+                 double_robin_problem(0.5, 1.0, 2.0)):
         func = discretize(prob, 400)
-        chain, _ = _chain(func)
+        chains, _ = _chain(func)
+        assert len(chains) == (2 if min(c for _, c in func.robin_terms) > 0.0 else 1)
         lam = _p2_matrix_eigenpair(func)[1]
-        ratios, (y, dy) = _march(lam - 1e-6, chain)
-        assert min(ratios) > 0.0 and y > 0.0
-        end = _march(lam + 1e-6, chain)[1]
+        runs, (y, dy) = _match(lam - 1e-6, chains)
+        assert min(map(min, runs)) > 0.0 and y > 0.0
+        end = _match(lam + 1e-6, chains)[1]
         assert end is None or end[0] < 0.0
         d = 1e-5
-        fd = (_march(lam + d, chain)[1][0] - _march(lam - d, chain)[1][0]) / (2 * d)
+        fd = (_match(lam + d, chains)[1][0] - _match(lam - d, chains)[1][0]) / (2 * d)
         assert dy == pytest.approx(fd, rel=1e-6)
 
 
@@ -389,6 +398,34 @@ def test_march_counts_at_m2000(prob, max_seed):
     assert d["seed_iterations"] <= max_seed
     assert d["evals"] == d["seed_iterations"] + d["steps"]
     assert _march_root(_coarse(func, 16), math.inf, None, seed=True)[1] is None  # no eigenvector
+
+
+@pytest.mark.parametrize("p,alpha", [(1.5, -10.0), (1.3, -3.0), (2.5, -0.75), (2.5, 0.75), (1.1, 1e4)])
+def test_two_robin_eigenfunction_is_even(p, alpha):
+    """The double-Robin problem is its own mirror image, and so is its
+    eigenvector: marched from both ends to the middle node (alpha > 0),
+    or a single march's product added to its mirror image (alpha < 0).
+    It is even to rounding, however deep its boundary layers, with
+    phi >= 0, and the eigenvalue is the quotient of its own
+    eigenvector."""
+    prob = double_robin_problem(0.5, alpha, p)
+    sol = solve_rayleigh(prob, 2000)
+    assert sol.diagnostics["converged"] and float(np.min(sol.phi)) >= 0.0
+    assert float(np.max(np.abs(sol.phi - sol.phi[::-1]))) <= 1e-12
+    assert sol.lambda_val == pytest.approx(quotient(discretize(prob, 2000), sol.phi), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.3])
+def test_two_robin_march_near_the_dirichlet_limit(p):
+    """Double-Robin at alpha = 1e4 near p = 1: the march from both ends
+    converges in at most 4 fine marches and 30 passes over the mesh in
+    all, coarse levels included, at the quotient of its own
+    eigenvector."""
+    prob = double_robin_problem(0.5, 1e4, p)
+    sol = solve_rayleigh(prob, 2000)
+    d = sol.diagnostics
+    assert d["converged"] and d["steps"] <= 4 and d["evals"] <= 30
+    assert sol.lambda_val == pytest.approx(quotient(discretize(prob, 2000), sol.phi), rel=1e-12)
 
 
 # 1 to 40 nodes, and around 2^11 (the m = 2000 meshes have 2001 nodes)
