@@ -226,15 +226,17 @@ def _chain(func: DiscreteFunctional):
     k = m // 2, and from node m down to k on reversed lists, with node
     k's weight set to 0 in the second, so that their end values add up
     to the balance of node k (Pryce 1993).  Any other problem has one
-    chain, run toward the end with the smaller Robin coefficient.  With
-    two negative ones u falls from both ends inward, and the half-chains
-    would run the way it decays: at p <= 1.2 and alpha <= -3 their
-    product is lost to rounding a few nodes from each end."""
+    chain, run toward the end with the smaller Robin coefficient, and so
+    has a single cell (a coarse level of _march_start on 16 cells),
+    where k would be the launch node.  With two negative coefficients u
+    falls from both ends inward, and the half-chains would run the way
+    it decays: at p <= 1.2 and alpha <= -3 their product is lost to
+    rounding a few nodes from each end."""
     robin = dict(func.robin_terms)
     m = func.grid.size - 1
     c_left, c_right = robin.get(0, 0.0), robin.get(m, 0.0)
     nw, mid = func.node_weights, func.mid_weights
-    if min(c_left, c_right) > 0.0:
+    if m > 1 and min(c_left, c_right) > 0.0:
         k = m // 2
         nw, mid = nw.tolist(), mid.tolist()
         right = nw[:k - 1:-1]

@@ -166,7 +166,7 @@ def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
                  robin_launch_alpha, singular, eps, launch_drift, kernel, node_pos, node_step)
 
 
-def _launch_state(plan: _Plan, lam: float, p: float, path: bool = True):
+def _launch_state(plan: _Plan, lam: float, p: float, path: bool):
     """(w, log phi) at the first step boundary.  A trial (path False)
     gets a NaN log phi off a Robin launch: its kernel does not read it,
     so it is not formed."""

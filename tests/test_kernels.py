@@ -27,7 +27,7 @@ def _flat(alpha, p):
 
 def _kernel_args(problem, lam):
     plan = _build_plan(problem, ShootConfig())
-    w0, logphi0 = _launch_state(plan, lam, problem.p)
+    w0, logphi0 = _launch_state(plan, lam, problem.p, True)
     pm1 = problem.p - 1.0
     return w0, logphi0, lam, pm1, 1.0 / pm1, plan.kernel
 

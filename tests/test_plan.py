@@ -129,7 +129,7 @@ def test_mismatch_and_kernel_outputs_are_pinned(family, alpha, p, lam, mismatch,
     else:
         assert robin_mismatch(problem, lam).hex() == mismatch
     plan = _build_plan(problem, ShootConfig())
-    args = (*_launch_state(plan, lam, p), lam, p - 1.0, 1.0 / (p - 1.0), plan.kernel)
+    args = (*_launch_state(plan, lam, p, True), lam, p - 1.0, 1.0 / (p - 1.0), plan.kernel)
     runs = []
     for n in (plan.kernel.shape[0], 1):  # a path, then a trial
         outs = np.full(n, np.nan), np.full(n, np.nan)

@@ -322,7 +322,7 @@ def test_launch_far_below_the_eigenvalue_is_not_a_crossing(lam):
     p = 1.03
     problem = _flat(-1.0, p)
     plan = _build_plan(problem, ShootConfig())
-    w0, logphi0 = _launch_state(plan, lam, p)
+    w0, logphi0 = _launch_state(plan, lam, p, True)
     assert abs(w0) == (-lam / (p - 1.0)) ** ((p - 1.0) / p)
     out_logphi = np.full(plan.kernel.shape[0], np.nan)
     out_slope = np.full(plan.kernel.shape[0], np.nan)
@@ -354,7 +354,7 @@ def test_launch_below_the_equilibrium_is_the_leading_order_term(family):
         plan = _build_plan(ProblemSpec.from_dict(dict(family, alpha=-1.0, p=p)).build(),
                            ShootConfig())
         for lam in -np.logspace(-3.0, 6.0, 19):
-            w0, logphi0 = _launch_state(plan, lam, p)
+            w0, logphi0 = _launch_state(plan, lam, p, True)
             if plan.robin_launch_alpha is not None:
                 assert (w0, logphi0) == (-1.0, 0.0)
                 continue
@@ -374,7 +374,7 @@ def test_launch_log_phi_is_bounded_by_the_equilibrium_slope():
     p, lam = 1.03, -1e7
     problem = _flat(-1.0, p)
     plan = _build_plan(problem, ShootConfig())
-    _, logphi0 = _launch_state(plan, lam, p)
+    _, logphi0 = _launch_state(plan, lam, p, True)
     w_star = (-lam / (p - 1.0)) ** ((p - 1.0) / p)
     assert 0.0 < logphi0 <= float(inverse_momentum(w_star, p)) * plan.eps
     crossed, out_logphi, _ = _shoot(plan, lam, p)
