@@ -12,6 +12,7 @@ vanishes, so nothing here is differentiated numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +29,11 @@ FLAT_KAPPA_EPS = 1e-12
 # so grids that touch a vanishing endpoint do not trip DomainError on
 # rounding noise.
 _ZERO_CLAMP = 1e-10
+
+# Weights each memoized weight factory keeps.  Equal geometries get one
+# Weight object, so the Rayleigh solver's per-mesh cache, keyed on the
+# weight, is shared by every problem on them.
+WEIGHT_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,7 @@ def power_weight(f: Callable, df: Callable, d2f: Callable, expo: float, what: st
     return Weight(value, log_deriv, log_second)
 
 
+@functools.lru_cache(maxsize=WEIGHT_CACHE)
 def weight_model(params: ModelParams) -> Weight:
     """Model weight C_(kappa,lambda_mc)^(n-1); vanishes at t=Z if finite."""
     k = params.kappa
@@ -158,8 +165,9 @@ def weight_model(params: ModelParams) -> Weight:
                         lambda t: -k * c_model(params, t), float(params.dim - 1), "model weight")
 
 
+@functools.cache
 def const_weight() -> Weight:
-    """The trivial weight w = 1."""
+    """The trivial weight w = 1, one object for every caller."""
 
     def value(t):
         return np.ones_like(np.asarray(t, dtype=float))[()] if np.ndim(t) else 1.0

@@ -10,16 +10,21 @@ alpha reads
 i.e. psi(a) = +alpha*|phi|^(p-2)phi(a) at a left Robin end and
 psi(b) = -alpha*|phi|^(p-2)phi(b) at a right Robin end.  Storing the
 condition this way keeps reflected problems sign-safe.  The momentum map
-and its inverse are defined here, once, for both solvers and the checks.
+and its inverse are defined here, once, for both solvers and the checks,
+and so is numpy's three-point derivative (ThreePoint), which the Rayleigh
+solver and the checks both read off sampled fields.
 
 The radial problems with a pole at 0 are warped products: weight f^(n-1)
 of a warping f, built by coeffs.power_weight.  A geodesic ball is the
 warped product of sn_kappa, so the geodesic_ball and warped_product spec
-types reach one builder body.
+types reach one builder body.  Its weight is built once per (warping, n)
+and shared, as coeffs shares the constant and model weights, so every
+problem on one geometry carries the same Weight object.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 from dataclasses import dataclass, field
@@ -28,6 +33,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .coeffs import (
+    WEIGHT_CACHE,
     ModelParams,
     Weight,
     const_weight,
@@ -56,6 +62,69 @@ def momentum(x, p: float):
 def inverse_momentum(y, p: float):
     """Inverse of momentum: |y|^(q-2) y with q = p/(p-1)."""
     return np.sign(y) * np.abs(y) ** (1.0 / (p - 1.0))
+
+
+class ThreePoint:
+    """numpy's three-point derivative np.gradient(f, x, edge_order=2), bit
+    for bit, with its weights formed once for every f.
+
+    grid is x, or a run of x's nodes with one neighbour on each side; h is
+    x's step if x is exactly uniform (every spacing equals the first),
+    else None.  On an exactly uniform x numpy takes its scalar branch,
+    (f_(j+1) - f_(j-1))/(2h); otherwise the weights (a, b, c) of
+    f_(j-1), f_j, f_(j+1) come from the two spacings around node j, and a
+    run that happens to be uniform inside a non-uniform x keeps them,
+    since they round differently."""
+
+    def __init__(self, grid, h):
+        self.grid, self.h = grid, h
+        if h is None:
+            dx = np.diff(grid)
+            dx1, dx2 = dx[:-1], dx[1:]
+            span = dx1 + dx2
+            self.weights = (-dx2 / (dx1 * span), (dx2 - dx1) / (dx1 * dx2), dx1 / (dx2 * span))
+
+    @classmethod
+    def of_grid(cls, grid) -> "ThreePoint":
+        """The stencil of the whole grid x, with numpy's test for its
+        scalar branch."""
+        dx = np.diff(grid)
+        return cls(grid, dx[0] if (dx == dx[0]).all() else None)
+
+    def interior(self, f):
+        """The derivative at grid's interior nodes."""
+        if self.h is not None:
+            return (f[2:] - f[:-2]) / (2. * self.h)
+        a, b, c = self.weights
+        df = a * f[:-2]  # then += keeps numpy's order: (a f0 + b f1) + c f2
+        df += b * f[1:-1]
+        df += c * f[2:]
+        return df
+
+    @functools.cached_property
+    def _edges(self):
+        """numpy's one-sided second-order weights of (f_0, f_1, f_2) and of
+        (f_(-3), f_(-2), f_(-1))."""
+        h = self.h
+        if h is not None:
+            return (-1.5 / h, 2. / h, -0.5 / h), (0.5 / h, -2. / h, 1.5 / h)
+        x = self.grid
+        dx1, dx2 = x[1] - x[0], x[2] - x[1]
+        left = (-(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)), (dx1 + dx2) / (dx1 * dx2),
+                -dx1 / (dx2 * (dx1 + dx2)))
+        dx1, dx2 = x[-2] - x[-3], x[-1] - x[-2]
+        right = (dx2 / (dx1 * (dx1 + dx2)), -(dx2 + dx1) / (dx1 * dx2),
+                 (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
+        return left, right
+
+    def __call__(self, f):
+        """The derivative at every node, grid being the whole of x."""
+        out = np.empty_like(f)
+        out[1:-1] = self.interior(f)
+        (a, b, c), (d, e, g) = self._edges
+        out[0] = a * f[0] + b * f[1] + c * f[2]
+        out[-1] = d * f[-3] + e * f[-2] + g * f[-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -387,12 +456,18 @@ def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float)
         a=0.0,
         b=float(R0),
         p=float(p),
-        weight=power_weight(warping.f, warping.df, warping.d2f, float(n - 1), "warping weight"),
+        weight=_warping_weight(warping, n),
         bc_left=BoundaryCondition.neumann(),
         bc_right=BoundaryCondition.robin(alpha),
         singular_left=pole,
         singular_order=n - 1 if pole else 0,
     )
+
+
+@functools.lru_cache(maxsize=WEIGHT_CACHE)
+def _warping_weight(warping: Warping, n: int) -> Weight:
+    """The weight f^(n-1) of a warping, one object per (warping, n)."""
+    return power_weight(warping.f, warping.df, warping.d2f, float(n - 1), "warping weight")
 
 
 # the problem types of ProblemSpec and the builder call each one makes

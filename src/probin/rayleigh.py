@@ -24,22 +24,32 @@ from the signs of the Robin terms:
   so it is positive by construction, and on a problem that is its own
   mirror image it is even.
 
+Only p and the Robin terms of a functional depend on more than its
+geometry.  discretize draws the rest from a mesh built once per (weight,
+a, b, m) and kept in an lru_cache of _MESH_CACHE meshes: the grid, h,
+the read-only node and mid weights and w at the two end nodes.  The
+mesh forms, on first use, and keeps the march's tuples of Python floats,
+np.gradient's weights for the eigenfunction's derivative, the
+palindrome test of the mirror image and the coarse levels of the
+march's start.  Every solve on a geometry (a sweep over p or alpha)
+shares them, bit for bit.
+
 The package needs numpy only.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
+from .problems import (EigenSolution, ProblemSpec, SturmProblem, ThreePoint, inverse_momentum,
+                       momentum)
 
 _INVERSE_MAX = 200  # iterations of the inverse power method
 _INVERSE_RTOL = 1e-13  # quotient fall that ends it, per unit of q
@@ -49,6 +59,7 @@ _MARCH_RTOL = 1e-13  # Newton step in lambda that ends the root-find, per unit o
 # the first k here that divides the cell count
 _COARSE = (16, 8, 4)
 _HUGE = float(np.finfo(float).max)
+_MESH_CACHE = 32  # meshes _mesh keeps
 
 DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
 
@@ -60,39 +71,116 @@ class MinimizeConfig:
     track_history: bool = False
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Mesh:
+    """What a weight on [a, b] in m cells fixes, whatever p and the Robin
+    terms: the grid, h, the node weights (trapezoid, the weight folded
+    in), the weights at the cell midpoints and w at the two end nodes.
+    The arrays are read-only, since every functional on the mesh shares
+    them.  The facts below are formed on a functional's first use of
+    them and kept, so a mesh that one solve uses pays for none it does
+    not need."""
+
+    grid: np.ndarray
+    h: float
+    node_weights: np.ndarray
+    mid_weights: np.ndarray
+    end_weights: tuple
+    levels: dict = field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def floats(self):
+        """The node and mid weights as tuples of Python floats, which the
+        march reads."""
+        return tuple(self.node_weights.tolist()), tuple(self.mid_weights.tolist())
+
+    @functools.cached_property
+    def palindrome(self) -> bool:
+        """The node and mid weights read the same backward."""
+        nw, mid = self.node_weights, self.mid_weights
+        return np.array_equal(nw, nw[::-1]) and np.array_equal(mid, mid[::-1])
+
+    @functools.cached_property
+    def gradient(self) -> ThreePoint:
+        """np.gradient(., grid, edge_order=2) with its weights formed."""
+        return ThreePoint.of_grid(self.grid)
+
+    def coarse(self, k: int) -> "_Mesh":
+        """The mesh on every k-th node, for an even k that divides the cell
+        count: the node weights scale by k, and each coarse cell's midpoint
+        is a fine node, whose weight is its node weight over h.  That is
+        _mesh on the coarse cells, up to rounding."""
+        level = self.levels.get(k)
+        if level is None:
+            level = self.levels[k] = _Mesh(
+                self.grid[::k], self.h * k, _frozen(self.node_weights[::k] * k),
+                _frozen(self.node_weights[k // 2::k] / self.h), self.end_weights)
+        return level
+
+
+@functools.lru_cache(maxsize=_MESH_CACHE)
+def _mesh(weight, a: float, b: float, m: int) -> _Mesh:
+    """The mesh of a weight on [a, b] in m cells, built once for every
+    functional on it.  Equal geometries share one Weight object (the
+    weight factories of coeffs and problems are memoized), so a sweep
+    over p or alpha builds one mesh."""
+    grid = np.linspace(a, b, m + 1)
+    h = (b - a) / m
+    w_nodes = np.asarray(weight.value(grid), dtype=float)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    w_mid = np.array(weight.value(mids), dtype=float)  # a copy, since it is frozen below
+    if np.any(w_nodes < 0.0) or np.any(w_mid <= 0.0):
+        raise DomainError("weight not positive at quadrature points")
+    node_weights = h * w_nodes
+    node_weights[0] *= 0.5
+    node_weights[-1] *= 0.5
+    return _Mesh(_frozen(grid), h, _frozen(node_weights), _frozen(w_mid),
+                 (float(w_nodes[0]), float(w_nodes[-1])))
+
+
 @dataclass
 class DiscreteFunctional:
     """Discrete Rayleigh functional of a SturmProblem on m cells.
 
     E(u) = sum_cells |du/h|^p * w_mid * h + sum_(j,c) c*|u_j|^p with
     c = alpha * w(node) at each Robin node; N(u) = sum_j nw_j*|u_j|^p.
+    The grid, h and weights are those of its mesh, which it shares with
+    every functional on the same geometry.
     """
 
-    grid: np.ndarray
-    node_weights: np.ndarray
-    mid_weights: np.ndarray
+    mesh: _Mesh
     p: float
     robin_terms: list
-    h: float
+
+    @property
+    def grid(self) -> np.ndarray:
+        return self.mesh.grid
+
+    @property
+    def node_weights(self) -> np.ndarray:
+        return self.mesh.node_weights
+
+    @property
+    def mid_weights(self) -> np.ndarray:
+        return self.mesh.mid_weights
+
+    @property
+    def h(self) -> float:
+        return self.mesh.h
 
 
 def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
     if not (isinstance(m, numbers.Integral) and m >= 16):
         raise DomainError("need an integer number of cells, at least 16, got %r" % (m,))
-    grid = np.linspace(problem.a, problem.b, m + 1)
-    h = (problem.b - problem.a) / m
-    w_nodes = np.asarray(problem.weight.value(grid), dtype=float)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    w_mid = np.asarray(problem.weight.value(mids), dtype=float)
-    if np.any(w_nodes < 0.0) or np.any(w_mid <= 0.0):
-        raise DomainError("weight not positive at quadrature points")
-    node_weights = h * w_nodes
-    node_weights[0] *= 0.5
-    node_weights[-1] *= 0.5
-
-    ends = ((0, problem.bc_left), (m, problem.bc_right))
-    robin_terms = [(j, bc.alpha * float(w_nodes[j])) for j, bc in ends if bc.kind == "robin"]
-    return DiscreteFunctional(grid, node_weights, w_mid, problem.p, robin_terms, h)
+    mesh = _mesh(problem.weight, problem.a, problem.b, m)
+    ends = ((0, problem.bc_left, mesh.end_weights[0]), (m, problem.bc_right, mesh.end_weights[1]))
+    robin_terms = [(j, bc.alpha * w) for j, bc, w in ends if bc.kind == "robin"]
+    return DiscreteFunctional(mesh, problem.p, robin_terms)
 
 
 def energy(func: DiscreteFunctional, u: np.ndarray) -> float:
@@ -169,8 +257,10 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
     coefficient (0 elsewhere) and f_(-1) = f_m = 0.  So the fluxes are
     s minus the cumulative sums of b, where s is the flux the left end
     lets in: the total of b at a left Robin end, 0 at a Neumann one.  v is
-    a cumulative sum of h times the slopes they give, shifted so that the
-    Robin node's value meets its balance.
+    summed from the Robin node, whose value its balance fixes, over h
+    times the slopes they give: near a large-alpha end that value is
+    small, and a sum from the other end, shifted to meet it, would leave
+    it a difference of two O(1) numbers.
 
     A cell's energy w_mid |v'|^p h is h |v' f|, so E(v) is read off the
     slopes and fluxes that gave v, with no power of v' or difference of
@@ -182,11 +272,12 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
     (j, c), = func.robin_terms
     flux = (total if j == 0 else 0.0) - part[:-1]
     slopes = inverse_momentum(flux / func.mid_weights, p)
-    v = np.concatenate(([0.0], np.cumsum(func.h * slopes)))
+    steps = func.h * slopes
+    v_robin = inverse_momentum(total / c, p)
     if j == 0:
-        v = inverse_momentum(total / c, p) + v
+        v = v_robin + np.concatenate(([0.0], np.cumsum(steps)))
     else:
-        v = v + (inverse_momentum(total / c, p) - v[-1])
+        v = v_robin - np.concatenate((np.cumsum(steps[::-1])[::-1], [0.0]))
     e = func.h * float(np.sum(np.abs(slopes * flux)))
     return v, e + c * abs(float(v[j])) ** p
 
@@ -215,15 +306,15 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
 
 def _chain(func: DiscreteFunctional):
     """The march's chains, each from its launch node to its end node:
-    node weights and mid weights as Python floats, the two nodes' Robin
-    coefficients (0 at a Neumann end), h and p; and whether a single
-    chain runs from right to left.  A chain runs the way u grows:
-    marched the other way, its end value is lost to rounding near its
-    root.
+    node weights and mid weights as Python floats (the mesh's tuples, or
+    slices of them), the two nodes' Robin coefficients (0 at a Neumann
+    end), h and p; and whether a single chain runs from right to left.
+    A chain runs the way u grows: marched the other way, its end value
+    is lost to rounding near its root.
 
     With two positive Robin coefficients u grows from both ends inward,
     and there are two half-chains: from node 0 to the matching node
-    k = m // 2, and from node m down to k on reversed lists, with node
+    k = m // 2, and from node m down to k on reversed tuples, with node
     k's weight set to 0 in the second, so that their end values add up
     to the balance of node k (Pryce 1993).  Any other problem has one
     chain, run toward the end with the smaller Robin coefficient, and so
@@ -235,18 +326,16 @@ def _chain(func: DiscreteFunctional):
     robin = dict(func.robin_terms)
     m = func.grid.size - 1
     c_left, c_right = robin.get(0, 0.0), robin.get(m, 0.0)
-    nw, mid = func.node_weights, func.mid_weights
+    nw, mid = func.mesh.floats
     if m > 1 and min(c_left, c_right) > 0.0:
         k = m // 2
-        nw, mid = nw.tolist(), mid.tolist()
-        right = nw[:k - 1:-1]
-        right[-1] = 0.0
+        right = nw[:k:-1] + (0.0,)
         return [(nw[:k + 1], mid[:k], c_left, 0.0, func.h, func.p),
                 (right, mid[:k - 1:-1], c_right, 0.0, func.h, func.p)], False
     flip = c_left < c_right
     if flip:
         nw, mid, c_left, c_right = nw[::-1], mid[::-1], c_right, c_left
-    return [(nw.tolist(), mid.tolist(), c_left, c_right, func.h, func.p)], flip
+    return [(nw, mid, c_left, c_right, func.h, func.p)], flip
 
 
 def _march(lam: float, chain):
@@ -304,9 +393,7 @@ def _mirror_image(func: DiscreteFunctional) -> bool:
     coefficient, and node and mid weights that read the same backward
     (the double-Robin interval)."""
     ends = [c for _, c in func.robin_terms]
-    return (len(ends) == 2 and ends[0] == ends[1]
-            and np.array_equal(func.node_weights, func.node_weights[::-1])
-            and np.array_equal(func.mid_weights, func.mid_weights[::-1]))
+    return len(ends) == 2 and ends[0] == ends[1] and func.mesh.palindrome
 
 
 def _match(lam: float, chains):
@@ -402,14 +489,10 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
 
 
 def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
-    """func on every k-th node, for an even k that divides the cell
-    count: the node weights scale by k, and each coarse cell's midpoint
-    is a fine node, whose weight is its node weight over h.  That is
-    discretize on the coarse mesh, up to rounding."""
-    return dataclasses.replace(
-        func, grid=func.grid[::k], node_weights=func.node_weights[::k] * k,
-        mid_weights=func.node_weights[k // 2::k] / func.h, h=func.h * k,
-        robin_terms=[(j // k, c) for j, c in func.robin_terms])
+    """func on every k-th node (_Mesh.coarse), for an even k that divides
+    the cell count."""
+    return DiscreteFunctional(func.mesh.coarse(k), func.p,
+                              [(j // k, c) for j, c in func.robin_terms])
 
 
 def _march_start(func: DiscreteFunctional):
@@ -464,7 +547,7 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
         u = -u
     scale = float(np.max(np.abs(u)))
     phi = u / scale
-    dphi = np.gradient(phi, func.grid, edge_order=2)
+    dphi = func.mesh.gradient(phi)
     psi = momentum(dphi, func.p)
     g = _residual(func, u, q)
     gnorm = float(np.sqrt(np.dot(g, g)))
@@ -484,7 +567,7 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
 
     return EigenSolution(
         lambda_val=float(q),
-        grid=func.grid.copy(),
+        grid=func.grid,
         phi=phi,
         psi=psi,
         residual=gnorm,

@@ -25,6 +25,7 @@ from .problems import (
     EigenSolution,
     ProblemSpec,
     SturmProblem,
+    ThreePoint,
     Warping,
     boundary_mean_curvature,
     inverse_momentum,
@@ -203,28 +204,13 @@ def _interior_differences(grid, h, *fields) -> list:
     for bit, on the interior nodes of grid: the full grid or a block of it
     with one neighbour on each side (_blocks).
 
-    h is _uniform_step(full_grid).  The scalar branch is taken only when
-    the whole grid is exactly uniform: a block that happens to be uniform
-    on a non-uniform grid keeps numpy's coefficients (a, b, c), which
-    round differently.  Those are formed from the block's own spacing,
-    once for all fields, and the edge values, which no check reads, are
-    never formed."""
-    if h is not None:
-        two_h = 2. * h
-        return [(f[2:] - f[:-2]) / two_h for f in fields]
-    dx = np.diff(grid)
-    dx1, dx2 = dx[:-1], dx[1:]
-    span = dx1 + dx2
-    a = -dx2 / (dx1 * span)
-    b = (dx2 - dx1) / (dx1 * dx2)
-    c = dx1 / (dx2 * span)
-    out = []
-    for f in fields:
-        df = a * f[:-2]  # then += keeps numpy's order: (a f0 + b f1) + c f2
-        df += b * f[1:-1]
-        df += c * f[2:]
-        out.append(df)
-    return out
+    h is _uniform_step(full_grid): numpy's scalar branch is taken only
+    when the whole grid is exactly uniform (ThreePoint).  numpy's
+    weights are formed from the block's own spacing, once for all
+    fields, and the edge values, which no check reads, are never
+    formed."""
+    stencil = ThreePoint(grid, h)
+    return [stencil.interior(f) for f in fields]
 
 
 # ----------------------------------------------------------------------

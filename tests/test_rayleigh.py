@@ -18,13 +18,16 @@ from probin.coeffs import ModelParams, const_weight
 from probin.errors import DomainError
 from probin.problems import (
     BoundaryCondition,
+    ProblemSpec,
     SturmProblem,
+    ThreePoint,
     double_robin_problem,
     geodesic_ball_problem,
     inradius_model_problem,
     momentum,
 )
 from probin.rayleigh import (
+    _MESH_CACHE,
     MinimizeConfig,
     _chain,
     _coarse,
@@ -33,6 +36,7 @@ from probin.rayleigh import (
     _march,
     _march_root,
     _match,
+    _mesh,
     _norm_grad,
     _normalize,
     discretize,
@@ -45,6 +49,7 @@ from probin.rayleigh import (
 from probin.shoot import solve_first_eigenvalue
 
 from oracles import flat_robin_lambda, mixed_dn_lambda
+from test_plan import FAMILIES
 
 FLAT_ANCHOR = 0.740173884394967
 _EPS = float(np.finfo(float).eps)
@@ -96,6 +101,103 @@ def test_cells_must_be_an_integer(m):
         discretize(problem, m)
     with pytest.raises(DomainError, match="integer"):
         solve_rayleigh(problem, m)
+
+
+def _spec(family, p, alpha, **geometry):
+    return ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=alpha, **geometry))
+
+
+def test_specs_that_differ_in_p_or_alpha_share_one_mesh():
+    """The weight factories hand equal geometries one Weight object, so
+    the mesh is built once for every p and alpha on a geometry, and again
+    for any other R, kappa, n, warping or m."""
+    for family in FAMILIES:
+        mesh = discretize(_spec(family, 2.0, 1.0).build(), 2000).mesh
+        for p, alpha in ((1.5, -3.0), (2.0, 1e4), (3.0, 0.5)):
+            assert discretize(_spec(family, p, alpha).build(), 2000).mesh is mesh, family
+        assert discretize(_spec(family, 2.0, 1.0, R=0.4).build(), 2000).mesh is not mesh
+        assert discretize(_spec(family, 2.0, 1.0).build(), 1000).mesh is not mesh
+    others = [_spec("hyperbolic_ball", 2.0, 1.0, kappa=-2.0),
+              _spec("hyperbolic_ball", 2.0, 1.0, n=4),
+              _spec("curvature_model", 2.0, 1.0, lambda_mc=0.25),
+              _spec("warped_ball", 2.0, 1.0, warping={"kind": "polynomial",
+                                                       "coefficients": [0.0, 1.0, 0.0, 0.2]})]
+    meshes = {id(discretize(s.build(), 2000).mesh) for s in others}
+    meshes |= {id(discretize(_spec(f, 2.0, 1.0).build(), 2000).mesh) for f in FAMILIES}
+    assert len(meshes) == len(others) + len(FAMILIES)
+
+
+def test_cached_mesh_arrays_are_read_only():
+    func = discretize(_spec("hyperbolic_ball", 1.75, -0.5).build(), 2000)
+    minimize(func)  # forms the coarse levels too
+    levels = list(func.mesh.levels.values())
+    assert len(levels) == 2
+    for mesh in [func.mesh] + levels:
+        for a in (mesh.grid, mesh.node_weights, mesh.mid_weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def _same_solution(a, b):
+    """Bit-identical lambda, samples, residual and diagnostics but the
+    wall times."""
+    assert a.lambda_val.hex() == b.lambda_val.hex() and a.residual.hex() == b.residual.hex()
+    for x, y in ((a.grid, b.grid), (a.phi, b.phi), (a.psi, b.psi)):
+        assert x.tobytes() == y.tobytes()
+    da, db = dict(a.diagnostics), dict(b.diagnostics)
+    del da["phase_s"], db["phase_s"]
+    assert da == db
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cold_and_warm_solves_agree_bit_for_bit(family, sign):
+    """A solve on a mesh built afresh and one on the cached mesh, with its
+    tuples, gradient stencil, palindrome test and coarse levels formed:
+    alpha > 0 takes the inverse power method (two-Robin: the march from
+    both ends), alpha < 0 the march (two-Robin: the mirror image)."""
+    problem = _spec(family, 1.75, 0.5 * sign).build()
+    _mesh.cache_clear()
+    cold = solve_rayleigh(problem, 2000)
+    hits = _mesh.cache_info().hits
+    warm = solve_rayleigh(problem, 2000)
+    assert _mesh.cache_info().hits == hits + 1
+    _same_solution(cold, warm)
+    assert cold.diagnostics["converged"]
+    assert (cold.diagnostics["iterations"] > 0) == (sign > 0 and family != "double_robin")
+
+
+def test_mesh_cache_stays_within_its_bound():
+    _mesh.cache_clear()
+    for i in range(_MESH_CACHE + 8):
+        discretize(double_robin_problem(0.5 + 0.01 * i, 1.0, 2.0), 32)
+    info = _mesh.cache_info()
+    assert info.maxsize == _MESH_CACHE and info.currsize == _MESH_CACHE and info.hits == 0
+
+
+# exactly uniform grids, where numpy takes its scalar branch: spacing
+# 3/16 (double-Robin, R = 1.5), where numpy's weights would round
+# differently, and 1/1024, where they are exact; then the linspace of
+# every bench family at m = 2000, which is not exactly uniform
+_STENCIL_MESHES = [("double_robin R=1.5 m=16", _spec("double_robin", 2.0, 1.0, R=1.5), 16, True),
+                   ("flat m=1024", _spec("flat", 2.0, 1.0), 1024, True)] + [
+    (family + " m=2000", _spec(family, 2.0, 1.0), 2000, False) for family in sorted(FAMILIES)]
+
+
+@pytest.mark.parametrize("spec,m,uniform", [row[1:] for row in _STENCIL_MESHES],
+                         ids=[row[0] for row in _STENCIL_MESHES])
+def test_mesh_gradient_is_numpy_gradient_bit_for_bit(spec, m, uniform):
+    mesh = discretize(spec.build(), m).mesh
+    grid = mesh.grid
+    assert (mesh.gradient.h is not None) == uniform
+    noise = np.random.default_rng(3).standard_normal(m + 1)
+    for f in (np.exp(np.sin(3.0 * grid)), noise, grid ** 3 - grid):
+        want = np.gradient(f, grid, edge_order=2)
+        assert mesh.gradient(f).tobytes() == want.tobytes()
+        assert mesh.gradient.interior(f).tobytes() == want[1:-1].tobytes()
+    if m == 16:  # the scalar branch is needed
+        assert (ThreePoint(grid, None)(noise) != np.gradient(noise, grid, edge_order=2)).any()
 
 
 def test_quotient_constant_trial():
@@ -243,31 +345,32 @@ def test_inverse_step_solves_its_equation(alpha, p):
     all.  A flux read off two neighbouring values of v is allowed its
     change under their rounding, 4 eps (|v_j| + |v_(j+1)|); a Robin term
     its change under the rounding of a cumulative sum, 4 eps sum |v| (at
-    large alpha the value at a Robin node cancels to near zero)."""
-    func = discretize(_flat(alpha, p), 2000)
-    u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid  # positive, lopsided
-    v = _inverse_step(func, u)[0]
-    b = func.node_weights * momentum(u, p)
-    dv = 4.0 * _EPS * float(np.sum(np.abs(v)))
-
+    large alpha the value at a Robin node cancels to near zero).  The
+    Robin end is on either side: v is summed from it."""
     def spread(x, dx):  # the largest change of |x|^(p-2) x within dx
         return np.maximum(np.abs(momentum(x + dx, p) - momentum(x, p)),
                           np.abs(momentum(x - dx, p) - momentum(x, p)))
 
-    d = np.diff(v) / func.h
-    flux = func.mid_weights * momentum(d, p)
-    av = np.abs(v)
-    flux_spread = func.mid_weights * spread(d, 4.0 * _EPS * (av[:-1] + av[1:]) / func.h)
-    lhs = -b
-    lhs[1:] += flux
-    lhs[:-1] -= flux
-    allowed = np.full(v.size, 24.0 * _EPS * float(np.sum(np.abs(b))))
-    allowed[1:] += flux_spread
-    allowed[:-1] += flux_spread
-    for j, c in func.robin_terms:
-        lhs[j] += c * momentum(v[j], p)
-        allowed[j] += c * spread(v[j], dv)
-    assert np.all(np.abs(lhs) <= allowed)
+    for prob in (_flat(alpha, p), _robin_right(alpha, p)):
+        func = discretize(prob, 2000)
+        u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid  # positive, lopsided
+        v = _inverse_step(func, u)[0]
+        b = func.node_weights * momentum(u, p)
+        dv = 4.0 * _EPS * float(np.sum(np.abs(v)))
+        d = np.diff(v) / func.h
+        flux = func.mid_weights * momentum(d, p)
+        av = np.abs(v)
+        flux_spread = func.mid_weights * spread(d, 4.0 * _EPS * (av[:-1] + av[1:]) / func.h)
+        lhs = -b
+        lhs[1:] += flux
+        lhs[:-1] -= flux
+        allowed = np.full(v.size, 24.0 * _EPS * float(np.sum(np.abs(b))))
+        allowed[1:] += flux_spread
+        allowed[:-1] += flux_spread
+        for j, c in func.robin_terms:
+            lhs[j] += c * momentum(v[j], p)
+            allowed[j] += c * spread(v[j], dv)
+        assert np.all(np.abs(lhs) <= allowed), prob.bc_left
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
