@@ -10,19 +10,22 @@ from the signs of the Robin terms:
   2009; Hein & Buehler 2010) solves E'(v) = N'(u) exactly by cumulative
   sums and normalizes v, starting from the normalized constant.  This
   route has no loop over nodes in Python;
-- otherwise (two Robin ends, a Robin coefficient <= 0, or no Robin
+- otherwise (a Robin coefficient <= 0, two Robin ends, or no Robin
   end): node j of E'(u) = lambda N'(u) is a half-linear three-term
   recurrence, and marched in Riccati form from one end it meets the
   other end's condition, with every ratio u_(j+1)/u_j positive, exactly
   at the discrete first eigenvalue (discrete half-linear Sturm theory:
-  Rehak 2001; Dosly & Rehak 2005).  With two positive Robin
-  coefficients it is marched from both ends instead, and the two
-  halves' balances are matched at the middle node (Pryce 1993).  Newton
-  in lambda on the end value, safeguarded by bisection, finds that
-  root; its start comes from the same root-find on two coarser meshes,
-  extrapolated.  The eigenvector is the product of the marches' ratios,
-  so it is positive by construction, and on a problem that is its own
-  mirror image it is even.
+  Rehak 2001; Dosly & Rehak 2005).  Newton in lambda on the end value,
+  safeguarded by bisection, finds that root; its start comes from the
+  same root-find on two coarser meshes, extrapolated.  The eigenvector
+  is the product of the march's ratios, so it is positive by
+  construction.
+
+A functional that is its own mirror image (two equal Robin ends on
+weights that read the same backward: the double-Robin interval) has an
+even first eigenvector.  minimize solves its half on nodes 0..m // 2,
+whose middle node is a Neumann end, by the route the half's one Robin
+end picks, and mirrors the half's eigenvector.
 
 Only p and the Robin terms of a functional depend on more than its
 geometry.  discretize draws the rest from a mesh built once per (weight,
@@ -30,9 +33,9 @@ a, b, m) and kept in an lru_cache of _MESH_CACHE meshes: the grid, h,
 the read-only node and mid weights and w at the two end nodes.  The
 mesh forms, on first use, and keeps the march's tuples of Python floats,
 np.gradient's weights for the eigenfunction's derivative, the
-palindrome test of the mirror image and the coarse levels of the
-march's start.  Every solve on a geometry (a sweep over p or alpha)
-shares them, bit for bit.
+palindrome test of the mirror image, the half mesh and the coarse
+levels of the march's start.  Every solve on a geometry (a sweep over p
+or alpha) shares them, bit for bit.
 
 The package needs numpy only.
 """
@@ -104,6 +107,21 @@ class _Mesh:
         """The node and mid weights read the same backward."""
         nw, mid = self.node_weights, self.mid_weights
         return np.array_equal(nw, nw[::-1]) and np.array_equal(mid, mid[::-1])
+
+    @functools.cached_property
+    def half(self) -> "_Mesh":
+        """The mesh on nodes 0..k, k = m // 2, of the half of a functional
+        that is its own mirror image.  With m even node k keeps half its
+        weight, the other half being its mirror's, which makes this the
+        trapezoid mesh of [a, mid].  With m odd node k keeps its full
+        weight: its mirror is node k + 1, and the middle cell between them
+        has zero slope."""
+        k = (self.grid.size - 1) // 2
+        nw = self.node_weights[:k + 1].copy()
+        if self.grid.size % 2:  # m even
+            nw[k] *= 0.5
+        return _Mesh(self.grid[:k + 1], self.h, _frozen(nw), self.mid_weights[:k],
+                     (self.end_weights[0], float(self.node_weights[k]) / self.h))
 
     @functools.cached_property
     def gradient(self) -> ThreePoint:
@@ -305,37 +323,20 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
 
 
 def _chain(func: DiscreteFunctional):
-    """The march's chains, each from its launch node to its end node:
-    node weights and mid weights as Python floats (the mesh's tuples, or
-    slices of them), the two nodes' Robin coefficients (0 at a Neumann
-    end), h and p; and whether a single chain runs from right to left.
-    A chain runs the way u grows: marched the other way, its end value
-    is lost to rounding near its root.
-
-    With two positive Robin coefficients u grows from both ends inward,
-    and there are two half-chains: from node 0 to the matching node
-    k = m // 2, and from node m down to k on reversed tuples, with node
-    k's weight set to 0 in the second, so that their end values add up
-    to the balance of node k (Pryce 1993).  Any other problem has one
-    chain, run toward the end with the smaller Robin coefficient, and so
-    has a single cell (a coarse level of _march_start on 16 cells),
-    where k would be the launch node.  With two negative coefficients u
-    falls from both ends inward, and the half-chains would run the way
-    it decays: at p <= 1.2 and alpha <= -3 their product is lost to
-    rounding a few nodes from each end."""
+    """The march's chain, from its launch node to its end node: node
+    weights and mid weights as Python floats (the mesh's tuples), the two
+    nodes' Robin coefficients (0 at a Neumann end), h and p; and whether
+    it runs from right to left.  It runs toward the end with the smaller
+    Robin coefficient, the way u grows: marched the other way, its end
+    value is lost to rounding near its root."""
     robin = dict(func.robin_terms)
     m = func.grid.size - 1
     c_left, c_right = robin.get(0, 0.0), robin.get(m, 0.0)
     nw, mid = func.mesh.floats
-    if m > 1 and min(c_left, c_right) > 0.0:
-        k = m // 2
-        right = nw[:k:-1] + (0.0,)
-        return [(nw[:k + 1], mid[:k], c_left, 0.0, func.h, func.p),
-                (right, mid[:k - 1:-1], c_right, 0.0, func.h, func.p)], False
     flip = c_left < c_right
     if flip:
         nw, mid, c_left, c_right = nw[::-1], mid[::-1], c_right, c_left
-    return [(nw, mid, c_left, c_right, func.h, func.p)], flip
+    return (nw, mid, c_left, c_right, func.h, func.p), flip
 
 
 def _march(lam: float, chain):
@@ -388,33 +389,6 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
-def _mirror_image(func: DiscreteFunctional) -> bool:
-    """func reads the same from either end: two Robin ends with one
-    coefficient, and node and mid weights that read the same backward
-    (the double-Robin interval)."""
-    ends = [c for _, c in func.robin_terms]
-    return len(ends) == 2 and ends[0] == ends[1] and func.mesh.palindrome
-
-
-def _match(lam: float, chains):
-    """Every chain of _chain marched at lam: their ratios, and the sum of
-    their end values (y, dy/dlam), or None once a march stops at some
-    r_j <= 0, with the chains after it not marched.  For two half-chains
-    that sum is the balance of the matching node, and lam lies below the
-    discrete first eigenvalue exactly when both keep every ratio
-    positive and the sum is positive: at p = 2 the two marches are a
-    twisted factorization of K + C - lam M, whose pivots carry its
-    inertia."""
-    runs, total = [], None
-    for chain in chains:
-        ratios, end = _march(lam, chain)
-        runs.append(ratios)
-        if end is None:
-            return runs, None
-        total = end if total is None else (total[0] + end[0], total[1] + end[1])
-    return runs, total
-
-
 def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = False):
     """The discrete first eigenvalue of func, for any Robin ends but a
     single positive one, and its eigenvector, from a start lam.
@@ -422,7 +396,7 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
     The root is bracketed from the start: above by the constant trial's
     quotient (_constant_quotient), below by the sum of c_j/nw_j over the
     negative Robin coefficients, since E(u) >= sum c_j |u_j|^p and
-    nw_j |u_j|^p <= N(u).  Newton steps on the end value of _match, with
+    nw_j |u_j|^p <= N(u).  Newton steps on the end value of _march, with
     the exact derivative, are taken while they stay inside the bracket,
     and bisection otherwise.  The root-find has converged when a Newton
     step is at most _MARCH_RTOL max(1, |lam|), or when the bracket's ends
@@ -434,14 +408,9 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
 
     The eigenvector is the product of the ratios of a march that reached
     the end node (the last one, or the highest below the root), so it is
-    positive; two half-chains' products are joined at the matching node.
-    Two Robin ends alike, on a functional that is its own mirror image,
-    make the eigenvector even, and a single chain's product is then
-    added to its mirror image: where the two ends' boundary layers
-    barely interact, a march resolves only the layer it runs into.  A
-    seed builds none.  Returns (lam, u, marches, converged), with u None
-    for a seed; a march of two half-chains counts once."""
-    chains, flip = _chain(func)
+    positive.  A seed builds none.  Returns (lam, u, marches, converged),
+    with u None for a seed."""
+    chain, flip = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
@@ -451,16 +420,16 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
     for marches in range(1, _MARCH_MAX + 1):
         if history is not None:
             history.append(lam)
-        runs, end = _match(lam, chains)
+        ratios, end = _march(lam, chain)
         step = None
         if end is not None:
             y, dy = end
             step = -y / dy
             if abs(step) <= rtol * max(1.0, abs(lam)):
-                lam, below, converged = lam + step, runs, True
+                lam, below, converged = lam + step, ratios, True
                 break
         if end is not None and y > 0.0:
-            lo, below = lam, runs
+            lo, below = lam, ratios
         else:
             hi = lam
         if step is None or not lo < lam + step < hi:
@@ -475,16 +444,11 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
         return lam, None, marches, converged
     if below is None:  # no march reached the end node below the root
         marches += 1
-        below = _match(lam, chains)[0]
-    logs = [np.concatenate(([0.0], np.cumsum(np.log(np.minimum(r, _HUGE))))) for r in below]
-    u = logs[0]
-    if len(logs) == 2:  # the right half's logs run from node m to node k
-        u = np.concatenate((u, logs[1][-2::-1] + (u[-1] - logs[1][-1])))
+        below = _march(lam, chain)[0]
+    u = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(below, _HUGE)))))
     u = np.exp(u - np.max(u))
     if flip:
         u = u[::-1]
-    elif len(chains) == 1 and _mirror_image(func):
-        u = u + u[::-1]
     return lam, u, marches, converged
 
 
@@ -512,34 +476,51 @@ def _march_start(func: DiscreteFunctional):
     return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
 
 
+def _mirror_image(func: DiscreteFunctional) -> bool:
+    """func reads the same from either end: two Robin ends with one
+    coefficient, and node and mid weights that read the same backward
+    (the double-Robin interval)."""
+    ends = [c for _, c in func.robin_terms]
+    return len(ends) == 2 and ends[0] == ends[1] and func.mesh.palindrome
+
+
 def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
     """Minimize the Rayleigh quotient over N(u) = 1 on func's mesh.
 
-    With exactly one Robin end, and its coefficient positive: the inverse
-    power method from the normalized constant.  Otherwise: the coarse
-    march root-finds, then the march on func.  Returns the eigenvalue
-    estimate and the minimizer samples; diagnostics flag whether a
-    convergence test fired, count the passes over the mesh (evals: every
-    march, coarse and fine, or every inverse power iteration) and time
-    the two stages.
+    A functional that is its own mirror image is solved on its half
+    (_Mesh.half), with a Neumann end at the middle node, and the half's
+    eigenvector is mirrored.  With exactly one Robin end, and its
+    coefficient positive: the inverse power method from the normalized
+    constant.  Otherwise: the coarse march root-finds, then the march.
+    Returns the eigenvalue estimate and the minimizer samples on func's
+    mesh; diagnostics flag whether a convergence test fired, count the
+    passes over the solved mesh (evals: every march, coarse and fine, or
+    every inverse power iteration) and time the two stages.  Their m is
+    func's cell count, also where the half was solved.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
-    if _convex(func):
-        u, seed_iters = _normalize(func, np.ones(func.grid.size))[0], 0
-        q = _constant_quotient(func)
+    mirror = _mirror_image(func)
+    solved = DiscreteFunctional(func.mesh.half, func.p, func.robin_terms[:1]) if mirror else func
+    convex = _convex(solved)
+    if convex:
+        u, seed_iters = _normalize(solved, np.ones(solved.grid.size))[0], 0
+        q = _constant_quotient(solved)
         history = [q] if config.track_history else None
         t_solve = time.perf_counter()
-        u, q, iters, converged = _inverse_power(func, u, q, history)
+        u, q, iters, converged = _inverse_power(solved, u, q, history)
         steps = evals = iters
     else:
-        q, seed_iters = _march_start(func)
+        q, seed_iters = _march_start(solved)
         history = [] if config.track_history else None
         t_solve = time.perf_counter()
-        q, u, steps, converged = _march_root(func, q, history)
-        u = _normalize(func, u)[0]
+        q, u, steps, converged = _march_root(solved, q, history)
         iters = 0
         evals = seed_iters + steps
+    if mirror:  # node k is its own mirror when m is even
+        u = np.concatenate((u, u[-2::-1] if m % 2 == 0 else u[::-1]))
+    if mirror or not convex:
+        u = _normalize(func, u)[0]
     t_end = time.perf_counter()
 
     # orient positive and present like the shooting output

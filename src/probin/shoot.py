@@ -305,8 +305,11 @@ def eigen_residual(problem: SturmProblem, grid, phi, psi, lam: float) -> float:
 
 
 def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootConfig()) -> EigenSolution:
-    """Smallest-magnitude eigenvalue with sign(lam) = sign(alpha) and a
-    positive eigenfunction, by bracketed bisection on the Robin mismatch.
+    """The first eigenvalue, with a positive eigenfunction, by bracketed
+    bisection on the Robin mismatch.  The bracket grows from 0 on the
+    side of the eigenvalue's sign.  That is the sign of alpha with one
+    Robin end or two of one sign; with two Robin ends of opposite signs
+    a trial at lam = 0 tells it.
 
     The eigenfunction is returned on an ascending grid, normalized to
     max phi = 1; diagnostics carry the bracket, the counts of
@@ -336,9 +339,10 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
         integrations += 1
         return _mismatch(plan, p, _shoot(plan, lam, p)) * s > 0.0
 
-    # the eigenvalue has the sign of alpha: step away from 0 on that side
-    # until a trial lands beyond it
+    # step away from 0 on the eigenvalue's side until a trial lands beyond it
     sign = 1.0 if alpha > 0 else -1.0
+    if (plan.robin_launch_alpha or 0.0) * alpha < 0.0:
+        sign = -1.0 if is_high(0.0) else 1.0
     near, far = 0.0, sign
     for _ in range(config.max_bracket_steps):
         if is_high(far) == (sign > 0.0):

@@ -35,7 +35,6 @@ from probin.rayleigh import (
     _inverse_step,
     _march,
     _march_root,
-    _match,
     _mesh,
     _norm_grad,
     _normalize,
@@ -154,9 +153,9 @@ def _same_solution(a, b):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cold_and_warm_solves_agree_bit_for_bit(family, sign):
     """A solve on a mesh built afresh and one on the cached mesh, with its
-    tuples, gradient stencil, palindrome test and coarse levels formed:
-    alpha > 0 takes the inverse power method (two-Robin: the march from
-    both ends), alpha < 0 the march (two-Robin: the mirror image)."""
+    tuples, gradient stencil, palindrome test, half mesh and coarse
+    levels formed: alpha > 0 takes the inverse power method, alpha < 0
+    the march (two-Robin: on the half mesh, in both cases)."""
     problem = _spec(family, 1.75, 0.5 * sign).build()
     _mesh.cache_clear()
     cold = solve_rayleigh(problem, 2000)
@@ -165,7 +164,7 @@ def test_cold_and_warm_solves_agree_bit_for_bit(family, sign):
     assert _mesh.cache_info().hits == hits + 1
     _same_solution(cold, warm)
     assert cold.diagnostics["converged"]
-    assert (cold.diagnostics["iterations"] > 0) == (sign > 0 and family != "double_robin")
+    assert (cold.diagnostics["iterations"] > 0) == (sign > 0)
 
 
 def test_mesh_cache_stays_within_its_bound():
@@ -314,12 +313,11 @@ def test_inverse_power_reaches_the_minimum_near_p1():
     magnitude, where gradient steps stall far above the minimum.  At
     alpha = 1e4 the Dirichlet-limit closed form is within 1e-8 of the
     eigenvalue; with two Robin ends it is that of the half interval,
-    which the march from both ends reaches with no inverse iteration."""
-    for prob, half, inverse in ((_flat(1e4, 1.1), 1.0, True),
-                                (double_robin_problem(0.5, 1e4, 1.1), 0.5, False)):
+    whose Robin/Neumann problem the inverse power method solves too."""
+    for prob, half in ((_flat(1e4, 1.1), 1.0), (double_robin_problem(0.5, 1e4, 1.1), 0.5)):
         sol = solve_rayleigh(prob, 2000)
         assert sol.lambda_val == pytest.approx(mixed_dn_lambda(1.1, half), rel=1e-7)
-        assert sol.diagnostics["converged"] and (sol.diagnostics["iterations"] > 0) == inverse
+        assert sol.diagnostics["converged"] and sol.diagnostics["iterations"] > 0
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
@@ -402,10 +400,8 @@ def test_march_reaches_the_minimum_at_p12(alpha, p, lam):
 @pytest.mark.parametrize("prob,max_marches,rel", [
     (_flat(-1.0, 1.5), 4, 1e-4),
     (_flat(-10.0, 3.0), 4, 1e-4),
-    # marched through the decaying half, where the end value is rounding
-    # noise near the root and bisection takes over; the uniform mesh
-    # leaves 3.1e-4 in the two e^(-100 t) boundary layers
-    (double_robin_problem(0.5, -10.0, 1.5), 80, 5e-4),
+    # the uniform mesh leaves 3.1e-4 in the two e^(-100 t) boundary layers
+    (double_robin_problem(0.5, -10.0, 1.5), 4, 5e-4),
     (_flat(-3.0, 8.0), 4, 1e-4),
 ], ids=["flat p=1.5", "flat p=3 alpha=-10", "double_robin p=1.5 alpha=-10", "flat p=8 alpha=-3"])
 def test_march_far_from_p2(prob, max_marches, rel):
@@ -453,21 +449,19 @@ def test_march_near_p1(prob):
 def test_march_brackets_the_p2_eigenvalue():
     """At p = 2 the march is below the LAPACK eigenvalue (every ratio
     positive and its end value y > 0) just under it and above it just
-    over it, and its dy/dlambda matches a central difference.  With two
-    positive Robin coefficients y is the balance at the matching node of
-    the marches from both ends."""
+    over it, and its dy/dlambda matches a central difference, for one
+    Robin end and for two of either sign."""
     for prob in (_flat(-1.0, 2.0), double_robin_problem(0.5, -1.0, 2.0),
                  double_robin_problem(0.5, 1.0, 2.0)):
         func = discretize(prob, 400)
-        chains, _ = _chain(func)
-        assert len(chains) == (2 if min(c for _, c in func.robin_terms) > 0.0 else 1)
+        chain, _ = _chain(func)
         lam = _p2_matrix_eigenpair(func)[1]
-        runs, (y, dy) = _match(lam - 1e-6, chains)
-        assert min(map(min, runs)) > 0.0 and y > 0.0
-        end = _match(lam + 1e-6, chains)[1]
+        ratios, (y, dy) = _march(lam - 1e-6, chain)
+        assert min(ratios) > 0.0 and y > 0.0
+        end = _march(lam + 1e-6, chain)[1]
         assert end is None or end[0] < 0.0
         d = 1e-5
-        fd = (_match(lam + d, chains)[1][0] - _match(lam - d, chains)[1][0]) / (2 * d)
+        fd = (_march(lam + d, chain)[1][0] - _march(lam - d, chain)[1][0]) / (2 * d)
         assert dy == pytest.approx(fd, rel=1e-6)
 
 
@@ -508,32 +502,56 @@ def test_march_counts_at_m2000(prob, max_seed):
 @pytest.mark.parametrize("p,alpha,m", [
     (1.5, -10.0, 2000), (1.3, -3.0, 2000), (2.5, -0.75, 2000), (2.5, 0.75, 2000),
     (1.1, 1e4, 2000), (1.3, 1e4, 2000), (2.5, 0.75, 16), (2.5, 0.75, 32),
+    (5.0, 0.75, 2001), (8.0, 1e4, 2001),
 ])
 def test_two_robin_eigenfunction_is_even(p, alpha, m):
     """The double-Robin problem is its own mirror image, and so is its
-    eigenvector: marched from both ends to the middle node (alpha > 0;
-    on 16 cells the first coarse level has one cell, and a single
-    chain), or a single march's product added to its mirror image
-    (alpha < 0).  It is even to rounding, however deep its boundary
-    layers, with phi >= 0, and the eigenvalue is the quotient of its own
-    eigenvector.  The sum of a march's product and its mirror image
-    still solves E'(u) = lambda N'(u) to 1e-8 of lambda N'(u); joining
-    the march's left half to its own mirror image would leave 7e-7 at
-    p = 1.3, alpha = -3.  Near the Dirichlet limit at p <= 1.3 the
-    march from both ends takes at most 4 fine marches and 30 passes
-    over the mesh in all, coarse levels included."""
+    eigenvector: the half problem's, mirrored at the middle node (even
+    m) or the middle cell (odd m).  It is exactly even, however deep its
+    boundary layers, with phi >= 0, and the eigenvalue is the quotient
+    of its own eigenvector.  For alpha < 0 it solves
+    E'(u) = lambda N'(u) to 1e-8 of lambda N'(u).  Near the Dirichlet
+    limit the half's inverse power method takes at most 10 iterations."""
     prob = double_robin_problem(0.5, alpha, p)
     func = discretize(prob, m)
     sol = solve_rayleigh(prob, m)
     d = sol.diagnostics
     assert d["converged"] and float(np.min(sol.phi)) >= 0.0
-    assert float(np.max(np.abs(sol.phi - sol.phi[::-1]))) <= 1e-12
+    assert np.array_equal(sol.phi, sol.phi[::-1])
     assert sol.lambda_val == pytest.approx(quotient(func, sol.phi), rel=1e-12)
     if alpha < 0.0:
         u = _normalize(func, sol.phi)[0]
         assert sol.residual <= 1e-8 * float(np.linalg.norm(sol.lambda_val * _norm_grad(func, u)))
     if alpha >= 1e4:
-        assert d["steps"] <= 4 and d["evals"] <= 30
+        assert d["evals"] <= 10
+
+
+def test_two_robin_negative_alpha_marches_at_most_six_times():
+    """With both coefficients negative u grows from the middle out to
+    each end, and the half problem's march runs that way, from its
+    Neumann node to its Robin end: at most 6 fine marches.  The
+    diagnostics' m is the full mesh's cell count, not the half's."""
+    for p in (1.1, 1.3, 1.5, 2.5):
+        for alpha in (-3.0, -10.0, -100.0):
+            d = solve_rayleigh(double_robin_problem(0.5, alpha, p), 2000).diagnostics
+            assert d["converged"] and d["steps"] <= 6 and d["m"] == 2000, (p, alpha)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("alpha_left,alpha_right", [
+    (1.0, 3.0), (100.0, 300.0), (-1.0, 3.0), (3.0, -0.1), (-0.2, 0.5),
+])
+def test_two_unequal_robin_ends_agree_with_shooting(alpha_left, alpha_right, p):
+    """Two Robin ends with unequal coefficients are no mirror image: the
+    one chain runs toward the smaller coefficient.  Of opposite signs the
+    eigenvalue may have either sign (alpha = (-0.2, 0.5) at p = 3 gives
+    lambda < 0, at p = 2 lambda > 0), and shooting finds its side by a
+    trial at lambda = 0."""
+    prob = SturmProblem(0.0, 1.0, p, const_weight(), BoundaryCondition.robin(alpha_left),
+                        BoundaryCondition.robin(alpha_right))
+    sol = solve_rayleigh(prob, 2000)
+    assert sol.diagnostics["converged"] and float(np.min(sol.phi)) >= 0.0
+    assert sol.lambda_val == pytest.approx(solve_first_eigenvalue(prob).lambda_val, rel=1e-6)
 
 
 # 1 to 40 nodes, and around 2^11 (the m = 2000 meshes have 2001 nodes)

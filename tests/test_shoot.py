@@ -7,10 +7,12 @@ import pytest
 
 import probin.shoot
 from probin._kernels import rk4_path
-from probin.coeffs import ModelParams
+from probin.coeffs import ModelParams, const_weight
 from probin.errors import BracketFailure, ToleranceFailure
 from probin.problems import (
+    BoundaryCondition,
     ProblemSpec,
+    SturmProblem,
     double_robin_problem,
     geodesic_ball_problem,
     inradius_model_problem,
@@ -235,6 +237,24 @@ def test_double_robin_even_symmetry():
     sol = solve_first_eigenvalue(double_robin_problem(1.0, 1.0, 3.0))
     assert np.max(np.abs(sol.phi - sol.phi[::-1])) < 1e-6
     assert sol.lambda_val > 0
+
+
+@pytest.mark.parametrize("p,alpha_left,alpha_right,sign", [
+    (3.0, -0.2, 0.5, -1.0), (2.0, 3.0, -0.1, 1.0), (2.0, -1.0, 3.0, -1.0),
+])
+def test_opposite_sign_robin_ends_agree_with_their_mirror_image(p, alpha_left, alpha_right, sign):
+    """With Robin ends of opposite signs lambda may have either sign, and
+    a trial at lambda = 0 picks the side the bracket grows on.  Both
+    orientations of the interval give one eigenvalue, of that sign,
+    with a positive eigenfunction."""
+    def solve(al, ar):
+        return solve_first_eigenvalue(SturmProblem(
+            0.0, 1.0, p, const_weight(), BoundaryCondition.robin(al), BoundaryCondition.robin(ar)))
+
+    sol, mirror = solve(alpha_left, alpha_right), solve(alpha_right, alpha_left)
+    assert sol.lambda_val * sign > 0.0
+    assert sol.lambda_val == pytest.approx(mirror.lambda_val, rel=1e-7)
+    assert float(np.min(sol.phi)) >= 0.0 and float(np.min(mirror.phi)) >= 0.0
 
 
 def test_solver_rejects_neumann_only():
