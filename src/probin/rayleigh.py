@@ -17,9 +17,10 @@ from the signs of the Robin terms:
   at the discrete first eigenvalue (discrete half-linear Sturm theory:
   Rehak 2001; Dosly & Rehak 2005).  Newton in lambda on the end value,
   safeguarded by bisection, finds that root; its start comes from the
-  same root-find on two coarser meshes, extrapolated.  The eigenvector
-  is the product of the march's ratios, so it is positive by
-  construction.
+  same root-find on two coarser meshes, extrapolated.  It ends on a
+  Newton step, with no march to confirm it.  The eigenvector is the
+  product of the last march's ratios, moved with that step to first
+  order by numpy, so it is positive by construction.
 
 A functional that is its own mirror image (two equal Robin ends on
 weights that read the same backward: the double-Robin interval) has an
@@ -57,7 +58,11 @@ from .problems import (EigenSolution, ProblemSpec, SturmProblem, ThreePoint, inv
 _INVERSE_MAX = 200  # iterations of the inverse power method
 _INVERSE_RTOL = 1e-13  # quotient fall that ends it, per unit of q
 _MARCH_MAX = 200  # marches before the root-find gives up
-_MARCH_RTOL = 1e-13  # Newton step in lambda that ends the root-find, per unit of max(1, |lambda|)
+# its square root bounds the Newton step in lambda, per unit of
+# max(1, |lambda|), that ends the march's root-find: Newton's error after
+# such a step is about its square.  A fine root-find whose eigenvector
+# cannot be moved with that step marches on to a step of 1e-13.
+_MARCH_RTOL = 1e-13
 # the march's start comes from every k-th and every k/2-th node, for
 # the first k here that divides the cell count
 _COARSE = (16, 8, 4)
@@ -389,6 +394,34 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
+def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float):
+    """log u of a march's eigenvector moved from its lam to lam + step,
+    to first order: None where that is not finite (as with a ratio beyond
+    the float range, near p = 1).
+
+    The march's dy_j = dz_j - nw_j, unrolled, is
+    dy_j = -sum_(i<=j) nw_i (u_i/u_j)^p; it is summed by logaddexp in
+    log u, which spans more than the float range in a deep boundary
+    layer.  Each y_j = w_mid,j Phi((r_j - 1)/h) moves by step dy_j, and
+    r_j follows from the moved y_j as the march forms it.  A first-order
+    step in log r_j instead would divide by |r_j - 1|^(p-2), which is 0
+    for p > 2 where r_j = 1 (at a ball's centre node, whose y_j is 0
+    for every lam).  The weights are the mesh's arrays, flipped with the
+    chain."""
+    p, h = func.p, func.h
+    nw, mid = func.node_weights, func.mid_weights
+    if flip:
+        nw, mid = nw[::-1], mid[::-1]
+    r = np.array(ratios)
+    with np.errstate(all="ignore"):  # a zero node weight, or an infinite ratio
+        pl = p * np.concatenate(([0.0], np.cumsum(np.log(r[:-1]))))
+        dy = -np.exp(np.logaddexp.accumulate(np.log(nw[:-1]) + pl) - pl)
+        t = (r - 1.0) / h
+        s = np.copysign(np.abs(t) ** (p - 1.0), t) + step * dy / mid
+        log_u = np.cumsum(np.log1p(h * np.copysign(np.abs(s) ** (1.0 / (p - 1.0)), s)))
+    return np.concatenate(([0.0], log_u)) if np.all(np.isfinite(log_u)) else None
+
+
 def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = False):
     """The discrete first eigenvalue of func, for any Robin ends but a
     single positive one, and its eigenvector, from a start lam.
@@ -398,24 +431,26 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
     negative Robin coefficients, since E(u) >= sum c_j |u_j|^p and
     nw_j |u_j|^p <= N(u).  Newton steps on the end value of _march, with
     the exact derivative, are taken while they stay inside the bracket,
-    and bisection otherwise.  The root-find has converged when a Newton
-    step is at most _MARCH_RTOL max(1, |lam|), or when the bracket's ends
-    are adjacent floats; it then returns lam plus that step, with no
-    march to confirm it.  A seed (a coarse level of _march_start) stops
-    at the first step of at most sqrt(_MARCH_RTOL) max(1, |lam|):
-    Newton's error after such a step is about its square, and the fine
-    root-find that starts from the seed still certifies its own result.
+    and bisection otherwise.  The root-find stops at its first Newton
+    step of at most sqrt(_MARCH_RTOL) max(1, |lam|), where Newton's error
+    is about the step's square, and returns lam plus that step, with no
+    march to confirm it; or when the bracket's ends are adjacent floats.
 
-    The eigenvector is the product of the ratios of a march that reached
-    the end node (the last one, or the highest below the root), so it is
-    positive.  A seed builds none.  Returns (lam, u, marches, converged),
-    with u None for a seed."""
+    The eigenvector is the product of the ratios of the last march,
+    moved to lam plus the last step to first order (_moved), so it is
+    positive.  Where that is not finite the root-find marches on to a
+    step of at most _MARCH_RTOL max(1, |lam|) and takes the last march's
+    ratios as they are; at adjacent ends it takes the ratios of the march
+    at the lower one.  A seed (a coarse level of _march_start) builds no
+    eigenvector.  Returns (lam, u, marches, converged), with u None for a
+    seed."""
     chain, flip = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
-    rtol = math.sqrt(_MARCH_RTOL) if seed else _MARCH_RTOL
-    below = None  # the ratios of the march at lo
+    rtol = math.sqrt(_MARCH_RTOL)
+    move = not seed  # the last march's eigenvector is still to be moved
+    below = log_u = None  # the ratios of the march at lo; the moved log u
     converged = False
     for marches in range(1, _MARCH_MAX + 1):
         if history is not None:
@@ -425,7 +460,12 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
         if end is not None:
             y, dy = end
             step = -y / dy
-            if abs(step) <= rtol * max(1.0, abs(lam)):
+            scale = max(1.0, abs(lam))
+            if move and abs(step) <= rtol * scale:
+                log_u = _moved(func, ratios, flip, step)
+                if log_u is None:
+                    move, rtol = False, _MARCH_RTOL
+            if log_u is not None or abs(step) <= rtol * scale:
                 lam, below, converged = lam + step, ratios, True
                 break
         if end is not None and y > 0.0:
@@ -442,11 +482,12 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
         lam = lo
     if seed:
         return lam, None, marches, converged
-    if below is None:  # no march reached the end node below the root
-        marches += 1
-        below = _march(lam, chain)[0]
-    u = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(below, _HUGE)))))
-    u = np.exp(u - np.max(u))
+    if log_u is None:
+        if below is None:  # no march reached the end node below the root
+            marches += 1
+            below = _march(lam, chain)[0]
+        log_u = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(below, _HUGE)))))
+    u = np.exp(log_u - np.max(log_u))
     if flip:
         u = u[::-1]
     return lam, u, marches, converged
@@ -464,8 +505,8 @@ def _march_start(func: DiscreteFunctional):
     every k/2-th node, for the first k of _COARSE that divides the cell
     count, extrapolated to func's mesh as second order in h; inf (the
     top of the bracket) where none does.  Both coarse root-finds are
-    seeds of _march_root: they stop at a looser step and return lambda
-    alone.  Returns the start and the coarse marches."""
+    seeds of _march_root: they return lambda alone.  Returns the start
+    and the coarse marches."""
     m = func.grid.size - 1
     k = next((k for k in _COARSE if m % k == 0), None)
     if k is None:

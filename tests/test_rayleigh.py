@@ -27,7 +27,9 @@ from probin.problems import (
     momentum,
 )
 from probin.rayleigh import (
+    _HUGE,
     _MESH_CACHE,
+    DiscreteFunctional,
     MinimizeConfig,
     _chain,
     _coarse,
@@ -35,7 +37,9 @@ from probin.rayleigh import (
     _inverse_step,
     _march,
     _march_root,
+    _march_start,
     _mesh,
+    _mirror_image,
     _norm_grad,
     _normalize,
     discretize,
@@ -488,15 +492,114 @@ def test_march_starts_from_coarse_meshes_where_16_does_not_divide_m(prob):
 ], ids=["disk p=2", "spherical_cap p=1.75", "flat p=1.75", "hyperbolic_ball p=1.75",
         "double_robin p=2.5"])
 def test_march_counts_at_m2000(prob, max_seed):
-    """Two fine marches, and no more coarse marches than the seed levels
-    need once each stops at its first Newton step of at most
-    sqrt(_MARCH_RTOL) max(1, |lambda|), with no confirming march."""
+    """One fine march, and no more coarse marches than the seed levels
+    need: every level stops at its first Newton step of at most
+    sqrt(_MARCH_RTOL) max(1, |lambda|), with no confirming march, and the
+    fine level moves its march's eigenvector with that step."""
     func = discretize(prob, 2000)
     d = minimize(func).diagnostics
-    assert d["converged"] and d["steps"] == 2
+    assert d["converged"] and d["steps"] == 1
     assert d["seed_iterations"] <= max_seed
     assert d["evals"] == d["seed_iterations"] + d["steps"]
     assert _march_root(_coarse(func, 16), math.inf, None, seed=True)[1] is None  # no eigenvector
+
+
+def _two_robin(alpha_left, alpha_right, p):
+    return SturmProblem(0.0, 1.0, p, const_weight(), BoundaryCondition.robin(alpha_left),
+                        BoundaryCondition.robin(alpha_right))
+
+
+def _solved(func):
+    """The functional that minimize marches on: the half of a mirror
+    image, func itself otherwise."""
+    if _mirror_image(func):
+        return DiscreteFunctional(func.mesh.half, func.p, func.robin_terms[:1])
+    return func
+
+
+def _eigenvector(ratios, flip):
+    """The product of a march's ratios, max-normalized, flipped back to
+    the mesh's node order where the chain runs from right to left."""
+    log_u = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(ratios, _HUGE)))))
+    u = np.exp(log_u - np.max(log_u))
+    return u[::-1] if flip else u
+
+
+_MOVED_CASES = ([(family, alpha) for family in FAMILIES for alpha in (-0.3, -3.0)]
+                + [("double_robin", -10.0), ("double_robin", -100.0)]
+                + [("two_robin", -1.0, 3.0), ("two_robin", 3.0, -0.1)])
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 8.0])
+@pytest.mark.parametrize("case", _MOVED_CASES, ids=lambda case: " ".join(map(str, case)))
+def test_moved_eigenvector_is_the_march_at_the_root(case, p):
+    """The fine root-find returns lambda plus its last Newton step, with
+    no march there, and the last march's eigenvector moved with that step
+    to first order.  It equals the product of the ratios of a march at
+    the returned lambda within 1e-12 of its maximum, on every bench
+    family, deep double-Robin layers and Robin ends of opposite signs.
+    For p >= 2 and |alpha| <= 3 that takes one fine march."""
+    family, *alphas = case
+    prob = _two_robin(*alphas, p) if family == "two_robin" else _spec(family, p, alphas[0]).build()
+    func = _solved(discretize(prob, 2000))
+    lam, u, steps, converged = _march_root(func, _march_start(func)[0], None)
+    chain, flip = _chain(func)
+    ratios, end = _march(lam, chain)
+    assert converged and end is not None
+    assert float(np.max(np.abs(u - _eigenvector(ratios, flip)))) <= 1e-12
+    if p >= 2.0 and max(map(abs, alphas)) <= 3.0:
+        assert steps == 1
+
+
+@pytest.mark.parametrize("p", [1.1, 2.0, 5.0])
+def test_march_end_derivative_is_its_norm_sum(p):
+    """The march carries dy/dlambda as dz, one node at a time.  Unrolled,
+    its end value dy_m is -sum_j nw_j (u_j/u_m)^p over the product u of
+    the same march's ratios: the sum that moves the eigenvector, formed
+    at every node.  They agree within 1e-12, on chains run either way."""
+    for prob in (_flat(-1.0, p), _robin_right(-1.0, p), _spec("disk", p, -1.0).build(),
+                 _two_robin(3.0, -0.1, p), double_robin_problem(0.5, -1.0, p)):
+        func = discretize(prob, 2000)
+        chain, _ = _chain(func)
+        lam = solve_rayleigh(prob, 2000).lambda_val
+        ratios, (_, dy) = _march(lam - 1e-3 * max(1.0, abs(lam)), chain)
+        log_u = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
+        norm = float(np.sum(np.asarray(chain[0]) * np.exp(p * (log_u - log_u[-1]))))
+        assert dy == pytest.approx(-norm, rel=1e-12), prob
+
+
+@pytest.mark.parametrize("p,alpha,lam,steps,moved", [
+    (1.5, -100.0, -227958.9624380261, 4, True),
+    (1.1, -10.0, -31446.123200588103, 3, True),
+    (1.001, -2.0, -3969.4805494133575, 2, False),
+], ids=["flat p=1.5 alpha=-100", "flat p=1.1 alpha=-10", "flat p=1.001 alpha=-2"])
+def test_deep_layer_march(monkeypatch, p, alpha, lam, steps, moved):
+    """Flat Robin layers at m = 2000 where u spans far more than the
+    float range.  The norm sums that move the eigenvector are formed by
+    logaddexp in log u, so they stay finite: at p = 1.5, alpha = -100 no
+    confirming march is made (a root-find to a step of 1e-13 takes 5
+    fine marches), and at p = 1.1, alpha = -10, whose third Newton step
+    is already below 1e-13, none is added.  At p = 1.001 a ratio passes
+    the float range, the moved eigenvector is not finite, and the
+    root-find takes its last march's ratios as they are.  Every solve
+    converges with phi >= 0 and no warning, to the lambda pinned here (a
+    root-find to a step of 1e-13) within 1e-12."""
+    finite = []
+    moved_log_u = probin.rayleigh._moved
+
+    def spy(*args):
+        log_u = moved_log_u(*args)
+        finite.append(log_u is not None)
+        return log_u
+
+    monkeypatch.setattr(probin.rayleigh, "_moved", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_rayleigh(_flat(alpha, p), 2000)
+    d = sol.diagnostics
+    assert d["converged"] and float(np.min(sol.phi)) >= 0.0
+    assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
+    assert d["steps"] == steps and finite == [moved]
 
 
 @pytest.mark.parametrize("p,alpha,m", [
@@ -547,8 +650,7 @@ def test_two_unequal_robin_ends_agree_with_shooting(alpha_left, alpha_right, p):
     eigenvalue may have either sign (alpha = (-0.2, 0.5) at p = 3 gives
     lambda < 0, at p = 2 lambda > 0), and shooting finds its side by a
     trial at lambda = 0."""
-    prob = SturmProblem(0.0, 1.0, p, const_weight(), BoundaryCondition.robin(alpha_left),
-                        BoundaryCondition.robin(alpha_right))
+    prob = _two_robin(alpha_left, alpha_right, p)
     sol = solve_rayleigh(prob, 2000)
     assert sol.diagnostics["converged"] and float(np.min(sol.phi)) >= 0.0
     assert sol.lambda_val == pytest.approx(solve_first_eigenvalue(prob).lambda_val, rel=1e-6)
