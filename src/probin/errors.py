@@ -13,8 +13,15 @@ class BracketFailure(RuntimeError):
 
 
 class ToleranceFailure(RuntimeError):
-    """The shooting solver cannot stand behind its answer: bisection
-    stalled before the requested eigenvalue tolerance, or a trajectory
-    turned non-finite before phi crossed zero.  The latter means the RK4
-    step is too coarse for a boundary layer of width about
-    |alpha|^(-1/(p-1)) (p near 1, alpha < 0); more rk_steps resolve it."""
+    """A solver cannot stand behind its answer.
+
+    Shooting: bisection stalled before the requested eigenvalue
+    tolerance; a trajectory turned non-finite before phi crossed zero,
+    which means the RK4 step is too coarse for a boundary layer of width
+    about |alpha|^(-1/(p-1)) (p near 1, alpha < 0; more rk_steps resolve
+    it); or the eigenvalue lies above the constant trial's quotient,
+    which bounds the first eigenvalue above (p near 1, alpha > 0).
+
+    Rayleigh: an inverse power iterate left the float range, so its
+    p-norm or quotient is not finite and positive (p near 1,
+    alpha > 0)."""

@@ -20,7 +20,8 @@ from the signs of the Robin terms:
   same root-find on two coarser meshes, extrapolated.  It ends on a
   Newton step, with no march to confirm it.  The eigenvector is the
   product of the last march's ratios, moved with that step to first
-  order by numpy, so it is positive by construction.
+  order by numpy (a ratio that cannot be moved is kept as marched), so
+  it is positive by construction.
 
 A functional that is its own mirror image (two equal Robin ends on
 weights that read the same backward: the double-Robin interval) has an
@@ -51,17 +52,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceFailure
 from .problems import (EigenSolution, ProblemSpec, SturmProblem, ThreePoint, inverse_momentum,
                        momentum)
 
 _INVERSE_MAX = 200  # iterations of the inverse power method
 _INVERSE_RTOL = 1e-13  # quotient fall that ends it, per unit of q
 _MARCH_MAX = 200  # marches before the root-find gives up
-# its square root bounds the Newton step in lambda, per unit of
-# max(1, |lambda|), that ends the march's root-find: Newton's error after
-# such a step is about its square.  A fine root-find whose eigenvector
-# cannot be moved with that step marches on to a step of 1e-13.
+# the march's root-find ends on its first Newton step in lambda of at
+# most sqrt(_MARCH_RTOL) max(1, |lambda|); Newton's error after such a
+# step is about its square, _MARCH_RTOL max(1, |lambda|)
 _MARCH_RTOL = 1e-13
 # the march's start comes from every k-th and every k/2-th node, for
 # the first k here that divides the cell count
@@ -74,9 +74,7 @@ DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    # diagnostics carry every quotient the inverse power method accepts,
-    # or the lambda of every fine march
-    track_history: bool = False
+    """No settings: rayleigh_spec still takes one, and ignores it."""
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -252,10 +250,12 @@ def _norm_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
 
 
 def _normalize(func: DiscreteFunctional, u: np.ndarray):
-    """u scaled to N(u) = 1, and N(u)."""
+    """u scaled to N(u) = 1, and N(u).  Raises ToleranceFailure where
+    N(u) is not finite and positive: u left the float range."""
     n = norm_p(func, u)
-    if n <= 0.0:
-        raise DomainError("iterate collapsed to zero p-norm")
+    if not 0.0 < n < math.inf:
+        raise ToleranceFailure("iterate's p-norm is %r at p = %r: beyond the float range"
+                               % (n, func.p))
     return u / n ** (1.0 / func.p), n
 
 
@@ -302,28 +302,32 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
     else:
         v = v_robin - np.concatenate((np.cumsum(steps[::-1])[::-1], [0.0]))
     e = func.h * float(np.sum(np.abs(slopes * flux)))
-    return v, e + c * abs(float(v[j])) ** p
+    return v, e + c * float(abs(v[j]) ** p)  # inf, not OverflowError, past the float range
 
 
-def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float, history):
+def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
     """The inverse power method from a normalized u: v solves
     E'(v) = N'(u) and is normalized, which never raises the quotient
     while E is convex.  Each new quotient is E(v), as the step read it
     off its fluxes, over the norm that normalizing v formed.  A rise
     within rounding is not taken.  Converged once an iteration lowers
     the quotient by at most _INVERSE_RTOL of it.  Returns (u, q,
-    iterations, converged)."""
-    for iters in range(1, _INVERSE_MAX + 1):
-        v, e = _inverse_step(func, u)
-        v, n = _normalize(func, v)
-        qv = e / n
-        q_prev = q
-        if qv < q:
-            u, q = v, qv
-            if history is not None:
-                history.append(q)
-        if q_prev - qv <= _INVERSE_RTOL * q_prev:
-            return u, q, iters, True
+    iterations, converged).  Near p = 1 the step's power 1/(p - 1) can
+    carry v, or E(v), past the float range: then it raises
+    ToleranceFailure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iters in range(1, _INVERSE_MAX + 1):
+            v, e = _inverse_step(func, u)
+            v, n = _normalize(func, v)
+            qv = e / n
+            if not math.isfinite(qv):
+                raise ToleranceFailure("inverse power quotient is %r at p = %r: beyond the "
+                                       "float range" % (qv, func.p))
+            q_prev = q
+            if qv < q:
+                u, q = v, qv
+            if q_prev - qv <= _INVERSE_RTOL * q_prev:
+                return u, q, iters, True
     return u, q, _INVERSE_MAX, False
 
 
@@ -394,10 +398,9 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
-def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float):
+def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float) -> np.ndarray:
     """log u of a march's eigenvector moved from its lam to lam + step,
-    to first order: None where that is not finite (as with a ratio beyond
-    the float range, near p = 1).
+    to first order, on the mesh's nodes.
 
     The march's dy_j = dz_j - nw_j, unrolled, is
     dy_j = -sum_(i<=j) nw_i (u_i/u_j)^p; it is summed by logaddexp in
@@ -406,8 +409,10 @@ def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float):
     r_j follows from the moved y_j as the march forms it.  A first-order
     step in log r_j instead would divide by |r_j - 1|^(p-2), which is 0
     for p > 2 where r_j = 1 (at a ball's centre node, whose y_j is 0
-    for every lam).  The weights are the mesh's arrays, flipped with the
-    chain."""
+    for every lam).  Where a moved ratio is not finite and positive (past
+    a ratio beyond the float range, near p = 1) the march's own ratio,
+    capped at _HUGE, is kept, so log u is always finite.  The weights are
+    the mesh's arrays, flipped with the chain."""
     p, h = func.p, func.h
     nw, mid = func.node_weights, func.mid_weights
     if flip:
@@ -418,13 +423,17 @@ def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float):
         dy = -np.exp(np.logaddexp.accumulate(np.log(nw[:-1]) + pl) - pl)
         t = (r - 1.0) / h
         s = np.copysign(np.abs(t) ** (p - 1.0), t) + step * dy / mid
-        log_u = np.cumsum(np.log1p(h * np.copysign(np.abs(s) ** (1.0 / (p - 1.0)), s)))
-    return np.concatenate(([0.0], log_u)) if np.all(np.isfinite(log_u)) else None
+        log_r = np.log1p(h * np.copysign(np.abs(s) ** (1.0 / (p - 1.0)), s))
+        log_u = np.cumsum(log_r)
+        if not math.isfinite(log_u[-1]):  # a term not finite makes the rest of the sum so
+            log_u = np.cumsum(np.where(np.isfinite(log_r), log_r, np.log(np.minimum(r, _HUGE))))
+    log_u = np.concatenate(([0.0], log_u))
+    return log_u[::-1] if flip else log_u
 
 
-def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = False):
+def _march_root(func: DiscreteFunctional, lam: float):
     """The discrete first eigenvalue of func, for any Robin ends but a
-    single positive one, and its eigenvector, from a start lam.
+    single positive one, from a start lam.
 
     The root is bracketed from the start: above by the constant trial's
     quotient (_constant_quotient), below by the sum of c_j/nw_j over the
@@ -434,40 +443,30 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
     and bisection otherwise.  The root-find stops at its first Newton
     step of at most sqrt(_MARCH_RTOL) max(1, |lam|), where Newton's error
     is about the step's square, and returns lam plus that step, with no
-    march to confirm it; or when the bracket's ends are adjacent floats.
+    march to confirm it; or when the bracket's ends are adjacent floats,
+    at the lower one with a step of 0.
 
-    The eigenvector is the product of the ratios of the last march,
-    moved to lam plus the last step to first order (_moved), so it is
-    positive.  Where that is not finite the root-find marches on to a
-    step of at most _MARCH_RTOL max(1, |lam|) and takes the last march's
-    ratios as they are; at adjacent ends it takes the ratios of the march
-    at the lower one.  A seed (a coarse level of _march_start) builds no
-    eigenvector.  Returns (lam, u, marches, converged), with u None for a
-    seed."""
+    Returns (lam, (ratios, flip, step), marches, converged): the ratios
+    of the last march, the chain's direction and the step from that
+    march's lam to the returned one, which _moved takes to form the
+    eigenvector.  Where no Newton step ended it (adjacent ends, or
+    _MARCH_MAX marches, unconverged) the ratios are those of the march
+    at the lower end and the step is 0."""
     chain, flip = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
     rtol = math.sqrt(_MARCH_RTOL)
-    move = not seed  # the last march's eigenvector is still to be moved
-    below = log_u = None  # the ratios of the march at lo; the moved log u
+    below = None  # the ratios of the march at lo
     converged = False
     for marches in range(1, _MARCH_MAX + 1):
-        if history is not None:
-            history.append(lam)
         ratios, end = _march(lam, chain)
         step = None
         if end is not None:
             y, dy = end
             step = -y / dy
-            scale = max(1.0, abs(lam))
-            if move and abs(step) <= rtol * scale:
-                log_u = _moved(func, ratios, flip, step)
-                if log_u is None:
-                    move, rtol = False, _MARCH_RTOL
-            if log_u is not None or abs(step) <= rtol * scale:
-                lam, below, converged = lam + step, ratios, True
-                break
+            if abs(step) <= rtol * max(1.0, abs(lam)):
+                return lam + step, (ratios, flip, step), marches, True
         if end is not None and y > 0.0:
             lo, below = lam, ratios
         else:
@@ -480,17 +479,10 @@ def _march_root(func: DiscreteFunctional, lam: float, history, seed: bool = Fals
         lam += step
     else:
         lam = lo
-    if seed:
-        return lam, None, marches, converged
-    if log_u is None:
-        if below is None:  # no march reached the end node below the root
-            marches += 1
-            below = _march(lam, chain)[0]
-        log_u = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(below, _HUGE)))))
-    u = np.exp(log_u - np.max(log_u))
-    if flip:
-        u = u[::-1]
-    return lam, u, marches, converged
+    if below is None:  # no march reached the end node below the root
+        marches += 1
+        below = _march(lam, chain)[0]
+    return lam, (below, flip, 0.0), marches, converged
 
 
 def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
@@ -504,15 +496,15 @@ def _march_start(func: DiscreteFunctional):
     """A start for _march_root on func: its roots on every k-th and
     every k/2-th node, for the first k of _COARSE that divides the cell
     count, extrapolated to func's mesh as second order in h; inf (the
-    top of the bracket) where none does.  Both coarse root-finds are
-    seeds of _march_root: they return lambda alone.  Returns the start
-    and the coarse marches."""
+    top of the bracket) where none does.  Only the lambda of the two
+    coarse root-finds is kept: no coarse eigenvector is formed.  Returns
+    the start and the coarse marches."""
     m = func.grid.size - 1
     k = next((k for k in _COARSE if m % k == 0), None)
     if k is None:
         return math.inf, 0
-    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf, None, seed=True)
-    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1, None, seed=True)
+    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf)
+    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1)
     k2 = (k // 2) ** 2
     return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
 
@@ -525,19 +517,21 @@ def _mirror_image(func: DiscreteFunctional) -> bool:
     return len(ends) == 2 and ends[0] == ends[1] and func.mesh.palindrome
 
 
-def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
+def minimize(func: DiscreteFunctional) -> EigenSolution:
     """Minimize the Rayleigh quotient over N(u) = 1 on func's mesh.
 
     A functional that is its own mirror image is solved on its half
     (_Mesh.half), with a Neumann end at the middle node, and the half's
     eigenvector is mirrored.  With exactly one Robin end, and its
     coefficient positive: the inverse power method from the normalized
-    constant.  Otherwise: the coarse march root-finds, then the march.
-    Returns the eigenvalue estimate and the minimizer samples on func's
-    mesh; diagnostics flag whether a convergence test fired, count the
-    passes over the solved mesh (evals: every march, coarse and fine, or
-    every inverse power iteration) and time the two stages.  Their m is
-    func's cell count, also where the half was solved.
+    constant.  Otherwise: the coarse march root-finds, then the march,
+    whose last ratios moved to the root (_moved) give the eigenvector.
+    Both routes build u > 0.  Returns the eigenvalue estimate and the
+    minimizer samples on func's mesh; diagnostics flag whether a
+    convergence test fired, count the passes over the solved mesh
+    (evals: every march, coarse and fine, or every inverse power
+    iteration) and time the two stages.  Their m is func's cell count,
+    also where the half was solved.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
@@ -546,16 +540,15 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
     convex = _convex(solved)
     if convex:
         u, seed_iters = _normalize(solved, np.ones(solved.grid.size))[0], 0
-        q = _constant_quotient(solved)
-        history = [q] if config.track_history else None
         t_solve = time.perf_counter()
-        u, q, iters, converged = _inverse_power(solved, u, q, history)
+        u, q, iters, converged = _inverse_power(solved, u, _constant_quotient(solved))
         steps = evals = iters
     else:
         q, seed_iters = _march_start(solved)
-        history = [] if config.track_history else None
         t_solve = time.perf_counter()
-        q, u, steps, converged = _march_root(solved, q, history)
+        q, last, steps, converged = _march_root(solved, q)
+        log_u = _moved(solved, *last)
+        u = np.exp(log_u - np.max(log_u))
         iters = 0
         evals = seed_iters + steps
     if mirror:  # node k is its own mirror when m is even
@@ -564,10 +557,8 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
         u = _normalize(func, u)[0]
     t_end = time.perf_counter()
 
-    # orient positive and present like the shooting output
-    if float(np.sum(u)) < 0.0:
-        u = -u
-    scale = float(np.max(np.abs(u)))
+    # present like the shooting output
+    scale = float(np.max(u))
     phi = u / scale
     dphi = func.mesh.gradient(phi)
     psi = momentum(dphi, func.p)
@@ -584,8 +575,6 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
         "m": m,
         "phase_s": {"seed": t_solve - t_seed, "solve": t_end - t_solve},
     }
-    if history is not None:
-        diagnostics["quotient_history"] = np.asarray(history)
 
     return EigenSolution(
         lambda_val=float(q),
@@ -598,20 +587,17 @@ def minimize(func: DiscreteFunctional, config: MinimizeConfig = MinimizeConfig()
     )
 
 
-def solve_rayleigh(
-    problem: SturmProblem,
-    m: int = DEFAULT_CELLS,
-    config: MinimizeConfig = MinimizeConfig(),
-) -> EigenSolution:
+def solve_rayleigh(problem: SturmProblem, m: int = DEFAULT_CELLS) -> EigenSolution:
     """Minimize the Rayleigh quotient of problem on m cells."""
-    return minimize(discretize(problem, m), config=config)
+    return minimize(discretize(problem, m))
 
 
 @functools.lru_cache(maxsize=256)
-def _solve_cached(spec: ProblemSpec, m: int, config: MinimizeConfig) -> EigenSolution:
-    return solve_rayleigh(spec.build(), m, config)
+def _solve_cached(spec: ProblemSpec, m: int) -> EigenSolution:
+    return solve_rayleigh(spec.build(), m)
 
 
 def rayleigh_spec(spec: ProblemSpec, m: int = DEFAULT_CELLS, config: MinimizeConfig = MinimizeConfig()) -> EigenSolution:
-    """Cached variational solve keyed by the problem spec."""
-    return _solve_cached(spec, m, config)
+    """Cached variational solve keyed by the problem spec.  config has no
+    settings and is ignored."""
+    return _solve_cached(spec, m)

@@ -384,6 +384,13 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     psi = traj.psi[order]
 
     w = np.asarray(problem.weight.value(grid), dtype=float)
+    # the constant trial's quotient bounds the first eigenvalue above
+    w_end = {"left": float(w[0]), "right": float(w[-1])}
+    q = (sum(alpha * w_end[end] for end, _, alpha in problem.robin_ends())
+         / float(np.sum(np.diff(grid) * (w[1:] + w[:-1]) / 2.0)))
+    if lam - q > 1e-6 * abs(q) + 10.0 * config.lambda_tol * max(1.0, abs(q)):
+        raise ToleranceFailure("eigenvalue %r above the constant trial's quotient %r: the "
+                               "RK4 step is too coarse for the problem" % (lam, q))
     f = w * np.abs(phi) ** p
     lp_norm = float(np.sum(np.diff(grid) * (f[1:] + f[:-1]) / 2.0)) ** (1.0 / p)
     res = eigen_residual(problem, grid, phi, psi, lam)

@@ -293,6 +293,17 @@ def test_solve_warns_on_unconverged_rayleigh(tmp_path, capsys, monkeypatch, alph
     assert len(captured.err.splitlines()) == int(warned)
 
 
+def _run_cli(cfg, out_dir, *flags):
+    """probin in a child process, as a user runs it, on this checkout's
+    src."""
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "probin.cli", "--config", cfg, "--out", str(out_dir), *flags],
+        env=env, capture_output=True, text=True)
+
+
 def test_solve_near_p1_fails_cleanly(tmp_path):
     """Flat p = 1.03, alpha = -2 has a boundary layer exp(-2^(100/3) x),
     far thinner than any affordable RK4 step: the trials blow up in it.
@@ -301,13 +312,22 @@ def test_solve_near_p1_fails_cleanly(tmp_path):
     second."""
     problem = dict(FLAT_PROBLEM, alpha=-2.0, p=1.03)
     cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "probin.cli", "--config", cfg, "--out", str(tmp_path),
-         "--rk-steps", "64"],
-        env=env, capture_output=True, text=True)
+    proc = _run_cli(cfg, tmp_path, "--rk-steps", "64")
     assert proc.returncode == 3
     assert "solver failure: non-finite trajectory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("solver,message", [
+    ("shoot", "above the constant trial's quotient"), ("rayleigh", "p-norm is inf"),
+])
+def test_solve_positive_alpha_near_p1_fails_cleanly(tmp_path, solver, message):
+    """Flat p = 1.001, alpha = 0.1: shooting lands far above the constant
+    trial's quotient, and the inverse power step overflows.  Either is a
+    solver failure (exit 3) with no warning and no traceback."""
+    problem = dict(FLAT_PROBLEM, alpha=0.1, p=1.001)
+    proc = _run_cli(_write_config(tmp_path, {"command": "solve", "problem": problem,
+                                             "solver": solver}), tmp_path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("solver failure: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr

@@ -11,6 +11,7 @@ from probin.coeffs import ModelParams
 from probin.errors import DomainError
 from probin.problems import (
     BoundaryCondition,
+    EigenSolution,
     ProblemSpec,
     SturmProblem,
     Warping,
@@ -23,7 +24,7 @@ from probin.problems import (
     sn_warping,
     warped_product_problem,
 )
-from probin.rayleigh import MinimizeConfig, rayleigh_spec
+from probin.rayleigh import rayleigh_spec
 from probin.shoot import solve_spec
 
 
@@ -229,14 +230,21 @@ def test_cached_solution_fields_and_diagnostics_are_read_only():
     again = solve_spec(spec)
     assert again.lambda_val == lam and again.diagnostics["integrations"] == integrations
 
-    config = MinimizeConfig(track_history=True)
-    sol = rayleigh_spec(spec, 200, config)
+    sol = rayleigh_spec(spec, 200)
     seed_s = sol.diagnostics["phase_s"]["seed"]
     with pytest.raises(TypeError):
         sol.diagnostics["phase_s"]["seed"] = -5.0
+    assert rayleigh_spec(spec, 200).diagnostics["phase_s"]["seed"] == seed_s >= 0.0
+
+    # no solver puts an array into diagnostics; one that did would
+    # hand it out read-only, at any depth
+    grid = np.linspace(0.0, 1.0, 5)
+    sol = EigenSolution(1.0, grid, np.ones(5), np.zeros(5), 0.0, "test",
+                        {"trace": np.ones(3), "phase_s": {"steps": np.zeros(2)}})
     with pytest.raises(ValueError):
-        sol.diagnostics["quotient_history"][0] = 0.0
-    assert rayleigh_spec(spec, 200, config).diagnostics["phase_s"]["seed"] == seed_s >= 0.0
+        sol.diagnostics["trace"][0] = 0.0
+    with pytest.raises(ValueError):
+        sol.diagnostics["phase_s"]["steps"][0] = 1.0
 
 
 def test_spec_rejects_unknown_type():

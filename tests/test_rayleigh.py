@@ -15,7 +15,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 import probin.rayleigh
 
 from probin.coeffs import ModelParams, const_weight
-from probin.errors import DomainError
+from probin.errors import DomainError, ToleranceFailure
 from probin.problems import (
     BoundaryCondition,
     ProblemSpec,
@@ -30,7 +30,6 @@ from probin.rayleigh import (
     _HUGE,
     _MESH_CACHE,
     DiscreteFunctional,
-    MinimizeConfig,
     _chain,
     _coarse,
     _constant_quotient,
@@ -40,6 +39,7 @@ from probin.rayleigh import (
     _march_start,
     _mesh,
     _mirror_image,
+    _moved,
     _norm_grad,
     _normalize,
     discretize,
@@ -324,6 +324,28 @@ def test_inverse_power_reaches_the_minimum_near_p1():
         assert sol.diagnostics["converged"] and sol.diagnostics["iterations"] > 0
 
 
+# flat p = 1.002, alpha = 0.3 is not among them: its first step lands on
+# lambda = alpha and converges
+_INVERSE_OVERFLOW = ([("flat", 1.001, 0.1), ("flat", 1.001, 0.3), ("flat", 1.002, 0.1)]
+                     + [(family, 1.001, alpha) for family in
+                        ("hyperbolic_ball", "spherical_cap", "curvature_model", "warped_ball")
+                        for alpha in (3.0, 100.0)])
+
+
+@pytest.mark.parametrize("family,p,alpha", _INVERSE_OVERFLOW,
+                         ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_inverse_power_beyond_the_float_range_fails(family, p, alpha):
+    """Near p = 1 the inverse step's power 1/(p - 1) = 1000 carries v past
+    the float range (flat), or every |v_j|^p below it (the balls and
+    models at large alpha).  Either is a solver failure, ToleranceFailure,
+    raised at once and with no warning, not 200 unconverged iterations or
+    a DomainError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceFailure):
+            solve_rayleigh(_spec(family, p, alpha).build(), 2000)
+
+
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
 @pytest.mark.parametrize("alpha", [1.0, 1e4])
 def test_positive_alpha_never_marches(monkeypatch, alpha, p):
@@ -394,10 +416,9 @@ def test_march_reaches_the_minimum_at_p12(alpha, p, lam):
     """Near p = 1, with the Robin layer a few cells wide, the march
     converges at or below the quotient a gradient descent reached, and
     within 3e-7 of it."""
-    sol = minimize(discretize(_flat(alpha, p), 2000), config=MinimizeConfig(track_history=True))
+    sol = minimize(discretize(_flat(alpha, p), 2000))
     d = sol.diagnostics
     assert d["converged"] and d["iterations"] == 0 and d["steps"] > 0
-    assert d["quotient_history"].size == d["steps"]  # the lambda of every fine march
     assert lam * (1.0 + 3e-7) <= sol.lambda_val <= lam
 
 
@@ -479,7 +500,7 @@ def test_march_starts_from_coarse_meshes_where_16_does_not_divide_m(prob):
     func = discretize(prob, 1000)
     sol = minimize(func)
     assert sol.diagnostics["seed_iterations"] > 0 and sol.diagnostics["steps"] <= 4
-    lam = _march_root(func, math.inf, None)[0]  # the uniform start
+    lam = _march_root(func, math.inf)[0]  # the uniform start
     assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
 
 
@@ -491,17 +512,22 @@ def test_march_starts_from_coarse_meshes_where_16_does_not_divide_m(prob):
     (double_robin_problem(0.5, -0.75, 2.5), 7),
 ], ids=["disk p=2", "spherical_cap p=1.75", "flat p=1.75", "hyperbolic_ball p=1.75",
         "double_robin p=2.5"])
-def test_march_counts_at_m2000(prob, max_seed):
+def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
     """One fine march, and no more coarse marches than the seed levels
     need: every level stops at its first Newton step of at most
-    sqrt(_MARCH_RTOL) max(1, |lambda|), with no confirming march, and the
-    fine level moves its march's eigenvector with that step."""
+    sqrt(_MARCH_RTOL) max(1, |lambda|), with no confirming march.  Only
+    the fine level's eigenvector is formed, its march's moved with that
+    step."""
+    moved = []
+    monkeypatch.setattr(probin.rayleigh, "_moved",
+                        lambda *args: moved.append(args) or _moved(*args))
     func = discretize(prob, 2000)
     d = minimize(func).diagnostics
     assert d["converged"] and d["steps"] == 1
     assert d["seed_iterations"] <= max_seed
     assert d["evals"] == d["seed_iterations"] + d["steps"]
-    assert _march_root(_coarse(func, 16), math.inf, None, seed=True)[1] is None  # no eigenvector
+    (solved, ratios, _, step), = moved
+    assert len(ratios) == solved.grid.size - 1 and step != 0.0
 
 
 def _two_robin(alpha_left, alpha_right, p):
@@ -542,7 +568,9 @@ def test_moved_eigenvector_is_the_march_at_the_root(case, p):
     family, *alphas = case
     prob = _two_robin(*alphas, p) if family == "two_robin" else _spec(family, p, alphas[0]).build()
     func = _solved(discretize(prob, 2000))
-    lam, u, steps, converged = _march_root(func, _march_start(func)[0], None)
+    lam, last, steps, converged = _march_root(func, _march_start(func)[0])
+    log_u = _moved(func, *last)
+    u = np.exp(log_u - np.max(log_u))
     chain, flip = _chain(func)
     ratios, end = _march(lam, chain)
     assert converged and end is not None
@@ -568,28 +596,27 @@ def test_march_end_derivative_is_its_norm_sum(p):
         assert dy == pytest.approx(-norm, rel=1e-12), prob
 
 
-@pytest.mark.parametrize("p,alpha,lam,steps,moved", [
-    (1.5, -100.0, -227958.9624380261, 4, True),
-    (1.1, -10.0, -31446.123200588103, 3, True),
-    (1.001, -2.0, -3969.4805494133575, 2, False),
+@pytest.mark.parametrize("p,alpha,lam,steps,infinite", [
+    (1.5, -100.0, -227958.9624380261, 4, 0),
+    (1.1, -10.0, -31446.123200588103, 3, 0),
+    (1.001, -2.0, -3969.4805494133575, 2, 1999),
 ], ids=["flat p=1.5 alpha=-100", "flat p=1.1 alpha=-10", "flat p=1.001 alpha=-2"])
-def test_deep_layer_march(monkeypatch, p, alpha, lam, steps, moved):
+def test_deep_layer_march(monkeypatch, p, alpha, lam, steps, infinite):
     """Flat Robin layers at m = 2000 where u spans far more than the
     float range.  The norm sums that move the eigenvector are formed by
     logaddexp in log u, so they stay finite: at p = 1.5, alpha = -100 no
     confirming march is made (a root-find to a step of 1e-13 takes 5
     fine marches), and at p = 1.1, alpha = -10, whose third Newton step
-    is already below 1e-13, none is added.  At p = 1.001 a ratio passes
-    the float range, the moved eigenvector is not finite, and the
-    root-find takes its last march's ratios as they are.  Every solve
-    converges with phi >= 0 and no warning, to the lambda pinned here (a
-    root-find to a step of 1e-13) within 1e-12."""
-    finite = []
-    moved_log_u = probin.rayleigh._moved
+    is already below 1e-13, none is added.  At p = 1.001 all ratios but
+    one pass the float range; _moved keeps those as marched, capped at
+    _HUGE, and moves the one left.  Every solve converges with phi >= 0,
+    a finite log u and no warning, to the lambda pinned here (a root-find
+    to a step of 1e-13) within 1e-12."""
+    seen = []
 
-    def spy(*args):
-        log_u = moved_log_u(*args)
-        finite.append(log_u is not None)
+    def spy(func, ratios, flip, step):
+        log_u = _moved(func, ratios, flip, step)
+        seen.append((int(np.count_nonzero(np.isinf(ratios))), bool(np.all(np.isfinite(log_u)))))
         return log_u
 
     monkeypatch.setattr(probin.rayleigh, "_moved", spy)
@@ -599,7 +626,27 @@ def test_deep_layer_march(monkeypatch, p, alpha, lam, steps, moved):
     d = sol.diagnostics
     assert d["converged"] and float(np.min(sol.phi)) >= 0.0
     assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
-    assert d["steps"] == steps and finite == [moved]
+    assert d["steps"] == steps and seen == [(infinite, True)]
+
+
+@pytest.mark.parametrize("p,alpha", [(1.001, -2.0), (1.001, -100.0), (1.002, -3.0)])
+def test_moved_keeps_infinite_ratios_as_marched(p, alpha):
+    """Marched from the Neumann end, u grows toward a Robin end with
+    alpha < 0, and near p = 1 its ratios pass the float range.  _moved
+    keeps each ratio it cannot move as marched, capped at _HUGE, so log u
+    is finite and nondecreasing, and its step at such a ratio is
+    log(_HUGE).  With no step it is the product of the ratios."""
+    func = discretize(_robin_right(alpha, p), 2000)
+    lam, (ratios, flip, step), _, converged = _march_root(func, math.inf)
+    assert converged and not flip and np.any(np.isinf(ratios))
+    for s in (step, 0.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_u = _moved(func, ratios, flip, s)
+        assert np.all(np.isfinite(log_u)) and np.all(np.diff(log_u) >= 0.0)
+        assert np.diff(log_u)[np.isinf(ratios)] == pytest.approx(math.log(_HUGE), rel=1e-9)
+    kept = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(ratios, _HUGE)))))
+    assert _moved(func, ratios, flip, 0.0) == pytest.approx(kept, rel=1e-12, abs=1e-9)
 
 
 @pytest.mark.parametrize("p,alpha,m", [
@@ -812,12 +859,24 @@ def test_negative_alpha_gives_negative_quotient():
     assert sol.lambda_val < 0
 
 
-def test_descent_is_monotone():
-    # the inverse power method takes no step that raises the quotient
-    sol = minimize(discretize(_flat(1.0, 3.0), 250), config=MinimizeConfig(track_history=True))
-    hist = sol.diagnostics["quotient_history"]
-    assert sol.diagnostics["converged"]
-    assert np.all(np.diff(hist) <= 0.0)
+def test_descent_is_monotone(monkeypatch):
+    """The inverse power method lowers the quotient at every step, up to
+    rounding, and returns the last quotient it accepted.  A spy on
+    _inverse_step forms each step's quotient as the method does: E(v)
+    over N(v)."""
+    quotients = []
+
+    def spy(func, u):
+        v, e = _inverse_step(func, u)
+        quotients.append(e / norm_p(func, v))
+        return v, e
+
+    monkeypatch.setattr(probin.rayleigh, "_inverse_step", spy)
+    sol = minimize(discretize(_flat(1.0, 3.0), 250))
+    assert sol.diagnostics["converged"] and len(quotients) == sol.diagnostics["iterations"] > 1
+    assert np.all(np.diff(quotients) <= 4 * _EPS * np.abs(quotients[:-1]))
+    accepted = np.minimum.accumulate(quotients)
+    assert sol.lambda_val == accepted[-1] and np.all(np.diff(accepted) <= 0.0)
 
 
 @pytest.mark.parametrize("prob,label", [

@@ -1,6 +1,7 @@
 """Shooting solver: momentum map, trajectories, eigenvalues."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -408,3 +409,27 @@ def test_bracket_failure_after_max_bracket_steps(alpha):
     # lie further out (2.42 and -9.09)
     with pytest.raises(BracketFailure):
         solve_first_eigenvalue(_flat(alpha, 2.0), ShootConfig(max_bracket_steps=1))
+
+
+@pytest.mark.parametrize("family,p,alpha", [
+    (FAMILIES[0], 1.001, 0.1), (FAMILIES[1], 1.002, 0.1), (FAMILIES[2], 1.002, 0.1),
+    (FAMILIES[5], 1.001, 0.3),
+], ids=["flat p=1.001", "disk p=1.002", "hyperbolic_ball p=1.002", "double_robin p=1.001"])
+def test_eigenvalue_above_the_constant_trial_fails(family, p, alpha):
+    """The constant trial's quotient, sum alpha w(end) over the integral
+    of w, bounds the first eigenvalue above.  Near p = 1 the RK4 step
+    resolves nothing, and the root-find lands far above it (flat
+    p = 1.001, alpha = 0.1: 0.4747 against 0.1).  That raises
+    ToleranceFailure, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceFailure, match="constant trial's quotient"):
+            solve_first_eigenvalue(ProblemSpec.from_dict(dict(family, p=p, alpha=alpha)).build())
+
+
+def test_eigenvalue_at_the_constant_trial_within_rounding_solves():
+    """Hyperbolic ball at p = 1.005, alpha = 0.3: the eigenfunction is
+    nearly constant and lambda is 1.8e-9 relative above the constant
+    trial's quotient, which is RK4 error, not a failure."""
+    sol = solve_first_eigenvalue(ProblemSpec.from_dict(dict(FAMILIES[2], p=1.005, alpha=0.3)).build())
+    assert sol.lambda_val == pytest.approx(1.0187213380922457, rel=1e-8)
