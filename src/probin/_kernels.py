@@ -8,13 +8,9 @@ Both Riccati forms are one field; _rk4_core has one RK4 step body per
 form with the field's constants folded in, and rounds exactly as the
 generic field would.
 
-_rk4_core uses only len, indexing, range, zip, scalar arithmetic, math
-functions and loops, so it runs unchanged on numpy arrays and on Python
-sequences.  With numba installed, rk4_path runs the core compiled for
-numpy arrays.  Without it, rk4_path runs the core on Python floats and
-tuples: numpy scalars would take every operation through numpy's scalar
-machinery, several times slower.  The IEEE operations are the same
-either way, so the results agree bit for bit.
+rk4_path runs the core on Python floats and tuples: numpy scalars would
+take every operation through numpy's scalar machinery, several times
+slower.
 
 A path passes outputs of one entry per step and gets log phi and
 phi'/phi after every step.  A root-find trial passes outputs of one
@@ -27,20 +23,15 @@ only.
 kernel_array lays out what every integration of a solve reads as six
 columns, one row per step: h, h/2, h/6 and the drift at the step's
 start, midpoint and end, so that a step reads its constants instead of
-computing them.  Without numba the array carries its columns as tuples
-of Python floats, converted once: the three step columns share one float
-object per distinct step size, and the drift columns are slices of one
-list, so neighbouring steps share their common endpoint's float.
+computing them.  The array carries its columns as tuples of Python
+floats, converted once: the three step columns share one float object
+per distinct step size, and the drift columns are slices of one list,
+so neighbouring steps share their common endpoint's float.
 """
 
 import math
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover
-    njit = None
 
 
 def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
@@ -192,81 +183,55 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
         rho_form = not rho_form
 
 
-def _columns(hs, ld):
-    """The (6, n) array of the core's columns for the signed steps hs and
-    the drift ld at every step endpoint and midpoint (ld[2i], ld[2i+1],
-    ld[2i+2] frame step i)."""
+class _FloatArray(np.ndarray):
+    """A read-only (n, 6) float array whose attribute columns holds its
+    six columns as tuples of Python floats; a view of it has none."""
+
+
+def _step_columns(cols):
+    """The step columns h, h/2, h/6 as tuples of Python floats with one
+    float object per distinct step size in each: the entries of a column
+    at equal steps are equal, bit for bit, as the steps are never 0.0."""
+    _, first, inverse = np.unique(cols[0], return_index=True, return_inverse=True)
+    return [tuple(np.array(c[first].tolist(), dtype=object)[inverse]) for c in cols[:3]]
+
+
+def kernel_array(hs, ld):
+    """The read-only (n, 6) array of the core's columns, one row per step,
+    for the signed steps hs and the drift ld at every step endpoint and
+    midpoint (ld[2i], ld[2i+1], ld[2i+2] frame step i).  It carries them
+    as tuples of Python floats, so that rk4_path does not convert them
+    again on every integration."""
     hs = np.asarray(hs, dtype=float)
     ld = np.asarray(ld, dtype=float)
-    return np.stack([hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]])
+    cols = np.stack([hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]])
+    drift = ld.tolist()
+    out = cols.T.view(_FloatArray)
+    out.columns = (*_step_columns(cols), tuple(drift[0:-1:2]), tuple(drift[1::2]),
+                   tuple(drift[2::2]))
+    out.flags.writeable = False
+    return out
 
 
-if njit is not None:
-    _compiled_core = njit(cache=True, nogil=True)(_rk4_core)
+def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
+    """_rk4_core on Python floats, over the columns of kernel, a
+    kernel_array.  The outputs are as in the core: n entries for a path,
+    log phi and phi'/phi after every step; 1 for a trial, which gets the
+    last phi'/phi and a NaN log phi.  Every entry is written: those after
+    an early stop are NaN.
 
-    def kernel_array(hs, ld):
-        """The read-only (n, 6) array of the core's columns, one row per
-        step; its transpose is C-contiguous, one column a row."""
-        out = _columns(hs, ld).T
-        out.flags.writeable = False
-        return out
-
-    def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
-        """The compiled core on the columns of kernel (see kernel_array):
-        n-entry outputs get a path's log phi and phi'/phi after every
-        step, 1-entry outputs a trial's last phi'/phi and a NaN log phi."""
-        return _compiled_core(w0, logphi0, lam, pm1, qm1, kernel.T, out_logphi, out_slope)
-else:
-    class _FloatArray(np.ndarray):
-        """A read-only (n, 6) float array whose attribute columns holds its
-        six columns as tuples of Python floats; a view of it has none."""
-
-    def _step_columns(cols):
-        """The step columns h, h/2, h/6 as tuples of Python floats with
-        one float object per distinct step size in each: the entries of
-        a column at equal steps are equal, bit for bit, as the steps
-        are never 0.0."""
-        _, first, inverse = np.unique(cols[0], return_index=True, return_inverse=True)
-        return [tuple(np.array(c[first].tolist(), dtype=object)[inverse]) for c in cols[:3]]
-
-    def kernel_array(hs, ld):
-        """The read-only (n, 6) array of the core's columns, one row per
-        step, carrying them as tuples of Python floats, so that rk4_path
-        does not convert them again on every integration."""
-        cols = _columns(hs, ld)
-        ld = np.asarray(ld, dtype=float).tolist()
-        out = cols.T.view(_FloatArray)
-        out.columns = (*_step_columns(cols), tuple(ld[0:-1:2]), tuple(ld[1::2]), tuple(ld[2::2]))
-        out.flags.writeable = False
-        return out
-
-    def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
-        """_rk4_core on Python floats; same arguments, outputs and return.
-        kernel is an (n, 6) array of the core's columns, converted to
-        Python floats here unless kernel_array already did.  The outputs
-        are as in the core: n entries for a path, log phi and phi'/phi
-        after every step; 1 for a trial, whose lists and copy are then
-        one entry long and which gets the last phi'/phi and a NaN log
-        phi.  Entries after an early stop are unspecified: the
-        compiled core leaves whatever the caller put there, this adapter
-        writes NaN.  A caller that reads them fills them first (_shoot
-        fills NaN), and then both builds agree.
-
-        A float power that overflows raises OverflowError where numba
-        gives inf; either way the path stops at that step, non-finite."""
-        cols = getattr(kernel, "columns", None)
-        if cols is None:
-            cols = kernel.T.tolist()
-        n = len(out_logphi)
-        logphis = [math.nan] * n
-        slopes = [math.nan] * n
-        try:
-            crossed = _rk4_core(
-                float(w0), float(logphi0), float(lam), float(pm1), float(qm1),
-                cols, logphis, slopes,
-            )
-        except OverflowError:
-            crossed = False
-        out_logphi[:] = logphis
-        out_slope[:] = slopes
-        return crossed
+    A float power that overflows raises OverflowError; the path stops at
+    that step, non-finite."""
+    n = len(out_logphi)
+    logphis = [math.nan] * n
+    slopes = [math.nan] * n
+    try:
+        crossed = _rk4_core(
+            float(w0), float(logphi0), float(lam), float(pm1), float(qm1),
+            kernel.columns, logphis, slopes,
+        )
+    except OverflowError:
+        crossed = False
+    out_logphi[:] = logphis
+    out_slope[:] = slopes
+    return crossed

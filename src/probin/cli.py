@@ -196,15 +196,13 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     axis, values, scale = _sweep_values(cfg)
 
     points = [_problem_spec(cfg, **{axis: v}) for v in values]
-    rows = []
-    for v, point in zip(values, points):
-        lam_s, lam_r, _, _ = _solve_pair(point, solver, sconf, m)
-        rows.append((v, lam_s, lam_r))
+    rows = [_solve_pair(point, solver, sconf, m)[:2] for point in points]
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("type,kappa,lambda_mc,n,R,alpha,p,%s,lambda_shoot,lambda_rayleigh,disagreement\n" % axis)
-        for (v, lam_s, lam_r), point in zip(rows, points):
+        # the swept value is in its own problem column
+        fh.write("type,kappa,lambda_mc,n,R,alpha,p,lambda_shoot,lambda_rayleigh,disagreement\n")
+        for (lam_s, lam_r), point in zip(rows, points):
             doc = point.to_dict()
             dis = _disagreement(lam_s, lam_r)
             fh.write(",".join([
@@ -213,7 +211,6 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
                 _FMT % doc.get("lambda_mc", math.nan) if doc.get("lambda_mc") is not None else "",
                 str(doc.get("n", "")),
                 _FMT % doc["R"], _FMT % doc["alpha"], _FMT % doc["p"],
-                _FMT % v,
                 _FMT % lam_s if lam_s is not None else "",
                 _FMT % lam_r if lam_r is not None else "",
                 _FMT % dis if dis is not None else "",
@@ -221,10 +218,10 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     print("wrote %s" % csv_path)
 
     series = []
+    if any(r[0] is not None for r in rows):
+        series.append((values, [r[0] for r in rows], "shooting"))
     if any(r[1] is not None for r in rows):
-        series.append((values, [r[1] for r in rows], "shooting"))
-    if any(r[2] is not None for r in rows):
-        series.append((values, [r[2] for r in rows], "rayleigh"))
+        series.append((values, [r[1] for r in rows], "rayleigh"))
     svg_path = out_dir / "sweep.svg"
     line_chart(series, svg_path, title="first eigenvalue vs %s" % axis,
                xlabel=axis, ylabel="lambda", logx=scale == "log")

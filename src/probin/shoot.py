@@ -210,11 +210,11 @@ def _shoot(plan: _Plan, lam: float, p: float, path: bool = False):
     and a NaN log phi, which no caller reads: the flag and that slope
     are all a root-find needs.  Raises ToleranceFailure if the
     integration turns non-finite before phi crosses zero, which shows as
-    a last slope the kernel did not write."""
+    a NaN last slope."""
     w0, logphi0 = _launch_state(plan, lam, p, path)
     n = plan.kernel.shape[0] if path else 1
-    out_logphi = np.full(n, np.nan)
-    out_slope = np.full(n, np.nan)
+    out_logphi = np.empty(n)
+    out_slope = np.empty(n)
     crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
                        plan.kernel, out_logphi, out_slope)
     if not (crossed or math.isfinite(out_slope[-1])):

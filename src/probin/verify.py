@@ -199,20 +199,6 @@ def _uniform_step(grid):
     return h
 
 
-def _interior_differences(grid, h, *fields) -> list:
-    """np.gradient(f, full_grid, edge_order=2)[1:-1] for each field, bit
-    for bit, on the interior nodes of grid: the full grid or a block of it
-    with one neighbour on each side (_blocks).
-
-    h is _uniform_step(full_grid): numpy's scalar branch is taken only
-    when the whole grid is exactly uniform (ThreePoint).  numpy's
-    weights are formed from the block's own spacing, once for all
-    fields, and the edge values, which no check reads, are never
-    formed."""
-    stencil = ThreePoint(grid, h)
-    return [stencil.interior(f) for f in fields]
-
-
 # ----------------------------------------------------------------------
 # Picone identity
 # ----------------------------------------------------------------------
@@ -224,7 +210,9 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> Verifi
     R = |u'|^p - |v'|^(p-2) v' * (u^p / v^(p-1))'
 
     Derivatives are numpy's three-point differences on the interior nodes,
-    where the comparison runs (_interior_differences).  The fields are
+    where the comparison runs (ThreePoint); numpy takes its scalar branch
+    only when the whole grid is exactly uniform (_uniform_step), else each
+    block's stencil forms numpy's weights from its own spacing.  The fields are
     formed and reduced over blocks of _BLOCK interior nodes, so that every
     temporary stays cache-sized; each node's value is the same IEEE
     expression as on full arrays, and the block extrema are combined with
@@ -244,7 +232,8 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> Verifi
     for lo, hi in _blocks(grid.size):
         ub, vb = u[lo:hi], v[lo:hi]
         w = ub ** p / vb ** (p - 1.0)
-        dui, dvi, dwi = _interior_differences(grid[lo:hi], h, ub, vb, w)
+        stencil = ThreePoint(grid[lo:hi], h)
+        dui, dvi, dwi = stencil.interior(ub), stencil.interior(vb), stencil.interior(w)
         ratio = ub[1:-1] / vb[1:-1]
         mv = momentum(dvi, p)
         du_p = np.abs(dui) ** p
@@ -296,7 +285,7 @@ def barta_sandwich(
     if np.any(v <= 0.0):
         raise DomainError("barta trial must be positive")
 
-    (dpsi,) = _interior_differences(grid, _uniform_step(grid), psi_v)
+    dpsi = ThreePoint.of_grid(grid).interior(psi_v)
     sl = slice(1, -1)
     ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
     ratio = -(dpsi + ld * psi_v[sl]) / momentum(v[sl], problem.p)
@@ -356,7 +345,7 @@ def eigenfunction_shape_suite(problem: SturmProblem, solution: EigenSolution) ->
     # (m(v))' + (w'/w) m(v) + (p-1)|v|^p + lam = 0
     mv = psi / momentum(phi, p)
     vv = inverse_momentum(mv, p)
-    (dmv,) = _interior_differences(grid, _uniform_step(grid), mv)
+    dmv = ThreePoint.of_grid(grid).interior(mv)
     sl = slice(1, -1)
     ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
     resid = dmv + ld * mv[sl] + (p - 1.0) * np.abs(vv[sl]) ** p + lam

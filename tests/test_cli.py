@@ -84,6 +84,20 @@ def test_sweep_deterministic_output(tmp_path):
     assert (out1 / "sweep.svg").read_bytes() == (out2 / "sweep.svg").read_bytes()
 
 
+@pytest.mark.parametrize("axis,grid", [
+    ("alpha", [0.5, 1.0]), ("R", [0.5, 1.0]), ("p", [1.5, 2.0]), ("kappa", [-1.0, 0.0]),
+])
+def test_sweep_csv_names_each_column_once(tmp_path, axis, grid):
+    # every sweep axis is a problem column, which holds the swept value
+    cfg = _write_config(tmp_path, {"command": "sweep", "problem": FLAT_PROBLEM, "solver": "shoot",
+                                   "sweep": {"axis": axis, "grid": grid}})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    names = header.split(",")
+    assert len(set(names)) == len(names)
+    assert [float(row.split(",")[names.index(axis)]) for row in rows] == grid
+
+
 def test_verify_command(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"command": "verify"})
     code = main(["--config", cfg, "--out", str(tmp_path)])

@@ -1,10 +1,14 @@
 """Static checks of the probin sources: every name a module imports is
 used in it, every module constant is read, every private function and
 class is referenced, every defaulted parameter is passed by some call,
-and the two solvers import nothing from each other."""
+and the two solvers import nothing from each other; and importing probin
+leaves an installed numba alone."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -37,6 +41,19 @@ def test_no_unused_imports(path):
     unused = ["%s (line %d)" % (name, line) for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, "%s imports but never uses: %s" % (path.name, ", ".join(unused))
+
+
+def test_import_ignores_an_installed_numba(tmp_path):
+    # the RK4 kernel is pure Python: a numba package on the path, here a
+    # stub whose njit raises, is neither imported nor called
+    stub = tmp_path / "numba"
+    stub.mkdir()
+    (stub / "__init__.py").write_text(
+        "def njit(*args, **kwargs):\n    raise RuntimeError('numba.njit called')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC.parent)]))
+    code = "import sys, probin; sys.exit('numba imported' if 'numba' in sys.modules else 0)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def _imported_modules(path):

@@ -1,7 +1,5 @@
-"""RK4 kernel: one body on numpy arrays and on Python floats."""
+"""RK4 kernel: the Riccati-form core on Python floats, its trials and paths."""
 
-import ast
-import inspect
 import math
 
 import numpy as np
@@ -9,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import probin._kernels
 import probin.shoot
 from probin._kernels import _rk4_core, kernel_array, rk4_path
 from probin.coeffs import ModelParams
@@ -32,17 +29,9 @@ def _kernel_args(problem, lam):
     return w0, logphi0, lam, pm1, 1.0 / pm1, plan.kernel
 
 
-def _core_on_arrays(args):
-    # what the compiled rk4_path feeds the core: one column a row
-    kernel = args[5]
-    out_logphi = np.full(kernel.shape[0], np.nan)
-    out_slope = np.full(kernel.shape[0], np.nan)
-    crossed = _rk4_core(*args[:5], kernel.T, out_logphi, out_slope)
-    return crossed, out_logphi, out_slope
-
-
 def _core_on_lists(args):
-    # what the pure-Python rk4_path feeds the core: one column a sequence
+    # the core on the kernel's columns as plain lists, with no float
+    # object shared between steps
     w0, logphi0, lam, pm1, qm1, kernel = args
     out_logphi = [math.nan] * kernel.shape[0]
     out_slope = [math.nan] * kernel.shape[0]
@@ -52,20 +41,16 @@ def _core_on_lists(args):
 
 
 def _assert_same_everywhere(args):
-    crossed_a, logphi_a, slope_a = _core_on_arrays(args)
+    # rk4_path runs the core on the kernel array's shared float columns;
+    # it writes every entry, so its outputs start out uninitialised
     crossed_l, logphi_l, slope_l = _core_on_lists(args)
-    assert crossed_l == crossed_a
-    assert np.array_equal(logphi_l, logphi_a, equal_nan=True)
-    assert np.array_equal(slope_l, slope_a, equal_nan=True)
-    # and rk4_path, whichever form it takes here, returns the same; its
-    # entries after an early stop are the caller's under numba, so fill
-    # them as _shoot does
-    out_logphi = np.full(args[5].shape[0], np.nan)
-    out_slope = np.full(args[5].shape[0], np.nan)
-    assert rk4_path(*args, out_logphi, out_slope) == crossed_a
-    assert np.array_equal(out_logphi, logphi_a, equal_nan=True)
-    assert np.array_equal(out_slope, slope_a, equal_nan=True)
-    return crossed_a, logphi_a
+    out_logphi = np.empty(args[5].shape[0])
+    out_slope = np.empty(args[5].shape[0])
+    crossed = rk4_path(*args, out_logphi, out_slope)
+    assert crossed == crossed_l
+    assert np.array_equal(out_logphi, logphi_l, equal_nan=True)
+    assert np.array_equal(out_slope, slope_l, equal_nan=True)
+    return crossed, out_logphi
 
 
 @pytest.mark.parametrize("alpha,p,lam,wide,crossed", [
@@ -76,8 +61,8 @@ def _assert_same_everywhere(args):
 ])
 def test_core_bit_identical_on_arrays_and_lists(alpha, p, lam, wide, crossed):
     # wide paths are the ones a (phi, psi) integrator would have to rescale
-    crossed_a, logphi = _assert_same_everywhere(_kernel_args(_flat(alpha, p), lam))
-    assert bool(crossed_a) == crossed
+    path_crossed, logphi = _assert_same_everywhere(_kernel_args(_flat(alpha, p), lam))
+    assert bool(path_crossed) == crossed
     assert (np.nanmax(logphi) - np.nanmin(logphi) > math.log(1e12)) == wide
     if crossed:
         # the path stops at the step that crosses zero
@@ -93,24 +78,18 @@ def test_core_bit_identical_from_a_stiff_robin_launch(lam, crossed):
     assert _assert_same_everywhere(args)[0] == crossed
 
 
-@pytest.mark.skipif(probin._kernels.njit is not None,
-                    reason="numba compiles the core; the float adapter is not used")
 def test_float_power_overflow_is_a_tolerance_failure():
     # p near 1 far below the eigenvalue: the boundary layer is far too thin
     # for the step, RK4 is unstable and |w|^(1/(p-1)) overflows.  A Python
-    # float raises where a numpy scalar gives inf; both stop the path there
+    # float power raises, and rk4_path stops the path at that step
     problem = _flat(-1.0, 1.03)
     args = _kernel_args(problem, -1e5)
     with pytest.raises(OverflowError):
         _core_on_lists(args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        crossed, logphi, slope = _core_on_arrays(args)
-        out_logphi = np.full(args[5].shape[0], np.nan)
-        out_slope = np.full(args[5].shape[0], np.nan)
-        assert rk4_path(*args, out_logphi, out_slope) is False and crossed is False
-    assert np.isnan(logphi[-1])
-    assert np.array_equal(out_logphi, logphi, equal_nan=True)
-    assert np.array_equal(out_slope, slope, equal_nan=True)
+    out_logphi = np.empty(args[5].shape[0])
+    out_slope = np.empty(args[5].shape[0])
+    assert rk4_path(*args, out_logphi, out_slope) is False
+    assert np.isnan(out_logphi[-1]) and np.isnan(out_slope[-1])
     with pytest.raises(ToleranceFailure, match="non-finite trajectory.*rk_steps"):
         robin_mismatch(problem, -1e5)
 
@@ -162,14 +141,13 @@ def test_kernel_array_holds_the_step_columns():
     assert kernel.shape == (hs.size, 6) and not kernel.flags.writeable
     assert np.array_equal(kernel, np.column_stack(
         [hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]]))
-    if probin._kernels.njit is None:
-        cols = kernel.columns
-        assert all(isinstance(c, tuple) for c in cols)
-        assert [list(c) for c in cols] == kernel.T.tolist()
-        # one float object per distinct step size, and each drift float
-        # shared by the steps it bounds
-        assert [len(set(map(id, c))) for c in cols[:3]] == [5, 5, 5]
-        assert all(a is b for a, b in zip(cols[3][1:], cols[5]))
+    cols = kernel.columns
+    assert all(isinstance(c, tuple) for c in cols)
+    assert [list(c) for c in cols] == kernel.T.tolist()
+    # one float object per distinct step size, and each drift float
+    # shared by the steps it bounds
+    assert [len(set(map(id, c))) for c in cols[:3]] == [5, 5, 5]
+    assert all(a is b for a, b in zip(cols[3][1:], cols[5]))
 
 
 def _reference_path(w0, logphi0, lam, pm1, qm1, hs, ld):
@@ -298,7 +276,7 @@ _BELOW, _NEAR, _ABOVE = st.floats(-1.0, -0.05), st.floats(-1e-6, 1e-6), st.float
 def test_trial_is_the_last_step_of_its_path(family, p, magnitude, sign, lam):
     # a trial carries no log phi, and must still stop where its path
     # does, cross where it does and end on the slope it ends on, bit for
-    # bit; this runs rk4_path, compiled where numba is installed
+    # bit
     spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=sign * magnitude))
     kind, value = lam
     if kind == "from_lam1":
@@ -346,29 +324,3 @@ def test_a_non_finite_state_stops_the_trial_where_it_stops_the_path(problem, lam
     first_bad = 0 if w0 is not None else inf_drift_at
     assert np.isnan(path_logphi[first_bad:]).all() and np.isfinite(path_logphi[:first_bad]).all()
     assert np.isnan(trial_slope[0])
-
-
-def test_core_stays_numba_compilable():
-    # numba compiles _rk4_core where it is installed; keep the core to the
-    # constructs its nopython mode takes, even where nothing compiles it
-    tree = ast.parse(inspect.getsource(_rk4_core))
-    (core,) = tree.body
-    banned = (ast.Try, ast.With, ast.ListComp, ast.SetComp, ast.DictComp,
-              ast.GeneratorExp, ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef,
-              ast.ClassDef, ast.Yield, ast.YieldFrom, ast.JoinedStr)
-    # locals bound to a math function, e.g. log = math.log
-    math_aliases = {
-        node.targets[0].id for node in ast.walk(core)
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
-        and isinstance(node.value.value, ast.Name) and node.value.value.id == "math"
-    }
-    builtins = {"len", "range", "zip", "abs", "max", "min", "float"}
-    for node in ast.walk(core):
-        if node is core:
-            continue
-        assert not isinstance(node, banned), ast.dump(node)
-        if isinstance(node, ast.Call):
-            f = node.func
-            assert ((isinstance(f, ast.Name) and f.id in builtins | math_aliases)
-                    or (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                        and f.value.id == "math")), ast.dump(f)

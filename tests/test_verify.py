@@ -15,6 +15,7 @@ from probin.problems import (
     BoundaryCondition,
     ProblemSpec,
     SturmProblem,
+    ThreePoint,
     inradius_model_problem,
     inverse_momentum,
     momentum,
@@ -128,12 +129,16 @@ _STENCIL_GRIDS = {
 def test_interior_differences_match_numpy_gradient_bit_for_bit(name):
     grid = _STENCIL_GRIDS[name]
     fields = [np.exp(np.sin(3.0 * grid)), grid ** 3 - grid, np.cos(grid) / (2.0 + grid ** 2)]
-    got = probin.verify._interior_differences(grid, probin.verify._uniform_step(grid), *fields)
-    assert len(got) == len(fields)
-    for f, d in zip(fields, got):
+    # Barta and Riccati take numpy's uniformity test on the whole grid,
+    # Picone its block-wise one
+    stencils = [ThreePoint.of_grid(grid), ThreePoint(grid, probin.verify._uniform_step(grid))]
+    assert stencils[0].h == stencils[1].h
+    for f in fields:
         want = np.gradient(f, grid, edge_order=2)[1:-1]
-        assert d.shape == want.shape
-        assert (d == want).all()
+        for stencil in stencils:
+            d = stencil.interior(f)
+            assert d.shape == want.shape
+            assert (d == want).all()
 
 
 # ------------------------------------------------------------------ barta
