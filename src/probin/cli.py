@@ -29,6 +29,10 @@ from .verify import default_suite, reports_to_csv, reports_to_jsonl
 
 _FMT = "%.12g"
 _SOLVERS = ("shoot", "rayleigh", "both")
+# the problem columns of sweep.csv, the swept axis among them, and the
+# result columns of sweep.csv and acceptance_table.csv
+_SWEEP_COLUMNS = ("type", "kappa", "lambda_mc", "n", "R", "alpha", "p")
+_RESULT_COLUMNS = ("lambda_shoot", "lambda_rayleigh", "disagreement")
 
 
 class ConfigError(Exception):
@@ -122,6 +126,19 @@ def _disagreement(lam_s, lam_r):
     return abs(lam_s - lam_r) / max(1.0, abs(lam_s))
 
 
+def _write_csv(path: Path, header, rows) -> list:
+    """Write header and rows to path, None as an empty cell, text and
+    integers as they are and other numbers with _FMT; return the lines."""
+    def cell(value):
+        if value is None:
+            return ""
+        return str(value) if isinstance(value, (str, int)) else _FMT % value
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return lines
+
+
 def _cmd_solve(cfg, args, out_dir: Path) -> int:
     spec = _problem_spec(cfg)
     sconf = _shoot_config(cfg, args)
@@ -145,10 +162,7 @@ def _cmd_solve(cfg, args, out_dir: Path) -> int:
         if sol is None:
             continue
         path = out_dir / ("eigenfunction_%s.csv" % tag)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,phi,psi\n")
-            for t, phi, psi in zip(sol.grid, sol.phi, sol.psi):
-                fh.write("%s,%s,%s\n" % (_FMT % t, _FMT % phi, _FMT % psi))
+        _write_csv(path, ("t", "phi", "psi"), zip(sol.grid, sol.phi, sol.psi))
         print("wrote %s" % path)
     return 0
 
@@ -164,6 +178,8 @@ def _sweep_values(cfg) -> tuple:
     if scale not in ("linear", "log"):
         raise ConfigError("unknown sweep scale %r, expected 'linear' or 'log'" % (scale,))
     if "grid" in sweep:
+        if not isinstance(sweep["grid"], list):
+            raise ConfigError("sweep grid must be a list of values, got %r" % (sweep["grid"],))
         try:
             values = [float(v) for v in sweep["grid"]]
         except (TypeError, ValueError) as exc:
@@ -199,22 +215,9 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     rows = [_solve_pair(point, solver, sconf, m)[:2] for point in points]
 
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        # the swept value is in its own problem column
-        fh.write("type,kappa,lambda_mc,n,R,alpha,p,lambda_shoot,lambda_rayleigh,disagreement\n")
-        for (lam_s, lam_r), point in zip(rows, points):
-            doc = point.to_dict()
-            dis = _disagreement(lam_s, lam_r)
-            fh.write(",".join([
-                str(doc.get("type", "")),
-                _FMT % doc.get("kappa", math.nan) if doc.get("kappa") is not None else "",
-                _FMT % doc.get("lambda_mc", math.nan) if doc.get("lambda_mc") is not None else "",
-                str(doc.get("n", "")),
-                _FMT % doc["R"], _FMT % doc["alpha"], _FMT % doc["p"],
-                _FMT % lam_s if lam_s is not None else "",
-                _FMT % lam_r if lam_r is not None else "",
-                _FMT % dis if dis is not None else "",
-            ]) + "\n")
+    _write_csv(csv_path, _SWEEP_COLUMNS + _RESULT_COLUMNS, (
+        [getattr(point, key) for key in _SWEEP_COLUMNS] + [*row, _disagreement(*row)]
+        for row, point in zip(rows, points)))
     print("wrote %s" % csv_path)
 
     series = []
@@ -260,21 +263,15 @@ def _cmd_table(cfg, args, out_dir: Path) -> int:
     sconf = _shoot_config(cfg, args)
     m = _cells(cfg, args)
     path = out_dir / "acceptance_table.csv"
-    lines = ["geometry,p,alpha,lambda_shoot,lambda_rayleigh,disagreement"]
-    worst = 0.0
+    rows = []
     for name, doc in _TABLE_GEOMETRIES:
         for p in (1.5, 2.0, 3.0):
             for alpha in (-1.0, 1.0):
                 spec = ProblemSpec.from_dict(dict(doc, alpha=alpha, p=p))
                 lam_s, lam_r, _, _ = _solve_pair(spec, "both", sconf, m)
-                dis = _disagreement(lam_s, lam_r)
-                worst = max(worst, dis)
-                lines.append("%s,%s,%s,%s,%s,%s" % (
-                    name, _FMT % p, _FMT % alpha, _FMT % lam_s, _FMT % lam_r, _FMT % dis))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    print("worst disagreement: " + _FMT % worst)
+                rows.append((name, p, alpha, lam_s, lam_r, _disagreement(lam_s, lam_r)))
+    print("\n".join(_write_csv(path, ("geometry", "p", "alpha") + _RESULT_COLUMNS, rows)))
+    print("worst disagreement: " + _FMT % max(row[-1] for row in rows))
     print("wrote %s" % path)
     return 0
 

@@ -266,10 +266,28 @@ class Warping:
     def __hash__(self):
         return hash(self._key())
 
+    def to_dict(self) -> dict:
+        if self.kind is None:
+            raise DomainError("warping built from raw callables cannot serialize")
+        return {"kind": self.kind, "coefficients": list(self.coefficients)}
+
+    @staticmethod
+    def from_dict(doc: dict) -> "Warping":
+        kind, coefficients = doc["kind"], doc["coefficients"]
+        if kind == "polynomial":
+            return polynomial_warping(coefficients)
+        if kind != "sn":
+            raise DomainError("unknown warping kind %r" % (kind,))
+        if len(coefficients) != 1:
+            raise DomainError("sn warping takes one coefficient, kappa, got %r" % (coefficients,))
+        return sn_warping(coefficients[0])
+
 
 def polynomial_warping(coefficients) -> Warping:
     """Warping f(r) = sum c_k r^k with coefficients in ascending order."""
     coeffs = tuple(float(c) for c in coefficients)
+    if not coeffs or not all(math.isfinite(c) for c in coeffs):
+        raise DomainError("polynomial warping needs finite coefficients, got %r" % (coefficients,))
     c = np.asarray(coeffs)
     dc = np.polynomial.polynomial.polyder(c)
     d2c = np.polynomial.polynomial.polyder(c, 2)
@@ -302,9 +320,9 @@ def sn_warping(kappa: float) -> Warping:
 class ProblemSpec:
     """Serializable description of a builder call.
 
-    JSON document: {type, kappa, lambda_mc, n, R, alpha, p,
-    warping?: {kind, coefficients}}; round-trips losslessly for all
-    finite fields.
+    _TYPES names the fields each type takes beside R, alpha and p.  A
+    spec sets exactly those, and so does its JSON document {type, R,
+    alpha, p, <fields>}, with a warping written {kind, coefficients}.
     """
 
     type: str
@@ -317,55 +335,29 @@ class ProblemSpec:
     warping: Optional[Warping] = None
 
     def __post_init__(self):
-        if self.type not in _BUILDERS:
+        if self.type not in _TYPES:
             raise DomainError("unknown problem type %r" % (self.type,))
+        takes = _TYPES[self.type][0]
+        for name in _FIELDS:
+            if (getattr(self, name) is None) == (name in takes):
+                rule = "needs" if name in takes else "takes no"
+                raise DomainError("a problem of type %s %s %s" % (self.type, rule, name))
 
     def to_dict(self) -> dict:
-        out = {
-            "type": self.type,
-            "R": self.R,
-            "alpha": self.alpha,
-            "p": self.p,
-        }
-        if self.kappa is not None:
-            out["kappa"] = self.kappa
-        if self.lambda_mc is not None:
-            out["lambda_mc"] = self.lambda_mc
-        if self.n is not None:
-            out["n"] = self.n
-        if self.warping is not None:
-            if self.warping.kind is None:
-                raise DomainError("warping built from raw callables cannot serialize")
-            out["warping"] = {
-                "kind": self.warping.kind,
-                "coefficients": list(self.warping.coefficients),
-            }
+        out = {"type": self.type, "R": self.R, "alpha": self.alpha, "p": self.p}
+        for name in _TYPES[self.type][0]:
+            value = getattr(self, name)
+            out[name] = value.to_dict() if isinstance(value, Warping) else value
         return out
 
     @staticmethod
     def from_dict(doc: dict) -> "ProblemSpec":
-        warping = None
-        if "warping" in doc and doc["warping"] is not None:
-            wdoc = doc["warping"]
-            if wdoc["kind"] == "polynomial":
-                warping = polynomial_warping(wdoc["coefficients"])
-            elif wdoc["kind"] == "sn":
-                warping = sn_warping(wdoc["coefficients"][0])
-            else:
-                raise DomainError("unknown warping kind %r" % (wdoc["kind"],))
-        return ProblemSpec(
-            type=doc.get("type"),
-            R=float(doc["R"]),
-            alpha=float(doc["alpha"]),
-            p=float(doc["p"]),
-            kappa=float(doc["kappa"]) if "kappa" in doc and doc["kappa"] is not None else None,
-            lambda_mc=float(doc["lambda_mc"]) if "lambda_mc" in doc and doc["lambda_mc"] is not None else None,
-            n=_integer(doc["n"]) if "n" in doc and doc["n"] is not None else None,
-            warping=warping,
-        )
+        return ProblemSpec(doc.get("type"), float(doc["R"]), float(doc["alpha"]), float(doc["p"]),
+                           **{name: parse(doc[name]) for name, parse in _FIELDS.items()
+                              if doc.get(name) is not None})
 
     def build(self) -> SturmProblem:
-        return _BUILDERS[self.type](self)
+        return _TYPES[self.type][1](self)
 
 
 def _integer(value) -> int:
@@ -470,14 +462,20 @@ def _warping_weight(warping: Warping, n: int) -> Weight:
     return power_weight(warping.f, warping.df, warping.d2f, float(n - 1), "warping weight")
 
 
-# the problem types of ProblemSpec and the builder call each one makes
-_BUILDERS = {
-    "inradius_model": lambda s: inradius_model_problem(
-        ModelParams(s.kappa, s.lambda_mc, s.n), s.R, s.alpha, s.p),
-    "geodesic_ball": lambda s: geodesic_ball_problem(s.kappa, s.n, s.R, s.alpha, s.p),
-    "double_robin": lambda s: double_robin_problem(s.R, s.alpha, s.p),
-    "warped_product": lambda s: warped_product_problem(s.warping, s.n, s.R, s.alpha, s.p),
+# the problem types of ProblemSpec: the fields each takes beside R, alpha
+# and p, and the builder call it makes
+_TYPES = {
+    "inradius_model": (("kappa", "lambda_mc", "n"), lambda s: inradius_model_problem(
+        ModelParams(s.kappa, s.lambda_mc, s.n), s.R, s.alpha, s.p)),
+    "geodesic_ball": (("kappa", "n"), lambda s: geodesic_ball_problem(
+        s.kappa, s.n, s.R, s.alpha, s.p)),
+    "double_robin": ((), lambda s: double_robin_problem(s.R, s.alpha, s.p)),
+    "warped_product": (("n", "warping"), lambda s: warped_product_problem(
+        s.warping, s.n, s.R, s.alpha, s.p)),
 }
+
+# the parser of each field a type may take, for ProblemSpec.from_dict
+_FIELDS = {"kappa": float, "lambda_mc": float, "n": _integer, "warping": Warping.from_dict}
 
 
 def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:

@@ -275,17 +275,16 @@ def barta_sandwich(
     central differences.  lam is the eigenvalue the sandwich brackets.
     """
     if isinstance(trial, EigenSolution):
-        grid = trial.grid
-        v = trial.phi
-        psi_v = trial.psi
+        grid, v, psi_v = trial.grid, trial.phi, trial.psi
+        stencil = ThreePoint.of_grid(grid)
     else:
-        grid, v = trial
-        grid, v = _sampled("barta trial", grid, v)
-        psi_v = momentum(np.gradient(v, grid, edge_order=2), problem.p)
+        grid, v = _sampled("barta trial", *trial)
+        stencil = ThreePoint.of_grid(grid)
+        psi_v = momentum(stencil(v), problem.p)
     if np.any(v <= 0.0):
         raise DomainError("barta trial must be positive")
 
-    dpsi = ThreePoint.of_grid(grid).interior(psi_v)
+    dpsi = stencil.interior(psi_v)
     sl = slice(1, -1)
     ld = np.asarray(problem.weight.log_deriv(grid[sl]), dtype=float)
     ratio = -(dpsi + ld * psi_v[sl]) / momentum(v[sl], problem.p)

@@ -136,14 +136,43 @@ def test_unknown_command_is_config_error(tmp_path):
     assert main(["--config", cfg]) == 2
 
 
-def test_invalid_problem_is_config_error(tmp_path, monkeypatch):
+def test_invalid_problem_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(probin.cli, "solve_spec",
                         lambda spec, config: pytest.fail("solved %r" % (spec,)))
-    # a fractional n was truncated to 2, and an infinite p or R reached the solver
-    for override in ({"alpha": 0.0}, {"n": 2.5}, {"p": math.inf}, {"R": math.inf}):
-        problem = dict(FLAT_PROBLEM, **override)
+    ball = {"type": "geodesic_ball", "kappa": 0.0, "n": 3, "R": 1.0, "alpha": 1.0, "p": 2.0}
+    warped = {"type": "warped_product", "n": 3, "R": 1.0, "alpha": 1.0, "p": 2.0}
+
+    def warping(kind, *coefficients):
+        return dict(warped, warping={"kind": kind, "coefficients": list(coefficients)})
+
+    # each problem with the cause its config error names
+    problems = [
+        # a fractional n was truncated to 2, and an infinite p or R reached the solver
+        (dict(FLAT_PROBLEM, alpha=0.0), "is degenerate"),
+        (dict(FLAT_PROBLEM, n=2.5), "n must be an integer"),
+        (dict(FLAT_PROBLEM, p=math.inf), "must be finite"),
+        (dict(FLAT_PROBLEM, R=math.inf), "must be finite"),
+        # a field the type needs was missing (a crash, or a NoneType
+        # comparison), or one it does not take was set and silently ignored
+        (warped, "warped_product needs warping"),
+        ({"type": "double_robin", "kappa": 0.0, "R": 1.0, "alpha": 1.0, "p": 2.0},
+         "double_robin takes no kappa"),
+        ({key: value for key, value in ball.items() if key != "n"}, "geodesic_ball needs n"),
+        (dict(ball, warping={"kind": "sn", "coefficients": [0.0]}),
+         "geodesic_ball takes no warping"),
+        # warping coefficients that are missing (a crash), not finite (a
+        # solver failure), or more than the one kappa of sn (ignored)
+        (warping("polynomial"), "finite coefficients"),
+        (warping("sn"), "one coefficient, kappa"),
+        (warping("polynomial", 1.0, math.nan), "finite coefficients"),
+        (warping("polynomial", 1.0, math.inf), "finite coefficients"),
+        (warping("sn", 0.0, 5.0), "one coefficient, kappa"),
+    ]
+    for problem, cause in problems:
         cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
-        assert main(["--config", cfg, "--out", str(tmp_path)]) == 2, override
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 2, problem
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and cause in err, (problem, err)
 
 
 def test_domain_violation_is_config_error(tmp_path):
@@ -161,9 +190,14 @@ def test_bad_sweep_point_is_config_error_before_any_solve(tmp_path, monkeypatch)
     solved = []
     monkeypatch.setattr(probin.cli, "solve_spec", lambda spec, config: solved.append(spec))
     ball = {"type": "geodesic_ball", "kappa": 1.0, "n": 3, "R": 1.0, "alpha": 1.0, "p": 2.0}
-    cfg = _write_config(tmp_path, {"command": "sweep", "problem": ball, "solver": "shoot",
-                                   "sweep": {"axis": "R", "grid": [1.0, 3.5]}})
-    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    double = {"type": "double_robin", "R": 1.0, "alpha": 1.0, "p": 2.0}
+    # a radius past pi/sqrt(kappa), and a kappa that a double-Robin problem
+    # does not take (it repeated one solve under a different kappa per row)
+    for problem, sweep in ((ball, {"axis": "R", "grid": [1.0, 3.5]}),
+                           (double, {"axis": "kappa", "grid": [0.0, 1.0]})):
+        cfg = _write_config(tmp_path, {"command": "sweep", "problem": problem, "solver": "shoot",
+                                       "sweep": sweep})
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 2, sweep
     assert solved == []
 
 
@@ -171,6 +205,7 @@ def test_bad_sweep_point_is_config_error_before_any_solve(tmp_path, monkeypatch)
     {"axis": "alpha", "start": 0.1, "stop": 10.0, "count": 3, "scale": "logarithmic"},
     {"axis": "alpha", "grid": [-1.0, 1.0], "scale": "log"},
     {"axis": "alpha", "grid": []},
+    {"axis": "alpha", "grid": "12"},  # was read as the grid [1, 2]
 ])
 def test_bad_sweep_scale_is_config_error_before_any_solve(tmp_path, monkeypatch, sweep):
     solved = []

@@ -252,6 +252,20 @@ def test_spec_rejects_unknown_type():
         ProblemSpec.from_dict({"type": "torus", "R": 1.0, "alpha": 1.0, "p": 2.0})
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"type": "double_robin", "kappa": 0.0}, "double_robin takes no kappa"),
+    ({"type": "double_robin", "n": 3}, "double_robin takes no n"),
+    ({"type": "geodesic_ball", "kappa": 0.0, "n": 3, "warping": sn_warping(0.0)},
+     "geodesic_ball takes no warping"),
+    ({"type": "geodesic_ball", "kappa": 0.0}, "geodesic_ball needs n"),
+    ({"type": "inradius_model", "kappa": 0.0, "n": 2}, "inradius_model needs lambda_mc"),
+    ({"type": "warped_product", "n": 3}, "warped_product needs warping"),
+])
+def test_spec_takes_exactly_its_types_fields(fields, message):
+    with pytest.raises(DomainError, match="^a problem of type %s$" % message):
+        ProblemSpec(R=1.0, alpha=1.0, p=2.0, **fields)
+
+
 def test_curvature_extraction_flat():
     f = polynomial_warping((0.0, 1.0))
     assert ricci_lower_bound(f, 3, 2.0) == pytest.approx(0.0, abs=1e-12)
