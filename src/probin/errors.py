@@ -22,6 +22,6 @@ class ToleranceFailure(RuntimeError):
     it); or the eigenvalue lies above the constant trial's quotient,
     which bounds the first eigenvalue above (p near 1, alpha > 0).
 
-    Rayleigh: an inverse power iterate left the float range, so its
-    p-norm or quotient is not finite and positive (p near 1,
-    alpha > 0)."""
+    Rayleigh: an inverse power iterate's p-th powers left the float
+    range, so its p-norm is not finite and positive (p log(1 + R) above
+    about 709)."""

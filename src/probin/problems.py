@@ -235,6 +235,14 @@ class EigenSolution:
         object.__setattr__(self, "diagnostics", _read_only(dict(self.diagnostics)))
 
 
+def _refuse_unknown(doc: dict, known, what: str):
+    """Raise DomainError naming the keys of a JSON object outside known,
+    which would otherwise be dropped silently."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise DomainError("%s takes no %s" % (what, ", ".join(map(repr, unknown))))
+
+
 @dataclass(frozen=True)
 class Warping:
     """Warping function f with analytic first and second derivatives.
@@ -274,6 +282,9 @@ class Warping:
     @staticmethod
     def from_dict(doc: dict) -> "Warping":
         kind, coefficients = doc["kind"], doc["coefficients"]
+        _refuse_unknown(doc, ("kind", "coefficients"), "a warping")
+        if not isinstance(coefficients, list):  # a string would be read one character at a time
+            raise DomainError("warping coefficients must be a list, got %r" % (coefficients,))
         if kind == "polynomial":
             return polynomial_warping(coefficients)
         if kind != "sn":
@@ -352,6 +363,7 @@ class ProblemSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "ProblemSpec":
+        _refuse_unknown(doc, ("type", "R", "alpha", "p", *_FIELDS), "a problem")
         return ProblemSpec(doc.get("type"), float(doc["R"]), float(doc["alpha"]), float(doc["p"]),
                            **{name: parse(doc[name]) for name, parse in _FIELDS.items()
                               if doc.get(name) is not None})

@@ -7,9 +7,9 @@ from the signs of the Robin terms:
 
 - one Robin end, with a positive coefficient: E is convex, and the
   inverse power method for the p-Laplacian (Biezuner, Ercole & Martins
-  2009; Hein & Buehler 2010) solves E'(v) = N'(u) exactly by cumulative
-  sums and normalizes v, starting from the normalized constant.  This
-  route has no loop over nodes in Python;
+  2009; Hein & Buehler 2010) solves E'(v) = N'(u) up to a scale that
+  keeps its powers 1/(p - 1) on numbers in [0, 1], by cumulative sums
+  with no loop in Python, and normalizes v, from the constant;
 - otherwise (a Robin coefficient <= 0, two Robin ends, or no Robin
   end): node j of E'(u) = lambda N'(u) is a half-linear three-term
   recurrence, and marched in Riccati form from one end it meets the
@@ -53,8 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ToleranceFailure
-from .problems import (EigenSolution, ProblemSpec, SturmProblem, ThreePoint, inverse_momentum,
-                       momentum)
+from .problems import EigenSolution, ProblemSpec, SturmProblem, ThreePoint, momentum
 
 _INVERSE_MAX = 200  # iterations of the inverse power method
 _INVERSE_RTOL = 1e-13  # quotient fall that ends it, per unit of q
@@ -250,9 +249,11 @@ def _norm_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
 
 
 def _normalize(func: DiscreteFunctional, u: np.ndarray):
-    """u scaled to N(u) = 1, and N(u).  Raises ToleranceFailure where
-    N(u) is not finite and positive: u left the float range."""
-    n = norm_p(func, u)
+    """u scaled to N(u) = 1, and N(u).  Raises ToleranceFailure where N(u)
+    is not finite and positive, which an inverse step's v, in [0, 1 + b - a],
+    reaches only at p log(1 + b - a) > 709 (flat R = 10, p = 400)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or 0 * inf at a pole
+        n = norm_p(func, u)
     if not 0.0 < n < math.inf:
         raise ToleranceFailure("iterate's p-norm is %r at p = %r: beyond the float range"
                                % (n, func.p))
@@ -271,63 +272,61 @@ def _convex(func: DiscreteFunctional) -> bool:
 
 
 def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
-    """The v with E'(v) = N'(u), for one Robin end with a positive
-    coefficient, and its energy E(v).
+    """A positive multiple of the v with E'(v) = N'(u), for one Robin end
+    with a positive coefficient and u >= 0, and its energy E.
 
     Divided by p, node j of E'(v) = N'(u) reads
     f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j, with the cell fluxes
-    f = w_mid |v'|^(p-2) v', b = node_weights |u|^(p-2) u, c_j the Robin
-    coefficient (0 elsewhere) and f_(-1) = f_m = 0.  So the fluxes are
-    s minus the cumulative sums of b, where s is the flux the left end
-    lets in: the total of b at a left Robin end, 0 at a Neumann one.  v is
-    summed from the Robin node, whose value its balance fixes, over h
-    times the slopes they give: near a large-alpha end that value is
-    small, and a sum from the other end, shifted to meet it, would leave
-    it a difference of two O(1) numbers.
+    f = w_mid |v'|^(p-2) v', b = node_weights |u|^(p-2) u >= 0, c_j the
+    Robin coefficient (0 elsewhere) and f_(-1) = f_m = 0.  So |f_j| is the
+    sum of b beyond cell j, seen from the Robin end, and v >= 0 grows away
+    from that end.  It is summed from the Robin node, whose value its
+    balance fixes: near a large-alpha end that value is small, and a sum
+    from the other end, shifted to meet it, would leave it a difference
+    of two O(1) numbers.
 
-    A cell's energy w_mid |v'|^p h is h |v' f|, so E(v) is read off the
-    slopes and fluxes that gave v, with no power of v' or difference of
-    v formed again."""
+    The equation is homogeneous, so it is solved with b over K, the
+    largest of the |f_j|/w_mid,j and the Robin balance total/c: every
+    power 1/(p - 1) acts on a number in [0, 1], and normalizing v removes
+    its factor K^(-1/(p-1)).  A cell's energy w_mid |v'|^p h is
+    h |v' f|/K, so E(v) is read off the scaled slopes and the fluxes."""
     p = func.p
     b = func.node_weights * momentum(u, p)
     part = np.cumsum(b)
     total = float(part[-1])
     (j, c), = func.robin_terms
-    flux = (total if j == 0 else 0.0) - part[:-1]
-    slopes = inverse_momentum(flux / func.mid_weights, p)
+    flux = total - part[:-1] if j == 0 else part[:-1]  # |f|
+    slopes = flux / func.mid_weights  # |f|/w_mid, scaled and raised in place
+    k = max(float(slopes.max()), total / c)
+    slopes /= k
+    slopes **= 1.0 / (p - 1.0)
     steps = func.h * slopes
-    v_robin = inverse_momentum(total / c, p)
+    v_robin = (total / c / k) ** (1.0 / (p - 1.0))
     if j == 0:
         v = v_robin + np.concatenate(([0.0], np.cumsum(steps)))
     else:
-        v = v_robin - np.concatenate((np.cumsum(steps[::-1])[::-1], [0.0]))
-    e = func.h * float(np.sum(np.abs(slopes * flux)))
-    return v, e + c * float(abs(v[j]) ** p)  # inf, not OverflowError, past the float range
+        v = v_robin + np.concatenate((np.cumsum(steps[::-1])[::-1], [0.0]))
+    e = func.h * float(np.sum(slopes * flux)) / k
+    return v, e + c * v_robin ** p
 
 
 def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
     """The inverse power method from a normalized u: v solves
-    E'(v) = N'(u) and is normalized, which never raises the quotient
-    while E is convex.  Each new quotient is E(v), as the step read it
-    off its fluxes, over the norm that normalizing v formed.  A rise
-    within rounding is not taken.  Converged once an iteration lowers
-    the quotient by at most _INVERSE_RTOL of it.  Returns (u, q,
-    iterations, converged).  Near p = 1 the step's power 1/(p - 1) can
-    carry v, or E(v), past the float range: then it raises
-    ToleranceFailure."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iters in range(1, _INVERSE_MAX + 1):
-            v, e = _inverse_step(func, u)
-            v, n = _normalize(func, v)
-            qv = e / n
-            if not math.isfinite(qv):
-                raise ToleranceFailure("inverse power quotient is %r at p = %r: beyond the "
-                                       "float range" % (qv, func.p))
-            q_prev = q
-            if qv < q:
-                u, q = v, qv
-            if q_prev - qv <= _INVERSE_RTOL * q_prev:
-                return u, q, iters, True
+    E'(v) = N'(u) up to a positive factor and is normalized, which never
+    raises the quotient while E is convex.  Each new quotient is E(v), as
+    the step read it off its fluxes, over the norm that normalizing v
+    formed.  A rise within rounding is not taken.  Converged once an
+    iteration lowers the quotient by at most _INVERSE_RTOL of it.
+    Returns (u, q, iterations, converged)."""
+    for iters in range(1, _INVERSE_MAX + 1):
+        v, e = _inverse_step(func, u)
+        v, n = _normalize(func, v)
+        qv = e / n
+        q_prev = q
+        if qv < q:
+            u, q = v, qv
+        if q_prev - qv <= _INVERSE_RTOL * q_prev:
+            return u, q, iters, True
     return u, q, _INVERSE_MAX, False
 
 

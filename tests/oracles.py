@@ -1,12 +1,13 @@
 """Independent reference values for the eigenvalue solvers.
 
-Everything here is computed straight from transcendental equations or
-special functions, without touching the solver code paths, so the test
-suite can compare two genuinely independent routes.
+Everything here is computed straight from transcendental equations,
+special functions or quadrature, without touching the solver code paths,
+so the test suite can compare two genuinely independent routes.
 """
 
 import math
 
+from scipy.integrate import quad
 from scipy.special import i0, i1, j0, j1
 
 # First positive zero of J0, brackets the disk root search.
@@ -111,3 +112,19 @@ def mixed_dn_lambda(p, r_len):
     single-Robin problem.
     """
     return (p - 1.0) * (pi_p(p) / (2.0 * r_len)) ** p
+
+
+def cheeger_ratio(w, robin, far):
+    """w(robin) / |int w| over the interval from the Robin end to the far
+    one (a Neumann end or a pole): for a ball about a pole, |dB_R|/|B_R|.
+
+    Where w(t) / |int_t^far w| is least at t = robin (it is for the
+    weights sn_kappa^2 and (r + 0.1 r^3)^2 of the balls of radius 1 about
+    a pole, and for (cos t - sin t / 2)^2 on [0, 1]), this is the Cheeger
+    constant h of the sets between t and the far end: the superlevel sets
+    of a u that grows from the Robin end toward the far one.  So the
+    coarea argument (Kawohl & Fridman 2003) bounds the eigenvalue of such
+    a u with Dirichlet data at the Robin end below by (h/p)**p.
+    """
+    volume = quad(w, min(robin, far), max(robin, far), epsabs=0.0, epsrel=1e-13)[0]
+    return w(robin) / volume

@@ -167,6 +167,12 @@ def test_invalid_problem_is_config_error(tmp_path, monkeypatch, capsys):
         (warping("polynomial", 1.0, math.nan), "finite coefficients"),
         (warping("polynomial", 1.0, math.inf), "finite coefficients"),
         (warping("sn", 0.0, 5.0), "one coefficient, kappa"),
+        # a string of coefficients was read one character at a time, and a
+        # misspelt or unknown key was dropped
+        (dict(warped, warping={"kind": "polynomial", "coefficients": "01"}), "must be a list"),
+        (dict(warped, warping={"kind": "sn", "coefficients": [0.0], "scale": 2.0}),
+         "a warping takes no 'scale'"),
+        (dict(FLAT_PROBLEM, kapa=3.0), "a problem takes no 'kapa'"),
     ]
     for problem, cause in problems:
         cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
@@ -368,15 +374,34 @@ def test_solve_near_p1_fails_cleanly(tmp_path):
 
 
 @pytest.mark.parametrize("solver,message", [
-    ("shoot", "above the constant trial's quotient"), ("rayleigh", "p-norm is inf"),
+    ("shoot", "above the constant trial's quotient"),
+    ("both", "above the constant trial's quotient"),
 ])
 def test_solve_positive_alpha_near_p1_fails_cleanly(tmp_path, solver, message):
     """Flat p = 1.001, alpha = 0.1: shooting lands far above the constant
-    trial's quotient, and the inverse power step overflows.  Either is a
-    solver failure (exit 3) with no warning and no traceback."""
+    trial's quotient.  That is a solver failure (exit 3) with no warning
+    and no traceback, and it ends a both-solver run too."""
     problem = dict(FLAT_PROBLEM, alpha=0.1, p=1.001)
     proc = _run_cli(_write_config(tmp_path, {"command": "solve", "problem": problem,
                                              "solver": solver}), tmp_path)
     assert proc.returncode == 3
     assert proc.stderr.startswith("solver failure: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_rayleigh_solves_positive_alpha_near_p1(tmp_path):
+    """Flat p = 1.001, alpha = 0.1, where the inverse step's power
+    1/(p - 1) is 1000: Rayleigh answers Q = alpha, the constant trial's
+    quotient, and a Rayleigh-only p sweep through that point writes a
+    row for each p, with no warning."""
+    problem = dict(FLAT_PROBLEM, alpha=0.1, p=1.001)
+    proc = _run_cli(_write_config(tmp_path, {"command": "solve", "problem": problem,
+                                             "solver": "rayleigh"}), tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "lambda_rayleigh = 0.1\n" in proc.stdout
+    proc = _run_cli(_write_config(tmp_path, {"command": "sweep", "problem": problem,
+                                             "solver": "rayleigh",
+                                             "sweep": {"axis": "p", "grid": [1.001, 1.5, 2.0]}}),
+                    tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4  # the header and 3 rows

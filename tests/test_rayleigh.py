@@ -51,7 +51,7 @@ from probin.rayleigh import (
 )
 from probin.shoot import solve_first_eigenvalue
 
-from oracles import flat_robin_lambda, mixed_dn_lambda
+from oracles import cheeger_ratio, flat_robin_lambda, mixed_dn_lambda
 from test_plan import FAMILIES
 
 FLAT_ANCHOR = 0.740173884394967
@@ -324,26 +324,77 @@ def test_inverse_power_reaches_the_minimum_near_p1():
         assert sol.diagnostics["converged"] and sol.diagnostics["iterations"] > 0
 
 
-# flat p = 1.002, alpha = 0.3 is not among them: its first step lands on
-# lambda = alpha and converges
-_INVERSE_OVERFLOW = ([("flat", 1.001, 0.1), ("flat", 1.001, 0.3), ("flat", 1.002, 0.1)]
-                     + [(family, 1.001, alpha) for family in
-                        ("hyperbolic_ball", "spherical_cap", "curvature_model", "warped_ball")
-                        for alpha in (3.0, 100.0)])
-
-
-@pytest.mark.parametrize("family,p,alpha", _INVERSE_OVERFLOW,
-                         ids=lambda v: v if isinstance(v, str) else repr(v))
-def test_inverse_power_beyond_the_float_range_fails(family, p, alpha):
-    """Near p = 1 the inverse step's power 1/(p - 1) = 1000 carries v past
-    the float range (flat), or every |v_j|^p below it (the balls and
-    models at large alpha).  Either is a solver failure, ToleranceFailure,
-    raised at once and with no warning, not 200 unconverged iterations or
-    a DomainError."""
+def _solve_quietly(family, p, alpha):
+    """The m = 2000 solve, with any numpy warning (an overflow in the
+    inverse step's powers) raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ToleranceFailure):
-            solve_rayleigh(_spec(family, p, alpha).build(), 2000)
+        sol = solve_rayleigh(_spec(family, p, alpha).build(), 2000)
+    assert sol.diagnostics["converged"]
+    return sol.lambda_val
+
+
+@pytest.mark.parametrize("alpha", [3.0, 10.0])
+@pytest.mark.parametrize("family,half", [("flat", 1.0), ("double_robin", 0.5)],
+                         ids=["flat", "double_robin"])
+def test_inverse_power_near_p1_meets_the_dirichlet_limit(family, half, alpha):
+    """At p = 1.001 the step's power 1/(p - 1) is 1000, and the Robin to
+    Dirichlet gap shrinks like alpha^(-1/(p-1)): at alpha >= 3 the Robin
+    eigenvalue is the Dirichlet-Neumann one on [0, half] in closed form,
+    to far below rounding.  The discrete error is second order in h,
+    about 41 (h/half)^2 at p = 1.001 (1.6e-4, 1.0e-5 and 6.5e-7 on the
+    flat interval at m = 500, 2000 and 8000), so 50 (h/half)^2 bounds it:
+    1.25e-5 flat, and 5e-5 on the double-Robin half of 1000 cells."""
+    lam = _solve_quietly(family, 1.001, alpha)
+    assert lam == pytest.approx(mixed_dn_lambda(1.001, half), rel=50.0 * (0.5e-3 / half) ** 2)
+
+
+@pytest.mark.parametrize("family,p,alpha", [
+    ("flat", 1.001, 0.1), ("flat", 1.001, 0.3), ("flat", 1.002, 0.1),
+    ("curvature_model", 1.001, 0.1), ("warped_ball", 1.001, 0.1),
+], ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_inverse_power_near_p1_small_alpha_keeps_the_constant(family, p, alpha):
+    """Near p = 1 a small alpha makes the eigenfunction constant to
+    rounding: lambda is at most Q, the constant trial's quotient, and
+    within 1e-6 of it."""
+    lam = _solve_quietly(family, p, alpha)
+    q = _constant_quotient(discretize(_spec(family, p, alpha).build(), 2000))
+    assert q * (1.0 - 1e-6) <= lam <= q
+
+
+@pytest.mark.parametrize("family", ["flat", "disk"])
+def test_inverse_power_beyond_the_float_range_at_large_p_fails(family):
+    """The inverse step's v lies in [0, 1 + R], so with R = 10 at p = 400
+    |v|^p passes the float range, where lambda is about 1e-397.  That is
+    a solver failure, ToleranceFailure, raised at once and with no
+    warning (the disk's pole node weighs 0, and 0 * inf is NaN)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceFailure, match="beyond the float range"):
+            solve_rayleigh(_spec(family, 400.0, 1.0, R=10.0).build(), 2000)
+
+
+# the weight of each family, and its Robin and far ends
+_CHEEGER = {
+    "hyperbolic_ball": (lambda r: math.sinh(r) ** 2, 1.0, 0.0),
+    "spherical_cap": (lambda r: math.sin(r) ** 2, 1.0, 0.0),
+    "curvature_model": (lambda t: (math.cos(t) - 0.5 * math.sin(t)) ** 2, 0.0, 1.0),
+    "warped_ball": (lambda r: (r + 0.1 * r ** 3) ** 2, 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("alpha", [3.0, 100.0])
+@pytest.mark.parametrize("family", list(_CHEEGER))
+def test_inverse_power_near_p1_meets_the_cheeger_bound(family, alpha):
+    """At p = 1.001 and alpha >= 3 the Robin eigenvalue is the Dirichlet
+    one to far below rounding, so Cheeger's inequality bounds it below by
+    (h/p)^p, h = |boundary|/|volume| (cheeger_ratio), and Q, the constant
+    trial's quotient, bounds it above.  The lower bound holds with about
+    0.7 % to spare."""
+    p = 1.001
+    lam = _solve_quietly(family, p, alpha)
+    q = _constant_quotient(discretize(_spec(family, p, alpha).build(), 2000))
+    assert (cheeger_ratio(*_CHEEGER[family]) / p) ** p <= lam <= q
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
@@ -363,14 +414,16 @@ def test_positive_alpha_never_marches(monkeypatch, alpha, p):
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
 @pytest.mark.parametrize("alpha", [1.0, 1e4])
 def test_inverse_step_solves_its_equation(alpha, p):
-    """The inverse step's v must satisfy E'(v) = N'(u) at every node,
-    divided by p: f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j.  Every flux
-    and the load are sums of b, so each is allowed 24 eps sum |b| in
-    all.  A flux read off two neighbouring values of v is allowed its
-    change under their rounding, 4 eps (|v_j| + |v_(j+1)|); a Robin term
-    its change under the rounding of a cumulative sum, 4 eps sum |v| (at
-    large alpha the value at a Robin node cancels to near zero).  The
-    Robin end is on either side: v is summed from it."""
+    """The inverse step's v must satisfy E'(v) = N'(u)/K at every node,
+    divided by p: f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j/K, where K is
+    the largest of the |f_j/w_mid,j| and total/c that E'(v) = N'(u)
+    gives.  Every flux and the load are sums of b, so each is allowed
+    24 eps sum |b|/K in all.  A flux read off two neighbouring values of
+    v is allowed its change under their rounding, 4 eps (|v_j| +
+    |v_(j+1)|); a Robin term its change under the rounding of a
+    cumulative sum, 4 eps sum |v| (at large alpha the value at a Robin
+    node cancels to near zero).  The Robin end is on either side: v is
+    summed from it."""
     def spread(x, dx):  # the largest change of |x|^(p-2) x within dx
         return np.maximum(np.abs(momentum(x + dx, p) - momentum(x, p)),
                           np.abs(momentum(x - dx, p) - momentum(x, p)))
@@ -380,6 +433,11 @@ def test_inverse_step_solves_its_equation(alpha, p):
         u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid  # positive, lopsided
         v = _inverse_step(func, u)[0]
         b = func.node_weights * momentum(u, p)
+        (j, c), = func.robin_terms
+        total = float(np.sum(b))
+        k = max(float(np.max(np.abs(((total if j == 0 else 0.0) - np.cumsum(b)[:-1])
+                                    / func.mid_weights))), total / c)
+        b /= k
         dv = 4.0 * _EPS * float(np.sum(np.abs(v)))
         d = np.diff(v) / func.h
         flux = func.mid_weights * momentum(d, p)
