@@ -28,7 +28,20 @@ from .svgfig import line_chart
 from .verify import default_suite, reports_to_csv, reports_to_jsonl
 
 _FMT = "%.12g"
+_COMMANDS = ("solve", "sweep", "verify", "table")
 _SOLVERS = ("shoot", "rayleigh", "both")
+# every top-level key of a config: its default (None where the command
+# needs it, or has no use for one) and the commands that read it
+_SETTINGS = {
+    "command": (None, _COMMANDS),
+    "problem": (None, ("solve", "sweep")),
+    "solver": ("both", ("solve", "sweep")),
+    "m": (DEFAULT_CELLS, ("solve", "sweep", "table")),
+    "rk_steps": (ShootConfig.rk_steps, _COMMANDS),
+    "tol": (ShootConfig.lambda_tol, _COMMANDS),
+    "sweep": (None, ("sweep",)),
+}
+_SWEEP_KEYS = ("axis", "scale", "grid", "start", "stop", "count")
 # the problem columns of sweep.csv, the swept axis among them, and the
 # result columns of sweep.csv and acceptance_table.csv
 _SWEEP_COLUMNS = ("type", "kappa", "lambda_mc", "n", "R", "alpha", "p")
@@ -49,15 +62,22 @@ def _load_config(args) -> dict:
         raise ConfigError("cannot read config: %s" % exc)
     if not isinstance(cfg, dict) or "command" not in cfg:
         raise ConfigError("config must be a JSON object with a 'command' key")
-    if cfg["command"] not in ("solve", "sweep", "verify", "table"):
-        raise ConfigError("unknown command %r" % (cfg["command"],))
+    command = cfg["command"]
+    if command not in _COMMANDS:
+        raise ConfigError("unknown command %r" % (command,))
+    for key in cfg:  # a misspelt or misplaced key would be dropped silently
+        if key not in _SETTINGS:
+            raise ConfigError("unknown setting %r" % (key,))
+        if command not in _SETTINGS[key][1]:
+            raise ConfigError("the %s command takes no %r" % (command, key))
     return cfg
 
 
-def _setting(cfg: dict, args, key: str, default):
-    """The flag if given (0 included), else the config value, else default."""
+def _setting(cfg: dict, args, key: str):
+    """The flag if given (0 included), else the config value, else the
+    default of _SETTINGS."""
     flag = getattr(args, key)
-    return flag if flag is not None else cfg.get(key, default)
+    return flag if flag is not None else cfg.get(key, _SETTINGS[key][0])
 
 
 def _integer(value, key: str) -> int:
@@ -73,8 +93,8 @@ def _integer(value, key: str) -> int:
 
 
 def _shoot_config(cfg: dict, args) -> ShootConfig:
-    rk = _integer(_setting(cfg, args, "rk_steps", ShootConfig.rk_steps), "rk_steps")
-    tol = _setting(cfg, args, "tol", ShootConfig.lambda_tol)
+    rk = _integer(_setting(cfg, args, "rk_steps"), "rk_steps")
+    tol = _setting(cfg, args, "tol")
     try:
         return ShootConfig(rk_steps=rk, lambda_tol=float(tol))
     except (TypeError, ValueError) as exc:
@@ -82,14 +102,14 @@ def _shoot_config(cfg: dict, args) -> ShootConfig:
 
 
 def _cells(cfg: dict, args) -> int:
-    m = _integer(_setting(cfg, args, "m", DEFAULT_CELLS), "m")
+    m = _integer(_setting(cfg, args, "m"), "m")
     if m < 16:
         raise ConfigError("'m' must be >= 16, got %d" % m)
     return m
 
 
 def _solver(cfg: dict, args) -> str:
-    solver = _setting(cfg, args, "solver", "both")
+    solver = _setting(cfg, args, "solver")
     if solver not in _SOLVERS:
         raise ConfigError("unknown solver %r, expected one of %s" % (solver, ", ".join(_SOLVERS)))
     return solver
@@ -98,7 +118,7 @@ def _solver(cfg: dict, args) -> str:
 def _problem_spec(cfg: dict, **override) -> ProblemSpec:
     """The config's problem with override applied, built once so that an
     invalid problem is a config error before any solve starts."""
-    if "problem" not in cfg:
+    if not isinstance(cfg.get("problem"), dict):
         raise ConfigError("config needs a 'problem' object")
     try:
         spec = ProblemSpec.from_dict(dict(cfg["problem"], **override))
@@ -171,6 +191,11 @@ def _sweep_values(cfg) -> tuple:
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict) or "axis" not in sweep:
         raise ConfigError("sweep command needs a 'sweep' object with an 'axis'")
+    unknown = sorted(set(sweep) - set(_SWEEP_KEYS))
+    if unknown:
+        raise ConfigError("a sweep takes no %s" % ", ".join(map(repr, unknown)))
+    if "grid" in sweep and {"start", "stop", "count"} & set(sweep):
+        raise ConfigError("a sweep takes either 'grid' or start/stop/count, not both")
     axis = sweep["axis"]
     if axis not in ("alpha", "R", "p", "kappa"):
         raise ConfigError("unknown sweep axis %r" % (axis,))

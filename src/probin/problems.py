@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import types
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -235,6 +236,14 @@ class EigenSolution:
         object.__setattr__(self, "diagnostics", _read_only(dict(self.diagnostics)))
 
 
+def _number(value, name: str) -> float:
+    """value as a float, where it is a number: float() would also read a
+    string ("1.0") or a bool, which a JSON document must not give for one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError("%s must be a number, got %r" % (name, value))
+    return float(value)
+
+
 def _refuse_unknown(doc: dict, known, what: str):
     """Raise DomainError naming the keys of a JSON object outside known,
     which would otherwise be dropped silently."""
@@ -281,6 +290,8 @@ class Warping:
 
     @staticmethod
     def from_dict(doc: dict) -> "Warping":
+        if not isinstance(doc, dict):
+            raise DomainError("a warping must be an object, got %r" % (doc,))
         kind, coefficients = doc["kind"], doc["coefficients"]
         _refuse_unknown(doc, ("kind", "coefficients"), "a warping")
         if not isinstance(coefficients, list):  # a string would be read one character at a time
@@ -296,7 +307,7 @@ class Warping:
 
 def polynomial_warping(coefficients) -> Warping:
     """Warping f(r) = sum c_k r^k with coefficients in ascending order."""
-    coeffs = tuple(float(c) for c in coefficients)
+    coeffs = tuple(_number(c, "a warping coefficient") for c in coefficients)
     if not coeffs or not all(math.isfinite(c) for c in coeffs):
         raise DomainError("polynomial warping needs finite coefficients, got %r" % (coefficients,))
     c = np.asarray(coeffs)
@@ -317,7 +328,7 @@ def polynomial_warping(coefficients) -> Warping:
 
 def sn_warping(kappa: float) -> Warping:
     """Warping equal to the space-form coefficient sn_kappa."""
-    k = float(kappa)
+    k = _number(kappa, "kappa")
     if not math.isfinite(k):  # sn would read a NaN kappa as 0
         raise DomainError("kappa must be finite, got %r" % (kappa,))
 
@@ -364,17 +375,17 @@ class ProblemSpec:
     @staticmethod
     def from_dict(doc: dict) -> "ProblemSpec":
         _refuse_unknown(doc, ("type", "R", "alpha", "p", *_FIELDS), "a problem")
-        return ProblemSpec(doc.get("type"), float(doc["R"]), float(doc["alpha"]), float(doc["p"]),
-                           **{name: parse(doc[name]) for name, parse in _FIELDS.items()
+        return ProblemSpec(doc.get("type"), *(_number(doc[key], key) for key in ("R", "alpha", "p")),
+                           **{name: parse(doc[name], name) for name, parse in _FIELDS.items()
                               if doc.get(name) is not None})
 
     def build(self) -> SturmProblem:
         return _TYPES[self.type][1](self)
 
 
-def _integer(value) -> int:
-    if float(value) % 1.0 != 0.0:  # also catches inf and nan
-        raise DomainError("n must be an integer, got %r" % (value,))
+def _integer(value, name: str) -> int:
+    if _number(value, name) % 1.0 != 0.0:  # also catches inf and nan
+        raise DomainError("%s must be an integer, got %r" % (name, value))
     return int(value)
 
 
@@ -486,8 +497,10 @@ _TYPES = {
         s.warping, s.n, s.R, s.alpha, s.p)),
 }
 
-# the parser of each field a type may take, for ProblemSpec.from_dict
-_FIELDS = {"kappa": float, "lambda_mc": float, "n": _integer, "warping": Warping.from_dict}
+# the parser of each field a type may take, for ProblemSpec.from_dict: it
+# takes the value and the field's name
+_FIELDS = {"kappa": _number, "lambda_mc": _number, "n": _integer,
+           "warping": lambda doc, name: Warping.from_dict(doc)}
 
 
 def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:

@@ -204,15 +204,15 @@ def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
 
 
 def energy(func: DiscreteFunctional, u: np.ndarray) -> float:
-    d = np.diff(u) / func.h
-    e = func.h * float(np.sum(func.mid_weights * np.abs(d) ** func.p))
+    d = (u[1:] - u[:-1]) / func.h
+    e = func.h * float(np.add.reduce(func.mid_weights * np.abs(d) ** func.p))
     for j, c in func.robin_terms:
         e += c * abs(u[j]) ** func.p
     return e
 
 
 def norm_p(func: DiscreteFunctional, u: np.ndarray) -> float:
-    return float(np.sum(func.node_weights * np.abs(u) ** func.p))
+    return float(np.add.reduce(func.node_weights * np.abs(u) ** func.p))
 
 
 def quotient(func: DiscreteFunctional, u: np.ndarray) -> float:
@@ -228,19 +228,19 @@ def _constant_quotient(func: DiscreteFunctional) -> float:
     """quotient(func, u) for a constant u, bit for bit: u has no cell
     energy, so it is the sum of the Robin coefficients over the sum of
     the node weights."""
-    return sum((c for _, c in func.robin_terms), 0.0) / float(np.sum(func.node_weights))
+    return sum((c for _, c in func.robin_terms), 0.0) / float(np.add.reduce(func.node_weights))
 
 
 def _energy_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
     p = func.p
-    d = np.diff(u) / func.h
+    d = (u[1:] - u[:-1]) / func.h
     flux = func.mid_weights * momentum(d, p)
     g = np.zeros_like(u)
     g[:-1] -= flux
     g[1:] += flux
     g *= p
     for j, c in func.robin_terms:
-        g[j] += p * c * momentum(u[j], p)
+        g[j] += p * c * math.copysign(abs(float(u[j])) ** (p - 1.0), u[j])
     return g
 
 
@@ -273,7 +273,8 @@ def _convex(func: DiscreteFunctional) -> bool:
 
 def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
     """A positive multiple of the v with E'(v) = N'(u), for one Robin end
-    with a positive coefficient and u >= 0, and its energy E.
+    with a positive coefficient, and its energy E.  Its callers pass
+    u >= 0 with no -0.0, so N'(u)/p = node_weights u^(p-1) takes no sign.
 
     Divided by p, node j of E'(v) = N'(u) reads
     f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j, with the cell fluxes
@@ -291,23 +292,20 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
     its factor K^(-1/(p-1)).  A cell's energy w_mid |v'|^p h is
     h |v' f|/K, so E(v) is read off the scaled slopes and the fluxes."""
     p = func.p
-    b = func.node_weights * momentum(u, p)
-    part = np.cumsum(b)
+    part = np.add.accumulate(func.node_weights * u ** (p - 1.0))
     total = float(part[-1])
     (j, c), = func.robin_terms
     flux = total - part[:-1] if j == 0 else part[:-1]  # |f|
     slopes = flux / func.mid_weights  # |f|/w_mid, scaled and raised in place
-    k = max(float(slopes.max()), total / c)
+    k = max(float(np.maximum.reduce(slopes)), total / c)
     slopes /= k
     slopes **= 1.0 / (p - 1.0)
-    steps = func.h * slopes
     v_robin = (total / c / k) ** (1.0 / (p - 1.0))
-    if j == 0:
-        v = v_robin + np.concatenate(([0.0], np.cumsum(steps)))
-    else:
-        v = v_robin + np.concatenate((np.cumsum(steps[::-1])[::-1], [0.0]))
-    e = func.h * float(np.sum(slopes * flux)) / k
-    return v, e + c * v_robin ** p
+    away = slice(None, None, 1 if j == 0 else -1)  # node order away from the Robin end
+    v = np.zeros(u.size)
+    np.add.accumulate(func.h * slopes[away], out=v[away][1:])
+    v += v_robin
+    return v, func.h * float(np.add.reduce(slopes * flux)) / k + c * v_robin ** p
 
 
 def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
@@ -416,17 +414,19 @@ def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float) -> np.ndar
     nw, mid = func.node_weights, func.mid_weights
     if flip:
         nw, mid = nw[::-1], mid[::-1]
-    r = np.array(ratios)
+    r = np.fromiter(ratios, float, len(ratios))
+    log_u = np.zeros(r.size + 1)  # the march's log u, then the moved one
     with np.errstate(all="ignore"):  # a zero node weight, or an infinite ratio
-        pl = p * np.concatenate(([0.0], np.cumsum(np.log(r[:-1]))))
-        dy = -np.exp(np.logaddexp.accumulate(np.log(nw[:-1]) + pl) - pl)
+        np.add.accumulate(np.log(r[:-1]), out=log_u[1:-1])
+        pl = p * log_u[:-1]
+        fall = np.exp(np.logaddexp.accumulate(np.log(nw[:-1]) + pl) - pl)  # -dy_j
         t = (r - 1.0) / h
-        s = np.copysign(np.abs(t) ** (p - 1.0), t) + step * dy / mid
+        s = np.copysign(np.abs(t) ** (p - 1.0), t) - step * fall / mid
         log_r = np.log1p(h * np.copysign(np.abs(s) ** (1.0 / (p - 1.0)), s))
-        log_u = np.cumsum(log_r)
+        np.add.accumulate(log_r, out=log_u[1:])
         if not math.isfinite(log_u[-1]):  # a term not finite makes the rest of the sum so
-            log_u = np.cumsum(np.where(np.isfinite(log_r), log_r, np.log(np.minimum(r, _HUGE))))
-    log_u = np.concatenate(([0.0], log_u))
+            kept = np.log(np.minimum(r, _HUGE))
+            np.add.accumulate(np.where(np.isfinite(log_r), log_r, kept), out=log_u[1:])
     return log_u[::-1] if flip else log_u
 
 
@@ -547,7 +547,7 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
         t_solve = time.perf_counter()
         q, last, steps, converged = _march_root(solved, q)
         log_u = _moved(solved, *last)
-        u = np.exp(log_u - np.max(log_u))
+        u = np.exp(log_u - np.maximum.reduce(log_u))
         iters = 0
         evals = seed_iters + steps
     if mirror:  # node k is its own mirror when m is even
@@ -557,12 +557,12 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
     t_end = time.perf_counter()
 
     # present like the shooting output
-    scale = float(np.max(u))
+    scale = float(np.maximum.reduce(u))
     phi = u / scale
     dphi = func.mesh.gradient(phi)
     psi = momentum(dphi, func.p)
     g = _residual(func, u, q)
-    gnorm = float(np.sqrt(np.dot(g, g)))
+    gnorm = math.sqrt(np.dot(g, g))
 
     diagnostics = {
         "iterations": iters,

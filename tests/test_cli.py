@@ -8,6 +8,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -173,12 +174,55 @@ def test_invalid_problem_is_config_error(tmp_path, monkeypatch, capsys):
         (dict(warped, warping={"kind": "sn", "coefficients": [0.0], "scale": 2.0}),
          "a warping takes no 'scale'"),
         (dict(FLAT_PROBLEM, kapa=3.0), "a problem takes no 'kapa'"),
+        # a number given as a string or a bool was read through float()
+        (dict(FLAT_PROBLEM, R="1.0"), "R must be a number, got '1.0'"),
+        (dict(FLAT_PROBLEM, n="3"), "n must be a number, got '3'"),
+        (dict(FLAT_PROBLEM, alpha=True), "alpha must be a number, got True"),
+        (dict(FLAT_PROBLEM, kappa=False), "kappa must be a number, got False"),
+        (warping("sn", "1"), "kappa must be a number, got '1'"),
+        (warping("polynomial", 0.0, "1"), "a warping coefficient must be a number, got '1'"),
+        # a warping that is no object failed on "string indices must be integers"
+        (dict(warped, warping="sn"), "a warping must be an object, got 'sn'"),
     ]
     for problem, cause in problems:
         cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
         assert main(["--config", cfg, "--out", str(tmp_path)]) == 2, problem
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and cause in err, (problem, err)
+
+
+@pytest.mark.parametrize("doc,cause", [
+    # a misspelt setting was dropped: this solved with both solvers at 4 096 steps
+    ({"command": "solve", "problem": FLAT_PROBLEM, "solvr": "shoot", "rk_step": 64},
+     "unknown setting 'solvr'"),
+    ({"command": "solve", "problem": FLAT_PROBLEM, "rk_step": 64}, "unknown setting 'rk_step'"),
+    # a setting the command does not read was dropped as well
+    ({"command": "solve", "problem": FLAT_PROBLEM, "sweep": {"axis": "alpha", "grid": [1.0]}},
+     "the solve command takes no 'sweep'"),
+    ({"command": "verify", "m": 400}, "the verify command takes no 'm'"),
+    ({"command": "verify", "problem": FLAT_PROBLEM}, "the verify command takes no 'problem'"),
+    ({"command": "table", "solver": "shoot"}, "the table command takes no 'solver'"),
+], ids=["solvr", "rk_step", "solve-sweep", "verify-m", "verify-problem", "table-solver"])
+def test_unknown_setting_is_config_error_before_any_solve(tmp_path, monkeypatch, capsys, doc, cause):
+    for name in ("solve_spec", "rayleigh_spec", "default_suite"):
+        monkeypatch.setattr(probin.cli, name, lambda *args: pytest.fail("solved"))
+    assert main(["--config", _write_config(tmp_path, doc), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and cause in err, err
+
+
+def test_each_command_takes_every_setting_it_reads(tmp_path):
+    shared = {"rk_steps": 1024, "tol": 1e-9}
+    sweep = {"axis": "alpha", "grid": [1.0, 2.0]}
+    docs = [
+        dict(shared, command="solve", problem=FLAT_PROBLEM, solver="shoot", m=400),
+        dict(shared, command="sweep", problem=FLAT_PROBLEM, solver="shoot", m=400, sweep=sweep),
+        dict(shared, command="verify"),
+        dict(shared, command="table", m=400),
+    ]
+    for doc in docs:
+        args = SimpleNamespace(config=_write_config(tmp_path, doc))
+        assert probin.cli._load_config(args) == doc
 
 
 def test_domain_violation_is_config_error(tmp_path):
@@ -212,6 +256,8 @@ def test_bad_sweep_point_is_config_error_before_any_solve(tmp_path, monkeypatch)
     {"axis": "alpha", "grid": [-1.0, 1.0], "scale": "log"},
     {"axis": "alpha", "grid": []},
     {"axis": "alpha", "grid": "12"},  # was read as the grid [1, 2]
+    {"axis": "alpha", "start": 0.1, "stop": 10.0, "count": 3, "sacle": "log"},  # was linear
+    {"axis": "alpha", "grid": [1.0, 2.0], "start": 0.1, "stop": 10.0, "count": 3},  # grid won
 ])
 def test_bad_sweep_scale_is_config_error_before_any_solve(tmp_path, monkeypatch, sweep):
     solved = []

@@ -937,6 +937,32 @@ def test_descent_is_monotone(monkeypatch):
     assert sol.lambda_val == accepted[-1] and np.all(np.diff(accepted) <= 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 1e4])
+@pytest.mark.parametrize("p", [1.001, 1.5, 3.0, 8.0])
+def test_inverse_step_receives_no_negative_entry(monkeypatch, p, alpha):
+    """_inverse_step forms N'(u)/p as node_weights u^(p-1), with no sign,
+    which is node_weights |u|^(p-2) u only where every entry of u is >= 0
+    and none is -0.0.  A spy checks every iterate the solves hand it, on
+    every family with one positive Robin end (the double-Robin interval
+    on its half), also at p = 1.001 and alpha = 1e4, where entries
+    underflow to 0."""
+    iterates = []
+
+    def spy(func, u):
+        iterates.append((u.copy(), func.p))
+        return _inverse_step(func, u)
+
+    monkeypatch.setattr(probin.rayleigh, "_inverse_step", spy)
+    for family in sorted(FAMILIES):
+        minimize(discretize(_spec(family, p, alpha).build(), 2000))
+    assert len(iterates) >= len(FAMILIES)
+    for u, q in iterates:
+        assert np.all(u >= 0.0) and not np.signbit(u).any()
+        assert np.array_equal(u ** (q - 1.0), momentum(u, q))
+    if (p, alpha) == (1.001, 1e4):
+        assert any(not u.all() for u, _ in iterates)
+
+
 @pytest.mark.parametrize("prob,label", [
     (_flat(1.0, 2.0), "flat p=2"),
     (geodesic_ball_problem(0.0, 2, 1.0, 1.0, 2.0), "disk p=2"),

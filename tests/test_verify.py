@@ -69,6 +69,29 @@ def test_picone_random_pairs():
         assert rep.extras["min_L"] > -1e-10
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("a,b", [(0.8, -0.5), (-1.0, 0.3), (0.6, 0.5)])
+def test_picone_exponential_pair_meets_the_closed_form(p, a, b):
+    """For u = e^(at) and v = e^(bt), L = u^p C with
+    C = |a|^p + (p-1)|b|^p - p a b |b|^(p-2), which Young's inequality
+    makes > 0 unless a = b.  numpy's three-point difference of e^(ct) is
+    off by a relative (ch)^2/6 + O(h^4), and each of L's three terms is of
+    degree p in the derivatives, so to first order L is off by at most
+    p (ch)^2/6 S u^p, S the sum of the terms' magnitudes over u^p.  The
+    extrema are asserted within twice that."""
+    grid = np.linspace(0.0, 1.0, 50001)
+    h = grid[1] - grid[0]
+    u, v = np.exp(a * grid), np.exp(b * grid)
+    c = abs(a) ** p + (p - 1.0) * abs(b) ** p - p * a * b * abs(b) ** (p - 2.0)
+    s = abs(a) ** p + (p - 1.0) * abs(b) ** p + p * abs(a) * abs(b) ** (p - 1.0)
+    rel = 2.0 * p * max(a * a, b * b) * h * h / 6.0 * s / c
+    exact = c * u[1:-1] ** p  # on the interior nodes, where the check runs
+    rep = picone_check(u, v, grid, p)
+    assert rep.passed and c > 0.0
+    assert rep.extras["min_L"] == pytest.approx(float(exact.min()), rel=rel)
+    assert rep.extras["max_abs_L"] == pytest.approx(float(exact.max()), rel=rel)
+
+
 def test_picone_allows_zeros_of_u():
     grid = np.linspace(0.0, 1.0, 20001)
     u = (grid - 0.5) ** 2  # touches zero
