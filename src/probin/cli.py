@@ -1,7 +1,9 @@
 """Command-line front end.
 
-The command and problem live in a JSON config; flags override solver
-knobs.  Commands:
+The command and problem live in a JSON config.  Each setting is read
+once, by its reader in _SETTINGS: from its flag if given, else from its
+config key, else from its default.  A flag or key the command does not
+read is a config error.  Commands:
 
   solve   print the eigenvalue(s) and write the eigenfunction CSV
   sweep   one-axis parameter sweep -> CSV table and SVG plot
@@ -21,26 +23,14 @@ import sys
 from pathlib import Path
 
 from .errors import BracketFailure, DomainError, ToleranceFailure
-from .problems import ProblemSpec
-from .rayleigh import DEFAULT_CELLS, rayleigh_spec
+from .problems import ProblemSpec, _integer, _number, _refuse_unknown
+from .rayleigh import DEFAULT_CELLS, MIN_CELLS, rayleigh_spec
 from .shoot import ShootConfig, solve_spec
 from .svgfig import line_chart
 from .verify import default_suite, reports_to_csv, reports_to_jsonl
 
 _FMT = "%.12g"
 _COMMANDS = ("solve", "sweep", "verify", "table")
-_SOLVERS = ("shoot", "rayleigh", "both")
-# every top-level key of a config: its default (None where the command
-# needs it, or has no use for one) and the commands that read it
-_SETTINGS = {
-    "command": (None, _COMMANDS),
-    "problem": (None, ("solve", "sweep")),
-    "solver": ("both", ("solve", "sweep")),
-    "m": (DEFAULT_CELLS, ("solve", "sweep", "table")),
-    "rk_steps": (ShootConfig.rk_steps, _COMMANDS),
-    "tol": (ShootConfig.lambda_tol, _COMMANDS),
-    "sweep": (None, ("sweep",)),
-}
 _SWEEP_KEYS = ("axis", "scale", "grid", "start", "stop", "count")
 # the problem columns of sweep.csv, the swept axis among them, and the
 # result columns of sweep.csv and acceptance_table.csv
@@ -52,7 +42,68 @@ class ConfigError(Exception):
     pass
 
 
+def _choice(value, choices, name: str):
+    if value not in choices:
+        raise DomainError("%s must be one of %s, got %r" % (name, ", ".join(choices), value))
+    return value
+
+
+def _problem(doc, name: str) -> dict:
+    if not isinstance(doc, dict):
+        raise DomainError("config needs a %s object" % name)
+    return doc
+
+
+def _sweep_values(sweep, name: str) -> tuple:
+    """The sweep object's axis, its values and its scale."""
+    if not isinstance(sweep, dict) or "axis" not in sweep:
+        raise DomainError("sweep command needs a %s object with an 'axis'" % name)
+    _refuse_unknown(sweep, _SWEEP_KEYS, "a sweep")
+    if "grid" in sweep and {"start", "stop", "count"} & set(sweep):
+        raise DomainError("a sweep takes either 'grid' or start/stop/count, not both")
+    axis = _choice(sweep["axis"], ("alpha", "R", "p", "kappa"), "the sweep's 'axis'")
+    scale = _choice(sweep.get("scale", "linear"), ("linear", "log"), "the sweep's 'scale'")
+    if "grid" in sweep:
+        if not (isinstance(sweep["grid"], list) and sweep["grid"]):
+            raise DomainError("the sweep's 'grid' must be a non-empty list, got %r" % (sweep["grid"],))
+        values = [_number(v, "a sweep 'grid' value") for v in sweep["grid"]]
+    else:  # a missing one reads as None, which is no number
+        start, stop = (_number(sweep.get(key), "the sweep's %r" % key) for key in ("start", "stop"))
+        count = _integer(sweep.get("count"), "the sweep's 'count'")
+        if count < 2:
+            raise DomainError("the sweep's 'count' must be >= 2, got %d" % count)
+        values = [start, stop]
+    if scale == "log" and not all(v > 0 for v in values):
+        raise DomainError("log scale needs positive sweep values")
+    if "grid" not in sweep:  # evenly spaced in the value, or in its log
+        to, back = (math.log, math.exp) if scale == "log" else (float, float)
+        ls, le = to(start), to(stop)
+        values = [back(ls + (le - ls) * i / (count - 1)) for i in range(count)]
+    return axis, values, scale
+
+
+# every top-level key of a config: its default (None where the command
+# needs it, or has no use for one), the commands that read it, and its
+# reader, which takes the value and the name of its key or flag and
+# raises DomainError for a value it refuses.  The range rules of
+# rk_steps and tol are ShootConfig's.
+_SETTINGS = {
+    "command": (None, _COMMANDS, lambda value, name: _choice(value, _COMMANDS, name)),
+    "problem": (None, ("solve", "sweep"), _problem),
+    "solver": ("both", ("solve", "sweep"),
+               lambda value, name: _choice(value, ("shoot", "rayleigh", "both"), name)),
+    "m": (DEFAULT_CELLS, ("solve", "sweep", "table"), _integer),
+    "rk_steps": (ShootConfig.rk_steps, _COMMANDS, _integer),
+    "tol": (ShootConfig.lambda_tol, _COMMANDS, _number),
+    "sweep": (None, ("sweep",), _sweep_values),
+}
+
+
 def _load_config(args) -> dict:
+    """The settings of the command in args.config, by key, each read
+    once: its flag if given (0 included), else its config key, else its
+    default.  "shoot" holds the ShootConfig, and "solves" the solve
+    function of each solver the command runs, by tag, shooting first."""
     if args.config is None:
         raise ConfigError("--config is required")
     try:
@@ -60,90 +111,53 @@ def _load_config(args) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
-    if not isinstance(cfg, dict) or "command" not in cfg:
-        raise ConfigError("config must be a JSON object with a 'command' key")
-    command = cfg["command"]
-    if command not in _COMMANDS:
-        raise ConfigError("unknown command %r" % (command,))
-    for key in cfg:  # a misspelt or misplaced key would be dropped silently
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    for key in cfg:  # a misspelt key would be dropped silently
         if key not in _SETTINGS:
             raise ConfigError("unknown setting %r" % (key,))
-        if command not in _SETTINGS[key][1]:
-            raise ConfigError("the %s command takes no %r" % (command, key))
-    return cfg
-
-
-def _setting(cfg: dict, args, key: str):
-    """The flag if given (0 included), else the config value, else the
-    default of _SETTINGS."""
-    flag = getattr(args, key)
-    return flag if flag is not None else cfg.get(key, _SETTINGS[key][0])
-
-
-def _integer(value, key: str) -> int:
-    """value as an int: 2000, 2000.0 and "2000" are 2000; a value with a
-    fractional part, or none at all, is a config error, not truncated."""
+    command = cfg.get("command")
+    settings = {}
     try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("bad %r: %s" % (key, exc))
-    if isinstance(value, float) and number != value:
-        raise ConfigError("%r must be an integer, got %r" % (key, value))
-    return number
+        for key, (default, commands, read) in _SETTINGS.items():
+            flag = getattr(args, key, None)
+            name = repr(key) if flag is None else "--" + key.replace("_", "-")
+            # the command comes first: its reader refuses an unknown one
+            if key == "command" or command in commands:
+                settings[key] = read(cfg.get(key, default) if flag is None else flag, name)
+            elif flag is not None or key in cfg:  # it would be ignored
+                raise ConfigError("the %s command takes no %s" % (command, name))
+        if settings.get("m", MIN_CELLS) < MIN_CELLS:
+            raise DomainError("'m' must be >= %d, got %d" % (MIN_CELLS, settings["m"]))
+        shoot = ShootConfig(rk_steps=settings["rk_steps"], lambda_tol=settings["tol"])
+    except DomainError as exc:
+        raise ConfigError(str(exc))
+    solves = {"shoot": lambda spec: solve_spec(spec, shoot),
+              "rayleigh": lambda spec: rayleigh_spec(spec, settings["m"])}
+    solver = settings.get("solver", "both")  # table runs both
+    return dict(settings, shoot=shoot, solves={
+        tag: solve for tag, solve in solves.items() if solver in (tag, "both")})
 
 
-def _shoot_config(cfg: dict, args) -> ShootConfig:
-    rk = _integer(_setting(cfg, args, "rk_steps"), "rk_steps")
-    tol = _setting(cfg, args, "tol")
-    try:
-        return ShootConfig(rk_steps=rk, lambda_tol=float(tol))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad shooting settings: %s" % exc)
-
-
-def _cells(cfg: dict, args) -> int:
-    m = _integer(_setting(cfg, args, "m"), "m")
-    if m < 16:
-        raise ConfigError("'m' must be >= 16, got %d" % m)
-    return m
-
-
-def _solver(cfg: dict, args) -> str:
-    solver = _setting(cfg, args, "solver")
-    if solver not in _SOLVERS:
-        raise ConfigError("unknown solver %r, expected one of %s" % (solver, ", ".join(_SOLVERS)))
-    return solver
-
-
-def _problem_spec(cfg: dict, **override) -> ProblemSpec:
-    """The config's problem with override applied, built once so that an
+def _problem_spec(doc: dict, **override) -> ProblemSpec:
+    """The problem doc with override applied, built once so that an
     invalid problem is a config error before any solve starts."""
-    if not isinstance(cfg.get("problem"), dict):
-        raise ConfigError("config needs a 'problem' object")
     try:
-        spec = ProblemSpec.from_dict(dict(cfg["problem"], **override))
+        spec = ProblemSpec.from_dict(dict(doc, **override))
         spec.build()
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("bad problem spec: %s" % exc)
     return spec
 
 
-def _solve_pair(spec: ProblemSpec, solver: str, sconf: ShootConfig, m: int):
-    lam_s = lam_r = None
-    sol_s = sol_r = None
-    if solver in ("shoot", "both"):
-        sol_s = solve_spec(spec, sconf)
-        lam_s = sol_s.lambda_val
-    if solver in ("rayleigh", "both"):
-        sol_r = rayleigh_spec(spec, m)
-        lam_r = sol_r.lambda_val
-    return lam_s, lam_r, sol_s, sol_r
-
-
-def _disagreement(lam_s, lam_r):
+def _results(lams: dict) -> tuple:
+    """The result columns of the eigenvalues lams, by solver tag: None
+    for a solver that did not run, and for the disagreement unless both
+    did."""
+    lam_s, lam_r = lams.get("shoot"), lams.get("rayleigh")
     if lam_s is None or lam_r is None:
-        return None
-    return abs(lam_s - lam_r) / max(1.0, abs(lam_s))
+        return lam_s, lam_r, None
+    return lam_s, lam_r, abs(lam_s - lam_r) / max(1.0, abs(lam_s))
 
 
 def _write_csv(path: Path, header, rows) -> list:
@@ -159,97 +173,44 @@ def _write_csv(path: Path, header, rows) -> list:
     return lines
 
 
-def _cmd_solve(cfg, args, out_dir: Path) -> int:
-    spec = _problem_spec(cfg)
-    sconf = _shoot_config(cfg, args)
-    solver = _solver(cfg, args)
-    m = _cells(cfg, args)
-    lam_s, lam_r, sol_s, sol_r = _solve_pair(spec, solver, sconf, m)
-    if lam_s is not None:
-        print("lambda_shoot    = " + _FMT % lam_s)
-    if lam_r is not None:
-        print("lambda_rayleigh = " + _FMT % lam_r)
-    dis = _disagreement(lam_s, lam_r)
+def _cmd_solve(settings, out_dir: Path) -> int:
+    spec = _problem_spec(settings["problem"])
+    sols = {tag: solve(spec) for tag, solve in settings["solves"].items()}
+    for tag, sol in sols.items():
+        print("lambda_%-8s = " % tag + _FMT % sol.lambda_val)
+    dis = _results({tag: sol.lambda_val for tag, sol in sols.items()})[2]
     if dis is not None:
         print("disagreement    = " + _FMT % dis)
+    sol_s, sol_r = sols.get("shoot"), sols.get("rayleigh")
     if sol_s is not None and sol_s.diagnostics["phi_underflow_nodes"]:
         print("warning: %d of %d shooting eigenfunction values underflow to 0"
               % (sol_s.diagnostics["phi_underflow_nodes"], sol_s.phi.size), file=sys.stderr)
     if sol_r is not None and not sol_r.diagnostics["converged"]:
         print("warning: the Rayleigh solve stopped unconverged after %d steps"
               % sol_r.diagnostics["steps"], file=sys.stderr)
-    for tag, sol in (("shoot", sol_s), ("rayleigh", sol_r)):
-        if sol is None:
-            continue
+    for tag, sol in sols.items():
         path = out_dir / ("eigenfunction_%s.csv" % tag)
         _write_csv(path, ("t", "phi", "psi"), zip(sol.grid, sol.phi, sol.psi))
         print("wrote %s" % path)
     return 0
 
 
-def _sweep_values(cfg) -> tuple:
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict) or "axis" not in sweep:
-        raise ConfigError("sweep command needs a 'sweep' object with an 'axis'")
-    unknown = sorted(set(sweep) - set(_SWEEP_KEYS))
-    if unknown:
-        raise ConfigError("a sweep takes no %s" % ", ".join(map(repr, unknown)))
-    if "grid" in sweep and {"start", "stop", "count"} & set(sweep):
-        raise ConfigError("a sweep takes either 'grid' or start/stop/count, not both")
-    axis = sweep["axis"]
-    if axis not in ("alpha", "R", "p", "kappa"):
-        raise ConfigError("unknown sweep axis %r" % (axis,))
-    scale = sweep.get("scale", "linear")
-    if scale not in ("linear", "log"):
-        raise ConfigError("unknown sweep scale %r, expected 'linear' or 'log'" % (scale,))
-    if "grid" in sweep:
-        if not isinstance(sweep["grid"], list):
-            raise ConfigError("sweep grid must be a list of values, got %r" % (sweep["grid"],))
-        try:
-            values = [float(v) for v in sweep["grid"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("bad sweep grid: %s" % exc)
-        if not values:
-            raise ConfigError("sweep grid is empty")
-    else:
-        try:
-            start, stop = float(sweep["start"]), float(sweep["stop"])
-            count = sweep["count"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("sweep needs 'grid' or start/stop/count: %s" % exc)
-        count = _integer(count, "count")
-        if count < 2:
-            raise ConfigError("sweep count must be >= 2")
-        values = [start, stop]
-    if scale == "log" and not all(v > 0 for v in values):
-        raise ConfigError("log scale needs positive sweep values")
-    if "grid" not in sweep:  # evenly spaced in the value, or in its log
-        to, back = (math.log, math.exp) if scale == "log" else (float, float)
-        ls, le = to(start), to(stop)
-        values = [back(ls + (le - ls) * i / (count - 1)) for i in range(count)]
-    return axis, values, scale
-
-
-def _cmd_sweep(cfg, args, out_dir: Path) -> int:
-    sconf = _shoot_config(cfg, args)
-    solver = _solver(cfg, args)
-    m = _cells(cfg, args)
-    axis, values, scale = _sweep_values(cfg)
-
-    points = [_problem_spec(cfg, **{axis: v}) for v in values]
-    rows = [_solve_pair(point, solver, sconf, m)[:2] for point in points]
+def _cmd_sweep(settings, out_dir: Path) -> int:
+    axis, values, scale = settings["sweep"]
+    solves = settings["solves"]
+    points = [_problem_spec(settings["problem"], **{axis: v}) for v in values]
+    rows = [_results({tag: solve(point).lambda_val for tag, solve in solves.items()})
+            for point in points]
 
     csv_path = out_dir / "sweep.csv"
     _write_csv(csv_path, _SWEEP_COLUMNS + _RESULT_COLUMNS, (
-        [getattr(point, key) for key in _SWEEP_COLUMNS] + [*row, _disagreement(*row)]
+        [getattr(point, key) for key in _SWEEP_COLUMNS] + list(row)
         for row, point in zip(rows, points)))
     print("wrote %s" % csv_path)
 
-    series = []
-    if any(r[0] is not None for r in rows):
-        series.append((values, [r[0] for r in rows], "shooting"))
-    if any(r[1] is not None for r in rows):
-        series.append((values, [r[1] for r in rows], "rayleigh"))
+    series = [(values, [row[i] for row in rows], label)
+              for i, (tag, label) in enumerate((("shoot", "shooting"), ("rayleigh", "rayleigh")))
+              if tag in solves]
     svg_path = out_dir / "sweep.svg"
     line_chart(series, svg_path, title="first eigenvalue vs %s" % axis,
                xlabel=axis, ylabel="lambda", logx=scale == "log")
@@ -257,8 +218,8 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_verify(cfg, args, out_dir: Path) -> int:
-    reports = default_suite(_shoot_config(cfg, args))
+def _cmd_verify(settings, out_dir: Path) -> int:
+    reports = default_suite(settings["shoot"])
     jsonl = out_dir / "verification.jsonl"
     csvp = out_dir / "verification.csv"
     reports_to_jsonl(reports, jsonl)
@@ -284,17 +245,15 @@ _TABLE_GEOMETRIES = (
 )
 
 
-def _cmd_table(cfg, args, out_dir: Path) -> int:
-    sconf = _shoot_config(cfg, args)
-    m = _cells(cfg, args)
+def _cmd_table(settings, out_dir: Path) -> int:
     path = out_dir / "acceptance_table.csv"
     rows = []
     for name, doc in _TABLE_GEOMETRIES:
         for p in (1.5, 2.0, 3.0):
             for alpha in (-1.0, 1.0):
                 spec = ProblemSpec.from_dict(dict(doc, alpha=alpha, p=p))
-                lam_s, lam_r, _, _ = _solve_pair(spec, "both", sconf, m)
-                rows.append((name, p, alpha, lam_s, lam_r, _disagreement(lam_s, lam_r)))
+                rows.append((name, p, alpha) + _results(
+                    {tag: solve(spec).lambda_val for tag, solve in settings["solves"].items()}))
     print("\n".join(_write_csv(path, ("geometry", "p", "alpha") + _RESULT_COLUMNS, rows)))
     print("worst disagreement: " + _FMT % max(row[-1] for row in rows))
     print("wrote %s" % path)
@@ -308,23 +267,19 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", help="JSON config with command and problem")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--solver", choices=_SOLVERS)
-    parser.add_argument("--m", type=int, help="rayleigh grid cells")
-    parser.add_argument("--rk-steps", type=int, dest="rk_steps")
+    # each flag is read as its config key is; argparse only reads the number
+    parser.add_argument("--solver", help="shoot, rayleigh or both")
+    parser.add_argument("--m", type=float, help="rayleigh grid cells")
+    parser.add_argument("--rk-steps", type=float, dest="rk_steps")
     parser.add_argument("--tol", type=float, help="eigenvalue tolerance")
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args)
+        settings = _load_config(args)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if cfg["command"] == "solve":
-            return _cmd_solve(cfg, args, out_dir)
-        if cfg["command"] == "sweep":
-            return _cmd_sweep(cfg, args, out_dir)
-        if cfg["command"] == "verify":
-            return _cmd_verify(cfg, args, out_dir)
-        return _cmd_table(cfg, args, out_dir)
+        run = {"solve": _cmd_solve, "sweep": _cmd_sweep, "verify": _cmd_verify, "table": _cmd_table}
+        return run[settings["command"]](settings, out_dir)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -69,6 +69,7 @@ _HUGE = float(np.finfo(float).max)
 _MESH_CACHE = 32  # meshes _mesh keeps
 
 DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
+MIN_CELLS = 16  # the fewest cells discretize takes
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,8 @@ class DiscreteFunctional:
 
 
 def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
-    if not (isinstance(m, numbers.Integral) and m >= 16):
-        raise DomainError("need an integer number of cells, at least 16, got %r" % (m,))
+    if not (isinstance(m, numbers.Integral) and m >= MIN_CELLS):
+        raise DomainError("need an integer number of cells, at least %d, got %r" % (MIN_CELLS, m))
     mesh = _mesh(problem.weight, problem.a, problem.b, m)
     ends = ((0, problem.bc_left, mesh.end_weights[0]), (m, problem.bc_right, mesh.end_weights[1]))
     robin_terms = [(j, bc.alpha * w) for j, bc, w in ends if bc.kind == "robin"]

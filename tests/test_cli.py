@@ -15,6 +15,7 @@ import pytest
 import probin.cli
 from probin.cli import main
 from probin.errors import DomainError
+from probin.shoot import ShootConfig
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -221,8 +222,49 @@ def test_each_command_takes_every_setting_it_reads(tmp_path):
         dict(shared, command="table", m=400),
     ]
     for doc in docs:
-        args = SimpleNamespace(config=_write_config(tmp_path, doc))
-        assert probin.cli._load_config(args) == doc
+        settings = probin.cli._load_config(SimpleNamespace(config=_write_config(tmp_path, doc)))
+        expected = dict(doc)
+        if "sweep" in doc:  # read into its axis, values and scale
+            expected["sweep"] = ("alpha", [1.0, 2.0], "linear")
+        assert {key: settings[key] for key in doc} == expected
+        assert settings["shoot"] == ShootConfig(rk_steps=1024, lambda_tol=1e-9)
+
+
+@pytest.mark.parametrize("doc,flags,cause", [
+    # float(True) was a tolerance of 1: this printed lambda_shoot = 0 and exited 0
+    ({"command": "solve", "problem": FLAT_PROBLEM, "solver": "shoot", "tol": True}, [],
+     "'tol' must be a number, got True"),
+    # a number given as a string was read through int() or float()
+    ({"command": "solve", "problem": FLAT_PROBLEM, "m": "400"}, [],
+     "'m' must be a number, got '400'"),
+    ({"command": "solve", "problem": FLAT_PROBLEM, "tol": "1e-3"}, [],
+     "'tol' must be a number, got '1e-3'"),
+    ({"command": "solve", "problem": FLAT_PROBLEM, "rk_steps": "64"}, [],
+     "'rk_steps' must be a number, got '64'"),
+    ({"command": "sweep", "problem": FLAT_PROBLEM, "sweep": {"axis": "alpha", "grid": ["1"]}}, [],
+     "a sweep 'grid' value must be a number, got '1'"),
+    ({"command": "sweep", "problem": FLAT_PROBLEM, "sweep": {"axis": "alpha", "grid": [True]}}, [],
+     "a sweep 'grid' value must be a number, got True"),
+    ({"command": "sweep", "problem": FLAT_PROBLEM,
+      "sweep": {"axis": "alpha", "start": "0.5", "stop": 2.0, "count": 3}}, [],
+     "the sweep's 'start' must be a number, got '0.5'"),
+    ({"command": "sweep", "problem": FLAT_PROBLEM,
+      "sweep": {"axis": "alpha", "start": 0.5, "stop": 2.0, "count": "3"}}, [],
+     "the sweep's 'count' must be a number, got '3'"),
+    # a flag the command does not read was ignored
+    ({"command": "verify"}, ["--m", "16"], "the verify command takes no --m"),
+    ({"command": "table"}, ["--solver", "shoot"], "the table command takes no --solver"),
+], ids=["tol-true", "m-string", "tol-string", "rk_steps-string", "grid-string", "grid-true",
+        "start-string", "count-string", "verify-m-flag", "table-solver-flag"])
+def test_refused_setting_is_config_error_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                          doc, flags, cause):
+    for name in ("solve_spec", "rayleigh_spec", "default_suite"):
+        monkeypatch.setattr(probin.cli, name, lambda *args, **kwargs: pytest.fail("solved"))
+    cfg = _write_config(tmp_path, doc)
+    assert main(["--config", cfg, "--out", str(tmp_path)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and cause in err, err
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
 
 
 def test_domain_violation_is_config_error(tmp_path):
@@ -324,15 +366,21 @@ def test_fractional_sweep_count_is_config_error(tmp_path, monkeypatch):
 
 
 def test_integral_float_settings_are_accepted(tmp_path, capsys):
+    # a flag is read as its key is, and wins over it: the last run's keys
+    # would each change the output
+    flags = ["--solver", "both", "--m", "400", "--rk-steps", "1024", "--tol", "1e-9"]
+    runs = [({"solver": "both", "m": 400, "rk_steps": 1024, "tol": 1e-9}, []),
+            ({"solver": "both", "m": 400.0, "rk_steps": 1024.0, "tol": 1e-9}, []),
+            ({}, flags),
+            ({"solver": "shoot", "m": 800, "rk_steps": 2048, "tol": 1e-8}, flags)]
     outputs = []
-    for m, rk_steps in ((400, 1024), (400.0, 1024.0)):
+    for settings, args in runs:
         out = tmp_path / str(len(outputs))
-        cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM,
-                                       "m": m, "rk_steps": rk_steps})
-        assert main(["--config", cfg, "--out", str(out)]) == 0
+        cfg = _write_config(tmp_path, dict(settings, command="solve", problem=FLAT_PROBLEM))
+        assert main(["--config", cfg, "--out", str(out)] + args) == 0
         csvs = {path.name: path.read_bytes() for path in out.glob("eigenfunction_*.csv")}
         outputs.append((capsys.readouterr().out.replace(str(out), ""), csvs))
-    assert outputs[0] == outputs[1]
+    assert all(output == outputs[0] for output in outputs[1:])
     # header + rk_steps+1 nodes, and header + m+1 nodes
     assert [len(outputs[0][1]["eigenfunction_%s.csv" % solver].splitlines())
             for solver in ("shoot", "rayleigh")] == [1026, 402]
