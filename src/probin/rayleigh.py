@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ToleranceFailure
-from .problems import EigenSolution, ProblemSpec, SturmProblem, ThreePoint, momentum
+from .problems import EigenSolution, ProblemSpec, SturmProblem, ThreePoint, _read_only, momentum
 
 _INVERSE_MAX = 200  # iterations of the inverse power method
 _INVERSE_RTOL = 1e-13  # quotient fall that ends it, per unit of q
@@ -75,11 +75,6 @@ MIN_CELLS = 16  # the fewest cells discretize takes
 @dataclass(frozen=True)
 class MinimizeConfig:
     """No settings: rayleigh_spec still takes one, and ignores it."""
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +118,7 @@ class _Mesh:
         nw = self.node_weights[:k + 1].copy()
         if self.grid.size % 2:  # m even
             nw[k] *= 0.5
-        return _Mesh(self.grid[:k + 1], self.h, _frozen(nw), self.mid_weights[:k],
+        return _Mesh(self.grid[:k + 1], self.h, _read_only(nw), self.mid_weights[:k],
                      (self.end_weights[0], float(self.node_weights[k]) / self.h))
 
     @functools.cached_property
@@ -139,8 +134,8 @@ class _Mesh:
         level = self.levels.get(k)
         if level is None:
             level = self.levels[k] = _Mesh(
-                self.grid[::k], self.h * k, _frozen(self.node_weights[::k] * k),
-                _frozen(self.node_weights[k // 2::k] / self.h), self.end_weights)
+                self.grid[::k], self.h * k, _read_only(self.node_weights[::k] * k),
+                _read_only(self.node_weights[k // 2::k] / self.h), self.end_weights)
         return level
 
 
@@ -160,7 +155,7 @@ def _mesh(weight, a: float, b: float, m: int) -> _Mesh:
     node_weights = h * w_nodes
     node_weights[0] *= 0.5
     node_weights[-1] *= 0.5
-    return _Mesh(_frozen(grid), h, _frozen(node_weights), _frozen(w_mid),
+    return _Mesh(_read_only(grid), h, _read_only(node_weights), _read_only(w_mid),
                  (float(w_nodes[0]), float(w_nodes[-1])))
 
 

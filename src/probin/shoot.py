@@ -29,13 +29,14 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from ._kernels import kernel_array, rk4_path
 from .errors import BracketFailure, DomainError, ToleranceFailure
-from .problems import EigenSolution, ProblemSpec, SturmProblem, inverse_momentum, momentum
+from .problems import (EigenSolution, ProblemSpec, SturmProblem, _read_only, inverse_momentum,
+                       momentum)
 
 # Offset of the series launch from a Neumann or singular corner, times
 # (b-a); geometric substeps covering the first grid cell and uniform
@@ -44,26 +45,25 @@ _EPS_SINGULAR = 1e-6
 _GEOM_SUBSTEPS = 32
 _UNIFORM_SUBSTEPS = 8
 
+MIN_RK_STEPS = 64  # the fewest RK4 steps a ShootConfig takes
+
 
 @dataclass(frozen=True)
 class ShootConfig:
     rk_steps: int = 4096
     lambda_tol: float = 1e-10  # relative bisection width
-    bracket_growth: float = 2.0
-    max_bracket_steps: int = 60
+    # the bracket grows from 0 by this factor, for at most this many steps
+    bracket_growth: ClassVar[float] = 2.0
+    max_bracket_steps: ClassVar[int] = 60
 
     def __post_init__(self):
-        if not (isinstance(self.rk_steps, numbers.Integral) and self.rk_steps >= 64):
-            raise DomainError("rk_steps must be an integer >= 64, got %r" % (self.rk_steps,))
-        if not (isinstance(self.max_bracket_steps, numbers.Integral) and self.max_bracket_steps >= 1):
-            raise DomainError("max_bracket_steps must be an integer >= 1, got %r"
-                              % (self.max_bracket_steps,))
+        if not (isinstance(self.rk_steps, numbers.Integral) and self.rk_steps >= MIN_RK_STEPS):
+            raise DomainError("rk_steps must be an integer >= %d, got %r"
+                              % (MIN_RK_STEPS, self.rk_steps))
         # written so that NaN fails too: nan <= 0 is False, and a NaN or
         # infinite tolerance would end the bisection before its first step
         if not 0.0 < self.lambda_tol < math.inf:
             raise DomainError("lambda_tol must be positive and finite")
-        if not 1.0 < self.bracket_growth < math.inf:
-            raise DomainError("bracket_growth must exceed 1 and be finite")
 
 
 @dataclass
@@ -83,9 +83,8 @@ class _Plan:
     shared between calls (see _build_plan): their arrays are read-only."""
 
     problem: SturmProblem
-    config: ShootConfig
+    rk_steps: int
     direction: float  # +1 integrate left->right, -1 right->left
-    launch_t: float
     mismatch_alpha: float
     robin_launch_alpha: Optional[float]  # set for two-Robin problems
     singular: bool
@@ -99,25 +98,23 @@ class _Plan:
 
 
 # The plan of the last _build_plan call.  A root-find integrates one
-# problem some 36 times at one config; they share one plan.  Calls from
-# two threads can only race to build a plan twice: each checks and
-# returns its own local reference.
+# problem some 36 times at one step count; they share one plan.
 _last_plan: Optional[_Plan] = None
 
 
-def _build_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
-    """The integration plan of problem at config, reused while calls
-    pass the same problem object and an equal config.  The previous plan
-    is dropped before another is built, so at most one is held."""
+def _build_plan(problem: SturmProblem, rk_steps: int) -> _Plan:
+    """The integration plan of problem in rk_steps steps, reused while
+    calls pass the same problem object and step count.  The previous
+    plan is dropped before another is built, so at most one is held."""
     global _last_plan
     plan = _last_plan
-    if plan is None or plan.problem is not problem or plan.config != config:
+    if plan is None or plan.problem is not problem or plan.rk_steps != rk_steps:
         plan = _last_plan = None
-        plan = _last_plan = _make_plan(problem, config)
+        plan = _last_plan = _make_plan(problem, rk_steps)
     return plan
 
 
-def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
+def _make_plan(problem: SturmProblem, rk_steps: int) -> _Plan:
     robins = problem.robin_ends()
     if not robins:
         raise DomainError("shooting needs at least one robin endpoint")
@@ -130,9 +127,8 @@ def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     launch_t = problem.b if direction < 0 else problem.a
     singular = problem.singular_right if direction < 0 else problem.singular_left
 
-    n_steps = config.rk_steps
-    h = problem.length / n_steps
-    node_pos = launch_t + direction * h * np.arange(n_steps + 1)
+    h = problem.length / rk_steps
+    node_pos = launch_t + direction * h * np.arange(rk_steps + 1)
 
     launch_drift = None
     if robin_launch_alpha is None:
@@ -144,14 +140,14 @@ def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
         geo[-1] = h
         uni = h + (h / _UNIFORM_SUBSTEPS) * np.arange(1, _UNIFORM_SUBSTEPS + 1)
         uni[-1] = 2.0 * h
-        offsets = np.concatenate([geo, uni, h * np.arange(3, n_steps + 1)])
+        offsets = np.concatenate([geo, uni, h * np.arange(3, rk_steps + 1)])
         # node 0 is stored analytically
         node_step = np.concatenate([[-1, _GEOM_SUBSTEPS - 1], _GEOM_SUBSTEPS
-                                    + _UNIFORM_SUBSTEPS - 1 + np.arange(n_steps - 1)])
+                                    + _UNIFORM_SUBSTEPS - 1 + np.arange(rk_steps - 1)])
     else:
         eps = 0.0
-        offsets = h * np.arange(0.0, n_steps + 1)
-        node_step = np.arange(-1, n_steps, dtype=np.int64)
+        offsets = h * np.arange(0.0, rk_steps + 1)
+        node_step = np.arange(-1, rk_steps, dtype=np.int64)
 
     bounds = launch_t + direction * offsets
     bounds[-1] = launch_t + direction * problem.length  # land exactly
@@ -159,11 +155,9 @@ def _make_plan(problem: SturmProblem, config: ShootConfig) -> _Plan:
     lattice[0::2] = bounds
     lattice[1::2] = 0.5 * (bounds[:-1] + bounds[1:])
     kernel = kernel_array(np.diff(bounds), problem.weight.log_deriv(lattice))
-    node_pos.flags.writeable = False
-    node_step.flags.writeable = False
 
-    return _Plan(problem, config, direction, launch_t, mismatch_alpha,
-                 robin_launch_alpha, singular, eps, launch_drift, kernel, node_pos, node_step)
+    return _Plan(problem, rk_steps, direction, mismatch_alpha, robin_launch_alpha, singular,
+                 eps, launch_drift, kernel, _read_only(node_pos), _read_only(node_step))
 
 
 def _launch_state(plan: _Plan, lam: float, p: float, path: bool):
@@ -262,7 +256,7 @@ def integrate(problem: SturmProblem, lam: float) -> ShootTrajectory:
     from the kernel's log phi and phi'/phi.  Calls on one problem object
     share its integration plan (see robin_mismatch); the returned grid is
     the caller's own copy."""
-    plan = _build_plan(problem, ShootConfig())
+    plan = _build_plan(problem, ShootConfig.rk_steps)
     return _trajectory(plan, problem.p, _shoot(plan, lam, problem.p, path=True))
 
 
@@ -281,27 +275,33 @@ def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = Shoo
     The lam-independent integration plan (the step sizes, the weight's
     log-derivative at every step's ends and midpoint, laid out as the
     kernel's six per-step columns h, h/2, h/6 and start, midpoint and end
-    drift) is kept for the last problem object and config, so the trials
-    of a root-find over one problem build it once; another problem
-    object, or another config, builds it anew.
+    drift) is kept for the last problem object and step count, so the
+    trials of a root-find over one problem build it once, whatever their
+    lambda_tol; another problem object, or another rk_steps, builds it
+    anew.
     """
-    plan = _build_plan(problem, config)
+    plan = _build_plan(problem, config.rk_steps)
     return _mismatch(plan, problem.p, _shoot(plan, lam, problem.p))
 
 
-def eigen_residual(problem: SturmProblem, grid, phi, psi, lam: float) -> float:
-    """Relative discrete L1 residual of (w*psi)' + lam*w*|phi|^(p-2)phi."""
-    w = np.asarray(problem.weight.value(grid), dtype=float)
+def eigen_residual(grid, w, phi, psi, lam: float, p: float) -> float:
+    """Relative discrete L1 residual of (w*psi)' + lam*w*|phi|^(p-2)phi,
+    with w the weight at the grid nodes."""
     wpsi = w * psi
     interior = slice(1, -1)
     h2 = grid[2:] - grid[:-2]
     d_wpsi = (wpsi[2:] - wpsi[:-2]) / h2
-    drive = lam * w[interior] * np.asarray(momentum(phi[interior], problem.p))
+    drive = lam * w[interior] * np.asarray(momentum(phi[interior], p))
     num = float(np.sum(np.abs(d_wpsi + drive)))
     den = float(np.sum(np.abs(drive)))
     if den == 0.0:
         return num
     return num / den
+
+
+def _trapezoid(grid, f) -> float:
+    """The trapezoid rule's integral of the node values f."""
+    return float(np.sum(np.diff(grid) * (f[1:] + f[:-1]) / 2.0))
 
 
 def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootConfig()) -> EigenSolution:
@@ -328,7 +328,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     under the name both solvers use for their passes over the problem.
     """
     t_bracket = time.perf_counter()
-    plan = _build_plan(problem, config)
+    plan = _build_plan(problem, config.rk_steps)
     p = problem.p
     alpha = plan.mismatch_alpha
     s = -plan.direction
@@ -386,14 +386,12 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     w = np.asarray(problem.weight.value(grid), dtype=float)
     # the constant trial's quotient bounds the first eigenvalue above
     w_end = {"left": float(w[0]), "right": float(w[-1])}
-    q = (sum(alpha * w_end[end] for end, _, alpha in problem.robin_ends())
-         / float(np.sum(np.diff(grid) * (w[1:] + w[:-1]) / 2.0)))
+    q = sum(alpha * w_end[end] for end, _, alpha in problem.robin_ends()) / _trapezoid(grid, w)
     if lam - q > 1e-6 * abs(q) + 10.0 * config.lambda_tol * max(1.0, abs(q)):
         raise ToleranceFailure("eigenvalue %r above the constant trial's quotient %r: the "
                                "RK4 step is too coarse for the problem" % (lam, q))
-    f = w * np.abs(phi) ** p
-    lp_norm = float(np.sum(np.diff(grid) * (f[1:] + f[:-1]) / 2.0)) ** (1.0 / p)
-    res = eigen_residual(problem, grid, phi, psi, lam)
+    lp_norm = _trapezoid(grid, w * np.abs(phi) ** p) ** (1.0 / p)
+    res = eigen_residual(grid, w, phi, psi, lam, p)
     t_end = time.perf_counter()
 
     return EigenSolution(

@@ -254,8 +254,13 @@ def test_each_command_takes_every_setting_it_reads(tmp_path):
     # a flag the command does not read was ignored
     ({"command": "verify"}, ["--m", "16"], "the verify command takes no --m"),
     ({"command": "table"}, ["--solver", "shoot"], "the table command takes no --solver"),
+    # verify also solves at half the steps, where ShootConfig refused
+    # them: this was a solver failure (exit 3) after the first solves
+    ({"command": "verify"}, ["--rk-steps", "100"], "verify needs 'rk_steps' >= 128, got 100"),
+    ({"command": "verify", "rk_steps": 127}, [], "verify needs 'rk_steps' >= 128, got 127"),
 ], ids=["tol-true", "m-string", "tol-string", "rk_steps-string", "grid-string", "grid-true",
-        "start-string", "count-string", "verify-m-flag", "table-solver-flag"])
+        "start-string", "count-string", "verify-m-flag", "table-solver-flag",
+        "verify-rk_steps-flag", "verify-rk_steps-key"])
 def test_refused_setting_is_config_error_before_any_solve(tmp_path, monkeypatch, capsys,
                                                           doc, flags, cause):
     for name in ("solve_spec", "rayleigh_spec", "default_suite"):

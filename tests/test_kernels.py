@@ -23,7 +23,7 @@ def _flat(alpha, p):
 
 
 def _kernel_args(problem, lam):
-    plan = _build_plan(problem, ShootConfig())
+    plan = _build_plan(problem, ShootConfig.rk_steps)
     w0, logphi0 = _launch_state(plan, lam, problem.p, True)
     pm1 = problem.p - 1.0
     return w0, logphi0, lam, pm1, 1.0 / pm1, plan.kernel
@@ -122,13 +122,13 @@ def test_run_hands_the_kernel_numpy_arrays(monkeypatch):
     # a Neumann launch grades the first two of the 4 096 grid cells into
     # 32 + 8 steps
     assert args[5].shape == (4096 - 2 + 32 + 8, 6)
-    assert args[5] is _build_plan(problem, ShootConfig()).kernel
+    assert args[5] is _build_plan(problem, ShootConfig.rk_steps).kernel
     assert args[6].shape == args[7].shape == (args[5].shape[0],)
     # a trial hands over the same kernel, and asks for its last step only
     seen.clear()
     robin_mismatch(problem, 0.5)
     (args,) = seen
-    assert args[5] is _build_plan(problem, ShootConfig()).kernel
+    assert args[5] is _build_plan(problem, ShootConfig.rk_steps).kernel
     assert all(isinstance(a, np.ndarray) for a in args[5:])
     assert args[6].shape == args[7].shape == (1,)
 

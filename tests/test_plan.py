@@ -52,9 +52,9 @@ def plan_builds(monkeypatch):
     """The problems that _build_plan builds a plan for, in order."""
     built = []
 
-    def spy(problem, config):
+    def spy(problem, rk_steps):
         built.append(problem)
-        return _make_plan(problem, config)
+        return _make_plan(problem, rk_steps)
 
     monkeypatch.setattr(probin.shoot, "_make_plan", spy)
     return built
@@ -62,7 +62,7 @@ def plan_builds(monkeypatch):
 
 def test_plan_arrays_are_read_only():
     problem = _problem("flat", 1.0, 2.0)
-    plan = _build_plan(problem, ShootConfig())
+    plan = _build_plan(problem, ShootConfig.rk_steps)
     for a in (plan.kernel, plan.node_pos, plan.node_step):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
@@ -76,8 +76,10 @@ def test_mismatches_on_one_problem_build_one_plan(plan_builds):
     problem = _problem("disk", 2.0, 2.5)
     values = [robin_mismatch(problem, lam) for lam in (0.5, 1.0, 1.5, 2.0, 2.5)]
     assert plan_builds == [problem]
-    # an equal config is the same key; the trajectory and the solve reuse it too
+    # an equal config is the same key, and so is another tolerance at
+    # the same step count; the trajectory and the solve reuse it too
     assert robin_mismatch(problem, 0.5, ShootConfig()) == values[0]
+    assert robin_mismatch(problem, 0.5, ShootConfig(lambda_tol=1e-8)) == values[0]
     integrate(problem, 1.0)
     solve_first_eigenvalue(problem)
     assert plan_builds == [problem]
@@ -93,7 +95,7 @@ def test_another_problem_or_config_builds_anew(plan_builds):
     assert plan_builds == [a, b, a, b, a, a]
     fresh = [_mismatch(plan, problem.p, _shoot(plan, lam, problem.p))
              for problem, lam, config in calls
-             for plan in [_make_plan(problem, config)]]
+             for plan in [_make_plan(problem, config.rk_steps)]]
     assert [v.hex() for v in values] == [v.hex() for v in fresh]
     assert values[4] != values[0] == values[5]
 
@@ -128,7 +130,7 @@ def test_mismatch_and_kernel_outputs_are_pinned(family, alpha, p, lam, mismatch,
             robin_mismatch(problem, lam)
     else:
         assert robin_mismatch(problem, lam).hex() == mismatch
-    plan = _build_plan(problem, ShootConfig())
+    plan = _build_plan(problem, ShootConfig.rk_steps)
     args = (*_launch_state(plan, lam, p, True), lam, p - 1.0, 1.0 / (p - 1.0), plan.kernel)
     runs = []
     for n in (plan.kernel.shape[0], 1):  # a path, then a trial

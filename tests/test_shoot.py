@@ -1,5 +1,6 @@
 """Shooting solver: momentum map, trajectories, eigenvalues."""
 
+import dataclasses
 import math
 import warnings
 
@@ -270,7 +271,6 @@ def test_solver_rejects_neumann_only():
 
 @pytest.mark.parametrize("field,value", [
     ("lambda_tol", math.nan), ("lambda_tol", math.inf), ("lambda_tol", 0.0),
-    ("bracket_growth", math.nan), ("bracket_growth", math.inf), ("bracket_growth", 1.0),
 ])
 def test_config_rejects_nonpositive_or_non_finite(field, value):
     from probin.errors import DomainError
@@ -280,19 +280,24 @@ def test_config_rejects_nonpositive_or_non_finite(field, value):
 
 @pytest.mark.parametrize("field,value", [
     ("rk_steps", 100.5), ("rk_steps", 4096.0), ("rk_steps", math.nan), ("rk_steps", 63),
-    ("max_bracket_steps", 2.5), ("max_bracket_steps", 0), ("max_bracket_steps", -3),
 ])
 def test_config_rejects_bad_integer_settings(field, value):
-    # before, 100.5 steps raised IndexError inside the plan, 2.5 bracket
-    # steps TypeError, and 0 bracket steps a BracketFailure from the solve
+    # before, 100.5 steps raised IndexError inside the plan
     from probin.errors import DomainError
     with pytest.raises(DomainError, match=field):
         ShootConfig(**{field: value})
 
 
 def test_config_takes_numpy_integers():
-    config = ShootConfig(rk_steps=np.int64(64), max_bracket_steps=np.int32(1))
-    assert config == ShootConfig(rk_steps=64, max_bracket_steps=1)
+    assert ShootConfig(rk_steps=np.int64(64)) == ShootConfig(rk_steps=64)
+
+
+def test_config_fields_are_the_two_settings():
+    # the bracket's growth and step limit are constants of the class
+    assert [f.name for f in dataclasses.fields(ShootConfig)] == ["rk_steps", "lambda_tol"]
+    assert (ShootConfig().bracket_growth, ShootConfig().max_bracket_steps) == (2.0, 60)
+    with pytest.raises(TypeError):
+        ShootConfig(max_bracket_steps=1)
 
 
 def test_alpha_grid_against_oracle():
@@ -342,7 +347,7 @@ def test_launch_far_below_the_eigenvalue_is_not_a_crossing(lam):
     # that w relaxes to, and from there the first step flipped rho
     p = 1.03
     problem = _flat(-1.0, p)
-    plan = _build_plan(problem, ShootConfig())
+    plan = _build_plan(problem, ShootConfig.rk_steps)
     w0, logphi0 = _launch_state(plan, lam, p, True)
     assert abs(w0) == (-lam / (p - 1.0)) ** ((p - 1.0) / p)
     out_logphi = np.full(plan.kernel.shape[0], np.nan)
@@ -373,7 +378,7 @@ def test_launch_below_the_equilibrium_is_the_leading_order_term(family):
     # the clamp at w* only binds once |lam|*eps > w*, beyond |lam| = 1e6
     for p in (1.03, 1.1, 1.5, 2.0, 3.0, 5.0):
         plan = _build_plan(ProblemSpec.from_dict(dict(family, alpha=-1.0, p=p)).build(),
-                           ShootConfig())
+                           ShootConfig.rk_steps)
         for lam in -np.logspace(-3.0, 6.0, 19):
             w0, logphi0 = _launch_state(plan, lam, p, True)
             if plan.robin_launch_alpha is not None:
@@ -382,7 +387,7 @@ def test_launch_below_the_equilibrium_is_the_leading_order_term(family):
             if plan.singular:
                 slope = lam / (plan.problem.singular_order + 1.0)
             else:
-                ld0 = float(plan.problem.weight.log_deriv(plan.launch_t))
+                ld0 = float(plan.problem.weight.log_deriv(plan.node_pos[0]))
                 slope = lam * (1.0 - 0.5 * ld0 * plan.direction * plan.eps)
             assert w0 == -plan.direction * slope * plan.eps
             assert logphi0 == -float(inverse_momentum(slope * plan.eps, p)) * plan.eps * (p - 1.0) / p
@@ -394,7 +399,7 @@ def test_launch_log_phi_is_bounded_by_the_equilibrium_slope():
     # a path launched there has phi = 1.0 at 4 096 of the 4 097 nodes
     p, lam = 1.03, -1e7
     problem = _flat(-1.0, p)
-    plan = _build_plan(problem, ShootConfig())
+    plan = _build_plan(problem, ShootConfig.rk_steps)
     _, logphi0 = _launch_state(plan, lam, p, True)
     w_star = (-lam / (p - 1.0)) ** ((p - 1.0) / p)
     assert 0.0 < logphi0 <= float(inverse_momentum(w_star, p)) * plan.eps
@@ -404,11 +409,12 @@ def test_launch_log_phi_is_bounded_by_the_equilibrium_slope():
 
 
 @pytest.mark.parametrize("alpha", [100.0, -3.0])
-def test_bracket_failure_after_max_bracket_steps(alpha):
+def test_bracket_failure_after_max_bracket_steps(alpha, monkeypatch):
     # one bracket step tries lam = sign(alpha) only, and both eigenvalues
     # lie further out (2.42 and -9.09)
+    monkeypatch.setattr(ShootConfig, "max_bracket_steps", 1)
     with pytest.raises(BracketFailure):
-        solve_first_eigenvalue(_flat(alpha, 2.0), ShootConfig(max_bracket_steps=1))
+        solve_first_eigenvalue(_flat(alpha, 2.0))
 
 
 @pytest.mark.parametrize("family,p,alpha", [

@@ -535,11 +535,11 @@ def test_inradius_refinement_keeps_every_config_field(monkeypatch):
         return SimpleNamespace(lambda_val=1.0)
 
     monkeypatch.setattr(probin.verify, "solve_spec", fake_solve)
-    config = ShootConfig(max_bracket_steps=61)
+    config = ShootConfig(lambda_tol=1e-8)
     inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0, config)
     coarse = [c for c in configs if c.rk_steps == config.rk_steps // 2]
     assert len(coarse) == 2
-    assert all(c.max_bracket_steps == 61 for c in configs)
+    assert all(c.lambda_tol == 1e-8 for c in configs)
 
 
 def test_inradius_warped_bound():
