@@ -9,7 +9,10 @@ from the signs of the Robin terms:
   inverse power method for the p-Laplacian (Biezuner, Ercole & Martins
   2009; Hein & Buehler 2010) solves E'(v) = N'(u) up to a scale that
   keeps its powers 1/(p - 1) on numbers in [0, 1], by cumulative sums
-  with no loop in Python, and normalizes v, from the constant;
+  with no loop in Python, and normalizes v, from the constant.  It
+  stops once an iteration lowers the quotient by at most
+  _INVERSE_RTOL of it, or once its last three falls shrink at a steady
+  linear rate whose geometric tail is at most that;
 - otherwise (a Robin coefficient <= 0, two Robin ends, or no Robin
   end): node j of E'(u) = lambda N'(u) is a half-linear three-term
   recurrence, and marched in Riccati form from one end it meets the
@@ -17,11 +20,15 @@ from the signs of the Robin terms:
   at the discrete first eigenvalue (discrete half-linear Sturm theory:
   Rehak 2001; Dosly & Rehak 2005).  Newton in lambda on the end value,
   safeguarded by bisection, finds that root; its start comes from the
-  same root-find on two coarser meshes, extrapolated.  It ends on a
-  Newton step, with no march to confirm it.  The eigenvector is the
-  product of the last march's ratios, moved with that step to first
-  order by numpy (a ratio that cannot be moved is kept as marched), so
-  it is positive by construction.
+  same root-find on two coarser meshes, extrapolated.  Each root-find
+  ends on its first Newton step of at most a bound times
+  max(1, |lambda|), with no march to confirm it: sqrt(_MARCH_RTOL) on
+  the solved mesh, and _COARSE_STEP on the coarse ones, whose roots
+  only need to put the start within the solved mesh's bound.  The
+  eigenvector is the product of the solved mesh's last march's ratios,
+  moved with its last step to first order by numpy (a ratio that
+  cannot be moved is kept as marched), so it is positive by
+  construction.
 
 A functional that is its own mirror image (two equal Robin ends on
 weights that read the same backward: the double-Robin interval) has an
@@ -56,12 +63,19 @@ from .errors import DomainError, ToleranceFailure
 from .problems import EigenSolution, ProblemSpec, SturmProblem, ThreePoint, _read_only, momentum
 
 _INVERSE_MAX = 200  # iterations of the inverse power method
-_INVERSE_RTOL = 1e-13  # quotient fall that ends it, per unit of q
+# quotient fall that ends it, per unit of q, and the bound on the falls
+# still to come where the last three fall at a steady linear rate
+_INVERSE_RTOL = 1e-13
 _MARCH_MAX = 200  # marches before the root-find gives up
-# the march's root-find ends on its first Newton step in lambda of at
-# most sqrt(_MARCH_RTOL) max(1, |lambda|); Newton's error after such a
+# the fine level's root-find ends on its first Newton step in lambda of
+# at most sqrt(_MARCH_RTOL) max(1, |lambda|); Newton's error after such a
 # step is about its square, _MARCH_RTOL max(1, |lambda|)
 _MARCH_RTOL = 1e-13
+# the coarse levels' root-finds end on their first Newton step of at
+# most _COARSE_STEP max(1, |lambda|): Newton's error after it is about
+# 1e-8, so the start extrapolated from them lands well inside the fine
+# level's first-step stop, sqrt(_MARCH_RTOL) = 3.2e-7
+_COARSE_STEP = 1e-4
 # the march's start comes from every k-th and every k/2-th node, for
 # the first k here that divides the cell count
 _COARSE = (16, 8, 4)
@@ -309,9 +323,18 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
     E'(v) = N'(u) up to a positive factor and is normalized, which never
     raises the quotient while E is convex.  Each new quotient is E(v), as
     the step read it off its fluxes, over the norm that normalizing v
-    formed.  A rise within rounding is not taken.  Converged once an
-    iteration lowers the quotient by at most _INVERSE_RTOL of it.
+    formed.  A rise within rounding is not taken.
+
+    Converged once an iteration lowers the quotient by at most
+    _INVERSE_RTOL of it, or once the last three falls shrink at a steady
+    linear rate rho, the last fall over the one before it, and the falls
+    still to come, fall rho/(1 - rho) as a geometric series, sum to at
+    most _INVERSE_RTOL of q.  Steady means rho <= 1/2 and within a factor
+    2 of the ratio before it: a rate read off two falls alone can stop
+    before the rate has settled (after 2 iterations at p = 1.05,
+    alpha = 1e6 on the hyperbolic ball, 9.7e-7 off).
     Returns (u, q, iterations, converged)."""
+    falls = ()  # the last two falls, oldest first
     for iters in range(1, _INVERSE_MAX + 1):
         v, e = _inverse_step(func, u)
         v, n = _normalize(func, v)
@@ -319,8 +342,15 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
         q_prev = q
         if qv < q:
             u, q = v, qv
-        if q_prev - qv <= _INVERSE_RTOL * q_prev:
+        fall = q_prev - qv
+        if fall <= _INVERSE_RTOL * q_prev:
             return u, q, iters, True
+        if len(falls) == 2:
+            rho, rho_prev = fall / falls[1], falls[1] / falls[0]
+            if (rho <= 0.5 and rho_prev <= 2.0 * rho <= 4.0 * rho_prev
+                    and fall * rho <= _INVERSE_RTOL * q * (1.0 - rho)):
+                return u, q, iters, True
+        falls = (falls + (fall,))[-2:]
     return u, q, _INVERSE_MAX, False
 
 
@@ -426,7 +456,7 @@ def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float) -> np.ndar
     return log_u[::-1] if flip else log_u
 
 
-def _march_root(func: DiscreteFunctional, lam: float):
+def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_MARCH_RTOL)):
     """The discrete first eigenvalue of func, for any Robin ends but a
     single positive one, from a start lam.
 
@@ -436,10 +466,12 @@ def _march_root(func: DiscreteFunctional, lam: float):
     nw_j |u_j|^p <= N(u).  Newton steps on the end value of _march, with
     the exact derivative, are taken while they stay inside the bracket,
     and bisection otherwise.  The root-find stops at its first Newton
-    step of at most sqrt(_MARCH_RTOL) max(1, |lam|), where Newton's error
-    is about the step's square, and returns lam plus that step, with no
-    march to confirm it; or when the bracket's ends are adjacent floats,
-    at the lower one with a step of 0.
+    step of at most rtol max(1, |lam|), where Newton's error is about the
+    step's square, and returns lam plus that step, with no march to
+    confirm it; or when the bracket's ends are adjacent floats, at the
+    lower one with a step of 0.  rtol is sqrt(_MARCH_RTOL) on the solved
+    mesh, and _COARSE_STEP on the coarse levels of _march_start, whose
+    roots only seed it.
 
     Returns (lam, (ratios, flip, step), marches, converged): the ratios
     of the last march, the chain's direction and the step from that
@@ -451,7 +483,6 @@ def _march_root(func: DiscreteFunctional, lam: float):
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
-    rtol = math.sqrt(_MARCH_RTOL)
     below = None  # the ratios of the march at lo
     converged = False
     for marches in range(1, _MARCH_MAX + 1):
@@ -491,15 +522,18 @@ def _march_start(func: DiscreteFunctional):
     """A start for _march_root on func: its roots on every k-th and
     every k/2-th node, for the first k of _COARSE that divides the cell
     count, extrapolated to func's mesh as second order in h; inf (the
-    top of the bracket) where none does.  Only the lambda of the two
-    coarse root-finds is kept: no coarse eigenvector is formed.  Returns
-    the start and the coarse marches."""
+    top of the bracket) where none does.  Both coarse root-finds stop at
+    their first Newton step of at most _COARSE_STEP max(1, |lam|), not
+    at the fine level's sqrt(_MARCH_RTOL): the start needs them only to
+    about 1e-8.  Only the lambda of the two coarse root-finds is kept: no
+    coarse eigenvector is formed.  Returns the start and the coarse
+    marches."""
     m = func.grid.size - 1
     k = next((k for k in _COARSE if m % k == 0), None)
     if k is None:
         return math.inf, 0
-    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf)
-    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1)
+    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf, _COARSE_STEP)
+    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1, _COARSE_STEP)
     k2 = (k // 2) ** 2
     return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
 

@@ -563,25 +563,29 @@ def test_march_starts_from_coarse_meshes_where_16_does_not_divide_m(prob):
 
 
 @pytest.mark.parametrize("prob,max_seed", [
-    (geodesic_ball_problem(0.0, 2, 1.0, -0.55, 2.0), 6),
-    (geodesic_ball_problem(1.0, 3, 1.0, -0.5, 1.75), 5),
-    (_flat(-0.65, 1.75), 6),
-    (geodesic_ball_problem(-1.0, 3, 1.0, -0.4, 1.75), 5),
-    (double_robin_problem(0.5, -0.75, 2.5), 7),
+    (geodesic_ball_problem(0.0, 2, 1.0, -0.55, 2.0), 4),
+    (geodesic_ball_problem(1.0, 3, 1.0, -0.5, 1.75), 4),
+    (_flat(-0.65, 1.75), 4),
+    (geodesic_ball_problem(-1.0, 3, 1.0, -0.4, 1.75), 3),
+    (double_robin_problem(0.5, -0.75, 2.5), 4),
 ], ids=["disk p=2", "spherical_cap p=1.75", "flat p=1.75", "hyperbolic_ball p=1.75",
         "double_robin p=2.5"])
 def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
     """One fine march, and no more coarse marches than the seed levels
-    need: every level stops at its first Newton step of at most
-    sqrt(_MARCH_RTOL) max(1, |lambda|), with no confirming march.  Only
+    need: the two coarse levels stop at their first Newton step of at
+    most _COARSE_STEP max(1, |lambda|), the fine level at its first of
+    at most sqrt(_MARCH_RTOL) max(1, |lambda|), none with a confirming
+    march.  The root is the one found from the top of the bracket.  Only
     the fine level's eigenvector is formed, its march's moved with that
     step."""
     moved = []
     monkeypatch.setattr(probin.rayleigh, "_moved",
                         lambda *args: moved.append(args) or _moved(*args))
     func = discretize(prob, 2000)
-    d = minimize(func).diagnostics
+    sol = minimize(func)
+    d = sol.diagnostics
     assert d["converged"] and d["steps"] == 1
+    assert sol.lambda_val == pytest.approx(_march_root(func, math.inf)[0], rel=1e-12)
     assert d["seed_iterations"] <= max_seed
     assert d["evals"] == d["seed_iterations"] + d["steps"]
     (solved, ratios, _, step), = moved
@@ -935,6 +939,42 @@ def test_descent_is_monotone(monkeypatch):
     assert np.all(np.diff(quotients) <= 4 * _EPS * np.abs(quotients[:-1]))
     accepted = np.minimum.accumulate(quotients)
     assert sol.lambda_val == accepted[-1] and np.all(np.diff(accepted) <= 0.0)
+
+
+def _inverse_power_reference(func):
+    """The inverse power method from the normalized constant, run on
+    until an iteration lowers the quotient by at most 1e-15 of it or
+    does not lower it: the quotient and the iterations taken."""
+    u, q = _normalize(func, np.ones(func.grid.size))[0], _constant_quotient(func)
+    for iters in range(1, 61):
+        v, e = _inverse_step(func, u)
+        v, n = _normalize(func, v)
+        fall = q - e / n
+        if fall <= 0.0:
+            return q, iters
+        u, q = v, e / n
+        if fall <= 1e-15 * q:
+            return q, iters
+    raise AssertionError("the reference loop took more than 60 iterations")
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 1e6])
+@pytest.mark.parametrize("p", [1.001, 1.05, 1.5, 2.0, 3.0, 8.0])
+@pytest.mark.parametrize("family", sorted(set(FAMILIES) - {"double_robin"}))
+def test_inverse_power_stops_at_the_reference_minimum(family, p, alpha):
+    """minimize stops once an iteration's fall is at most 1e-13 of q, or
+    once its last three falls shrink at a steady linear rate and the
+    geometric tail of that rate is within 1e-13 of q.  Either way lambda
+    is within 2e-13 of a loop run on to a fall of 1e-15, in no more
+    iterations than that loop.  The hyperbolic ball at p = 1.05,
+    alpha = 1e6 is the case where a rate read off two falls alone
+    stopped after 2 iterations, 9.7e-7 off."""
+    func = discretize(_spec(family, p, alpha).build(), 2000)
+    sol = minimize(func)
+    lam_ref, ref_iters = _inverse_power_reference(func)
+    assert sol.diagnostics["converged"]
+    assert abs(sol.lambda_val - lam_ref) <= 2e-13 * abs(lam_ref)
+    assert sol.diagnostics["iterations"] <= ref_iters
 
 
 @pytest.mark.parametrize("alpha", [0.01, 1.0, 1e4])
