@@ -53,15 +53,17 @@ from .shoot import (
 )
 from .verify import (
     VerificationReport,
+    alpha_monotonicity_suite,
     barta_sandwich,
     cheng_comparison_suite,
     default_suite,
+    dirichlet_limit_suite,
     eigenfunction_shape_suite,
     inradius_equality_check,
     inradius_slack_check,
     inradius_warped_check,
-    monotonicity_suite,
     picone_check,
+    radius_monotonicity_suite,
     reflection_identity,
     reports_to_csv,
     reports_to_jsonl,

@@ -26,7 +26,12 @@ start, midpoint and end, so that a step reads its constants instead of
 computing them.  The array carries its columns as tuples of Python
 floats, converted once: the three step columns share one float object
 per distinct step size, and the drift columns are slices of one list,
-so neighbouring steps share their common endpoint's float.
+so neighbouring steps share their common endpoint's float.  The sharing
+is for memory, not speed: every solve's plan stays cached, and on a
+4 096-step hyperbolic-ball plan (kappa = -1, n = 3, R = 1) the array
+holds 599 KB against 993 KB with a plain tolist() per column, while a
+trial (1.784 against 1.762 ms) and a path (2.311 against 2.297 ms) run
+no slower or faster (best of 5, CPython 3.11, one 2-vCPU Xeon core).
 """
 
 import math

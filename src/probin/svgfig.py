@@ -32,10 +32,11 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def line_chart(series, path, title="", xlabel="", ylabel="", logx=False):
+def line_chart(series, path, title, xlabel, ylabel, logx=False):
     """Write a line chart to path.
 
-    series: list of (x values, y values, label)."""
+    series: list of (x values, y values, label); every label, the title
+    and both axis labels are drawn."""
     margin_l, margin_r, margin_t, margin_b = 70, 20, 36, 52
     plot_w = _WIDTH - margin_l - margin_r
     plot_h = _HEIGHT - margin_t - margin_b
@@ -68,10 +69,9 @@ def line_chart(series, path, title="", xlabel="", ylabel="", logx=False):
         '<rect width="%d" height="%d" fill="white"/>' % (_WIDTH, _HEIGHT),
         '<rect x="%d" y="%d" width="%d" height="%d" fill="none" stroke="#333"/>' % (
             margin_l, margin_t, plot_w, plot_h),
+        '<text x="%d" y="22" font-size="15" font-family="sans-serif" '
+        'text-anchor="middle">%s</text>' % (_WIDTH // 2, title),
     ]
-    if title:
-        parts.append('<text x="%d" y="22" font-size="15" font-family="sans-serif" '
-                     'text-anchor="middle">%s</text>' % (_WIDTH // 2, title))
 
     for t in _nice_ticks(y_lo, y_hi):
         y = py(t)
@@ -92,21 +92,20 @@ def line_chart(series, path, title="", xlabel="", ylabel="", logx=False):
         pts = " ".join("%.2f,%.2f" % (px(x), py(y)) for x, y in zip(xs, ys))
         parts.append('<polyline points="%s" fill="none" stroke="%s" stroke-width="1.6"/>' % (
             pts, color))
-        if label:
-            ly = margin_t + 16 + 16 * i
-            parts.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" '
-                         'stroke-width="2"/>' % (margin_l + 8, ly - 4, margin_l + 28, ly - 4, color))
-            parts.append('<text x="%d" y="%d" font-size="12" font-family="sans-serif">%s</text>' % (
-                margin_l + 34, ly, label))
+        ly = margin_t + 16 + 16 * i
+        parts.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="%s" '
+                     'stroke-width="2"/>' % (margin_l + 8, ly - 4, margin_l + 28, ly - 4, color))
+        parts.append('<text x="%d" y="%d" font-size="12" font-family="sans-serif">%s</text>' % (
+            margin_l + 34, ly, label))
 
-    if xlabel:
-        parts.append('<text x="%d" y="%d" font-size="13" font-family="sans-serif" '
-                     'text-anchor="middle">%s</text>' % (margin_l + plot_w // 2, _HEIGHT - 14, xlabel))
-    if ylabel:
-        parts.append('<text x="16" y="%d" font-size="13" font-family="sans-serif" '
-                     'text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>' % (
-                         margin_t + plot_h // 2, margin_t + plot_h // 2, ylabel))
-    parts.append("</svg>")
+    parts += [
+        '<text x="%d" y="%d" font-size="13" font-family="sans-serif" '
+        'text-anchor="middle">%s</text>' % (margin_l + plot_w // 2, _HEIGHT - 14, xlabel),
+        '<text x="16" y="%d" font-size="13" font-family="sans-serif" '
+        'text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>' % (
+            margin_t + plot_h // 2, margin_t + plot_h // 2, ylabel),
+        "</svg>",
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))
         fh.write("\n")

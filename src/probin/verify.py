@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coeffs import ModelParams, log_concavity_margin, z_cutoff
+from .coeffs import log_concavity_margin
 from .errors import DomainError
 from .problems import (
     EigenSolution,
@@ -40,6 +40,7 @@ STRICTNESS_FACTOR = 10.0
 
 # Tolerances of the checks below that take no tolerance argument
 _TOL_PICONE_NONNEG = 1e-10  # pointwise L >= 0
+_TOL_PICONE_COLLAPSE = 1e-10  # max |L| for a proportional pair u = c*v
 _TOL_RICCATI = 1e-4  # sup-norm residual of the Riccati identity
 _TOL_LOG_DERIV_BOUND = 1e-6  # |u'/u|^(p-1) <= |alpha|
 _TOL_REFLECTION = 1e-8  # double-Robin against half-interval eigenvalue
@@ -99,21 +100,24 @@ class VerificationReport:
         return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
-        out = {
+        """The report as a JSON object; a skip's lhs, rhs and margin are null."""
+        return {
             "name": self.name,
             "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
+            "lhs": _json_number(self.lhs),
+            "rhs": _json_number(self.rhs),
+            "margin": _json_number(self.margin),
             "tolerance": self.tolerance,
             "passed": self.passed,
             "status": self.status,
             "kind": self.kind,
+            "extras": {k: _json_number(v) for k, v in self.extras.items()},
         }
-        extras = {k: v for k, v in self.extras.items() if np.isscalar(v) or isinstance(v, (bool, str))}
-        if extras:
-            out["extras"] = extras
-        return out
+
+
+def _json_number(value):
+    """value, or None where it is a non-finite float: JSON has no NaN."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _report(name, params, kind, lhs, rhs, tolerance, extras=None, holds=True) -> VerificationReport:
@@ -136,7 +140,7 @@ def _skip(name, params, reason) -> VerificationReport:
 def reports_to_jsonl(reports: Sequence[VerificationReport], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rep in reports:
-            fh.write(json.dumps(rep.to_json_dict(), sort_keys=True))
+            fh.write(json.dumps(rep.to_json_dict(), sort_keys=True, allow_nan=False))
             fh.write("\n")
 
 
@@ -203,7 +207,7 @@ def _uniform_step(grid):
 # Picone identity
 # ----------------------------------------------------------------------
 
-def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> VerificationReport:
+def picone_check(u, v, grid, p, tol_identity=1e-8) -> VerificationReport:
     """Pointwise check of L(u,v) = R(u,v) >= 0 for u >= 0, v > 0.
 
     L = |u'|^p + (p-1)(u/v)^p |v'|^p - p (u/v)^(p-1) |v'|^(p-2) v' u'
@@ -218,9 +222,8 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> Verifi
     expression as on full arrays, and the block extrema are combined with
     np.max/np.min, so a NaN anywhere still comes out NaN.  The margin
     folds both assertions: identity deviation at tol_identity, pointwise
-    nonnegativity of L at _TOL_PICONE_NONNEG.  With proportional=True
-    (u = c*v) the check is picone_identity_proportional and also needs L
-    to collapse: max |L| <= 1e-10.
+    nonnegativity of L at _TOL_PICONE_NONNEG.  extras carry max |L|, which
+    a proportional pair u = c*v must drive to zero.
     """
     grid, u, v = _sampled("picone check", grid, u, v)
     if np.any(v <= 0.0):
@@ -250,11 +253,9 @@ def picone_check(u, v, grid, p, tol_identity=1e-8, proportional=False) -> Verifi
     folded = max(dev, (tol_identity / _TOL_PICONE_NONNEG) * max(0.0, -min_l))
     max_abs_l = float(np.max(max_abs))
     return _report(
-        "picone_identity_proportional" if proportional else "picone_identity",
-        {"p": p, "nodes": int(grid.size)}, "eq",
+        "picone_identity", {"p": p, "nodes": int(grid.size)}, "eq",
         lhs=folded, rhs=0.0, tolerance=tol_identity,
         extras={"max_deviation": dev, "min_L": min_l, "max_abs_L": max_abs_l},
-        holds=not proportional or max_abs_l <= 1e-10,
     )
 
 
@@ -413,60 +414,58 @@ def reflection_identity(R: float, alpha: float, p: float,
 # Monotonicity family checks
 # ----------------------------------------------------------------------
 
-def monotonicity_suite(
-    axis: str,
-    values: Sequence[float],
-    base: ProblemSpec,
-    config: ShootConfig = ShootConfig(),
-) -> list:
-    """Monotone families of the first eigenvalue.
-
-    axis="R": lambda strictly decreasing in the interval length (alpha>0).
-    axis="alpha": lambda strictly increasing in alpha, with sign(lambda)
-    = sign(alpha).
-    axis="dirichlet_limit": at alpha = 1e6 the eigenvalue is within 1% of
-    the closed-form mixed Dirichlet/Neumann value (p-1)*(pi_p/(2R))^p;
-    values supplies the exponents p.
-    """
+def radius_monotonicity_suite(radii: Sequence[float], base: ProblemSpec,
+                              config: ShootConfig = ShootConfig()) -> list:
+    """lambda strictly decreasing in the interval length, for alpha > 0:
+    base solved at each of the increasing radii."""
+    if base.alpha <= 0:
+        raise DomainError("radius monotonicity is stated for alpha > 0")
+    lams = [solve_spec(replace(base, R=float(r)), config).lambda_val for r in radii]
     reports = []
-    if axis == "R":
-        if base.alpha <= 0:
-            raise DomainError("radius monotonicity is stated for alpha > 0")
-        lams = [solve_spec(replace(base, R=float(r)), config).lambda_val for r in values]
-        for i in range(len(values) - 1):
-            r0, r1 = values[i], values[i + 1]
-            reports.append(_report(
-                "radius_monotonicity",
-                {"R_small": r0, "R_large": r1, "alpha": base.alpha, "p": base.p},
-                "le", lhs=lams[i + 1], rhs=lams[i], tolerance=1e-12,
-            ))
-        return reports
-    if axis == "alpha":
-        lams = [solve_spec(replace(base, alpha=float(a)), config).lambda_val for a in values]
-        for i in range(len(values) - 1):
-            reports.append(_report(
-                "alpha_monotonicity",
-                {"alpha_small": values[i], "alpha_large": values[i + 1], "p": base.p, "R": base.R},
-                "le", lhs=lams[i], rhs=lams[i + 1], tolerance=1e-12,
-            ))
-        for a, lam in zip(values, lams):
-            reports.append(_report(
-                "eigenvalue_sign", {"alpha": a, "p": base.p, "R": base.R}, "ge",
-                lhs=lam * math.copysign(1.0, a), rhs=0.0, tolerance=1e-12,
-            ))
-        return reports
-    if axis == "dirichlet_limit":
-        for p in values:
-            spec = replace(base, p=float(p), alpha=1e6)
-            lam = solve_spec(spec, config).lambda_val
-            pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
-            limit = (p - 1.0) * (pi_p / (2.0 * base.R)) ** p
-            reports.append(_report(
-                "dirichlet_limit", {"p": p, "R": base.R}, "eq",
-                lhs=lam, rhs=limit, tolerance=0.01 * limit,
-            ))
-        return reports
-    raise DomainError("unknown monotonicity axis %r" % (axis,))
+    for i in range(len(radii) - 1):
+        reports.append(_report(
+            "radius_monotonicity",
+            {"R_small": radii[i], "R_large": radii[i + 1], "alpha": base.alpha, "p": base.p},
+            "le", lhs=lams[i + 1], rhs=lams[i], tolerance=1e-12,
+        ))
+    return reports
+
+
+def alpha_monotonicity_suite(alphas: Sequence[float], base: ProblemSpec,
+                             config: ShootConfig = ShootConfig()) -> list:
+    """lambda strictly increasing in alpha, with sign(lambda) =
+    sign(alpha): base solved at each of the increasing alphas."""
+    lams = [solve_spec(replace(base, alpha=float(a)), config).lambda_val for a in alphas]
+    reports = []
+    for i in range(len(alphas) - 1):
+        reports.append(_report(
+            "alpha_monotonicity",
+            {"alpha_small": alphas[i], "alpha_large": alphas[i + 1], "p": base.p, "R": base.R},
+            "le", lhs=lams[i], rhs=lams[i + 1], tolerance=1e-12,
+        ))
+    for a, lam in zip(alphas, lams):
+        reports.append(_report(
+            "eigenvalue_sign", {"alpha": a, "p": base.p, "R": base.R}, "ge",
+            lhs=lam * math.copysign(1.0, a), rhs=0.0, tolerance=1e-12,
+        ))
+    return reports
+
+
+def dirichlet_limit_suite(ps: Sequence[float], base: ProblemSpec,
+                          config: ShootConfig = ShootConfig()) -> list:
+    """At alpha = 1e6 the eigenvalue of base at each exponent p is within
+    1% of the closed-form mixed Dirichlet/Neumann value
+    (p-1)*(pi_p/(2R))^p."""
+    reports = []
+    for p in ps:
+        lam = solve_spec(replace(base, p=float(p), alpha=1e6), config).lambda_val
+        pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
+        limit = (p - 1.0) * (pi_p / (2.0 * base.R)) ** p
+        reports.append(_report(
+            "dirichlet_limit", {"p": p, "R": base.R}, "eq",
+            lhs=lam, rhs=limit, tolerance=0.01 * limit,
+        ))
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -592,13 +591,11 @@ def inradius_warped_check(
     config: ShootConfig = ShootConfig(),
 ) -> VerificationReport:
     """For a warped-product ball, extract the curvature bounds from the
-    warping function and assert the model bound with those bounds."""
+    warping function and assert the model bound with those bounds.  The
+    model's builder refuses an R0 past their cutoff and takes one at it,
+    as on a space-form ball, as the singular equality case."""
     kappa_eff = ricci_lower_bound(warping, n, R0)
     lambda_eff = boundary_mean_curvature(warping, R0)
-    params_model = ModelParams(kappa_eff, lambda_eff, n)
-    z = z_cutoff(params_model)
-    if R0 > z:
-        raise DomainError("extracted bounds give a model cutoff below the inradius")
     wp = ProblemSpec("warped_product", R=R0, alpha=alpha, p=p, n=int(n), warping=warping)
     model = ProblemSpec(
         "inradius_model", R=R0, alpha=alpha, p=p,
@@ -638,7 +635,10 @@ def default_suite(config: ShootConfig = ShootConfig()) -> list:
             rep.params["trial"] = trial
             reports.append(rep)
         v = np.exp(0.3 * np.sin(2.2 * grid))
-        reports.append(picone_check(1.7 * v, v, grid, p, tol_identity=1e-9, proportional=True))
+        rep = picone_check(1.7 * v, v, grid, p, tol_identity=1e-9)
+        rep.name = "picone_identity_proportional"
+        rep.holds = rep.extras["max_abs_L"] <= _TOL_PICONE_COLLAPSE
+        reports.append(rep)
 
     # Barta sandwich on the flat problem
     flat = ProblemSpec("inradius_model", R=1.0, alpha=1.0, p=2.0,
@@ -675,9 +675,9 @@ def default_suite(config: ShootConfig = ShootConfig()) -> list:
                 reports.append(reflection_identity(R, alpha, p, config))
 
     # Monotone families
-    reports.extend(monotonicity_suite("R", (0.5, 1.0, 2.0), flat, config))
-    reports.extend(monotonicity_suite("alpha", (-1.0, -0.1, 0.1, 1.0), flat, config))
-    reports.extend(monotonicity_suite("dirichlet_limit", (1.5, 2.0, 3.0), flat, config))
+    reports.extend(radius_monotonicity_suite((0.5, 1.0, 2.0), flat, config))
+    reports.extend(alpha_monotonicity_suite((-1.0, -0.1, 0.1, 1.0), flat, config))
+    reports.extend(dirichlet_limit_suite((1.5, 2.0, 3.0), flat, config))
 
     # Curvature comparison
     for alpha in (1.0, -1.0):

@@ -133,6 +133,12 @@ def test_bad_json_is_config_error(tmp_path, capsys):
     assert main(["--config", str(path)]) == 2
 
 
+def test_config_that_is_no_object_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, [{"command": "verify"}])
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_unknown_command_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, {"command": "dance"})
     assert main(["--config", cfg]) == 2
@@ -258,9 +264,15 @@ def test_each_command_takes_every_setting_it_reads(tmp_path):
     # them: this was a solver failure (exit 3) after the first solves
     ({"command": "verify"}, ["--rk-steps", "100"], "verify needs 'rk_steps' >= 128, got 100"),
     ({"command": "verify", "rk_steps": 127}, [], "verify needs 'rk_steps' >= 128, got 127"),
+    # each config error names the setting it refuses
+    ({"command": "solve", "problem": [FLAT_PROBLEM]}, [], "'problem'"),
+    ({"command": "sweep", "problem": FLAT_PROBLEM, "sweep": {"grid": [1.0, 2.0]}}, [], "'sweep'"),
+    ({"command": "sweep", "problem": FLAT_PROBLEM,
+      "sweep": {"axis": "alpha", "start": 0.5, "stop": 2.0, "count": 1}}, [], "'count'"),
 ], ids=["tol-true", "m-string", "tol-string", "rk_steps-string", "grid-string", "grid-true",
         "start-string", "count-string", "verify-m-flag", "table-solver-flag",
-        "verify-rk_steps-flag", "verify-rk_steps-key"])
+        "verify-rk_steps-flag", "verify-rk_steps-key", "problem-list", "sweep-no-axis",
+        "count-one"])
 def test_refused_setting_is_config_error_before_any_solve(tmp_path, monkeypatch, capsys,
                                                           doc, flags, cause):
     for name in ("solve_spec", "rayleigh_spec", "default_suite"):

@@ -139,6 +139,12 @@ def test_log_concavity_margin_examples():
     assert log_concavity_margin(gauss, (0.0, 1.0), 400) == 2.0
 
 
+@pytest.mark.parametrize("interval", [(1.0, 1.0), (1.0, 0.5)], ids=["point", "reversed"])
+def test_log_concavity_rejects_an_empty_interval(interval):
+    with pytest.raises(DomainError):
+        log_concavity_margin(const_weight(), interval)
+
+
 def test_log_concavity_rejects_nonpositive_weight():
     # sn^(n-1) vanishes at t = 0, where (log w)'' has its pole
     with pytest.raises(DomainError):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from probin.coeffs import ModelParams
+from probin.coeffs import ModelParams, const_weight
 from probin.errors import DomainError
 from probin.problems import (
     BoundaryCondition,
@@ -156,7 +156,6 @@ def test_inradius_at_cutoff_reflects_geodesic_ball():
 
 
 def test_problem_type_invariants_enforced():
-    from probin.coeffs import const_weight
     with pytest.raises(DomainError):
         SturmProblem(0.0, 1.0, 0.9, const_weight(),
                      BoundaryCondition.neumann(), BoundaryCondition.robin(1.0))
@@ -167,6 +166,45 @@ def test_problem_type_invariants_enforced():
         SturmProblem(0.0, 1.0, 2.0, const_weight(),
                      BoundaryCondition.robin(1.0), BoundaryCondition.neumann(),
                      singular_left=True, singular_order=1)
+
+
+_NEUMANN, _ROBIN = BoundaryCondition.neumann(), BoundaryCondition.robin(1.0)
+# f = r - 2 r^2: a pole, and zero at r = 1/2
+_SHRINKING = polynomial_warping((0.0, 1.0, -2.0))
+
+# calls that must raise DomainError, each a case of its own
+_REFUSALS = {
+    "robin_without_alpha": lambda: BoundaryCondition("robin"),
+    "robin_infinite_alpha": lambda: BoundaryCondition.robin(math.inf),
+    "neumann_with_alpha": lambda: BoundaryCondition("neumann", 1.0),
+    "two_singular_ends": lambda: SturmProblem(
+        0.0, 1.0, 2.0, const_weight(), _NEUMANN, _NEUMANN,
+        singular_left=True, singular_right=True, singular_order=1),
+    "singular_right_robin": lambda: SturmProblem(
+        0.0, 1.0, 2.0, const_weight(), _NEUMANN, _ROBIN, singular_right=True, singular_order=1),
+    "singular_order_zero": lambda: SturmProblem(
+        0.0, 1.0, 2.0, const_weight(), _NEUMANN, _ROBIN, singular_left=True),
+    "raw_warping_to_dict": lambda: Warping(np.sin, np.cos, np.sin).to_dict(),
+    "unknown_warping_kind": lambda: Warping.from_dict({"kind": "cosh", "coefficients": [1.0]}),
+    "inradius_model_zero_R": lambda: inradius_model_problem(ModelParams(0.0, 0.0, 2), 0.0, 1.0, 2.0),
+    "double_robin_negative_R": lambda: double_robin_problem(-1.0, 1.0, 2.0),
+    "ball_dimension_one": lambda: geodesic_ball_problem(0.0, 1, 1.0, 1.0, 2.0),
+    "warped_dimension_one": lambda: warped_product_problem(sn_warping(0.0), 1, 1.0, 1.0, 2.0),
+    "pole_slope_not_one": lambda: warped_product_problem(
+        polynomial_warping((0.0, 2.0)), 2, 1.0, 1.0, 2.0),
+    # f(0) = -1e-6 is no pole, and f > 0 on (0, R0] from the grid's first node on
+    "cylinder_negative_at_0": lambda: warped_product_problem(
+        polynomial_warping((-1e-6, 1.0)), 2, 1.0, 1.0, 2.0),
+    "ricci_dimension_one": lambda: ricci_lower_bound(sn_warping(0.0), 1, 1.0),
+    "ricci_nonpositive_f": lambda: ricci_lower_bound(_SHRINKING, 2, 1.0),
+    "mean_curvature_f_zero": lambda: boundary_mean_curvature(_SHRINKING, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusals_are_domain_errors(case):
+    with pytest.raises(DomainError):
+        _REFUSALS[case]()
 
 
 @pytest.mark.parametrize("doc", [

@@ -14,7 +14,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 import probin.rayleigh
 
-from probin.coeffs import ModelParams, const_weight
+from probin.coeffs import ModelParams, Weight, const_weight
 from probin.errors import DomainError, ToleranceFailure
 from probin.problems import (
     BoundaryCondition,
@@ -94,6 +94,17 @@ def test_robin_terms_placement():
 def test_m_floor():
     with pytest.raises(DomainError):
         discretize(_flat(1.0, 2.0), 8)
+
+
+def test_weight_must_be_positive_at_the_quadrature_points():
+    # a weight that changes sign at t = 1/2
+    weight = Weight(value=lambda t: np.asarray(t, dtype=float) - 0.5,
+                    log_deriv=lambda t: 1.0 / (np.asarray(t, dtype=float) - 0.5),
+                    log_second=lambda t: -1.0 / (np.asarray(t, dtype=float) - 0.5) ** 2)
+    problem = SturmProblem(0.0, 1.0, 2.0, weight,
+                           BoundaryCondition.neumann(), BoundaryCondition.robin(1.0))
+    with pytest.raises(DomainError):
+        discretize(problem, 64)
 
 
 @pytest.mark.parametrize("m", [100.5, 100.0, math.nan])

@@ -25,15 +25,17 @@ from probin.problems import (
 from probin.rayleigh import rayleigh_spec
 from probin.shoot import ShootConfig, solve_spec
 from probin.verify import (
+    alpha_monotonicity_suite,
     barta_sandwich,
     cheng_comparison_suite,
     default_suite,
+    dirichlet_limit_suite,
     eigenfunction_shape_suite,
     inradius_equality_check,
     inradius_slack_check,
     inradius_warped_check,
-    monotonicity_suite,
     picone_check,
+    radius_monotonicity_suite,
     reflection_identity,
     reports_to_csv,
     reports_to_jsonl,
@@ -56,6 +58,12 @@ def test_picone_proportional_pair():
     assert rep.passed
     assert rep.extras["max_deviation"] < 1e-10
     assert rep.extras["min_L"] > -1e-10
+
+
+def test_picone_rejects_negative_u():
+    grid = np.linspace(0.0, 1.0, 101)
+    with pytest.raises(DomainError):
+        picone_check(grid - 0.5, np.ones(101), grid, 2.0)
 
 
 def test_picone_random_pairs():
@@ -254,8 +262,8 @@ def _reference_riccati(problem, sol):
 
 
 def _default_picone_cases():
-    """(u, v, p, tol_identity, proportional) of default_suite's 12 Picone
-    checks, drawn in its order from its seed."""
+    """(u, v, p, tol_identity) of default_suite's 12 Picone checks, drawn
+    in its order from its seed."""
     rng = np.random.default_rng(20240817)
     grid = np.linspace(0.0, 1.0, 50001)
     cases = []
@@ -265,9 +273,9 @@ def _default_picone_cases():
                        + 0.3 * rng.uniform(-1, 1) * grid)
             v = np.exp(0.5 * np.cos(1.7 * grid + rng.uniform(0, 6.28))
                        + 0.2 * rng.uniform(-1, 1) * grid * grid)
-            cases.append((u, v, p, 1e-8, False))
+            cases.append((u, v, p, 1e-8))
         v = np.exp(0.3 * np.sin(2.2 * grid))
-        cases.append((1.7 * v, v, p, 1e-9, True))
+        cases.append((1.7 * v, v, p, 1e-9))
     return grid, cases
 
 
@@ -279,8 +287,8 @@ def _assert_matches(rep, margin, extras):
 def test_default_picone_reports_match_gradient_reference():
     grid, cases = _default_picone_cases()
     assert len(cases) == 12
-    for u, v, p, tol, proportional in cases:
-        rep = picone_check(u, v, grid, p, tol_identity=tol, proportional=proportional)
+    for u, v, p, tol in cases:
+        rep = picone_check(u, v, grid, p, tol_identity=tol)
         _assert_matches(rep, *_reference_picone(u, v, grid, p, tol))
 
 
@@ -460,22 +468,27 @@ def test_reflection_identity_p3():
 # ------------------------------------------------------- monotonicity
 
 def test_radius_monotonicity_matches_oracles():
-    reps = monotonicity_suite("R", (0.5, 1.0, 2.0), _flat_spec())
+    reps = radius_monotonicity_suite((0.5, 1.0, 2.0), _flat_spec())
     assert all(r.passed for r in reps)
     for r_len in (0.5, 1.0, 2.0):
         lam = solve_spec(_flat_spec(R=r_len)).lambda_val
         assert lam == pytest.approx(flat_robin_lambda(r_len, 1.0), rel=1e-8)
 
 
+def test_radius_monotonicity_refuses_nonpositive_alpha():
+    with pytest.raises(DomainError):
+        radius_monotonicity_suite((0.5, 1.0), _flat_spec(alpha=-1.0))
+
+
 def test_alpha_monotonicity_and_signs():
-    reps = monotonicity_suite("alpha", (-1.0, -0.1, 0.1, 1.0), _flat_spec())
+    reps = alpha_monotonicity_suite((-1.0, -0.1, 0.1, 1.0), _flat_spec())
     assert all(r.passed for r in reps)
     kinds = {r.name for r in reps}
     assert kinds == {"alpha_monotonicity", "eigenvalue_sign"}
 
 
 def test_dirichlet_limit_proxy():
-    reps = monotonicity_suite("dirichlet_limit", (1.5, 2.0, 3.0), _flat_spec())
+    reps = dirichlet_limit_suite((1.5, 2.0, 3.0), _flat_spec())
     assert all(r.passed for r in reps)
     p2 = [r for r in reps if r.params["p"] == 2.0][0]
     assert p2.rhs == pytest.approx(2.4674011002723395, rel=1e-12)
@@ -550,6 +563,21 @@ def test_inradius_warped_bound():
     assert rep.params["lambda_eff"] == pytest.approx(1.3 / 1.1, rel=1e-12)
 
 
+# (kappa, n, R0) whose sn_kappa ball puts the cutoff of its extracted
+# bounds a rounding below R0 (kappa = -1, n = 2, R0 = 1.2: z = 1.1999999999999997)
+_CUTOFF_AT_R0 = [(-1.0, 2, 1.2), (-1.0, 2, 1.5), (-0.5, 2, 1.5), (0.5, 2, 0.5)]
+
+
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+@pytest.mark.parametrize("kappa,n,r0", _CUTOFF_AT_R0)
+def test_inradius_warped_bound_is_attained_on_space_form_balls(kappa, n, r0, alpha):
+    """On a space-form ball the extracted bounds are the ball's own, so the
+    model sits at its cutoff and the bound holds with equality."""
+    rep = inradius_warped_check(sn_warping(kappa), n, r0, alpha, 2.0)
+    assert rep.passed
+    assert rep.lhs == pytest.approx(rep.rhs, rel=1e-6)
+
+
 # ------------------------------------------------------ report plumbing
 
 def test_default_suite_green_and_deterministic():
@@ -559,6 +587,28 @@ def test_default_suite_green_and_deterministic():
     again = default_suite()
     key = lambda rs: [(r.name, json.dumps(r.params, sort_keys=True), r.status) for r in rs]
     assert key(reports) == key(again)
+
+
+def test_proportional_picone_rows_need_l_to_collapse(monkeypatch):
+    monkeypatch.setattr(probin.verify, "_TOL_PICONE_COLLAPSE", -1.0)
+    failed = [r for r in default_suite() if r.status == "fail"]
+    assert {r.name for r in failed} == {"picone_identity_proportional"}
+    assert sorted(r.params["p"] for r in failed) == [1.5, 2.0, 3.0]
+
+
+def _refuse_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def test_jsonl_is_strict_json_with_null_for_skips(tmp_path):
+    path = tmp_path / "reports.jsonl"
+    reports_to_jsonl(default_suite(), path)
+    parsed = [json.loads(line, parse_constant=_refuse_constant)
+              for line in path.read_text().splitlines()]
+    skips = [d for d in parsed if d["status"] == "skip"]
+    assert len(skips) == 2
+    assert all(d[key] is None for d in skips for key in ("lhs", "rhs", "margin"))
+    assert all(d["extras"] for d in parsed)
 
 
 def test_report_serialization(tmp_path):
