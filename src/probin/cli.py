@@ -11,7 +11,9 @@ read is a config error.  Commands:
   table   cross-solver agreement matrix -> CSV
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 solver
-failure.  Identical configs produce bit-identical CSV output.
+failure.  Identical configs produce bit-identical CSV output.  A reader
+that closes stdout early (probin ... | head -n 1) stops neither the
+command nor its files, nor changes its exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -177,14 +180,25 @@ def _write_csv(path: Path, header, rows) -> list:
     return lines
 
 
+def _say(line):
+    """Print line to stdout.  Once the reader has closed it, the rest of
+    stdout goes to os.devnull and the command carries on."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_solve(settings, out_dir: Path) -> int:
     spec = _problem_spec(settings["problem"])
     sols = {tag: solve(spec) for tag, solve in settings["solves"].items()}
     for tag, sol in sols.items():
-        print("lambda_%-8s = " % tag + _FMT % sol.lambda_val)
+        _say("lambda_%-8s = " % tag + _FMT % sol.lambda_val)
     dis = _results({tag: sol.lambda_val for tag, sol in sols.items()})[2]
     if dis is not None:
-        print("disagreement    = " + _FMT % dis)
+        _say("disagreement    = " + _FMT % dis)
     sol_s, sol_r = sols.get("shoot"), sols.get("rayleigh")
     if sol_s is not None and sol_s.diagnostics["phi_underflow_nodes"]:
         print("warning: %d of %d shooting eigenfunction values underflow to 0"
@@ -195,7 +209,7 @@ def _cmd_solve(settings, out_dir: Path) -> int:
     for tag, sol in sols.items():
         path = out_dir / ("eigenfunction_%s.csv" % tag)
         _write_csv(path, ("t", "phi", "psi"), zip(sol.grid, sol.phi, sol.psi))
-        print("wrote %s" % path)
+        _say("wrote %s" % path)
     return 0
 
 
@@ -210,7 +224,7 @@ def _cmd_sweep(settings, out_dir: Path) -> int:
     _write_csv(csv_path, _SWEEP_COLUMNS + _RESULT_COLUMNS, (
         [getattr(point, key) for key in _SWEEP_COLUMNS] + list(row)
         for row, point in zip(rows, points)))
-    print("wrote %s" % csv_path)
+    _say("wrote %s" % csv_path)
 
     series = [(values, [row[i] for row in rows], label)
               for i, (tag, label) in enumerate((("shoot", "shooting"), ("rayleigh", "rayleigh")))
@@ -218,7 +232,7 @@ def _cmd_sweep(settings, out_dir: Path) -> int:
     svg_path = out_dir / "sweep.svg"
     line_chart(series, svg_path, title="first eigenvalue vs %s" % axis,
                xlabel=axis, ylabel="lambda", logx=scale == "log")
-    print("wrote %s" % svg_path)
+    _say("wrote %s" % svg_path)
     return 0
 
 
@@ -233,11 +247,11 @@ def _cmd_verify(settings, out_dir: Path) -> int:
     n_skip = sum(1 for r in reports if r.status == "skip")
     for rep in reports:
         if rep.status == "fail":
-            print("FAIL %s %s margin=%.3g tol=%.3g" % (
+            _say("FAIL %s %s margin=%.3g tol=%.3g" % (
                 rep.name, json.dumps(rep.params, sort_keys=True), rep.margin, rep.tolerance))
-    print("verification: %d pass, %d fail, %d skip" % (n_pass, n_fail, n_skip))
-    print("wrote %s" % jsonl)
-    print("wrote %s" % csvp)
+    _say("verification: %d pass, %d fail, %d skip" % (n_pass, n_fail, n_skip))
+    _say("wrote %s" % jsonl)
+    _say("wrote %s" % csvp)
     return 1 if n_fail else 0
 
 
@@ -258,9 +272,9 @@ def _cmd_table(settings, out_dir: Path) -> int:
                 spec = ProblemSpec.from_dict(dict(doc, alpha=alpha, p=p))
                 rows.append((name, p, alpha) + _results(
                     {tag: solve(spec).lambda_val for tag, solve in settings["solves"].items()}))
-    print("\n".join(_write_csv(path, ("geometry", "p", "alpha") + _RESULT_COLUMNS, rows)))
-    print("worst disagreement: " + _FMT % max(row[-1] for row in rows))
-    print("wrote %s" % path)
+    _say("\n".join(_write_csv(path, ("geometry", "p", "alpha") + _RESULT_COLUMNS, rows)))
+    _say("worst disagreement: " + _FMT % max(row[-1] for row in rows))
+    _say("wrote %s" % path)
     return 0
 
 

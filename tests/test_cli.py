@@ -470,6 +470,27 @@ def _run_cli(cfg, out_dir, *flags):
         env=env, capture_output=True, text=True)
 
 
+def test_a_closed_stdout_does_not_stop_the_command(tmp_path):
+    # as probin ... | head -n 1: the reader closes stdout after the first
+    # line, while the child still writes its eigenfunction files and
+    # prints a line for each; unbuffered, every print reaches the pipe
+    problem = {"type": "double_robin", "R": 0.5, "alpha": 1.0, "p": 2.5}
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "both"})
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "probin.cli", "--config", cfg, "--out", str(tmp_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("lambda_shoot")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 0
+    assert stderr == ""
+    for tag in ("shoot", "rayleigh"):
+        assert (tmp_path / ("eigenfunction_%s.csv" % tag)).stat().st_size > 0
+
+
 def test_solve_near_p1_fails_cleanly(tmp_path):
     """Flat p = 1.03, alpha = -2 has a boundary layer exp(-2^(100/3) x),
     far thinner than any affordable RK4 step: the trials blow up in it.

@@ -226,17 +226,27 @@ def _reference_path(w0, logphi0, lam, pm1, qm1, hs, ld):
     return crossed, np.array(out_logphi), np.array(out_slope), rho_forms
 
 
-@pytest.mark.parametrize("problem,lam,forms,crossed", [
-    (_flat(1.0, 2.0), 0.5, "w", False),
-    (_flat(1.0, 3.0), 3.0, "w rho", False),
-    (_flat(1.0, 2.0), 40.0, "w rho", True),
-    (double_robin_problem(0.5, 100.0, 1.5), 3.0, "rho w", False),
-    (double_robin_problem(0.5, 100.0, 1.5), 8.0, "rho w rho", True),
-    (_flat(-1.0, 1.03), -1e5, "w rho w", None),  # None: a non-finite stop
-], ids=["w-only", "w-to-rho", "crossing", "rho-launch", "rho-w-rho-crossing", "non-finite"])
-def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, crossed):
-    # the kernel folds the constants of each form into its own step body;
-    # that must round exactly as the generic field does
+def _disk(alpha, p):
+    return ProblemSpec.from_dict(dict(FAMILIES["disk"], alpha=alpha, p=p)).build()
+
+
+@pytest.mark.parametrize("problem,lam,forms,signs,crossed", [
+    (_flat(1.0, 2.0), 0.5, "w", "+", False),
+    (_flat(1.0, 3.0), 3.0, "w rho", "+", False),
+    (_flat(1.0, 2.0), 40.0, "w rho", "+ -", True),
+    (double_robin_problem(0.5, 100.0, 1.5), 3.0, "rho w", "+ -", False),
+    (double_robin_problem(0.5, 100.0, 1.5), 8.0, "rho w rho", "+ - +", True),
+    (_flat(-1.0, 1.03), -1e5, "w rho w", "- + -", None),  # None: a non-finite stop
+    (_disk(1.0, 2.0), 40.0, "w rho", "- +", True),
+    (_flat(-1.0, 2.0), -3.0, "w", "-", False),
+    (double_robin_problem(0.5, -100.0, 1.5), -5e5, "rho", "-", False),
+    (double_robin_problem(0.5, 1.0, 2.5), 3.0, "w rho", "+ -", False),
+], ids=["w-only", "w-to-rho", "crossing", "rho-launch", "rho-w-rho-crossing", "non-finite",
+        "negative-w-to-rho-crossing", "negative-w-only", "negative-rho-launch", "w-changes-sign"])
+def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, signs, crossed):
+    # the kernel folds the constants of each form into its own step body,
+    # and integrates every run with its state negated where that state is
+    # negative; both must round exactly as the generic field does
     args = _kernel_args(problem, lam)
     kernel = args[5]
     # the steps, and the drift at their ends and midpoints
@@ -245,6 +255,10 @@ def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, cross
     ref_crossed, ref_logphi, ref_slope, rho_forms = _reference_path(*args[:5], hs, ld)
     runs = [rho_forms[0]] + [b for a, b in zip(rho_forms, rho_forms[1:]) if a != b]
     assert " ".join("rho" if r else "w" for r in runs) == forms
+    # the sign of phi'/phi at launch and after every step, one per run
+    # of equal signs: a change within a rho-run is a crossing
+    sign = ["-" if x < 0.0 else "+" for x in [args[0], *ref_slope[~np.isnan(ref_slope)]]]
+    assert " ".join([sign[0]] + [b for a, b in zip(sign, sign[1:]) if a != b]) == signs
     assert ref_crossed == bool(crossed)
     assert np.isnan(ref_logphi[-1]) == (crossed is not False)
     out_logphi = np.full(kernel.shape[0], np.nan)
@@ -292,6 +306,36 @@ def test_trial_is_the_last_step_of_its_path(family, p, magnitude, sign, lam):
     assert trial_crossed == path_crossed
     assert float(trial_slope[0]).hex() == float(path_slope[-1]).hex()
     assert np.isnan(trial_logphi[0])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    p=st.floats(1.3, 4.0),
+    magnitude=st.floats(0.1, 5.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    lam=st.one_of(_BELOW, _NEAR, _ABOVE),
+)
+@example("double_robin", 1.5, 5.0, -1.0, 0.0)  # a negative rho launch
+@example("double_robin", 1.5, 5.0, 1.0, 0.0)  # rho -> w -> rho, phi' = 0 in the w-run
+def test_trials_and_paths_match_the_generic_field_bit_for_bit(family, p, magnitude, sign, lam):
+    # both signs of alpha put the Riccati state on both sides of 0 from
+    # the launch, so runs are integrated in both orientations
+    spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=sign * magnitude))
+    lam1 = rayleigh_spec(spec).lambda_val
+    args = _kernel_args(spec.build(), lam1 + lam * max(1.0, abs(lam1)))
+    kernel = args[5]
+    hs = kernel[:, 0].tolist()
+    ld = kernel[:, 3:5].ravel().tolist() + [kernel[-1, 5]]
+    ref_crossed, ref_logphi, ref_slope, _ = _reference_path(*args[:5], hs, ld)
+    # a trial gets the path's last phi'/phi and a NaN log phi
+    for ref in ((ref_logphi, ref_slope), (np.array([math.nan]), ref_slope[-1:])):
+        n = ref[0].size
+        outs = np.full(n, np.nan), np.full(n, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rk4_path(*args, *outs) == ref_crossed
+        for out, expected in zip(outs, ref):
+            assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("problem,lam,w0,inf_drift_at", [

@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,8 @@ _REFUSALS = {
         polynomial_warping((-1e-6, 1.0)), 2, 1.0, 1.0, 2.0),
     "ricci_dimension_one": lambda: ricci_lower_bound(sn_warping(0.0), 1, 1.0),
     "ricci_nonpositive_f": lambda: ricci_lower_bound(_SHRINKING, 2, 1.0),
+    # f = r + r^2: -f''/f -> -inf at the pole
+    "ricci_pole_unbounded_below": lambda: ricci_lower_bound(polynomial_warping((0.0, 1.0, 1.0)), 2, 1.0),
     "mean_curvature_f_zero": lambda: boundary_mean_curvature(_SHRINKING, 0.5),
 }
 
@@ -320,3 +326,54 @@ def test_curvature_extraction_hyperbolic():
     f = sn_warping(-1.0)
     assert ricci_lower_bound(f, 3, 1.0) == pytest.approx(-1.0, rel=1e-10)
     assert boundary_mean_curvature(f, 1.0) == pytest.approx(1.0 / math.tanh(1.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ricci_lower_bound_reaches_its_limit_at_the_pole(n):
+    # f = r + r^3/10: both Ricci families tend to -0.6 as r -> 0 and lie
+    # above it on (0, 1]; the uniform grid alone stops 1.4e-8 short
+    f = polynomial_warping((0.0, 1.0, 0.0, 0.1))
+    assert ricci_lower_bound(f, n, 1.0) == pytest.approx(-0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ricci_lower_bound_of_a_space_form(kappa, n):
+    assert ricci_lower_bound(sn_warping(kappa), n, 1.0) == pytest.approx(kappa, abs=1e-10)
+
+
+def test_ricci_lower_bound_refuses_a_pole_unbounded_below():
+    with pytest.raises(DomainError, match="unbounded below"):
+        ricci_lower_bound(polynomial_warping((0.0, 1.0, 1.0)), 3, 1.0)
+
+
+@pytest.mark.parametrize("coefficients", [(2.5,), (-2.5,), (-1.0, 3.0), (1.0, -0.3, 0.7, 1e-3, -2.5)],
+                         ids=["constant", "negative-constant", "linear", "quartic"])
+def test_polynomial_warping_is_numpy_polyval_bit_for_bit(coefficients):
+    from numpy.polynomial import polynomial as P
+    c = np.asarray(coefficients, dtype=float)
+    warping = polynomial_warping(coefficients)
+    grid = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0]])
+    for fn, dc in zip((warping.f, warping.df, warping.d2f), (c, P.polyder(c), P.polyder(c, 2))):
+        assert np.array_equal(fn(grid).view(np.int64), P.polyval(grid, dc).view(np.int64))
+        for r in (0.0, -0.0, 0.37, -1.2, 2.0**-30):
+            value, expected = fn(r), P.polyval(r, dc)
+            assert type(value) is type(expected)
+            assert float(value).hex() == float(expected).hex()
+
+
+def test_a_warped_ball_leaves_numpy_polynomial_unimported():
+    # numpy.polynomial takes ~1.6 ms to import, in every process that
+    # builds a polynomial warping
+    code = (
+        "import sys, probin\n"
+        "doc = {'type': 'warped_product', 'n': 3, 'R': 1.0, 'alpha': 1.0, 'p': 2.0,\n"
+        "       'warping': {'kind': 'polynomial', 'coefficients': [0.0, 1.0, 0.0, 0.1]}}\n"
+        "probin.ProblemSpec.from_dict(doc).build()\n"
+        "sys.exit('numpy.polynomial imported' if 'numpy.polynomial' in sys.modules else 0)\n"
+    )
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
