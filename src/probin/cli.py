@@ -140,10 +140,20 @@ def _load_config(args) -> dict:
     except DomainError as exc:
         raise ConfigError(str(exc))
     solves = {"shoot": lambda spec: solve_spec(spec, shoot),
-              "rayleigh": lambda spec: rayleigh_spec(spec, settings["m"])}
+              "rayleigh": lambda spec: _warn_unconverged(rayleigh_spec(spec, settings["m"]))}
     solver = settings.get("solver", "both")  # table runs both
     return dict(settings, shoot=shoot, solves={
         tag: solve for tag, solve in solves.items() if solver in (tag, "both")})
+
+
+def _warn_unconverged(sol):
+    """sol, after a warning on stderr if its solve stopped unconverged:
+    solve, sweep and table each warn once per such Rayleigh solve, from
+    its diagnostics alone."""
+    if not sol.diagnostics["converged"]:
+        print("warning: the Rayleigh solve stopped unconverged after %d steps"
+              % sol.diagnostics["steps"], file=sys.stderr)
+    return sol
 
 
 def _problem_spec(doc: dict, **override) -> ProblemSpec:
@@ -199,13 +209,10 @@ def _cmd_solve(settings, out_dir: Path) -> int:
     dis = _results({tag: sol.lambda_val for tag, sol in sols.items()})[2]
     if dis is not None:
         _say("disagreement    = " + _FMT % dis)
-    sol_s, sol_r = sols.get("shoot"), sols.get("rayleigh")
+    sol_s = sols.get("shoot")
     if sol_s is not None and sol_s.diagnostics["phi_underflow_nodes"]:
         print("warning: %d of %d shooting eigenfunction values underflow to 0"
               % (sol_s.diagnostics["phi_underflow_nodes"], sol_s.phi.size), file=sys.stderr)
-    if sol_r is not None and not sol_r.diagnostics["converged"]:
-        print("warning: the Rayleigh solve stopped unconverged after %d steps"
-              % sol_r.diagnostics["steps"], file=sys.stderr)
     for tag, sol in sols.items():
         path = out_dir / ("eigenfunction_%s.csv" % tag)
         _write_csv(path, ("t", "phi", "psi"), zip(sol.grid, sol.phi, sol.psi))

@@ -54,8 +54,12 @@ _REL_TOL = 1e-12
 
 _RICCI_NODES = 2048  # curvature grid of ricci_lower_bound
 _RICCI_LADDER = 52  # halvings of its first node toward a pole
+# the largest rounding bound of a spherical Ricci sample that
+# ricci_lower_bound takes at a pole
+_RICCI_ROUNDING = 1e-12
 
 _POLE_TOL = 1e-12  # a warping with |f(0)| at most this has a pole at r = 0
+_EPS = float(np.finfo(float).eps)
 
 
 def momentum(x, p: float):
@@ -221,22 +225,48 @@ def _read_only(value):
 class EigenSolution:
     """Eigenvalue estimate with sampled eigenfunction and momentum.
 
+    lambda_val, grid, method and diagnostics are set when the solve
+    returns.  phi, psi and residual are formed together on the first
+    read of any of them, by the one call of finish, a function of no
+    arguments that the solver hands over and that returns
+    (phi, psi, residual).  The solution then drops it, and what it held,
+    for a finish that returns the formed values, which a copy made by
+    dataclasses.replace reads.  A caller that reads only lambda_val and
+    diagnostics never pays for the eigenfunction.  finish raises
+    nothing: a solver keeps every check that can fail in the solve.
+
     Read-only throughout (fields, sample arrays, diagnostics and the
     dicts and arrays inside them): the spec-keyed solver caches hand the
     same solution to every caller."""
 
     lambda_val: float
     grid: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-    residual: float
     method: str
-    diagnostics: Mapping = field(default_factory=dict)
+    diagnostics: Mapping
+    finish: Callable = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.grid, self.phi, self.psi):
-            arr.setflags(write=False)
+        self.grid.setflags(write=False)
         object.__setattr__(self, "diagnostics", _read_only(dict(self.diagnostics)))
+
+    @functools.cached_property
+    def _fields(self) -> tuple:
+        phi, psi, residual = self.finish()
+        fields = _read_only(phi), _read_only(psi), residual
+        object.__setattr__(self, "finish", lambda: fields)
+        return fields
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self._fields[0]
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self._fields[1]
+
+    @property
+    def residual(self) -> float:
+        return self._fields[2]
 
 
 def _number(value, name: str) -> float:
@@ -530,10 +560,13 @@ def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:
     infimum over _RICCI_NODES uniform nodes of (0, R0] of the two Ricci
     eigenvalue families (radial and spherical) divided by (n-1).
 
-    At a pole the spherical family cancels as r -> 0, and an infimum
-    approached there lies below every node.  The radial family -f''/f
-    has no cancellation and, at a smooth pole, the same limit; there it
-    is also sampled on _RICCI_LADDER halvings of the first node.  A pole
+    At a pole the spherical family's 1 - f'^2 cancels as r -> 0: its
+    rounding, about 4 eps (n-2) f'^2/((n-1) f^2), grows like 1/r^2 and
+    would set the minimum, and an infimum approached there lies below
+    every node.  So there only the spherical samples whose rounding
+    bound is at most _RICCI_ROUNDING count.  The radial family -f''/f
+    has no cancellation and, at a smooth pole, the same limit; it is
+    also sampled on _RICCI_LADDER halvings of the first node.  A pole
     with f''(0) > 0 has Ricci curvature unbounded below: DomainError."""
     if n < 2:
         raise DomainError("need n >= 2")
@@ -545,11 +578,13 @@ def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:
     d2f = np.asarray(warping.d2f(r), dtype=float)
     radial = -d2f / f
     spherical = (-d2f * f + (n - 2) * (1.0 - df * df)) / ((n - 1) * f * f)
-    kappa = float(np.min(np.minimum(radial, spherical)))
     if abs(float(warping.f(0.0))) > _POLE_TOL:
-        return kappa
+        return float(np.min(np.minimum(radial, spherical)))
     if float(warping.d2f(0.0)) > 0.0:
         raise DomainError("f''(0) > 0 at a pole: the Ricci curvature is unbounded below")
+    rounding = 4.0 * _EPS * (n - 2) * df * df / ((n - 1) * f * f)
+    kept = spherical[rounding <= _RICCI_ROUNDING]
+    kappa = min(float(np.min(radial)), float(np.min(kept, initial=math.inf)))
     r = r[0] * 0.5 ** np.arange(1, _RICCI_LADDER + 1)
     f = np.asarray(warping.f(r), dtype=float)
     if np.any(f <= 0.0):

@@ -36,6 +36,12 @@ even first eigenvector.  minimize solves its half on nodes 0..m // 2,
 whose middle node is a Neumann end, by the route the half's one Robin
 end picks, and mirrors the half's eigenvector.
 
+minimize returns once the root-find or the inverse power loop ends.
+The solution forms the eigenvector (moved, mirrored and normalized),
+phi, psi and the residual on the first read of any of them (_finish),
+so a caller that reads only lambda and the diagnostics never pays for
+them, and phase_s["solve"] does not include them.
+
 Only p and the Robin terms of a functional depend on more than its
 geometry.  discretize draws the rest from a mesh built once per (weight,
 a, b, m) and kept in an lru_cache of _MESH_CACHE meshes: the grid, h,
@@ -421,7 +427,7 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
-def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float) -> np.ndarray:
+def _moved(func: DiscreteFunctional, ratios: np.ndarray, flip: bool, step: float) -> np.ndarray:
     """log u of a march's eigenvector moved from its lam to lam + step,
     to first order, on the mesh's nodes.
 
@@ -440,18 +446,17 @@ def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float) -> np.ndar
     nw, mid = func.node_weights, func.mid_weights
     if flip:
         nw, mid = nw[::-1], mid[::-1]
-    r = np.fromiter(ratios, float, len(ratios))
-    log_u = np.zeros(r.size + 1)  # the march's log u, then the moved one
+    log_u = np.zeros(ratios.size + 1)  # the march's log u, then the moved one
     with np.errstate(all="ignore"):  # a zero node weight, or an infinite ratio
-        np.add.accumulate(np.log(r[:-1]), out=log_u[1:-1])
+        np.add.accumulate(np.log(ratios[:-1]), out=log_u[1:-1])
         pl = p * log_u[:-1]
         fall = np.exp(np.logaddexp.accumulate(np.log(nw[:-1]) + pl) - pl)  # -dy_j
-        t = (r - 1.0) / h
+        t = (ratios - 1.0) / h
         s = np.copysign(np.abs(t) ** (p - 1.0), t) - step * fall / mid
         log_r = np.log1p(h * np.copysign(np.abs(s) ** (1.0 / (p - 1.0)), s))
         np.add.accumulate(log_r, out=log_u[1:])
         if not math.isfinite(log_u[-1]):  # a term not finite makes the rest of the sum so
-            kept = np.log(np.minimum(r, _HUGE))
+            kept = np.log(np.minimum(ratios, _HUGE))
             np.add.accumulate(np.where(np.isfinite(log_r), log_r, kept), out=log_u[1:])
     return log_u[::-1] if flip else log_u
 
@@ -474,11 +479,11 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     roots only seed it.
 
     Returns (lam, (ratios, flip, step), marches, converged): the ratios
-    of the last march, the chain's direction and the step from that
-    march's lam to the returned one, which _moved takes to form the
-    eigenvector.  Where no Newton step ended it (adjacent ends, or
-    _MARCH_MAX marches, unconverged) the ratios are those of the march
-    at the lower end and the step is 0."""
+    of the last march as a float array, the chain's direction and the
+    step from that march's lam to the returned one, which _moved takes
+    to form the eigenvector.  Where no Newton step ended it (adjacent
+    ends, or _MARCH_MAX marches, unconverged) the ratios are those of
+    the march at the lower end and the step is 0."""
     chain, flip = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
@@ -492,7 +497,7 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
             y, dy = end
             step = -y / dy
             if abs(step) <= rtol * max(1.0, abs(lam)):
-                return lam + step, (ratios, flip, step), marches, True
+                return lam + step, (_floats(ratios), flip, step), marches, True
         if end is not None and y > 0.0:
             lo, below = lam, ratios
         else:
@@ -508,7 +513,12 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     if below is None:  # no march reached the end node below the root
         marches += 1
         below = _march(lam, chain)[0]
-    return lam, (below, flip, 0.0), marches, converged
+    return lam, (_floats(below), flip, 0.0), marches, converged
+
+
+def _floats(ratios: list) -> np.ndarray:
+    """A march's ratios as the float array _moved reads."""
+    return np.fromiter(ratios, float, len(ratios))
 
 
 def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
@@ -553,21 +563,23 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
     (_Mesh.half), with a Neumann end at the middle node, and the half's
     eigenvector is mirrored.  With exactly one Robin end, and its
     coefficient positive: the inverse power method from the normalized
-    constant.  Otherwise: the coarse march root-finds, then the march,
-    whose last ratios moved to the root (_moved) give the eigenvector.
-    Both routes build u > 0.  Returns the eigenvalue estimate and the
-    minimizer samples on func's mesh; diagnostics flag whether a
+    constant.  Otherwise: the coarse march root-finds, then the march.
+    minimize returns once the root-find or the inverse power loop ends,
+    with the eigenvalue estimate and diagnostics that flag whether a
     convergence test fired, count the passes over the solved mesh
     (evals: every march, coarse and fine, or every inverse power
     iteration) and time the two stages.  Their m is func's cell count,
-    also where the half was solved.
+    also where the half was solved.  The minimizer samples on func's
+    mesh, their momentum and the residual's norm are formed on the
+    first read of any of them (_finish), so phase_s["solve"] does not
+    include them.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
     mirror = _mirror_image(func)
     solved = DiscreteFunctional(func.mesh.half, func.p, func.robin_terms[:1]) if mirror else func
-    convex = _convex(solved)
-    if convex:
+    u = last = None
+    if _convex(solved):
         u, seed_iters = _normalize(solved, np.ones(solved.grid.size))[0], 0
         t_solve = time.perf_counter()
         u, q, iters, converged = _inverse_power(solved, u, _constant_quotient(solved))
@@ -576,23 +588,9 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
         q, seed_iters = _march_start(solved)
         t_solve = time.perf_counter()
         q, last, steps, converged = _march_root(solved, q)
-        log_u = _moved(solved, *last)
-        u = np.exp(log_u - np.maximum.reduce(log_u))
         iters = 0
         evals = seed_iters + steps
-    if mirror:  # node k is its own mirror when m is even
-        u = np.concatenate((u, u[-2::-1] if m % 2 == 0 else u[::-1]))
-    if mirror or not convex:
-        u = _normalize(func, u)[0]
     t_end = time.perf_counter()
-
-    # present like the shooting output
-    scale = float(np.maximum.reduce(u))
-    phi = u / scale
-    dphi = func.mesh.gradient(phi)
-    psi = momentum(dphi, func.p)
-    g = _residual(func, u, q)
-    gnorm = math.sqrt(np.dot(g, g))
 
     diagnostics = {
         "iterations": iters,
@@ -600,7 +598,6 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
         "seed_iterations": seed_iters,
         "evals": evals,
         "converged": converged,
-        "grad_norm": gnorm,
         "m": m,
         "phase_s": {"seed": t_solve - t_seed, "solve": t_end - t_solve},
     }
@@ -608,12 +605,45 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
     return EigenSolution(
         lambda_val=float(q),
         grid=func.grid,
-        phi=phi,
-        psi=psi,
-        residual=gnorm,
         method="rayleigh",
         diagnostics=diagnostics,
+        finish=functools.partial(_finish, func, solved, q, mirror, u, last),
     )
+
+
+def _finish(func: DiscreteFunctional, solved: DiscreteFunctional, q: float, mirror: bool,
+            u, last) -> tuple:
+    """(phi, psi, residual) of minimize's solve of func at q, from the
+    inverse power method's iterate u on solved, or from the last march
+    on solved, last = (ratios, flip, step) of _march_root, moved to the
+    root (_moved).  The half's eigenvector of a mirror image is
+    mirrored.  phi = u/max u, psi its momentum, and residual the norm of
+    E'(u) - q N'(u) at N(u) = 1.
+
+    It raises nothing, so minimize keeps every check that can.  Only
+    _normalize could raise, where N(u) is not finite and positive.  The
+    inverse power method's u has N(u) = 1 on solved, as _normalize
+    formed it there, and its mirror image N(u) = 2 up to rounding.  The
+    march's log u is finite (_moved), so u = exp(log u - max log u) lies
+    in [0, 1] and is exactly 1 at the maximum: N(u) is finite, and
+    positive where that node has a positive weight.  A node weight is 0
+    only where the weight vanishes, at a singular end, which is a
+    Neumann end (c = 0).  The march launches from it unless c = 0 at
+    both ends, where every ratio is 1; as the launch node (y = 0) its
+    first ratio is exactly 1, moved too (its norm sum is 0), so its
+    neighbour, of positive weight, shares the maximum."""
+    if last is not None:
+        log_u = _moved(solved, *last)
+        u = np.exp(log_u - np.maximum.reduce(log_u))
+    if mirror:  # node k is its own mirror when m is even
+        u = np.concatenate((u, u[-2::-1] if (func.grid.size - 1) % 2 == 0 else u[::-1]))
+    if mirror or last is not None:
+        u = _normalize(func, u)[0]
+    scale = float(np.maximum.reduce(u))
+    phi = u / scale
+    psi = momentum(func.mesh.gradient(phi), func.p)
+    g = _residual(func, u, q)
+    return phi, psi, math.sqrt(np.dot(g, g))
 
 
 def solve_rayleigh(problem: SturmProblem, m: int = DEFAULT_CELLS) -> EigenSolution:

@@ -397,9 +397,6 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     return EigenSolution(
         lambda_val=float(lam),
         grid=grid,
-        phi=phi,
-        psi=psi,
-        residual=res,
         method="shooting",
         diagnostics={
             "bracket": bracket,
@@ -419,6 +416,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
                 "finish": t_end - t_finish,
             },
         },
+        finish=lambda: (phi, psi, res),
     )
 
 

@@ -459,6 +459,45 @@ def test_solve_warns_on_unconverged_rayleigh(tmp_path, capsys, monkeypatch, alph
     assert len(captured.err.splitlines()) == int(warned)
 
 
+_UNCONVERGED = "warning: the Rayleigh solve stopped unconverged after 1 steps"
+
+
+@pytest.fixture
+def one_inverse_iteration(monkeypatch):
+    """Rayleigh solves by the inverse power method (one Robin end, alpha
+    > 0) stop after one iteration, unconverged.  The solution cache is
+    emptied before and after, so no such solve reaches another test."""
+    probin.rayleigh._solve_cached.cache_clear()
+    monkeypatch.setattr(probin.rayleigh, "_INVERSE_MAX", 1)
+    yield monkeypatch
+    probin.rayleigh._solve_cached.cache_clear()
+
+
+def test_sweep_and_table_warn_once_per_unconverged_rayleigh_solve(tmp_path, capsys,
+                                                                  one_inverse_iteration):
+    """sweep and table write a lambda whatever its solve's convergence,
+    as solve does; like solve, they warn on stderr once per point whose
+    Rayleigh solve stopped unconverged, and still write every row and
+    exit 0.  With every solve converged they warn of nothing."""
+    sweep = _write_config(tmp_path, {
+        "command": "sweep", "solver": "rayleigh", "m": 320,
+        "problem": {"type": "geodesic_ball", "kappa": -1.0, "n": 3, "R": 1.0, "alpha": 1.0, "p": 1.5},
+        "sweep": {"axis": "alpha", "start": -2.0, "stop": 3.0, "count": 5}}, "sweep.json")
+    table = _write_config(tmp_path, {"command": "table", "m": 320}, "table.json")
+    assert main(["--config", sweep, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [_UNCONVERGED] * 3  # alpha = 0.5, 1.75, 3
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 5
+    assert main(["--config", table, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [_UNCONVERGED] * 12  # the rows with alpha = 1
+    assert len((tmp_path / "acceptance_table.csv").read_text().splitlines()) == 1 + 24
+
+    one_inverse_iteration.undo()
+    probin.rayleigh._solve_cached.cache_clear()
+    for cfg in (sweep, table):
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def _run_cli(cfg, out_dir, *flags):
     """probin in a child process, as a user runs it, on this checkout's
     src."""

@@ -283,8 +283,8 @@ def test_cached_solution_fields_and_diagnostics_are_read_only():
     # no solver puts an array into diagnostics; one that did would
     # hand it out read-only, at any depth
     grid = np.linspace(0.0, 1.0, 5)
-    sol = EigenSolution(1.0, grid, np.ones(5), np.zeros(5), 0.0, "test",
-                        {"trace": np.ones(3), "phase_s": {"steps": np.zeros(2)}})
+    sol = EigenSolution(1.0, grid, "test", {"trace": np.ones(3), "phase_s": {"steps": np.zeros(2)}},
+                        lambda: (np.ones(5), np.zeros(5), 0.0))
     with pytest.raises(ValueError):
         sol.diagnostics["trace"][0] = 0.0
     with pytest.raises(ValueError):
@@ -340,6 +340,19 @@ def test_ricci_lower_bound_reaches_its_limit_at_the_pole(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_ricci_lower_bound_of_a_space_form(kappa, n):
     assert ricci_lower_bound(sn_warping(kappa), n, 1.0) == pytest.approx(kappa, abs=1e-10)
+
+
+@pytest.mark.parametrize("R0", [1.0, 0.1, 0.01, 0.001])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("warping,kappa", [
+    (polynomial_warping((0.0, 1.0, 0.0, 0.1)), -0.6),
+    (sn_warping(-1.0), -1.0), (sn_warping(0.0), 0.0), (sn_warping(1.0), 1.0),
+], ids=["r+r^3/10", "sn_-1", "sn_0", "sn_1"])
+def test_ricci_lower_bound_is_not_set_by_rounding_near_a_pole(warping, kappa, n, R0):
+    # near a pole the spherical family's 1 - f'^2 cancels, with a
+    # rounding error that grows like 1/r^2 and must not set the minimum;
+    # the infimum is the closed form, the pole limit of both families
+    assert ricci_lower_bound(warping, n, R0) == pytest.approx(kappa, abs=1e-10)
 
 
 def test_ricci_lower_bound_refuses_a_pole_unbounded_below():
