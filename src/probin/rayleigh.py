@@ -427,7 +427,7 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
-def _moved(func: DiscreteFunctional, ratios: np.ndarray, flip: bool, step: float) -> np.ndarray:
+def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float) -> np.ndarray:
     """log u of a march's eigenvector moved from its lam to lam + step,
     to first order, on the mesh's nodes.
 
@@ -441,8 +441,10 @@ def _moved(func: DiscreteFunctional, ratios: np.ndarray, flip: bool, step: float
     for every lam).  Where a moved ratio is not finite and positive (past
     a ratio beyond the float range, near p = 1) the march's own ratio,
     capped at _HUGE, is kept, so log u is always finite.  The weights are
-    the mesh's arrays, flipped with the chain."""
+    the mesh's arrays, flipped with the chain.  ratios is the march's
+    list, or minimize's float array of it, which is read as it is."""
     p, h = func.p, func.h
+    ratios = np.asarray(ratios, float)
     nw, mid = func.node_weights, func.mid_weights
     if flip:
         nw, mid = nw[::-1], mid[::-1]
@@ -479,11 +481,11 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     roots only seed it.
 
     Returns (lam, (ratios, flip, step), marches, converged): the ratios
-    of the last march as a float array, the chain's direction and the
-    step from that march's lam to the returned one, which _moved takes
-    to form the eigenvector.  Where no Newton step ended it (adjacent
-    ends, or _MARCH_MAX marches, unconverged) the ratios are those of
-    the march at the lower end and the step is 0."""
+    of the last march, the chain's direction and the step from that
+    march's lam to the returned one, which _moved takes to form the
+    eigenvector.  Where no Newton step ended it (adjacent ends, or
+    _MARCH_MAX marches, unconverged) the ratios are those of the march
+    at the lower end and the step is 0."""
     chain, flip = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
@@ -497,7 +499,7 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
             y, dy = end
             step = -y / dy
             if abs(step) <= rtol * max(1.0, abs(lam)):
-                return lam + step, (_floats(ratios), flip, step), marches, True
+                return lam + step, (ratios, flip, step), marches, True
         if end is not None and y > 0.0:
             lo, below = lam, ratios
         else:
@@ -513,12 +515,7 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     if below is None:  # no march reached the end node below the root
         marches += 1
         below = _march(lam, chain)[0]
-    return lam, (_floats(below), flip, 0.0), marches, converged
-
-
-def _floats(ratios: list) -> np.ndarray:
-    """A march's ratios as the float array _moved reads."""
-    return np.fromiter(ratios, float, len(ratios))
+    return lam, (below, flip, 0.0), marches, converged
 
 
 def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
@@ -587,7 +584,8 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
     else:
         q, seed_iters = _march_start(solved)
         t_solve = time.perf_counter()
-        q, last, steps, converged = _march_root(solved, q)
+        q, (ratios, flip, step), steps, converged = _march_root(solved, q)
+        last = (np.fromiter(ratios, float, len(ratios)), flip, step)  # kept until phi is read
         iters = 0
         evals = seed_iters + steps
     t_end = time.perf_counter()

@@ -18,12 +18,15 @@ from probin.shoot import solve_first_eigenvalue
 from test_plan import FAMILIES, _digest, _problem
 
 # (family, alpha, p, route): the march, the inverse power method, and
-# the mirror image (double_robin) with each sign of alpha; at flat
-# p = 1.001, alpha = -2 all ratios but one pass the float range, and
-# _moved keeps them as marched
+# the mirror image (double_robin) with each sign of alpha; the three
+# flat deep layers of test_deep_layer_march, whose phi is formed here
+# with warnings as errors: at p = 1.001, alpha = -2 all ratios but one
+# pass the float range, and _moved keeps them as marched
 ROUTES = [
     ("flat", -1.0, 1.75, "march"),
     ("flat", -2.0, 1.001, "march"),
+    ("flat", -100.0, 1.5, "march"),
+    ("flat", -10.0, 1.1, "march"),
     ("warped_ball", -0.5, 3.0, "march"),
     ("hyperbolic_ball", 2.0, 1.7, "inverse"),
     ("double_robin", 1.0, 2.5, "inverse"),
