@@ -23,37 +23,40 @@ rk4_path runs the core on Python floats and tuples: numpy scalars would
 take every operation through numpy's scalar machinery, several times
 slower.
 
-A path passes outputs of one entry per step and gets log phi and
-phi'/phi after every step.  A root-find trial passes outputs of one
-entry and gets the crossing flag and phi'/phi after the last step; its
-log phi entry is NaN.  Log phi does not enter the Riccati state, so a
-trial integrates the state alone: it skips the log phi increments of the
-w-form and the log|rho| of every rho-step, and writes its last step
-only.
+A path gets log phi and phi'/phi after every step.  A root-find trial
+gets the crossing flag and phi'/phi after the last step; its log phi is
+NaN.  Log phi does not enter the Riccati state, so a trial integrates
+the state alone: it skips the log phi increments of the w-form and the
+log|rho| of every rho-step.  A path appends its outputs at every step;
+a trial writes its one entry where its run ends, on the last step.
 
-kernel_array lays out what every integration of a solve reads as six
-columns, one row per step: h, h/2, h/6 and the drift at the step's
-start, midpoint and end, so that a step reads its constants instead of
-computing them.  The array carries its columns as tuples of Python
-floats, converted once: the three step columns share one float object
-per distinct step size, and the drift columns are slices of one list,
-so neighbouring steps share their common endpoint's float.  The sharing
-is for memory, not speed: every solve's plan stays cached, and on a
-4 096-step hyperbolic-ball plan (kappa = -1, n = 3, R = 1) the array
-holds 599 KB against 993 KB with a plain tolist() per column, while a
-trial (1.784 against 1.762 ms) and a path (2.311 against 2.297 ms) run
-no slower or faster (best of 5, CPython 3.11, one 2-vCPU Xeon core).
+kernel_array lays out what every integration of a solve reads as one
+row per step: h, h/2, h/6 and the drift at the step's start, midpoint
+and end, so that a step reads its constants instead of computing them,
+and the core walks one iterator over the rows.  The array carries its
+rows as a tuple of tuples of Python floats, converted once: the rows
+share one float object per distinct step size for h, h/2 and h/6, and
+neighbouring rows share their common endpoint's drift float.  The
+sharing saves memory on the one plan that shoot keeps (shoot._last_plan)
+and costs some speed: on a 4 096-step hyperbolic-ball plan (kappa = -1,
+n = 3, R = 1, p = 2; 4 134 steps) the array and its rows hold 796 KB
+against 1 190 KB with rows of plain tolist() floats, while a trial
+takes 2.04 against 1.96 ms and a path 2.84 against 2.79 ms (best of
+21 x 10 interleaved calls, median of 3 runs, CPython 3.11, one 2-vCPU
+Xeon core).  Most of that is the shared step floats: with fresh step
+floats and shared drift floats a trial takes 2.01 ms.
 """
 
 import math
+from operator import length_hint
 
 import numpy as np
 
 
-def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
-    """Integrate from (w, log phi) = (w0, logphi0) over the n steps of
-    cols: cols[0], ..., cols[5] hold, per step, the signed step h, h/2,
-    h/6 and the drift at the step's start, midpoint and end.
+def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
+    """Integrate from (w, log phi) = (w0, logphi0) over the steps of
+    rows: one row (h, h/2, h/6, drift at the start, midpoint and end)
+    per step, h the signed step.
 
     Each form is stiff where the other is not: the stiffnesses p|v| of w
     and p|lam||rho|^(p-1)/(p-1) of rho balance at |v| = |phi'/phi| = big
@@ -88,12 +91,13 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
     exact zero sum), so every step rounds as it would in the generic
     field.
 
-    The outputs are n entries long (a path) or 1 entry long (a trial).
-    A path gets log|phi| and phi'/phi after step i in entry i.  A trial
-    gets in its one entry the phi'/phi that the path writes last, bit for
-    bit, and NaN for log phi: z does not enter y, so a trial carries z
-    as NaN and skips its increments and the log|rho| of every rho-step.
-    Entries the run does not reach are left alone when it returns early.
+    The outputs are lists the core appends to.  A path appends log|phi|
+    and phi'/phi after every step it completes.  A trial passes None
+    for out_logphi: z does not enter y, so a trial carries z as NaN and
+    skips its increments and the log|rho| of every rho-step.  It appends
+    one phi'/phi, where its run ends on the last step, and none where it
+    stops earlier: the phi'/phi that the path writes for the last step,
+    bit for bit, or nothing where the path writes none.
     Returns True at the first step across which rho changes sign (phi
     crosses zero; phi < 0 after it); returns False after the last step,
     or at once where the state is not finite: at launch, or after a
@@ -110,9 +114,7 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
     nlam = -lam
     g = 1.0 / pm1
     c2 = lam / pm1
-    n = len(cols[0])
-    first = n - len(out_slope)  # 0 for a path, n - 1 for a trial
-    path = first == 0
+    path = out_logphi is not None
     y = w0
     logphi = z = logphi0 if path else math.nan
     s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
@@ -129,13 +131,12 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
         s = y ** pm1
     # one pass per run of steps in one form; a switch ends the run, and
     # the next pass takes the steps up where it stopped
-    # i is a step's output index: negative for the steps not written
-    steps = zip(range(-first, n - first), cols[0], cols[1], cols[2], cols[3], cols[4], cols[5])
+    steps = iter(rows)
     while True:
         if rho_form:
             # y > 0 at every step's start: a run ends where rho crosses 0
             sc2 = sg * c2
-            for i, h, hh, h6, l0, lm, l1 in steps:
+            for h, hh, h6, l0, lm, l1 in steps:
                 a1 = g * l0 + sc2 * s
                 k1 = sg + a1 * y
                 t = y + hh * k1
@@ -162,23 +163,14 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
                     logphi = z + log(abs(y))
                     if not -inf < logphi < inf:
                         return False
-                if i >= 0:
-                    out_logphi[i] = logphi
-                    out_slope[i] = sg * slope
-                if y < 0.0:  # crossed
-                    return True
-                if slope < half_big:
+                    out_logphi.append(logphi)
+                    out_slope.append(sg * slope)
+                if slope < half_big:  # crossed (slope < 0), or to the w-form
                     break
-            else:
-                return False
-            # to the w-form, in the same orientation
-            y = slope ** pm1
-            z = logphi
-            s = y ** qm1
         else:
             c0 = sg * nlam
             cp = sg * pm1
-            for i, h, hh, h6, l0, lm, l1 in steps:
+            for h, hh, h6, l0, lm, l1 in steps:
                 k1 = c0 - (l0 + cp * s) * y
                 t = y + hh * k1
                 s2 = t ** qm1 if t >= 0.0 else -((-t) ** qm1)
@@ -196,23 +188,34 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
                         return False
                 s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
                 if 0.0 <= s <= two_big:  # s is finite
-                    if i >= 0:
-                        out_logphi[i] = z
-                        out_slope[i] = sg * s
+                    if path:
+                        out_logphi.append(z)
+                        out_slope.append(sg * s)
                     continue
                 # s < 0, s > 2*big or NaN: stop if not finite
                 if not -inf < s < inf:
                     return False
                 if s < 0.0:  # phi' crossed 0: turn the orientation
                     sg, c0, cp, y, s = -sg, -c0, -cp, -y, -s
-                if i >= 0:
-                    out_logphi[i] = z
-                    out_slope[i] = sg * s
-                if s <= two_big:
-                    continue
-                break  # to the rho-form
-            else:
-                return False
+                if path:
+                    out_logphi.append(z)
+                    out_slope.append(sg * s)
+                if s > two_big:  # to the rho-form
+                    break
+        # the run ended on a step it wrote: at a crossing, a switch or
+        # the last step.  A tuple iterator counts the steps it has left
+        if not length_hint(steps):
+            if not path:  # the last step's phi'/phi, as the path writes it
+                out_slope.append(sg * (slope if rho_form else s))
+            return rho_form and y < 0.0
+        if rho_form:
+            if y < 0.0:  # crossed
+                return True
+            # to the w-form, in the same orientation
+            y = slope ** pm1
+            z = logphi
+            s = y ** qm1
+        else:
             # to the rho-form, in the same orientation
             y = 1.0 / s
             z = z + log(s)
@@ -221,54 +224,58 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, cols, out_logphi, out_slope):
 
 
 class _FloatArray(np.ndarray):
-    """A read-only (n, 6) float array whose attribute columns holds its
-    six columns as tuples of Python floats; a view of it has none."""
+    """A read-only (n, 6) float array whose attribute rows holds its n
+    rows as tuples of Python floats; a view of it has none."""
 
 
 def _step_columns(cols):
-    """The step columns h, h/2, h/6 as tuples of Python floats with one
+    """The step columns h, h/2, h/6 as lists of Python floats with one
     float object per distinct step size in each: the entries of a column
     at equal steps are equal, bit for bit, as the steps are never 0.0."""
     _, first, inverse = np.unique(cols[0], return_index=True, return_inverse=True)
-    return [tuple(np.array(c[first].tolist(), dtype=object)[inverse]) for c in cols[:3]]
+    return [np.array(c[first].tolist(), dtype=object)[inverse].tolist() for c in cols[:3]]
 
 
 def kernel_array(hs, ld):
-    """The read-only (n, 6) array of the core's columns, one row per step,
-    for the signed steps hs and the drift ld at every step endpoint and
+    """The read-only (n, 6) array of the core's rows, one per step, for
+    the signed steps hs and the drift ld at every step endpoint and
     midpoint (ld[2i], ld[2i+1], ld[2i+2] frame step i).  It carries them
-    as tuples of Python floats, so that rk4_path does not convert them
-    again on every integration."""
+    as a tuple of row tuples of Python floats, so that rk4_path does not
+    convert them again on every integration; the rows share their float
+    objects, which holds them in 598 KB, the array's 198 KB aside, on a
+    4 134-step plan (see the module docstring)."""
     hs = np.asarray(hs, dtype=float)
     ld = np.asarray(ld, dtype=float)
     cols = np.stack([hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]])
     drift = ld.tolist()
     out = cols.T.view(_FloatArray)
-    out.columns = (*_step_columns(cols), tuple(drift[0:-1:2]), tuple(drift[1::2]),
-                   tuple(drift[2::2]))
+    out.rows = tuple(zip(*_step_columns(cols), drift[0:-1:2], drift[1::2], drift[2::2]))
     out.flags.writeable = False
     return out
 
 
 def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
-    """_rk4_core on Python floats, over the columns of kernel, a
-    kernel_array.  The outputs are as in the core: n entries for a path,
-    log phi and phi'/phi after every step; 1 for a trial, which gets the
-    last phi'/phi and a NaN log phi.  Every entry is written: those after
-    an early stop are NaN.
+    """_rk4_core on Python floats, over the rows of kernel, a
+    kernel_array.  The outputs are n entries long for a path, which
+    gets log phi and phi'/phi after every step, or 1 for a trial, which
+    gets the last phi'/phi and a NaN log phi.  Every entry is written:
+    those the run does not reach are NaN.
 
     A float power that overflows raises OverflowError; the path stops at
     that step, non-finite."""
-    n = len(out_logphi)
-    logphis = [math.nan] * n
-    slopes = [math.nan] * n
+    rows = kernel.rows
+    logphis = [] if len(out_slope) == len(rows) else None
+    slopes = []
     try:
         crossed = _rk4_core(
             float(w0), float(logphi0), float(lam), float(pm1), float(qm1),
-            kernel.columns, logphis, slopes,
+            rows, logphis, slopes,
         )
     except OverflowError:
         crossed = False
-    out_logphi[:] = logphis
-    out_slope[:] = slopes
+    out_logphi[:] = math.nan
+    out_slope[:] = math.nan
+    out_slope[:len(slopes)] = slopes
+    if logphis:
+        out_logphi[:len(logphis)] = logphis
     return crossed

@@ -39,6 +39,8 @@ _SWEEP_KEYS = ("axis", "scale", "grid", "start", "stop", "count")
 # result columns of sweep.csv and acceptance_table.csv
 _SWEEP_COLUMNS = ("type", "kappa", "lambda_mc", "n", "R", "alpha", "p")
 _RESULT_COLUMNS = ("lambda_shoot", "lambda_rayleigh", "disagreement")
+# each solver's name in messages and plot legends, by its tag
+_LABELS = {"shoot": "shooting", "rayleigh": "rayleigh"}
 
 
 class ConfigError(Exception):
@@ -209,11 +211,11 @@ def _cmd_solve(settings, out_dir: Path) -> int:
     dis = _results({tag: sol.lambda_val for tag, sol in sols.items()})[2]
     if dis is not None:
         _say("disagreement    = " + _FMT % dis)
-    sol_s = sols.get("shoot")
-    if sol_s is not None and sol_s.diagnostics["phi_underflow_nodes"]:
-        print("warning: %d of %d shooting eigenfunction values underflow to 0"
-              % (sol_s.diagnostics["phi_underflow_nodes"], sol_s.phi.size), file=sys.stderr)
     for tag, sol in sols.items():
+        zeros = int((sol.phi == 0.0).sum())
+        if zeros:  # the written phi has exact zeros
+            print("warning: %d of %d %s eigenfunction values underflow to 0"
+                  % (zeros, sol.phi.size, _LABELS[tag]), file=sys.stderr)
         path = out_dir / ("eigenfunction_%s.csv" % tag)
         _write_csv(path, ("t", "phi", "psi"), zip(sol.grid, sol.phi, sol.psi))
         _say("wrote %s" % path)
@@ -234,8 +236,7 @@ def _cmd_sweep(settings, out_dir: Path) -> int:
     _say("wrote %s" % csv_path)
 
     series = [(values, [row[i] for row in rows], label)
-              for i, (tag, label) in enumerate((("shoot", "shooting"), ("rayleigh", "rayleigh")))
-              if tag in solves]
+              for i, (tag, label) in enumerate(_LABELS.items()) if tag in solves]
     svg_path = out_dir / "sweep.svg"
     line_chart(series, svg_path, title="first eigenvalue vs %s" % axis,
                xlabel=axis, ylabel="lambda", logx=scale == "log")

@@ -274,7 +274,7 @@ def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = Shoo
 
     The lam-independent integration plan (the step sizes, the weight's
     log-derivative at every step's ends and midpoint, laid out as the
-    kernel's six per-step columns h, h/2, h/6 and start, midpoint and end
+    kernel's rows: per step h, h/2, h/6 and the start, midpoint and end
     drift) is kept for the last problem object and step count, so the
     trials of a root-find over one problem build it once, whatever their
     lambda_tol; another problem object, or another rk_steps, builds it

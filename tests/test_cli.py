@@ -435,6 +435,22 @@ def test_solve_warns_on_eigenfunction_underflow(tmp_path, capsys, alpha, warned)
     assert len(captured.err.splitlines()) == int(warned)
 
 
+@pytest.mark.parametrize("p,zeros", [(1.001, 1), (2.0, 0)])
+def test_solve_warns_on_rayleigh_eigenfunction_underflow(tmp_path, capsys, p, zeros):
+    # at p = 1.001, alpha = 3 the Robin node's value is a power
+    # 1/(p - 1) = 1000 of a number below 1 and underflows to 0; the
+    # warning counts the zeros of the phi that the CSV holds
+    problem = dict(FLAT_PROBLEM, alpha=3.0, p=p)
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "rayleigh"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "lambda_rayleigh" in captured.out
+    rows = (tmp_path / "eigenfunction_rayleigh.csv").read_text().splitlines()[1:]
+    assert sum(float(row.split(",")[1]) == 0.0 for row in rows) == zeros
+    expected = ["warning: %d of 2001 rayleigh eigenfunction values underflow to 0" % zeros]
+    assert captured.err.splitlines() == expected[:zeros]
+
+
 @pytest.mark.parametrize("alpha,p,warned", [(-3.0, 1.2, True), (-3.0, 1.5, False)])
 def test_solve_warns_on_unconverged_rayleigh(tmp_path, capsys, monkeypatch, alpha, p, warned):
     """Both solves converge; the first is handed to the CLI flagged

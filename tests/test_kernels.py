@@ -30,18 +30,20 @@ def _kernel_args(problem, lam):
 
 
 def _core_on_lists(args):
-    # the core on the kernel's columns as plain lists, with no float
-    # object shared between steps
+    # the core as a path on the kernel's rows as tuples of fresh floats,
+    # with no float object shared between steps; the entries it does not
+    # reach are NaN, as rk4_path writes them
     w0, logphi0, lam, pm1, qm1, kernel = args
-    out_logphi = [math.nan] * kernel.shape[0]
-    out_slope = [math.nan] * kernel.shape[0]
-    crossed = _rk4_core(float(w0), float(logphi0), lam, pm1, qm1,
-                        kernel.T.tolist(), out_logphi, out_slope)
-    return crossed, np.array(out_logphi), np.array(out_slope)
+    rows = tuple(map(tuple, kernel.tolist()))
+    out_logphi = []
+    out_slope = []
+    crossed = _rk4_core(float(w0), float(logphi0), lam, pm1, qm1, rows, out_logphi, out_slope)
+    pad = [math.nan] * (len(rows) - len(out_slope))
+    return crossed, np.array(out_logphi + pad), np.array(out_slope + pad)
 
 
 def _assert_same_everywhere(args):
-    # rk4_path runs the core on the kernel array's shared float columns;
+    # rk4_path runs the core on the kernel array's rows of shared floats;
     # it writes every entry, so its outputs start out uninitialised
     crossed_l, logphi_l, slope_l = _core_on_lists(args)
     out_logphi = np.empty(args[5].shape[0])
@@ -141,11 +143,13 @@ def test_kernel_array_holds_the_step_columns():
     assert kernel.shape == (hs.size, 6) and not kernel.flags.writeable
     assert np.array_equal(kernel, np.column_stack(
         [hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]]))
-    cols = kernel.columns
-    assert all(isinstance(c, tuple) for c in cols)
-    assert [list(c) for c in cols] == kernel.T.tolist()
+    rows = kernel.rows
+    assert kernel.shape[0] == len(rows)
+    assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+    assert [list(r) for r in rows] == kernel.tolist()
     # one float object per distinct step size, and each drift float
     # shared by the steps it bounds
+    cols = list(zip(*rows))
     assert [len(set(map(id, c))) for c in cols[:3]] == [5, 5, 5]
     assert all(a is b for a, b in zip(cols[3][1:], cols[5]))
 
@@ -336,6 +340,43 @@ def test_trials_and_paths_match_the_generic_field_bit_for_bit(family, p, magnitu
             assert rk4_path(*args, *outs) == ref_crossed
         for out, expected in zip(outs, ref):
             assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("w0,lam,drift,n,forms", [
+    (0.9, -1.0, -3.0, 2, "w rho"),  # the w-run's last step switches to rho
+    (5.0, 1.0, 0.0, 4, "rho w"),  # a rho launch whose last step switches to w
+    (5.0, 1.0, 0.0, 6, "rho w"),  # phi' crosses 0 at the last step: the w-run turns
+    (0.0, 1.0, 0.0, 7, "w rho"),  # phi crosses 0 at the last step
+], ids=["w-to-rho", "rho-to-w", "w-turns", "crossing"])
+def test_a_trial_that_ends_on_its_last_step_writes_the_path_s_last_entry(w0, lam, drift, n, forms):
+    # p = 2 and n steps of 1/4 with a constant drift: phi'/phi = w obeys
+    # w' = -lam - (drift + w)*w.  A trial writes its one entry where its
+    # run ends, and a run ends at the last step in each of these ways
+    p = 2.0
+    kernel = kernel_array(np.full(n, 0.25), np.full(2 * n + 1, drift))
+    assert kernel.shape[0] == len(kernel.rows)
+    args = (w0, 0.0, lam, p - 1.0, 1.0 / (p - 1.0), kernel)
+    ref_crossed, _, ref_slope, rho_forms = _reference_path(
+        *args[:5], [0.25] * (n + 1), [drift] * (2 * n + 3))
+    # one step more shows what the last step ended: the step after a
+    # switch is in the other form, and phi'/phi changes sign after a turn
+    runs = [rho_forms[0]] + [b for a, b in zip(rho_forms, rho_forms[1:]) if a != b]
+    assert " ".join("rho" if r else "w" for r in runs) == forms
+    switched = rho_forms[n:] == [not rho_forms[n - 1]]
+    sign_changed = (ref_slope[n - 1] < 0.0) != (ref_slope[n - 2] < 0.0)
+    turned = sign_changed and not rho_forms[n - 1]
+    crossed = sign_changed and rho_forms[n - 1]
+    assert [switched, turned, crossed].count(True) == 1
+    assert ref_crossed == crossed
+    runs = []
+    for size in (n, 1):  # a path, then a trial
+        outs = np.full(size, np.nan), np.full(size, np.nan)
+        runs.append((rk4_path(*args, *outs), *outs))
+    (path_crossed, _, path_slope), (trial_crossed, trial_logphi, trial_slope) = runs
+    assert path_crossed == trial_crossed == crossed
+    assert np.array_equal(path_slope.view(np.int64), ref_slope[:n].view(np.int64))
+    assert float(trial_slope[0]).hex() == float(path_slope[-1]).hex()
+    assert np.isnan(trial_logphi[0])
 
 
 @pytest.mark.parametrize("problem,lam,w0,inf_drift_at", [
