@@ -28,7 +28,7 @@ from pathlib import Path
 from .errors import BracketFailure, DomainError, ToleranceFailure
 from .problems import ProblemSpec, _integer, _number, _refuse_unknown
 from .rayleigh import DEFAULT_CELLS, MIN_CELLS, rayleigh_spec
-from .shoot import MIN_RK_STEPS, ShootConfig, solve_spec
+from .shoot import ShootConfig, solve_spec
 from .svgfig import line_chart
 from .verify import default_suite, reports_to_csv, reports_to_jsonl
 
@@ -91,7 +91,7 @@ def _sweep_values(sweep, name: str) -> tuple:
 # needs it, or has no use for one), the commands that read it, and its
 # reader, which takes the value and the name of its key or flag and
 # raises DomainError for a value it refuses.  The range rules of
-# rk_steps and tol are ShootConfig's; _load_config adds verify's.
+# rk_steps and tol are ShootConfig's.
 _SETTINGS = {
     "command": (None, _COMMANDS, lambda value, name: _choice(value, _COMMANDS, name)),
     "problem": (None, ("solve", "sweep"), _problem),
@@ -134,10 +134,6 @@ def _load_config(args) -> dict:
                 raise ConfigError("the %s command takes no %s" % (command, name))
         if settings.get("m", MIN_CELLS) < MIN_CELLS:
             raise DomainError("'m' must be >= %d, got %d" % (MIN_CELLS, settings["m"]))
-        # verify also solves at half the steps (inradius_equality_check)
-        if command == "verify" and settings["rk_steps"] < 2 * MIN_RK_STEPS:
-            raise DomainError("verify needs 'rk_steps' >= %d, got %d"
-                              % (2 * MIN_RK_STEPS, settings["rk_steps"]))
         shoot = ShootConfig(rk_steps=settings["rk_steps"], lambda_tol=settings["tol"])
     except DomainError as exc:
         raise ConfigError(str(exc))

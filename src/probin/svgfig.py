@@ -9,9 +9,17 @@ _WIDTH, _HEIGHT = 720, 480  # pixels
 _TICKS = 6  # ticks per axis to aim for
 
 
+def _top(lo: float, hi: float) -> float:
+    """hi, or where hi exceeds lo by at most 64 ulps (hi == lo included),
+    so that a tick step across the span would not move a tick, lo + 1,
+    or lo + 2**-40 |lo| once that is larger."""
+    if hi - lo > 64 * math.ulp(max(abs(lo), abs(hi))):
+        return hi
+    return lo + max(1.0, 2.0 ** -40 * abs(lo))
+
+
 def _nice_ticks(lo: float, hi: float):
-    if not (hi > lo):
-        hi = lo + 1.0
+    hi = _top(lo, hi)
     span = hi - lo
     raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -47,10 +55,7 @@ def line_chart(series, path, title, xlabel, ylabel, logx=False):
         ys_all.extend(ys)
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_hi, y_hi = _top(x_lo, x_hi), _top(y_lo, y_hi)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -90,6 +90,38 @@ def disk_robin_lambda(alpha):
     return -x * x
 
 
+def _log_slope(s, r):
+    """v'(r)/v(r) for the solution of v'' + s*v = 0 with v(0) = 0,
+    v'(0) = 1 (sin, t or sinh); decreasing in s below (pi/r)**2."""
+    if s > 0:
+        mu = math.sqrt(s)
+        return mu / math.tan(mu * r)
+    if s < 0:
+        nu = math.sqrt(-s)
+        return nu / math.tanh(nu * r)
+    return 1.0 / r
+
+
+def space_form_n3_lambda(kappa, r_len, alpha):
+    """First Robin eigenvalue of the Laplacian (p = 2) on the geodesic
+    ball of radius r_len in the 3-dimensional space form of curvature
+    kappa, and of its matched inradius model.
+
+    With the weight sn_kappa**2, u = v / sn_kappa turns the radial
+    equation into v'' + (lambda + kappa) v = 0 with v(0) = 0, and the
+    Robin end into v'/v = sn_kappa'/sn_kappa - alpha there; sn_kappa is
+    itself such a v, at lambda = 0.  So lambda = mu**2 - kappa
+    with mu * cot(mu R) = sn_kappa'(R)/sn_kappa(R) - alpha, or the coth
+    form where lambda + kappa < 0.
+    """
+    target = _log_slope(kappa, r_len) - alpha
+    lo = -1.0
+    while _log_slope(lo, r_len) < target:
+        lo *= 2.0
+    hi = (math.pi / r_len) ** 2 * (1.0 - 1e-14)
+    return bisect(lambda s: _log_slope(s, r_len) - target, lo, hi) - kappa
+
+
 def half_line_robin_lambda(p, alpha):
     """First Robin eigenvalue of the constant-coefficient p-Laplacian on
     the half-line for alpha < 0: phi = exp(-|alpha|^(1/(p-1)) x) gives

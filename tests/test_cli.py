@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -260,10 +261,8 @@ def test_each_command_takes_every_setting_it_reads(tmp_path):
     # a flag the command does not read was ignored
     ({"command": "verify"}, ["--m", "16"], "the verify command takes no --m"),
     ({"command": "table"}, ["--solver", "shoot"], "the table command takes no --solver"),
-    # verify also solves at half the steps, where ShootConfig refused
-    # them: this was a solver failure (exit 3) after the first solves
-    ({"command": "verify"}, ["--rk-steps", "100"], "verify needs 'rk_steps' >= 128, got 100"),
-    ({"command": "verify", "rk_steps": 127}, [], "verify needs 'rk_steps' >= 128, got 127"),
+    # ShootConfig's step rule, before verify's first solve
+    ({"command": "verify"}, ["--rk-steps", "32"], "rk_steps must be an integer >= 64, got 32"),
     # each config error names the setting it refuses
     ({"command": "solve", "problem": [FLAT_PROBLEM]}, [], "'problem'"),
     ({"command": "sweep", "problem": FLAT_PROBLEM, "sweep": {"grid": [1.0, 2.0]}}, [], "'sweep'"),
@@ -271,7 +270,7 @@ def test_each_command_takes_every_setting_it_reads(tmp_path):
       "sweep": {"axis": "alpha", "start": 0.5, "stop": 2.0, "count": 1}}, [], "'count'"),
 ], ids=["tol-true", "m-string", "tol-string", "rk_steps-string", "grid-string", "grid-true",
         "start-string", "count-string", "verify-m-flag", "table-solver-flag",
-        "verify-rk_steps-flag", "verify-rk_steps-key", "problem-list", "sweep-no-axis",
+        "verify-rk_steps-flag", "problem-list", "sweep-no-axis",
         "count-one"])
 def test_refused_setting_is_config_error_before_any_solve(tmp_path, monkeypatch, capsys,
                                                           doc, flags, cause):
@@ -514,15 +513,15 @@ def test_sweep_and_table_warn_once_per_unconverged_rayleigh_solve(tmp_path, caps
         assert capsys.readouterr().err == ""
 
 
-def _run_cli(cfg, out_dir, *flags):
+def _run_cli(cfg, out_dir, *flags, **run_args):
     """probin in a child process, as a user runs it, on this checkout's
-    src."""
+    src; run_args go to subprocess.run."""
     src_dir = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "probin.cli", "--config", cfg, "--out", str(out_dir), *flags],
-        env=env, capture_output=True, text=True)
+        env=env, capture_output=True, text=True, **run_args)
 
 
 def test_a_closed_stdout_does_not_stop_the_command(tmp_path):
@@ -558,6 +557,23 @@ def test_solve_near_p1_fails_cleanly(tmp_path):
     assert proc.returncode == 3
     assert "solver failure: non-finite trajectory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_sweep_over_one_ulp_writes_its_chart(tmp_path):
+    # the chart's tick step across a one-ulp span moved no tick, so its
+    # tick loop never ended after sweep.csv was written; the child runs
+    # under a timeout and a 1 GiB address-space cap, so such a loop fails
+    # this test (MemoryError or TimeoutExpired) instead of hanging it
+    sweep = {"axis": "alpha", "grid": [1.0, 1.0000000000000002]}
+    cfg = _write_config(tmp_path, {"command": "sweep", "problem": FLAT_PROBLEM,
+                                   "solver": "shoot", "sweep": sweep})
+    proc = _run_cli(cfg, tmp_path, timeout=60, preexec_fn=_cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    ET.parse(tmp_path / "sweep.svg")
 
 
 @pytest.mark.parametrize("solver,message", [

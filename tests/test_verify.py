@@ -41,7 +41,7 @@ from probin.verify import (
     reports_to_jsonl,
 )
 
-from oracles import disk_robin_lambda, flat_robin_lambda
+from oracles import disk_robin_lambda, flat_robin_lambda, space_form_n3_lambda
 
 
 def _flat_spec(alpha=1.0, p=2.0, R=1.0):
@@ -528,7 +528,23 @@ def test_inradius_equality_disk_and_hyperbolic():
         rep = inradius_equality_check(kappa, n, 1.0, 1.0, 2.0)
         assert rep.passed
         assert abs(rep.lhs - rep.rhs) <= 1e-5
-        assert rep.extras["refinement_ok"]
+        assert rep.extras["at_floor"]
+
+
+@pytest.mark.parametrize("kappa,R0", [(-1.0, 1.0), (-1.0, 2.0), (0.0, 1.0), (0.0, 2.0),
+                                      (1.0, 1.0), (1.0, 2.5)])
+@pytest.mark.parametrize("alpha", [-3.0, -1.0, 0.5, 1.0, 10.0])
+def test_inradius_equality_sides_match_the_exact_n3_value(kappa, R0, alpha):
+    # both sides of an equality row, and Rayleigh on the ball, against the
+    # p = 2, n = 3 closed form; measured worst errors, relative to
+    # max(1, |lambda|): 7.6e-11 for either shooting solve, 4.3e-6 for Rayleigh
+    exact = space_form_n3_lambda(kappa, R0, alpha)
+    ball = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=2.0, kappa=kappa, n=3)
+    model = probin.verify.ball_model_spec(kappa, 3, R0, alpha, 2.0)
+    scale = max(1.0, abs(exact))
+    assert abs(solve_spec(ball).lambda_val - exact) <= 1e-9 * scale
+    assert abs(solve_spec(model).lambda_val - exact) <= 1e-9 * scale
+    assert abs(rayleigh_spec(ball).lambda_val - exact) <= 1e-5 * scale
 
 
 def test_inradius_slack_sides():
@@ -540,19 +556,24 @@ def test_inradius_slack_sides():
         inradius_slack_check(0.0, 2, 1.0, 1.0, 2.0)
 
 
-def test_inradius_refinement_keeps_every_config_field(monkeypatch):
+def test_inradius_equality_solves_each_side_once_within_the_floor(monkeypatch):
+    # the ball and the model 1e-7 apart at full steps and 1e-6 at half:
+    # a margin shrinking from half steps once passed this (1e-7 <= 1e-6/1.5)
     configs = []
 
     def fake_solve(spec, config):
         configs.append(config)
-        return SimpleNamespace(lambda_val=1.0)
+        gap = 1e-7 if config.rk_steps == ShootConfig.rk_steps else 1e-6
+        return SimpleNamespace(lambda_val=1.0 + (gap if spec.type == "inradius_model" else 0.0))
 
     monkeypatch.setattr(probin.verify, "solve_spec", fake_solve)
-    config = ShootConfig(lambda_tol=1e-8)
-    inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0, config)
-    coarse = [c for c in configs if c.rk_steps == config.rk_steps // 2]
-    assert len(coarse) == 2
-    assert all(c.lambda_tol == 1e-8 for c in configs)
+    rep = inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0)
+    assert configs == [ShootConfig(), ShootConfig()]
+    assert not rep.passed
+    assert rep.extras["floor"] == 50 * ShootConfig.lambda_tol
+    assert rep.extras["at_floor"] is False
+    # a looser lambda_tol raises the floor past the gap
+    assert inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0, ShootConfig(lambda_tol=1e-8)).passed
 
 
 def test_inradius_warped_bound():
