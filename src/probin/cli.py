@@ -107,8 +107,8 @@ _SETTINGS = {
 def _load_config(args) -> dict:
     """The settings of the command in args.config, by key, each read
     once: its flag if given (0 included), else its config key, else its
-    default.  "shoot" holds the ShootConfig, and "solves" the solve
-    function of each solver the command runs, by tag, shooting first."""
+    default.  "solves" holds the solve function of each solver the
+    command runs, by tag, shooting first; verify solves through "shoot"."""
     if args.config is None:
         raise ConfigError("--config is required")
     try:
@@ -140,7 +140,7 @@ def _load_config(args) -> dict:
     solves = {"shoot": lambda spec: solve_spec(spec, shoot),
               "rayleigh": lambda spec: _warn_unconverged(rayleigh_spec(spec, settings["m"]))}
     solver = settings.get("solver", "both")  # table runs both
-    return dict(settings, shoot=shoot, solves={
+    return dict(settings, solves={
         tag: solve for tag, solve in solves.items() if solver in (tag, "both")})
 
 
@@ -241,7 +241,7 @@ def _cmd_sweep(settings, out_dir: Path) -> int:
 
 
 def _cmd_verify(settings, out_dir: Path) -> int:
-    reports = default_suite(settings["shoot"])
+    reports = default_suite(settings["solves"]["shoot"])
     jsonl = out_dir / "verification.jsonl"
     csvp = out_dir / "verification.csv"
     reports_to_jsonl(reports, jsonl)

@@ -47,6 +47,14 @@ _UNIFORM_SUBSTEPS = 8
 
 MIN_RK_STEPS = 64  # the fewest RK4 steps a ShootConfig takes
 
+# RK4 is stable for h*mu on the negative real axis down to about -2.785.
+# At the kernel's form switch |phi'/phi| = big = max(1, (|lam|/(p-1))^(1/p))
+# both Riccati forms have stiffness p*big, so a step with h*p*big past
+# this edge is unstable there: the trials blow up, or the bisection lands
+# on a spurious root (flat p = 2, alpha = -1e4 at 4 096 steps: -1.06e12
+# where lambda is -1e8).
+_RK4_STABILITY_EDGE = 2.785
+
 
 @dataclass(frozen=True)
 class ShootConfig:
@@ -316,9 +324,10 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     integrations, bracket steps and bisections, the final mismatch, the
     L^p norm of the normalized eigenfunction, and the number of its
     nodes that underflow to 0.0 (phi spans more than the double range).
-    They also carry steps (bracket steps plus bisections), converged
-    (always True: a failure raises) and phase_s, the seconds spent in
-    the bracket search, the bisection and the eigenfunction finish.
+    They also carry the config's rk_steps and lambda_tol, steps (bracket
+    steps plus bisections), converged (always True: a failure raises,
+    as at a lam past _RK4_STABILITY_EDGE) and phase_s, the seconds spent
+    in the bracket search, the bisection and the eigenfunction finish.
     Trials integrate the Riccati state alone and read the mismatch off
     the kernel's last slope; the converged eigenvalue is integrated once
     more for its whole path, log phi included, from which the
@@ -371,6 +380,11 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
 
     t_finish = time.perf_counter()
     lam = lo  # the side with a positive trajectory
+    h = problem.length / config.rk_steps
+    stiffness = h * p * max(1.0, (abs(lam) / (p - 1.0)) ** (1.0 / p))
+    if stiffness > _RK4_STABILITY_EDGE:
+        raise ToleranceFailure("h*p*big = %.3g at lam = %r is past RK4's stability edge %g: "
+                               "raise rk_steps" % (stiffness, lam, _RK4_STABILITY_EDGE))
     run = _shoot(plan, lam, p, path=True)
     integrations += 1
     traj = _trajectory(plan, p, run)
@@ -408,6 +422,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
             "lp_norm": lp_norm,
             "phi_underflow_nodes": int(np.count_nonzero(phi == 0.0)),
             "rk_steps": config.rk_steps,
+            "lambda_tol": config.lambda_tol,
             "steps": bracket_steps + bisections,
             "converged": True,
             "phase_s": {

@@ -2,7 +2,8 @@
 
 Each check produces VerificationReport records with a signed margin: the
 slack in the asserted inequality or equality, which must stay above
--tolerance to pass.  Strict inequalities are asserted non-strictly with
+-tolerance to pass.  A check that solves takes solve, the function from
+a ProblemSpec to an EigenSolution it solves with (shoot.solve_spec).  Strict inequalities are asserted non-strictly with
 tolerance, and a strictness flag records whether the margin cleared ten
 times the tolerance (discretization cannot certify strictness itself).
 Hypothesis-gated checks (log-concavity) emit skip records rather than
@@ -15,7 +16,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .problems import (
     ricci_lower_bound,
     sn_warping,
 )
-from .shoot import ShootConfig, solve_spec
+from .shoot import solve_spec
 
 STRICTNESS_FACTOR = 10.0
 
@@ -387,7 +388,7 @@ def eigenfunction_shape_suite(problem: SturmProblem, solution: EigenSolution) ->
 # ----------------------------------------------------------------------
 
 def reflection_identity(R: float, alpha: float, p: float,
-                        config: ShootConfig = ShootConfig()) -> VerificationReport:
+                        solve: Callable = solve_spec) -> VerificationReport:
     """First eigenvalue of [0, 2R] with Robin(alpha) at both ends equals
     that of [0, R] with Robin(alpha)/Neumann, and the double-Robin
     eigenfunction is even about the midpoint.
@@ -396,11 +397,9 @@ def reflection_identity(R: float, alpha: float, p: float,
     left Robin end across the whole interval, the half problem from its
     Neumann end.
     """
-    full = solve_spec(ProblemSpec("double_robin", R=R, alpha=alpha, p=p), config)
-    half = solve_spec(
-        ProblemSpec("inradius_model", R=R, alpha=alpha, p=p, kappa=0.0, lambda_mc=0.0, n=2),
-        config,
-    )
+    full = solve(ProblemSpec("double_robin", R=R, alpha=alpha, p=p))
+    half = solve(ProblemSpec("inradius_model", R=R, alpha=alpha, p=p,
+                             kappa=0.0, lambda_mc=0.0, n=2))
     sym_defect = float(np.max(np.abs(full.phi - full.phi[::-1])))
     return _report(
         "reflection_identity", {"R": R, "alpha": alpha, "p": p}, "eq",
@@ -415,12 +414,12 @@ def reflection_identity(R: float, alpha: float, p: float,
 # ----------------------------------------------------------------------
 
 def radius_monotonicity_suite(radii: Sequence[float], base: ProblemSpec,
-                              config: ShootConfig = ShootConfig()) -> list:
+                              solve: Callable = solve_spec) -> list:
     """lambda strictly decreasing in the interval length, for alpha > 0:
     base solved at each of the increasing radii."""
     if base.alpha <= 0:
         raise DomainError("radius monotonicity is stated for alpha > 0")
-    lams = [solve_spec(replace(base, R=float(r)), config).lambda_val for r in radii]
+    lams = [solve(replace(base, R=float(r))).lambda_val for r in radii]
     reports = []
     for i in range(len(radii) - 1):
         reports.append(_report(
@@ -432,10 +431,10 @@ def radius_monotonicity_suite(radii: Sequence[float], base: ProblemSpec,
 
 
 def alpha_monotonicity_suite(alphas: Sequence[float], base: ProblemSpec,
-                             config: ShootConfig = ShootConfig()) -> list:
+                             solve: Callable = solve_spec) -> list:
     """lambda strictly increasing in alpha, with sign(lambda) =
     sign(alpha): base solved at each of the increasing alphas."""
-    lams = [solve_spec(replace(base, alpha=float(a)), config).lambda_val for a in alphas]
+    lams = [solve(replace(base, alpha=float(a))).lambda_val for a in alphas]
     reports = []
     for i in range(len(alphas) - 1):
         reports.append(_report(
@@ -452,13 +451,13 @@ def alpha_monotonicity_suite(alphas: Sequence[float], base: ProblemSpec,
 
 
 def dirichlet_limit_suite(ps: Sequence[float], base: ProblemSpec,
-                          config: ShootConfig = ShootConfig()) -> list:
+                          solve: Callable = solve_spec) -> list:
     """At alpha = 1e6 the eigenvalue of base at each exponent p is within
     1% of the closed-form mixed Dirichlet/Neumann value
     (p-1)*(pi_p/(2R))^p."""
     reports = []
     for p in ps:
-        lam = solve_spec(replace(base, p=float(p), alpha=1e6), config).lambda_val
+        lam = solve(replace(base, p=float(p), alpha=1e6)).lambda_val
         pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
         limit = (p - 1.0) * (pi_p / (2.0 * base.R)) ** p
         reports.append(_report(
@@ -478,7 +477,7 @@ def cheng_comparison_suite(
     R0: float,
     alpha: float,
     p: float,
-    config: ShootConfig = ShootConfig(),
+    solve: Callable = solve_spec,
 ) -> list:
     """On geodesic balls of fixed radius, the eigenvalue is monotone in
     the curvature: nonincreasing for alpha > 0, nondecreasing for
@@ -490,7 +489,7 @@ def cheng_comparison_suite(
     lams = []
     for k in kappas:
         spec = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(k), n=n)
-        lams.append(solve_spec(spec, config).lambda_val)
+        lams.append(solve(spec).lambda_val)
     reports = []
     for i in range(len(kappas) - 1):
         k0, k1 = kappas[i], kappas[i + 1]
@@ -501,7 +500,7 @@ def cheng_comparison_suite(
         ))
     twin = ProblemSpec("warped_product", R=R0, alpha=alpha, p=p, n=n,
                        warping=sn_warping(kappas[0]))
-    lam_twin = solve_spec(twin, config).lambda_val
+    lam_twin = solve(twin).lambda_val
     reports.append(_report(
         "curvature_comparison_equal",
         {"kappa": kappas[0], "n": n, "R0": R0, "alpha": alpha, "p": p},
@@ -527,20 +526,21 @@ def ball_model_spec(kappa: float, n: int, R0: float, alpha: float, p: float) -> 
 
 def inradius_equality_check(
     kappa: float, n: int, R0: float, alpha: float, p: float,
-    config: ShootConfig = ShootConfig(),
+    solve: Callable = solve_spec,
 ) -> VerificationReport:
     """On a space-form ball the model bound is attained: the radial ball
     eigenvalue equals the matched inradius-model eigenvalue.
 
     The reduction is exact, so the ball and the model, each solved once
-    with config, must agree within the solver-tolerance floor
-    50 * lambda_tol * max(1, |lambda_ball|) as well as within the row's
-    tolerance; extras carry the floor and at_floor.
+    by solve, must agree within the solver-tolerance floor
+    50 * lambda_tol * max(1, |lambda_ball|), lambda_tol read off the
+    ball solution's diagnostics, as well as within the row's tolerance;
+    extras carry the floor and at_floor.
     """
-    ball = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(kappa), n=int(n))
-    lam_ball = solve_spec(ball, config).lambda_val
-    lam_model = solve_spec(ball_model_spec(kappa, n, R0, alpha, p), config).lambda_val
-    floor = 50.0 * config.lambda_tol * max(1.0, abs(lam_ball))
+    ball = solve(ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(kappa), n=int(n)))
+    lam_ball = ball.lambda_val
+    lam_model = solve(ball_model_spec(kappa, n, R0, alpha, p)).lambda_val
+    floor = 50.0 * ball.diagnostics["lambda_tol"] * max(1.0, abs(lam_ball))
     at_floor = abs(lam_ball - lam_model) <= floor
     return _report(
         "inradius_model_equality",
@@ -553,7 +553,7 @@ def inradius_equality_check(
 def inradius_slack_check(
     kappa: float, n: int, R0: float, alpha: float, p: float,
     d_kappa: float = 0.0, d_lambda: float = 0.0,
-    config: ShootConfig = ShootConfig(),
+    solve: Callable = solve_spec,
 ) -> VerificationReport:
     """Slackened curvature or mean-curvature bounds push the model value
     strictly to the safe side of the ball eigenvalue: below it for
@@ -563,8 +563,8 @@ def inradius_slack_check(
     ball = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(kappa), n=int(n))
     matched = ball_model_spec(kappa, n, R0, alpha, p)
     model = replace(matched, kappa=float(kappa - d_kappa), lambda_mc=matched.lambda_mc - d_lambda)
-    lam_ball = solve_spec(ball, config).lambda_val
-    lam_model = solve_spec(model, config).lambda_val
+    lam_ball = solve(ball).lambda_val
+    lam_model = solve(model).lambda_val
     params = {
         "kappa": kappa, "n": n, "R0": R0, "alpha": alpha, "p": p,
         "d_kappa": d_kappa, "d_lambda": d_lambda,
@@ -575,7 +575,7 @@ def inradius_slack_check(
 
 def inradius_warped_check(
     warping: Warping, n: int, R0: float, alpha: float, p: float,
-    config: ShootConfig = ShootConfig(),
+    solve: Callable = solve_spec,
 ) -> VerificationReport:
     """For a warped-product ball, extract the curvature bounds from the
     warping function and assert the model bound with those bounds.  The
@@ -588,8 +588,8 @@ def inradius_warped_check(
         "inradius_model", R=R0, alpha=alpha, p=p,
         kappa=kappa_eff, lambda_mc=lambda_eff, n=int(n),
     )
-    lam_m = solve_spec(wp, config).lambda_val
-    lam_model = solve_spec(model, config).lambda_val
+    lam_m = solve(wp).lambda_val
+    lam_model = solve(model).lambda_val
     params = {
         "warping": warping.kind or "custom", "n": n, "R0": R0,
         "alpha": alpha, "p": p, "kappa_eff": kappa_eff, "lambda_eff": lambda_eff,
@@ -602,7 +602,7 @@ def inradius_warped_check(
 # Default suite
 # ----------------------------------------------------------------------
 
-def default_suite(config: ShootConfig = ShootConfig()) -> list:
+def default_suite(solve: Callable = solve_spec) -> list:
     """Run every check on its default parameter matrix.
 
     Reports are sorted by name and parameters, which fixes the row order
@@ -631,7 +631,7 @@ def default_suite(config: ShootConfig = ShootConfig()) -> list:
     flat = ProblemSpec("inradius_model", R=1.0, alpha=1.0, p=2.0,
                        kappa=0.0, lambda_mc=0.0, n=2)
     prob = flat.build()
-    sol = solve_spec(flat, config)
+    sol = solve(flat)
     rep = barta_sandwich(prob, sol, lam=sol.lambda_val)
     rep.name = "barta_sandwich_eigenfunction"
     reports.append(rep)
@@ -651,7 +651,7 @@ def default_suite(config: ShootConfig = ShootConfig()) -> list:
     for kappa, lam_mc, n, R, alpha, p in cases:
         spec = ProblemSpec("inradius_model", R=R, alpha=alpha, p=p,
                            kappa=kappa, lambda_mc=lam_mc, n=n)
-        for rep in eigenfunction_shape_suite(spec.build(), solve_spec(spec, config)):
+        for rep in eigenfunction_shape_suite(spec.build(), solve(spec)):
             rep.params.update({"kappa": kappa, "lambda_mc": lam_mc, "n": n})
             reports.append(rep)
 
@@ -659,29 +659,29 @@ def default_suite(config: ShootConfig = ShootConfig()) -> list:
     for R in (0.5, 1.0):
         for alpha in (-1.0, 1.0):
             for p in (1.5, 2.0, 3.0):
-                reports.append(reflection_identity(R, alpha, p, config))
+                reports.append(reflection_identity(R, alpha, p, solve))
 
     # Monotone families
-    reports.extend(radius_monotonicity_suite((0.5, 1.0, 2.0), flat, config))
-    reports.extend(alpha_monotonicity_suite((-1.0, -0.1, 0.1, 1.0), flat, config))
-    reports.extend(dirichlet_limit_suite((1.5, 2.0, 3.0), flat, config))
+    reports.extend(radius_monotonicity_suite((0.5, 1.0, 2.0), flat, solve))
+    reports.extend(alpha_monotonicity_suite((-1.0, -0.1, 0.1, 1.0), flat, solve))
+    reports.extend(dirichlet_limit_suite((1.5, 2.0, 3.0), flat, solve))
 
     # Curvature comparison
     for alpha in (1.0, -1.0):
         reports.extend(cheng_comparison_suite((-1.0, -0.5, 0.0, 0.5, 1.0),
-                                              2, 1.0, alpha, 2.0, config))
+                                              2, 1.0, alpha, 2.0, solve))
 
     # Inradius model bound: equality on space-form balls, slack, warped
     for kappa, n in ((0.0, 2), (-1.0, 3)):
         for alpha in (1.0, -1.0):
             for p in (2.0, 3.0):
-                reports.append(inradius_equality_check(kappa, n, 1.0, alpha, p, config))
+                reports.append(inradius_equality_check(kappa, n, 1.0, alpha, p, solve))
                 reports.append(inradius_slack_check(kappa, n, 1.0, alpha, p,
-                                                    d_lambda=0.3, config=config))
+                                                    d_lambda=0.3, solve=solve))
                 reports.append(inradius_slack_check(kappa, n, 1.0, alpha, p,
-                                                    d_kappa=0.5, config=config))
+                                                    d_kappa=0.5, solve=solve))
     warped = polynomial_warping((0.0, 1.0, 0.0, 0.1))
-    reports.append(inradius_warped_check(warped, 2, 1.0, 1.0, 2.0, config))
+    reports.append(inradius_warped_check(warped, 2, 1.0, 1.0, 2.0, solve))
 
     reports.sort(key=lambda r: (r.name, json.dumps(r.params, sort_keys=True)))
     return reports

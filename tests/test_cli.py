@@ -16,7 +16,7 @@ import pytest
 import probin.cli
 from probin.cli import main
 from probin.errors import DomainError
-from probin.shoot import ShootConfig
+from probin.problems import ProblemSpec
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -234,7 +234,10 @@ def test_each_command_takes_every_setting_it_reads(tmp_path):
         if "sweep" in doc:  # read into its axis, values and scale
             expected["sweep"] = ("alpha", [1.0, 2.0], "linear")
         assert {key: settings[key] for key in doc} == expected
-        assert settings["shoot"] == ShootConfig(rk_steps=1024, lambda_tol=1e-9)
+        assert "shoot" not in settings
+        # every command, verify too, solves by shooting through solves["shoot"]
+        d = settings["solves"]["shoot"](ProblemSpec.from_dict(FLAT_PROBLEM)).diagnostics
+        assert (d["rk_steps"], d["lambda_tol"]) == (1024, 1e-9)
 
 
 @pytest.mark.parametrize("doc,flags,cause", [
@@ -344,6 +347,21 @@ def test_domain_error_in_solver_is_solver_failure(tmp_path, monkeypatch, capsys)
     cfg = _write_config(tmp_path, {"command": "solve", "problem": FLAT_PROBLEM, "solver": "shoot"})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_layer_past_the_rk4_edge_is_solver_failure(tmp_path, capsys):
+    # flat p = 2, alpha = -1e4: at 4 096 steps h*p*|alpha| = 4.9 is past
+    # RK4's stability edge, and this printed lambda_shoot = -1.06350432326e+12
+    # and exited 0; the half-line value -alpha^2 needs more steps
+    problem = dict(FLAT_PROBLEM, alpha=-1e4)
+    cfg = _write_config(tmp_path, {"command": "solve", "problem": problem, "solver": "shoot"})
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert "lambda" not in captured.out
+    assert captured.err.startswith("solver failure: ") and "rk_steps" in captured.err
+    assert "Traceback" not in captured.err
+    assert main(["--config", cfg, "--out", str(tmp_path), "--rk-steps", "16384"]) == 0
+    assert capsys.readouterr().out.startswith("lambda_shoot    = -100000000\n")
 
 
 def test_unknown_solver_in_config_is_config_error(tmp_path, capsys):

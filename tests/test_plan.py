@@ -156,7 +156,8 @@ def test_mismatch_and_kernel_outputs_are_pinned(family, alpha, p, lam, mismatch,
 # recorded again when the converged eigenvalue got its own full-path
 # integration, which moved integrations up by one and no other key.
 # evals, the count both solvers report, repeats integrations and is
-# checked as such, outside the digest
+# checked as such, outside the digest; lambda_tol, added after these were
+# recorded, is the default config's and is checked exactly, outside it too
 SOLVE_PINS = [
     ("flat", 1.3, 2.5, "0x1.6e5c1df780000p-1", "a9eb53c1a65e13ae", "0x1.5863da5cfa935p-27", "e19597839c7db401"),
     ("disk", -0.7, 1.8, "-0x1.95d18ad300000p+0", "14c316017fd39093", "0x1.1a1a68c06f9f9p-26", "3f46eadc0a40dfc9"),
@@ -175,6 +176,7 @@ def test_solve_is_pinned(family, alpha, p, lam, arrays, residual, diagnostics):
     assert sol.lambda_val.hex() == lam
     assert _digest(sol.grid, sol.phi, sol.psi) == arrays
     assert sol.residual.hex() == residual
-    d = {k: v for k, v in sol.diagnostics.items() if k not in ("phase_s", "evals")}
+    d = {k: v for k, v in sol.diagnostics.items() if k not in ("phase_s", "evals", "lambda_tol")}
     assert sol.diagnostics["evals"] == d["integrations"]
+    assert sol.diagnostics["lambda_tol"] == ShootConfig.lambda_tol == 1e-10
     assert hashlib.sha256(repr(sorted(d.items())).encode()).hexdigest()[:16] == diagnostics

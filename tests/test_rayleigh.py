@@ -905,7 +905,7 @@ def test_shoot_diagnostics_schema():
     assert set(d["phase_s"]) == {"bracket", "bisect", "finish"}
     assert all(t >= 0.0 for t in d["phase_s"].values())
     assert {"bracket", "integrations", "mismatch", "lp_norm", "phi_underflow_nodes",
-            "rk_steps"} <= set(d)
+            "rk_steps", "lambda_tol"} <= set(d)
 
 
 def test_minimize_dirichlet_both_ends():

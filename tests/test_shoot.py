@@ -157,6 +157,22 @@ def test_unresolved_boundary_layer_fails_then_solves_with_more_steps():
     assert sol.lambda_val == pytest.approx(half_line_robin_lambda(1.25, -10.0), rel=1e-9)  # -25000
 
 
+@pytest.mark.parametrize("ratio", [1.0, 2.0, 2.4, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_layer_past_the_rk4_edge_is_refused_not_misplaced(p, ratio):
+    """alpha set so that h*p*|alpha|^(1/(p-1)) = ratio at 4 096 steps.
+    Past RK4's stability edge the bisection once landed on a spurious
+    root at p <= 3 (flat p = 2, ratio 2.4: -5.69e7 against -2.42e7, and
+    -1.06e12 from ratio 2.8 on); every solve now lands on the half-line
+    value or raises."""
+    alpha = -(ratio * ShootConfig.rk_steps / p) ** (p - 1.0)
+    try:
+        lam = solve_first_eigenvalue(_flat(alpha, p)).lambda_val
+    except (ToleranceFailure, BracketFailure):
+        return
+    assert lam == pytest.approx(half_line_robin_lambda(p, alpha), rel=1e-8)
+
+
 def test_solve_disk_against_bessel_oracle():
     sol = solve_first_eigenvalue(geodesic_ball_problem(0.0, 2, 1.0, 1.0, 2.0))
     assert sol.lambda_val == pytest.approx(disk_robin_lambda(1.0), rel=1e-8)

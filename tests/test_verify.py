@@ -505,15 +505,14 @@ def test_curvature_comparison_both_signs():
     assert flat == pytest.approx(disk_robin_lambda(1.0), rel=1e-8)
 
 
-def test_curvature_equality_compares_two_different_solves(monkeypatch):
+def test_curvature_equality_compares_two_different_solves():
     specs = []
 
-    def fake_solve(spec, config):
+    def fake_solve(spec):
         specs.append(spec)
         return SimpleNamespace(lambda_val=1.0)
 
-    monkeypatch.setattr(probin.verify, "solve_spec", fake_solve)
-    reps = cheng_comparison_suite((0.0, -1.0), 2, 1.0, 1.0, 2.0)
+    reps = cheng_comparison_suite((0.0, -1.0), 2, 1.0, 1.0, 2.0, solve=fake_solve)
     assert reps[-1].name == "curvature_comparison_equal"
     lowest, twin = specs[0], specs[-1]
     assert lowest.type == "geodesic_ball" and lowest.kappa == -1.0
@@ -556,24 +555,29 @@ def test_inradius_slack_sides():
         inradius_slack_check(0.0, 2, 1.0, 1.0, 2.0)
 
 
-def test_inradius_equality_solves_each_side_once_within_the_floor(monkeypatch):
-    # the ball and the model 1e-7 apart at full steps and 1e-6 at half:
-    # a margin shrinking from half steps once passed this (1e-7 <= 1e-6/1.5)
-    configs = []
+def _gapped_solve(specs, lambda_tol):
+    """A fake solve: lambda 1 on the ball and 1 + 1e-7 on the model, at
+    lambda_tol; specs records what it solves."""
+    def solve(spec):
+        specs.append(spec)
+        return SimpleNamespace(lambda_val=1.0 + (1e-7 if spec.type == "inradius_model" else 0.0),
+                               diagnostics={"lambda_tol": lambda_tol})
+    return solve
 
-    def fake_solve(spec, config):
-        configs.append(config)
-        gap = 1e-7 if config.rk_steps == ShootConfig.rk_steps else 1e-6
-        return SimpleNamespace(lambda_val=1.0 + (gap if spec.type == "inradius_model" else 0.0))
 
-    monkeypatch.setattr(probin.verify, "solve_spec", fake_solve)
-    rep = inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0)
-    assert configs == [ShootConfig(), ShootConfig()]
+def test_inradius_equality_solves_each_side_once_within_the_floor():
+    # the ball and the model 1e-7 apart: past the floor 50 * lambda_tol
+    # at the default lambda_tol, though within the row's tolerance 1e-5
+    specs = []
+    rep = inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0,
+                                  solve=_gapped_solve(specs, ShootConfig.lambda_tol))
+    assert [spec.type for spec in specs] == ["geodesic_ball", "inradius_model"]
     assert not rep.passed
     assert rep.extras["floor"] == 50 * ShootConfig.lambda_tol
     assert rep.extras["at_floor"] is False
-    # a looser lambda_tol raises the floor past the gap
-    assert inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0, ShootConfig(lambda_tol=1e-8)).passed
+    # a looser lambda_tol of the solves raises the floor past the gap
+    rep = inradius_equality_check(0.0, 2, 1.0, 1.0, 2.0, solve=_gapped_solve([], 1e-8))
+    assert rep.passed and rep.extras["floor"] == 50 * 1e-8
 
 
 def test_inradius_warped_bound():
@@ -608,6 +612,30 @@ def test_default_suite_green_and_deterministic():
     again = default_suite()
     key = lambda rs: [(r.name, json.dumps(r.params, sort_keys=True), r.status) for r in rs]
     assert key(reports) == key(again)
+
+
+def test_default_suite_solves_through_the_function_it_is_given():
+    class Sentinel(Exception):
+        pass
+
+    def refuse(spec):
+        raise Sentinel(spec)
+
+    with pytest.raises(Sentinel):
+        default_suite(refuse)
+
+
+def test_default_suite_solves_78_problems_through_solve():
+    # 101 calls: some checks solve a problem another one solves too
+    specs = []
+
+    def recording(spec):
+        specs.append(spec)
+        return solve_spec(spec)
+
+    reports = default_suite(recording)
+    assert len(set(specs)) == 78
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in default_suite()]
 
 
 def test_proportional_picone_rows_need_l_to_collapse(monkeypatch):
