@@ -4,12 +4,12 @@ The eigenfunction ranges over e^(+-|alpha|^(1/(p-1))), but log phi grows
 only linearly and the slope state stays bounded, so nothing is rescaled
 and nothing overflows on a path the step size can resolve.
 
-Both Riccati forms are one field; _rk4_core has one RK4 step body per
+Both Riccati forms are one field; rk4_path has one RK4 step body per
 form with the field's constants folded in, and rounds exactly as the
 generic field would.
 
 Every run of steps is integrated in the orientation that makes its
-state non-negative: the core carries the state negated where phi'/phi
+state non-negative: rk4_path carries the state negated where phi'/phi
 is negative, as it is on the whole path wherever the eigenfunction falls
 along the integration.  A float power of a negative base takes the slow
 branch -((-t) ** e), 43.5 against 29.3 ns (CPython 3.11).  Round-to-
@@ -19,32 +19,25 @@ cancellation x + (-x), which gives +0 in both orientations: only the
 sign of a zero state could differ, and the bit-for-bit tests against
 the generic field would see it.
 
-rk4_path runs the core on Python floats and tuples: numpy scalars would
-take every operation through numpy's scalar machinery, several times
-slower.
+rk4_path runs on Python floats and tuples: numpy scalars would take
+every operation through numpy's scalar machinery, several times slower.
+Its callers pass Python floats, and it reads its steps off the rows
+that kernel_array converted once.
 
 A path gets log phi and phi'/phi after every step.  A root-find trial
-gets the crossing flag and phi'/phi after the last step; its log phi is
-NaN.  Log phi does not enter the Riccati state, so a trial integrates
+gets the crossing flag and phi'/phi after the last step, and no log
+phi.  Log phi does not enter the Riccati state, so a trial integrates
 the state alone: it skips the log phi increments of the w-form and the
 log|rho| of every rho-step.  A path appends its outputs at every step;
-a trial writes its one entry where its run ends, on the last step.
+a trial appends its one entry where its run ends, on the last step.
+Only finite values are appended: a run that turns non-finite stops
+before it appends.
 
 kernel_array lays out what every integration of a solve reads as one
 row per step: h, h/2, h/6 and the drift at the step's start, midpoint
 and end, so that a step reads its constants instead of computing them,
-and the core walks one iterator over the rows.  The array carries its
-rows as a tuple of tuples of Python floats, converted once: the rows
-share one float object per distinct step size for h, h/2 and h/6, and
-neighbouring rows share their common endpoint's drift float.  The
-sharing saves memory on the one plan that shoot keeps (shoot._last_plan)
-and costs some speed: on a 4 096-step hyperbolic-ball plan (kappa = -1,
-n = 3, R = 1, p = 2; 4 134 steps) the array and its rows hold 796 KB
-against 1 190 KB with rows of plain tolist() floats, while a trial
-takes 2.04 against 1.96 ms and a path 2.84 against 2.79 ms (best of
-21 x 10 interleaved calls, median of 3 runs, CPython 3.11, one 2-vCPU
-Xeon core).  Most of that is the shared step floats: with fresh step
-floats and shared drift floats a trial takes 2.01 ms.
+and rk4_path walks one iterator over the rows.  The array carries its
+rows as a tuple of tuples of Python floats, converted once per plan.
 """
 
 import math
@@ -53,10 +46,11 @@ from operator import length_hint
 import numpy as np
 
 
-def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
-    """Integrate from (w, log phi) = (w0, logphi0) over the steps of
-    rows: one row (h, h/2, h/6, drift at the start, midpoint and end)
-    per step, h the signed step.
+def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, logphis, slopes):
+    """Integrate from (w, log phi) = (w0, logphi0), Python floats, over
+    the steps of kernel, a kernel_array: one row of kernel.rows (h, h/2,
+    h/6, drift at the start, midpoint and end) per step, h the signed
+    step.
 
     Each form is stiff where the other is not: the stiffnesses p|v| of w
     and p|lam||rho|^(p-1)/(p-1) of rho balance at |v| = |phi'/phi| = big
@@ -91,20 +85,24 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
     exact zero sum), so every step rounds as it would in the generic
     field.
 
-    The outputs are lists the core appends to.  A path appends log|phi|
-    and phi'/phi after every step it completes.  A trial passes None
-    for out_logphi: z does not enter y, so a trial carries z as NaN and
-    skips its increments and the log|rho| of every rho-step.  It appends
-    one phi'/phi, where its run ends on the last step, and none where it
-    stops earlier: the phi'/phi that the path writes for the last step,
-    bit for bit, or nothing where the path writes none.
+    logphis and slopes are the caller's lists, appended to.  A path
+    appends log|phi| and phi'/phi after every step it completes.  A
+    trial passes None for logphis: z does not enter y, so a trial
+    carries z as NaN and skips its increments and the log|rho| of every
+    rho-step.  It appends one phi'/phi, where its run ends on the last
+    step, and none where it stops earlier: the phi'/phi that the path
+    appends for the last step, bit for bit, or nothing where the path
+    appends none.  Every value appended is finite, so a run that is not
+    a crossing completed exactly when slopes holds one entry per step
+    (a path) or one entry (a trial).
     Returns True at the first step across which rho changes sign (phi
     crosses zero; phi < 0 after it); returns False after the last step,
     or at once where the state is not finite: at launch, or after a
     step, where a path also stops at a non-finite log phi.  With a
     finite state, log phi turns non-finite only by overflowing on its
     own (a drift near the double range, or |log phi| near 1.8e308), so
-    a trial stops where its path does.
+    a trial stops where its path does.  A float power that overflows
+    raises OverflowError, out of a trial and a path alike.
     """
     big = max(1.0, (abs(lam) / pm1) ** (1.0 / (pm1 + 1.0)))
     half_big = 0.5 * big
@@ -114,7 +112,7 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
     nlam = -lam
     g = 1.0 / pm1
     c2 = lam / pm1
-    path = out_logphi is not None
+    path = logphis is not None
     y = w0
     logphi = z = logphi0 if path else math.nan
     s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
@@ -131,7 +129,7 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
         s = y ** pm1
     # one pass per run of steps in one form; a switch ends the run, and
     # the next pass takes the steps up where it stopped
-    steps = iter(rows)
+    steps = iter(kernel.rows)
     while True:
         if rho_form:
             # y > 0 at every step's start: a run ends where rho crosses 0
@@ -163,8 +161,8 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
                     logphi = z + log(abs(y))
                     if not -inf < logphi < inf:
                         return False
-                    out_logphi.append(logphi)
-                    out_slope.append(sg * slope)
+                    logphis.append(logphi)
+                    slopes.append(sg * slope)
                 if slope < half_big:  # crossed (slope < 0), or to the w-form
                     break
         else:
@@ -189,8 +187,8 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
                 s = y ** qm1 if y >= 0.0 else -((-y) ** qm1)
                 if 0.0 <= s <= two_big:  # s is finite
                     if path:
-                        out_logphi.append(z)
-                        out_slope.append(sg * s)
+                        logphis.append(z)
+                        slopes.append(sg * s)
                     continue
                 # s < 0, s > 2*big or NaN: stop if not finite
                 if not -inf < s < inf:
@@ -198,15 +196,15 @@ def _rk4_core(w0, logphi0, lam, pm1, qm1, rows, out_logphi, out_slope):
                 if s < 0.0:  # phi' crossed 0: turn the orientation
                     sg, c0, cp, y, s = -sg, -c0, -cp, -y, -s
                 if path:
-                    out_logphi.append(z)
-                    out_slope.append(sg * s)
+                    logphis.append(z)
+                    slopes.append(sg * s)
                 if s > two_big:  # to the rho-form
                     break
         # the run ended on a step it wrote: at a crossing, a switch or
         # the last step.  A tuple iterator counts the steps it has left
         if not length_hint(steps):
             if not path:  # the last step's phi'/phi, as the path writes it
-                out_slope.append(sg * (slope if rho_form else s))
+                slopes.append(sg * (slope if rho_form else s))
             return rho_form and y < 0.0
         if rho_form:
             if y < 0.0:  # crossed
@@ -228,54 +226,16 @@ class _FloatArray(np.ndarray):
     rows as tuples of Python floats; a view of it has none."""
 
 
-def _step_columns(cols):
-    """The step columns h, h/2, h/6 as lists of Python floats with one
-    float object per distinct step size in each: the entries of a column
-    at equal steps are equal, bit for bit, as the steps are never 0.0."""
-    _, first, inverse = np.unique(cols[0], return_index=True, return_inverse=True)
-    return [np.array(c[first].tolist(), dtype=object)[inverse].tolist() for c in cols[:3]]
-
-
 def kernel_array(hs, ld):
-    """The read-only (n, 6) array of the core's rows, one per step, for
+    """The read-only (n, 6) array of rk4_path's rows, one per step, for
     the signed steps hs and the drift ld at every step endpoint and
     midpoint (ld[2i], ld[2i+1], ld[2i+2] frame step i).  It carries them
     as a tuple of row tuples of Python floats, so that rk4_path does not
-    convert them again on every integration; the rows share their float
-    objects, which holds them in 598 KB, the array's 198 KB aside, on a
-    4 134-step plan (see the module docstring)."""
+    convert them again on every integration."""
     hs = np.asarray(hs, dtype=float)
     ld = np.asarray(ld, dtype=float)
     cols = np.stack([hs, 0.5 * hs, hs / 6.0, ld[0:-1:2], ld[1::2], ld[2::2]])
-    drift = ld.tolist()
     out = cols.T.view(_FloatArray)
-    out.rows = tuple(zip(*_step_columns(cols), drift[0:-1:2], drift[1::2], drift[2::2]))
+    out.rows = tuple(map(tuple, out.tolist()))
     out.flags.writeable = False
     return out
-
-
-def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
-    """_rk4_core on Python floats, over the rows of kernel, a
-    kernel_array.  The outputs are n entries long for a path, which
-    gets log phi and phi'/phi after every step, or 1 for a trial, which
-    gets the last phi'/phi and a NaN log phi.  Every entry is written:
-    those the run does not reach are NaN.
-
-    A float power that overflows raises OverflowError; the path stops at
-    that step, non-finite."""
-    rows = kernel.rows
-    logphis = [] if len(out_slope) == len(rows) else None
-    slopes = []
-    try:
-        crossed = _rk4_core(
-            float(w0), float(logphi0), float(lam), float(pm1), float(qm1),
-            rows, logphis, slopes,
-        )
-    except OverflowError:
-        crossed = False
-    out_logphi[:] = math.nan
-    out_slope[:] = math.nan
-    out_slope[:len(slopes)] = slopes
-    if logphis:
-        out_logphi[:len(logphis)] = logphis
-    return crossed

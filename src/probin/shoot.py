@@ -10,7 +10,7 @@ A trial integrates the Riccati state alone: it asks the kernel for the
 crossing flag and the slope phi'/phi after the last step, reads w at
 the Robin end off that slope, and forms no log phi.  Only a returned
 path (integrate, the converged eigenfunction) has the kernel form log
-phi and write it and the slope at every step, and is rebuilt as
+phi and append it and the slope at every step, and is rebuilt as
 (phi, psi) from them.
 
 Launch corners are non-smooth: at a Neumann end the field |w|^(1/(p-1))
@@ -206,58 +206,64 @@ def _launch_state(plan: _Plan, lam: float, p: float, path: bool):
 
 
 def _shoot(plan: _Plan, lam: float, p: float, path: bool = False):
-    """One integration at lam: (crossed, log phi, phi'/phi), the kernel's
-    outputs, NaN after a zero crossing.  A path gets log phi and phi'/phi
-    at every step.  A trial (path False) gets phi'/phi at the last step
-    and a NaN log phi, which no caller reads: the flag and that slope
-    are all a root-find needs.  Raises ToleranceFailure if the
-    integration turns non-finite before phi crosses zero, which shows as
-    a NaN last slope."""
+    """One integration at lam: (crossed, log phi, phi'/phi), the lists
+    rk4_path appended to.  A path gets log phi and phi'/phi at every
+    step, up to a zero crossing.  A trial (path False) gets phi'/phi at
+    the last step and None for log phi: the flag and that slope are all
+    a root-find needs.  Raises ToleranceFailure if the integration turns
+    non-finite before phi crosses zero: then rk4_path appended fewer
+    entries than a completed run, or a float power overflowed."""
     w0, logphi0 = _launch_state(plan, lam, p, path)
-    n = plan.kernel.shape[0] if path else 1
-    out_logphi = np.empty(n)
-    out_slope = np.empty(n)
-    crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
-                       plan.kernel, out_logphi, out_slope)
-    if not (crossed or math.isfinite(out_slope[-1])):
+    logphis = [] if path else None
+    slopes = []
+    pm1 = float(p) - 1.0
+    try:
+        crossed = rk4_path(float(w0), float(logphi0), float(lam), pm1, 1.0 / pm1,
+                           plan.kernel, logphis, slopes)
+    except OverflowError:
+        crossed = False
+    if not (crossed or len(slopes) == (len(plan.kernel) if path else 1)):
         raise ToleranceFailure(
             "non-finite trajectory at lam = %r: the step is too coarse for the "
             "boundary layer; raise rk_steps" % lam)
-    return crossed, out_logphi, out_slope
+    return crossed, logphis, slopes
 
 
 def _trajectory(plan: _Plan, p: float, run) -> ShootTrajectory:
     """(phi, psi) on the grid nodes, rebuilt from the outputs of a _shoot
-    path."""
-    crossed, out_logphi, out_slope = run
+    path.  The steps after a zero crossing, which the path does not
+    reach, are NaN."""
+    crossed, logphis, slopes = run
+    pad = [math.nan] * (len(plan.kernel) - len(slopes))
     # node 0 is the exact endpoint state: phi = 1, w = alpha or 0
     w_launch = plan.robin_launch_alpha or 0.0
     steps = plan.node_step[1:]
-    logphi = np.concatenate([[0.0], out_logphi[steps]])
-    slope = np.concatenate([[float(inverse_momentum(w_launch, p))], out_slope[steps]])
+    logphi = np.concatenate([[0.0], np.array(logphis + pad)[steps]])
+    slope = np.concatenate([[float(inverse_momentum(w_launch, p))], np.array(slopes + pad)[steps]])
     phi = np.exp(logphi - np.nanmax(logphi))
-    if crossed:  # phi < 0 after the last step written
-        phi[1:][steps == np.count_nonzero(~np.isnan(out_logphi)) - 1] *= -1.0
+    if crossed:  # phi < 0 after the last step appended
+        phi[1:][steps == len(logphis) - 1] *= -1.0
     psi = momentum(slope * phi, p)
     psi[0] = w_launch * phi[0] ** (p - 1.0)
     return ShootTrajectory(plan.node_pos.copy(), phi, psi, crossed)
 
 
 def _mismatch(plan: _Plan, p: float, run) -> float:
-    """w(end) - (orientation)*alpha, read off the last step of _shoot
+    """w(end) - (orientation)*alpha, read off the last slope of _shoot
     (a trial or a path)."""
-    crossed, _, out_slope = run
+    crossed, _, slopes = run
     s = -plan.direction
     if crossed:
         # phi crossed zero: lam is above the first eigenvalue
         return s * math.inf
-    return float(momentum(out_slope[-1], p)) - s * plan.mismatch_alpha
+    return float(momentum(slopes[-1], p)) - s * plan.mismatch_alpha
 
 
 def integrate(problem: SturmProblem, lam: float) -> ShootTrajectory:
     """Fixed-step RK4 trajectory, at the default ShootConfig, from the
     launch endpoint to the Robin endpoint at spectral parameter lam,
-    normalized to max phi = 1.
+    normalized to max phi = 1.  The kernel stops a path at the step
+    where phi crosses zero; the nodes after it are NaN.
     Raises ToleranceFailure if it turns non-finite before phi crosses
     zero.  This, and the converged eigenfunction of
     solve_first_eigenvalue, are the only places (phi, psi) is rebuilt
@@ -277,8 +283,8 @@ def robin_mismatch(problem: SturmProblem, lam: float, config: ShootConfig = Shoo
     at the end, and changes sign at the first eigenvalue.  Once phi
     crosses zero F is (orientation)*inf, on the "lam too large" side.
     F is read off the kernel's last slope.  The trial integrates the
-    Riccati state alone: the kernel forms no log phi, writes the last
-    step only, and no (phi, psi) trajectory is rebuilt.
+    Riccati state alone: the kernel forms no log phi, appends the last
+    step's slope only, and no (phi, psi) trajectory is rebuilt.
 
     The lam-independent integration plan (the step sizes, the weight's
     log-derivative at every step's ends and midpoint, laid out as the
@@ -317,7 +323,9 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
     bisection on the Robin mismatch.  The bracket grows from 0 on the
     side of the eigenvalue's sign.  That is the sign of alpha with one
     Robin end or two of one sign; with two Robin ends of opposite signs
-    a trial at lam = 0 tells it.
+    a trial at lam = 0 tells it.  A bracket that finds no sign change
+    raises BracketFailure, which names rk_steps once its last trial lies
+    past the |lam| at which the step reaches _RK4_STABILITY_EDGE.
 
     The eigenfunction is returned on an ascending grid, normalized to
     max phi = 1; diagnostics carry the bracket, the counts of
@@ -359,7 +367,13 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
         near = far
         far *= config.bracket_growth
     else:
-        raise BracketFailure("no sign change for lam between 0 and %g" % far)
+        message = "no sign change for lam between 0 and %g" % far
+        # the |lam| at which h*p*big reaches the edge
+        edge = (p - 1.0) * (_RK4_STABILITY_EDGE * config.rk_steps / (problem.length * p)) ** p
+        if abs(far) > edge:
+            message += ("; past |lam| = %.3g the step is past RK4's stability edge: "
+                        "raise rk_steps" % edge)
+        raise BracketFailure(message)
     lo, hi = (near, far) if sign > 0.0 else (far, near)
 
     bracket = (lo, hi)

@@ -1,4 +1,4 @@
-"""RK4 kernel: the Riccati-form core on Python floats, its trials and paths."""
+"""RK4 kernel: the Riccati-form integration on Python floats, its trials and paths."""
 
 import math
 
@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import probin.shoot
-from probin._kernels import _rk4_core, kernel_array, rk4_path
+from probin._kernels import kernel_array, rk4_path
 from probin.coeffs import ModelParams
 from probin.errors import ToleranceFailure
 from probin.problems import ProblemSpec, double_robin_problem, inradius_model_problem
 from probin.rayleigh import rayleigh_spec
-from probin.shoot import ShootConfig, _build_plan, _launch_state, integrate, robin_mismatch
+from probin.shoot import ShootConfig, _build_plan, integrate, robin_mismatch
 
-from test_plan import FAMILIES
+from test_plan import FAMILIES, _plan_args, _run_kernel
 
 
 def _flat(alpha, p):
@@ -23,35 +23,25 @@ def _flat(alpha, p):
 
 
 def _kernel_args(problem, lam):
-    plan = _build_plan(problem, ShootConfig.rk_steps)
-    w0, logphi0 = _launch_state(plan, lam, problem.p, True)
-    pm1 = problem.p - 1.0
-    return w0, logphi0, lam, pm1, 1.0 / pm1, plan.kernel
+    return _plan_args(_build_plan(problem, ShootConfig.rk_steps), lam, problem.p)
 
 
-def _core_on_lists(args):
-    # the core as a path on the kernel's rows as tuples of fresh floats,
-    # with no float object shared between steps; the entries it does not
-    # reach are NaN, as rk4_path writes them
-    w0, logphi0, lam, pm1, qm1, kernel = args
-    rows = tuple(map(tuple, kernel.tolist()))
-    out_logphi = []
-    out_slope = []
-    crossed = _rk4_core(float(w0), float(logphi0), lam, pm1, qm1, rows, out_logphi, out_slope)
-    pad = [math.nan] * (len(rows) - len(out_slope))
-    return crossed, np.array(out_logphi + pad), np.array(out_slope + pad)
+def _reference_args(kernel):
+    # the steps, and the drift at their ends and midpoints
+    hs = kernel[:, 0].tolist()
+    ld = kernel[:, 3:5].ravel().tolist() + [kernel[-1, 5]]
+    return hs, ld
 
 
 def _assert_same_everywhere(args):
-    # rk4_path runs the core on the kernel array's rows of shared floats;
-    # it writes every entry, so its outputs start out uninitialised
-    crossed_l, logphi_l, slope_l = _core_on_lists(args)
-    out_logphi = np.empty(args[5].shape[0])
-    out_slope = np.empty(args[5].shape[0])
-    crossed = rk4_path(*args, out_logphi, out_slope)
-    assert crossed == crossed_l
-    assert np.array_equal(out_logphi, logphi_l, equal_nan=True)
-    assert np.array_equal(out_slope, slope_l, equal_nan=True)
+    # the path rk4_path runs on the kernel array's rows, against the
+    # generic field on the array's columns, bit for bit; the entries the
+    # path does not reach are NaN in both
+    ref_crossed, ref_logphi, ref_slope, _ = _reference_path(*args[:5], *_reference_args(args[5]))
+    crossed, out_logphi, out_slope = _run_kernel(args, True)
+    assert crossed == ref_crossed
+    assert np.array_equal(out_logphi.view(np.int64), ref_logphi.view(np.int64))
+    assert np.array_equal(out_slope.view(np.int64), ref_slope.view(np.int64))
     return crossed, out_logphi
 
 
@@ -83,15 +73,19 @@ def test_core_bit_identical_from_a_stiff_robin_launch(lam, crossed):
 def test_float_power_overflow_is_a_tolerance_failure():
     # p near 1 far below the eigenvalue: the boundary layer is far too thin
     # for the step, RK4 is unstable and |w|^(1/(p-1)) overflows.  A Python
-    # float power raises, and rk4_path stops the path at that step
+    # float power raises, out of a path and a trial alike, and the path
+    # has appended the finite steps before it only
     problem = _flat(-1.0, 1.03)
     args = _kernel_args(problem, -1e5)
+    logphis, slopes = [], []
     with pytest.raises(OverflowError):
-        _core_on_lists(args)
-    out_logphi = np.empty(args[5].shape[0])
-    out_slope = np.empty(args[5].shape[0])
-    assert rk4_path(*args, out_logphi, out_slope) is False
-    assert np.isnan(out_logphi[-1]) and np.isnan(out_slope[-1])
+        rk4_path(*args, logphis, slopes)
+    assert 0 < len(logphis) == len(slopes) < args[5].shape[0]
+    assert all(map(math.isfinite, logphis + slopes))
+    slopes = []
+    with pytest.raises(OverflowError):
+        rk4_path(*args, None, slopes)
+    assert slopes == []
     with pytest.raises(ToleranceFailure, match="non-finite trajectory.*rk_steps"):
         robin_mismatch(problem, -1e5)
 
@@ -120,19 +114,25 @@ def test_run_hands_the_kernel_numpy_arrays(monkeypatch):
     integrate(problem, 0.5)
     (args,) = seen
     assert len(args) == 8
-    assert all(isinstance(a, np.ndarray) for a in args[5:])
+    assert all(type(a) is float for a in args[:5])
+    assert isinstance(args[5], np.ndarray)
     # a Neumann launch grades the first two of the 4 096 grid cells into
     # 32 + 8 steps
     assert args[5].shape == (4096 - 2 + 32 + 8, 6)
     assert args[5] is _build_plan(problem, ShootConfig.rk_steps).kernel
-    assert args[6].shape == args[7].shape == (args[5].shape[0],)
-    # a trial hands over the same kernel, and asks for its last step only
+    # a path hands over lists, and gets one entry per step in each
+    assert type(args[6]) is type(args[7]) is list
+    assert len(args[6]) == len(args[7]) == args[5].shape[0]
+    # a trial hands over the same kernel, no log phi list, and gets its
+    # last step only
     seen.clear()
     robin_mismatch(problem, 0.5)
     (args,) = seen
+    assert len(args) == 8
+    assert all(type(a) is float for a in args[:5])
     assert args[5] is _build_plan(problem, ShootConfig.rk_steps).kernel
-    assert all(isinstance(a, np.ndarray) for a in args[5:])
-    assert args[6].shape == args[7].shape == (1,)
+    assert args[6] is None
+    assert type(args[7]) is list and len(args[7]) == 1
 
 
 def test_kernel_array_holds_the_step_columns():
@@ -147,11 +147,6 @@ def test_kernel_array_holds_the_step_columns():
     assert kernel.shape[0] == len(rows)
     assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
     assert [list(r) for r in rows] == kernel.tolist()
-    # one float object per distinct step size, and each drift float
-    # shared by the steps it bounds
-    cols = list(zip(*rows))
-    assert [len(set(map(id, c))) for c in cols[:3]] == [5, 5, 5]
-    assert all(a is b for a, b in zip(cols[3][1:], cols[5]))
 
 
 def _reference_path(w0, logphi0, lam, pm1, qm1, hs, ld):
@@ -252,11 +247,8 @@ def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, signs
     # and integrates every run with its state negated where that state is
     # negative; both must round exactly as the generic field does
     args = _kernel_args(problem, lam)
-    kernel = args[5]
-    # the steps, and the drift at their ends and midpoints
-    hs = kernel[:, 0].tolist()
-    ld = kernel[:, 3:5].ravel().tolist() + [kernel[-1, 5]]
-    ref_crossed, ref_logphi, ref_slope, rho_forms = _reference_path(*args[:5], hs, ld)
+    ref_crossed, ref_logphi, ref_slope, rho_forms = _reference_path(
+        *args[:5], *_reference_args(args[5]))
     runs = [rho_forms[0]] + [b for a, b in zip(rho_forms, rho_forms[1:]) if a != b]
     assert " ".join("rho" if r else "w" for r in runs) == forms
     # the sign of phi'/phi at launch and after every step, one per run
@@ -265,10 +257,9 @@ def test_kernel_matches_the_generic_field_bit_for_bit(problem, lam, forms, signs
     assert " ".join([sign[0]] + [b for a, b in zip(sign, sign[1:]) if a != b]) == signs
     assert ref_crossed == bool(crossed)
     assert np.isnan(ref_logphi[-1]) == (crossed is not False)
-    out_logphi = np.full(kernel.shape[0], np.nan)
-    out_slope = np.full(kernel.shape[0], np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert rk4_path(*args, out_logphi, out_slope) == ref_crossed
+        path_crossed, out_logphi, out_slope = _run_kernel(args, True)
+    assert path_crossed == ref_crossed
     assert np.array_equal(out_logphi.view(np.int64), ref_logphi.view(np.int64))
     assert np.array_equal(out_slope.view(np.int64), ref_slope.view(np.int64))
 
@@ -302,14 +293,13 @@ def test_trial_is_the_last_step_of_its_path(family, p, magnitude, sign, lam):
         value = lam1 + value * max(1.0, abs(lam1))
     args = _kernel_args(spec.build(), value)
     runs = []
-    for n in (args[5].shape[0], 1):  # a path, then a trial
-        outs = np.full(n, np.nan), np.full(n, np.nan)
+    for path in (True, False):
         with np.errstate(over="ignore", invalid="ignore"):
-            runs.append((rk4_path(*args, *outs), *outs))
+            runs.append(_run_kernel(args, path))
     (path_crossed, _, path_slope), (trial_crossed, trial_logphi, trial_slope) = runs
     assert trial_crossed == path_crossed
     assert float(trial_slope[0]).hex() == float(path_slope[-1]).hex()
-    assert np.isnan(trial_logphi[0])
+    assert trial_logphi is None
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -328,18 +318,18 @@ def test_trials_and_paths_match_the_generic_field_bit_for_bit(family, p, magnitu
     spec = ProblemSpec.from_dict(dict(FAMILIES[family], p=p, alpha=sign * magnitude))
     lam1 = rayleigh_spec(spec).lambda_val
     args = _kernel_args(spec.build(), lam1 + lam * max(1.0, abs(lam1)))
-    kernel = args[5]
-    hs = kernel[:, 0].tolist()
-    ld = kernel[:, 3:5].ravel().tolist() + [kernel[-1, 5]]
-    ref_crossed, ref_logphi, ref_slope, _ = _reference_path(*args[:5], hs, ld)
-    # a trial gets the path's last phi'/phi and a NaN log phi
-    for ref in ((ref_logphi, ref_slope), (np.array([math.nan]), ref_slope[-1:])):
-        n = ref[0].size
-        outs = np.full(n, np.nan), np.full(n, np.nan)
+    ref_crossed, ref_logphi, ref_slope, _ = _reference_path(*args[:5], *_reference_args(args[5]))
+    # a trial gets the path's last phi'/phi and no log phi
+    for path in (True, False):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert rk4_path(*args, *outs) == ref_crossed
-        for out, expected in zip(outs, ref):
-            assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+            crossed, out_logphi, out_slope = _run_kernel(args, path)
+        assert crossed == ref_crossed
+        expected = ref_slope if path else ref_slope[-1:]
+        assert np.array_equal(out_slope.view(np.int64), expected.view(np.int64))
+        if path:
+            assert np.array_equal(out_logphi.view(np.int64), ref_logphi.view(np.int64))
+        else:
+            assert out_logphi is None
 
 
 @pytest.mark.parametrize("w0,lam,drift,n,forms", [
@@ -368,15 +358,12 @@ def test_a_trial_that_ends_on_its_last_step_writes_the_path_s_last_entry(w0, lam
     crossed = sign_changed and rho_forms[n - 1]
     assert [switched, turned, crossed].count(True) == 1
     assert ref_crossed == crossed
-    runs = []
-    for size in (n, 1):  # a path, then a trial
-        outs = np.full(size, np.nan), np.full(size, np.nan)
-        runs.append((rk4_path(*args, *outs), *outs))
+    runs = [_run_kernel(args, path) for path in (True, False)]
     (path_crossed, _, path_slope), (trial_crossed, trial_logphi, trial_slope) = runs
     assert path_crossed == trial_crossed == crossed
     assert np.array_equal(path_slope.view(np.int64), ref_slope[:n].view(np.int64))
     assert float(trial_slope[0]).hex() == float(path_slope[-1]).hex()
-    assert np.isnan(trial_logphi[0])
+    assert trial_logphi is None
 
 
 @pytest.mark.parametrize("problem,lam,w0,inf_drift_at", [
@@ -399,10 +386,9 @@ def test_a_non_finite_state_stops_the_trial_where_it_stops_the_path(problem, lam
         ld[2 * inf_drift_at + 1] = math.inf  # the midpoint of that step
         args[5] = kernel_array(kernel[:, 0], ld)
     runs = []
-    for n in (args[5].shape[0], 1):  # a path, then a trial
-        outs = np.full(n, np.nan), np.full(n, np.nan)
+    for path in (True, False):
         with np.errstate(over="ignore", invalid="ignore"):
-            runs.append((rk4_path(*args, *outs), *outs))
+            runs.append(_run_kernel(args, path))
     (path_crossed, path_logphi, _), (trial_crossed, _, trial_slope) = runs
     assert path_crossed is trial_crossed is False
     # the path stops at the bad state, before writing it

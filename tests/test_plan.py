@@ -2,6 +2,7 @@
 outputs pinned bit for bit."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -45,6 +46,34 @@ def _digest(*arrays):
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     return h.hexdigest()[:16]
+
+
+def _run_kernel(args, path):
+    """rk4_path on args (w0, log phi0, lam, p-1, 1/(p-1), kernel) as a
+    path or a trial: (crossed, log phi, phi'/phi), the lists it appended
+    to as arrays padded with NaN to one entry per step (a path) or one (a
+    trial, whose log phi is None).  A float power that overflows stops
+    the run, not at a crossing, as _shoot takes it."""
+    n = len(args[5]) if path else 1
+    logphis = [] if path else None
+    slopes = []
+    try:
+        crossed = rk4_path(*args, logphis, slopes)
+    except OverflowError:
+        crossed = False
+    # the kernel appends finite values only, at most one per step
+    assert len(slopes) <= n and all(map(math.isfinite, slopes))
+    if path:
+        assert len(logphis) == len(slopes) and all(map(math.isfinite, logphis))
+        logphis = np.array(logphis + [math.nan] * (n - len(logphis)))
+    return crossed, logphis, np.array(slopes + [math.nan] * (n - len(slopes)))
+
+
+def _plan_args(plan, lam, p):
+    """rk4_path's arguments before its outputs, as Python floats, for a
+    path (a trial ignores log phi0)."""
+    w0, logphi0 = _launch_state(plan, lam, p, True)
+    return float(w0), float(logphi0), float(lam), p - 1.0, 1.0 / (p - 1.0), plan.kernel
 
 
 @pytest.fixture
@@ -131,20 +160,20 @@ def test_mismatch_and_kernel_outputs_are_pinned(family, alpha, p, lam, mismatch,
     else:
         assert robin_mismatch(problem, lam).hex() == mismatch
     plan = _build_plan(problem, ShootConfig.rk_steps)
-    args = (*_launch_state(plan, lam, p, True), lam, p - 1.0, 1.0 / (p - 1.0), plan.kernel)
+    args = _plan_args(plan, lam, p)
     runs = []
-    for n in (plan.kernel.shape[0], 1):  # a path, then a trial
-        outs = np.full(n, np.nan), np.full(n, np.nan)
+    for path in (True, False):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert rk4_path(*args, *outs) == crossed
-        runs.append(outs)
-    (path_logphi, path_slope), trial = runs
+            run = _run_kernel(args, path)
+        assert run[0] == crossed
+        runs.append(run)
+    (_, path_logphi, path_slope), (_, trial_logphi, trial_slope) = runs
     assert _digest(path_logphi, path_slope) == digest
-    # a trial's 1-entry slope holds what the path writes last: the final
-    # state, or NaN after a non-finite stop or a crossing before the end;
-    # its log phi is not computed
+    # a trial's one slope is what the path appends last: the final state,
+    # or none (NaN here) after a non-finite stop or a crossing before the
+    # end; its log phi is not computed
     last = [float(path_logphi[-1]).hex(), float(path_slope[-1]).hex()]
-    assert float(trial[1][0]).hex() == last[1] and np.isnan(trial[0][0])
+    assert float(trial_slope[0]).hex() == last[1] and trial_logphi is None
     if mismatch is None or crossed:
         assert last == ["nan", "nan"]
 

@@ -32,6 +32,7 @@ from probin.shoot import (
 )
 
 from oracles import disk_robin_lambda, flat_robin_lambda, half_line_robin_lambda
+from test_plan import _plan_args, _run_kernel
 
 FLAT_ANCHOR = 0.740173884394967       # flat_robin_lambda(1, 1)
 FLAT_ANCHOR_NEG = -1.4392288398906454  # flat_robin_lambda(1, -1)
@@ -86,9 +87,12 @@ def test_trajectory_spanning_twelve_decades():
 
 
 def _nan_path(crossed):
-    def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, out_logphi, out_slope):
-        out_logphi[:] = np.nan
-        out_slope[:] = np.nan
+    # a kernel that stops after the first step: a path appends that step
+    # only, and a trial, which appends at the last step, nothing
+    def rk4_path(w0, logphi0, lam, pm1, qm1, kernel, logphis, slopes):
+        if logphis is not None:
+            logphis.append(0.0)
+            slopes.append(0.0)
         return crossed
     return rk4_path
 
@@ -97,9 +101,14 @@ def test_non_finite_trajectory_fails_loudly(monkeypatch):
     monkeypatch.setattr(probin.shoot, "rk4_path", _nan_path(False))
     with pytest.raises(ToleranceFailure):
         robin_mismatch(_flat(1.0, 2.0), 1.0)
-    # after phi has crossed zero the trial is simply "too high"
+    with pytest.raises(ToleranceFailure):
+        integrate(_flat(1.0, 2.0), 1.0)
+    # after phi has crossed zero the trial is simply "too high", and the
+    # path's nodes after the crossing are NaN
     monkeypatch.setattr(probin.shoot, "rk4_path", _nan_path(True))
     assert robin_mismatch(_flat(1.0, 2.0), 1.0) > 1e14
+    traj = integrate(_flat(1.0, 2.0), 1.0)
+    assert traj.crossed and np.isfinite(traj.phi[0]) and np.isnan(traj.phi[2:]).all()
 
 
 def test_mismatch_at_lambda_zero_has_known_sign():
@@ -340,7 +349,7 @@ def test_integration_counters_match_kernel_calls(monkeypatch, problem):
     calls = []  # (lam, whether the call asks for the full path)
 
     def counting(*args):
-        calls.append((args[2], args[6].shape[0] == args[5].shape[0]))
+        calls.append((args[2], args[6] is not None))
         return rk4_path(*args)
 
     monkeypatch.setattr(probin.shoot, "rk4_path", counting)
@@ -364,12 +373,9 @@ def test_launch_far_below_the_eigenvalue_is_not_a_crossing(lam):
     p = 1.03
     problem = _flat(-1.0, p)
     plan = _build_plan(problem, ShootConfig.rk_steps)
-    w0, logphi0 = _launch_state(plan, lam, p, True)
-    assert abs(w0) == (-lam / (p - 1.0)) ** ((p - 1.0) / p)
-    out_logphi = np.full(plan.kernel.shape[0], np.nan)
-    out_slope = np.full(plan.kernel.shape[0], np.nan)
-    crossed = rk4_path(w0, logphi0, lam, p - 1.0, 1.0 / (p - 1.0),
-                       plan.kernel, out_logphi, out_slope)
+    args = _plan_args(plan, lam, p)
+    assert abs(args[0]) == (-lam / (p - 1.0)) ** ((p - 1.0) / p)
+    crossed, out_logphi, _ = _run_kernel(args, True)
     assert not (crossed and np.isnan(out_logphi[1]))
     if lam == -1e7:
         # the trial lands on the side it is on: below the first eigenvalue
@@ -419,8 +425,9 @@ def test_launch_log_phi_is_bounded_by_the_equilibrium_slope():
     _, logphi0 = _launch_state(plan, lam, p, True)
     w_star = (-lam / (p - 1.0)) ** ((p - 1.0) / p)
     assert 0.0 < logphi0 <= float(inverse_momentum(w_star, p)) * plan.eps
-    crossed, out_logphi, _ = _shoot(plan, lam, p)
-    assert not crossed and np.all(np.diff(out_logphi) > 0.0)
+    crossed, logphis, _ = _shoot(plan, lam, p, path=True)
+    assert not crossed and len(logphis) == plan.kernel.shape[0]
+    assert np.all(np.diff(logphis) > 0.0)
     assert np.count_nonzero(integrate(problem, lam).phi == 1.0) == 1
 
 
@@ -429,8 +436,21 @@ def test_bracket_failure_after_max_bracket_steps(alpha, monkeypatch):
     # one bracket step tries lam = sign(alpha) only, and both eigenvalues
     # lie further out (2.42 and -9.09)
     monkeypatch.setattr(ShootConfig, "max_bracket_steps", 1)
-    with pytest.raises(BracketFailure):
+    with pytest.raises(BracketFailure) as failure:
         solve_first_eigenvalue(_flat(alpha, 2.0))
+    # |lam| = 2 is far inside RK4's stability edge
+    assert "rk_steps" not in str(failure.value)
+
+
+def test_bracket_past_the_rk4_edge_names_rk_steps():
+    # double-Robin R = 0.5, p = 2, alpha = -4096: at the root h*p*big is
+    # 2.0, but the doubling bracket's next point past it, -2^25, is at
+    # 2.83, past the edge, so no trial there shows the sign change
+    problem = double_robin_problem(0.5, -4096.0, 2.0)
+    with pytest.raises(BracketFailure, match=r"past \|lam\| = 3.25e\+07 .*raise rk_steps"):
+        solve_first_eigenvalue(problem)
+    sol = solve_first_eigenvalue(problem, ShootConfig(rk_steps=16384))
+    assert sol.lambda_val == pytest.approx(half_line_robin_lambda(2.0, -4096.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("family,p,alpha", [
