@@ -9,7 +9,9 @@ class DomainError(ValueError):
 
 class BracketFailure(RuntimeError):
     """The eigenvalue bracket search exhausted its growth budget without
-    finding a sign change."""
+    finding a sign change.  Where its last trial lies past the |lam| at
+    which the RK4 step reaches shoot._RK4_STABILITY_EDGE, the message
+    says so and names rk_steps: more steps move that edge out."""
 
 
 class ToleranceFailure(RuntimeError):
@@ -19,8 +21,11 @@ class ToleranceFailure(RuntimeError):
     tolerance; a trajectory turned non-finite before phi crossed zero,
     which means the RK4 step is too coarse for a boundary layer of width
     about |alpha|^(-1/(p-1)) (p near 1, alpha < 0; more rk_steps resolve
-    it); or the eigenvalue lies above the constant trial's quotient,
-    which bounds the first eigenvalue above (p near 1, alpha > 0).
+    it); the converged lambda is past RK4's stability edge, h*p*big >
+    shoot._RK4_STABILITY_EDGE (raise rk_steps); the path at the
+    converged lambda crosses zero; or the eigenvalue lies above the
+    constant trial's quotient, which bounds the first eigenvalue above
+    (p near 1, alpha > 0).
 
     Rayleigh: an inverse power iterate's p-th powers left the float
     range, so its p-norm is not finite and positive (p log(1 + R) above

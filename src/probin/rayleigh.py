@@ -25,9 +25,8 @@ from the signs of the Robin terms:
   max(1, |lambda|), with no march to confirm it: sqrt(_MARCH_RTOL) on
   the solved mesh, and _COARSE_STEP on the coarse ones, whose roots
   only need to put the start within the solved mesh's bound.  The
-  eigenvector is the product of the solved mesh's last march's ratios,
-  moved with its last step to first order by numpy (a ratio that
-  cannot be moved is kept as marched), so it is positive by
+  eigenvector is the product of the ratios of one more march on the
+  solved mesh, at the returned lambda, so it is positive by
   construction.
 
 A functional that is its own mirror image (two equal Robin ends on
@@ -37,7 +36,7 @@ whose middle node is a Neumann end, by the route the half's one Robin
 end picks, and mirrors the half's eigenvector.
 
 minimize returns once the root-find or the inverse power loop ends.
-The solution forms the eigenvector (moved, mirrored and normalized),
+The solution forms the eigenvector (marched, mirrored and normalized),
 phi, psi and the residual on the first read of any of them (_finish),
 so a caller that reads only lambda and the diagnostics never pays for
 them, and phase_s["solve"] does not include them.
@@ -392,7 +391,8 @@ def _march(lam: float, chain):
     balance is y_m = 0.  lam lies below the discrete first eigenvalue
     exactly when every r_j > 0 and y_m > 0 (discrete half-linear Sturm
     theory).  dy/dlam rides along: dy_j = dz_j - nw_j, and differentiating
-    r and z gives dz_(j+1) = dy_j/r_j^p.
+    r and z gives dz_(j+1) = dy_j/r_j^p; unrolled, that is
+    dy_j = -sum_(i<=j) nw_i (u_i/u_j)^p.
 
     lam must be a Python float: a numpy scalar makes every step several
     times slower.  Returns the ratios, and (y_m, dy_m/dlam) or None if
@@ -427,42 +427,6 @@ def _march(lam: float, chain):
     return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
 
 
-def _moved(func: DiscreteFunctional, ratios, flip: bool, step: float) -> np.ndarray:
-    """log u of a march's eigenvector moved from its lam to lam + step,
-    to first order, on the mesh's nodes.
-
-    The march's dy_j = dz_j - nw_j, unrolled, is
-    dy_j = -sum_(i<=j) nw_i (u_i/u_j)^p; it is summed by logaddexp in
-    log u, which spans more than the float range in a deep boundary
-    layer.  Each y_j = w_mid,j Phi((r_j - 1)/h) moves by step dy_j, and
-    r_j follows from the moved y_j as the march forms it.  A first-order
-    step in log r_j instead would divide by |r_j - 1|^(p-2), which is 0
-    for p > 2 where r_j = 1 (at a ball's centre node, whose y_j is 0
-    for every lam).  Where a moved ratio is not finite and positive (past
-    a ratio beyond the float range, near p = 1) the march's own ratio,
-    capped at _HUGE, is kept, so log u is always finite.  The weights are
-    the mesh's arrays, flipped with the chain.  ratios is the march's
-    list, or minimize's float array of it, which is read as it is."""
-    p, h = func.p, func.h
-    ratios = np.asarray(ratios, float)
-    nw, mid = func.node_weights, func.mid_weights
-    if flip:
-        nw, mid = nw[::-1], mid[::-1]
-    log_u = np.zeros(ratios.size + 1)  # the march's log u, then the moved one
-    with np.errstate(all="ignore"):  # a zero node weight, or an infinite ratio
-        np.add.accumulate(np.log(ratios[:-1]), out=log_u[1:-1])
-        pl = p * log_u[:-1]
-        fall = np.exp(np.logaddexp.accumulate(np.log(nw[:-1]) + pl) - pl)  # -dy_j
-        t = (ratios - 1.0) / h
-        s = np.copysign(np.abs(t) ** (p - 1.0), t) - step * fall / mid
-        log_r = np.log1p(h * np.copysign(np.abs(s) ** (1.0 / (p - 1.0)), s))
-        np.add.accumulate(log_r, out=log_u[1:])
-        if not math.isfinite(log_u[-1]):  # a term not finite makes the rest of the sum so
-            kept = np.log(np.minimum(ratios, _HUGE))
-            np.add.accumulate(np.where(np.isfinite(log_r), log_r, kept), out=log_u[1:])
-    return log_u[::-1] if flip else log_u
-
-
 def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_MARCH_RTOL)):
     """The discrete first eigenvalue of func, for any Robin ends but a
     single positive one, from a start lam.
@@ -476,32 +440,27 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     step of at most rtol max(1, |lam|), where Newton's error is about the
     step's square, and returns lam plus that step, with no march to
     confirm it; or when the bracket's ends are adjacent floats, at the
-    lower one with a step of 0.  rtol is sqrt(_MARCH_RTOL) on the solved
-    mesh, and _COARSE_STEP on the coarse levels of _march_start, whose
-    roots only seed it.
+    lower one.  rtol is sqrt(_MARCH_RTOL) on the solved mesh, and
+    _COARSE_STEP on the coarse levels of _march_start, whose roots only
+    seed it.
 
-    Returns (lam, (ratios, flip, step), marches, converged): the ratios
-    of the last march, the chain's direction and the step from that
-    march's lam to the returned one, which _moved takes to form the
-    eigenvector.  Where no Newton step ended it (adjacent ends, or
-    _MARCH_MAX marches, unconverged) the ratios are those of the march
-    at the lower end and the step is 0."""
-    chain, flip = _chain(func)
+    Returns (lam, marches, converged); lam is the bracket's lower end,
+    unconverged, after _MARCH_MAX marches with no stop."""
+    chain, _ = _chain(func)
     lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
-    below = None  # the ratios of the march at lo
     converged = False
     for marches in range(1, _MARCH_MAX + 1):
-        ratios, end = _march(lam, chain)
+        end = _march(lam, chain)[1]
         step = None
         if end is not None:
             y, dy = end
             step = -y / dy
             if abs(step) <= rtol * max(1.0, abs(lam)):
-                return lam + step, (ratios, flip, step), marches, True
+                return lam + step, marches, True
         if end is not None and y > 0.0:
-            lo, below = lam, ratios
+            lo = lam
         else:
             hi = lam
         if step is None or not lo < lam + step < hi:
@@ -512,10 +471,7 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
         lam += step
     else:
         lam = lo
-    if below is None:  # no march reached the end node below the root
-        marches += 1
-        below = _march(lam, chain)[0]
-    return lam, (below, flip, 0.0), marches, converged
+    return lam, marches, converged
 
 
 def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
@@ -532,15 +488,13 @@ def _march_start(func: DiscreteFunctional):
     top of the bracket) where none does.  Both coarse root-finds stop at
     their first Newton step of at most _COARSE_STEP max(1, |lam|), not
     at the fine level's sqrt(_MARCH_RTOL): the start needs them only to
-    about 1e-8.  Only the lambda of the two coarse root-finds is kept: no
-    coarse eigenvector is formed.  Returns the start and the coarse
-    marches."""
+    about 1e-8.  Returns the start and the coarse marches."""
     m = func.grid.size - 1
     k = next((k for k in _COARSE if m % k == 0), None)
     if k is None:
         return math.inf, 0
-    lam1, _, n1, _ = _march_root(_coarse(func, k), math.inf, _COARSE_STEP)
-    lam2, _, n2, _ = _march_root(_coarse(func, k // 2), lam1, _COARSE_STEP)
+    lam1, n1, _ = _march_root(_coarse(func, k), math.inf, _COARSE_STEP)
+    lam2, n2, _ = _march_root(_coarse(func, k // 2), lam1, _COARSE_STEP)
     k2 = (k // 2) ** 2
     return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
 
@@ -561,33 +515,32 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
     eigenvector is mirrored.  With exactly one Robin end, and its
     coefficient positive: the inverse power method from the normalized
     constant.  Otherwise: the coarse march root-finds, then the march.
-    minimize returns once the root-find or the inverse power loop ends,
-    with the eigenvalue estimate and diagnostics that flag whether a
-    convergence test fired, count the passes over the solved mesh
-    (evals: every march, coarse and fine, or every inverse power
-    iteration) and time the two stages.  Their m is func's cell count,
-    also where the half was solved.  The minimizer samples on func's
-    mesh, their momentum and the residual's norm are formed on the
-    first read of any of them (_finish), so phase_s["solve"] does not
-    include them.
+    The diagnostics flag whether a convergence test fired, count the
+    passes over the solved mesh (evals: every march, coarse and fine, or
+    every inverse power iteration), give the root-find's relative
+    tolerance (lambda_tol) and time the two stages.  Their m is func's
+    cell count, also where the half was solved.  phi, psi and the
+    residual are formed on their first read (_finish), after minimize
+    has returned.
     """
     m = func.grid.size - 1
     t_seed = time.perf_counter()
     mirror = _mirror_image(func)
     solved = DiscreteFunctional(func.mesh.half, func.p, func.robin_terms[:1]) if mirror else func
-    u = last = None
+    u = None
     if _convex(solved):
         u, seed_iters = _normalize(solved, np.ones(solved.grid.size))[0], 0
         t_solve = time.perf_counter()
         u, q, iters, converged = _inverse_power(solved, u, _constant_quotient(solved))
         steps = evals = iters
+        tol = _INVERSE_RTOL
     else:
         q, seed_iters = _march_start(solved)
         t_solve = time.perf_counter()
-        q, (ratios, flip, step), steps, converged = _march_root(solved, q)
-        last = (np.fromiter(ratios, float, len(ratios)), flip, step)  # kept until phi is read
+        q, steps, converged = _march_root(solved, q)
         iters = 0
         evals = seed_iters + steps
+        tol = _MARCH_RTOL
     t_end = time.perf_counter()
 
     diagnostics = {
@@ -596,6 +549,7 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
         "seed_iterations": seed_iters,
         "evals": evals,
         "converged": converged,
+        "lambda_tol": tol,
         "m": m,
         "phase_s": {"seed": t_solve - t_seed, "solve": t_end - t_solve},
     }
@@ -605,37 +559,43 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
         grid=func.grid,
         method="rayleigh",
         diagnostics=diagnostics,
-        finish=functools.partial(_finish, func, solved, q, mirror, u, last),
+        finish=functools.partial(_finish, func, solved, q, mirror, u),
     )
 
 
 def _finish(func: DiscreteFunctional, solved: DiscreteFunctional, q: float, mirror: bool,
-            u, last) -> tuple:
-    """(phi, psi, residual) of minimize's solve of func at q, from the
-    inverse power method's iterate u on solved, or from the last march
-    on solved, last = (ratios, flip, step) of _march_root, moved to the
-    root (_moved).  The half's eigenvector of a mirror image is
-    mirrored.  phi = u/max u, psi its momentum, and residual the norm of
-    E'(u) - q N'(u) at N(u) = 1.
+            u) -> tuple:
+    """(phi, psi, residual) of minimize's solve of func at q: from the
+    inverse power method's iterate u on solved or, where u is None, the
+    product of the ratios of one march on solved at q, each capped at
+    _HUGE so that log u stays finite near p = 1.  A mirror image's half
+    is mirrored.  phi = u/max u, psi its momentum, and residual the norm
+    of E'(u) - q N'(u) at N(u) = 1.
+
+    That march reaches the end node: q is the bracket's lower end, below
+    the root, or within about _MARCH_RTOL max(1, |q|) of it; marched the
+    way u grows (_chain), u first vanishes at a node far past the root.
 
     It raises nothing, so minimize keeps every check that can.  Only
     _normalize could raise, where N(u) is not finite and positive.  The
-    inverse power method's u has N(u) = 1 on solved, as _normalize
-    formed it there, and its mirror image N(u) = 2 up to rounding.  The
-    march's log u is finite (_moved), so u = exp(log u - max log u) lies
-    in [0, 1] and is exactly 1 at the maximum: N(u) is finite, and
+    inverse power method's u has N(u) = 1 on solved, and its mirror
+    image N(u) = 2 up to rounding.  The march's u = exp(log u - max
+    log u) lies in [0, 1] and is 1 at the maximum: N(u) is finite, and
     positive where that node has a positive weight.  A node weight is 0
     only where the weight vanishes, at a singular end, which is a
     Neumann end (c = 0).  The march launches from it unless c = 0 at
     both ends, where every ratio is 1; as the launch node (y = 0) its
-    first ratio is exactly 1, moved too (its norm sum is 0), so its
-    neighbour, of positive weight, shares the maximum."""
-    if last is not None:
-        log_u = _moved(solved, *last)
-        u = np.exp(log_u - np.maximum.reduce(log_u))
+    first ratio is exactly 1, so its neighbour, of positive weight,
+    shares the maximum."""
+    march = u is None
+    if march:
+        chain, flip = _chain(solved)
+        log_u = np.zeros(solved.grid.size)
+        np.add.accumulate(np.log(np.minimum(_march(q, chain)[0], _HUGE)), out=log_u[1:])
+        u = np.exp((log_u[::-1] if flip else log_u) - np.maximum.reduce(log_u))
     if mirror:  # node k is its own mirror when m is even
         u = np.concatenate((u, u[-2::-1] if (func.grid.size - 1) % 2 == 0 else u[::-1]))
-    if mirror or last is not None:
+    if mirror or march:
         u = _normalize(func, u)[0]
     scale = float(np.maximum.reduce(u))
     phi = u / scale

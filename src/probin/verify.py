@@ -3,7 +3,8 @@
 Each check produces VerificationReport records with a signed margin: the
 slack in the asserted inequality or equality, which must stay above
 -tolerance to pass.  A check that solves eigenvalues takes solve, a
-function from a ProblemSpec to its EigenSolution (shoot.solve_spec by default).  Strict inequalities are asserted non-strictly with
+function from a ProblemSpec to its EigenSolution (shoot.solve_spec by
+default).  Strict inequalities are asserted non-strictly with
 tolerance, and a strictness flag records whether the margin cleared ten
 times the tolerance (discretization cannot certify strictness itself).
 Hypothesis-gated checks (log-concavity) emit skip records rather than

@@ -28,6 +28,8 @@ from probin.problems import (
 )
 from probin.rayleigh import (
     _HUGE,
+    _INVERSE_RTOL,
+    _MARCH_RTOL,
     _MESH_CACHE,
     DiscreteFunctional,
     _chain,
@@ -36,10 +38,8 @@ from probin.rayleigh import (
     _inverse_step,
     _march,
     _march_root,
-    _march_start,
     _mesh,
     _mirror_image,
-    _moved,
     _norm_grad,
     _normalize,
     discretize,
@@ -587,21 +587,28 @@ def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
     most _COARSE_STEP max(1, |lambda|), the fine level at its first of
     at most sqrt(_MARCH_RTOL) max(1, |lambda|), none with a confirming
     march.  The root is the one found from the top of the bracket.  Only
-    the fine level's eigenvector is formed, its march's moved with that
-    step, once phi is read."""
-    moved = []
-    monkeypatch.setattr(probin.rayleigh, "_moved",
-                        lambda *args: moved.append(args) or _moved(*args))
+    the fine level's eigenvector is formed, by one more march at the
+    returned lambda, once phi is read."""
+    marches = []
+
+    def spy(lam, chain):
+        ratios, end = _march(lam, chain)
+        marches.append((lam, len(chain[0]), len(ratios), end))
+        return ratios, end
+
+    monkeypatch.setattr(probin.rayleigh, "_march", spy)
     func = discretize(prob, 2000)
     sol = minimize(func)
-    sol.phi
     d = sol.diagnostics
     assert d["converged"] and d["steps"] == 1
-    assert sol.lambda_val == pytest.approx(_march_root(func, math.inf)[0], rel=1e-12)
     assert d["seed_iterations"] <= max_seed
-    assert d["evals"] == d["seed_iterations"] + d["steps"]
-    (solved, ratios, _, step), = moved
-    assert len(ratios) == solved.grid.size - 1 and step != 0.0
+    assert d["evals"] == d["seed_iterations"] + d["steps"] == len(marches)
+    fine = marches[-1][1]
+    sol.phi
+    assert len(marches) == d["evals"] + 1
+    lam, nodes, reached, end = marches[-1]
+    assert lam == sol.lambda_val and nodes == fine == reached + 1 and end is not None
+    assert sol.lambda_val == pytest.approx(_march_root(func, math.inf)[0], rel=1e-12)
 
 
 def _two_robin(alpha_left, alpha_right, p):
@@ -625,40 +632,70 @@ def _eigenvector(ratios, flip):
     return u[::-1] if flip else u
 
 
+def _assert_phi_is_the_march_at_the_root(prob, m):
+    """Solve prob on m cells; a march at the returned lambda reaches the
+    end node, and phi is the product of its ratios (capped at _HUGE),
+    normalized.  The half of a mirror image is marched.  Returns the
+    solve's diagnostics."""
+    func = discretize(prob, m)
+    sol = minimize(func)
+    solved = _solved(func)
+    chain, flip = _chain(solved)
+    ratios, end = _march(sol.lambda_val, chain)
+    assert sol.diagnostics["converged"] and end is not None
+    assert len(ratios) == solved.grid.size - 1
+    u = _eigenvector(ratios, flip)
+    assert float(np.max(np.abs(sol.phi[:u.size] - u))) <= 1e-14
+    return sol.diagnostics
+
+
 _MOVED_CASES = ([(family, alpha) for family in FAMILIES for alpha in (-0.3, -3.0)]
                 + [("double_robin", -10.0), ("double_robin", -100.0)]
                 + [("two_robin", -1.0, 3.0), ("two_robin", 3.0, -0.1)])
 
 
+def _case_problem(case, p):
+    family, *alphas = case
+    if family == "two_robin":
+        return _two_robin(*alphas, p)
+    return _spec(family, p, alphas[0]).build()
+
+
 @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 8.0])
 @pytest.mark.parametrize("case", _MOVED_CASES, ids=lambda case: " ".join(map(str, case)))
 def test_moved_eigenvector_is_the_march_at_the_root(case, p):
-    """The fine root-find returns lambda plus its last Newton step, with
-    no march there, and the last march's eigenvector moved with that step
-    to first order.  It equals the product of the ratios of a march at
-    the returned lambda within 1e-12 of its maximum, on every bench
-    family, deep double-Robin layers and Robin ends of opposite signs.
-    For p >= 2 and |alpha| <= 3 that takes one fine march."""
-    family, *alphas = case
-    prob = _two_robin(*alphas, p) if family == "two_robin" else _spec(family, p, alphas[0]).build()
-    func = _solved(discretize(prob, 2000))
-    lam, last, steps, converged = _march_root(func, _march_start(func)[0])
-    log_u = _moved(func, *last)
-    u = np.exp(log_u - np.max(log_u))
-    chain, flip = _chain(func)
-    ratios, end = _march(lam, chain)
-    assert converged and end is not None
-    assert float(np.max(np.abs(u - _eigenvector(ratios, flip)))) <= 1e-12
-    if p >= 2.0 and max(map(abs, alphas)) <= 3.0:
-        assert steps == 1
+    """The fine root-find moves lambda by its last Newton step and makes
+    no march there.  phi, formed on read, is the product of the ratios
+    of one march at that moved lambda, which reaches the end node: on
+    every bench family, deep double-Robin layers and Robin ends of
+    opposite signs, at m = 2000.  For p >= 2 and |alpha| <= 3 the root
+    takes one fine march."""
+    d = _assert_phi_is_the_march_at_the_root(_case_problem(case, p), 2000)
+    if p >= 2.0 and max(map(abs, case[1:])) <= 3.0:
+        assert d["steps"] == 1
+
+
+# the cases above on the meshes with no coarse start (m = 250, and odd
+# m = 2001), and the flat deep layers of test_deep_layer_march on those
+# and at m = 2000: at p = 1.001 all ratios but one pass the float range
+_ROOT_SOLVES = ([(case, p, m) for case in _MOVED_CASES for p in (1.1, 1.5, 2.0, 3.0, 8.0)
+                 for m in (250, 2001)]
+                + [(("flat", alpha), p, m) for alpha, p in ((-100.0, 1.5), (-10.0, 1.1), (-2.0, 1.001))
+                   for m in (250, 2000, 2001)])
+
+
+@pytest.mark.parametrize("case,p,m", _ROOT_SOLVES,
+                         ids=[" ".join(map(str, (*case, p, m))) for case, p, m in _ROOT_SOLVES])
+def test_march_at_the_root_reaches_the_end(case, p, m):
+    _assert_phi_is_the_march_at_the_root(_case_problem(case, p), m)
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 5.0])
 def test_march_end_derivative_is_its_norm_sum(p):
     """The march carries dy/dlambda as dz, one node at a time.  Unrolled,
     its end value dy_m is -sum_j nw_j (u_j/u_m)^p over the product u of
-    the same march's ratios: the sum that moves the eigenvector, formed
-    at every node.  They agree within 1e-12, on chains run either way."""
+    the same march's ratios, the exact derivative of Newton's step.  They
+    agree within 1e-12, on chains run either way."""
     for prob in (_flat(-1.0, p), _robin_right(-1.0, p), _spec("disk", p, -1.0).build(),
                  _two_robin(3.0, -0.1, p), double_robin_problem(0.5, -1.0, p)):
         func = discretize(prob, 2000)
@@ -677,50 +714,52 @@ def test_march_end_derivative_is_its_norm_sum(p):
 ], ids=["flat p=1.5 alpha=-100", "flat p=1.1 alpha=-10", "flat p=1.001 alpha=-2"])
 def test_deep_layer_march(monkeypatch, p, alpha, lam, steps, infinite):
     """Flat Robin layers at m = 2000 where u spans far more than the
-    float range.  The norm sums that move the eigenvector are formed by
-    logaddexp in log u, so they stay finite: at p = 1.5, alpha = -100 no
-    confirming march is made (a root-find to a step of 1e-13 takes 5
-    fine marches), and at p = 1.1, alpha = -10, whose third Newton step
-    is already below 1e-13, none is added.  At p = 1.001 all ratios but
-    one pass the float range; _moved keeps those as marched, capped at
-    _HUGE, and moves the one left.  Every solve converges with phi >= 0,
-    a finite log u and no warning, to the lambda pinned here (a root-find
-    to a step of 1e-13) within 1e-12."""
+    float range.  At p = 1.5, alpha = -100 no confirming march is made
+    (a root-find to a step of 1e-13 takes 5 fine marches), and at
+    p = 1.1, alpha = -10, whose third Newton step is already below
+    1e-13, none is added.  Reading phi makes one march, at the returned
+    lambda, which reaches the end node; at p = 1.001 all its ratios but
+    one pass the float range, and are capped at _HUGE.  Every solve
+    converges with phi >= 0 and no warning, to the lambda pinned here (a
+    root-find to a step of 1e-13) within 1e-12."""
     seen = []
 
-    def spy(func, ratios, flip, step):
-        log_u = _moved(func, ratios, flip, step)
-        seen.append((int(np.count_nonzero(np.isinf(ratios))), bool(np.all(np.isfinite(log_u)))))
-        return log_u
+    def spy(lam, chain):
+        ratios, end = _march(lam, chain)
+        seen.append((lam, int(np.count_nonzero(np.isinf(ratios))), end is not None))
+        return ratios, end
 
-    monkeypatch.setattr(probin.rayleigh, "_moved", spy)
+    monkeypatch.setattr(probin.rayleigh, "_march", spy)
+    sol = solve_rayleigh(_flat(alpha, p), 2000)
+    d = sol.diagnostics
+    del seen[:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_rayleigh(_flat(alpha, p), 2000)
-    d = sol.diagnostics
-    assert d["converged"] and float(np.min(sol.phi)) >= 0.0
+        phi = sol.phi
+    assert d["converged"] and float(np.min(phi)) >= 0.0 and np.all(np.isfinite(sol.psi))
     assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
-    assert d["steps"] == steps and seen == [(infinite, True)]
+    assert d["steps"] == steps and seen == [(sol.lambda_val, infinite, True)]
 
 
 @pytest.mark.parametrize("p,alpha", [(1.001, -2.0), (1.001, -100.0), (1.002, -3.0)])
-def test_moved_keeps_infinite_ratios_as_marched(p, alpha):
+def test_infinite_ratios_are_capped(p, alpha):
     """Marched from the Neumann end, u grows toward a Robin end with
-    alpha < 0, and near p = 1 its ratios pass the float range.  _moved
-    keeps each ratio it cannot move as marched, capped at _HUGE, so log u
-    is finite and nondecreasing, and its step at such a ratio is
-    log(_HUGE).  With no step it is the product of the ratios."""
+    alpha < 0, and near p = 1 its ratios pass the float range.  Capped
+    at _HUGE, each adds log(_HUGE) to log u, which stays finite and
+    nondecreasing, and phi, formed with no warning, is exp of it less
+    its maximum."""
     func = discretize(_robin_right(alpha, p), 2000)
-    lam, (ratios, flip, step), _, converged = _march_root(func, math.inf)
-    assert converged and not flip and np.any(np.isinf(ratios))
-    for s in (step, 0.0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            log_u = _moved(func, ratios, flip, s)
-        assert np.all(np.isfinite(log_u)) and np.all(np.diff(log_u) >= 0.0)
-        assert np.diff(log_u)[np.isinf(ratios)] == pytest.approx(math.log(_HUGE), rel=1e-9)
-    kept = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(ratios, _HUGE)))))
-    assert _moved(func, ratios, flip, 0.0) == pytest.approx(kept, rel=1e-12, abs=1e-9)
+    sol = minimize(func)
+    chain, flip = _chain(func)
+    ratios = np.array(_march(sol.lambda_val, chain)[0])
+    assert sol.diagnostics["converged"] and not flip and np.any(np.isinf(ratios))
+    log_u = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(ratios, _HUGE)))))
+    assert np.all(np.isfinite(log_u)) and np.all(np.diff(log_u) >= 0.0)
+    assert np.diff(log_u)[np.isinf(ratios)] == pytest.approx(math.log(_HUGE), rel=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = sol.phi
+    assert phi[-1] == 1.0 and phi == pytest.approx(np.exp(log_u - log_u[-1]), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("p,alpha,m", [
@@ -888,12 +927,17 @@ def test_factor_pivots_have_the_inertia_of_the_matrix(n):
 def test_rayleigh_diagnostics_schema():
     sol = solve_rayleigh(geodesic_ball_problem(-1.0, 3, 1.0, 1.0, 3.0), 2000)
     d = sol.diagnostics
-    assert set(d) == {"iterations", "steps", "seed_iterations", "evals", "converged", "m", "phase_s"}
-    assert d["m"] == 2000 and d["converged"]
+    assert set(d) == {"iterations", "steps", "seed_iterations", "evals", "converged", "lambda_tol",
+                      "m", "phase_s"}
+    assert d["m"] == 2000 and d["converged"] and d["lambda_tol"] == _INVERSE_RTOL
     assert d["seed_iterations"] == 0
     assert d["steps"] == d["iterations"] > 0  # alpha > 0: inverse power iterations
     assert set(d["phase_s"]) == {"seed", "solve"}
     assert all(t >= 0.0 for t in d["phase_s"].values())
+    # the march route reports the same keys, with its own root tolerance
+    march = solve_rayleigh(geodesic_ball_problem(-1.0, 3, 1.0, -1.0, 3.0), 2000).diagnostics
+    assert set(march) == set(d) and march["iterations"] == 0
+    assert march["lambda_tol"] == _MARCH_RTOL
 
 
 def test_shoot_diagnostics_schema():

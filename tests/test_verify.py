@@ -580,6 +580,22 @@ def test_inradius_equality_solves_each_side_once_within_the_floor():
     assert rep.passed and rep.extras["floor"] == 50 * 1e-8
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("alpha", [1.0, -1.0])
+@pytest.mark.parametrize("kappa,n", [(0.0, 2), (-1.0, 3)])
+def test_inradius_equality_passes_with_the_rayleigh_solve(kappa, n, alpha, p):
+    """The default suite's eight equality rows, solved by rayleigh_spec:
+    its diagnostics carry lambda_tol, the relative tolerance of either
+    route's root-find (1e-13), so the floor is 50 * 1e-13 * max(1,
+    |lambda_ball|), and the ball and the matched model, marched or
+    iterated on the same mesh, agree far inside it."""
+    rep = inradius_equality_check(kappa, n, 1.0, alpha, p, solve=rayleigh_spec)
+    scale = max(1.0, abs(rep.lhs))
+    assert rep.passed and rep.extras["at_floor"] is True
+    assert rep.extras["floor"] == 50 * 1e-13 * scale
+    assert abs(rep.lhs - rep.rhs) <= 2.5e-15 * scale
+
+
 def test_inradius_warped_bound():
     warped = polynomial_warping((0.0, 1.0, 0.0, 0.1))
     rep = inradius_warped_check(warped, 2, 1.0, 1.0, 2.0)
