@@ -20,11 +20,12 @@ from the signs of the Robin terms:
   at the discrete first eigenvalue (discrete half-linear Sturm theory:
   Rehak 2001; Dosly & Rehak 2005).  Newton in lambda on the end value,
   safeguarded by bisection, finds that root; its start comes from the
-  same root-find on two coarser meshes, extrapolated.  Each root-find
-  ends on its first Newton step of at most a bound times
-  max(1, |lambda|), with no march to confirm it: sqrt(_MARCH_RTOL) on
-  the solved mesh, and _COARSE_STEP on the coarse ones, whose roots
-  only need to put the start within the solved mesh's bound.  The
+  same root-find on two coarser meshes of the same interval, built by
+  _mesh like any other, extrapolated.  Each root-find ends on its first
+  Newton step of at most a bound times max(1, |lambda|), with no march
+  to confirm it: sqrt(_MARCH_RTOL) on the solved mesh, and _COARSE_STEP
+  on the coarse ones, whose roots only need to put the start within the
+  solved mesh's bound.  The
   eigenvector is the product of the ratios of one more march on the
   solved mesh, at the returned lambda, so it is positive by
   construction.
@@ -47,9 +48,9 @@ a, b, m) and kept in an lru_cache of _MESH_CACHE meshes: the grid, h,
 the read-only node and mid weights and w at the two end nodes.  The
 mesh forms, on first use, and keeps the march's tuples of Python floats,
 np.gradient's weights for the eigenfunction's derivative, the
-palindrome test of the mirror image, the half mesh and the coarse
-levels of the march's start.  Every solve on a geometry (a sweep over p
-or alpha) shares them, bit for bit.
+palindrome test of the mirror image and the half mesh.  The coarse
+levels of the march's start are meshes of the same cache.  Every solve
+on a geometry (a sweep over p or alpha) shares them, bit for bit.
 
 The package needs numpy only.
 """
@@ -60,7 +61,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,11 +82,12 @@ _MARCH_RTOL = 1e-13
 # 1e-8, so the start extrapolated from them lands well inside the fine
 # level's first-step stop, sqrt(_MARCH_RTOL) = 3.2e-7
 _COARSE_STEP = 1e-4
-# the march's start comes from every k-th and every k/2-th node, for
-# the first k here that divides the cell count
-_COARSE = (16, 8, 4)
+# the march's start comes from meshes of min(_COARSE_CELLS, n // 4) and
+# twice as many cells, on a solved mesh of n cells: 125 and 250 both at
+# m = 2000 and on its 1 000-cell double-Robin half
+_COARSE_CELLS = 125
 _HUGE = float(np.finfo(float).max)
-_MESH_CACHE = 32  # meshes _mesh keeps
+_MESH_CACHE = 32  # meshes _mesh keeps, coarse levels included
 
 DEFAULT_CELLS = 2000  # default mesh of solve_rayleigh and rayleigh_spec
 MIN_CELLS = 16  # the fewest cells discretize takes
@@ -100,18 +102,20 @@ class MinimizeConfig:
 class _Mesh:
     """What a weight on [a, b] in m cells fixes, whatever p and the Robin
     terms: the grid, h, the node weights (trapezoid, the weight folded
-    in), the weights at the cell midpoints and w at the two end nodes.
-    The arrays are read-only, since every functional on the mesh shares
-    them.  The facts below are formed on a functional's first use of
-    them and kept, so a mesh that one solve uses pays for none it does
-    not need."""
+    in), the weights at the cell midpoints and w at the two end nodes;
+    and the weight and the interval, on which _march_start builds its
+    coarse meshes.  The arrays are read-only, since every functional on
+    the mesh shares them.  The facts below are formed on a functional's
+    first use of them and kept, so a mesh that one solve uses pays for
+    none it does not need."""
 
     grid: np.ndarray
     h: float
     node_weights: np.ndarray
     mid_weights: np.ndarray
     end_weights: tuple
-    levels: dict = field(default_factory=dict, init=False, repr=False)
+    weight: object
+    interval: tuple
 
     @functools.cached_property
     def floats(self):
@@ -132,30 +136,20 @@ class _Mesh:
         weight, the other half being its mirror's, which makes this the
         trapezoid mesh of [a, mid].  With m odd node k keeps its full
         weight: its mirror is node k + 1, and the middle cell between them
-        has zero slope."""
+        has zero slope.  Its interval is [a, (a + b)/2] either way."""
         k = (self.grid.size - 1) // 2
         nw = self.node_weights[:k + 1].copy()
         if self.grid.size % 2:  # m even
             nw[k] *= 0.5
+        a, b = self.interval
         return _Mesh(self.grid[:k + 1], self.h, _read_only(nw), self.mid_weights[:k],
-                     (self.end_weights[0], float(self.node_weights[k]) / self.h))
+                     (self.end_weights[0], float(self.node_weights[k]) / self.h),
+                     self.weight, (a, 0.5 * (a + b)))
 
     @functools.cached_property
     def gradient(self) -> ThreePoint:
         """np.gradient(., grid, edge_order=2) with its weights formed."""
         return ThreePoint.of_grid(self.grid)
-
-    def coarse(self, k: int) -> "_Mesh":
-        """The mesh on every k-th node, for an even k that divides the cell
-        count: the node weights scale by k, and each coarse cell's midpoint
-        is a fine node, whose weight is its node weight over h.  That is
-        _mesh on the coarse cells, up to rounding."""
-        level = self.levels.get(k)
-        if level is None:
-            level = self.levels[k] = _Mesh(
-                self.grid[::k], self.h * k, _read_only(self.node_weights[::k] * k),
-                _read_only(self.node_weights[k // 2::k] / self.h), self.end_weights)
-        return level
 
 
 @functools.lru_cache(maxsize=_MESH_CACHE)
@@ -175,7 +169,7 @@ def _mesh(weight, a: float, b: float, m: int) -> _Mesh:
     node_weights[0] *= 0.5
     node_weights[-1] *= 0.5
     return _Mesh(_read_only(grid), h, _read_only(node_weights), _read_only(w_mid),
-                 (float(w_nodes[0]), float(w_nodes[-1])))
+                 (float(w_nodes[0]), float(w_nodes[-1])), weight, (a, b))
 
 
 @dataclass
@@ -474,29 +468,28 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     return lam, marches, converged
 
 
-def _coarse(func: DiscreteFunctional, k: int) -> DiscreteFunctional:
-    """func on every k-th node (_Mesh.coarse), for an even k that divides
-    the cell count."""
-    return DiscreteFunctional(func.mesh.coarse(k), func.p,
-                              [(j // k, c) for j, c in func.robin_terms])
-
-
 def _march_start(func: DiscreteFunctional):
-    """A start for _march_root on func: its roots on every k-th and
-    every k/2-th node, for the first k of _COARSE that divides the cell
-    count, extrapolated to func's mesh as second order in h; inf (the
-    top of the bracket) where none does.  Both coarse root-finds stop at
-    their first Newton step of at most _COARSE_STEP max(1, |lam|), not
-    at the fine level's sqrt(_MARCH_RTOL): the start needs them only to
-    about 1e-8.  Returns the start and the coarse marches."""
-    m = func.grid.size - 1
-    k = next((k for k in _COARSE if m % k == 0), None)
-    if k is None:
-        return math.inf, 0
-    lam1, n1, _ = _march_root(_coarse(func, k), math.inf, _COARSE_STEP)
-    lam2, n2, _ = _march_root(_coarse(func, k // 2), lam1, _COARSE_STEP)
-    k2 = (k // 2) ** 2
-    return lam2 + (lam2 - lam1) * (k2 - 1) / (3 * k2), n1 + n2
+    """A start for _march_root on func: its roots on _mesh's meshes of
+    func's interval in c = min(_COARSE_CELLS, n // 4) and 2c cells, for
+    func's n cells, extrapolated to func's h as second order in h, with
+    the ratio (h/h_2c)^2, which need not be a whole number.  Both
+    coarse root-finds stop at their first Newton step of at most
+    _COARSE_STEP max(1, |lam|), not at the fine level's
+    sqrt(_MARCH_RTOL): the start needs them only to about 1e-8.  Returns
+    the start and the coarse marches."""
+    mesh = func.mesh
+    n = func.grid.size - 1
+    c = min(_COARSE_CELLS, n // 4)
+    lam, marches = math.inf, 0
+    for cells in (c, 2 * c):
+        coarse = _mesh(mesh.weight, *mesh.interval, cells)
+        robin_terms = [(0 if j == 0 else cells, coef) for j, coef in func.robin_terms]
+        lam_prev = lam
+        lam, k, _ = _march_root(DiscreteFunctional(coarse, func.p, robin_terms), lam,
+                                _COARSE_STEP)
+        marches += k
+    r = (mesh.h / coarse.h) ** 2
+    return lam + (lam - lam_prev) * (1.0 - r) / 3.0, marches
 
 
 def _mirror_image(func: DiscreteFunctional) -> bool:

@@ -33,7 +33,6 @@ from probin.rayleigh import (
     _MESH_CACHE,
     DiscreteFunctional,
     _chain,
-    _coarse,
     _constant_quotient,
     _inverse_step,
     _march,
@@ -142,11 +141,15 @@ def test_specs_that_differ_in_p_or_alpha_share_one_mesh():
 
 
 def test_cached_mesh_arrays_are_read_only():
+    """The solved mesh and the march start's two coarse meshes, which
+    the solve leaves in _mesh's cache."""
     func = discretize(_spec("hyperbolic_ball", 1.75, -0.5).build(), 2000)
-    minimize(func)  # forms the coarse levels too
-    levels = list(func.mesh.levels.values())
-    assert len(levels) == 2
-    for mesh in [func.mesh] + levels:
+    minimize(func)
+    fine = func.mesh
+    hits = _mesh.cache_info().hits
+    levels = [_mesh(fine.weight, *fine.interval, cells) for cells in (125, 250)]
+    assert _mesh.cache_info().hits == hits + 2
+    for mesh in [fine] + levels:
         for a in (mesh.grid, mesh.node_weights, mesh.mid_weights):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -168,15 +171,16 @@ def _same_solution(a, b):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cold_and_warm_solves_agree_bit_for_bit(family, sign):
     """A solve on a mesh built afresh and one on the cached mesh, with its
-    tuples, gradient stencil, palindrome test, half mesh and coarse
-    levels formed: alpha > 0 takes the inverse power method, alpha < 0
-    the march (two-Robin: on the half mesh, in both cases)."""
+    tuples, gradient stencil, palindrome test and half mesh formed, and
+    the march start's two coarse meshes cached: alpha > 0 takes the
+    inverse power method, alpha < 0 the march, which reads the coarse
+    meshes too (two-Robin: on the half mesh, in both cases)."""
     problem = _spec(family, 1.75, 0.5 * sign).build()
     _mesh.cache_clear()
     cold = solve_rayleigh(problem, 2000)
     hits = _mesh.cache_info().hits
     warm = solve_rayleigh(problem, 2000)
-    assert _mesh.cache_info().hits == hits + 1
+    assert _mesh.cache_info().hits == hits + (1 if sign > 0 else 3)
     _same_solution(cold, warm)
     assert cold.diagnostics["converged"]
     assert (cold.diagnostics["iterations"] > 0) == (sign > 0)
@@ -559,17 +563,20 @@ def test_march_brackets_the_p2_eigenvalue():
         assert dy == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize("m", [16, 17, 250, 1000, 2001])
 @pytest.mark.parametrize("prob", [
     _flat(-1.0, 1.5), _flat(-10.0, 1.5), geodesic_ball_problem(0.0, 2, 1.0, -2.0, 2.5),
     double_robin_problem(0.5, -0.9, 2.4),
 ], ids=["flat-1", "flat-10", "disk", "double_robin"])
-def test_march_starts_from_coarse_meshes_where_16_does_not_divide_m(prob):
-    # m = 1000 is a multiple of 8, not of 16: the start comes from every
-    # 8th and every 4th node, not from the top of the bracket
-    func = discretize(prob, 1000)
+def test_march_starts_from_coarse_meshes_at_every_m(prob, m):
+    """The start comes from two coarse meshes of min(125, n // 4) and
+    twice as many cells, for the n cells solved (the half's, on the
+    double-Robin interval), whether or not they divide n: not from the
+    top of the bracket.  The root is the one found from there."""
+    func = discretize(prob, m)
     sol = minimize(func)
     assert sol.diagnostics["seed_iterations"] > 0 and sol.diagnostics["steps"] <= 4
-    lam = _march_root(func, math.inf)[0]  # the uniform start
+    lam = _march_root(func, math.inf)[0]  # from the top of the bracket
     assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
 
 
@@ -675,9 +682,10 @@ def test_moved_eigenvector_is_the_march_at_the_root(case, p):
         assert d["steps"] == 1
 
 
-# the cases above on the meshes with no coarse start (m = 250, and odd
-# m = 2001), and the flat deep layers of test_deep_layer_march on those
-# and at m = 2000: at p = 1.001 all ratios but one pass the float range
+# the cases above at m = 250 and odd m = 2001, where the coarse meshes'
+# nodes are not nodes of the solved mesh, and the flat deep layers of
+# test_deep_layer_march on those and at m = 2000: at p = 1.001 all
+# ratios but one pass the float range
 _ROOT_SOLVES = ([(case, p, m) for case in _MOVED_CASES for p in (1.1, 1.5, 2.0, 3.0, 8.0)
                  for m in (250, 2001)]
                 + [(("flat", alpha), p, m) for alpha, p in ((-100.0, 1.5), (-10.0, 1.1), (-2.0, 1.001))
