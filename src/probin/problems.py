@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .coeffs import (
     WEIGHT_CACHE,
@@ -344,38 +345,19 @@ def polynomial_warping(coefficients) -> Warping:
     if not coeffs or not all(math.isfinite(c) for c in coeffs):
         raise DomainError("polynomial warping needs finite coefficients, got %r" % (coefficients,))
     c = np.asarray(coeffs)
-    dc = _polyder(c, 1)
-    d2c = _polyder(c, 2)
+    dc = P.polyder(c, 1)
+    d2c = P.polyder(c, 2)
 
     def f(r):
-        return _polyval(r, c)
+        return P.polyval(r, c)
 
     def df(r):
-        return _polyval(r, dc)
+        return P.polyval(r, dc)
 
     def d2f(r):
-        return _polyval(r, d2c)
+        return P.polyval(r, d2c)
 
     return Warping(f, df, d2f, "polynomial", coeffs)
-
-
-# numpy.polynomial.polynomial's polyder and polyval of a float array,
-# bit for bit, without the ~1.6 ms import of numpy.polynomial
-def _polyder(c, m):
-    if m >= c.size:  # c_0 * 0, which is -0.0 for a negative c_0
-        return c[:1] * 0
-    for _ in range(m):
-        c = np.arange(1, c.size) * c[1:]
-    return c
-
-
-def _polyval(x, c):
-    # Horner's rule, started as polyval starts it, with x * 0 (NaN at an
-    # infinite x, and a numpy scalar at a Python float x)
-    acc = c[-1] + x * 0
-    for ck in c[-2::-1]:
-        acc = ck + acc * x
-    return acc
 
 
 def sn_warping(kappa: float) -> Warping:

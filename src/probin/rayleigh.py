@@ -177,9 +177,10 @@ class DiscreteFunctional:
     """Discrete Rayleigh functional of a SturmProblem on m cells.
 
     E(u) = sum_cells |du/h|^p * w_mid * h + sum_(j,c) c*|u_j|^p with
-    c = alpha * w(node) at each Robin node; N(u) = sum_j nw_j*|u_j|^p.
-    The grid, h and weights are those of its mesh, which it shares with
-    every functional on the same geometry.
+    c = alpha * w(node) at each Robin node, node -1 at a right end, so a
+    functional on any mesh of the interval reads the terms as they are;
+    N(u) = sum_j nw_j*|u_j|^p.  The grid, h and weights are those of its
+    mesh, which it shares with every functional on the same geometry.
     """
 
     mesh: _Mesh
@@ -207,7 +208,7 @@ def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
     if not (isinstance(m, numbers.Integral) and m >= MIN_CELLS):
         raise DomainError("need an integer number of cells, at least %d, got %r" % (MIN_CELLS, m))
     mesh = _mesh(problem.weight, problem.a, problem.b, m)
-    ends = ((0, problem.bc_left, mesh.end_weights[0]), (m, problem.bc_right, mesh.end_weights[1]))
+    ends = ((0, problem.bc_left, mesh.end_weights[0]), (-1, problem.bc_right, mesh.end_weights[1]))
     robin_terms = [(j, bc.alpha * w) for j, bc, w in ends if bc.kind == "robin"]
     return DiscreteFunctional(mesh, problem.p, robin_terms)
 
@@ -361,8 +362,7 @@ def _chain(func: DiscreteFunctional):
     Robin coefficient, the way u grows: marched the other way, its end
     value is lost to rounding near its root."""
     robin = dict(func.robin_terms)
-    m = func.grid.size - 1
-    c_left, c_right = robin.get(0, 0.0), robin.get(m, 0.0)
+    c_left, c_right = robin.get(0, 0.0), robin.get(-1, 0.0)
     nw, mid = func.mesh.floats
     flip = c_left < c_right
     if flip:
@@ -483,9 +483,8 @@ def _march_start(func: DiscreteFunctional):
     lam, marches = math.inf, 0
     for cells in (c, 2 * c):
         coarse = _mesh(mesh.weight, *mesh.interval, cells)
-        robin_terms = [(0 if j == 0 else cells, coef) for j, coef in func.robin_terms]
         lam_prev = lam
-        lam, k, _ = _march_root(DiscreteFunctional(coarse, func.p, robin_terms), lam,
+        lam, k, _ = _march_root(DiscreteFunctional(coarse, func.p, func.robin_terms), lam,
                                 _COARSE_STEP)
         marches += k
     r = (mesh.h / coarse.h) ** 2

@@ -406,10 +406,7 @@ def solve_first_eigenvalue(problem: SturmProblem, config: ShootConfig = ShootCon
         raise ToleranceFailure("trajectory invalid at the converged eigenvalue")
     mismatch = _mismatch(plan, p, run)
 
-    order = np.argsort(traj.grid)
-    grid = traj.grid[order]
-    phi = traj.phi[order]
-    psi = traj.psi[order]
+    grid, phi, psi = (a[::int(plan.direction)] for a in (traj.grid, traj.phi, traj.psi))
 
     w = np.asarray(problem.weight.value(grid), dtype=float)
     # the constant trial's quotient bounds the first eigenvalue above

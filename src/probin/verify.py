@@ -394,9 +394,11 @@ def reflection_identity(R: float, alpha: float, p: float,
     that of [0, R] with Robin(alpha)/Neumann, and the double-Robin
     eigenfunction is even about the midpoint.
 
-    The two routes are independent: the full problem is shot from the
-    left Robin end across the whole interval, the half problem from its
-    Neumann end.
+    With a shooting solve the two routes are independent: the full
+    problem is shot from the left Robin end across the whole interval,
+    the half problem from its Neumann end.  A Rayleigh solve solves the
+    full problem on its half mesh of m/2 cells and the half problem on
+    m, so the row then measures that mesh difference, not the solver.
     """
     full = solve(ProblemSpec("double_robin", R=R, alpha=alpha, p=p))
     half = solve(ProblemSpec("inradius_model", R=R, alpha=alpha, p=p,

@@ -8,7 +8,7 @@ so the test suite can compare two genuinely independent routes.
 import math
 
 from scipy.integrate import quad
-from scipy.special import i0, i1, j0, j1
+from scipy.special import betainc, i0, i1, j0, j1
 
 # First positive zero of J0, brackets the disk root search.
 _J0_FIRST_ZERO = 2.404825557695773
@@ -144,6 +144,40 @@ def mixed_dn_lambda(p, r_len):
     single-Robin problem.
     """
     return (p - 1.0) * (pi_p(p) / (2.0 * r_len)) ** p
+
+
+def flat_robin_lambda_p(r_len, alpha, p):
+    """First Robin eigenvalue of the constant-coefficient p-Laplacian on
+    [0, r_len], Robin(alpha) at one end and Neumann at the other, for
+    alpha > 0 and every p > 1 (the p-sine construction: Lindqvist,
+    Ricerche Mat. 44, 1995).
+
+    With phi = 1 at the Neumann end, the first integral
+    (p - 1)|phi'|^p + lambda phi^p = lambda and the Robin end's
+    |phi'| = alpha^(1/(p-1)) phi give phi(R)^p = lambda/(lambda + c), with
+    c = (p - 1) alpha^(p/(p-1)), and
+    R (lambda/(p - 1))^(1/p) = int_phi(R)^1 (1 - s^p)^(-1/p) ds
+                              = (pi_p/2) I_y(1 - 1/p, 1/p),
+    with y = 1 - phi(R)^p = c/(lambda + c) and I the regularized
+    incomplete beta function.  Neither y nor 1 - y is formed by a
+    difference: 1 - lambda/(lambda + c) rounds to 0 once c << lambda (p
+    near 1, small alpha), and near y = 1 (large alpha) I_y is read as
+    1 - I_(1-y)(1/p, 1 - 1/p).  The left side rises and the right side
+    falls in lambda, and the root lies in (0, mixed_dn_lambda(p, R)).
+    """
+    if not alpha > 0:
+        raise ValueError("flat_robin_lambda_p takes alpha > 0")
+    c = (p - 1.0) * alpha ** (p / (p - 1.0))
+    half = 0.5 * pi_p(p)
+
+    def g(lam):
+        left = r_len * (lam / (p - 1.0)) ** (1.0 / p)
+        if lam >= c:  # y <= 1/2
+            return left - half * betainc(1.0 - 1.0 / p, 1.0 / p, c / (lam + c))
+        # y > 1/2: I_y(a, b) = 1 - I_(1-y)(b, a), with 1 - y = lambda/(lambda + c)
+        return left - half + half * betainc(1.0 / p, 1.0 - 1.0 / p, lam / (lam + c))
+
+    return bisect(g, 0.0, mixed_dn_lambda(p, r_len))
 
 
 def cheeger_ratio(w, robin, far):

@@ -2,7 +2,8 @@
 used in it, every module constant is read, every private function and
 class is referenced, every defaulted parameter is passed by some call,
 and the two solvers import nothing from each other; and importing probin
-leaves an installed numba alone."""
+and solving with it leaves an installed numba, scipy and hypothesis
+alone."""
 
 import ast
 import os
@@ -45,13 +46,22 @@ def test_no_unused_imports(path):
 
 def test_import_ignores_an_installed_numba(tmp_path):
     # the RK4 kernel is pure Python: a numba package on the path, here a
-    # stub whose njit raises, is neither imported nor called
+    # stub whose njit raises, is neither imported nor called.  numpy is
+    # the one runtime dependency: both solvers of the polynomial warped
+    # ball, eigenfunctions included, leave scipy and hypothesis unimported
     stub = tmp_path / "numba"
     stub.mkdir()
     (stub / "__init__.py").write_text(
         "def njit(*args, **kwargs):\n    raise RuntimeError('numba.njit called')\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC.parent)]))
-    code = "import sys, probin; sys.exit('numba imported' if 'numba' in sys.modules else 0)"
+    code = (
+        "import sys, probin\n"
+        "spec = probin.ProblemSpec.from_dict(\n"
+        "    {'type': 'warped_product', 'n': 3, 'R': 1.0, 'alpha': 1.0, 'p': 2.0,\n"
+        "     'warping': {'kind': 'polynomial', 'coefficients': [0.0, 1.0, 0.0, 0.1]}})\n"
+        "probin.solve_spec(spec).phi, probin.rayleigh_spec(spec).phi\n"
+        "sys.exit(' '.join(m for m in ('numba', 'scipy', 'hypothesis') if m in sys.modules) or 0)\n"
+    )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 

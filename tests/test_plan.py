@@ -209,3 +209,23 @@ def test_solve_is_pinned(family, alpha, p, lam, arrays, residual, diagnostics):
     assert sol.diagnostics["evals"] == d["integrations"]
     assert sol.diagnostics["lambda_tol"] == ShootConfig.lambda_tol == 1e-10
     assert hashlib.sha256(repr(sorted(d.items())).encode()).hexdigest()[:16] == diagnostics
+
+
+@pytest.mark.parametrize("family,alpha,p,direction", [
+    ("flat", 1.3, 2.5, -1.0),
+    ("hyperbolic_ball", 2.0, 1.7, 1.0),
+    ("double_robin", -0.9, 2.4, 1.0),
+    ("warped_ball", 1.5, 2.0, 1.0),
+])
+def test_solution_is_its_own_path_at_lambda(family, alpha, p, direction):
+    # the converged eigenfunction is integrate's path at the returned
+    # lambda, byte for byte, put in ascending order: reversed where the
+    # plan runs right to left
+    problem = _problem(family, alpha, p)
+    assert _build_plan(problem, ShootConfig.rk_steps).direction == direction
+    sol = solve_first_eigenvalue(problem)
+    traj = integrate(problem, sol.lambda_val)
+    order = slice(None, None, int(direction))
+    for got, path in ((sol.grid, traj.grid), (sol.phi, traj.phi), (sol.psi, traj.psi)):
+        assert got.tobytes() == path[order].tobytes()
+    assert np.all(np.diff(sol.grid) > 0.0)

@@ -2,11 +2,7 @@
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,19 +370,3 @@ def test_polynomial_warping_is_numpy_polyval_bit_for_bit(coefficients):
             assert type(value) is type(expected)
             assert float(value).hex() == float(expected).hex()
 
-
-def test_a_warped_ball_leaves_numpy_polynomial_unimported():
-    # numpy.polynomial takes ~1.6 ms to import, in every process that
-    # builds a polynomial warping
-    code = (
-        "import sys, probin\n"
-        "doc = {'type': 'warped_product', 'n': 3, 'R': 1.0, 'alpha': 1.0, 'p': 2.0,\n"
-        "       'warping': {'kind': 'polynomial', 'coefficients': [0.0, 1.0, 0.0, 0.1]}}\n"
-        "probin.ProblemSpec.from_dict(doc).build()\n"
-        "sys.exit('numpy.polynomial imported' if 'numpy.polynomial' in sys.modules else 0)\n"
-    )
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr

@@ -83,10 +83,10 @@ def test_trapezoid_node_weights():
 def test_robin_terms_placement():
     assert discretize(_flat(1.0, 2.0), 32).robin_terms == [(0, 1.0)]
     func = discretize(double_robin_problem(1.0, 1.0, 2.0), 32)
-    assert func.robin_terms == [(0, 1.0), (32, 1.0)]
+    assert func.robin_terms == [(0, 1.0), (-1, 1.0)]
     ball = discretize(geodesic_ball_problem(-1.0, 2, 1.0, 2.0, 2.0), 32)
     # boundary coefficient carries the weight at the Robin node
-    assert ball.robin_terms == [(32, pytest.approx(2.0 * math.sinh(1.0)))]
+    assert ball.robin_terms == [(-1, pytest.approx(2.0 * math.sinh(1.0)))]
     assert ball.node_weights[0] == 0.0  # singular center node
 
 
