@@ -19,7 +19,9 @@ of a warping f, built by coeffs.power_weight.  A geodesic ball is the
 warped product of sn_kappa, so the geodesic_ball and warped_product spec
 types reach one builder body.  Its weight is built once per (warping, n)
 and shared, as coeffs shares the constant and model weights, so every
-problem on one geometry carries the same Weight object.
+problem on one geometry carries the same Weight object; and its warping
+is checked (positive on (0, R0], a smooth pole or f(0) > 0) once per
+(warping, R0), so a sweep over p or alpha scans it once.
 """
 
 from __future__ import annotations
@@ -483,13 +485,33 @@ def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p:
 
 
 # the body of both radial builders; a private name, so that a wrapper on
-# either public builder sees one call per build
+# either public builder sees one call per build.  The geometry is checked
+# once per (warping, R0), as its weight is built once per (warping, n).
 def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float) -> SturmProblem:
-    # before the grid below is built: an infinite R0 would make it NaN
+    # before the grid of _radial_geometry is built: an infinite R0 would make it NaN
     if not 0.0 < R0 < math.inf:
         raise DomainError("need finite R0 > 0")
     if n < 2 or int(n) != n:
         raise DomainError("need integer dimension n >= 2")
+    pole = _radial_geometry(warping, float(R0))
+    return SturmProblem(
+        a=0.0,
+        b=float(R0),
+        p=float(p),
+        weight=_warping_weight(warping, n),
+        bc_left=BoundaryCondition.neumann(),
+        bc_right=BoundaryCondition.robin(alpha),
+        singular_left=pole,
+        singular_order=n - 1 if pole else 0,
+    )
+
+
+@functools.lru_cache(maxsize=WEIGHT_CACHE)
+def _radial_geometry(warping: Warping, R0: float) -> bool:
+    """Whether the warping has a pole at 0, once it is checked: positive
+    on 512 nodes of (0, R0], and f'(0) = 1 at a pole or f(0) > 0
+    elsewhere.  An invalid geometry raises DomainError on every build,
+    since lru_cache keeps no exception."""
     f0 = float(warping.f(0.0))
     pole = abs(f0) <= _POLE_TOL
     grid = np.linspace(R0 / 512.0, R0, 512)
@@ -501,16 +523,7 @@ def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float)
             raise DomainError("smooth pole needs f'(0) = 1, got %g" % d0)
     elif f0 <= 0.0:
         raise DomainError("cylinder-type warping needs f(0) > 0")
-    return SturmProblem(
-        a=0.0,
-        b=float(R0),
-        p=float(p),
-        weight=_warping_weight(warping, n),
-        bc_left=BoundaryCondition.neumann(),
-        bc_right=BoundaryCondition.robin(alpha),
-        singular_left=pole,
-        singular_order=n - 1 if pole else 0,
-    )
+    return pole
 
 
 @functools.lru_cache(maxsize=WEIGHT_CACHE)

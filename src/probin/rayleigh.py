@@ -25,9 +25,10 @@ from the signs of the Robin terms:
   Newton step of at most a bound times max(1, |lambda|), with no march
   to confirm it: sqrt(_MARCH_RTOL) on the solved mesh, and _COARSE_STEP
   on the coarse ones, whose roots only need to put the start within the
-  solved mesh's bound.  The
-  eigenvector is the product of the ratios of one more march on the
-  solved mesh, at the returned lambda, so it is positive by
+  solved mesh's bound.  A root-find march carries only z, dz/dlambda
+  and the end value, and forms no ratio.  The eigenvector is the
+  product of the ratios of one more march on the solved mesh, at the
+  returned lambda, the one march that forms them, so it is positive by
   construction.
 
 A functional that is its own mirror image (two equal Robin ends on
@@ -370,7 +371,7 @@ def _chain(func: DiscreteFunctional):
     return (nw, mid, c_left, c_right, func.h, func.p), flip
 
 
-def _march(lam: float, chain):
+def _march(lam: float, chain, ratios=None):
     """E'(u) = lam N'(u) at every node but the end node, marched in
     Riccati form.
 
@@ -389,15 +390,16 @@ def _march(lam: float, chain):
     dy_j = -sum_(i<=j) nw_i (u_i/u_j)^p.
 
     lam must be a Python float: a numpy scalar makes every step several
-    times slower.  Returns the ratios, and (y_m, dy_m/dlam) or None if
-    some r_j <= 0, where the march stops."""
+    times slower.  Returns (y_m, dy_m/dlam), or None if some r_j <= 0,
+    where the march stops.  Where ratios is a list, each r_j reached is
+    appended to it: only _finish's march passes one, and a root-find
+    march forms no ratio."""
     nw, mid, c_launch, c_end, h, p = chain
     e = 1.0 / (p - 1.0)
     q = p - 1.0
     h_q = h ** -q
     z, dz = c_launch, 0.0
-    ratios = []
-    keep = ratios.append
+    keep = ratios is not None
     for w, wm in zip(nw, mid):
         y = z - lam * w
         dz -= w
@@ -406,19 +408,21 @@ def _march(lam: float, chain):
             t = s ** e if s >= 0.0 else -(-s) ** e
         except OverflowError:  # |s|^e beyond the float range, at p near 1
             if s < 0.0:
-                return ratios, None
+                return None
             # r = inf: z_(j+1) = w_mid,j Phi(t/r) -> w_mid,j h^-(p-1), and dz_(j+1) -> 0
-            keep(math.inf)
+            if keep:
+                ratios.append(math.inf)
             z, dz = wm * h_q, 0.0
             continue
         r = 1.0 + h * t
         if not r > 0.0:
-            return ratios, None
+            return None
         rq = r ** q
         z = y / rq
         dz /= rq * r
-        keep(r)
-    return ratios, (z + c_end - lam * nw[-1], dz - nw[-1])
+        if keep:
+            ratios.append(r)
+    return z + c_end - lam * nw[-1], dz - nw[-1]
 
 
 def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_MARCH_RTOL)):
@@ -446,7 +450,7 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     lam = min(max(float(lam), lo), hi)
     converged = False
     for marches in range(1, _MARCH_MAX + 1):
-        end = _march(lam, chain)[1]
+        end = _march(lam, chain)
         step = None
         if end is not None:
             y, dy = end
@@ -583,7 +587,9 @@ def _finish(func: DiscreteFunctional, solved: DiscreteFunctional, q: float, mirr
     if march:
         chain, flip = _chain(solved)
         log_u = np.zeros(solved.grid.size)
-        np.add.accumulate(np.log(np.minimum(_march(q, chain)[0], _HUGE)), out=log_u[1:])
+        ratios = []
+        _march(q, chain, ratios)
+        np.add.accumulate(np.log(np.minimum(ratios, _HUGE)), out=log_u[1:])
         u = np.exp((log_u[::-1] if flip else log_u) - np.maximum.reduce(log_u))
     if mirror:  # node k is its own mirror when m is even
         u = np.concatenate((u, u[-2::-1] if (func.grid.size - 1) % 2 == 0 else u[::-1]))

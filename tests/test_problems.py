@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import probin.problems
 from probin.coeffs import ModelParams, const_weight
 from probin.errors import DomainError
 from probin.problems import (
@@ -133,6 +134,41 @@ def test_warped_pole_validation():
     # cylinder type: f positive everywhere including 0 is fine
     cyl = warped_product_problem(polynomial_warping((1.0, 0.5)), 3, 1.0, 1.0, 2.0)
     assert not cyl.singular_left
+
+
+def test_a_radial_geometry_is_checked_once_per_warping_and_radius():
+    """The warping is scanned on 512 nodes of (0, R0] once per (warping,
+    R0), whatever n, p and alpha: equal warpings share the check, a new
+    R0 scans again, and an invalid geometry raises on every build."""
+    scans = []
+
+    def f(r):
+        if np.size(r) == 512:
+            scans.append(r)
+        return np.sin(r)
+
+    warping = Warping(f, np.cos, lambda r: -np.sin(r))
+    for n in (2, 3):
+        for p in (1.5, 2.0, 3.0):
+            for alpha in (-1.0, 1.0):
+                assert warped_product_problem(warping, n, 1.0, alpha, p).singular_left
+    assert len(scans) == 1
+    warped_product_problem(warping, 2, 0.5, 1.0, 2.0)
+    assert len(scans) == 2 and scans[1][-1] == 0.5
+
+    check = probin.problems._radial_geometry
+    first, second = sn_warping(-1.0), sn_warping(-1.0)
+    assert first is not second and first == second
+    before = check.cache_info()
+    geodesic_ball_problem(-1.0, 3, 0.8125, 1.0, 2.0)
+    warped_product_problem(first, 2, 0.8125, -1.0, 1.5)
+    warped_product_problem(second, 4, 0.8125, 2.0, 3.0)
+    after = check.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+    for _ in range(2):
+        with pytest.raises(DomainError, match="positive"):
+            warped_product_problem(polynomial_warping((0.0, 1.0, -1.0)), 2, 1.5, 1.0, 2.0)
 
 
 def test_inradius_at_cutoff_reflects_geodesic_ball():

@@ -554,12 +554,13 @@ def test_march_brackets_the_p2_eigenvalue():
         func = discretize(prob, 400)
         chain, _ = _chain(func)
         lam = _p2_matrix_eigenpair(func)[1]
-        ratios, (y, dy) = _march(lam - 1e-6, chain)
+        ratios = []
+        y, dy = _march(lam - 1e-6, chain, ratios)
         assert min(ratios) > 0.0 and y > 0.0
-        end = _march(lam + 1e-6, chain)[1]
+        end = _march(lam + 1e-6, chain)
         assert end is None or end[0] < 0.0
         d = 1e-5
-        fd = (_march(lam + d, chain)[1][0] - _march(lam - d, chain)[1][0]) / (2 * d)
+        fd = (_march(lam + d, chain)[0] - _march(lam - d, chain)[0]) / (2 * d)
         assert dy == pytest.approx(fd, rel=1e-6)
 
 
@@ -593,15 +594,17 @@ def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
     need: the two coarse levels stop at their first Newton step of at
     most _COARSE_STEP max(1, |lambda|), the fine level at its first of
     at most sqrt(_MARCH_RTOL) max(1, |lambda|), none with a confirming
-    march.  The root is the one found from the top of the bracket.  Only
-    the fine level's eigenvector is formed, by one more march at the
-    returned lambda, once phi is read."""
+    march.  The root is the one found from the top of the bracket.  No
+    root-find march, coarse or fine, forms a ratio.  Only the fine
+    level's eigenvector is formed, by one more march at the returned
+    lambda, once phi is read: it forms one ratio per cell of the solved
+    mesh."""
     marches = []
 
-    def spy(lam, chain):
-        ratios, end = _march(lam, chain)
-        marches.append((lam, len(chain[0]), len(ratios), end))
-        return ratios, end
+    def spy(lam, chain, ratios=None):
+        end = _march(lam, chain, ratios)
+        marches.append((lam, len(chain[0]), ratios is not None, len(ratios or ()), end))
+        return end
 
     monkeypatch.setattr(probin.rayleigh, "_march", spy)
     func = discretize(prob, 2000)
@@ -610,11 +613,13 @@ def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
     assert d["converged"] and d["steps"] == 1
     assert d["seed_iterations"] <= max_seed
     assert d["evals"] == d["seed_iterations"] + d["steps"] == len(marches)
+    assert not any(formed for _, _, formed, _, _ in marches)
     fine = marches[-1][1]
     sol.phi
     assert len(marches) == d["evals"] + 1
-    lam, nodes, reached, end = marches[-1]
-    assert lam == sol.lambda_val and nodes == fine == reached + 1 and end is not None
+    lam, nodes, formed, reached, end = marches[-1]
+    assert lam == sol.lambda_val and formed and end is not None
+    assert nodes == fine == reached + 1 == _solved(func).grid.size
     assert sol.lambda_val == pytest.approx(_march_root(func, math.inf)[0], rel=1e-12)
 
 
@@ -648,7 +653,8 @@ def _assert_phi_is_the_march_at_the_root(prob, m):
     sol = minimize(func)
     solved = _solved(func)
     chain, flip = _chain(solved)
-    ratios, end = _march(sol.lambda_val, chain)
+    ratios = []
+    end = _march(sol.lambda_val, chain, ratios)
     assert sol.diagnostics["converged"] and end is not None
     assert len(ratios) == solved.grid.size - 1
     u = _eigenvector(ratios, flip)
@@ -709,7 +715,8 @@ def test_march_end_derivative_is_its_norm_sum(p):
         func = discretize(prob, 2000)
         chain, _ = _chain(func)
         lam = solve_rayleigh(prob, 2000).lambda_val
-        ratios, (_, dy) = _march(lam - 1e-3 * max(1.0, abs(lam)), chain)
+        ratios = []
+        _, dy = _march(lam - 1e-3 * max(1.0, abs(lam)), chain, ratios)
         log_u = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
         norm = float(np.sum(np.asarray(chain[0]) * np.exp(p * (log_u - log_u[-1]))))
         assert dy == pytest.approx(-norm, rel=1e-12), prob
@@ -732,10 +739,10 @@ def test_deep_layer_march(monkeypatch, p, alpha, lam, steps, infinite):
     root-find to a step of 1e-13) within 1e-12."""
     seen = []
 
-    def spy(lam, chain):
-        ratios, end = _march(lam, chain)
-        seen.append((lam, int(np.count_nonzero(np.isinf(ratios))), end is not None))
-        return ratios, end
+    def spy(lam, chain, ratios=None):
+        end = _march(lam, chain, ratios)
+        seen.append((lam, int(np.count_nonzero(np.isinf(ratios or []))), end is not None))
+        return end
 
     monkeypatch.setattr(probin.rayleigh, "_march", spy)
     sol = solve_rayleigh(_flat(alpha, p), 2000)
@@ -759,7 +766,9 @@ def test_infinite_ratios_are_capped(p, alpha):
     func = discretize(_robin_right(alpha, p), 2000)
     sol = minimize(func)
     chain, flip = _chain(func)
-    ratios = np.array(_march(sol.lambda_val, chain)[0])
+    ratios = []
+    _march(sol.lambda_val, chain, ratios)
+    ratios = np.array(ratios)
     assert sol.diagnostics["converged"] and not flip and np.any(np.isinf(ratios))
     log_u = np.concatenate(([0.0], np.cumsum(np.log(np.minimum(ratios, _HUGE)))))
     assert np.all(np.isfinite(log_u)) and np.all(np.diff(log_u) >= 0.0)
@@ -877,7 +886,8 @@ def test_factor_solve_residual_against_dense(n):
     chain = _random_chain(rng, n)
     lam1 = float(_chain_eigvals(chain)[0])
     for lam in (lam1 - 1.0 - abs(lam1), lam1 - 1e-6 * (1.0 + abs(lam1))):
-        ratios, end = _march(lam, chain)
+        ratios = []
+        end = _march(lam, chain, ratios)
         assert end is not None and all(r > 0.0 for r in ratios)
         u = np.concatenate(([1.0], np.cumprod(ratios)))
         diag, off, size = _chain_matrix(chain, lam)
@@ -916,7 +926,8 @@ def test_factor_pivots_have_the_inertia_of_the_matrix(n):
         diag, off, _ = _chain_matrix(chain, lam)
         diag, off = diag * s * s, off * s[:-1] * s[1:]  # congruent: the same inertia
         eig = _eigvals(diag, off)
-        ratios, end = _march(lam, chain)
+        ratios = []
+        end = _march(lam, chain, ratios)
         k = len(ratios)
         if end is not None:
             if not clear(eig):
@@ -1109,7 +1120,7 @@ def test_package_solves_without_scipy():
         "import sys, probin, probin.rayleigh as r\n"
         "calls = []\n"
         "march = r._march\n"
-        "r._march = lambda lam, chain: calls.append(1) or march(lam, chain)\n"
+        "r._march = lambda lam, chain, ratios=None: calls.append(1) or march(lam, chain, ratios)\n"
         "neumann = probin.BoundaryCondition.neumann()\n"
         "for alpha, marches in ((1.0, False), (-1.0, True)):\n"
         "    spec = probin.ProblemSpec.from_dict({'type': 'geodesic_ball', 'R': 1.0, 'kappa': -1.0,"
