@@ -11,7 +11,7 @@ from the signs of the Robin terms:
   keeps its powers 1/(p - 1) on numbers in [0, 1], by cumulative sums
   with no loop in Python, and normalizes v, from the constant.  It
   stops once an iteration lowers the quotient by at most
-  _INVERSE_RTOL of it, or once its last three falls shrink at a steady
+  _LAMBDA_RTOL of it, or once its last three falls shrink at a steady
   linear rate whose geometric tail is at most that;
 - otherwise (a Robin coefficient <= 0, two Robin ends, or no Robin
   end): node j of E'(u) = lambda N'(u) is a half-linear three-term
@@ -23,7 +23,7 @@ from the signs of the Robin terms:
   same root-find on two coarser meshes of the same interval, built by
   _mesh like any other, extrapolated.  Each root-find ends on its first
   Newton step of at most a bound times max(1, |lambda|), with no march
-  to confirm it: sqrt(_MARCH_RTOL) on the solved mesh, and _COARSE_STEP
+  to confirm it: sqrt(_LAMBDA_RTOL) on the solved mesh, and _COARSE_STEP
   on the coarse ones, whose roots only need to put the start within the
   solved mesh's bound.  A root-find march carries only z, dz/dlambda
   and the end value, and forms no ratio.  The eigenvector is the
@@ -70,18 +70,19 @@ from .errors import DomainError, ToleranceFailure
 from .problems import EigenSolution, ProblemSpec, SturmProblem, ThreePoint, _read_only, momentum
 
 _INVERSE_MAX = 200  # iterations of the inverse power method
-# quotient fall that ends it, per unit of q, and the bound on the falls
-# still to come where the last three fall at a steady linear rate
-_INVERSE_RTOL = 1e-13
 _MARCH_MAX = 200  # marches before the root-find gives up
-# the fine level's root-find ends on its first Newton step in lambda of
-# at most sqrt(_MARCH_RTOL) max(1, |lambda|); Newton's error after such a
-# step is about its square, _MARCH_RTOL max(1, |lambda|)
-_MARCH_RTOL = 1e-13
+# lambda's relative tolerance on either route, reported as lambda_tol.
+# The inverse power method ends on a quotient fall of at most this per
+# unit of q, or where the last three fall at a steady linear rate, on
+# falls still to come that sum to at most this.  The fine level's
+# root-find ends on its first Newton step in lambda of at most
+# sqrt(_LAMBDA_RTOL) max(1, |lambda|); Newton's error after such a step
+# is about its square, _LAMBDA_RTOL max(1, |lambda|)
+_LAMBDA_RTOL = 1e-13
 # the coarse levels' root-finds end on their first Newton step of at
 # most _COARSE_STEP max(1, |lambda|): Newton's error after it is about
 # 1e-8, so the start extrapolated from them lands well inside the fine
-# level's first-step stop, sqrt(_MARCH_RTOL) = 3.2e-7
+# level's first-step stop, sqrt(_LAMBDA_RTOL) = 3.2e-7
 _COARSE_STEP = 1e-4
 # the march's start comes from meshes of min(_COARSE_CELLS, n // 4) and
 # twice as many cells, on a solved mesh of n cells: 125 and 250 both at
@@ -180,29 +181,14 @@ class DiscreteFunctional:
     E(u) = sum_cells |du/h|^p * w_mid * h + sum_(j,c) c*|u_j|^p with
     c = alpha * w(node) at each Robin node, node -1 at a right end, so a
     functional on any mesh of the interval reads the terms as they are;
-    N(u) = sum_j nw_j*|u_j|^p.  The grid, h and weights are those of its
-    mesh, which it shares with every functional on the same geometry.
+    N(u) = sum_j nw_j*|u_j|^p.  The grid, h and weights are read from its
+    mesh (func.mesh.grid, .h, .node_weights, .mid_weights), which it
+    shares with every functional on the same geometry.
     """
 
     mesh: _Mesh
     p: float
     robin_terms: list
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.mesh.grid
-
-    @property
-    def node_weights(self) -> np.ndarray:
-        return self.mesh.node_weights
-
-    @property
-    def mid_weights(self) -> np.ndarray:
-        return self.mesh.mid_weights
-
-    @property
-    def h(self) -> float:
-        return self.mesh.h
 
 
 def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
@@ -215,15 +201,15 @@ def discretize(problem: SturmProblem, m: int) -> DiscreteFunctional:
 
 
 def energy(func: DiscreteFunctional, u: np.ndarray) -> float:
-    d = (u[1:] - u[:-1]) / func.h
-    e = func.h * float(np.add.reduce(func.mid_weights * np.abs(d) ** func.p))
+    d = (u[1:] - u[:-1]) / func.mesh.h
+    e = func.mesh.h * float(np.add.reduce(func.mesh.mid_weights * np.abs(d) ** func.p))
     for j, c in func.robin_terms:
         e += c * abs(u[j]) ** func.p
     return e
 
 
 def norm_p(func: DiscreteFunctional, u: np.ndarray) -> float:
-    return float(np.add.reduce(func.node_weights * np.abs(u) ** func.p))
+    return float(np.add.reduce(func.mesh.node_weights * np.abs(u) ** func.p))
 
 
 def quotient(func: DiscreteFunctional, u: np.ndarray) -> float:
@@ -239,13 +225,13 @@ def _constant_quotient(func: DiscreteFunctional) -> float:
     """quotient(func, u) for a constant u, bit for bit: u has no cell
     energy, so it is the sum of the Robin coefficients over the sum of
     the node weights."""
-    return sum((c for _, c in func.robin_terms), 0.0) / float(np.add.reduce(func.node_weights))
+    return sum((c for _, c in func.robin_terms), 0.0) / float(np.add.reduce(func.mesh.node_weights))
 
 
 def _energy_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
     p = func.p
-    d = (u[1:] - u[:-1]) / func.h
-    flux = func.mid_weights * momentum(d, p)
+    d = (u[1:] - u[:-1]) / func.mesh.h
+    flux = func.mesh.mid_weights * momentum(d, p)
     g = np.zeros_like(u)
     g[:-1] -= flux
     g[1:] += flux
@@ -256,7 +242,7 @@ def _energy_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
 
 
 def _norm_grad(func: DiscreteFunctional, u: np.ndarray) -> np.ndarray:
-    return func.p * func.node_weights * momentum(u, func.p)
+    return func.p * func.mesh.node_weights * momentum(u, func.p)
 
 
 def _normalize(func: DiscreteFunctional, u: np.ndarray):
@@ -303,20 +289,20 @@ def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
     its factor K^(-1/(p-1)).  A cell's energy w_mid |v'|^p h is
     h |v' f|/K, so E(v) is read off the scaled slopes and the fluxes."""
     p = func.p
-    part = np.add.accumulate(func.node_weights * u ** (p - 1.0))
+    part = np.add.accumulate(func.mesh.node_weights * u ** (p - 1.0))
     total = float(part[-1])
     (j, c), = func.robin_terms
     flux = total - part[:-1] if j == 0 else part[:-1]  # |f|
-    slopes = flux / func.mid_weights  # |f|/w_mid, scaled and raised in place
+    slopes = flux / func.mesh.mid_weights  # |f|/w_mid, scaled and raised in place
     k = max(float(np.maximum.reduce(slopes)), total / c)
     slopes /= k
     slopes **= 1.0 / (p - 1.0)
     v_robin = (total / c / k) ** (1.0 / (p - 1.0))
     away = slice(None, None, 1 if j == 0 else -1)  # node order away from the Robin end
     v = np.zeros(u.size)
-    np.add.accumulate(func.h * slopes[away], out=v[away][1:])
+    np.add.accumulate(func.mesh.h * slopes[away], out=v[away][1:])
     v += v_robin
-    return v, func.h * float(np.add.reduce(slopes * flux)) / k + c * v_robin ** p
+    return v, func.mesh.h * float(np.add.reduce(slopes * flux)) / k + c * v_robin ** p
 
 
 def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
@@ -327,10 +313,10 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
     formed.  A rise within rounding is not taken.
 
     Converged once an iteration lowers the quotient by at most
-    _INVERSE_RTOL of it, or once the last three falls shrink at a steady
+    _LAMBDA_RTOL of it, or once the last three falls shrink at a steady
     linear rate rho, the last fall over the one before it, and the falls
     still to come, fall rho/(1 - rho) as a geometric series, sum to at
-    most _INVERSE_RTOL of q.  Steady means rho <= 1/2 and within a factor
+    most _LAMBDA_RTOL of q.  Steady means rho <= 1/2 and within a factor
     2 of the ratio before it: a rate read off two falls alone can stop
     before the rate has settled (after 2 iterations at p = 1.05,
     alpha = 1e6 on the hyperbolic ball, 9.7e-7 off).
@@ -344,12 +330,12 @@ def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
         if qv < q:
             u, q = v, qv
         fall = q_prev - qv
-        if fall <= _INVERSE_RTOL * q_prev:
+        if fall <= _LAMBDA_RTOL * q_prev:
             return u, q, iters, True
         if len(falls) == 2:
             rho, rho_prev = fall / falls[1], falls[1] / falls[0]
             if (rho <= 0.5 and rho_prev <= 2.0 * rho <= 4.0 * rho_prev
-                    and fall * rho <= _INVERSE_RTOL * q * (1.0 - rho)):
+                    and fall * rho <= _LAMBDA_RTOL * q * (1.0 - rho)):
                 return u, q, iters, True
         falls = (falls + (fall,))[-2:]
     return u, q, _INVERSE_MAX, False
@@ -368,7 +354,7 @@ def _chain(func: DiscreteFunctional):
     flip = c_left < c_right
     if flip:
         nw, mid, c_left, c_right = nw[::-1], mid[::-1], c_right, c_left
-    return (nw, mid, c_left, c_right, func.h, func.p), flip
+    return (nw, mid, c_left, c_right, func.mesh.h, func.p), flip
 
 
 def _march(lam: float, chain, ratios=None):
@@ -425,7 +411,7 @@ def _march(lam: float, chain, ratios=None):
     return z + c_end - lam * nw[-1], dz - nw[-1]
 
 
-def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_MARCH_RTOL)):
+def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_LAMBDA_RTOL)):
     """The discrete first eigenvalue of func, for any Robin ends but a
     single positive one, from a start lam.
 
@@ -438,14 +424,14 @@ def _march_root(func: DiscreteFunctional, lam: float, rtol: float = math.sqrt(_M
     step of at most rtol max(1, |lam|), where Newton's error is about the
     step's square, and returns lam plus that step, with no march to
     confirm it; or when the bracket's ends are adjacent floats, at the
-    lower one.  rtol is sqrt(_MARCH_RTOL) on the solved mesh, and
+    lower one.  rtol is sqrt(_LAMBDA_RTOL) on the solved mesh, and
     _COARSE_STEP on the coarse levels of _march_start, whose roots only
     seed it.
 
     Returns (lam, marches, converged); lam is the bracket's lower end,
     unconverged, after _MARCH_MAX marches with no stop."""
     chain, _ = _chain(func)
-    lo = sum((c / float(func.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
+    lo = sum((c / float(func.mesh.node_weights[j]) for j, c in func.robin_terms if c < 0.0), 0.0)
     hi = _constant_quotient(func)
     lam = min(max(float(lam), lo), hi)
     converged = False
@@ -479,10 +465,10 @@ def _march_start(func: DiscreteFunctional):
     the ratio (h/h_2c)^2, which need not be a whole number.  Both
     coarse root-finds stop at their first Newton step of at most
     _COARSE_STEP max(1, |lam|), not at the fine level's
-    sqrt(_MARCH_RTOL): the start needs them only to about 1e-8.  Returns
+    sqrt(_LAMBDA_RTOL): the start needs them only to about 1e-8.  Returns
     the start and the coarse marches."""
     mesh = func.mesh
-    n = func.grid.size - 1
+    n = mesh.grid.size - 1
     c = min(_COARSE_CELLS, n // 4)
     lam, marches = math.inf, 0
     for cells in (c, 2 * c):
@@ -513,30 +499,28 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
     constant.  Otherwise: the coarse march root-finds, then the march.
     The diagnostics flag whether a convergence test fired, count the
     passes over the solved mesh (evals: every march, coarse and fine, or
-    every inverse power iteration), give the root-find's relative
-    tolerance (lambda_tol) and time the two stages.  Their m is func's
+    every inverse power iteration), give lambda's relative tolerance on
+    either route (lambda_tol) and time the two stages.  Their m is func's
     cell count, also where the half was solved.  phi, psi and the
     residual are formed on their first read (_finish), after minimize
     has returned.
     """
-    m = func.grid.size - 1
+    m = func.mesh.grid.size - 1
     t_seed = time.perf_counter()
     mirror = _mirror_image(func)
     solved = DiscreteFunctional(func.mesh.half, func.p, func.robin_terms[:1]) if mirror else func
     u = None
     if _convex(solved):
-        u, seed_iters = _normalize(solved, np.ones(solved.grid.size))[0], 0
+        u, seed_iters = _normalize(solved, np.ones(solved.mesh.grid.size))[0], 0
         t_solve = time.perf_counter()
         u, q, iters, converged = _inverse_power(solved, u, _constant_quotient(solved))
         steps = evals = iters
-        tol = _INVERSE_RTOL
     else:
         q, seed_iters = _march_start(solved)
         t_solve = time.perf_counter()
         q, steps, converged = _march_root(solved, q)
         iters = 0
         evals = seed_iters + steps
-        tol = _MARCH_RTOL
     t_end = time.perf_counter()
 
     diagnostics = {
@@ -545,31 +529,30 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
         "seed_iterations": seed_iters,
         "evals": evals,
         "converged": converged,
-        "lambda_tol": tol,
+        "lambda_tol": _LAMBDA_RTOL,
         "m": m,
         "phase_s": {"seed": t_solve - t_seed, "solve": t_end - t_solve},
     }
 
     return EigenSolution(
         lambda_val=float(q),
-        grid=func.grid,
+        grid=func.mesh.grid,
         method="rayleigh",
         diagnostics=diagnostics,
-        finish=functools.partial(_finish, func, solved, q, mirror, u),
+        finish=functools.partial(_finish, func, solved, q, u),
     )
 
 
-def _finish(func: DiscreteFunctional, solved: DiscreteFunctional, q: float, mirror: bool,
-            u) -> tuple:
+def _finish(func: DiscreteFunctional, solved: DiscreteFunctional, q: float, u) -> tuple:
     """(phi, psi, residual) of minimize's solve of func at q: from the
     inverse power method's iterate u on solved or, where u is None, the
     product of the ratios of one march on solved at q, each capped at
-    _HUGE so that log u stays finite near p = 1.  A mirror image's half
-    is mirrored.  phi = u/max u, psi its momentum, and residual the norm
-    of E'(u) - q N'(u) at N(u) = 1.
+    _HUGE so that log u stays finite near p = 1.  A solved that is not
+    func is a mirror image's half, and is mirrored.  phi = u/max u, psi
+    its momentum, and residual the norm of E'(u) - q N'(u) at N(u) = 1.
 
     That march reaches the end node: q is the bracket's lower end, below
-    the root, or within about _MARCH_RTOL max(1, |q|) of it; marched the
+    the root, or within about _LAMBDA_RTOL max(1, |q|) of it; marched the
     way u grows (_chain), u first vanishes at a node far past the root.
 
     It raises nothing, so minimize keeps every check that can.  Only
@@ -583,16 +566,16 @@ def _finish(func: DiscreteFunctional, solved: DiscreteFunctional, q: float, mirr
     both ends, where every ratio is 1; as the launch node (y = 0) its
     first ratio is exactly 1, so its neighbour, of positive weight,
     shares the maximum."""
-    march = u is None
+    march, mirror = u is None, solved is not func
     if march:
         chain, flip = _chain(solved)
-        log_u = np.zeros(solved.grid.size)
+        log_u = np.zeros(solved.mesh.grid.size)
         ratios = []
         _march(q, chain, ratios)
         np.add.accumulate(np.log(np.minimum(ratios, _HUGE)), out=log_u[1:])
         u = np.exp((log_u[::-1] if flip else log_u) - np.maximum.reduce(log_u))
     if mirror:  # node k is its own mirror when m is even
-        u = np.concatenate((u, u[-2::-1] if (func.grid.size - 1) % 2 == 0 else u[::-1]))
+        u = np.concatenate((u, u[-2::-1] if (func.mesh.grid.size - 1) % 2 == 0 else u[::-1]))
     if mirror or march:
         u = _normalize(func, u)[0]
     scale = float(np.maximum.reduce(u))

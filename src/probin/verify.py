@@ -225,8 +225,11 @@ def picone_check(u, v, grid, p, tol_identity=1e-8) -> VerificationReport:
     np.max/np.min, so a NaN anywhere still comes out NaN.  The margin
     folds both assertions: identity deviation at tol_identity, pointwise
     nonnegativity of L at _TOL_PICONE_NONNEG.  extras carry max |L|, which
-    a proportional pair u = c*v must drive to zero.
+    a proportional pair u = c*v must drive to zero.  p must lie in
+    (1, inf), as a SturmProblem's does.
     """
+    if not 1.0 < p < math.inf:
+        raise DomainError("picone check needs 1 < p < inf, got %r" % (p,))
     grid, u, v = _sampled("picone check", grid, u, v)
     if np.any(v <= 0.0):
         raise DomainError("picone check needs v > 0")
@@ -277,13 +280,10 @@ def barta_sandwich(
     directly) or a pair (grid, values) whose momentum is formed from
     central differences.  lam is the eigenvalue the sandwich brackets.
     """
-    if isinstance(trial, EigenSolution):
-        grid, v, psi_v = trial.grid, trial.phi, trial.psi
-        stencil = ThreePoint.of_grid(grid)
-    else:
-        grid, v = _sampled("barta trial", *trial)
-        stencil = ThreePoint.of_grid(grid)
-        psi_v = momentum(stencil(v), problem.p)
+    solution = isinstance(trial, EigenSolution)
+    grid, v = (trial.grid, trial.phi) if solution else _sampled("barta trial", *trial)
+    stencil = ThreePoint.of_grid(grid)
+    psi_v = trial.psi if solution else momentum(stencil(v), problem.p)
     if np.any(v <= 0.0):
         raise DomainError("barta trial must be positive")
 

@@ -149,8 +149,9 @@ def mixed_dn_lambda(p, r_len):
 def flat_robin_lambda_p(r_len, alpha, p):
     """First Robin eigenvalue of the constant-coefficient p-Laplacian on
     [0, r_len], Robin(alpha) at one end and Neumann at the other, for
-    alpha > 0 and every p > 1 (the p-sine construction: Lindqvist,
-    Ricerche Mat. 44, 1995).
+    alpha != 0 and every p > 1 (the p-sine construction: Lindqvist,
+    Ricerche Mat. 44, 1995).  What follows is alpha > 0; alpha < 0 is
+    _flat_robin_lambda_p_negative.
 
     With phi = 1 at the Neumann end, the first integral
     (p - 1)|phi'|^p + lambda phi^p = lambda and the Robin end's
@@ -165,8 +166,10 @@ def flat_robin_lambda_p(r_len, alpha, p):
     1 - I_(1-y)(1/p, 1 - 1/p).  The left side rises and the right side
     falls in lambda, and the root lies in (0, mixed_dn_lambda(p, R)).
     """
+    if alpha < 0:
+        return _flat_robin_lambda_p_negative(r_len, alpha, p)
     if not alpha > 0:
-        raise ValueError("flat_robin_lambda_p takes alpha > 0")
+        raise ValueError("flat_robin_lambda_p takes alpha != 0")
     c = (p - 1.0) * alpha ** (p / (p - 1.0))
     half = 0.5 * pi_p(p)
 
@@ -178,6 +181,37 @@ def flat_robin_lambda_p(r_len, alpha, p):
         return left - half + half * betainc(1.0 / p, 1.0 - 1.0 / p, lam / (lam + c))
 
     return bisect(g, 0.0, mixed_dn_lambda(p, r_len))
+
+
+def _flat_robin_lambda_p_negative(r_len, alpha, p):
+    """flat_robin_lambda_p for alpha < 0.
+
+    With phi = 1 at the Neumann end the first integral reads
+    (p - 1)|phi'|^p = -lambda (phi^p - 1), so phi grows toward the Robin
+    end, where |phi'| = k phi with k = |alpha|^(1/(p-1)).  With
+    c = (p - 1) k^p, the half-line value's magnitude, lambda = -c/U for
+    U = 1 - phi(0)^(-p) in (0, 1), and u = 1 - phi^(-p) turns
+    r_len = int_1^phi(0) dphi/|phi'| into
+    k r_len = U^(1/p) (1/p) int_0^U u^(-1/p) (1 - u)^(-1) du.
+    In t = -log(1 - u), and for s = -log(1 - U), that is
+    k r_len = (1 - e^(-s))^(1/p) (1/p) int_0^s (1 - e^(-t))^(-1/p) dt,
+    which rises in s, and a deep layer (large k r_len, U near 1) keeps
+    its digits in s.  The integrand is t^(-1/p) times the smooth
+    ((1 - e^(-t))/t)^(-1/p), integrated with quad's algebraic weight.
+    At p = 2 this is mu tanh(mu r_len) = -alpha with lambda = -mu^2.
+    """
+    k = abs(alpha) ** (1.0 / (p - 1.0))
+    c = (p - 1.0) * k ** p
+
+    def g(s):
+        smooth = quad(lambda t: (-math.expm1(-t) / t) ** (-1.0 / p) if t > 0.0 else 1.0,
+                      0.0, s, weight="alg", wvar=(-1.0 / p, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+        return (-math.expm1(-s)) ** (1.0 / p) * smooth / p - k * r_len
+
+    hi = 1.0
+    while g(hi) < 0:
+        hi *= 2.0
+    return c / math.expm1(-bisect(g, 0.0, hi))  # expm1(-s) = -U
 
 
 def cheeger_ratio(w, robin, far):

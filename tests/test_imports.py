@@ -1,7 +1,8 @@
 """Static checks of the probin sources: every name a module imports is
 used in it, every module constant is read, every private function and
 class is referenced, every defaulted parameter is passed by some call,
-and the two solvers import nothing from each other; and importing probin
+no property only forwards a field's attribute, and the two solvers
+import nothing from each other; and importing probin
 and solving with it leaves an installed numba, scipy and hypothesis
 alone."""
 
@@ -207,3 +208,27 @@ def test_every_default_is_overridden_somewhere():
               for func, param, position in _defaulted_parameters(ast.parse(path.read_text()))
               if not any(_passes(c, param, position) for c in calls.get(func, []))]
     assert not unused, "defaulted parameters no call passes: " + ", ".join(unused)
+
+
+def _forwarding_properties(tree):
+    """(class, property, line) of every @property whose whole body, past
+    a docstring, is return self.<field>.<attr>."""
+    for cls in ast.walk(tree):
+        for f in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if not (isinstance(f, ast.FunctionDef)
+                    and any(getattr(d, "id", None) == "property" for d in f.decorator_list)):
+                continue
+            body = f.body[1:] if ast.get_docstring(f) is not None else f.body
+            value = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+            inner = getattr(value, "value", None) if isinstance(value, ast.Attribute) else None
+            if isinstance(inner, ast.Attribute) and getattr(inner.value, "id", None) == "self":
+                yield cls.name, f.name, f.lineno
+
+
+def test_no_property_forwards_a_field_attribute():
+    """A property that only returns self.<field>.<attr> is a second name
+    for a fact the field holds: read it as obj.<field>.<attr>."""
+    forwards = ["%s: %s.%s (line %d)" % (path.name, *found)
+                for path in sorted(SRC.glob("*.py"))
+                for found in _forwarding_properties(ast.parse(path.read_text()))]
+    assert not forwards, "properties that forward a field's attribute: " + ", ".join(forwards)

@@ -28,8 +28,7 @@ from probin.problems import (
 )
 from probin.rayleigh import (
     _HUGE,
-    _INVERSE_RTOL,
-    _MARCH_RTOL,
+    _LAMBDA_RTOL,
     _MESH_CACHE,
     DiscreteFunctional,
     _chain,
@@ -77,7 +76,7 @@ def test_trapezoid_node_weights():
     h = 1.0 / 16
     expected = np.full(17, h)
     expected[0] = expected[-1] = h / 2
-    assert func.node_weights == pytest.approx(expected, rel=1e-15)
+    assert func.mesh.node_weights == pytest.approx(expected, rel=1e-15)
 
 
 def test_robin_terms_placement():
@@ -87,7 +86,7 @@ def test_robin_terms_placement():
     ball = discretize(geodesic_ball_problem(-1.0, 2, 1.0, 2.0, 2.0), 32)
     # boundary coefficient carries the weight at the Robin node
     assert ball.robin_terms == [(-1, pytest.approx(2.0 * math.sinh(1.0)))]
-    assert ball.node_weights[0] == 0.0  # singular center node
+    assert ball.mesh.node_weights[0] == 0.0  # singular center node
 
 
 def test_m_floor():
@@ -239,7 +238,7 @@ def test_constant_quotient_is_the_quotient_of_ones(prob, m):
 def test_quotient_ramp_dirichlet():
     # the ramp vanishes at the alpha = 1e6 Robin end, so it pays no boundary term
     func = discretize(_flat(1e6, 2.0), 2000)
-    u = func.grid.copy()
+    u = func.mesh.grid.copy()
     assert quotient(func, u) == pytest.approx(3.0, abs=1e-5)
 
 
@@ -289,18 +288,18 @@ def _p2_matrix_eigenpair(func):
     Robin loads, M = diag(node_weights), symmetrized by the mass square
     root and handed to LAPACK.  Returns LAPACK's eigenvalue and the
     Rayleigh quotient of its eigenvector, summed from differences."""
-    k = func.mid_weights / func.h
-    diag = np.zeros(func.grid.size)
+    k = func.mesh.mid_weights / func.mesh.h
+    diag = np.zeros(func.mesh.grid.size)
     diag[:-1] += k
     diag[1:] += k
     for j, c in func.robin_terms:
         diag[j] += c
-    s = 1.0 / np.sqrt(func.node_weights)
+    s = 1.0 / np.sqrt(func.mesh.node_weights)
     vals, vecs = eigh_tridiagonal(diag * s * s, -k * s[:-1] * s[1:],
                                   select="i", select_range=(0, 0))
     u = vecs[:, 0] * s
     e = np.sum(k * np.diff(u) ** 2) + sum(c * u[j] ** 2 for j, c in func.robin_terms)
-    return vals[0], e / np.sum(func.node_weights * u * u)
+    return vals[0], e / np.sum(func.mesh.node_weights * u * u)
 
 
 def test_minimize_matches_tridiagonal_eigensolver():
@@ -445,19 +444,20 @@ def test_inverse_step_solves_its_equation(alpha, p):
 
     for prob in (_flat(alpha, p), _robin_right(alpha, p)):
         func = discretize(prob, 2000)
-        u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid  # positive, lopsided
+        u = 1.0 + 0.5 * np.sin(3.0 * func.mesh.grid) + func.mesh.grid  # positive, lopsided
         v = _inverse_step(func, u)[0]
-        b = func.node_weights * momentum(u, p)
+        b = func.mesh.node_weights * momentum(u, p)
         (j, c), = func.robin_terms
         total = float(np.sum(b))
         k = max(float(np.max(np.abs(((total if j == 0 else 0.0) - np.cumsum(b)[:-1])
-                                    / func.mid_weights))), total / c)
+                                    / func.mesh.mid_weights))), total / c)
         b /= k
         dv = 4.0 * _EPS * float(np.sum(np.abs(v)))
-        d = np.diff(v) / func.h
-        flux = func.mid_weights * momentum(d, p)
+        d = np.diff(v) / func.mesh.h
+        flux = func.mesh.mid_weights * momentum(d, p)
         av = np.abs(v)
-        flux_spread = func.mid_weights * spread(d, 4.0 * _EPS * (av[:-1] + av[1:]) / func.h)
+        flux_spread = func.mesh.mid_weights * spread(d, 4.0 * _EPS * (av[:-1] + av[1:])
+                                                     / func.mesh.h)
         lhs = -b
         lhs[1:] += flux
         lhs[:-1] -= flux
@@ -478,7 +478,7 @@ def test_inverse_step_energy_matches_energy(alpha, p):
     end at either side."""
     for prob in (_flat(alpha, p), _robin_right(alpha, p)):
         func = discretize(prob, 2000)
-        u = 1.0 + 0.5 * np.sin(3.0 * func.grid) + func.grid
+        u = 1.0 + 0.5 * np.sin(3.0 * func.mesh.grid) + func.mesh.grid
         v, e = _inverse_step(func, u)
         assert e == pytest.approx(energy(func, v), rel=1e-13)
 
@@ -593,7 +593,7 @@ def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
     """One fine march, and no more coarse marches than the seed levels
     need: the two coarse levels stop at their first Newton step of at
     most _COARSE_STEP max(1, |lambda|), the fine level at its first of
-    at most sqrt(_MARCH_RTOL) max(1, |lambda|), none with a confirming
+    at most sqrt(_LAMBDA_RTOL) max(1, |lambda|), none with a confirming
     march.  The root is the one found from the top of the bracket.  No
     root-find march, coarse or fine, forms a ratio.  Only the fine
     level's eigenvector is formed, by one more march at the returned
@@ -619,7 +619,7 @@ def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
     assert len(marches) == d["evals"] + 1
     lam, nodes, formed, reached, end = marches[-1]
     assert lam == sol.lambda_val and formed and end is not None
-    assert nodes == fine == reached + 1 == _solved(func).grid.size
+    assert nodes == fine == reached + 1 == _solved(func).mesh.grid.size
     assert sol.lambda_val == pytest.approx(_march_root(func, math.inf)[0], rel=1e-12)
 
 
@@ -656,7 +656,7 @@ def _assert_phi_is_the_march_at_the_root(prob, m):
     ratios = []
     end = _march(sol.lambda_val, chain, ratios)
     assert sol.diagnostics["converged"] and end is not None
-    assert len(ratios) == solved.grid.size - 1
+    assert len(ratios) == solved.mesh.grid.size - 1
     u = _eigenvector(ratios, flip)
     assert float(np.max(np.abs(sol.phi[:u.size] - u))) <= 1e-14
     return sol.diagnostics
@@ -948,15 +948,15 @@ def test_rayleigh_diagnostics_schema():
     d = sol.diagnostics
     assert set(d) == {"iterations", "steps", "seed_iterations", "evals", "converged", "lambda_tol",
                       "m", "phase_s"}
-    assert d["m"] == 2000 and d["converged"] and d["lambda_tol"] == _INVERSE_RTOL
+    assert d["m"] == 2000 and d["converged"] and d["lambda_tol"] == _LAMBDA_RTOL
     assert d["seed_iterations"] == 0
     assert d["steps"] == d["iterations"] > 0  # alpha > 0: inverse power iterations
     assert set(d["phase_s"]) == {"seed", "solve"}
     assert all(t >= 0.0 for t in d["phase_s"].values())
-    # the march route reports the same keys, with its own root tolerance
+    # the march route reports the same keys and the same tolerance
     march = solve_rayleigh(geodesic_ball_problem(-1.0, 3, 1.0, -1.0, 3.0), 2000).diagnostics
     assert set(march) == set(d) and march["iterations"] == 0
-    assert march["lambda_tol"] == _MARCH_RTOL
+    assert march["lambda_tol"] == _LAMBDA_RTOL
 
 
 def test_shoot_diagnostics_schema():
@@ -1020,7 +1020,7 @@ def _inverse_power_reference(func):
     """The inverse power method from the normalized constant, run on
     until an iteration lowers the quotient by at most 1e-15 of it or
     does not lower it: the quotient and the iterations taken."""
-    u, q = _normalize(func, np.ones(func.grid.size))[0], _constant_quotient(func)
+    u, q = _normalize(func, np.ones(func.mesh.grid.size))[0], _constant_quotient(func)
     for iters in range(1, 61):
         v, e = _inverse_step(func, u)
         v, n = _normalize(func, v)
@@ -1102,7 +1102,7 @@ def test_quotient_of_shooting_eigenfunction():
     prob = _flat(1.0, 2.0)
     sol = solve_first_eigenvalue(prob)
     func = discretize(prob, 2000)
-    u = np.interp(func.grid, sol.grid, sol.phi)
+    u = np.interp(func.mesh.grid, sol.grid, sol.phi)
     assert quotient(func, u) == pytest.approx(sol.lambda_val, abs=1e-3)
     # any admissible trial upper-bounds the minimum for alpha > 0
     assert quotient(func, u) >= solve_rayleigh(prob, 2000).lambda_val - 1e-9

@@ -138,6 +138,16 @@ def test_picone_rejects_malformed_samples(case, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, math.nan, math.inf])
+def test_picone_rejects_an_exponent_outside_one_to_inf(p, recwarn):
+    # the rule SturmProblem applies; outside it the check would report
+    # p = 1 as a pass (margin -0.0), p = 0.5 and NaN as failures, and
+    # overflow at inf
+    with pytest.raises(DomainError):
+        picone_check(_POSITIVE, _POSITIVE, _GRID, p)
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_barta_rejects_malformed_trial(case, recwarn):
     with pytest.raises(DomainError):
