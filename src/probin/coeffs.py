@@ -35,6 +35,8 @@ _ZERO_CLAMP = 1e-10
 # weight, is shared by every problem on them.
 WEIGHT_CACHE = 256
 
+_LOG_CONCAVITY_NODES = 512  # uniform grid of log_concavity_margin
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -178,7 +180,7 @@ def const_weight() -> Weight:
     return Weight(value, zero, zero)
 
 
-def log_concavity_margin(weight: Weight, interval, m: int = 256) -> float:
+def log_concavity_margin(weight: Weight, interval) -> float:
     """Max of the analytic (log w)'' over a uniform grid on the interval.
 
     A negative return certifies strict log-concavity on the grid.  The
@@ -187,5 +189,5 @@ def log_concavity_margin(weight: Weight, interval, m: int = 256) -> float:
     a, b = float(interval[0]), float(interval[1])
     if not (b > a):
         raise DomainError("empty interval")
-    grid = np.linspace(a, b, m)
+    grid = np.linspace(a, b, _LOG_CONCAVITY_NODES)
     return float(np.max(np.asarray(weight.log_second(grid), dtype=float)))

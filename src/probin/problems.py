@@ -488,9 +488,6 @@ def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p:
 # either public builder sees one call per build.  The geometry is checked
 # once per (warping, R0), as its weight is built once per (warping, n).
 def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float) -> SturmProblem:
-    # before the grid of _radial_geometry is built: an infinite R0 would make it NaN
-    if not 0.0 < R0 < math.inf:
-        raise DomainError("need finite R0 > 0")
     if n < 2 or int(n) != n:
         raise DomainError("need integer dimension n >= 2")
     pole = _radial_geometry(warping, float(R0))
@@ -508,10 +505,13 @@ def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float)
 
 @functools.lru_cache(maxsize=WEIGHT_CACHE)
 def _radial_geometry(warping: Warping, R0: float) -> bool:
-    """Whether the warping has a pole at 0, once it is checked: positive
-    on 512 nodes of (0, R0], and f'(0) = 1 at a pole or f(0) > 0
-    elsewhere.  An invalid geometry raises DomainError on every build,
-    since lru_cache keeps no exception."""
+    """Whether the warping has a pole at 0, once it is checked for every
+    radial builder and extractor: 0 < R0 < inf, f > 0 on 512 nodes of
+    (0, R0], and f'(0) = 1 at a pole or f(0) > 0 elsewhere.  An invalid
+    geometry raises DomainError on every call (lru_cache keeps no exception)."""
+    # before the grid is built: an infinite R0 would make it NaN
+    if not 0.0 < R0 < math.inf:
+        raise DomainError("need finite R0 > 0")
     f0 = float(warping.f(0.0))
     pole = abs(f0) <= _POLE_TOL
     grid = np.linspace(R0 / 512.0, R0, 512)
@@ -561,10 +561,11 @@ def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:
     every node.  So there only the spherical samples whose rounding
     bound is at most _RICCI_ROUNDING count.  The radial family -f''/f
     has no cancellation and, at a smooth pole, the same limit; it is
-    also sampled on _RICCI_LADDER halvings of the first node.  A pole
-    with f''(0) > 0 has Ricci curvature unbounded below: DomainError."""
-    if n < 2:
-        raise DomainError("need n >= 2")
+    also sampled on _RICCI_LADDER halvings of the first node.  DomainError:
+    an n or geometry no radial builder takes, or f''(0) > 0 at a pole."""
+    if n < 2 or int(n) != n:
+        raise DomainError("need integer dimension n >= 2")
+    pole = _radial_geometry(warping, R0)
     r = np.linspace(R0 / _RICCI_NODES, R0, _RICCI_NODES)
     f = np.asarray(warping.f(r), dtype=float)
     if np.any(f <= 0.0):
@@ -573,7 +574,7 @@ def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:
     d2f = np.asarray(warping.d2f(r), dtype=float)
     radial = -d2f / f
     spherical = (-d2f * f + (n - 2) * (1.0 - df * df)) / ((n - 1) * f * f)
-    if abs(float(warping.f(0.0))) > _POLE_TOL:
+    if not pole:
         return float(np.min(np.minimum(radial, spherical)))
     if float(warping.d2f(0.0)) > 0.0:
         raise DomainError("f''(0) > 0 at a pole: the Ricci curvature is unbounded below")
@@ -590,8 +591,6 @@ def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:
 def boundary_mean_curvature(warping: Warping, R0: float) -> float:
     """Mean curvature of the boundary sphere over (n-1): f'(R0)/f(R0).
 
-    A Euclidean ball of radius R0 (f = r) gives 1/R0 > 0."""
-    f = float(warping.f(R0))
-    if f <= 0.0:
-        raise DomainError("warping function not positive at R0")
-    return float(warping.df(R0)) / f
+    f = r gives 1/R0; a geometry no radial builder takes raises DomainError."""
+    _radial_geometry(warping, R0)
+    return float(warping.df(R0)) / float(warping.f(R0))

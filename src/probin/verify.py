@@ -359,7 +359,7 @@ def eigenfunction_shape_suite(problem: SturmProblem, solution: EigenSolution) ->
     # a singular right endpoint is a pole of the drift; the log-concavity
     # hypothesis is one-sided there, so gate on the half-open interval
     b_eff = problem.b - 1e-3 * problem.length if problem.singular_right else problem.b
-    lc = log_concavity_margin(problem.weight, (problem.a, b_eff), 512)
+    lc = log_concavity_margin(problem.weight, (problem.a, b_eff))
     if lc >= -1e-10:
         reason = "weight not strictly log-concave ((log w)'' max = %.3g)" % lc
         reports.append(_skip("log_derivative_monotone", base, reason))
@@ -419,10 +419,11 @@ def reflection_identity(R: float, alpha: float, p: float,
 def radius_monotonicity_suite(radii: Sequence[float], base: ProblemSpec,
                               solve: Callable = solve_spec) -> list:
     """lambda strictly decreasing in the interval length, for alpha > 0:
-    base solved at each of the increasing radii."""
+    base solved at each radius, in increasing order."""
     if base.alpha <= 0:
         raise DomainError("radius monotonicity is stated for alpha > 0")
-    lams = [solve(replace(base, R=float(r))).lambda_val for r in radii]
+    radii = sorted(radii)
+    lams = [solve(replace(base, R=r)).lambda_val for r in radii]
     reports = []
     for i in range(len(radii) - 1):
         reports.append(_report(
@@ -436,8 +437,9 @@ def radius_monotonicity_suite(radii: Sequence[float], base: ProblemSpec,
 def alpha_monotonicity_suite(alphas: Sequence[float], base: ProblemSpec,
                              solve: Callable = solve_spec) -> list:
     """lambda strictly increasing in alpha, with sign(lambda) =
-    sign(alpha): base solved at each of the increasing alphas."""
-    lams = [solve(replace(base, alpha=float(a))).lambda_val for a in alphas]
+    sign(alpha): base solved at each alpha, in increasing order."""
+    alphas = sorted(alphas)
+    lams = [solve(replace(base, alpha=a)).lambda_val for a in alphas]
     reports = []
     for i in range(len(alphas) - 1):
         reports.append(_report(
@@ -460,7 +462,7 @@ def dirichlet_limit_suite(ps: Sequence[float], base: ProblemSpec,
     (p-1)*(pi_p/(2R))^p."""
     reports = []
     for p in ps:
-        lam = solve(replace(base, p=float(p), alpha=1e6)).lambda_val
+        lam = solve(replace(base, p=p, alpha=1e6)).lambda_val
         pi_p = 2.0 * math.pi / (p * math.sin(math.pi / p))
         limit = (p - 1.0) * (pi_p / (2.0 * base.R)) ** p
         reports.append(_report(
@@ -491,7 +493,7 @@ def cheng_comparison_suite(
     kappas = sorted(kappas)
     lams = []
     for k in kappas:
-        spec = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(k), n=n)
+        spec = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=k, n=n)
         lams.append(solve(spec).lambda_val)
     reports = []
     for i in range(len(kappas) - 1):
@@ -521,10 +523,7 @@ def ball_model_spec(kappa: float, n: int, R0: float, alpha: float, p: float) -> 
     boundary mean-curvature bound sn'(R0)/sn(R0) and R equals R0 (which
     is then exactly the model cutoff; the reduction is exact)."""
     lam_mc = boundary_mean_curvature(sn_warping(kappa), R0)
-    return ProblemSpec(
-        "inradius_model", R=R0, alpha=alpha, p=p, kappa=float(kappa),
-        lambda_mc=lam_mc, n=int(n),
-    )
+    return ProblemSpec("inradius_model", R=R0, alpha=alpha, p=p, kappa=kappa, lambda_mc=lam_mc, n=n)
 
 
 def inradius_equality_check(
@@ -540,7 +539,7 @@ def inradius_equality_check(
     ball solution's diagnostics, as well as within the row's tolerance;
     extras carry the floor and at_floor.
     """
-    ball = solve(ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(kappa), n=int(n)))
+    ball = solve(ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=kappa, n=n))
     lam_ball = ball.lambda_val
     lam_model = solve(ball_model_spec(kappa, n, R0, alpha, p)).lambda_val
     floor = 50.0 * ball.diagnostics["lambda_tol"] * max(1.0, abs(lam_ball))
@@ -563,9 +562,9 @@ def inradius_slack_check(
     alpha > 0, above it for alpha < 0."""
     if d_kappa == 0.0 and d_lambda == 0.0:
         raise DomainError("need a nonzero slack")
-    ball = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=float(kappa), n=int(n))
+    ball = ProblemSpec("geodesic_ball", R=R0, alpha=alpha, p=p, kappa=kappa, n=n)
     matched = ball_model_spec(kappa, n, R0, alpha, p)
-    model = replace(matched, kappa=float(kappa - d_kappa), lambda_mc=matched.lambda_mc - d_lambda)
+    model = replace(matched, kappa=kappa - d_kappa, lambda_mc=matched.lambda_mc - d_lambda)
     lam_ball = solve(ball).lambda_val
     lam_model = solve(model).lambda_val
     params = {
@@ -586,10 +585,10 @@ def inradius_warped_check(
     as on a space-form ball, as the singular equality case."""
     kappa_eff = ricci_lower_bound(warping, n, R0)
     lambda_eff = boundary_mean_curvature(warping, R0)
-    wp = ProblemSpec("warped_product", R=R0, alpha=alpha, p=p, n=int(n), warping=warping)
+    wp = ProblemSpec("warped_product", R=R0, alpha=alpha, p=p, n=n, warping=warping)
     model = ProblemSpec(
         "inradius_model", R=R0, alpha=alpha, p=p,
-        kappa=kappa_eff, lambda_mc=lambda_eff, n=int(n),
+        kappa=kappa_eff, lambda_mc=lambda_eff, n=n,
     )
     lam_m = solve(wp).lambda_val
     lam_model = solve(model).lambda_val

@@ -1,6 +1,7 @@
 """Command-line front end: commands, artifacts, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,12 @@ def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# A command's written file, pinned by the first 16 hex digits of its
+# sha256: a change that moves a row on purpose records the digest again.
+def _sha16(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 FLAT_PROBLEM = {"type": "inradius_model", "kappa": 0.0, "lambda_mc": 0.0,
@@ -109,7 +116,8 @@ def test_verify_command(tmp_path, capsys):
     assert "0 fail" in out
     lines = (tmp_path / "verification.jsonl").read_text().strip().splitlines()
     assert all(json.loads(line)["status"] in ("pass", "skip") for line in lines)
-    assert (tmp_path / "verification.csv").exists()
+    assert _sha16(tmp_path / "verification.jsonl") == "fc02bbbbc4bd8e72"
+    assert _sha16(tmp_path / "verification.csv") == "a78947a4b7146774"
 
 
 def test_table_command(tmp_path, capsys):
@@ -121,6 +129,7 @@ def test_table_command(tmp_path, capsys):
     assert table[0] == "geometry,p,alpha,lambda_shoot,lambda_rayleigh,disagreement"
     assert len(table) == 1 + 4 * 3 * 2
     assert "worst disagreement" in out
+    assert _sha16(tmp_path / "acceptance_table.csv") == "e0aef08b1b87c237"
 
 
 def test_missing_config_is_config_error(capsys):

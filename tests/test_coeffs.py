@@ -136,7 +136,7 @@ def test_log_concavity_margin_examples():
     # w = exp(t^2): (log w)'' = 2 exactly
     gauss = Weight(value=lambda t: np.exp(np.asarray(t) ** 2), log_deriv=lambda t: 2 * np.asarray(t),
                    log_second=lambda t: np.full_like(np.asarray(t, dtype=float), 2.0))
-    assert log_concavity_margin(gauss, (0.0, 1.0), 400) == 2.0
+    assert log_concavity_margin(gauss, (0.0, 1.0)) == 2.0
 
 
 @pytest.mark.parametrize("interval", [(1.0, 1.0), (1.0, 0.5)], ids=["point", "reversed"])
@@ -148,4 +148,4 @@ def test_log_concavity_rejects_an_empty_interval(interval):
 def test_log_concavity_rejects_nonpositive_weight():
     # sn^(n-1) vanishes at t = 0, where (log w)'' has its pole
     with pytest.raises(DomainError):
-        log_concavity_margin(_ball_weight(1.0, 2), (0.0, 1.0), 64)
+        log_concavity_margin(_ball_weight(1.0, 2), (0.0, 1.0))

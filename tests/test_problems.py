@@ -207,6 +207,7 @@ def test_problem_type_invariants_enforced():
 _NEUMANN, _ROBIN = BoundaryCondition.neumann(), BoundaryCondition.robin(1.0)
 # f = r - 2 r^2: a pole, and zero at r = 1/2
 _SHRINKING = polynomial_warping((0.0, 1.0, -2.0))
+_CUBIC = polynomial_warping((0.0, 1.0, 0.0, 0.1))  # f = r + r^3/10
 
 # calls that must raise DomainError, each a case of its own
 _REFUSALS = {
@@ -236,6 +237,15 @@ _REFUSALS = {
     # f = r + r^2: -f''/f -> -inf at the pole
     "ricci_pole_unbounded_below": lambda: ricci_lower_bound(polynomial_warping((0.0, 1.0, 1.0)), 2, 1.0),
     "mean_curvature_f_zero": lambda: boundary_mean_curvature(_SHRINKING, 0.5),
+    # the extractors refuse what the radial builders refuse
+    "ricci_nan_R0": lambda: ricci_lower_bound(_CUBIC, 2, math.nan),
+    "ricci_infinite_R0": lambda: ricci_lower_bound(_CUBIC, 2, math.inf),
+    "ricci_fractional_dimension": lambda: ricci_lower_bound(_CUBIC, 2.5, 1.0),
+    # f = 2r: a cone pole, whose Ricci infimum is -inf
+    "ricci_cone_pole": lambda: ricci_lower_bound(polynomial_warping((0.0, 2.0)), 3, 1.0),
+    "mean_curvature_nan_R0": lambda: boundary_mean_curvature(_CUBIC, math.nan),
+    # sn_1 < 0 on (pi, 2 pi), though sn_1(7) > 0
+    "mean_curvature_past_a_zero": lambda: boundary_mean_curvature(sn_warping(1.0), 7.0),
 }
 
 

@@ -478,8 +478,11 @@ def test_reflection_identity_p3():
 # ------------------------------------------------------- monotonicity
 
 def test_radius_monotonicity_matches_oracles():
-    reps = radius_monotonicity_suite((0.5, 1.0, 2.0), _flat_spec())
-    assert all(r.passed for r in reps)
+    # descending radii give the same ascending rows
+    for radii in ((0.5, 1.0, 2.0), (2.0, 1.0, 0.5)):
+        reps = radius_monotonicity_suite(radii, _flat_spec())
+        assert all(r.passed for r in reps)
+        assert [(r.params["R_small"], r.params["R_large"]) for r in reps] == [(0.5, 1.0), (1.0, 2.0)]
     for r_len in (0.5, 1.0, 2.0):
         lam = solve_spec(_flat_spec(R=r_len)).lambda_val
         assert lam == pytest.approx(flat_robin_lambda(r_len, 1.0), rel=1e-8)
@@ -491,10 +494,14 @@ def test_radius_monotonicity_refuses_nonpositive_alpha():
 
 
 def test_alpha_monotonicity_and_signs():
-    reps = alpha_monotonicity_suite((-1.0, -0.1, 0.1, 1.0), _flat_spec())
-    assert all(r.passed for r in reps)
-    kinds = {r.name for r in reps}
-    assert kinds == {"alpha_monotonicity", "eigenvalue_sign"}
+    # descending alphas give the same ascending rows
+    for alphas in ((-1.0, -0.1, 0.1, 1.0), (1.0, 0.1, -0.1, -1.0)):
+        reps = alpha_monotonicity_suite(alphas, _flat_spec())
+        assert all(r.passed for r in reps)
+        kinds = {r.name for r in reps}
+        assert kinds == {"alpha_monotonicity", "eigenvalue_sign"}
+        assert [(r.params["alpha_small"], r.params["alpha_large"]) for r in reps
+                if r.name == "alpha_monotonicity"] == [(-1.0, -0.1), (-0.1, 0.1), (0.1, 1.0)]
 
 
 def test_dirichlet_limit_proxy():
@@ -563,6 +570,18 @@ def test_inradius_slack_sides():
     assert rep.passed and rep.margin > 10 * rep.tolerance
     with pytest.raises(DomainError):
         inradius_slack_check(0.0, 2, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: inradius_equality_check(0.0, n, 1.0, 1.0, 2.0),
+    lambda n: inradius_slack_check(0.0, n, 1.0, 1.0, 2.0, d_lambda=0.3),
+    lambda n: inradius_warped_check(polynomial_warping((0.0, 1.0, 0.0, 0.1)), n, 1.0, 1.0, 2.0),
+    lambda n: probin.verify.ball_model_spec(0.0, n, 1.0, 1.0, 2.0).build(),
+], ids=["equality", "slack", "warped", "ball_model_spec"])
+def test_inradius_checks_refuse_a_fractional_dimension(call):
+    # the builders' rule on n, passed through: no check solves at int(n)
+    with pytest.raises(DomainError):
+        call(2.5)
 
 
 def _gapped_solve(specs, lambda_tol):
