@@ -38,6 +38,14 @@ WEIGHT_CACHE = 256
 _LOG_CONCAVITY_NODES = 512  # uniform grid of log_concavity_margin
 
 
+def check_dimension(n) -> None:
+    """Refuse a dimension n that is not an integer >= 2, NaN and +-inf
+    included, with a DomainError: the one rule of ModelParams and the
+    radial builders."""
+    if not (math.isfinite(n) and n >= 2 and int(n) == n):
+        raise DomainError("need an integer dimension n >= 2, got %r" % (n,))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Curvature bound kappa (1/length^2), mean-curvature bound lambda_mc
@@ -48,8 +56,7 @@ class ModelParams:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2 or int(self.dim) != self.dim:
-            raise DomainError("dim must be an integer >= 2, got %r" % (self.dim,))
+        check_dimension(self.dim)
         if not (math.isfinite(self.kappa) and math.isfinite(self.lambda_mc)):
             raise DomainError("kappa and lambda_mc must be finite")
 

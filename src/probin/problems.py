@@ -40,6 +40,7 @@ from .coeffs import (
     WEIGHT_CACHE,
     ModelParams,
     Weight,
+    check_dimension,
     const_weight,
     power_weight,
     sn,
@@ -488,8 +489,7 @@ def warped_product_problem(warping: Warping, n: int, R0: float, alpha: float, p:
 # either public builder sees one call per build.  The geometry is checked
 # once per (warping, R0), as its weight is built once per (warping, n).
 def _warped_product(warping: Warping, n: int, R0: float, alpha: float, p: float) -> SturmProblem:
-    if n < 2 or int(n) != n:
-        raise DomainError("need integer dimension n >= 2")
+    check_dimension(n)
     pole = _radial_geometry(warping, float(R0))
     return SturmProblem(
         a=0.0,
@@ -563,8 +563,7 @@ def ricci_lower_bound(warping: Warping, n: int, R0: float) -> float:
     has no cancellation and, at a smooth pole, the same limit; it is
     also sampled on _RICCI_LADDER halvings of the first node.  DomainError:
     an n or geometry no radial builder takes, or f''(0) > 0 at a pole."""
-    if n < 2 or int(n) != n:
-        raise DomainError("need integer dimension n >= 2")
+    check_dimension(n)
     pole = _radial_geometry(warping, R0)
     r = np.linspace(R0 / _RICCI_NODES, R0, _RICCI_NODES)
     f = np.asarray(warping.f(r), dtype=float)

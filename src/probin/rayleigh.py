@@ -3,33 +3,46 @@
 Piecewise-linear trial functions on a uniform grid, trapezoid constraint
 quadrature with the weight folded in, midpoint weights for the energy.
 minimize works on the one mesh it is given, by one of two routes chosen
-from the signs of the Robin terms:
+by _inverse_route from the Robin terms, the solved mesh's size and p:
 
-- one Robin end, with a positive coefficient: E is convex, and the
-  inverse power method for the p-Laplacian (Biezuner, Ercole & Martins
-  2009; Hein & Buehler 2010) solves E'(v) = N'(u) up to a scale that
-  keeps its powers 1/(p - 1) on numbers in [0, 1], by cumulative sums
-  with no loop in Python, and normalizes v, from the constant.  It
-  stops once an iteration lowers the quotient by at most
-  _LAMBDA_RTOL of it, or once its last three falls shrink at a steady
-  linear rate whose geometric tail is at most that;
-- otherwise (a Robin coefficient <= 0, two Robin ends, or no Robin
-  end): node j of E'(u) = lambda N'(u) is a half-linear three-term
-  recurrence, and marched in Riccati form from one end it meets the
-  other end's condition, with every ratio u_(j+1)/u_j positive, exactly
-  at the discrete first eigenvalue (discrete half-linear Sturm theory:
-  Rehak 2001; Dosly & Rehak 2005).  Newton in lambda on the end value,
-  safeguarded by bisection, finds that root; its start comes from the
-  same root-find on two coarser meshes of the same interval, built by
-  _mesh like any other, extrapolated.  Each root-find ends on its first
-  Newton step of at most a bound times max(1, |lambda|), with no march
-  to confirm it: sqrt(_LAMBDA_RTOL) on the solved mesh, and _COARSE_STEP
-  on the coarse ones, whose roots only need to put the start within the
-  solved mesh's bound.  A root-find march carries only z, dz/dlambda
-  and the end value, and forms no ratio.  The eigenvector is the
-  product of the ratios of one more march on the solved mesh, at the
-  returned lambda, the one march that forms them, so it is positive by
-  construction.
+- one Robin end, with a positive coefficient, or with a negative one on
+  a solved mesh of more than _INVERSE_NODES nodes at p <= _INVERSE_P_MAX:
+  the inverse power method for the p-Laplacian (Biezuner, Ercole &
+  Martins 2009; Hein & Buehler 2010) solves E'(v) = N'(u) up to a scale
+  that keeps its powers 1/(p - 1) on numbers in [0, 1], by cumulative
+  sums with no loop in Python, and normalizes v, from the constant.  It
+  stops once an iteration lowers the quotient by at most _LAMBDA_RTOL
+  of |q|, or once its last three falls shrink at a steady linear rate
+  whose geometric tail is at most that.  With c > 0, E is convex and
+  every step lowers the quotient.  With c < 0 the step is negated: a
+  fixed point positive at every node is a positive eigenvector, so the
+  first one (discrete half-linear Sturm theory, below), and at p = 2
+  this is inverse iteration on an indefinite pencil, which finds
+  lambda_1 where |lambda_1| < lambda_2.  The method hands over to the
+  march once a step is not negative at every node, the quotient rises,
+  or a fall is more than _INVERSE_RHO of the one before it;
+- otherwise (two Robin ends, none, a Robin coefficient of 0, a negative
+  one on a smaller mesh or at larger p), and where the inverse power
+  method hands over: node j of E'(u) = lambda N'(u) is a half-linear
+  three-term recurrence, and marched in Riccati form from one end it
+  meets the other end's condition, with every ratio u_(j+1)/u_j
+  positive, exactly at the discrete first eigenvalue (discrete
+  half-linear Sturm theory: Rehak 2001; Dosly & Rehak 2005).  Newton in
+  lambda on the end value, safeguarded by bisection, finds that root;
+  its start comes from the same root-find on two coarser meshes of the
+  same interval, built by _mesh like any other, extrapolated.  Each
+  root-find ends on its first Newton step of at most a bound times
+  max(1, |lambda|), with no march to confirm it: sqrt(_LAMBDA_RTOL) on
+  the solved mesh, and _COARSE_STEP on the coarse ones, whose roots only
+  need to put the start within the solved mesh's bound.  A root-find
+  march carries only z, dz/dlambda and the end value, and forms no
+  ratio.
+
+The eigenvector of a negative Robin end, on either route, and of every
+march-route solve is the product of the ratios of one more march on the
+solved mesh, at the returned lambda, the one march that forms them, so
+it is positive by construction; only a positive end keeps the inverse
+power iterate.
 
 A functional that is its own mirror image (two equal Robin ends on
 weights that read the same backward: the double-Robin interval) has an
@@ -88,6 +101,19 @@ _COARSE_STEP = 1e-4
 # twice as many cells, on a solved mesh of n cells: 125 and 250 both at
 # m = 2000 and on its 1 000-cell double-Robin half
 _COARSE_CELLS = 125
+# An alpha < 0 end takes the inverse power method on a solved mesh of
+# more than _INVERSE_NODES nodes at p <= _INVERSE_P_MAX, and the method
+# hands over to the march once a fall is more than _INVERSE_RHO of the
+# one before it.  Timed against the march alone on the 7 bench families
+# x p in {1.1, 1.5, 1.75, 2, 2.5, 3, 5, 8} x alpha in {-0.1, -0.3, -0.5,
+# -1, -1.5, -2, -3, -10}, per (cells, p) total: without the size rule
+# 250 cells lost 5-29 % at every p and 500 cells 8-10 % at p >= 2.5,
+# where 1000 and 2000 cells gain 10-17 % at p <= 2; without the p rule
+# p = 5 and 8 lost 22-25 % at 2000 cells.  A rate above 0.05 leaves
+# more iterations to go than the march costs: 0.02 and 0.1 were no faster
+_INVERSE_NODES = 900
+_INVERSE_P_MAX = 3.0
+_INVERSE_RHO = 0.05
 _HUGE = float(np.finfo(float).max)
 _MESH_CACHE = 32  # meshes _mesh keeps, coarse levels included
 
@@ -262,83 +288,109 @@ def _residual(func: DiscreteFunctional, u: np.ndarray, q: float) -> np.ndarray:
     return _energy_grad(func, u) - q * _norm_grad(func, u)
 
 
-def _convex(func: DiscreteFunctional) -> bool:
-    """Exactly one Robin end, with a positive coefficient: E is convex and
-    the inverse power method applies."""
-    return len(func.robin_terms) == 1 and func.robin_terms[0][1] > 0.0
+def _inverse_route(func: DiscreteFunctional) -> bool:
+    """Exactly one Robin end, and the inverse power method takes it: a
+    positive coefficient, where E is convex, or a negative one on a
+    solved mesh of more than _INVERSE_NODES nodes at p <= _INVERSE_P_MAX."""
+    if len(func.robin_terms) != 1:
+        return False
+    c = func.robin_terms[0][1]
+    return c > 0.0 or (c < 0.0 and func.mesh.grid.size > _INVERSE_NODES
+                       and func.p <= _INVERSE_P_MAX)
 
 
 def _inverse_step(func: DiscreteFunctional, u: np.ndarray):
-    """A positive multiple of the v with E'(v) = N'(u), for one Robin end
-    with a positive coefficient, and its energy E.  Its callers pass
-    u >= 0 with no -0.0, so N'(u)/p = node_weights u^(p-1) takes no sign.
+    """A positive multiple of the v with E'(v) = N'(u), for one Robin end,
+    and its energy E.  Its callers pass u >= 0 with no -0.0, so
+    N'(u)/p = node_weights u^(p-1) takes no sign.
 
     Divided by p, node j of E'(v) = N'(u) reads
     f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j, with the cell fluxes
     f = w_mid |v'|^(p-2) v', b = node_weights |u|^(p-2) u >= 0, c_j the
     Robin coefficient (0 elsewhere) and f_(-1) = f_m = 0.  So |f_j| is the
-    sum of b beyond cell j, seen from the Robin end, and v >= 0 grows away
-    from that end.  It is summed from the Robin node, whose value its
-    balance fixes: near a large-alpha end that value is small, and a sum
-    from the other end, shifted to meet it, would leave it a difference
-    of two O(1) numbers.
+    sum of b beyond cell j, seen from the Robin end, and v grows away
+    from that end, from a value of c's sign.  It is summed from the Robin
+    node, whose value its balance fixes: near a large-alpha end that
+    value is small, and a sum from the other end, shifted to meet it,
+    would leave it a difference of two O(1) numbers.
 
     The equation is homogeneous, so it is solved with b over K, the
-    largest of the |f_j|/w_mid,j and the Robin balance total/c: every
+    largest of the |f_j|/w_mid,j and the Robin balance total/|c|: every
     power 1/(p - 1) acts on a number in [0, 1], and normalizing v removes
     its factor K^(-1/(p-1)).  A cell's energy w_mid |v'|^p h is
-    h |v' f|/K, so E(v) is read off the scaled slopes and the fluxes."""
+    h |v' f|/K, so E(v) is read off the scaled slopes and the fluxes, and
+    the Robin node adds c |v_R|^p."""
     p = func.p
     part = np.add.accumulate(func.mesh.node_weights * u ** (p - 1.0))
     total = float(part[-1])
     (j, c), = func.robin_terms
     flux = total - part[:-1] if j == 0 else part[:-1]  # |f|
     slopes = flux / func.mesh.mid_weights  # |f|/w_mid, scaled and raised in place
-    k = max(float(np.maximum.reduce(slopes)), total / c)
+    k = max(float(np.maximum.reduce(slopes)), total / abs(c))
     slopes /= k
     slopes **= 1.0 / (p - 1.0)
-    v_robin = (total / c / k) ** (1.0 / (p - 1.0))
+    v_robin = math.copysign((total / abs(c) / k) ** (1.0 / (p - 1.0)), c)
     away = slice(None, None, 1 if j == 0 else -1)  # node order away from the Robin end
     v = np.zeros(u.size)
     np.add.accumulate(func.mesh.h * slopes[away], out=v[away][1:])
     v += v_robin
-    return v, func.mesh.h * float(np.add.reduce(slopes * flux)) / k + c * v_robin ** p
+    return v, func.mesh.h * float(np.add.reduce(slopes * flux)) / k + c * abs(v_robin) ** p
 
 
 def _inverse_power(func: DiscreteFunctional, u: np.ndarray, q: float):
     """The inverse power method from a normalized u: v solves
-    E'(v) = N'(u) up to a positive factor and is normalized, which never
-    raises the quotient while E is convex.  Each new quotient is E(v), as
-    the step read it off its fluxes, over the norm that normalizing v
-    formed.  A rise within rounding is not taken.
+    E'(v) = N'(u) up to a factor of c's sign and is normalized, which
+    never raises the quotient while E is convex (c > 0).  Each new
+    quotient is E(v), as the step read it off its fluxes, over the norm
+    that normalizing v formed.  A rise within rounding is not taken.
+
+    For c < 0 the step is negated.  A fixed point whose iterate is
+    positive at every node is a positive eigenvector, so by the discrete
+    half-linear Sturm theory it is the first one; at p = 2 this is
+    inverse iteration on an indefinite pencil, which finds the eigenvalue
+    nearest 0, lambda_1 where |lambda_1| < lambda_2.  The method hands
+    over, returning no iterate, once a negated step is not positive at
+    every node, once the quotient rises by more than _LAMBDA_RTOL of it,
+    once a fall is more than _INVERSE_RHO of the one before it, or
+    unconverged after _INVERSE_MAX iterations.
 
     Converged once an iteration lowers the quotient by at most
-    _LAMBDA_RTOL of it, or once the last three falls shrink at a steady
+    _LAMBDA_RTOL of |q|, or once the last three falls shrink at a steady
     linear rate rho, the last fall over the one before it, and the falls
     still to come, fall rho/(1 - rho) as a geometric series, sum to at
-    most _LAMBDA_RTOL of q.  Steady means rho <= 1/2 and within a factor
+    most _LAMBDA_RTOL of |q|.  Steady means rho <= 1/2 and within a factor
     2 of the ratio before it: a rate read off two falls alone can stop
     before the rate has settled (after 2 iterations at p = 1.05,
     alpha = 1e6 on the hyperbolic ball, 9.7e-7 off).
-    Returns (u, q, iterations, converged)."""
+    Returns (u, q, iterations, converged), u None where it hands over."""
+    (j, c), = func.robin_terms
+    negative = c < 0.0
+    far = -1 if j == 0 else 0  # the node farthest from the Robin end
     falls = ()  # the last two falls, oldest first
     for iters in range(1, _INVERSE_MAX + 1):
         v, e = _inverse_step(func, u)
+        if negative:
+            if not v[far] < 0.0:  # v rises away from the Robin end, to its far node
+                return None, q, iters, False
+            v = -v
         v, n = _normalize(func, v)
         qv = e / n
         q_prev = q
         if qv < q:
             u, q = v, qv
         fall = q_prev - qv
-        if fall <= _LAMBDA_RTOL * q_prev:
+        if negative and (fall < -_LAMBDA_RTOL * abs(q_prev)
+                         or (falls and fall > _INVERSE_RHO * falls[-1])):
+            return None, q, iters, False
+        if fall <= _LAMBDA_RTOL * abs(q_prev):
             return u, q, iters, True
         if len(falls) == 2:
             rho, rho_prev = fall / falls[1], falls[1] / falls[0]
             if (rho <= 0.5 and rho_prev <= 2.0 * rho <= 4.0 * rho_prev
-                    and fall * rho <= _LAMBDA_RTOL * q * (1.0 - rho)):
+                    and fall * rho <= _LAMBDA_RTOL * abs(q) * (1.0 - rho)):
                 return u, q, iters, True
         falls = (falls + (fall,))[-2:]
-    return u, q, _INVERSE_MAX, False
+    return (None if negative else u), q, _INVERSE_MAX, False
 
 
 def _chain(func: DiscreteFunctional):
@@ -494,33 +546,42 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
 
     A functional that is its own mirror image is solved on its half
     (_Mesh.half), with a Neumann end at the middle node, and the half's
-    eigenvector is mirrored.  With exactly one Robin end, and its
-    coefficient positive: the inverse power method from the normalized
-    constant.  Otherwise: the coarse march root-finds, then the march.
-    The diagnostics flag whether a convergence test fired, count the
-    passes over the solved mesh (evals: every march, coarse and fine, or
-    every inverse power iteration), give lambda's relative tolerance on
-    either route (lambda_tol) and time the two stages.  Their m is func's
-    cell count, also where the half was solved.  phi, psi and the
-    residual are formed on their first read (_finish), after minimize
-    has returned.
+    eigenvector is mirrored.  Where _inverse_route takes it (one Robin
+    end, positive, or negative on more than _INVERSE_NODES nodes at
+    p <= _INVERSE_P_MAX): the inverse power method from the normalized
+    constant.  Otherwise, and
+    where that method hands over: the coarse march root-finds, then the
+    march.  The diagnostics flag whether a convergence test fired, count
+    the passes over the solved mesh, give lambda's relative tolerance on
+    either route (lambda_tol) and time the two stages.  iterations counts
+    inverse power iterations, also those made before a hand-over;
+    seed_iterations the coarse marches, > 0 only where the march ran;
+    steps the fine marches there, or the iterations on the inverse
+    route; evals all of them.  phase_s["solve"] times the stage that
+    returned lambda, and "seed" all before it, a handed-over inverse
+    power method included.  Their m is func's cell count, also where the
+    half was solved.  phi, psi and the residual are formed on their first
+    read (_finish), after minimize has returned.
     """
     m = func.mesh.grid.size - 1
     t_seed = time.perf_counter()
     mirror = _mirror_image(func)
     solved = DiscreteFunctional(func.mesh.half, func.p, func.robin_terms[:1]) if mirror else func
-    u = None
-    if _convex(solved):
-        u, seed_iters = _normalize(solved, np.ones(solved.mesh.grid.size))[0], 0
+    u, iters, seed_iters = None, 0, 0
+    if _inverse_route(solved):
+        u = _normalize(solved, np.ones(solved.mesh.grid.size))[0]
         t_solve = time.perf_counter()
         u, q, iters, converged = _inverse_power(solved, u, _constant_quotient(solved))
         steps = evals = iters
-    else:
+    if u is None:  # the march route, or the inverse power method handed over
         q, seed_iters = _march_start(solved)
         t_solve = time.perf_counter()
         q, steps, converged = _march_root(solved, q)
-        iters = 0
-        evals = seed_iters + steps
+        evals = iters + seed_iters + steps
+    elif solved.robin_terms[0][1] < 0.0:
+        # marched at q on read: the iterate's residual is 1e-7 to 3e-7 of
+        # lambda N'(u) (double-Robin, m = 2000), the march's below 1e-9
+        u = None
     t_end = time.perf_counter()
 
     diagnostics = {
@@ -545,15 +606,16 @@ def minimize(func: DiscreteFunctional) -> EigenSolution:
 
 def _finish(func: DiscreteFunctional, solved: DiscreteFunctional, q: float, u) -> tuple:
     """(phi, psi, residual) of minimize's solve of func at q: from the
-    inverse power method's iterate u on solved or, where u is None, the
-    product of the ratios of one march on solved at q, each capped at
-    _HUGE so that log u stays finite near p = 1.  A solved that is not
+    inverse power method's iterate u on solved (a positive Robin end) or,
+    where u is None, the product of the ratios of one march on solved at
+    q, each capped at _HUGE so that log u stays finite near p = 1.  A solved that is not
     func is a mirror image's half, and is mirrored.  phi = u/max u, psi
     its momentum, and residual the norm of E'(u) - q N'(u) at N(u) = 1.
 
     That march reaches the end node: q is the bracket's lower end, below
-    the root, or within about _LAMBDA_RTOL max(1, |q|) of it; marched the
-    way u grows (_chain), u first vanishes at a node far past the root.
+    the root, or within about _LAMBDA_RTOL max(1, |q|) of it (the inverse
+    power method's q, a quotient, lies above it); marched the way u grows
+    (_chain), u first vanishes at a node far past the root.
 
     It raises nothing, so minimize keeps every check that can.  Only
     _normalize could raise, where N(u) is not finite and positive.  The

@@ -122,8 +122,9 @@ def test_weight_domain_errors():
         wb(math.pi + 0.5)  # past the zero of sn
     with pytest.raises(DomainError):
         wb.log_deriv(0.0)
-    with pytest.raises(DomainError):
-        ModelParams(1.0, 0.0, 1)
+    for dim in (1, 2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="integer dimension"):
+            ModelParams(1.0, 0.0, dim)
     with pytest.raises(DomainError):
         ModelParams(math.inf, 0.0, 3)
 

@@ -241,6 +241,18 @@ _REFUSALS = {
     "ricci_nan_R0": lambda: ricci_lower_bound(_CUBIC, 2, math.nan),
     "ricci_infinite_R0": lambda: ricci_lower_bound(_CUBIC, 2, math.inf),
     "ricci_fractional_dimension": lambda: ricci_lower_bound(_CUBIC, 2.5, 1.0),
+    # one dimension rule (coeffs.check_dimension): NaN and +-inf are
+    # DomainErrors, not the ValueError and OverflowError of int()
+    "warped_nan_dimension": lambda: warped_product_problem(sn_warping(0.0), math.nan, 1.0, 1.0, 2.0),
+    "warped_infinite_dimension": lambda: warped_product_problem(sn_warping(0.0), math.inf, 1.0, 1.0, 2.0),
+    "warped_minus_infinite_dimension": lambda: warped_product_problem(
+        sn_warping(0.0), -math.inf, 1.0, 1.0, 2.0),
+    "ricci_nan_dimension": lambda: ricci_lower_bound(_CUBIC, math.nan, 1.0),
+    "ricci_infinite_dimension": lambda: ricci_lower_bound(_CUBIC, math.inf, 1.0),
+    "ricci_minus_infinite_dimension": lambda: ricci_lower_bound(_CUBIC, -math.inf, 1.0),
+    "model_nan_dimension": lambda: ModelParams(0.0, 0.0, math.nan),
+    "model_infinite_dimension": lambda: ModelParams(0.0, 0.0, math.inf),
+    "model_minus_infinite_dimension": lambda: ModelParams(0.0, 0.0, -math.inf),
     # f = 2r: a cone pole, whose Ricci infimum is -inf
     "ricci_cone_pole": lambda: ricci_lower_bound(polynomial_warping((0.0, 2.0)), 3, 1.0),
     "mean_curvature_nan_R0": lambda: boundary_mean_curvature(_CUBIC, math.nan),

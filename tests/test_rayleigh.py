@@ -28,14 +28,20 @@ from probin.problems import (
 )
 from probin.rayleigh import (
     _HUGE,
+    _INVERSE_NODES,
+    _INVERSE_P_MAX,
+    _INVERSE_RHO,
     _LAMBDA_RTOL,
     _MESH_CACHE,
     DiscreteFunctional,
     _chain,
     _constant_quotient,
+    _inverse_power,
+    _inverse_route,
     _inverse_step,
     _march,
     _march_root,
+    _march_start,
     _mesh,
     _mirror_image,
     _norm_grad,
@@ -59,6 +65,11 @@ _EPS = float(np.finfo(float).eps)
 # minimum
 LAM_P12_M3 = -145.649722176157
 LAM_P12_M10 = -21716.1545989089
+# a mesh below the inverse route's size rule, on which every alpha < 0
+# end marches, with the march start's usual coarse levels of 125 and 250
+# cells
+MARCH_M = 800
+assert MARCH_M + 1 <= _INVERSE_NODES
 
 
 def _flat(alpha, p, r_len=1.0):
@@ -141,9 +152,9 @@ def test_specs_that_differ_in_p_or_alpha_share_one_mesh():
 
 def test_cached_mesh_arrays_are_read_only():
     """The solved mesh and the march start's two coarse meshes, which
-    the solve leaves in _mesh's cache."""
-    func = discretize(_spec("hyperbolic_ball", 1.75, -0.5).build(), 2000)
-    minimize(func)
+    the solve leaves in _mesh's cache (a mesh the march serves)."""
+    func = discretize(_spec("hyperbolic_ball", 1.75, -0.5).build(), MARCH_M)
+    assert minimize(func).diagnostics["seed_iterations"] > 0
     fine = func.mesh
     hits = _mesh.cache_info().hits
     levels = [_mesh(fine.weight, *fine.interval, cells) for cells in (125, 250)]
@@ -171,18 +182,21 @@ def _same_solution(a, b):
 def test_cold_and_warm_solves_agree_bit_for_bit(family, sign):
     """A solve on a mesh built afresh and one on the cached mesh, with its
     tuples, gradient stencil, palindrome test and half mesh formed, and
-    the march start's two coarse meshes cached: alpha > 0 takes the
-    inverse power method, alpha < 0 the march, which reads the coarse
-    meshes too (two-Robin: on the half mesh, in both cases)."""
+    the march start's two coarse meshes cached.  At m = 2000 both signs
+    take the inverse power method, and read the solved mesh alone;
+    alpha < 0 on MARCH_M cells takes the march, which reads the coarse
+    meshes too (two-Robin: on the half mesh, in every case)."""
     problem = _spec(family, 1.75, 0.5 * sign).build()
-    _mesh.cache_clear()
-    cold = solve_rayleigh(problem, 2000)
-    hits = _mesh.cache_info().hits
-    warm = solve_rayleigh(problem, 2000)
-    assert _mesh.cache_info().hits == hits + (1 if sign > 0 else 3)
-    _same_solution(cold, warm)
-    assert cold.diagnostics["converged"]
-    assert (cold.diagnostics["iterations"] > 0) == (sign > 0)
+    for m, march in [(2000, False)] + ([(MARCH_M, True)] if sign < 0 else []):
+        _mesh.cache_clear()
+        cold = solve_rayleigh(problem, m)
+        hits = _mesh.cache_info().hits
+        warm = solve_rayleigh(problem, m)
+        assert _mesh.cache_info().hits == hits + (3 if march else 1)
+        _same_solution(cold, warm)
+        d = cold.diagnostics
+        assert d["converged"] and (d["seed_iterations"] > 0) == march
+        assert (d["iterations"] > 0) != march
 
 
 def test_mesh_cache_stays_within_its_bound():
@@ -425,19 +439,133 @@ def test_positive_alpha_never_marches(monkeypatch, alpha, p):
         assert d["converged"] and d["seed_iterations"] == 0
 
 
+def test_inverse_route_rule():
+    """One Robin end takes the inverse power method: a positive one on
+    any mesh at any p, a negative one on a solved mesh of more than
+    _INVERSE_NODES nodes at p <= _INVERSE_P_MAX.  Two Robin ends that are
+    no mirror image, and no Robin end, march; so does the half of a
+    mirror image below the size rule (the double-Robin interval on 1000
+    cells solves 501 nodes)."""
+    def route(prob, m):
+        return _inverse_route(_solved(discretize(prob, m)))
+
+    assert route(_flat(1.0, 8.0), 16) and route(_flat(1.0, 1.1), 2000)
+    assert route(_flat(-1.0, 2.0), _INVERSE_NODES) and route(_flat(-1.0, _INVERSE_P_MAX), 2000)
+    assert not route(_flat(-1.0, 2.0), _INVERSE_NODES - 1)
+    assert not route(_flat(-1.0, _INVERSE_P_MAX + 0.5), 2000)
+    assert route(double_robin_problem(0.5, -1.0, 2.0), 2000)
+    assert not route(double_robin_problem(0.5, -1.0, 2.0), 1000)
+    assert not route(_two_robin(-1.0, 3.0, 2.0), 2000)
+    neumann = SturmProblem(0.0, 1.0, 2.0, const_weight(), BoundaryCondition.neumann(),
+                           BoundaryCondition.neumann())
+    assert not route(neumann, 2000)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_negative_end_inverse_power_agrees_with_the_march(family):
+    """Across the routes: where the inverse power method for an alpha < 0
+    end returns an iterate, its lambda is within 2 _LAMBDA_RTOL
+    max(1, |lambda|) of _march_root started from _march_start on the
+    same functional, and the iterate is positive at every node; so is
+    the phi of a solve that took that route, one march at its lambda.
+    On p <= 3, alpha in {-0.1, -0.5, -1} and m in {1000, 2000, 2001},
+    called on the solved functional whatever the size rule (342 of the
+    378 problems return an iterate; the largest gap is 0.98
+    _LAMBDA_RTOL)."""
+    served = 0
+    for p in (1.1, 1.5, 1.75, 2.0, 2.5, 3.0):
+        for alpha in (-0.1, -0.5, -1.0):
+            for m in (1000, 2000, 2001):
+                func = discretize(_spec(family, p, alpha).build(), m)
+                solved = _solved(func)
+                u = _normalize(solved, np.ones(solved.mesh.grid.size))[0]
+                u, q, iters, converged = _inverse_power(solved, u, _constant_quotient(solved))
+                if u is None:
+                    continue
+                served += 1
+                lam, _, marched = _march_root(solved, _march_start(solved)[0])
+                assert converged and marched
+                assert abs(q - lam) <= 2.0 * _LAMBDA_RTOL * max(1.0, abs(lam)), (p, alpha, m)
+                assert float(np.min(u)) > 0.0
+                if _inverse_route(solved):
+                    sol = minimize(func)
+                    assert sol.lambda_val == q and sol.diagnostics["iterations"] == iters
+                    assert float(np.min(sol.phi)) > 0.0
+    assert served >= 40
+
+
+# (problem, iterations, lambda): alpha < 0 ends the inverse power
+# method hands over to the march, with the lambda the march alone
+# returned before it took any alpha < 0 end, as float.hex.  flat
+# p = 1.5, alpha = -10: the first step is not negative at every node
+# (on the bench families at m = 2000, p in {1.1, 1.5, 1.75, 2, 2.5, 3}
+# and eight alpha in [-10, -0.1], 107 of 336 problems fail so, all with
+# |alpha| >= 1.5).  disk p = 2, alpha = -3 fails so too, though the
+# negated step's quotient lies below the constant's: the sign test alone
+# stops an iterate of both signs, whose next step's powers would be NaN
+# at p != 2.  flat p = 2, alpha = -2: the second fall is 0.34 of the
+# first, above _INVERSE_RHO
+_HAND_OVERS = [
+    (_flat(-10.0, 1.5), 1, "-0x1.f3d8073189a8cp+8"),
+    (_spec("disk", 2.0, -3.0).build(), 1, "-0x1.9461c3067bf41p+3"),
+    (_flat(-2.0, 2.0), 2, "-0x1.10ffedd577a17p+2"),
+]
+
+
+@pytest.mark.parametrize("prob,iters,lam", _HAND_OVERS,
+                         ids=["sign", "sign with a fall", "slow contraction"])
+def test_negative_end_hands_over_to_the_march(monkeypatch, prob, iters, lam):
+    quotients = []
+
+    def spy(func, u):
+        v, e = _inverse_step(func, u)
+        quotients.append((v, e / norm_p(func, v)))
+        return v, e
+
+    monkeypatch.setattr(probin.rayleigh, "_inverse_step", spy)
+    func = discretize(prob, 2000)
+    sol = minimize(func)
+    d = sol.diagnostics
+    assert sol.lambda_val.hex() == lam and d["converged"]
+    assert d["iterations"] == len(quotients) == iters and d["seed_iterations"] > 0
+    last = quotients[-1][0]
+    if iters == 1:
+        assert float(np.max(last)) >= 0.0
+    else:
+        assert float(np.max(last)) < 0.0
+        q = [_constant_quotient(func)] + [qv for _, qv in quotients]
+        assert q[1] - q[2] > _INVERSE_RHO * (q[0] - q[1]) > 0.0
+    assert float(np.min(sol.phi)) >= 0.0
+
+
+def test_negative_end_hands_over_where_the_quotient_rises():
+    """Flat p = 2, alpha = -3 has |lambda_1| > lambda_2, so inverse
+    iteration drifts from the first eigenvector toward the second.  From
+    the first one, perturbed by 1e-3 cos(pi t), the step is still
+    negative at every node but the quotient rises: the method hands over
+    after that one iteration, keeping no iterate, instead of stopping on
+    a fall below _LAMBDA_RTOL."""
+    func = discretize(_flat(-3.0, 2.0), 2000)
+    u = _normalize(func, minimize(func).phi * (1.0 + 1e-3 * np.cos(np.pi * func.mesh.grid)))[0]
+    q = quotient(func, u)
+    v, e = _inverse_step(func, u)
+    assert float(np.max(v)) < 0.0 and e / norm_p(func, v) > q * (1.0 - _LAMBDA_RTOL)
+    assert _inverse_power(func, u, q) == (None, q, 1, False)
+
+
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
-@pytest.mark.parametrize("alpha", [1.0, 1e4])
+@pytest.mark.parametrize("alpha", [1.0, 1e4, -1.0])
 def test_inverse_step_solves_its_equation(alpha, p):
     """The inverse step's v must satisfy E'(v) = N'(u)/K at every node,
     divided by p: f_(j-1) - f_j + c_j |v_j|^(p-2) v_j = b_j/K, where K is
-    the largest of the |f_j/w_mid,j| and total/c that E'(v) = N'(u)
+    the largest of the |f_j/w_mid,j| and total/|c| that E'(v) = N'(u)
     gives.  Every flux and the load are sums of b, so each is allowed
     24 eps sum |b|/K in all.  A flux read off two neighbouring values of
     v is allowed its change under their rounding, 4 eps (|v_j| +
     |v_(j+1)|); a Robin term its change under the rounding of a
     cumulative sum, 4 eps sum |v| (at large alpha the value at a Robin
     node cancels to near zero).  The Robin end is on either side: v is
-    summed from it."""
+    summed from it, from a value of c's sign."""
     def spread(x, dx):  # the largest change of |x|^(p-2) x within dx
         return np.maximum(np.abs(momentum(x + dx, p) - momentum(x, p)),
                           np.abs(momentum(x - dx, p) - momentum(x, p)))
@@ -450,7 +578,7 @@ def test_inverse_step_solves_its_equation(alpha, p):
         (j, c), = func.robin_terms
         total = float(np.sum(b))
         k = max(float(np.max(np.abs(((total if j == 0 else 0.0) - np.cumsum(b)[:-1])
-                                    / func.mesh.mid_weights))), total / c)
+                                    / func.mesh.mid_weights))), total / abs(c))
         b /= k
         dv = 4.0 * _EPS * float(np.sum(np.abs(v)))
         d = np.diff(v) / func.mesh.h
@@ -466,12 +594,13 @@ def test_inverse_step_solves_its_equation(alpha, p):
         allowed[:-1] += flux_spread
         for j, c in func.robin_terms:
             lhs[j] += c * momentum(v[j], p)
-            allowed[j] += c * spread(v[j], dv)
+            allowed[j] += abs(c) * spread(v[j], dv)
+        assert math.copysign(1.0, v[j]) == math.copysign(1.0, c)
         assert np.all(np.abs(lhs) <= allowed), prob.bc_left
 
 
 @pytest.mark.parametrize("p", [1.1, 2.0, 8.0])
-@pytest.mark.parametrize("alpha", [1.0, 1e4])
+@pytest.mark.parametrize("alpha", [1.0, 1e4, -1.0])
 def test_inverse_step_energy_matches_energy(alpha, p):
     """The energy the inverse step reads off its slopes and fluxes is
     E(v) as energy() forms it from the differences of v, with the Robin
@@ -488,11 +617,14 @@ def test_inverse_step_energy_matches_energy(alpha, p):
 def test_march_reaches_the_minimum_at_p12(alpha, p, lam):
     """Near p = 1, with the Robin layer a few cells wide, the march
     converges at or below the quotient a gradient descent reached, and
-    within 3e-7 of it."""
-    sol = minimize(discretize(_flat(alpha, p), 2000))
-    d = sol.diagnostics
-    assert d["converged"] and d["iterations"] == 0 and d["steps"] > 0
-    assert lam * (1.0 + 3e-7) <= sol.lambda_val <= lam
+    within 3e-7 of it; so does minimize, by whichever route it takes."""
+    func = discretize(_flat(alpha, p), 2000)
+    march, steps, converged = _march_root(func, _march_start(func)[0])
+    assert converged and steps > 0
+    sol = minimize(func)
+    assert sol.diagnostics["converged"]
+    for found in (march, sol.lambda_val):
+        assert lam * (1.0 + 3e-7) <= found <= lam
 
 
 @pytest.mark.parametrize("prob,max_marches,rel", [
@@ -504,12 +636,15 @@ def test_march_reaches_the_minimum_at_p12(alpha, p, lam):
 ], ids=["flat p=1.5", "flat p=3 alpha=-10", "double_robin p=1.5 alpha=-10", "flat p=8 alpha=-3"])
 def test_march_far_from_p2(prob, max_marches, rel):
     """Problems far from p = 2 converge within max_marches fine marches
-    and agree with shooting."""
+    from the march's start, and agree with shooting; so does minimize,
+    by whichever route it takes."""
+    solved = _solved(discretize(prob, 2000))
+    march, steps, converged = _march_root(solved, _march_start(solved)[0])
+    assert converged and steps <= max_marches
     sol = solve_rayleigh(prob, 2000)
-    d = sol.diagnostics
-    assert d["converged"] and d["steps"] <= max_marches
+    assert sol.diagnostics["converged"]
     lam_s = solve_first_eigenvalue(prob).lambda_val
-    assert sol.lambda_val == pytest.approx(lam_s, rel=rel)
+    assert march == pytest.approx(lam_s, rel=rel) and sol.lambda_val == pytest.approx(lam_s, rel=rel)
 
 
 @pytest.mark.parametrize("prob,rel", [
@@ -573,12 +708,16 @@ def test_march_starts_from_coarse_meshes_at_every_m(prob, m):
     """The start comes from two coarse meshes of min(125, n // 4) and
     twice as many cells, for the n cells solved (the half's, on the
     double-Robin interval), whether or not they divide n: not from the
-    top of the bracket.  The root is the one found from there."""
+    top of the bracket.  The root is the one found from there, and the
+    one minimize returns, by whichever route."""
     func = discretize(prob, m)
-    sol = minimize(func)
-    assert sol.diagnostics["seed_iterations"] > 0 and sol.diagnostics["steps"] <= 4
+    solved = _solved(func)
+    start, seed = _march_start(solved)
+    march, steps, converged = _march_root(solved, start)
+    assert converged and seed > 0 and steps <= 4
     lam = _march_root(func, math.inf)[0]  # from the top of the bracket
-    assert sol.lambda_val == pytest.approx(lam, rel=1e-12)
+    assert march == pytest.approx(lam, rel=1e-12)
+    assert minimize(func).lambda_val == pytest.approx(lam, rel=1e-12)
 
 
 @pytest.mark.parametrize("prob,max_seed", [
@@ -590,15 +729,17 @@ def test_march_starts_from_coarse_meshes_at_every_m(prob, m):
 ], ids=["disk p=2", "spherical_cap p=1.75", "flat p=1.75", "hyperbolic_ball p=1.75",
         "double_robin p=2.5"])
 def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
-    """One fine march, and no more coarse marches than the seed levels
-    need: the two coarse levels stop at their first Newton step of at
-    most _COARSE_STEP max(1, |lambda|), the fine level at its first of
-    at most sqrt(_LAMBDA_RTOL) max(1, |lambda|), none with a confirming
-    march.  The root is the one found from the top of the bracket.  No
-    root-find march, coarse or fine, forms a ratio.  Only the fine
-    level's eigenvector is formed, by one more march at the returned
-    lambda, once phi is read: it forms one ratio per cell of the solved
-    mesh."""
+    """The march route on the benchmark's alpha < 0 strata: one fine
+    march, and no more coarse marches than the seed levels need: the two
+    coarse levels stop at their first Newton step of at most
+    _COARSE_STEP max(1, |lambda|), the fine level at its first of at most
+    sqrt(_LAMBDA_RTOL) max(1, |lambda|), none with a confirming march.
+    The root is the one found from the top of the bracket.  No root-find
+    march, coarse or fine, forms a ratio.  minimize takes the inverse
+    power method on these, and marches nowhere; its lambda is within
+    2 _LAMBDA_RTOL max(1, |lambda|) of the march's.  Only its
+    eigenvector is formed, by one march at the returned lambda, once phi
+    is read: it forms one ratio per cell of the solved mesh."""
     marches = []
 
     def spy(lam, chain, ratios=None):
@@ -608,19 +749,23 @@ def test_march_counts_at_m2000(monkeypatch, prob, max_seed):
 
     monkeypatch.setattr(probin.rayleigh, "_march", spy)
     func = discretize(prob, 2000)
-    sol = minimize(func)
-    d = sol.diagnostics
-    assert d["converged"] and d["steps"] == 1
-    assert d["seed_iterations"] <= max_seed
-    assert d["evals"] == d["seed_iterations"] + d["steps"] == len(marches)
+    solved = _solved(func)
+    start, seed = _march_start(solved)
+    march, steps, converged = _march_root(solved, start)
+    assert converged and steps == 1 and seed <= max_seed
+    assert len(marches) == seed + steps
     assert not any(formed for _, _, formed, _, _ in marches)
     fine = marches[-1][1]
+    assert march == pytest.approx(_march_root(func, math.inf)[0], rel=1e-12)
+    del marches[:]
+    sol = minimize(func)
+    d = sol.diagnostics
+    assert d["converged"] and d["seed_iterations"] == 0 and d["iterations"] > 0 and marches == []
+    assert abs(sol.lambda_val - march) <= 2.0 * _LAMBDA_RTOL * max(1.0, abs(march))
     sol.phi
-    assert len(marches) == d["evals"] + 1
     lam, nodes, formed, reached, end = marches[-1]
-    assert lam == sol.lambda_val and formed and end is not None
-    assert nodes == fine == reached + 1 == _solved(func).mesh.grid.size
-    assert sol.lambda_val == pytest.approx(_march_root(func, math.inf)[0], rel=1e-12)
+    assert len(marches) == 1 and lam == sol.lambda_val and formed and end is not None
+    assert nodes == fine == reached + 1 == solved.mesh.grid.size
 
 
 def _two_robin(alpha_left, alpha_right, p):
@@ -678,14 +823,17 @@ def _case_problem(case, p):
 @pytest.mark.parametrize("case", _MOVED_CASES, ids=lambda case: " ".join(map(str, case)))
 def test_moved_eigenvector_is_the_march_at_the_root(case, p):
     """The fine root-find moves lambda by its last Newton step and makes
-    no march there.  phi, formed on read, is the product of the ratios
-    of one march at that moved lambda, which reaches the end node: on
+    no march there, and the inverse power method for an alpha < 0 end
+    keeps no iterate.  phi, formed on read, is the product of the ratios
+    of one march at the returned lambda, which reaches the end node: on
     every bench family, deep double-Robin layers and Robin ends of
     opposite signs, at m = 2000.  For p >= 2 and |alpha| <= 3 the root
-    takes one fine march."""
-    d = _assert_phi_is_the_march_at_the_root(_case_problem(case, p), 2000)
+    takes one fine march from the march's start."""
+    prob = _case_problem(case, p)
+    _assert_phi_is_the_march_at_the_root(prob, 2000)
     if p >= 2.0 and max(map(abs, case[1:])) <= 3.0:
-        assert d["steps"] == 1
+        solved = _solved(discretize(prob, 2000))
+        assert _march_root(solved, _march_start(solved)[0])[1] == 1
 
 
 # the cases above at m = 250 and odd m = 2001, where the coarse meshes'
@@ -953,10 +1101,20 @@ def test_rayleigh_diagnostics_schema():
     assert d["steps"] == d["iterations"] > 0  # alpha > 0: inverse power iterations
     assert set(d["phase_s"]) == {"seed", "solve"}
     assert all(t >= 0.0 for t in d["phase_s"].values())
-    # the march route reports the same keys and the same tolerance
-    march = solve_rayleigh(geodesic_ball_problem(-1.0, 3, 1.0, -1.0, 3.0), 2000).diagnostics
-    assert set(march) == set(d) and march["iterations"] == 0
-    assert march["lambda_tol"] == _LAMBDA_RTOL
+    # the march route, the inverse power method for alpha < 0 and its
+    # hand-over to the march report the same keys and the same tolerance
+    ball = geodesic_ball_problem(-1.0, 3, 1.0, -1.0, 3.0)
+    march = solve_rayleigh(ball, MARCH_M).diagnostics
+    inverse = solve_rayleigh(geodesic_ball_problem(-1.0, 3, 1.0, -0.5, 1.75), 2000).diagnostics
+    handed = solve_rayleigh(ball, 2000).diagnostics  # contracts slowly
+    for other in (march, inverse, handed):
+        assert set(other) == set(d) and other["lambda_tol"] == _LAMBDA_RTOL and other["converged"]
+    assert march["iterations"] == 0 and march["seed_iterations"] > 0
+    assert march["evals"] == march["seed_iterations"] + march["steps"]
+    assert inverse["seed_iterations"] == 0 and inverse["steps"] == inverse["iterations"] > 0
+    assert inverse["evals"] == inverse["iterations"]
+    assert handed["iterations"] > 0 and handed["seed_iterations"] > 0 and handed["steps"] > 0
+    assert handed["evals"] == handed["iterations"] + handed["seed_iterations"] + handed["steps"]
 
 
 def test_shoot_diagnostics_schema():

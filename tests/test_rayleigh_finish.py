@@ -17,17 +17,23 @@ from probin.shoot import solve_first_eigenvalue
 
 from test_plan import FAMILIES, _digest, _problem
 
-# (family, alpha, p, route): the march, the inverse power method, and
-# the mirror image (double_robin) with each sign of alpha; the three
-# flat deep layers of test_deep_layer_march, whose phi is formed here
-# with warnings as errors: at p = 1.001, alpha = -2 all ratios but one
-# pass the float range, and are capped at _HUGE
+# (family, alpha, p, route), route naming what forms phi: one march at
+# the returned lambda (every alpha < 0 end), or the inverse power
+# iterate (alpha > 0).  lambda comes from the inverse power method
+# (alpha > 0; flat alpha = -1, warped_ball p = 3 and double_robin
+# alpha = -0.9), its hand-over to the march (the three flat deep layers
+# of test_deep_layer_march, whose phi is formed here with warnings as
+# errors: at p = 1.001, alpha = -2 all ratios but one pass the float
+# range, and are capped at _HUGE) or the march alone (warped_ball p = 5,
+# above _INVERSE_P_MAX); with the mirror image (double_robin) at each
+# sign of alpha
 ROUTES = [
     ("flat", -1.0, 1.75, "march"),
     ("flat", -2.0, 1.001, "march"),
     ("flat", -100.0, 1.5, "march"),
     ("flat", -10.0, 1.1, "march"),
     ("warped_ball", -0.5, 3.0, "march"),
+    ("warped_ball", -0.5, 5.0, "march"),
     ("hyperbolic_ball", 2.0, 1.7, "inverse"),
     ("double_robin", 1.0, 2.5, "inverse"),
     ("double_robin", -0.9, 2.4, "march"),
@@ -49,9 +55,12 @@ def test_lambda_and_diagnostics_form_no_eigenvector(calls, family, alpha, p, rou
     sol = solve_rayleigh(_problem(family, alpha, p), 2000)
     d = sol.diagnostics
     assert isinstance(sol.lambda_val, float) and d["converged"] and d["m"] == 2000
-    assert (d["iterations"] > 0) == (route == "inverse")
     assert set(d["phase_s"]) == {"seed", "solve"} and callable(sol.finish)
-    assert calls == ["_march"] * (d["evals"] if route == "march" else 0)
+    # the lambda solve marches only where the march found lambda, coarse
+    # and fine: every pass over the mesh but the inverse power iterations
+    assert calls == ["_march"] * (d["evals"] - d["iterations"])
+    if route == "inverse":
+        assert d["iterations"] > 0 and d["seed_iterations"] == 0
     del calls[:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -109,9 +118,9 @@ def _arrays(value):
 @pytest.mark.parametrize("family,alpha,p,route", ROUTES, ids=[" ".join(map(str, r)) for r in ROUTES])
 def test_an_unread_solution_holds_one_vector(family, alpha, p, route):
     """Until the first read a solution holds no more than phi would: the
-    inverse power iterate, on the solved mesh (the half of a mirror
-    image), and on the march route nothing, since its eigenvector is
-    marched on read.  The functionals it also holds share their arrays
+    inverse power iterate of a positive end, on the solved mesh (the half
+    of a mirror image), and where phi is marched (every alpha < 0 end,
+    whichever route found lambda) nothing.  The functionals it also holds share their arrays
     with the cached mesh.  The read lets the iterate go."""
     sol = solve_rayleigh(_problem(family, alpha, p), 2000)
     if route == "march":
@@ -131,16 +140,20 @@ def test_an_unread_solution_holds_one_vector(family, alpha, p, route):
 # eigenvector, its momentum and the residual before it returned; the
 # march rows' digest and residual were recorded again once the march
 # route's eigenvector became one march at the returned lambda (disk
-# alpha = -3, p = 1.1 kept both).  The comment names the route
+# alpha = -3, p = 1.1 kept both), and the four alpha < 0 rows the
+# inverse power method now solves were recorded again with it (lambda
+# moved by 1.0e-14 to 4.0e-14 relative).  The comment names the route to
+# lambda
 RAYLEIGH_PINS = [
-    ("flat", -1.0, 1.75, "-0x1.486990862c35bp+0", "4b1eb88e619ae2ff", "0x1.1e3045ce85f54p-35"),  # march
-    ("disk", -3.0, 1.1, "-0x1.af52798fa084dp+11", "bc20f5dea678aa0d", "0x1.b208e5d3e1b8fp-42"),  # march
+    ("flat", -1.0, 1.75, "-0x1.486990862c323p+0", "079000cb08c345d0", "0x1.205204edd84e5p-35"),  # inverse
+    ("disk", -3.0, 1.1, "-0x1.af52798fa084dp+11", "bc20f5dea678aa0d", "0x1.b208e5d3e1b8fp-42"),  # hand-over
     ("hyperbolic_ball", 2.0, 1.7, "0x1.3db7d44752171p+2", "3980c595f59264ed", "0x1.3021a4748c3a0p-25"),  # inverse
-    ("spherical_cap", -0.5, 2.5, "-0x1.98ae888ac4ebfp+0", "39fe332e4130be43", "0x1.0a7e367135f0cp-35"),  # march
+    ("spherical_cap", -0.5, 2.5, "-0x1.98ae888ac4da3p+0", "eac7b97c746be1a7", "0x1.2504b3112ccc7p-35"),  # inverse
     ("curvature_model", 0.8, 1.3, "0x1.c70cb2ee78e9bp+0", "8497df9325b24fa1", "0x1.c9c35a23aaef6p-24"),  # inverse
     ("double_robin", 1.0, 2.5, "0x1.8742be3f1dc5fp+0", "0c2a2932d1446a3a", "0x1.bb1980045b914p-25"),  # inverse
-    ("double_robin", -0.9, 2.4, "-0x1.270fb61e5eaf3p+1", "bd47f9633680c33e", "0x1.8904f823aba88p-35"),  # march
-    ("warped_ball", -0.5, 3.0, "-0x1.142e462c3a459p+1", "52be8902bf2ddb32", "0x1.1f292561b40e9p-34"),  # march
+    ("double_robin", -0.9, 2.4, "-0x1.270fb61e5ea4cp+1", "a6b2930946f2ab57", "0x1.99d134fbe7314p-35"),  # inverse
+    ("warped_ball", -0.5, 3.0, "-0x1.142e462c3a417p+1", "e208427b2c7fbd84", "0x1.27fccf69940b4p-34"),  # inverse
+    ("warped_ball", -0.5, 5.0, "-0x1.8514bc1572b7cp+1", "a7125ef0e4e974af", "0x1.1719f9b248a93p-32"),  # march
 ]
 
 
